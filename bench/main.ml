@@ -104,8 +104,8 @@ let e4 () =
   (* schema → query → same site graph *)
   let g = Sites.Paper_example.data () in
   let census g' = (Graph.node_count g', Graph.edge_count g') in
-  let direct = Struql.Eval.run g q in
-  let recovered = Struql.Eval.run g (Schema.Site_schema.to_query s) in
+  let direct = Struql.Exec.run g q in
+  let recovered = Struql.Exec.run g (Schema.Site_schema.to_query s) in
   Fmt.pr "query recovered from schema evaluates identically: %b@."
     (census direct = census recovered);
   Fmt.pr "@.static verification on the schema:@.";
@@ -325,45 +325,32 @@ let optimizer_workload ?(pubs = 120) () =
 
 let run_strategy g conds strategy =
   let options = { Struql.Eval.default_options with strategy } in
-  let stats = Struql.Eval.new_stats () in
-  let steps =
-    Struql.Plan.plan ~strategy ~registry:Struql.Builtins.default g ~bound:[]
-      ~needed_obj:[] ~needed_label:[] conds
-  in
-  let envs =
-    Struql.Eval.exec_steps ~stats g options.Struql.Eval.registry
-      [ Struql.Eval.Env.empty ] steps
-  in
-  (List.length envs, stats)
+  Struql.Exec.bindings_profiled ~options g conds
 
-(* the same plan on the streaming operator pipeline *)
-let run_strategy_streaming g conds strategy =
-  let options = { Struql.Eval.default_options with strategy } in
-  let rows, ops, peak = Struql.Exec.bindings_profiled ~options g conds in
-  (List.length rows, ops, peak)
+(* Operator i's output is the whole relation after plan step i, so the
+   operators' output counts are the sizes of the intermediate relations
+   an eager evaluator would materialize. *)
+let rows_out ops =
+  List.map (fun (o : Struql.Exec.op_stats) -> o.os_rows_out) ops
 
 let e9 () =
   section "E9" "§2.4 — optimizer: naive vs heuristic vs cost-based";
   let g, conds = optimizer_workload () in
-  Fmt.pr "%-12s %10s %14s %16s %12s %12s %12s@." "strategy" "rows" "time (ms)"
-    "intermediate" "max interm." "stream(ms)" "peak live";
+  Fmt.pr "%-12s %10s %14s %16s %12s %12s@." "strategy" "rows" "time (ms)"
+    "intermediate" "max interm." "peak live";
   List.iter
     (fun (name, strategy) ->
-      let (rows, stats), t =
+      let (rows, ops, peak), t =
         time_it (fun () -> run_strategy g conds strategy)
       in
-      let (srows, _, peak), ts =
-        time_it (fun () -> run_strategy_streaming g conds strategy)
-      in
-      assert (srows = rows);
-      Fmt.pr "%-12s %10d %14.2f %16d %12d %12.2f %12d@." name rows (ms t)
-        stats.Struql.Eval.intermediate stats.Struql.Eval.max_intermediate
-        (ms ts) peak)
+      let outs = rows_out ops in
+      Fmt.pr "%-12s %10d %14.2f %16d %12d %12d@." name (List.length rows)
+        (ms t) (List.fold_left ( + ) 0 outs) (List.fold_left max 0 outs) peak)
     [ ("naive", Struql.Plan.Naive); ("heuristic", Struql.Plan.Heuristic);
       ("costbased", Struql.Plan.Cost_based) ];
   Fmt.pr
-    "shape check: identical rows per strategy; streaming peak live stays \
-     near the per-row fanout while eager max intermediate grows with the \
+    "shape check: identical rows per strategy; peak live stays near the \
+     per-row fanout while the largest intermediate relation grows with the \
      relation.@."
 
 (* ----------------------------------------------------------------- *)
@@ -388,7 +375,7 @@ let e10 () =
       let _, t =
         time_it (fun () ->
             for _ = 1 to 20 do
-              ignore (Struql.Eval.run_string g query)
+              ignore (Struql.Exec.run_string g query)
             done)
       in
       Fmt.pr "%-12s %14.2f@."
@@ -693,11 +680,13 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* Evaluate each site's definition queries on both engines and compare
-   the eager evaluator's largest materialized intermediate relation
-   with the streaming pipeline's peak live-binding watermark.  The
-   per-stage watermarks (max output batch per operator) land in
-   BENCH_exec.json as the regression baseline. *)
+(* Evaluate each site's definition queries and compare the largest
+   intermediate relation an eager evaluator would materialize (the
+   largest operator output, see [rows_out]) with the streaming
+   pipeline's peak live-binding watermark.  The output graph is checked
+   against the delta engine's primed site graph, the other derivation
+   of the same queries.  The per-stage watermarks (max output batch per
+   operator) land in BENCH_exec.json as the regression baseline. *)
 let e16 () =
   section "E16" "streaming engine: peak live bindings vs eager intermediates";
   let sites =
@@ -726,16 +715,6 @@ let e16 () =
             registry = def.Strudel.Site.registry;
           }
         in
-        let eager_out = Graph.create ~name () in
-        let eager_scope = Skolem.create () in
-        let eager_stats =
-          List.map
-            (fun (_, q) ->
-              snd
-                (Struql.Eval.run_with_stats ~options ~scope:eager_scope
-                   ~into:eager_out data q))
-            queries
-        in
         let s_out = Graph.create ~name () in
         let s_scope = Skolem.create () in
         let profs =
@@ -747,9 +726,13 @@ let e16 () =
             queries
         in
         let eager_max =
-          List.fold_left
-            (fun m st -> max m st.Struql.Eval.max_intermediate)
-            0 eager_stats
+          List.concat_map
+            (fun (p : Struql.Exec.profile) ->
+              List.concat_map
+                (fun (b : Struql.Exec.block_profile) -> rows_out b.bpr_ops)
+                p.prf_blocks)
+            profs
+          |> List.fold_left max 0
         in
         let peak =
           List.fold_left
@@ -759,9 +742,14 @@ let e16 () =
         let rows =
           List.fold_left (fun n p -> n + p.Struql.Exec.prf_rows) 0 profs
         in
+        let dx =
+          Struql.Dexec.create ~options ~queries:(List.map snd queries) data
+        in
+        Struql.Dexec.prime dx;
+        let primed = Struql.Dexec.site_graph dx in
         let identical =
-          Graph.node_count eager_out = Graph.node_count s_out
-          && Graph.edge_count eager_out = Graph.edge_count s_out
+          Graph.node_count primed = Graph.node_count s_out
+          && Graph.edge_count primed = Graph.edge_count s_out
         in
         Fmt.pr "%-14s %8d %18d %12d %7.1fx %10b@." name rows eager_max peak
           (float_of_int eager_max /. float_of_int (max 1 peak))
@@ -1323,16 +1311,11 @@ let e19 () =
 
 let e20 () =
   section "E20" "graph kernel: interned CSR + memoized regular-path engine";
-  let with_kernel flag f =
-    let saved = !Path.kernel_enabled in
-    Path.kernel_enabled := flag;
-    Fun.protect ~finally:(fun () -> Path.kernel_enabled := saved) f
-  in
   (* Closure-heavy workload shaped like eval_pairs: the same source set
-     probed repeatedly (once per conjunct / per round).  The legacy
-     engine re-runs the interpretive BFS every time; the kernel pays
-     one freeze plus one compiled BFS per distinct source, then serves
-     memo hits. *)
+     probed repeatedly (once per conjunct / per round).  On a graph
+     never frozen the legacy engine re-runs the interpretive BFS every
+     time; the kernel pays one freeze plus one compiled BFS per
+     distinct source, then serves memo hits. *)
   let rounds = 5 in
   (* one compiled automaton per workload, as query plans hold one nfa
      per conjunct — this is what makes the per-source memo effective *)
@@ -1375,21 +1358,18 @@ let e20 () =
         let nfa = Path.compile r in
         let g_legacy = build () in
         let legacy, legacy_ms =
-          with_kernel false (fun () ->
-              wall_it (fun () -> run_closure g_legacy ~nfa r nsources))
+          wall_it (fun () -> run_closure g_legacy ~nfa r nsources)
         in
         let g_kernel = build () in
         (* cold leg pays the freeze and every memo miss *)
         let kernel, kernel_ms =
-          with_kernel true (fun () ->
-              wall_it (fun () ->
-                  ignore (Graph.freeze g_kernel);
-                  run_closure g_kernel ~nfa r nsources))
+          wall_it (fun () ->
+              ignore (Graph.freeze g_kernel);
+              run_closure g_kernel ~nfa r nsources)
         in
         (* warm leg: snapshot and memo already populated *)
         let _, warm_ms =
-          with_kernel true (fun () ->
-              wall_it (fun () -> run_closure g_kernel ~nfa r nsources))
+          wall_it (fun () -> run_closure g_kernel ~nfa r nsources)
         in
         if legacy <> kernel then
           failwith (Printf.sprintf "E20 %s: result mismatch" name);
@@ -1401,46 +1381,6 @@ let e20 () =
           k.Graph.freezes k.Graph.hits k.Graph.misses;
         (name, nsources, legacy_ms, kernel_ms, warm_ms, speedup))
       closure_workloads
-  in
-  (* full site builds, kernel off vs on (builds freeze the data graph
-     once and every page query shares the snapshot + memo) *)
-  let builds =
-    [
-      ( "cnn-100",
-        fun () ->
-          (Sites.Cnn.data ~articles:100 (), Sites.Cnn.definition) );
-      ( "org-100",
-        fun () ->
-          let _, w = Sites.Org.data ~people:100 ~orgs:6 () in
-          (Mediator.Warehouse.graph w, Sites.Org.definition) );
-    ]
-  in
-  Fmt.pr "  %-10s %12s %12s %8s@." "site" "off ms" "on ms" "speedup";
-  let build_rows =
-    List.map
-      (fun (name, mk) ->
-        let best flag =
-          let t = ref infinity in
-          let site = ref None in
-          for _ = 1 to 3 do
-            let data, def = mk () in
-            let b, bt =
-              with_kernel flag (fun () ->
-                  wall_it (fun () -> Strudel.Site.build ~data def))
-            in
-            site := Some b.Strudel.Site.site;
-            if bt < !t then t := bt
-          done;
-          (Option.get !site, !t)
-        in
-        let off_site, off_ms = best false in
-        let on_site, on_ms = best true in
-        if not (pages_identical off_site on_site) then
-          failwith (Printf.sprintf "E20 %s: build mismatch" name);
-        let speedup = off_ms /. on_ms in
-        Fmt.pr "  %-10s %12.1f %12.1f %7.2fx@." name off_ms on_ms speedup;
-        (name, off_ms, on_ms, speedup))
-      builds
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"experiment\": \"E20_path_kernel\",\n";
@@ -1455,16 +1395,6 @@ let e20 () =
             \"kernel_ms\": %.3f, \"warm_ms\": %.3f, \"speedup\": %.2f}"
            name srcs legacy_ms kernel_ms warm_ms speedup))
     closure_rows;
-  Buffer.add_string buf "\n  ],\n  \"builds\": [";
-  List.iteri
-    (fun i (name, off_ms, on_ms, speedup) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"site\": \"%s\", \"kernel_off_ms\": %.3f, \
-            \"kernel_on_ms\": %.3f, \"speedup\": %.2f}"
-           name off_ms on_ms speedup))
-    build_rows;
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_path.json" in
   output_string oc (Buffer.contents buf);
@@ -1890,9 +1820,6 @@ let bechamel_suite () =
              ignore (Struql.Parser.parse Sites.Paper_example.site_query)));
       Test.make ~name:"E3_eval_fig3_query"
         (Staged.stage (fun () ->
-             ignore (Struql.Eval.run paper_data paper_query)));
-      Test.make ~name:"E16_streaming_eval_fig3"
-        (Staged.stage (fun () ->
              ignore (Struql.Exec.run paper_data paper_query)));
       Test.make ~name:"E4_derive_site_schema"
         (Staged.stage (fun () ->
@@ -1922,9 +1849,9 @@ let bechamel_suite () =
         (Staged.stage (fun () ->
              ignore (run_strategy opt_g opt_conds Struql.Plan.Cost_based)));
       Test.make ~name:"E10_query_with_indexes"
-        (Staged.stage (fun () -> ignore (Struql.Eval.run idx_g year_query)));
+        (Staged.stage (fun () -> ignore (Struql.Exec.run idx_g year_query)));
       Test.make ~name:"E10_query_full_scan"
-        (Staged.stage (fun () -> ignore (Struql.Eval.run noidx_g year_query)));
+        (Staged.stage (fun () -> ignore (Struql.Exec.run noidx_g year_query)));
       Test.make ~name:"E11_clicktime_first_page"
         (Staged.stage (fun () ->
              let ct =

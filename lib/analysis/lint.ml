@@ -155,69 +155,21 @@ let occurrences v b =
   in
   go 0 b
 
-(* Delta-evaluability of one top-level block (SA070), mirroring the
-   classification the differential engine performs at prime time
-   ({!Struql.Dexec}): driven only when the block's plan opens with an
-   unbound driving-collection scan and every later step — nested
-   blocks included, under the (bound, driver-derived) pair threaded
-   down the tree — anchors its data reads on driver-derived objects.
-   Planned against [data] when the lint has it, else an empty graph
+(* Delta-evaluability of one top-level block (SA070): the classifier
+   the differential engine runs at prime time ({!Struql.Plan.delta_class}),
+   planned against [data] when the lint has it, else an empty graph
    (classification depends on plan shape, not contents). *)
 let delta_top_class ~registry ~data (b : Ast.block) : Struql.Plan.delta_class
     =
   let g =
     match data with Some g -> g | None -> Graph.create ~name:"lint" ()
   in
-  let pure = Struql.Builtins.pure_extern in
-  let plan_block ~bound (blk : Ast.block) =
+  let plan ~bound (blk : Ast.block) =
     let needed_obj, needed_label = Struql.Eval.construction_needs blk in
     Struql.Plan.plan ~registry g ~bound ~needed_obj ~needed_label
       blk.Ast.where
   in
-  let rec subtree_ok bd ~bound_vars (blk : Ast.block) =
-    List.fold_left
-      (fun acc (nb : Ast.block) ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if Struql.Plan.block_has_agg nb then
-            Error "aggregate link target in a nested block"
-          else
-            let steps = plan_block ~bound:bound_vars nb in
-            let bound, der = bd in
-            (match Struql.Plan.anchored_steps ~pure ~bound ~der steps with
-             | Error e -> Error e
-             | Ok bd' ->
-               let bound_vars' =
-                 Ast.dedup
-                   (bound_vars
-                   @ List.concat_map Struql.Plan.step_binds steps)
-               in
-               subtree_ok bd' ~bound_vars:bound_vars' nb))
-      (Ok ()) blk.Ast.nested
-  in
-  if Struql.Plan.block_has_agg b then
-    Struql.Plan.D_fallback "aggregate link target"
-  else
-    let steps = plan_block ~bound:[] b in
-    let empty = Struql.Plan.VSet.empty in
-    match steps with
-    | [] -> (
-      match subtree_ok (empty, empty) ~bound_vars:[] b with
-      | Ok () -> Struql.Plan.D_static
-      | Error e -> Struql.Plan.D_fallback e)
-    | Struql.Plan.Exec (Struql.Plan.CC_coll (cname, Ast.T_var v)) :: rest -> (
-      let seed = Struql.Plan.VSet.add v empty in
-      match Struql.Plan.anchored_steps ~pure ~bound:seed ~der:seed rest with
-      | Error e -> Struql.Plan.D_fallback e
-      | Ok bd -> (
-        let bound_vars =
-          Ast.dedup (List.concat_map Struql.Plan.step_binds steps)
-        in
-        match subtree_ok bd ~bound_vars b with
-        | Ok () -> Struql.Plan.D_driven (cname, v)
-        | Error e -> Struql.Plan.D_fallback e))
-    | _ -> Struql.Plan.D_fallback "no driving collection scan"
+  Struql.Plan.delta_class ~pure:Struql.Builtins.pure_extern ~plan b
 
 let run (spec : spec) : Diagnostic.t list =
   let diags = ref [] in

@@ -13,6 +13,7 @@ module Path = Sgraph.Path
 module Skolem = Sgraph.Skolem
 module Query = Struql.Parser
 module Eval = Struql.Eval
+module Exec = Struql.Exec
 module Pretty = Struql.Pretty
 module Site_schema = Schema.Site_schema
 module Verify = Schema.Verify
@@ -28,7 +29,7 @@ module Source = Mediator.Source
 module Store = Repository.Store
 
 (** Parse and evaluate a StruQL query over a graph. *)
-let query (g : Graph.t) (src : string) : Graph.t = Eval.run_string g src
+let query (g : Graph.t) (src : string) : Graph.t = Exec.run_string g src
 
 (** Evaluate a query against a repository: the query's INPUT names are
     resolved to stored graphs (several inputs evaluate over their
@@ -48,7 +49,7 @@ let query_repo ?options (repo : Store.t) (src : string) : Graph.t =
         names;
       merged
   in
-  let out = Eval.run ?options input q in
+  let out = Exec.run ?options input q in
   Store.put repo out;
   out
 

@@ -106,6 +106,6 @@ let integrate ?(options = Eval.default_options) ?(graph_name = "mediated")
       in
       match g with
       | None -> ()  (* unavailable source: its mappings are skipped *)
-      | Some g -> ignore (Eval.run ~options ~scope ~into:mediated g m.query))
+      | Some g -> ignore (Exec.run ~options ~scope ~into:mediated g m.query))
     mappings;
   mediated

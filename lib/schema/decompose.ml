@@ -102,7 +102,7 @@ let run_all ?(options = Eval.default_options) (pieces : piece list)
       ()
   in
   List.iter
-    (fun p -> ignore (Eval.run ~options ~scope ~into:out data p.query))
+    (fun p -> ignore (Exec.run ~options ~scope ~into:out data p.query))
     pieces;
   out
 

@@ -212,8 +212,6 @@ type prepared = {
 
 type Csr.cache += Prepared of prepared
 
-let kernel_enabled = ref true
-
 let build_prepared (s : Csr.t) a =
   let dispatch = dispatch_rows a s.Csr.label_names in
   let rrows = Array.init a.n (fun _ -> Array.make (max 1 s.Csr.n_labels) []) in
@@ -389,11 +387,7 @@ let kernel_sources p probes =
     res
 
 let kernel_for g a =
-  if not !kernel_enabled then None
-  else
-    match Graph.snapshot g with
-    | Some s -> Some (prepare s a)
-    | None -> None
+  match Graph.snapshot g with Some s -> Some (prepare s a) | None -> None
 
 (* --- evaluation --- *)
 

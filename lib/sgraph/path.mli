@@ -85,12 +85,9 @@ val matcher_row : matcher -> int -> int -> int array
     result {e order is identical} to the interpretive BFS, so callers
     (and everything downstream: Skolem oid allocation, golden sites,
     the render cache) observe byte-identical results either way.
-    Without a valid snapshot — or with {!kernel_enabled} off — the
-    interpretive BFS runs directly on the live graph. *)
-
-val kernel_enabled : bool ref
-(** Kill switch for the compiled kernel (differential tests, bench
-    ablations).  Default [true]. *)
+    Without a valid snapshot the interpretive BFS runs directly on the
+    live graph: that lane serves every unfrozen graph, such as the data
+    graph a delta cycle reads between refreezes. *)
 
 val eval_from : ?nfa:nfa -> Graph.t -> t -> Oid.t -> Graph.target list
 (** All objects [y] such that a path from the source matching the

@@ -28,8 +28,10 @@
     Blocks that cannot delta-evaluate — aggregates, negation,
     active-domain enumerators, opaque externs, constant-anchored data
     reads, cross products — are replayed in full each cycle (as one ⊥
-    driver), with the reason recorded; the eager evaluator stays the
-    semantic reference.  The {!Exec.delta_enabled} kill switch turns
+    driver), with the reason recorded.  Every derivation, primed, per
+    driver or replayed, steps rows through {!Exec}'s operators
+    ({!Exec.stepper}), so the maintained graph and a cold {!Exec.run}
+    share one evaluator.  The {!Exec.delta_enabled} kill switch turns
     every cycle into a full re-derivation through the same machinery. *)
 
 open Sgraph
@@ -64,14 +66,9 @@ type bstate = {
   bs_nested : bstate list;
 }
 
-type tclass =
-  | T_static
-  | T_driven of string * string  (* driving collection, driver var *)
-  | T_fallback of string
-
 type tstate = {
   ts_bs : bstate;
-  mutable ts_class : tclass;
+  mutable ts_class : Plan.delta_class;
   (* spaced driver ranks in extent order, so mid-extent insertions
      order without renumbering *)
   ts_ranks : (int, int) Hashtbl.t;  (* driver oid id -> rank *)
@@ -155,9 +152,9 @@ let data_graph t = t.data
 let site_queries t = List.map (fun qs -> qs.qs_query) t.queries
 
 let class_string = function
-  | T_static -> "static"
-  | T_driven (c, v) -> Printf.sprintf "driven by %s(%s)" c v
-  | T_fallback why -> "fallback: " ^ why
+  | Plan.D_static -> "static"
+  | Plan.D_driven (c, v) -> Printf.sprintf "driven by %s(%s)" c v
+  | Plan.D_fallback why -> "fallback: " ^ why
 
 let classes t =
   List.concat_map
@@ -173,8 +170,8 @@ let fallbacks t =
       List.filter_map
         (fun ts ->
           match ts.ts_class with
-          | T_fallback why -> Some (ts.ts_bs.bs_path, why)
-          | T_static | T_driven _ -> None)
+          | Plan.D_fallback why -> Some (ts.ts_bs.bs_path, why)
+          | Plan.D_static | Plan.D_driven _ -> None)
         qs.qs_tops)
     t.queries
 
@@ -189,8 +186,8 @@ let plan_block t bs =
     ~registry:t.options.Eval.registry t.data ~bound:!(bs.bs_bound)
     ~needed_obj ~needed_label bs.bs_block.Ast.where
 
-(* (Re)plan a block subtree top-down, propagating the bound sets the
-   eager evaluator would compute; returns whether any plan changed
+(* (Re)plan a block subtree top-down, propagating the bound sets a cold
+   {!Exec.run} computes; returns whether any plan changed
    shape (a shape change invalidates every stored derivation of the
    subtree, because row order depends on step order). *)
 let rec replan t bs =
@@ -210,46 +207,16 @@ let rec replan t bs =
       acc || c)
     changed bs.bs_nested
 
-(* Classification of a whole top-level subtree: driven only when the
-   top block's plan opens with an unbound driving-collection scan and
-   every later step — including every nested block's, under the
-   (bound, derived) pair threaded down the tree — anchors its data
-   reads on driver-derived objects. *)
+(* Classification of a whole top-level subtree ({!Plan.delta_class}),
+   answered from the plans [replan] just stored. *)
 let classify ts =
-  let pure = Builtins.pure_extern in
-  let rec subtree_ok bd bs =
-    List.fold_left
-      (fun acc nb ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if Plan.block_has_agg nb.bs_block then
-            Error (nb.bs_path ^ ": aggregate link target")
-          else
-            let bound, der = bd in
-            (match Plan.anchored_steps ~pure ~bound ~der nb.bs_steps with
-             | Error e -> Error (nb.bs_path ^ ": " ^ e)
-             | Ok bd' -> subtree_ok bd' nb))
-      (Ok ()) bs.bs_nested
+  let rec find bs ~bound b =
+    if bs.bs_block == b && !(bs.bs_bound) = bound then Some bs.bs_steps
+    else List.find_map (fun nb -> find nb ~bound b) bs.bs_nested
   in
-  let bs = ts.ts_bs in
-  if Plan.block_has_agg bs.bs_block then T_fallback "aggregate link target"
-  else
-    let empty = Plan.VSet.empty in
-    match bs.bs_steps with
-    | [] -> (
-        match subtree_ok (empty, empty) bs with
-        | Ok () -> T_static
-        | Error e -> T_fallback e)
-    | Plan.Exec (Plan.CC_coll (cname, Ast.T_var v)) :: rest -> (
-        let seed = Plan.VSet.add v empty in
-        match Plan.anchored_steps ~pure ~bound:seed ~der:seed rest with
-        | Error e -> T_fallback e
-        | Ok bd -> (
-            match subtree_ok bd bs with
-            | Ok () -> T_driven (cname, v)
-            | Error e -> T_fallback e))
-    | _ -> T_fallback "no driving collection scan"
+  Plan.delta_class ~pure:Builtins.pure_extern
+    ~plan:(fun ~bound b -> Option.get (find ts.ts_bs ~bound b))
+    ts.ts_bs.bs_block
 
 (* --- event recording --- *)
 
@@ -279,19 +246,21 @@ let emitter t ~apply =
 let sink t ~apply =
   { Eval.out = t.sg; scope = t.scope; emit = Some (emitter t ~apply) }
 
-(* Evaluate one block over per-driver input rows and construct, in the
-   eager engine's block-major order: all of this block's rows (drivers
-   in extent order) construct before any nested block runs — the exact
-   cold mutation order, since a cold block's relation is driver-major
-   (its opening scan enumerates the extent in order). *)
+(* Evaluate one block over per-driver input rows and construct, in
+   cold block-major order: all of this block's rows (drivers in extent
+   order) construct before any nested block runs — the exact cold
+   mutation order, since a cold block's relation is driver-major (its
+   opening scan enumerates the extent in order). *)
 let rec blockmajor t ~apply bs (per_driver : (int * Eval.env list) list) =
   let snk = sink t ~apply in
+  let step =
+    Exec.stepper t.data t.options.Eval.registry ~bound:!(bs.bs_bound)
+      bs.bs_steps
+  in
   let per_rows =
     List.map
       (fun (dk, envs) ->
-        let rows =
-          Eval.exec_steps t.data t.options.Eval.registry envs bs.bs_steps
-        in
+        let rows = step envs in
         t.ctr.c_rows <- t.ctr.c_rows + List.length rows;
         (dk, rows))
       per_driver
@@ -423,7 +392,7 @@ let create ?(options = Eval.default_options) ~queries data =
               let ts =
                 {
                   ts_bs = bs;
-                  ts_class = T_static;
+                  ts_class = Plan.D_static;
                   ts_ranks = Hashtbl.create 64;
                 }
               in
@@ -514,9 +483,9 @@ let drivers_of_events t bs_ids =
        t.events [])
 
 (** Cold-prime the engine: plan, classify, and construct the site graph
-    with the eager engine's exact mutation sequence, recording every
-    construction event.  The result is byte-identical to {!Eval.run} /
-    {!Exec.run} of the same queries over the same data graph. *)
+    with a cold build's exact mutation sequence, recording every
+    construction event.  The result is byte-identical to {!Exec.run} of
+    the same queries over the same data graph. *)
 let prime t =
   ignore (Graph.freeze t.data);
   List.iter
@@ -526,7 +495,7 @@ let prime t =
           ignore (replan t ts.ts_bs);
           ts.ts_class <- classify ts;
           (match ts.ts_class with
-           | T_driven (coll, v) ->
+           | Plan.D_driven (coll, v) ->
              let extent = Graph.collection t.data coll in
              renumber_ranks ts extent;
              let per_driver =
@@ -542,7 +511,7 @@ let prime t =
              in
              t.ctr.c_drivers <- t.ctr.c_drivers + List.length extent;
              blockmajor t ~apply:true ts.ts_bs per_driver
-           | T_static | T_fallback _ ->
+           | Plan.D_static | Plan.D_fallback _ ->
              blockmajor t ~apply:true ts.ts_bs [ (-1, [ Eval.Env.empty ]) ]);
           commit_bufs t ~announce:(fun _ -> ()))
         qs.qs_tops)
@@ -644,17 +613,17 @@ let apply ?data t (delta : Delta.t) : site_change =
             blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
           in
           match cls with
-          | T_static ->
+          | Plan.D_static ->
             (* data-independent: only a plan/class change can move it *)
             if disabled || plan_changed || class_changed then begin
               t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
               replay_whole ()
             end
-          | T_fallback why ->
+          | Plan.D_fallback why ->
             t.ctr.c_fallback_replays <- t.ctr.c_fallback_replays + 1;
             fallbacks_run := (bs.bs_path, why) :: !fallbacks_run;
             replay_whole ()
-          | T_driven (coll, v) ->
+          | Plan.D_driven (coll, v) ->
             let full =
               disabled || plan_changed || class_changed
               || List.mem coll delta.Delta.reordered
@@ -830,12 +799,6 @@ let apply ?data t (delta : Delta.t) : site_change =
     sc_rows = t.ctr.c_rows - c_rows0;
     sc_fallbacks = List.rev !fallbacks_run;
   }
-
-(** Thread this engine's cumulative counters into a streaming profile
-    (the [explain-analyze] surface). *)
-let fill_profile t (p : Exec.profile) =
-  p.Exec.prf_delta_rows_in <- t.ctr.c_drivers;
-  p.Exec.prf_delta_rows_out <- t.ctr.c_rows
 
 let pp_counters ppf c =
   Fmt.pf ppf

@@ -5,16 +5,20 @@
     {e maintains} one under {!Sgraph.Delta} changes to the data graph,
     at O(change) cost and byte-identical to a cold full build.
 
-    Each top-level block is classified ({!Plan.delta_class}): {e driven}
-    blocks re-derive only the drivers — members of the driving
-    collection — whose forward neighbourhood the delta touches (found by
-    the backward closure over the reverse-adjacency index);
-    {e fallback} blocks (aggregates, negation, enumerators, opaque
-    externs, constant-anchored reads) replay in full each cycle, reason
-    recorded.  Construction events are support-counted per
-    (block, driver) and carry a canonical (block, driver-rank, sequence)
-    position; touched out-buckets and collections re-sort by minimum
-    position over supporters, which is exactly cold construction order.
+    Each top-level block is classified with its nested subtree
+    ({!Plan.delta_class}, the classifier [explain-analyze] and lint
+    code SA070 also call): {e driven} blocks re-derive only the
+    drivers — members of the driving collection — whose forward
+    neighbourhood the delta touches (found by the backward closure over
+    the reverse-adjacency index); {e fallback} blocks (aggregates,
+    negation, enumerators, opaque externs, constant-anchored reads)
+    replay in full each cycle, reason recorded.  Construction events
+    are support-counted per (block, driver) and carry a canonical
+    (block, driver-rank, sequence) position; touched out-buckets and
+    collections re-sort by minimum position over supporters, which is
+    exactly cold construction order.  Every derivation steps its rows
+    through {!Exec}'s operators ({!Exec.stepper}), the engine a cold
+    build runs.
 
     Typical use (the [strudel watch] loop):
     {[
@@ -44,10 +48,10 @@ val create : ?options:Eval.options -> queries:Ast.query list -> Graph.t -> t
     [options.validate] (the default).  Call {!prime} before {!apply}. *)
 
 val prime : t -> unit
-(** Cold-prime: plan, classify, and construct the site graph with the
-    eager engine's exact mutation sequence, recording every
-    construction event.  The resulting {!site_graph} is byte-identical
-    to {!Eval.run} / {!Exec.run} of the same queries. *)
+(** Cold-prime: plan, classify, and construct the site graph with a
+    cold build's exact mutation sequence, recording every construction
+    event.  The resulting {!site_graph} is byte-identical to
+    {!Exec.run} of the same queries. *)
 
 val site_graph : t -> Graph.t
 (** The maintained site graph.  Owned by the engine: callers must not
@@ -90,9 +94,5 @@ val classes : t -> (string * string) list
 val fallbacks : t -> (string * string) list
 (** The blocks that force full re-evaluation, with reasons — the
     [explain-analyze] / SA070 surface. *)
-
-val fill_profile : t -> Exec.profile -> unit
-(** Thread the engine's cumulative counters into a streaming profile
-    (rows in = drivers re-derived, rows out = rows re-derived). *)
 
 val pp_counters : Format.formatter -> counters -> unit

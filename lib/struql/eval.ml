@@ -1,14 +1,13 @@
-(** Two-stage evaluation of StruQL.
+(** The per-row semantics of StruQL's two stages, shared by every
+    engine.
 
-    The {e query stage} evaluates a block's WHERE clause to the relation
-    of all satisfying assignments of node and arc variables (one column
-    per variable), under active-domain semantics.  The {e construction
-    stage} interprets CREATE / LINK / COLLECT over each row, creating
-    nodes with Skolem functions (same inputs — same oid), adding edges
-    (only from newly created nodes; existing nodes are immutable) and
-    populating output collections.  Nested blocks inherit their
-    ancestors' bindings, so their WHERE clauses are conjoined with the
-    ancestors'. *)
+    The {e query stage} extends one binding row by one plan step
+    ({!exec_step}), under active-domain semantics.  The {e construction
+    stage} interprets CREATE / LINK / COLLECT over one row
+    ({!construct_row}), creating nodes with Skolem functions (same
+    inputs — same oid), adding edges (only from newly created nodes;
+    existing nodes are immutable) and populating output collections.
+    Whole queries run on {!Exec}. *)
 
 open Sgraph
 
@@ -19,17 +18,6 @@ type binding = B_target of Graph.target | B_label of string
 module Env = Map.Make (String)
 
 type env = binding Env.t
-
-let pp_binding ppf = function
-  | B_target t -> Graph.pp_target ppf t
-  | B_label l -> Fmt.pf ppf "label %S" l
-
-let pp_env ppf env =
-  Fmt.pf ppf "{%a}"
-    Fmt.(
-      list ~sep:(any ", ") (fun ppf (v, b) ->
-          Fmt.pf ppf "%s=%a" v pp_binding b))
-    (Env.bindings env)
 
 (* --- Stage 1: the query stage --- *)
 
@@ -345,29 +333,6 @@ let exec_step g reg env (s : Plan.step) : env list =
     if Env.mem v env then [ env ]
     else List.map (fun l -> Env.add v (B_label l) env) (Graph.labels g)
 
-(** Statistics of a run, for the optimizer experiments. *)
-type stats = {
-  mutable rows : int;             (* total binding rows produced *)
-  mutable intermediate : int;     (* sum of intermediate relation sizes *)
-  mutable max_intermediate : int;
-  mutable steps : int;
-}
-
-let new_stats () = { rows = 0; intermediate = 0; max_intermediate = 0; steps = 0 }
-
-let exec_steps ?stats g reg envs steps =
-  List.fold_left
-    (fun envs step ->
-      let envs' = List.concat_map (fun env -> exec_step g reg env step) envs in
-      (match stats with
-       | Some s ->
-         s.steps <- s.steps + 1;
-         s.intermediate <- s.intermediate + List.length envs';
-         s.max_intermediate <- max s.max_intermediate (List.length envs')
-       | None -> ());
-      envs')
-    envs steps
-
 (* --- Stage 2: the construction stage --- *)
 
 (** Construction events, observable through an {!emitter}: exactly the
@@ -384,9 +349,9 @@ type emitter = {
 }
 
 (** The construction sinks: the output graph and the Skolem scope that
-    names the nodes it creates.  Shared by the eager evaluator below
-    and the streaming {!Exec} engine, which feeds rows one at a time.
-    An optional {!emitter} observes (and may replace) the writes. *)
+    names the nodes it creates.  {!Exec} feeds rows into it one at a
+    time.  An optional {!emitter} observes (and may replace) the
+    writes. *)
 type cons = {
   out : Graph.t;
   scope : Skolem.t;
@@ -413,13 +378,6 @@ let sink_coll sink c o =
   | Some e ->
     if e.em_apply then Graph.add_to_collection sink.out c o;
     e.em_coll c o
-
-type context = {
-  sink : cons;
-  registry : Builtins.registry;
-  strategy : Plan.strategy;
-  run_stats : stats;
-}
 
 let rec cons_target sink env (t : Ast.term) : Graph.target =
   match t with
@@ -538,8 +496,7 @@ let new_groups () : agg_groups = Hashtbl.create 8
     binding row.  Aggregate link targets only accumulate into [groups];
     {!construct_flush} emits them once the block's relation is
     exhausted.  The streaming engine calls this row-by-row as bindings
-    come off the operator pipeline; the mutation sequence is identical
-    to the eager evaluator's. *)
+    come off the operator pipeline. *)
 let construct_row sink (groups : agg_groups) (b : Ast.block) env =
   List.iter
     (fun (f, args) ->
@@ -585,13 +542,6 @@ let construct_flush sink (groups : agg_groups) =
       sink_edge sink src label (Graph.V (aggregate fn values)))
     groups
 
-(** Run the construction clauses of one block over its whole binding
-    relation. *)
-let construct_block ctx envs (b : Ast.block) =
-  let groups = new_groups () in
-  List.iter (fun env -> construct_row ctx.sink groups b env) envs;
-  construct_flush ctx.sink groups
-
 (* Construction variables of a block, split into object and arc
    positions, for the planner's active-domain pre-pass. *)
 let construction_needs (b : Ast.block) =
@@ -607,22 +557,6 @@ let construction_needs (b : Ast.block) =
   List.iter (fun (_, t) -> obj := Ast.term_vars !obj t) b.collect;
   (Ast.dedup !obj, Ast.dedup !lab)
 
-let rec run_block g ctx bound envs (b : Ast.block) =
-  let needed_obj, needed_label = construction_needs b in
-  let steps =
-    Plan.plan ~strategy:ctx.strategy ~registry:ctx.registry g ~bound
-      ~needed_obj ~needed_label b.where
-  in
-  let envs' = exec_steps ~stats:ctx.run_stats g ctx.registry envs steps in
-  ctx.run_stats.rows <- ctx.run_stats.rows + List.length envs';
-  construct_block ctx envs' b;
-  let bound' =
-    Ast.dedup
-      (bound
-      @ List.concat_map (fun s -> Plan.step_binds s) steps)
-  in
-  List.iter (fun nested -> run_block g ctx bound' envs' nested) b.nested
-
 type options = {
   strategy : Plan.strategy;
   registry : Builtins.registry;
@@ -631,78 +565,3 @@ type options = {
 
 let default_options =
   { strategy = Plan.Heuristic; registry = Builtins.default; validate = true }
-
-let run ?(options = default_options) ?scope ?into g (q : Ast.query) =
-  if options.validate then Check.validate_exn q;
-  let out =
-    match into with
-    | Some g' -> g'
-    | None -> Graph.create ~name:q.output ()
-  in
-  let scope = match scope with Some s -> s | None -> Skolem.create () in
-  if not (out == g) then ignore (Graph.freeze g);
-  let ctx =
-    {
-      sink = { out; scope; emit = None };
-      registry = options.registry;
-      strategy = options.strategy;
-      run_stats = new_stats ();
-    }
-  in
-  List.iter (fun b -> run_block g ctx [] [ Env.empty ] b) q.blocks;
-  out
-
-(** Evaluate a whole query into a caller-built sink — the hook the
-    differential engine uses to replay non-incrementalizable queries
-    through an observing emitter with the exact eager semantics. *)
-let run_query ?(options = default_options) ~sink g (q : Ast.query) =
-  if options.validate then Check.validate_exn q;
-  if not (sink.out == g) then ignore (Graph.freeze g);
-  let ctx =
-    {
-      sink;
-      registry = options.registry;
-      strategy = options.strategy;
-      run_stats = new_stats ();
-    }
-  in
-  List.iter (fun b -> run_block g ctx [] [ Env.empty ] b) q.blocks
-
-let run_with_stats ?(options = default_options) ?scope ?into g q =
-  if options.validate then Check.validate_exn q;
-  let out =
-    match into with
-    | Some g' -> g'
-    | None -> Graph.create ~name:q.Ast.output ()
-  in
-  let scope = match scope with Some s -> s | None -> Skolem.create () in
-  if not (out == g) then ignore (Graph.freeze g);
-  let ctx =
-    {
-      sink = { out; scope; emit = None };
-      registry = options.registry;
-      strategy = options.strategy;
-      run_stats = new_stats ();
-    }
-  in
-  List.iter (fun b -> run_block g ctx [] [ Env.empty ] b) q.Ast.blocks;
-  (out, ctx.run_stats)
-
-(** Evaluate a bare condition list (stage 1 only); for tests and for
-    the click-time engine. *)
-let bindings ?(options = default_options) ?(env = Env.empty) ?(bound = [])
-    ?(needed_obj = []) ?(needed_label = []) g conds =
-  let bound = Ast.dedup (bound @ List.map fst (Env.bindings env)) in
-  let steps =
-    Plan.plan ~strategy:options.strategy ~registry:options.registry g ~bound
-      ~needed_obj ~needed_label conds
-  in
-  exec_steps g options.registry [ env ] steps
-
-(** Parse and run a query in one call. *)
-let run_string ?options ?scope ?into g src =
-  let registry =
-    match options with Some o -> o.registry | None -> Builtins.default
-  in
-  let q = Parser.parse ~registry src in
-  run ?options ?scope ?into g q

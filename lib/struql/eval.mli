@@ -1,15 +1,19 @@
-(** Two-stage evaluation of StruQL (§3).
+(** The per-row semantics of StruQL's two-stage evaluation (§3).
 
     The {e query stage} evaluates a block's WHERE clause to the
     relation of all satisfying assignments of node and arc variables
-    (one column per variable), under active-domain semantics.  The
+    (one column per variable), under active-domain semantics; here it
+    is one plan step applied to one row ({!exec_step}).  The
     {e construction stage} interprets CREATE / LINK / COLLECT over the
     rows: nodes are created with Skolem functions (same inputs — same
     oid), edges added (only from newly created nodes; existing nodes
     are immutable), collections populated, and aggregate link targets
-    grouped by source node.  Nested blocks inherit their ancestors'
-    bindings, so their WHERE clauses are conjoined with the
-    ancestors'. *)
+    grouped by source node ({!construct_row}, {!construct_flush}).
+
+    This module holds no whole-query driver.  {!Exec} runs every query
+    (nested blocks inherit their ancestors' bindings, so their WHERE
+    clauses are conjoined with the ancestors'), and {!Dexec} maintains
+    a query's result under data deltas through {!Exec}'s operators. *)
 
 open Sgraph
 
@@ -22,30 +26,11 @@ module Env : Map.S with type key = string
 
 type env = binding Env.t
 
-val pp_binding : Format.formatter -> binding -> unit
-val pp_env : Format.formatter -> env -> unit
-
 (** {1 Stage 1: the query stage} *)
 
-val exec_cond : Graph.t -> Builtins.registry -> env -> Plan.ccond -> env list
-(** All extensions of the environment satisfying one condition. *)
-
 val exec_step : Graph.t -> Builtins.registry -> env -> Plan.step -> env list
-
-(** Evaluation statistics, for the optimizer experiments. *)
-type stats = {
-  mutable rows : int;             (** binding rows produced *)
-  mutable intermediate : int;     (** sum of intermediate relation sizes *)
-  mutable max_intermediate : int;
-  mutable steps : int;
-}
-
-val new_stats : unit -> stats
-
-val exec_steps :
-  ?stats:stats ->
-  Graph.t -> Builtins.registry -> env list -> Plan.step list -> env list
-(** Run a plan over a starting relation. *)
+(** All extensions of one binding row by one plan step, in a fixed
+    order: every engine's row order is built from it. *)
 
 (** {1 Stage 2: the construction stage} *)
 
@@ -81,9 +66,8 @@ val construct_row : cons -> agg_groups -> Ast.block -> env -> unit
     binding row.  Aggregate link targets only accumulate into the
     groups; non-aggregate construction mutates the sink immediately.
     Feeding the block's rows in relation order through this function
-    and then calling {!construct_flush} performs exactly the mutation
-    sequence of the eager evaluator — the streaming {!Exec} engine
-    relies on this for bit-identical Skolem oids. *)
+    and then calling {!construct_flush} fixes the mutation sequence,
+    and with it the Skolem oids, by the row order alone. *)
 
 val construct_flush : cons -> agg_groups -> unit
 (** Fold and emit the accumulated aggregate groups of one block. *)
@@ -101,7 +85,7 @@ val aggregate : Ast.agg_fn -> Graph.target list -> Value.t
 val target_key : Graph.target -> string
 (** A hashable identity key for a target (distinctness in groups). *)
 
-(** {1 Whole-query evaluation} *)
+(** {1 Engine options} *)
 
 type options = {
   strategy : Plan.strategy;
@@ -111,42 +95,3 @@ type options = {
 
 val default_options : options
 (** Heuristic planning, default registry, validation on. *)
-
-val run :
-  ?options:options ->
-  ?scope:Skolem.t ->
-  ?into:Graph.t ->
-  Graph.t -> Ast.query -> Graph.t
-(** Evaluate a query over a data graph.  [scope] shares Skolem terms
-    across composed queries; [into] adds to an existing output graph
-    (§5.2: "we allowed queries to add nodes and arcs to a graph").
-    Without them, a fresh scope and a fresh graph named after the
-    query's OUTPUT are used. *)
-
-val run_query : ?options:options -> sink:cons -> Graph.t -> Ast.query -> unit
-(** Evaluate a whole query into a caller-built sink (eager semantics,
-    identical mutation sequence to {!run}); the differential engine's
-    full-re-evaluation fallback path. *)
-
-val run_with_stats :
-  ?options:options ->
-  ?scope:Skolem.t ->
-  ?into:Graph.t ->
-  Graph.t -> Ast.query -> Graph.t * stats
-
-val bindings :
-  ?options:options ->
-  ?env:env ->
-  ?bound:Ast.var list ->
-  ?needed_obj:Ast.var list ->
-  ?needed_label:Ast.var list ->
-  Graph.t -> Ast.condition list -> env list
-(** Stage 1 alone: the binding relation of a condition list.  Used by
-    tests and by the click-time evaluator. *)
-
-val run_string :
-  ?options:options ->
-  ?scope:Skolem.t ->
-  ?into:Graph.t ->
-  Graph.t -> string -> Graph.t
-(** Parse and evaluate in one call. *)

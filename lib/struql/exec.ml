@@ -1,12 +1,13 @@
-(* Streaming physical-operator execution of StruQL.
+(* Streaming physical-operator execution of StruQL: the one engine that
+   evaluates whole queries.
 
    Each plan step becomes a pipelined operator over an [env Seq.t];
    rows flow operator-to-operator depth-first, so the pull order is
-   exactly the row order the eager evaluator's per-step
-   [List.concat_map] produces.  Construction consumes the stream
-   row-by-row through {!Eval.construct_row}, giving the identical
-   mutation sequence — and therefore identical Skolem oids — as
-   {!Eval.run}.  Two situations force materialization of a block's
+   exactly the row order of applying the steps one at a time to the
+   whole relation (the naive two-stage semantics of §3).  Construction
+   consumes the stream row-by-row through {!Eval.construct_row}, so the
+   mutation sequence — and therefore every Skolem oid — is fixed by
+   that row order.  Two situations force materialization of a block's
    relation: nested blocks (they re-consume the parent rows, and the
    parent's construction must fully precede theirs), and [into == g]
    (construction would mutate the graph the pipeline is still
@@ -224,15 +225,10 @@ type profile = {
   mutable prf_shards_pruned : int;
   mutable prf_shard_kernel : (string * Graph.kernel_counters) list;
   (* differential-evaluation observability (Delta-StruQL): how many
-     blocks the delta engine could maintain incrementally vs the
-     fallback reasons, and — when a profile is threaded through an
-     actual delta cycle — the binding rows deltas consumed/produced *)
+     top-level blocks the delta engine can maintain incrementally, and
+     the fallback reasons of the rest *)
   mutable prf_delta_blocks : int;
   mutable prf_delta_fallback : (string * string) list;  (* path, reason *)
-  mutable prf_delta_rows_in : int;
-  mutable prf_delta_rows_out : int;
-      (* per-shard kernel activity during the run, shards in context
-         order, only those with any *)
 }
 
 let profile_steps p =
@@ -281,9 +277,6 @@ let pp_profile ppf p =
         Fmt.pf ppf "@,delta: evaluable blocks=%d fallback=%d"
           p.prf_delta_blocks
           (List.length p.prf_delta_fallback);
-        if p.prf_delta_rows_in > 0 || p.prf_delta_rows_out > 0 then
-          Fmt.pf ppf " rows in=%d out=%d" p.prf_delta_rows_in
-            p.prf_delta_rows_out;
         List.iter
           (fun (path, why) ->
             Fmt.pf ppf "@,  block %s falls back: %s" path why)
@@ -295,7 +288,8 @@ let pp_profile ppf p =
 (* Counts binding rows buffered in the pipeline: the per-row output
    batch of each operator (released as downstream pulls each row) plus
    any materialized parent relations.  Its high-water mark is the
-   streaming analogue of the eager evaluator's [max_intermediate]. *)
+   streaming analogue of the largest intermediate relation an eager
+   evaluator materializes. *)
 type live = { mutable cur : int; mutable peak : int }
 
 let live_alloc lv n =
@@ -328,10 +322,10 @@ let ops_of_steps bound steps =
   List.rev rev
 
 (* One physical operator: expand each input row with [Eval.exec_step].
-   The expansion batch is eager (as in the eager engine), but only one
-   batch per operator is ever live — [Seq.concat_map] pulls rows
-   depth-first, which is exactly the row order of the eager engine's
-   step-by-step [List.concat_map]. *)
+   The expansion batch is a list, but only one batch per operator is
+   ever live — [Seq.concat_map] pulls rows depth-first, which is
+   exactly the row order of a step-by-step [List.concat_map] over the
+   whole relation. *)
 let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
     Eval.env Seq.t =
   if timed then os.os_timed <- true;
@@ -361,6 +355,14 @@ let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
 let fold_pipeline g reg ~timed live ops input =
   List.fold_left (fun s op -> op_seq g reg ~timed live op s) input ops
 
+(* The differential engine's lane: one block's operators, built once,
+   stepping each driver's rows through the same pipeline. *)
+let stepper g reg ~bound steps =
+  let ops = ops_of_steps bound steps in
+  let live = { cur = 0; peak = 0 } in
+  fun envs ->
+    List.of_seq (fold_pipeline g reg ~timed:false live ops (List.to_seq envs))
+
 (* --- Sharded evaluation --- *)
 
 (* One shard of a partitioned repository, as the evaluator sees it: a
@@ -379,8 +381,6 @@ type shard_ctx = {
   sc_union : Graph.t;  (** must be the graph the query runs against *)
   sc_jobs : int;  (** domains for per-shard scans; [1] = sequential *)
 }
-
-let shard_enabled = ref true
 
 (** Kill switch for differential (delta) evaluation: when cleared,
     {!Dexec}-driven pipelines ([strudel watch], warehouse delta
@@ -413,10 +413,13 @@ type rctx = {
   live : live;
   materialize_all : bool;
       (* [into == g]: stage 1 would scan the graph construction is
-         mutating, so fall back to the eager engine's materialize-then-
-         construct discipline per block *)
+         mutating, so each block materializes its relation before
+         constructing *)
   shards : shard_ctx option;
   blocks_rev : block_profile list ref;
+  mutable plans : ((Ast.block * Ast.var list) * Plan.step list) list;
+      (* every block planned so far, keyed by (block, bound variables),
+         for the delta classifier *)
   prof : profile;
 }
 
@@ -427,13 +430,11 @@ type rctx = {
    position in the union extent — which restores exactly the row order
    of the unsharded pipeline, so construction performs the identical
    mutation sequence. *)
-let shardable rctx ~top steps (b : Ast.block) =
-  ignore b;
+let shardable rctx ~top steps =
   match rctx.shards with
-  | Some sc when top && !shard_enabled && sc.sc_union == rctx.g -> (
+  | Some sc when top && sc.sc_union == rctx.g -> (
     match steps with
-    | Plan.Exec (Plan.CC_coll (cname, Ast.T_var v)) :: rest ->
-      Some (sc, cname, v, rest)
+    | Plan.Exec (Plan.CC_coll (cname, Ast.T_var v)) :: _ -> Some (sc, cname, v)
     | _ -> None)
   | _ -> None
 
@@ -574,80 +575,64 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
     Plan.plan ~strategy:rctx.strategy ~registry:rctx.registry rctx.g ~bound
       ~needed_obj ~needed_label b.where
   in
+  rctx.plans <- ((b, bound), steps) :: rctx.plans;
   let ops = ops_of_steps bound steps in
   let bpr = { bpr_path = path; bpr_ops = ops; bpr_rows = 0 } in
   rctx.blocks_rev := bpr :: !(rctx.blocks_rev);
-  (match
-     Plan.delta_class ~pure:Builtins.pure_extern
-       ~bound:(List.fold_left (fun s v -> Plan.VSet.add v s) Plan.VSet.empty bound)
-       ~top b steps
-   with
-   | Plan.D_static | Plan.D_driven _ ->
-     rctx.prof.prf_delta_blocks <- rctx.prof.prf_delta_blocks + 1
-   | Plan.D_fallback why ->
-     rctx.prof.prf_delta_fallback <- (path, why) :: rctx.prof.prf_delta_fallback);
   let groups = Eval.new_groups () in
+  let construct env = Eval.construct_row rctx.sink groups b env in
   let sharded =
-    match shardable rctx ~top steps b with
-    | Some (sc, cname, v, _rest) ->
-      sharded_rows rctx sc cname v bound steps ops
+    match shardable rctx ~top steps with
+    | Some (sc, cname, v) -> sharded_rows rctx sc cname v bound steps ops
     | None -> None
   in
+  let stream () =
+    fold_pipeline rctx.g rctx.registry ~timed:rctx.timed rctx.live ops inputs
+  in
   (match sharded with
-   | Some rows ->
-     (* already materialized in unsharded row order: construct, then
-        nested blocks re-consume the relation as usual *)
+   | None when b.nested = [] && not rctx.materialize_all ->
+     (* fully pipelined: construct each row as it is pulled *)
+     Seq.iter
+       (fun env ->
+         bpr.bpr_rows <- bpr.bpr_rows + 1;
+         construct env)
+       (stream ());
+     Eval.construct_flush rctx.sink groups
+   | _ ->
+     (* sharded rows arrive materialized in unsharded order; otherwise
+        nested blocks re-consume the relation, and the parent's
+        construction must fully precede theirs for oid-order fidelity *)
+     let rows =
+       match sharded with Some rows -> rows | None -> List.of_seq (stream ())
+     in
      let n = List.length rows in
      bpr.bpr_rows <- n;
      live_alloc rctx.live n;
-     List.iter (fun env -> Eval.construct_row rctx.sink groups b env) rows;
+     List.iter construct rows;
      Eval.construct_flush rctx.sink groups;
-     if b.nested <> [] then begin
-       let bound' =
-         Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
-       in
-       List.iteri
-         (fun i nested ->
-           run_block rctx ~top:false
-             (path ^ "." ^ string_of_int (i + 1))
-             bound' (List.to_seq rows) nested)
-         b.nested
-     end;
-     live_release rctx.live n
-   | None ->
-     let stream =
-       fold_pipeline rctx.g rctx.registry ~timed:rctx.timed rctx.live ops inputs
+     let bound' =
+       Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
      in
-     if b.nested = [] && not rctx.materialize_all then begin
-       (* fully pipelined: construct each row as it is pulled *)
-       Seq.iter
-         (fun env ->
-           bpr.bpr_rows <- bpr.bpr_rows + 1;
-           Eval.construct_row rctx.sink groups b env)
-         stream;
-       Eval.construct_flush rctx.sink groups
-     end
-     else begin
-       (* nested blocks re-consume the relation, and the parent's
-          construction must fully precede theirs for oid-order fidelity *)
-       let rows = List.of_seq stream in
-       let n = List.length rows in
-       bpr.bpr_rows <- n;
-       live_alloc rctx.live n;
-       List.iter (fun env -> Eval.construct_row rctx.sink groups b env) rows;
-       Eval.construct_flush rctx.sink groups;
-       let bound' =
-         Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
-       in
-       List.iteri
-         (fun i nested ->
-           run_block rctx ~top:false
-             (path ^ "." ^ string_of_int (i + 1))
-             bound' (List.to_seq rows) nested)
-         b.nested;
-       live_release rctx.live n
-     end);
+     List.iteri
+       (fun i nested ->
+         run_block rctx ~top:false
+           (path ^ "." ^ string_of_int (i + 1))
+           bound' (List.to_seq rows) nested)
+       b.nested;
+     live_release rctx.live n);
   rctx.prof.prf_rows <- rctx.prof.prf_rows + bpr.bpr_rows
+
+(* One delta class per top-level block, from the plans its run made. *)
+let classify_top rctx path (b : Ast.block) =
+  let plan ~bound nb =
+    snd (List.find (fun ((b', bd), _) -> b' == nb && bd = bound) rctx.plans)
+  in
+  let prof = rctx.prof in
+  match Plan.delta_class ~pure:Builtins.pure_extern ~plan b with
+  | Plan.D_static | Plan.D_driven _ ->
+    prof.prf_delta_blocks <- prof.prf_delta_blocks + 1
+  | Plan.D_fallback why ->
+    prof.prf_delta_fallback <- (path, why) :: prof.prf_delta_fallback
 
 let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
     ?shards ?into g (q : Ast.query) =
@@ -671,8 +656,6 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       prf_shard_kernel = [];
       prf_delta_blocks = 0;
       prf_delta_fallback = [];
-      prf_delta_rows_in = 0;
-      prf_delta_rows_out = 0;
     }
   in
   let shard_k0 =
@@ -700,15 +683,16 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       materialize_all = out == g;
       shards;
       blocks_rev = ref [];
+      plans = [];
       prof;
     }
   in
   let t0 = Sys.time () in
   List.iteri
     (fun i b ->
-      run_block rctx ~top:true
-        (string_of_int (i + 1))
-        [] (Seq.return Eval.Env.empty) b)
+      let path = string_of_int (i + 1) in
+      run_block rctx ~top:true path [] (Seq.return Eval.Env.empty) b;
+      classify_top rctx path b)
     q.blocks;
   prof.prf_time <- Sys.time () -. t0;
   prof.prf_peak_live <- rctx.live.peak;

@@ -1,5 +1,6 @@
 (** Streaming physical-operator execution of StruQL (§2.4's evaluation
-    layer, rebuilt as a pipelined engine).
+    layer, rebuilt as a pipelined engine): the one engine that evaluates
+    whole queries.
 
     Each {!Plan.step} of a block's plan compiles to a physical operator
     — collection scan or probe, index-backed edge lookup, NFA path
@@ -8,9 +9,11 @@
     instead of being materialized between steps.  The construction
     stage consumes the stream row-by-row, so peak memory scales with
     the pipeline's per-row fanout rather than the largest intermediate
-    relation.  The mutation order of the output graph is identical to
-    the eager {!Eval} evaluator's: same Skolem oids, same collections,
-    bit-for-bit (the [test_eval_ref] reference suite checks this).
+    relation.  The pull order equals the row order of applying the plan
+    steps one at a time to the whole relation, so the output graph —
+    Skolem oids, collections, mutation order — is bit-for-bit the one
+    the naive two-stage semantics of §3 builds (the test suite keeps
+    that eager evaluator as its reference oracle).
 
     Every operator carries runtime statistics — rows in/out, access
     path (index vs. scan), largest per-row output batch, optional
@@ -105,8 +108,8 @@ type profile = {
   mutable prf_rows : int;       (** total rows over all blocks *)
   mutable prf_peak_live : int;
       (** peak simultaneously-live binding rows across the whole run —
-          the streaming analogue of the eager evaluator's
-          [max_intermediate] *)
+          the streaming analogue of the largest intermediate relation
+          an eager evaluator materializes *)
   mutable prf_time : float;     (** wall-clock seconds of the whole run *)
   mutable prf_kernel_freezes : int;
       (** graph-kernel snapshot builds during this run *)
@@ -121,19 +124,18 @@ type profile = {
       (** per-shard kernel freeze/hit/miss deltas during the run, shards
           in context order, omitting all-zero entries *)
   mutable prf_delta_blocks : int;
-      (** blocks the differential engine could maintain incrementally *)
+      (** top-level blocks the differential engine can maintain
+          incrementally ({!Plan.delta_class}) *)
   mutable prf_delta_fallback : (string * string) list;
-      (** (block path, reason) for blocks that force full re-evaluation *)
-  mutable prf_delta_rows_in : int;
-      (** binding rows consumed by delta re-derivation (delta cycles) *)
-  mutable prf_delta_rows_out : int;
-      (** binding rows produced by delta re-derivation (delta cycles) *)
+      (** (top-level block path, reason) for blocks whose subtree the
+          differential engine replays in full *)
 }
 
 val profile_steps : profile -> int
 val profile_rows_out : profile -> int
-(** Sum of every operator's output rows — comparable to the eager
-    evaluator's [intermediate] counter. *)
+(** Sum of every operator's output rows.  Operator [i]'s output is the
+    whole relation after plan step [i], so this is the total size of
+    the intermediate relations an eager evaluator would materialize. *)
 
 val profile_max_batch : profile -> int
 val pp_profile : Format.formatter -> profile -> unit
@@ -160,11 +162,6 @@ type shard_ctx = {
   sc_jobs : int;  (** domains for per-shard scans; [1] = sequential *)
 }
 
-val shard_enabled : bool ref
-(** Kill switch (default [true], mirroring [Path.kernel_enabled]): when
-    off, a supplied shard context is ignored and every block runs the
-    plain pipeline. *)
-
 val delta_enabled : bool ref
 (** Kill switch for differential (delta) evaluation; cleared, the
     differential layer ([strudel watch], warehouse delta refresh)
@@ -178,14 +175,16 @@ val run :
   ?shards:shard_ctx ->
   ?into:Graph.t ->
   Graph.t -> Ast.query -> Graph.t
-(** Evaluate a query with the streaming engine.  Semantically
-    equivalent to {!Eval.run} (same output graph, same Skolem oids,
-    same mutation order), with peak memory bounded by per-row fanout
+(** Evaluate a query over a data graph.  [scope] shares Skolem terms
+    across composed queries; [into] adds to an existing output graph
+    (§5.2: "we allowed queries to add nodes and arcs to a graph").
+    Without them, a fresh scope and a fresh graph named after the
+    query's OUTPUT are used.  Peak memory is bounded by per-row fanout
     instead of intermediate relation size.  Blocks with nested blocks
     materialize their (final) binding relation, which the nested
     pipelines then stream from; if [into] is the data graph itself,
     the engine falls back to materializing every block's relation
-    before construction, as the eager evaluator does.
+    before construction.
 
     With [shards] (whose [sc_union] must be [g]), a top-level block
     driven by an unbound collection scan runs that scan per shard —
@@ -224,8 +223,8 @@ val bindings :
   ?needed_obj:Ast.var list ->
   ?needed_label:Ast.var list ->
   Graph.t -> Ast.condition list -> Eval.env list
-(** The binding relation of a condition list, computed by the
-    streaming pipeline.  Same rows, same order as {!Eval.bindings}. *)
+(** The binding relation of a condition list: stage 1 alone, for the
+    click-time evaluator and for tests. *)
 
 val bindings_profiled :
   ?options:Eval.options ->
@@ -247,3 +246,18 @@ val bindings_seq :
   Graph.t -> Ast.condition list -> Eval.env Seq.t
 (** The raw stream, for consumers that want row-at-a-time processing
     without materializing the relation at all. *)
+
+(** {1 Per-driver stepping} *)
+
+val stepper :
+  Graph.t ->
+  Builtins.registry ->
+  bound:Ast.var list ->
+  Plan.step list ->
+  Eval.env list ->
+  Eval.env list
+(** [stepper g reg ~bound steps] builds the operators of one block's
+    plan once ([bound]: the variables bound on entry); the returned
+    function streams a relation through them and materializes the
+    result, in pipeline order.  The differential engine ({!Dexec})
+    steps each driver's rows through it.  Nothing here freezes [g]. *)

@@ -489,7 +489,7 @@ let plan ?(strategy = Heuristic) ?(limited = []) ~registry g ~bound
    unsound or unbounded and falls back to full re-evaluation. *)
 
 type delta_class =
-  | D_static  (** no generators (or, nested: fully anchored) *)
+  | D_static  (** no generators, and every nested block anchored *)
   | D_driven of string * string  (** driving collection, driver var *)
   | D_fallback of string  (** reason the block cannot delta-evaluate *)
 
@@ -556,21 +556,46 @@ let anchored_steps ~pure ~bound ~der steps =
     (Ok (bound, der))
     steps
 
-let delta_class ~pure ?(bound = VSet.empty) ?der ~top (b : Ast.block)
-    (steps : step list) : delta_class =
-  let der = match der with Some d -> d | None -> bound in
+(* One top-level block with its whole nested subtree: driven only when
+   the block's plan opens with an unbound driving-collection scan and
+   every later step — every nested block's included, under the
+   (bound, derived) pair threaded down the tree — anchors its data
+   reads on driver-derived objects.  A block delta-evaluates with its
+   subtree or not at all, since the engine replays a fallback block's
+   nested blocks with it. *)
+let delta_class ~pure ~plan (b : Ast.block) : delta_class =
+  let rec nested_ok bd bound (blk : Ast.block) =
+    List.fold_left
+      (fun acc (nb : Ast.block) ->
+        match acc with
+        | Error _ -> acc
+        | Ok () ->
+          if block_has_agg nb then
+            Error "aggregate link target in a nested block"
+          else
+            let steps = plan ~bound nb in
+            let b_vars, der = bd in
+            match anchored_steps ~pure ~bound:b_vars ~der steps with
+            | Error e -> Error e
+            | Ok bd' ->
+              let bound' =
+                Ast.dedup (bound @ List.concat_map step_binds steps)
+              in
+              nested_ok bd' bound' nb)
+      (Ok ()) blk.Ast.nested
+  in
   if block_has_agg b then D_fallback "aggregate link target"
-  else if not top then
-    match anchored_steps ~pure ~bound ~der steps with
-    | Ok _ -> D_static
-    | Error e -> D_fallback e
   else
+    let steps = plan ~bound:[] b in
+    let bound = Ast.dedup (List.concat_map step_binds steps) in
+    let with_nested cls bd =
+      match nested_ok bd bound b with Ok () -> cls | Error e -> D_fallback e
+    in
     match steps with
-    | [] -> D_static
-    | Exec (CC_coll (cname, Ast.T_var v)) :: rest
-      when not (VSet.mem v bound) -> (
-        let seed = VSet.add v bound in
-        match anchored_steps ~pure ~bound:seed ~der:(VSet.add v der) rest with
-        | Ok _ -> D_driven (cname, v)
+    | [] -> with_nested D_static (VSet.empty, VSet.empty)
+    | Exec (CC_coll (cname, Ast.T_var v)) :: rest -> (
+        let seed = VSet.singleton v in
+        match anchored_steps ~pure ~bound:seed ~der:seed rest with
+        | Ok bd -> with_nested (D_driven (cname, v)) bd
         | Error e -> D_fallback e)
     | _ -> D_fallback "no driving collection scan"

@@ -125,45 +125,31 @@ val pp_step : Format.formatter -> step -> unit
 
 (** {1 Differential-evaluation classification}
 
-    Whether a block's plan can be maintained by per-driver re-derivation
-    under a data delta (see {!Dexec}): the plan must open with an
-    unbound scan of a {e driving} collection and every later step must
-    be anchored — reading only forward from {e driver-derived} objects,
-    so the backward closure of a data delta finds every driver whose
-    rows it can change.  Aggregates, negation, active-domain
-    enumerators, opaque externs, constant-anchored data reads and cross
-    products fall back, with the reason recorded. *)
+    Whether a top-level block can be maintained by per-driver
+    re-derivation under a data delta (see {!Dexec}): its plan must open
+    with an unbound scan of a {e driving} collection, and every later
+    step — in the block and in every nested block — must be anchored:
+    reading only forward from {e driver-derived} objects, so the
+    backward closure of a data delta finds every driver whose rows it
+    can change.  Aggregates, negation, active-domain enumerators, opaque
+    externs, constant-anchored data reads and cross products fall back,
+    with the reason recorded.  This is the one classifier: the delta
+    engine, the [explain-analyze] profile and lint code SA070 all call
+    it. *)
 
 type delta_class =
-  | D_static  (** no generators (or, for nested blocks: fully anchored) *)
+  | D_static  (** no generators, and every nested block anchored *)
   | D_driven of string * string  (** driving collection, driver variable *)
   | D_fallback of string  (** why the block must fully re-evaluate *)
 
-val block_has_agg : Ast.block -> bool
-(** Whether any LINK target of the block is an aggregate. *)
-
-val anchored_steps :
-  pure:(string -> bool) ->
-  bound:VSet.t ->
-  der:VSet.t ->
-  step list ->
-  (VSet.t * VSet.t, string) result
-(** Fold the anchoring check over a plan: [bound] are all bound
-    variables, [der ⊆ bound] the driver-derived ones (data reads may
-    only anchor on these).  Returns the extended [(bound, der)] pair —
-    the seed for classifying nested blocks — or the first reason the
-    plan cannot delta-evaluate. *)
-
 val delta_class :
   pure:(string -> bool) ->
-  ?bound:VSet.t ->
-  ?der:VSet.t ->
-  top:bool ->
+  plan:(bound:Ast.var list -> Ast.block -> step list) ->
   Ast.block ->
-  step list ->
   delta_class
-(** Classify one block given its plan.  [pure] says whether an external
-    predicate is a pure function of its arguments
-    ({!Builtins.pure_extern}); [bound] holds ancestor bindings (nested
-    blocks) and [der] (default [bound]) the driver-derived subset;
-    [top] marks a top-level block (only those carry a driver). *)
+(** Classify a top-level block together with its nested subtree.
+    [pure] says whether an external predicate is a pure function of its
+    arguments ({!Builtins.pure_extern}).  [plan ~bound b] is the plan of
+    [b] when entered with its ancestors' bound variables [bound]; it is
+    called once per block of the subtree, top-down, so an engine that
+    has already planned the blocks can answer from its own plans. *)

@@ -24,7 +24,7 @@ let data () =
   ignore (mk "c" 1998 30 [ "pl" ]);
   g
 
-let run g src = Eval.run g (Parser.parse src)
+let run g src = Exec.run g (Parser.parse src)
 
 let attr_val out name l =
   let o = Option.get (Graph.find_node out name) in
@@ -160,8 +160,8 @@ let suite =
         let g = data () in
         let census g' = (Graph.node_count g', Graph.edge_count g') in
         check_bool "recovered equal" true
-          (census (Eval.run g (Parser.parse (Pretty.to_string q')))
-           = census (Eval.run g q)));
+          (census (Exec.run g (Parser.parse (Pretty.to_string q')))
+           = census (Exec.run g q)));
     t "click-time computes the same aggregates" (fun () ->
         let g = data () in
         let def =
@@ -203,7 +203,7 @@ let suite =
         in
         let census strategy =
           let out =
-            Eval.run
+            Exec.run
               ~options:{ Eval.default_options with strategy }
               (data ()) (Parser.parse src)
           in

@@ -16,7 +16,7 @@ let census g =
 let roundtrip name data qsrc =
   t ("decomposed pieces reproduce the site graph: " ^ name) (fun () ->
       let q = Parser.parse qsrc in
-      let direct = Eval.run data q in
+      let direct = Oracle.run data q in
       let pieces = Schema.Decompose.of_query q in
       let composed = Schema.Decompose.run_all pieces data in
       check_bool "same census" true (census direct = census composed))
@@ -69,7 +69,7 @@ let suite =
             pieces
         in
         let g = Schema.Decompose.run_all link_pieces data in
-        let full = Eval.run data q in
+        let full = Oracle.run data q in
         check_int "all edges present" (Graph.edge_count full)
           (Graph.edge_count g);
         check_int "no collections" 0 (List.length (Graph.collections g)));

@@ -3,8 +3,9 @@
    maintain a published site byte-identically to a cold full build —
    property-tested under random edit scripts, including
    collection-emptying removals, at jobs 1 and 4; plus units for the
-   kill switch, the fallback taxonomy, and quarantine under seeded
-   source failures. *)
+   kill switch, the fallback taxonomy, quarantine under seeded source
+   failures, and one classification across explain-analyze, the engine
+   and lint. *)
 
 open Sgraph
 
@@ -178,6 +179,84 @@ let has_fallback classes =
   List.exists
     (fun (_, c) -> String.length c >= 8 && String.sub c 0 8 = "fallback")
     classes
+
+(* --- one delta classifier, three surfaces ---
+
+   Each view lists "evaluable=N" (top-level blocks that delta-evaluate)
+   then "query block: reason" for every top-level block replayed in
+   full, as explain-analyze prints it, as the engine classifies it, and
+   as lint reports it (SA070). *)
+
+let view evaluable fallbacks =
+  Printf.sprintf "evaluable=%d" evaluable
+  :: List.sort compare
+       (List.map
+          (fun (q, b, why) -> Printf.sprintf "%s %s: %s" q b why)
+          fallbacks)
+
+let surfaces (spec : Analysis.Lint.spec) =
+  let data = Option.get spec.data in
+  let queries =
+    List.map
+      (fun (name, src) ->
+        (name, Struql.Parser.parse ~registry:spec.registry src))
+      spec.queries
+  in
+  let options = { Struql.Eval.default_options with registry = spec.registry } in
+  let analyze =
+    let evaluable = ref 0 and falls = ref [] in
+    List.iter
+      (fun (name, q) ->
+        let _, prof = Struql.Exec.run_with_profile ~options data q in
+        List.iter
+          (fun line ->
+            try
+              Scanf.sscanf line "delta: evaluable blocks=%d fallback=%_d"
+                (fun n -> evaluable := !evaluable + n)
+            with Scanf.Scan_failure _ | End_of_file -> (
+              try
+                Scanf.sscanf line "  block %s@ falls back: %[^\n]"
+                  (fun b why -> falls := (name, b, why) :: !falls)
+              with Scanf.Scan_failure _ | End_of_file -> ()))
+          (String.split_on_char '\n'
+             (Fmt.str "%a" Struql.Exec.pp_profile prof)))
+      queries;
+    view !evaluable !falls
+  in
+  let engine =
+    let dx =
+      Struql.Dexec.create ~options ~queries:(List.map snd queries) data
+    in
+    Struql.Dexec.prime dx;
+    let classes = Struql.Dexec.classes dx in
+    let falls =
+      List.map
+        (fun (path, why) ->
+          Scanf.sscanf path "q%d.%s" (fun qi b ->
+              (fst (List.nth queries (qi - 1)), b, why)))
+        (Struql.Dexec.fallbacks dx)
+    in
+    view (List.length classes - List.length falls) falls
+  in
+  let lint =
+    let blocks =
+      List.fold_left
+        (fun n (_, q) -> n + List.length q.Struql.Ast.blocks)
+        0 queries
+    in
+    let falls =
+      List.filter_map
+        (fun (d : Analysis.Diagnostic.t) ->
+          if d.code <> "SA070" then None
+          else
+            Scanf.sscanf d.message "block %d cannot be delta-evaluated (%[^)])"
+              (fun b why ->
+                Some ((Option.get d.span).file, string_of_int b, why)))
+        (Analysis.Lint.run spec)
+    in
+    view (blocks - List.length falls) falls
+  in
+  (analyze, engine, lint)
 
 let suite =
   [
@@ -440,4 +519,17 @@ OUTPUT SITE|} );
         in
         check_int "three cycles ran" 3 !seen;
         check_int "clean exit" 0 code);
+    (* --- one classifier behind every delta surface --- *)
+    t "explain-analyze, Dexec and SA070 agree on every bundled site" (fun () ->
+        let views =
+          List.map (fun (site, spec) -> (site, surfaces (spec ())))
+            Sites.Lint_specs.by_name
+        in
+        let pick f = List.map (fun (site, v) -> (site, f v)) views in
+        let check what =
+          Alcotest.(check (list (pair string (list string)))) what
+            (pick (fun (_, engine, _) -> engine))
+        in
+        check "explain-analyze = Dexec" (pick (fun (analyze, _, _) -> analyze));
+        check "SA070 = Dexec" (pick (fun (_, _, lint) -> lint)));
   ]

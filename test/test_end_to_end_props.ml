@@ -125,7 +125,7 @@ let decompose_equals_direct muts =
   let data = Sites.Cnn.data ~articles () in
   apply_mutations data articles muts;
   let q = Struql.Parser.parse Sites.Cnn.general_query in
-  let direct = Struql.Eval.run data q in
+  let direct = Oracle.run data q in
   let composed =
     Schema.Decompose.run_all (Schema.Decompose.of_query q) data
   in

@@ -8,11 +8,11 @@ let check_int = Alcotest.(check int)
 let fig2 () = fst (Ddl.parse Sites.Paper_example.data_ddl)
 
 let run ?(strategy = Plan.Heuristic) g src =
-  Eval.run ~options:{ Eval.default_options with strategy } g
+  Exec.run ~options:{ Eval.default_options with strategy } g
     (Parser.parse src)
 
 let rows g src =
-  Eval.bindings g (Parser.parse_conditions src) |> List.length
+  Exec.bindings g (Parser.parse_conditions src) |> List.length
 
 let stage1 =
   [
@@ -61,7 +61,7 @@ let stage1 =
         (* x -> * -> x for each of the 2 pubs, plus value self-pairs are
            only for distinct (x,y) bindings: count pairs where y = x *)
         let envs =
-          Eval.bindings g (Parser.parse_conditions {|Publications(x), x -> * -> y|})
+          Exec.bindings g (Parser.parse_conditions {|Publications(x), x -> * -> y|})
         in
         let self =
           List.filter
@@ -167,10 +167,10 @@ let construction =
         let scope = Skolem.create () in
         let out = Graph.create ~name:"composed" () in
         ignore
-          (Eval.run ~scope ~into:out g
+          (Exec.run ~scope ~into:out g
              (Parser.parse {|WHERE Publications(x) CREATE F(x) COLLECT Fs(F(x)) OUTPUT o|}));
         ignore
-          (Eval.run ~scope ~into:out g
+          (Exec.run ~scope ~into:out g
              (Parser.parse
                 {|WHERE Publications(x), x -> "title" -> v CREATE F(x) LINK F(x) -> "t" -> v OUTPUT o|}));
         check_int "2 nodes total" 2 (Graph.collection_size out "Fs");
@@ -306,7 +306,7 @@ let strategy_props =
            let census strategy =
              let g = build_data spec in
              graph_census
-               (Eval.run ~options:{ Eval.default_options with strategy } g q)
+               (Exec.run ~options:{ Eval.default_options with strategy } g q)
            in
            census Plan.Naive = census Plan.Heuristic
            && census Plan.Heuristic = census Plan.Cost_based));
@@ -316,7 +316,7 @@ let strategy_props =
          (fun (spec, qi) ->
            let q = Parser.parse (List.nth query_pool qi) in
            let once () =
-             graph_census (Eval.run (build_data spec) q)
+             graph_census (Exec.run (build_data spec) q)
            in
            once () = once ()));
   ]

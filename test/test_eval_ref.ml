@@ -220,8 +220,11 @@ let rows_via bindings g reg conds =
       |> List.sort compare)
   |> List.sort_uniq compare
 
+(* the planner-driven naive evaluator (the suite's oracle) *)
 let planner_rows g reg conds =
-  rows_via (fun ~options g conds -> Eval.bindings ~options g conds) g reg conds
+  rows_via
+    (fun ~options g conds -> Oracle.bindings ~options g conds)
+    g reg conds
 
 (* the same relation through the streaming operator pipeline *)
 let streaming_rows g reg conds =
@@ -305,7 +308,9 @@ let exact_agree (spec, qi) =
   List.for_all
     (fun strategy ->
       let options = { Eval.default_options with strategy } in
-      envs_eq (Eval.bindings ~options g conds) (Exec.bindings ~options g conds))
+      envs_eq
+        (Oracle.bindings ~options g conds)
+        (Exec.bindings ~options g conds))
     [ Plan.Naive; Plan.Heuristic; Plan.Cost_based ]
 
 let suite =

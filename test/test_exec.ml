@@ -1,7 +1,8 @@
 (* The streaming physical-operator engine (Struql.Exec): whole-query
-   equivalence with the eager evaluator (same graphs, same Skolem oids,
-   same mutation order), per-operator statistics, EXPLAIN / EXPLAIN
-   ANALYZE rendering, and the memory win it exists for. *)
+   equivalence with the eager reference evaluator (Oracle: same graphs,
+   same Skolem oids, same mutation order), per-operator statistics,
+   EXPLAIN / EXPLAIN ANALYZE rendering, and the memory win it exists
+   for. *)
 
 open Sgraph
 open Struql
@@ -98,11 +99,11 @@ let both_runs ?into_self q_src strategy =
   match into_self with
   | None ->
     let g = small_data () in
-    (Eval.run ~options g q, Exec.run ~options g q)
+    (Oracle.run ~options g q, Exec.run ~options g q)
   | Some () ->
     (* out == g: both engines construct into the graph they query *)
     let g1 = small_data () and g2 = small_data () in
-    (Eval.run ~options ~into:g1 g1 q, Exec.run ~options ~into:g2 g2 q)
+    (Oracle.run ~options ~into:g1 g1 q, Exec.run ~options ~into:g2 g2 q)
 
 let equivalence_cases =
   List.concat_map
@@ -168,27 +169,27 @@ let stats_cases =
           Graph.add_to_collection g "C" o
         done;
         let conds = Parser.parse_conditions {|C(x), C(y), x != y|} in
-        let eager_stats = Eval.new_stats () in
+        let eager_stats = Oracle.new_stats () in
         let steps =
           Plan.plan ~registry:Builtins.default g ~bound:[] ~needed_obj:[]
             ~needed_label:[] conds
         in
         let eager =
-          Eval.exec_steps ~stats:eager_stats g Builtins.default
+          Oracle.exec_steps ~stats:eager_stats g Builtins.default
             [ Eval.Env.empty ] steps
         in
         let rows, _, peak = Exec.bindings_profiled g conds in
         check_int "same relation size" (List.length eager) (List.length rows);
         check_bool
           (Printf.sprintf "peak %d < eager max intermediate %d" peak
-             eager_stats.Eval.max_intermediate)
+             eager_stats.Oracle.max_intermediate)
           true
-          (peak < eager_stats.Eval.max_intermediate));
+          (peak < eager_stats.Oracle.max_intermediate));
     t "click-time profiled bindings equal eager bindings" (fun () ->
         let g = small_data () in
         let conds = Parser.parse_conditions {|C(x), x -> "k" -> v|} in
         let rows, ops, peak = Exec.bindings_profiled g conds in
-        check_int "rows" (List.length (Eval.bindings g conds))
+        check_int "rows" (List.length (Oracle.bindings g conds))
           (List.length rows);
         check_bool "ops recorded" true (ops <> []);
         check_bool "peak recorded" true (peak > 0));
@@ -248,7 +249,7 @@ let site_cases =
         (fun () ->
           let q = Parser.parse Sites.Paper_example.site_query in
           let options = { Eval.default_options with strategy } in
-          let eager = Eval.run ~options (Sites.Paper_example.data ()) q in
+          let eager = Oracle.run ~options (Sites.Paper_example.data ()) q in
           let streaming, prof =
             Exec.run_with_profile ~options (Sites.Paper_example.data ()) q
           in

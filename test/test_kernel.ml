@@ -1,21 +1,16 @@
 (* Differential suite for the compiled graph kernel: path evaluation on
    a frozen CSR snapshot must be indistinguishable — order included —
-   from the interpretive BFS on the live graph, which is itself pinned
-   to the fixpoint reference semantics.  Also pins snapshot
-   invalidation, the attribute fast paths, the backward candidate lane,
-   and byte-identity of full site builds with the kernel on and off at
-   several job counts. *)
+   from the interpretive BFS the same graph answers with before it is
+   frozen, which is itself pinned to the fixpoint reference semantics.
+   Also pins snapshot invalidation, the attribute fast paths, the
+   backward candidate lane, and byte-identity of full site builds with
+   the kernel on and off at several job counts. *)
 
 open Sgraph
 
 let t name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let with_kernel flag f =
-  let saved = !Path.kernel_enabled in
-  Path.kernel_enabled := flag;
-  Fun.protect ~finally:(fun () -> Path.kernel_enabled := saved) f
 
 (* RPE generator with a named predicate so the dispatch tables'
    fallback lane is exercised, not just exact labels and Any *)
@@ -78,21 +73,17 @@ let gen_case =
     ~print:(fun (_, r) -> Fmt.str "%a" Path.pp r)
     QCheck.Gen.(pair graph_gen rpe_gen)
 
-(* exact equality, order included: the kernel's whole contract *)
+(* exact equality, order included: the kernel's whole contract.  An
+   unfrozen graph has no snapshot, so it answers on the legacy BFS *)
 let kernel_identical_to_legacy (spec, rpe) =
   let g, nodes = build_graph spec in
-  let legacy =
-    with_kernel false (fun () ->
-        Array.to_list nodes
-        |> List.map (fun o -> List.map target_key (Path.eval_from g rpe o)))
+  let results () =
+    Array.to_list nodes
+    |> List.map (fun o -> List.map target_key (Path.eval_from g rpe o))
   in
+  let legacy = results () in
   ignore (Graph.freeze g);
-  let kernel =
-    with_kernel true (fun () ->
-        Array.to_list nodes
-        |> List.map (fun o -> List.map target_key (Path.eval_from g rpe o)))
-  in
-  legacy = kernel
+  legacy = results ()
 
 let kernel_matches_reference (spec, rpe) =
   let g, nodes = build_graph spec in
@@ -106,11 +97,10 @@ let kernel_matches_reference (spec, rpe) =
     |> List.sort_uniq compare
   in
   let kernel_pairs =
-    with_kernel true (fun () ->
-        Array.to_list nodes
-        |> List.concat_map (fun o ->
-            List.map (fun t -> (Oid.name o, target_key t)) (Path.eval_from g rpe o))
-        |> List.sort_uniq compare)
+    Array.to_list nodes
+    |> List.concat_map (fun o ->
+        List.map (fun t -> (Oid.name o, target_key t)) (Path.eval_from g rpe o))
+    |> List.sort_uniq compare
   in
   ref_pairs = kernel_pairs
 
@@ -119,39 +109,38 @@ let kernel_matches_reference (spec, rpe) =
 let candidates_complete_and_ordered (spec, rpe) =
   let g, nodes = build_graph spec in
   ignore (Graph.freeze g);
-  with_kernel true (fun () ->
-      let all_targets =
-        Array.to_list nodes |> List.concat_map (fun o -> Path.eval_from g rpe o)
-      in
-      let probes =
-        List.map (fun t ->
-            ( t,
-              match t with
-              | Graph.N o -> Path.Pnode o
-              | Graph.V v -> Path.Pvalue v ))
-          all_targets
-      in
-      List.for_all
-        (fun (tgt, probe) ->
-          match Path.candidate_sources g rpe ~towards:probe with
-          | None -> false (* snapshot is live: the lane must engage *)
-          | Some cands ->
-            let exact =
-              Array.to_list nodes
-              |> List.filter (fun o ->
-                  List.exists (Graph.target_equal tgt) (Path.eval_from g rpe o))
-            in
-            let cand_names = List.map Oid.name cands in
-            let node_order =
-              List.filter
-                (fun n -> List.mem n cand_names)
-                (List.map Oid.name (Graph.nodes g))
-            in
-            (* complete ... *)
-            List.for_all (fun o -> List.mem (Oid.name o) cand_names) exact
-            (* ... and emitted in Graph.nodes order *)
-            && cand_names = node_order)
-        probes)
+  let all_targets =
+    Array.to_list nodes |> List.concat_map (fun o -> Path.eval_from g rpe o)
+  in
+  let probes =
+    List.map (fun t ->
+        ( t,
+          match t with
+          | Graph.N o -> Path.Pnode o
+          | Graph.V v -> Path.Pvalue v ))
+      all_targets
+  in
+  List.for_all
+    (fun (tgt, probe) ->
+      match Path.candidate_sources g rpe ~towards:probe with
+      | None -> false (* snapshot is live: the lane must engage *)
+      | Some cands ->
+        let exact =
+          Array.to_list nodes
+          |> List.filter (fun o ->
+              List.exists (Graph.target_equal tgt) (Path.eval_from g rpe o))
+        in
+        let cand_names = List.map Oid.name cands in
+        let node_order =
+          List.filter
+            (fun n -> List.mem n cand_names)
+            (List.map Oid.name (Graph.nodes g))
+        in
+        (* complete ... *)
+        List.for_all (fun o -> List.mem (Oid.name o) cand_names) exact
+        (* ... and emitted in Graph.nodes order *)
+        && cand_names = node_order)
+    probes
 
 let props =
   [
@@ -214,26 +203,24 @@ let lifecycle =
     t "memo counters: misses then hits" (fun () ->
         let g, a, _, _ = mk () in
         ignore (Graph.freeze g);
-        with_kernel true (fun () ->
-            let r = Path.any_path in
-            (* memoization is per compiled automaton: share the nfa, as
-               plans do, so the second call is a memo hit *)
-            let nfa = Path.compile r in
-            let before = Graph.kernel_counters g in
-            ignore (Path.eval_from ~nfa g r a);
-            ignore (Path.eval_from ~nfa g r a);
-            let after = Graph.kernel_counters g in
-            check_bool "a miss happened" true
-              (after.Graph.misses > before.Graph.misses);
-            check_bool "a hit happened" true
-              (after.Graph.hits > before.Graph.hits)));
+        let r = Path.any_path in
+        (* memoization is per compiled automaton: share the nfa, as
+           plans do, so the second call is a memo hit *)
+        let nfa = Path.compile r in
+        let before = Graph.kernel_counters g in
+        ignore (Path.eval_from ~nfa g r a);
+        ignore (Path.eval_from ~nfa g r a);
+        let after = Graph.kernel_counters g in
+        check_bool "a miss happened" true
+          (after.Graph.misses > before.Graph.misses);
+        check_bool "a hit happened" true
+          (after.Graph.hits > before.Graph.hits));
     t "eval_from on a node foreign to the graph still answers" (fun () ->
         let g, _, _, _ = mk () in
         ignore (Graph.freeze g);
         let stranger = Oid.fresh "stranger" in
-        with_kernel true (fun () ->
-            check_int "nullable self only" 1
-              (List.length (Path.eval_from g Path.any_path stranger))));
+        check_int "nullable self only" 1
+          (List.length (Path.eval_from g Path.any_path stranger)));
   ]
 
 (* --- Obag: the indexed buckets under label/value/in indexes --- *)
@@ -262,7 +249,16 @@ let obag =
            with Invalid_argument _ -> true));
   ]
 
-(* --- full site builds: kernel on ≡ kernel off, at jobs ∈ {1, 4} --- *)
+(* --- full site builds: kernel on ≡ kernel off, at jobs ∈ {1, 4} ---
+
+   The kernel is off exactly when no graph is frozen.  The off leg
+   evaluates the site queries with the oracle, which never freezes the
+   data graph, and renders sequentially with [~refreeze:false], as a
+   delta publish does, so every path condition and template path walk
+   takes the BFS lane.  The on legs are ordinary builds, which freeze
+   both graphs.  The bundled site queries follow single labels only,
+   so each leg also walks [*] from every root of its site graph: BFS
+   in the off leg, the kernel in the on legs. *)
 
 let page_triples (site : Template.Generator.site) =
   List.map
@@ -271,6 +267,33 @@ let page_triples (site : Template.Generator.site) =
         Oid.name p.Template.Generator.obj,
         p.Template.Generator.html ))
     site.Template.Generator.pages
+
+let reachable site_graph (def : Strudel.Site.definition) =
+  List.map
+    (fun root ->
+      List.map target_key (Path.eval_from site_graph Path.any_path root))
+    (Strudel.Site.roots_of site_graph def.Strudel.Site.root_family)
+
+let unfrozen_build (def : Strudel.Site.definition) data =
+  let options =
+    { Struql.Eval.default_options with
+      strategy = def.Strudel.Site.strategy;
+      registry = def.Strudel.Site.registry }
+  in
+  let scope = Skolem.create () in
+  let site_graph = Graph.create ~name:def.Strudel.Site.name () in
+  List.iter
+    (fun (_, q) -> ignore (Oracle.run ~options ~scope ~into:site_graph data q))
+    (Strudel.Site.parse_queries def);
+  let roots = Strudel.Site.roots_of site_graph def.Strudel.Site.root_family in
+  let site, _ =
+    Strudel.Render_pool.materialize ~jobs:1 ~refreeze:false
+      ~templates:def.Strudel.Site.templates site_graph ~roots
+  in
+  let reach = reachable site_graph def in
+  check_bool "data graph never frozen" true (Graph.snapshot data = None);
+  check_bool "site graph never frozen" true (Graph.snapshot site_graph = None);
+  (page_triples site, reach)
 
 let sites_under_test () =
   [
@@ -287,21 +310,21 @@ let site_tests =
     (fun (name, def, data) ->
       t (Printf.sprintf "%s: kernel on/off builds byte-identical" name)
         (fun () ->
-          let off =
-            with_kernel false (fun () ->
-                page_triples (Strudel.Site.build ~data def).Strudel.Site.site)
-          in
-          check_bool (name ^ " has pages") true (off <> []);
+          let off_pages, off_reach = unfrozen_build def data in
+          check_bool (name ^ " has pages") true (off_pages <> []);
           List.iter
             (fun jobs ->
-              let on =
-                with_kernel true (fun () ->
-                    page_triples
-                      (Strudel.Site.build ~jobs ~data def).Strudel.Site.site)
-              in
+              let b = Strudel.Site.build ~jobs ~data def in
+              check_bool "site graph frozen" true
+                (Graph.snapshot b.Strudel.Site.site_graph <> None);
               check_bool
                 (Printf.sprintf "%s jobs=%d identical" name jobs)
-                true (on = off))
+                true
+                (page_triples b.Strudel.Site.site = off_pages);
+              check_bool
+                (Printf.sprintf "%s jobs=%d same reachable sets" name jobs)
+                true
+                (reachable b.Strudel.Site.site_graph def = off_reach))
             [ 1; 4 ]))
     (sites_under_test ())
 

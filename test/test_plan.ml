@@ -104,7 +104,7 @@ let suite =
         let g = mk_data 200 in
         let conds = {|C(x), x -> "a" -> v, Small(y), y -> "a" -> v|} in
         let run strategy =
-          Eval.bindings
+          Exec.bindings
             ~options:{ Eval.default_options with strategy }
             g
             (Parser.parse_conditions conds)
@@ -190,7 +190,7 @@ let suite =
             ~bound:[] ~needed_obj:[] ~needed_label:[] conds
         in
         let envs =
-          Eval.exec_steps g Builtins.default [ Eval.Env.empty ] steps
+          Exec.stepper g Builtins.default ~bound:[] steps [ Eval.Env.empty ]
         in
         check_int "5 members of Small" 5 (List.length envs));
     t "estimates are finite and positive for executable steps" (fun () ->

@@ -239,7 +239,7 @@ let suite =
              (* give the query something to match: rename collections *)
              let census strategy =
                let out =
-                 Eval.run
+                 Exec.run
                    ~options:{ Eval.default_options with strategy }
                    data q
                in

@@ -71,7 +71,7 @@ let recovery =
         let q' = Schema.Site_schema.to_query s in
         let g = data_fn () in
         check_bool "same site graph census" true
-          (census (Eval.run g q) = census (Eval.run g q')))
+          (census (Exec.run g q) = census (Exec.run g q')))
   in
   [
     case "paper example"

@@ -429,21 +429,19 @@ let eval_tests =
                   (int_bound (List.length query_pool - 1))
                   bool bool))
            differential);
-      t "kill switch disables sharded scans" (fun () ->
+      t "unsharded run scans no shards" (fun () ->
+          (* omitting ?shards is the only way to turn sharded scans off *)
           let g = build_data fixed_spec in
           let q = Struql.Parser.parse (List.hd query_pool) in
-          Struql.Exec.shard_enabled := false;
-          Fun.protect
-            ~finally:(fun () -> Struql.Exec.shard_enabled := true)
-            (fun () ->
-              let out, prof =
-                Struql.Exec.run_with_profile ~shards:(ctx_of g) g q
-              in
-              check_int "no shard scans"
-                0 prof.Struql.Exec.prf_shards_scanned;
-              check_string "output unchanged"
-                (bytes_of (Struql.Exec.run g q))
-                (bytes_of out)));
+          let plain, plain_prof = Struql.Exec.run_with_profile g q in
+          check_int "no shard scans" 0 plain_prof.Struql.Exec.prf_shards_scanned;
+          check_int "no shard prunes" 0 plain_prof.Struql.Exec.prf_shards_pruned;
+          let sharded, prof =
+            Struql.Exec.run_with_profile ~shards:(ctx_of g) g q
+          in
+          check_bool "sharded run scans shards" true
+            (prof.Struql.Exec.prf_shards_scanned >= 1);
+          check_string "output unchanged" (bytes_of plain) (bytes_of sharded));
       t "profile counts scanned and pruned shards" (fun () ->
           (* C and D on disjoint nodes: two shards, one pruned.  The query
              reads only C, via a collection scan, so the planner's driving

@@ -69,8 +69,8 @@ let closure_ref pairs =
 
 let struql_closure pairs =
   let g = relation_graph pairs in
-  let g1 = Eval.run g (Parser.parse q1) in
-  let g2 = Eval.run g1 (Parser.parse q2) in
+  let g1 = Exec.run g (Parser.parse q1) in
+  let g2 = Exec.run g1 (Parser.parse q2) in
   List.filter_map
     (fun o ->
       match Graph.attr_value g2 o "fst", Graph.attr_value g2 o "snd" with
@@ -120,7 +120,7 @@ let suite =
              tuple encoding has no e-paths to close over *)
           let g = relation_graph [ (1, 2); (2, 3) ] in
           let out =
-            Eval.run g
+            Exec.run g
               (Parser.parse
                  {|WHERE R(t), t -> "e"+ -> u COLLECT Out(t) OUTPUT o|})
           in
