@@ -53,7 +53,7 @@ let card d =
   List.length d.nodes_added + List.length d.nodes_removed
   + List.length d.edges_added + List.length d.edges_removed
   + List.length d.coll_added + List.length d.coll_removed
-  + List.length d.resequenced
+  + List.length d.resequenced + List.length d.reordered
 
 let union a b =
   {
@@ -159,44 +159,39 @@ let diff ~old g =
           (Graph.out_edges old o)
       end)
     old_nodes;
-  (* out-buckets of surviving nodes *)
-  let tk = function
-    | Graph.N o -> "N" ^ string_of_int (Oid.id o)
-    | Graph.V v -> "V" ^ Value.to_string v
+  (* out-buckets of surviving nodes, keyed as the graph keys edges; an
+     unchanged bucket (the common case) needs no tables *)
+  let ekey (l, tgt) = (l, Graph.tkey tgt) in
+  let same_edge (l, t) (l', t') =
+    String.equal l l' && Graph.target_equal t t'
   in
-  let ekey (l, tgt) = (l, tk tgt) in
   Oid.Set.iter
     (fun o ->
       if Oid.Set.mem o old_nodes then begin
         let oe = Graph.out_edges old o and ne = Graph.out_edges g o in
-        let oset = Hashtbl.create 8 and nset = Hashtbl.create 8 in
-        List.iter (fun e -> Hashtbl.replace oset (ekey e) ()) oe;
-        List.iter (fun e -> Hashtbl.replace nset (ekey e) ()) ne;
-        let changed = ref false in
-        List.iter
-          (fun (l, tgt) ->
-            if not (Hashtbl.mem oset (ekey (l, tgt))) then begin
-              changed := true;
-              add (fun d -> { d with edges_added = (o, l, tgt) :: d.edges_added })
-            end)
-          ne;
-        List.iter
-          (fun (l, tgt) ->
-            if not (Hashtbl.mem nset (ekey (l, tgt))) then begin
-              changed := true;
-              add (fun d ->
-                  { d with edges_removed = (o, l, tgt) :: d.edges_removed })
-            end)
-          oe;
-        if not !changed then begin
-          (* same edge set: any order change must still resequence *)
-          let rec eq a b =
-            match a, b with
-            | [], [] -> true
-            | x :: a', y :: b' -> ekey x = ekey y && eq a' b'
-            | _ -> false
-          in
-          if not (eq oe ne) then
+        if not (List.equal same_edge oe ne) then begin
+          let oset = Hashtbl.create 8 and nset = Hashtbl.create 8 in
+          List.iter (fun e -> Hashtbl.replace oset (ekey e) ()) oe;
+          List.iter (fun e -> Hashtbl.replace nset (ekey e) ()) ne;
+          let changed = ref false in
+          List.iter
+            (fun (l, tgt) ->
+              if not (Hashtbl.mem oset (ekey (l, tgt))) then begin
+                changed := true;
+                add (fun d ->
+                    { d with edges_added = (o, l, tgt) :: d.edges_added })
+              end)
+            ne;
+          List.iter
+            (fun (l, tgt) ->
+              if not (Hashtbl.mem nset (ekey (l, tgt))) then begin
+                changed := true;
+                add (fun d ->
+                    { d with edges_removed = (o, l, tgt) :: d.edges_removed })
+              end)
+            oe;
+          (* same edge set in another order: resequenced *)
+          if not !changed then
             add (fun d -> { d with resequenced = o :: d.resequenced })
         end
       end)

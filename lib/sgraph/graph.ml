@@ -19,7 +19,6 @@ let pp_target ppf = function
   | N o -> Oid.pp_name ppf o
   | V v -> Value.pp ppf v
 
-(* Hashable key for a target: oids hash by id, values structurally. *)
 type tkey = Knode of int | Kval of Value.t
 
 let tkey = function N o -> Knode (Oid.id o) | V v -> Kval v

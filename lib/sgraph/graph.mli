@@ -24,6 +24,13 @@ val target_equal : target -> target -> bool
 val target_compare : target -> target -> int
 val pp_target : Format.formatter -> target -> unit
 
+(** A target's identity as a hashable key: oids by id, values
+    structurally.  An edge's identity is (source id, label, [tkey] of
+    its target); it is the key the graph's own edge set uses. *)
+type tkey = Knode of int | Kval of Value.t
+
+val tkey : target -> tkey
+
 val create : ?indexed:bool -> ?name:string -> unit -> t
 val name : t -> string
 val indexed : t -> bool

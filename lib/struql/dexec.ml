@@ -25,6 +25,12 @@
     touched buckets by canonical position keeps the maintained site
     graph byte-identical to a cold full build at O(change) cost.
 
+    Every live event has a dense int id, handed out the first time a
+    derivation emits it; a derivation is the array of its event ids,
+    and an event's support and cached minimum position live in its id's
+    slot, so the per-cycle bookkeeping indexes arrays instead of hashing
+    event keys.
+
     Blocks that cannot delta-evaluate — aggregates, negation,
     active-domain enumerators, opaque externs, constant-anchored data
     reads, cross products — are replayed in full each cycle (as one ⊥
@@ -36,28 +42,62 @@
 
 open Sgraph
 
-(* --- construction events and their identity keys --- *)
+(* --- construction events and their identities --- *)
 
 type ev =
   | E_node of Oid.t
   | E_edge of Oid.t * string * Graph.target
   | E_coll of string * Oid.t
 
-let tgt_key = function
-  | Graph.N o -> "n" ^ string_of_int (Oid.id o)
-  | Graph.V v -> "v" ^ Value.to_string v
+(* An event's identity.  Edges are keyed as {!Graph}'s own edge set
+   keys them (source id, label, target key), so values hash
+   structurally and are never printed. *)
+type ekey =
+  | K_node of int
+  | K_edge of int * string * Graph.tkey
+  | K_coll of string * int
 
-let ev_key = function
-  | E_node o -> "N|" ^ string_of_int (Oid.id o)
-  | E_edge (s, l, t) ->
-    "E|" ^ string_of_int (Oid.id s) ^ "|" ^ l ^ "|" ^ tgt_key t
-  | E_coll (c, o) -> "C|" ^ c ^ "|" ^ string_of_int (Oid.id o)
+let key_of = function
+  | E_node o -> K_node (Oid.id o)
+  | E_edge (s, l, tg) -> K_edge (Oid.id s, l, Graph.tkey tg)
+  | E_coll (c, o) -> K_coll (c, Oid.id o)
+
+(* Support of an event: which (block, driver) derivations emit it, at
+   what minimum sequence number.  Retraction always removes a
+   (block, driver)'s events wholesale, so per-pair multiplicity is
+   irrelevant and only the pair's minimum sequence — its canonical
+   position — is kept.  Single support is by far the common case and
+   gets an immediate representation; events emitted by many drivers
+   (shared endpoints like a site's root node) are promoted to a table
+   so per-driver retraction is O(1), not O(supporters).  A drained
+   table reverts to [S0]. *)
+type sups =
+  | S0
+  | S1 of int * int * int  (* block id, driver key, min seq *)
+  | SM of (int * int, int) Hashtbl.t  (* (block, driver) -> min seq *)
+
+(* An event id's slot.  The minimum canonical position over its
+   supporters — (mp_b, mp_r, mp_s) = (block, driver rank, sequence),
+   held by driver mp_d — is cached while [mp_epoch] equals the engine's
+   rank epoch: a new supporter lowers it in place, retracting the
+   supporter that held it invalidates it, and any rank change
+   invalidates every slot at once by bumping the epoch. *)
+type slot = {
+  mutable ev : ev;
+  mutable sup : sups;
+  mutable emitted : int;  (* serial of the last derivation emitting it *)
+  mutable recorded : int;  (* serial of the last cycle recording it *)
+  mutable mp_epoch : int;
+  mutable mp_b : int;
+  mutable mp_d : int;
+  mutable mp_r : int;
+  mutable mp_s : int;
+}
 
 (* --- block-tree state --- *)
 
 type bstate = {
   bs_id : int;  (* global preorder id — the major canonical-order key *)
-  bs_top : int;  (* id of the top-level ancestor *)
   bs_path : string;  (* "q2.1.3" display path *)
   bs_block : Ast.block;
   bs_bound : string list ref;  (* bindings entering the block *)
@@ -82,67 +122,32 @@ type counters = {
   mutable c_rows : int;  (** binding rows (re-)derived *)
   mutable c_events_added : int;
   mutable c_events_removed : int;
+  mutable c_events_live : int;  (** events holding an id *)
   mutable c_fallback_replays : int;  (** ⊥-driver full block replays *)
   mutable c_full_rederives : int;  (** whole-block re-derivations *)
 }
 
-(* Support of an event key: which (block, driver) derivations emit it,
-   at what minimum sequence number (driver key -1 = ⊥).  Retraction
-   always removes a (block, driver)'s events wholesale, so per-pair
-   multiplicity is irrelevant and only the pair's minimum sequence —
-   its canonical position — is kept.  Single support is by far the
-   common case and gets an immediate representation; keys emitted by
-   many drivers (shared endpoints like a site's root node) are promoted
-   to a table so per-driver retraction is O(1), not O(supporters). *)
-type sups =
-  | S0
-  | S1 of int * int * int  (* block id, driver key, min seq *)
-  | SM of (int * int, int) Hashtbl.t  (* (block, driver) -> min seq *)
-
-type supp = { mutable sup : sups }
-
-let sup_is_empty s =
-  match s.sup with S0 -> true | S1 _ -> false | SM h -> Hashtbl.length h = 0
-
-let sup_add s bid dk seq =
-  match s.sup with
-  | S0 -> s.sup <- S1 (bid, dk, seq)
-  | S1 (b, d, s0) ->
-    if b = bid && d = dk then begin
-      if seq < s0 then s.sup <- S1 (b, d, seq)
-    end
-    else begin
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace h (b, d) s0;
-      Hashtbl.replace h (bid, dk) seq;
-      s.sup <- SM h
-    end
-  | SM h -> (
-    match Hashtbl.find_opt h (bid, dk) with
-    | Some s0 when s0 <= seq -> ()
-    | _ -> Hashtbl.replace h (bid, dk) seq)
-
-let sup_retract s bid dk =
-  match s.sup with
-  | S0 -> ()
-  | S1 (b, d, _) -> if b = bid && d = dk then s.sup <- S0
-  | SM h -> Hashtbl.remove h (bid, dk)
-
 type t = {
   options : Eval.options;
   queries : qstate list;
-  blocks : (int, bstate) Hashtbl.t;  (* every block by preorder id *)
-  tops : (int, tstate) Hashtbl.t;  (* top block id -> its state *)
+  ranks : (int, int) Hashtbl.t array;
+  (* block id -> the driver ranks of its top-level ancestor *)
   sg : Graph.t;  (* the maintained site graph *)
   scope : Skolem.t;
   mutable data : Graph.t;
-  events : (int * int, ev array) Hashtbl.t;
-  (* (block id, driver key) -> its recorded events, derivation order *)
-  support : (string, ev * supp) Hashtbl.t;
+  derivs : (int * int, int array) Hashtbl.t;
+  (* (block id, driver key) -> its event ids, first-emission order;
+     driver key -1 = ⊥ *)
+  ids : (ekey, int) Hashtbl.t;  (* live event -> id *)
+  mutable slots : slot array;  (* ids [0, hw) in use or free *)
+  mutable hw : int;
+  mutable free : int list;  (* drained ids, reused before [hw] grows *)
+  mutable epoch : int;  (* rank epoch: bumped by every rank change *)
+  mutable serial : int;  (* derivation and cycle stamps *)
   ctr : counters;
-  (* recording buffers of the pass in flight *)
-  mutable cur_buf : ev list ref;
-  bufs : (int * int, ev list ref) Hashtbl.t;
+  (* the derivation in flight, and those awaiting commit *)
+  mutable cur : int list;
+  mutable pending : (int * int * int list) list;
 }
 
 let counters t = t.ctr
@@ -174,6 +179,132 @@ let fallbacks t =
           | Plan.D_static | Plan.D_driven _ -> None)
         qs.qs_tops)
     t.queries
+
+(* --- event ids --- *)
+
+(* The id of event [e], handing out a fresh (or recycled) one the first
+   time a derivation emits it. *)
+let intern t e =
+  let k = key_of e in
+  match Hashtbl.find_opt t.ids k with
+  | Some id -> id
+  | None ->
+    let id =
+      match t.free with
+      | id :: rest ->
+        t.free <- rest;
+        let s = t.slots.(id) in
+        s.ev <- e;
+        s.sup <- S0;
+        s.mp_epoch <- -1;
+        id
+      | [] ->
+        let s =
+          {
+            ev = e;
+            sup = S0;
+            emitted = -1;
+            recorded = -1;
+            mp_epoch = -1;
+            mp_b = 0;
+            mp_d = 0;
+            mp_r = 0;
+            mp_s = 0;
+          }
+        in
+        let id = t.hw in
+        if id = Array.length t.slots then begin
+          let a = Array.make (max 1024 (2 * id)) s in
+          Array.blit t.slots 0 a 0 id;
+          t.slots <- a
+        end;
+        t.slots.(id) <- s;
+        t.hw <- id + 1;
+        id
+    in
+    Hashtbl.add t.ids k id;
+    id
+
+(* A drained id leaves the key table, so the table holds exactly the
+   live events. *)
+let release t id =
+  Hashtbl.remove t.ids (key_of t.slots.(id).ev);
+  t.free <- id :: t.free
+
+(* --- canonical positions --- *)
+
+let rank_of t bid dk =
+  if dk = -1 then 0
+  else
+    match Hashtbl.find_opt t.ranks.(bid) dk with
+    | Some r -> r
+    | None -> max_int
+
+let ranks_changed t = t.epoch <- t.epoch + 1
+
+(* (b, r, q) strictly before the slot's cached position *)
+let before b r q s =
+  b < s.mp_b || (b = s.mp_b && (r < s.mp_r || (r = s.mp_r && q < s.mp_s)))
+
+let set_min s b d r q =
+  s.mp_b <- b;
+  s.mp_d <- d;
+  s.mp_r <- r;
+  s.mp_s <- q
+
+(* Make the slot's cached minimum position current; an unsupported
+   event sits at (max_int, 0, 0). *)
+let minpos t s =
+  if s.mp_epoch <> t.epoch then begin
+    set_min s max_int 0 0 0;
+    (match s.sup with
+     | S0 -> ()
+     | S1 (b, d, q) -> set_min s b d (rank_of t b d) q
+     | SM h ->
+       Hashtbl.iter
+         (fun (b, d) q ->
+           let r = rank_of t b d in
+           if before b r q s then set_min s b d r q)
+         h);
+    s.mp_epoch <- t.epoch
+  end
+
+(* --- support --- *)
+
+(* Add supporter (bid, dk) at sequence [q]; [r] is the driver's rank. *)
+let sup_add t s bid dk r q =
+  (match s.sup with
+   | S0 -> s.sup <- S1 (bid, dk, q)
+   | S1 (b, d, q0) ->
+     if b = bid && d = dk then begin
+       if q < q0 then s.sup <- S1 (b, d, q)
+     end
+     else begin
+       let h = Hashtbl.create 4 in
+       Hashtbl.replace h (b, d) q0;
+       Hashtbl.replace h (bid, dk) q;
+       s.sup <- SM h
+     end
+   | SM h -> (
+     match Hashtbl.find_opt h (bid, dk) with
+     | Some q0 when q0 <= q -> ()
+     | _ -> Hashtbl.replace h (bid, dk) q));
+  if s.mp_epoch = t.epoch && before bid r q s then set_min s bid dk r q
+
+(* Drop supporter (bid, dk); true when that drained the support (an
+   [SM] table is never empty, so emptying it drains). *)
+let sup_retract s bid dk =
+  if s.mp_b = bid && s.mp_d = dk then s.mp_epoch <- -1;
+  let drained =
+    match s.sup with
+    | S0 -> false
+    | S1 (b, d, _) -> b = bid && d = dk
+    | SM h ->
+      Hashtbl.remove h (bid, dk);
+      Hashtbl.length h = 0
+  in
+  if drained then s.sup <- S0;
+  drained
 
 (* --- planning and classification --- *)
 
@@ -220,16 +351,18 @@ let classify ts =
 
 (* --- event recording --- *)
 
-let buf_for t key =
-  match Hashtbl.find_opt t.bufs key with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add t.bufs key r;
-    r
-
+(* A derivation records each event once, at its first emission: a
+   repeat cannot lower the derivation's minimum sequence, and skipping
+   it spares the commit and the stored array. *)
 let emitter t ~apply =
-  let push e = t.cur_buf := e :: !(t.cur_buf) in
+  let push e =
+    let id = intern t e in
+    let s = t.slots.(id) in
+    if s.emitted <> t.serial then begin
+      s.emitted <- t.serial;
+      t.cur <- id :: t.cur
+    end
+  in
   {
     Eval.em_apply = apply;
     em_node = (fun o -> push (E_node o));
@@ -267,10 +400,12 @@ let rec blockmajor t ~apply bs (per_driver : (int * Eval.env list) list) =
   in
   List.iter
     (fun (dk, rows) ->
-      t.cur_buf <- buf_for t (bs.bs_id, dk);
+      t.serial <- t.serial + 1;
+      t.cur <- [];
       let groups = Eval.new_groups () in
       List.iter (fun env -> Eval.construct_row snk groups bs.bs_block env) rows;
-      Eval.construct_flush snk groups)
+      Eval.construct_flush snk groups;
+      t.pending <- (bs.bs_id, dk, t.cur) :: t.pending)
     per_rows;
   List.iter (fun nb -> blockmajor t ~apply nb per_rows) bs.bs_nested
 
@@ -322,50 +457,16 @@ let renumber_ranks ts extent =
     (fun i o -> Hashtbl.replace ts.ts_ranks (Oid.id o) ((i + 1) * rank_gap))
     extent
 
-(* canonical position of a supporter: (block preorder, driver rank,
-   sequence within the driver's derivation) *)
-let pos_of t (bid, dk, seq) =
-  let rank =
-    if dk = -1 then 0
-    else
-      let bs = Hashtbl.find t.blocks bid in
-      let ts = Hashtbl.find t.tops bs.bs_top in
-      match Hashtbl.find_opt ts.ts_ranks dk with
-      | Some r -> r
-      | None -> max_int
-  in
-  (bid, rank, seq)
-
-(* minimum canonical position over an event key's supporters — the
-   event's sort position in its bucket or collection *)
-let minpos t k =
-  match Hashtbl.find_opt t.support k with
-  | None -> (max_int, 0, 0)
-  | Some (_, s) -> (
-    match s.sup with
-    | S0 -> (max_int, 0, 0)
-    | S1 (b, d, sq) -> pos_of t (b, d, sq)
-    | SM h ->
-      Hashtbl.fold
-        (fun (b, d) sq acc ->
-          let p = pos_of t (b, d, sq) in
-          if p < acc then p else acc)
-        h (max_int, 0, 0))
-
 (* --- engine construction --- *)
 
 let create ?(options = Eval.default_options) ~queries data =
   if options.Eval.validate then List.iter Check.validate_exn queries;
-  let blocks = Hashtbl.create 32 in
-  let tops = Hashtbl.create 8 in
   let next_id = ref 0 in
-  let rec mk top path (b : Ast.block) =
+  let rec mk path (b : Ast.block) =
     let id = !next_id in
     incr next_id;
-    let top = match top with Some i -> i | None -> id in
     {
       bs_id = id;
-      bs_top = top;
       bs_path = path;
       bs_block = b;
       bs_bound = ref [];
@@ -373,7 +474,7 @@ let create ?(options = Eval.default_options) ~queries data =
       bs_fp = "";
       bs_nested =
         List.mapi
-          (fun i nb -> mk (Some top) (path ^ "." ^ string_of_int (i + 1)) nb)
+          (fun i nb -> mk (path ^ "." ^ string_of_int (i + 1)) nb)
           b.Ast.nested;
     }
   in
@@ -383,36 +484,43 @@ let create ?(options = Eval.default_options) ~queries data =
         let qs_tops =
           List.mapi
             (fun bi b ->
-              let bs = mk None (Printf.sprintf "q%d.%d" (qi + 1) (bi + 1)) b in
-              let rec reg bs =
-                Hashtbl.replace blocks bs.bs_id bs;
-                List.iter reg bs.bs_nested
-              in
-              reg bs;
-              let ts =
-                {
-                  ts_bs = bs;
-                  ts_class = Plan.D_static;
-                  ts_ranks = Hashtbl.create 64;
-                }
-              in
-              Hashtbl.replace tops bs.bs_id ts;
-              ts)
+              let bs = mk (Printf.sprintf "q%d.%d" (qi + 1) (bi + 1)) b in
+              {
+                ts_bs = bs;
+                ts_class = Plan.D_static;
+                ts_ranks = Hashtbl.create 64;
+              })
             q.Ast.blocks
         in
         { qs_query = q; qs_tops })
       queries
   in
+  let ranks = Array.make !next_id (Hashtbl.create 0) in
+  List.iter
+    (fun qs ->
+      List.iter
+        (fun ts ->
+          let rec reg bs =
+            ranks.(bs.bs_id) <- ts.ts_ranks;
+            List.iter reg bs.bs_nested
+          in
+          reg ts.ts_bs)
+        qs.qs_tops)
+    queries;
   {
     options;
     queries;
-    blocks;
-    tops;
+    ranks;
     sg = Graph.create ~name:"site" ();
     scope = Skolem.create ();
     data;
-    events = Hashtbl.create 4096;
-    support = Hashtbl.create 8192;
+    derivs = Hashtbl.create 4096;
+    ids = Hashtbl.create 8192;
+    slots = [||];
+    hw = 0;
+    free = [];
+    epoch = 0;
+    serial = 0;
     ctr =
       {
         c_cycles = 0;
@@ -420,67 +528,60 @@ let create ?(options = Eval.default_options) ~queries data =
         c_rows = 0;
         c_events_added = 0;
         c_events_removed = 0;
+        c_events_live = 0;
         c_fallback_replays = 0;
         c_full_rederives = 0;
       };
-    cur_buf = ref [];
-    bufs = Hashtbl.create 64;
+    cur = [];
+    pending = [];
   }
 
-(* Commit the recorded buffers: store event arrays and add support.
-   [announce] sees events whose support went 0 -> 1. *)
-let commit_bufs t ~announce =
-  Hashtbl.iter
-    (fun (bid, dk) buf ->
-      let evs = Array.of_list (List.rev !buf) in
-      if Array.length evs = 0 then Hashtbl.remove t.events (bid, dk)
-      else Hashtbl.replace t.events (bid, dk) evs;
+(* Commit the pending derivations, in derivation order: store their id
+   arrays and add support.  [announce] sees ids whose support went
+   0 -> 1. *)
+let commit t ~announce =
+  List.iter
+    (fun (bid, dk, rev_ids) ->
+      let ids = Array.of_list (List.rev rev_ids) in
+      if Array.length ids = 0 then Hashtbl.remove t.derivs (bid, dk)
+      else Hashtbl.replace t.derivs (bid, dk) ids;
+      t.ctr.c_events_added <- t.ctr.c_events_added + Array.length ids;
+      let r = rank_of t bid dk in
       Array.iteri
-        (fun seq e ->
-          let k = ev_key e in
-          t.ctr.c_events_added <- t.ctr.c_events_added + 1;
-          match Hashtbl.find_opt t.support k with
-          | Some (_, s) ->
-            if sup_is_empty s then announce e;
-            sup_add s bid dk seq
-          | None ->
-            announce e;
-            Hashtbl.replace t.support k (e, { sup = S1 (bid, dk, seq) }))
-        evs)
-    t.bufs;
-  Hashtbl.reset t.bufs
+        (fun q id ->
+          let s = t.slots.(id) in
+          (match s.sup with S0 -> announce id | S1 _ | SM _ -> ());
+          sup_add t s bid dk r q)
+        ids)
+    (List.rev t.pending);
+  t.pending <- []
 
-(* Retract the events of (block list x driver): drop support; keys
-   whose support drains to zero are collected into [drained]. *)
+(* Retract the derivations of (block list x driver): drop support; ids
+   whose support drains to zero are pushed onto [drained]. *)
 let retract t ~drained bs_ids dk =
   List.iter
     (fun bid ->
-      match Hashtbl.find_opt t.events (bid, dk) with
+      match Hashtbl.find_opt t.derivs (bid, dk) with
       | None -> ()
-      | Some evs ->
-        Hashtbl.remove t.events (bid, dk);
+      | Some ids ->
+        Hashtbl.remove t.derivs (bid, dk);
+        t.ctr.c_events_removed <- t.ctr.c_events_removed + Array.length ids;
         Array.iter
-          (fun e ->
-            let k = ev_key e in
-            t.ctr.c_events_removed <- t.ctr.c_events_removed + 1;
-            match Hashtbl.find_opt t.support k with
-            | None -> ()
-            | Some (_, s) ->
-              sup_retract s bid dk;
-              if sup_is_empty s then Hashtbl.replace drained k e)
-          evs)
+          (fun id ->
+            if sup_retract t.slots.(id) bid dk then drained := id :: !drained)
+          ids)
     bs_ids
 
 let subtree_ids bs =
   let rec go acc bs = List.fold_left go (bs.bs_id :: acc) bs.bs_nested in
   List.rev (go [] bs)
 
-let drivers_of_events t bs_ids =
+let drivers_of_derivs t bs_ids =
   List.sort_uniq compare
     (Hashtbl.fold
        (fun (bid, dk) _ acc ->
          if dk <> -1 && List.mem bid bs_ids then dk :: acc else acc)
-       t.events [])
+       t.derivs [])
 
 (** Cold-prime the engine: plan, classify, and construct the site graph
     with a cold build's exact mutation sequence, recording every
@@ -498,6 +599,7 @@ let prime t =
            | Plan.D_driven (coll, v) ->
              let extent = Graph.collection t.data coll in
              renumber_ranks ts extent;
+             ranks_changed t;
              let per_driver =
                List.map
                  (fun d ->
@@ -513,9 +615,10 @@ let prime t =
              blockmajor t ~apply:true ts.ts_bs per_driver
            | Plan.D_static | Plan.D_fallback _ ->
              blockmajor t ~apply:true ts.ts_bs [ (-1, [ Eval.Env.empty ]) ]);
-          commit_bufs t ~announce:(fun _ -> ()))
+          commit t ~announce:ignore)
         qs.qs_tops)
-    t.queries
+    t.queries;
+  t.ctr.c_events_live <- Hashtbl.length t.ids
 
 (* --- the delta cycle --- *)
 
@@ -538,10 +641,12 @@ let apply ?data t (delta : Delta.t) : site_change =
      of drivers, whose reads run fine against the live graph.  Full
      replays freeze on their own (below) before scanning the extent. *)
   t.ctr.c_cycles <- t.ctr.c_cycles + 1;
+  t.serial <- t.serial + 1;
+  let cycle = t.serial in
   let c_drivers0 = t.ctr.c_drivers and c_rows0 = t.ctr.c_rows in
   let closure = lazy (Delta.closure g delta) in
-  let drained : (string, ev) Hashtbl.t = Hashtbl.create 64 in
-  let announced : (string, ev) Hashtbl.t = Hashtbl.create 64 in
+  let drained = ref [] in
+  let announced = ref [] in
   let touched_srcs = ref Oid.Set.empty in
   let touched_colls = ref SS.empty in
   let touched_names = ref SS.empty in
@@ -563,18 +668,20 @@ let apply ?data t (delta : Delta.t) : site_change =
      untouched, so the canonical re-sorts below stay O(change) instead
      of O(collection).  Node events are existence-only and never drive
      a sort: new ones are noted at announce time, dead ones by the
-     removal loop.  Recording happens before the recorder's own
-     retraction, so a shared key's first recording always captures its
-     true pre-cycle position. *)
-  let prepos : (string, ev * (int * int * int)) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let record_prepos e =
-    match e with
+     removal loop.  Recording happens before the block's rank changes
+     and retractions, so a shared event's first recording always
+     captures its true pre-cycle position. *)
+  let prepos = ref [] in
+  let record_prepos id =
+    let s = t.slots.(id) in
+    match s.ev with
     | E_node _ -> ()
     | E_edge _ | E_coll _ ->
-      let k = ev_key e in
-      if not (Hashtbl.mem prepos k) then Hashtbl.add prepos k (e, minpos t k)
+      if s.recorded <> cycle then begin
+        s.recorded <- cycle;
+        minpos t s;
+        prepos := (s, s.mp_b, s.mp_r, s.mp_s) :: !prepos
+      end
   in
   let disabled = not !Exec.delta_enabled in
   List.iter
@@ -590,7 +697,7 @@ let apply ?data t (delta : Delta.t) : site_change =
           let old_evs_iter f dk =
             List.iter
               (fun bid ->
-                match Hashtbl.find_opt t.events (bid, dk) with
+                match Hashtbl.find_opt t.derivs (bid, dk) with
                 | None -> ()
                 | Some evs -> Array.iter f evs)
               ids
@@ -600,16 +707,12 @@ let apply ?data t (delta : Delta.t) : site_change =
              survivors); the incremental path records positions instead
              and lets the post-commit diff decide *)
           let note_old_and_retract dk =
-            old_evs_iter note_ev dk;
-            retract t ~drained ids dk
-          in
-          let prepos_and_retract dk =
-            old_evs_iter record_prepos dk;
+            old_evs_iter (fun id -> note_ev t.slots.(id).ev) dk;
             retract t ~drained ids dk
           in
           let replay_whole () =
             ignore (Graph.freeze g);
-            List.iter note_old_and_retract (-1 :: drivers_of_events t ids);
+            List.iter note_old_and_retract (-1 :: drivers_of_derivs t ids);
             blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
           in
           match cls with
@@ -639,7 +742,8 @@ let apply ?data t (delta : Delta.t) : site_change =
                 ignore (Graph.freeze g);
                 let extent = Graph.collection g coll in
                 renumber_ranks ts extent;
-                let old = drivers_of_events t ids in
+                ranks_changed t;
+                let old = drivers_of_derivs t ids in
                 let now = List.map (fun o -> Oid.id o) extent in
                 let h = Hashtbl.create ((2 * List.length extent) + 1) in
                 List.iter (fun o -> Hashtbl.replace h (Oid.id o) o) extent;
@@ -655,15 +759,6 @@ let apply ?data t (delta : Delta.t) : site_change =
                 let member_dks =
                   List.map (fun (_, o) -> Oid.id o) member_pairs
                 in
-                List.iter
-                  (fun (c, o) ->
-                    if c = coll then Hashtbl.remove ts.ts_ranks (Oid.id o))
-                  delta.Delta.coll_removed;
-                (if List.exists (fun (c, _) -> c = coll) delta.Delta.coll_added
-                 then
-                   let extent = Graph.collection g coll in
-                   try assign_ranks ts extent
-                   with Rank_overflow -> renumber_ranks ts extent);
                 let h = Hashtbl.create 64 in
                 List.iter
                   (fun (_, o) -> Hashtbl.replace h (Oid.id o) o)
@@ -675,12 +770,28 @@ let apply ?data t (delta : Delta.t) : site_change =
                       let dk = Oid.id o in
                       Hashtbl.replace h dk o;
                       if Hashtbl.mem ts.ts_ranks dk
-                         || Hashtbl.mem t.events (bs.bs_id, dk)
+                         || Hashtbl.mem t.derivs (bs.bs_id, dk)
                       then dk :: acc
                       else acc)
                     (Lazy.force closure) []
                 in
-                (List.sort_uniq compare (member_dks @ reach), h)
+                let affected = List.sort_uniq compare (member_dks @ reach) in
+                (* positions are recorded under the pre-cycle ranks: a
+                   removed driver that held a shared event's minimum
+                   must still hold it in the recording, or the event's
+                   move to its next supporter goes unnoticed *)
+                List.iter (old_evs_iter record_prepos) affected;
+                List.iter
+                  (fun (c, o) ->
+                    if c = coll then Hashtbl.remove ts.ts_ranks (Oid.id o))
+                  delta.Delta.coll_removed;
+                (if List.exists (fun (c, _) -> c = coll) delta.Delta.coll_added
+                 then
+                   let extent = Graph.collection g coll in
+                   try assign_ranks ts extent
+                   with Rank_overflow -> renumber_ranks ts extent);
+                if member_pairs <> [] then ranks_changed t;
+                (affected, h)
               end
             in
             (* also retract any stale ⊥ events from an earlier
@@ -689,8 +800,8 @@ let apply ?data t (delta : Delta.t) : site_change =
             let per_driver =
               List.filter_map
                 (fun dk ->
-                  (if full then note_old_and_retract else prepos_and_retract)
-                    dk;
+                  (if full then note_old_and_retract dk
+                   else retract t ~drained ids dk);
                   match Hashtbl.find_opt oid_of dk with
                   | Some d when Hashtbl.mem ts.ts_ranks dk ->
                     t.ctr.c_drivers <- t.ctr.c_drivers + 1;
@@ -717,62 +828,70 @@ let apply ?data t (delta : Delta.t) : site_change =
         qs.qs_tops)
     t.queries;
   (* buffered events record their pre-commit position: genuinely new
-     keys (and keys whose support was just drained) read max_int, so
-     the diff below notes them; re-derivations at an unchanged position
-     cancel out *)
-  Hashtbl.iter (fun _ buf -> List.iter record_prepos !buf) t.bufs;
-  commit_bufs t ~announce:(fun e ->
-      Hashtbl.replace announced (ev_key e) e;
-      match e with E_node _ -> note_ev e | E_edge _ | E_coll _ -> ());
+     events (and events whose support was just drained) read max_int,
+     so the diff below notes them; re-derivations at an unchanged
+     position cancel out *)
+  List.iter (fun (_, _, ids) -> List.iter record_prepos ids) t.pending;
+  commit t ~announce:(fun id ->
+      announced := id :: !announced;
+      match t.slots.(id).ev with
+      | E_node _ as e -> note_ev e
+      | E_edge _ | E_coll _ -> ());
   (* position diff: note exactly the events whose canonical position
      moved or whose existence flipped *)
-  Hashtbl.iter
-    (fun k (e, oldpos) -> if minpos t k <> oldpos then note_ev e)
-    prepos;
-  (* net removals: drained and not re-supported *)
+  List.iter
+    (fun (s, b, r, q) ->
+      minpos t s;
+      if s.mp_b <> b || s.mp_r <> r || s.mp_s <> q then note_ev s.ev)
+    !prepos;
+  (* net removals: drained and not re-supported; their ids are freed *)
   let removed_nodes = ref [] in
-  Hashtbl.iter
-    (fun k e ->
-      match Hashtbl.find_opt t.support k with
-      | Some (_, s) when not (sup_is_empty s) -> ()
-      | _ ->
-        Hashtbl.remove t.support k;
+  List.iter
+    (fun id ->
+      let s = t.slots.(id) in
+      match s.sup with
+      | S1 _ | SM _ -> ()
+      | S0 -> (
+        let e = s.ev in
+        release t id;
         note_ev e;
-        (match e with
-         | E_coll (c, o) -> Graph.remove_from_collection t.sg c o
-         | E_edge (s, l, tg) -> Graph.remove_edge t.sg s l tg
-         | E_node _ -> removed_nodes := e :: !removed_nodes))
-    drained;
+        match e with
+        | E_coll (c, o) -> Graph.remove_from_collection t.sg c o
+        | E_edge (src, l, tg) -> Graph.remove_edge t.sg src l tg
+        | E_node o -> removed_nodes := o :: !removed_nodes))
+    !drained;
   (* nodes go last: their dangling edges and memberships are gone
      (construction emits a node event for every endpoint it mentions,
      so node support always outlives edge support) *)
   let removed_names =
-    List.filter_map
-      (function
-        | E_node o ->
-          Graph.remove_node t.sg o;
-          Some (Oid.name o)
-        | E_edge _ | E_coll _ -> None)
+    List.map
+      (fun o ->
+        Graph.remove_node t.sg o;
+        Oid.name o)
       !removed_nodes
   in
   (* net additions (add_edge recreates endpoints as needed); bucket and
      extent order is canonicalized below, so application order is free *)
-  Hashtbl.iter
-    (fun _ e ->
-      match Hashtbl.find_opt t.support (ev_key e) with
-      | Some (_, s) when not (sup_is_empty s) -> (
-          match e with
-          | E_node o -> Graph.add_node t.sg o
-          | E_edge (s', l, tg) -> Graph.add_edge t.sg s' l tg
-          | E_coll (c, o) -> Graph.add_to_collection t.sg c o)
-      | _ -> ())
-    announced;
-  (* canonical re-sort of every touched bucket and collection;
-     decorate–sort–undecorate: [minpos] walks the support table, so
-     compute it once per element, not once per comparison *)
+  List.iter
+    (fun id ->
+      match t.slots.(id).ev with
+      | E_node o -> Graph.add_node t.sg o
+      | E_edge (s, l, tg) -> Graph.add_edge t.sg s l tg
+      | E_coll (c, o) -> Graph.add_to_collection t.sg c o)
+    !announced;
+  (* canonical re-sort of every touched bucket and collection, each
+     element decorated once with its event's minimum position *)
   let sort_by_minpos key items =
-    List.map (fun x -> (minpos t (key x), x)) items
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    List.map
+      (fun x ->
+        match Hashtbl.find_opt t.ids (key x) with
+        | Some id ->
+          let s = t.slots.(id) in
+          minpos t s;
+          ((s.mp_b, s.mp_r, s.mp_s), x)
+        | None -> ((max_int, 0, 0), x))
+      items
+    |> List.stable_sort (fun (a, _) (b, _) -> compare (a : int * int * int) b)
     |> List.map snd
   in
   Oid.Set.iter
@@ -780,7 +899,9 @@ let apply ?data t (delta : Delta.t) : site_change =
       if Graph.mem_node t.sg src then begin
         let cur = Graph.out_edges t.sg src in
         let sorted =
-          sort_by_minpos (fun (l, tg) -> ev_key (E_edge (src, l, tg))) cur
+          sort_by_minpos
+            (fun (l, tg) -> K_edge (Oid.id src, l, Graph.tkey tg))
+            cur
         in
         if sorted <> cur then Graph.set_out_edges t.sg src sorted;
         touched_names := SS.add (Oid.name src) !touched_names
@@ -789,9 +910,10 @@ let apply ?data t (delta : Delta.t) : site_change =
   SS.iter
     (fun c ->
       let cur = Graph.collection t.sg c in
-      let sorted = sort_by_minpos (fun o -> ev_key (E_coll (c, o))) cur in
+      let sorted = sort_by_minpos (fun o -> K_coll (c, Oid.id o)) cur in
       if sorted <> cur then Graph.set_collection t.sg c sorted)
     !touched_colls;
+  t.ctr.c_events_live <- Hashtbl.length t.ids;
   {
     sc_touched = SS.elements !touched_names;
     sc_removed = List.sort_uniq String.compare removed_names;
@@ -802,7 +924,7 @@ let apply ?data t (delta : Delta.t) : site_change =
 
 let pp_counters ppf c =
   Fmt.pf ppf
-    "cycles=%d drivers=%d rows=%d events +%d/-%d fallback-replays=%d \
+    "cycles=%d drivers=%d rows=%d events +%d/-%d live=%d fallback-replays=%d \
      full-rederives=%d"
     c.c_cycles c.c_drivers c.c_rows c.c_events_added c.c_events_removed
-    c.c_fallback_replays c.c_full_rederives
+    c.c_events_live c.c_fallback_replays c.c_full_rederives

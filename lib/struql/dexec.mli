@@ -37,8 +37,11 @@ type counters = {
   mutable c_cycles : int;
   mutable c_drivers : int;  (** drivers (re-)derived *)
   mutable c_rows : int;  (** binding rows (re-)derived *)
-  mutable c_events_added : int;
-  mutable c_events_removed : int;
+  mutable c_events_added : int;  (** event records stored by derivations *)
+  mutable c_events_removed : int;  (** event records retracted *)
+  mutable c_events_live : int;
+      (** events holding an id after the last prime or cycle: exactly
+          the events some derivation still emits *)
   mutable c_fallback_replays : int;  (** ⊥-driver full block replays *)
   mutable c_full_rederives : int;  (** whole-block re-derivations *)
 }

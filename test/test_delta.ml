@@ -2,10 +2,12 @@
    refresh (Warehouse.refresh_delta) and the watch loop (Serve.Watch)
    maintain a published site byte-identically to a cold full build —
    property-tested under random edit scripts, including
-   collection-emptying removals, at jobs 1 and 4; plus units for the
-   kill switch, the fallback taxonomy, quarantine under seeded source
-   failures, and one classification across explain-analyze, the engine
-   and lint. *)
+   collection-emptying removals, at jobs 1 and 4, both as one cycle and
+   as one cycle per edit; plus units for the kill switch, the fallback
+   taxonomy, quarantine under seeded source failures, one
+   classification across explain-analyze, the engine and lint, the
+   structural diff and delta cardinality, and the engine's event table
+   staying bounded across cycles. *)
 
 open Sgraph
 
@@ -165,6 +167,59 @@ let delta_equals_cold ~jobs ops =
   = page_map cold.Strudel.Site.site
 
 let ops_arb = QCheck.make QCheck.Gen.(list_size (int_range 1 10) op_gen)
+
+(* A site graph's order-sensitive content: every node's out-bucket in
+   order, and every non-empty collection's extent in order.  The test
+   templates sort their lists, so pages alone would not show a bucket
+   or extent out of cold order. *)
+let shape g =
+  let bucket o =
+    ( Oid.name o,
+      List.map
+        (fun (l, tg) -> l ^ "=" ^ Fmt.str "%a" Graph.pp_target tg)
+        (Graph.out_edges g o) )
+  in
+  ( List.sort compare (List.map bucket (Graph.nodes g)),
+    List.sort compare
+      (List.filter_map
+         (fun c ->
+           match Graph.collection g c with
+           | [] -> None
+           | ms -> Some (c, List.map Oid.name ms))
+         (Graph.collections g)) )
+
+(* The same session, one cycle per edit: after every cycle the pages
+   and the ordered site graph must equal a cold build's, so event ids,
+   recycled ids and cached positions carried from one cycle to the next
+   are checked, not just one cycle's. *)
+let every_cycle_equals_cold ops =
+  let g = mk_data 30 in
+  let w =
+    Serve.Watch.create ~jobs:1 ~source:(Serve.Watch.Direct g) definition
+  in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let nextid = ref 0 in
+  List.for_all
+    (fun op ->
+      apply_op r nextid op;
+      ignore (Serve.Watch.cycle w);
+      let cold = Strudel.Site.build ~data:g definition in
+      let built = Serve.Watch.built w in
+      page_map built.Strudel.Site.site = page_map cold.Strudel.Site.site
+      && shape built.Strudel.Site.site_graph
+         = shape cold.Strudel.Site.site_graph)
+    ops
+
+let long_ops_arb =
+  QCheck.make QCheck.Gen.(list_size (int_range 5 20) op_gen)
+
+let show_edges es =
+  List.sort compare
+    (List.map
+       (fun (s, l, tg) ->
+         Printf.sprintf "%s.%s=%s" (Oid.name s) l
+           (Fmt.str "%a" Graph.pp_target tg))
+       es)
 
 (* --- units --- *)
 
@@ -532,4 +587,124 @@ OUTPUT SITE|} );
         in
         check "explain-analyze = Dexec" (pick (fun (analyze, _, _) -> analyze));
         check "SA070 = Dexec" (pick (fun (_, _, lint) -> lint)));
+    (* --- the structural diff and delta cardinality --- *)
+    t "diff of a rebased export: one retitle, one reordered bucket" (fun () ->
+        let export ~title ~xy =
+          let g = Graph.create ~name:"D" () in
+          let a = Oid.fresh "a" and b = Oid.fresh "b" and c = Oid.fresh "c" in
+          Graph.add_edge g a "title" (Graph.V (Value.String title));
+          List.iter
+            (fun (l, n) -> Graph.add_edge g b l (Graph.V (Value.Int n)))
+            (if xy then [ ("x", 1); ("y", 2) ] else [ ("y", 2); ("x", 1) ]);
+          Graph.add_edge g c "title" (Graph.V (Value.String "C"));
+          Graph.add_edge g c "next" (Graph.N a);
+          List.iter (Graph.add_to_collection g "Items") [ a; b; c ];
+          g
+        in
+        let old = export ~title:"A" ~xy:true in
+        let rebased =
+          Delta.rebase ~old (export ~title:"A2" ~xy:false)
+        in
+        let d = Delta.diff ~old rebased in
+        Alcotest.(check (list string)) "one edge removed" [ {|a.title="A"|} ]
+          (show_edges d.Delta.edges_removed);
+        Alcotest.(check (list string)) "one edge added" [ {|a.title="A2"|} ]
+          (show_edges d.Delta.edges_added);
+        Alcotest.(check (list string)) "one bucket resequenced" [ "b" ]
+          (List.map Oid.name d.Delta.resequenced);
+        check_int "nothing else changed" 3 (Delta.card d));
+    t "card counts a reorder-only delta" (fun () ->
+        let d = { Delta.empty with Delta.reordered = [ "Items" ] } in
+        check_bool "not empty" false (Delta.is_empty d);
+        check_int "one order signal" 1 (Delta.card d));
+    (* --- state carried across cycles --- *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"every cycle equals cold build (one cycle per edit, jobs=1)"
+         ~count:15 long_ops_arb every_cycle_equals_cold);
+    t "mediated org watch: three exports, each cycle equals cold build"
+      (fun () ->
+        let sources, w =
+          Sites.Org.data ~people:24 ~orgs:4 ~projects:6 ~pubs:8 ()
+        in
+        let session =
+          Serve.Watch.create ~source:(Serve.Watch.Mediated w)
+            Sites.Org.definition
+        in
+        List.iter
+          (fun seed ->
+            Mediator.Source.update sources.Sites.Org.bib (fun () ->
+                fst
+                  (Wrappers.Bibtex.load ~graph_name:"BIB"
+                     (Wrappers.Synth.bibtex ~seed ~entries:10 ())));
+            let r = Serve.Watch.cycle session in
+            check_bool "changed" true r.Serve.Watch.cy_changed;
+            let cold =
+              Strudel.Site.build
+                ~data:(Mediator.Warehouse.graph w)
+                Sites.Org.definition
+            in
+            check_bool
+              (Printf.sprintf "export %d byte-identical to cold build" seed)
+              true
+              (page_map (Serve.Watch.built session).Strudel.Site.site
+               = page_map cold.Strudel.Site.site))
+          [ 99; 100; 101 ]);
+    t "moving a group's first driver re-sorts its shared edges" (fun () ->
+        (* item2 is the first driver of group G2: removing it, or moving
+           it to G0, moves Root's G2 edge and GroupPages' G2 member to
+           item5's position *)
+        check_bool "removed: pages and site graph equal cold" true
+          (every_cycle_equals_cold [ Remove 1 ]);
+        check_bool "regrouped: pages and site graph equal cold" true
+          (every_cycle_equals_cold [ Move_group (1, 0) ]));
+    t "mid-extent insertions past the rank gap keep cold order" (fun () ->
+        (* every insertion lands right after the first driver, halving
+           the same rank gap until it overflows and the block's ranks
+           are renumbered under positions cached with the old ones *)
+        let q = parse site_query in
+        let data = ref (mk_data 4) in
+        let dx = Struql.Dexec.create ~queries:[ q ] !data in
+        Struql.Dexec.prime dx;
+        for k = 1 to 12 do
+          let prev = !data in
+          let next = Graph.copy prev in
+          let o = Oid.fresh (Printf.sprintf "mid%d" k) in
+          Graph.add_edge next o "title"
+            (Graph.V (Value.String (Printf.sprintf "Mid %d" k)));
+          Graph.add_edge next o "grp"
+            (Graph.V (Value.String (Printf.sprintf "M%d" k)));
+          (match Graph.collection prev "Items" with
+           | first :: rest ->
+             Graph.set_collection next "Items" (first :: o :: rest)
+           | [] -> assert false);
+          ignore
+            (Struql.Dexec.apply ~data:next dx (Delta.diff ~old:prev next));
+          data := next;
+          check_bool
+            (Printf.sprintf "insertion %d: site graph in cold order" k)
+            true
+            (shape (Struql.Dexec.site_graph dx)
+             = shape (Struql.Exec.run next q))
+        done);
+    t "event table stays bounded over 50 retitle cycles" (fun () ->
+        let g = mk_data 30 in
+        let w =
+          Serve.Watch.create ~source:(Serve.Watch.Direct g) definition
+        in
+        let c = Struql.Dexec.counters (Serve.Watch.engine w) in
+        let primed = c.Struql.Dexec.c_events_live in
+        check_bool "primed events live" true (primed > 0);
+        let r = Option.get (Serve.Watch.recorder w) in
+        for i = 1 to 50 do
+          let o = Option.get (nth_member g i) in
+          Delta.Rec.set_value r o "title"
+            (Value.String (Printf.sprintf "Title %d" i));
+          ignore (Serve.Watch.cycle w)
+        done;
+        check_int "50 cycles" 50 c.Struql.Dexec.c_cycles;
+        check_bool "events retracted" true
+          (c.Struql.Dexec.c_events_removed > 0);
+        check_int "live events as after prime" primed
+          c.Struql.Dexec.c_events_live);
   ]
