@@ -56,10 +56,11 @@ let copy_collection ~source ~collection ?(fn = collection ^ "Obj") () =
     for is unavailable — its mappings are skipped and ["*"] becomes
     the union of the sources that {e did} load.  Each source loads at
     most once per integration.  With a [fault] context, a mapping over
-    an unknown source is recorded and skipped instead of aborting. *)
+    an unknown source is recorded and skipped instead of aborting.
+    [scope] is the mappings' shared Skolem scope. *)
 let integrate ?(options = Eval.default_options) ?(graph_name = "mediated")
-    ?load ?fault (sources : Source.t list) (mappings : mapping list) : Graph.t
-    =
+    ~scope ?load ?fault (sources : Source.t list) (mappings : mapping list) :
+    Graph.t =
   let load =
     match load with Some f -> f | None -> fun s -> Some (Source.load s)
   in
@@ -73,7 +74,6 @@ let integrate ?(options = Eval.default_options) ?(graph_name = "mediated")
       r
   in
   let mediated = Graph.create ~name:graph_name () in
-  let scope = Skolem.create () in
   let merged = lazy (
     let g = Graph.create ~name:"all-sources" () in
     List.iter

@@ -37,6 +37,7 @@ val copy_collection :
 val integrate :
   ?options:Struql.Eval.options ->
   ?graph_name:string ->
+  scope:Skolem.t ->
   ?load:(Source.t -> Graph.t option) ->
   ?fault:Fault.ctx ->
   Source.t list ->
@@ -48,4 +49,7 @@ val integrate :
     for is unavailable — its mappings are skipped and ["*"] unions only
     the sources that did load.  Each source loads at most once per
     integration.  With [fault], a mapping over an unknown source is
-    recorded and skipped instead of aborting. *)
+    recorded and skipped instead of aborting.  [scope] is the mappings'
+    shared Skolem scope: a fresh one for a first integration, one
+    created with [~reuse] of the previous integration's scope to keep
+    every term's oid. *)

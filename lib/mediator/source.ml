@@ -51,11 +51,21 @@ let update s loader =
   s.loader <- loader;
   s.version <- s.version + 1
 
+(* Run the loader.  A reload is rebased onto the graph the source
+   yielded before, so every object the two share by name keeps its oid
+   and mediation over it rebuilds the same Skolem terms; a loader
+   handing back that same graph needs no rebase.  O(this source). *)
+let reload s =
+  let g = s.loader () in
+  match s.cached with
+  | Some (_, prev) when prev != g -> Delta.rebase ~old:prev g
+  | Some _ | None -> g
+
 let load s =
   match s.cached with
   | Some (v, g) when v = s.version -> g
   | _ ->
-    let g = s.loader () in
+    let g = reload s in
     s.cached <- Some (s.version, g);
     s.snap_version <- Some s.version;
     g
@@ -87,7 +97,7 @@ let load_attempt ?(clock = Fault.Clock.real) ?fault s =
     let inject = Fault.inject fault in
     let attempt_load ~attempt =
       Fault.Inject.fire inject (Fault.Inject.Load (s.name, attempt));
-      s.loader ()
+      reload s
     in
     match
       Fault.Retry.run ~clock ~retry:s.policy.Fault.Policy.retry attempt_load

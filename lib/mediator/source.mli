@@ -35,7 +35,11 @@ val set_policy : t -> Fault.Policy.t -> unit
 
 val update : t -> (unit -> Graph.t) -> unit
 (** Replace the source's contents (a new export arrived); bumps the
-    version so the warehouse knows to refresh. *)
+    version so the warehouse knows to refresh.  The next load rebases
+    the new graph onto the one the source yielded before
+    ({!Sgraph.Delta.rebase}, nodes matched by name, every index order
+    kept), so objects surviving the export keep their oids; a loader
+    returning that same graph is used as is. *)
 
 val load : t -> Graph.t
 (** Load through the per-version cache; loader failures propagate (the

@@ -8,6 +8,11 @@
     of the mediated graph (the open problem of incremental view update
     for semistructured data, §6) — but unchanged sources are served
     from their wrapper caches, which is where the real cost sat.
+    Successive integrations agree on oids without any whole-graph
+    re-keying: a reloaded source is rebased onto its own previous load,
+    and each integration runs under a Skolem scope that takes the
+    previous view's oid for every term it builds again, so
+    {!refresh_delta} can diff the two views directly.
 
     The mediated result lives in an immutable {!view} that is swapped
     under a mutex: [refresh] builds the next graph (and, when sharding
@@ -36,6 +41,9 @@ type view = {
   v_epoch : int;
   v_graph : Graph.t;
   v_shards : Repository.Shard.snapshot option;
+  v_scope : Skolem.t;
+      (* the Skolem scope the graph was integrated under: the next
+         integration takes its oids for every term it builds again *)
 }
 
 type t = {
@@ -149,8 +157,8 @@ let attempt_parallel ~jobs ~clock ~fault ~direct sources =
     done;
   results
 
-let integrate_now ~jobs ~prev w_options ~clock ~snapshots ~fault sources mappings
-    =
+let integrate_now ~jobs ~prev ?reuse w_options ~clock ~snapshots ~fault
+    sources mappings =
   (* Without fault machinery the warehouse keeps the pre-fault direct
      path: loader failures propagate regardless of policy. *)
   let direct = snapshots = None && fault = None in
@@ -188,7 +196,11 @@ let integrate_now ~jobs ~prev w_options ~clock ~snapshots ~fault sources mapping
         stats := stat :: !stats;
         r
   in
-  let g = Gav.integrate ~options:w_options ~load ?fault sources mappings in
+  let scope = Skolem.create ?reuse () in
+  let g =
+    Gav.integrate ~options:w_options ~scope ~load ?fault sources mappings
+  in
+  Skolem.forget_reuse scope;
   (* Report stats in declared-source order whatever order loads ran. *)
   let stats =
     List.filter_map
@@ -196,23 +208,23 @@ let integrate_now ~jobs ~prev w_options ~clock ~snapshots ~fault sources mapping
         List.find_opt (fun st -> st.ss_source = Source.name s) !stats)
       sources
   in
-  (g, stats)
+  (g, stats, scope)
 
 (* Build the next view off to the side: publish shard segments for the
    fresh graph (when configured), never touching the live view. *)
-let build_view w ~epoch ~source_versions g =
+let build_view w ~epoch ~source_versions (g, scope) =
   let shards =
     match w.shards with
     | None -> None
     | Some cfg ->
       Some (Repository.Shard.publish cfg ~epoch ~sources:source_versions g)
   in
-  { v_epoch = epoch; v_graph = g; v_shards = shards }
+  { v_epoch = epoch; v_graph = g; v_shards = shards; v_scope = scope }
 
 let create ?(options = Struql.Eval.default_options)
     ?(clock = Fault.Clock.real) ?snapshots ?fault ?shards ?(jobs = 1) ~sources
     ~mappings () =
-  let g, stats =
+  let g, stats, scope =
     integrate_now ~jobs ~prev:[] options ~clock ~snapshots ~fault sources
       mappings
   in
@@ -228,7 +240,7 @@ let create ?(options = Struql.Eval.default_options)
       shards;
       jobs;
       lock = Mutex.create ();
-      current = { v_epoch = 1; v_graph = g; v_shards = None };
+      current = { v_epoch = 1; v_graph = g; v_shards = None; v_scope = scope };
       seen_versions = vs;
       refreshes = 1;
       last_stats = stats;
@@ -236,7 +248,7 @@ let create ?(options = Struql.Eval.default_options)
       ds_lock = Dsan.lock_id ~name:"Warehouse.lock";
     }
   in
-  let v = build_view w ~epoch:1 ~source_versions:vs g in
+  let v = build_view w ~epoch:1 ~source_versions:vs (g, scope) in
   Mutex.protect w.lock (fun () ->
       Dsan.acquire ~site:__POS__ w.ds_lock;
       Dsan.write ~site:__POS__ w.ds_obj 0;
@@ -257,6 +269,7 @@ let view_epoch v = v.v_epoch
 let view_graph v = v.v_graph
 let view_shards v = v.v_shards
 let graph w = (pin w).v_graph
+let scope_size w = Skolem.size (pin w).v_scope
 
 let refresh_count w =
   locked ~site:__POS__ ~wr:false w (fun () -> w.refreshes)
@@ -279,14 +292,15 @@ let stale w =
 let refresh ?jobs w =
   if stale w then begin
     let jobs = match jobs with Some j -> j | None -> w.jobs in
+    let old = pin w in
     let prev = locked ~site:__POS__ ~wr:false w (fun () -> w.seen_versions) in
-    let g, stats =
-      integrate_now ~jobs ~prev w.options ~clock:w.clock
+    let g, stats, scope =
+      integrate_now ~jobs ~prev ~reuse:old.v_scope w.options ~clock:w.clock
         ~snapshots:w.snapshots ~fault:w.fault w.sources w.mappings
     in
     let vs = versions w.sources in
     let epoch = locked ~site:__POS__ ~wr:false w (fun () -> w.refreshes) + 1 in
-    let view = build_view w ~epoch ~source_versions:vs g in
+    let view = build_view w ~epoch ~source_versions:vs (g, scope) in
     locked ~site:__POS__ ~wr:true w (fun () ->
         w.current <- view;
         w.seen_versions <- vs;
@@ -297,29 +311,29 @@ let refresh ?jobs w =
   else false
 
 (** Delta refresh ([strudel watch]'s ingest leg): re-integrate if
-    stale, {e rebase} the fresh graph onto the previous view's oids
-    (matching nodes by name, which Skolem terms and wrapper keys keep
-    stable across integrations), install the rebased graph as the new
-    view, and return the structural delta between the two views.
-    [None] when no source changed; [Some Delta.empty] when sources
-    bumped versions without changing content.  Fault policies
-    (quarantine / retry / stale-snapshot) apply exactly as in
-    {!refresh} — a quarantined source serves its previous data, so its
-    objects simply do not appear in the delta. *)
+    stale, install the fresh graph as the new view, and return the
+    structural delta between the two views.  No whole-graph rebase is
+    needed: a reloaded source keeps the oids of the objects it shares
+    with its previous load ({!Source.update}), and the integration runs
+    under a scope reusing the previous one's oids, so every object both
+    views hold already carries one oid.  [None] when no source changed;
+    [Some Delta.empty] when sources bumped versions without changing
+    content.  Fault policies (quarantine / retry / stale-snapshot)
+    apply exactly as in {!refresh} — a quarantined source serves its
+    previous data, so its objects simply do not appear in the delta. *)
 let refresh_delta ?jobs w =
   if stale w then begin
     let jobs = match jobs with Some j -> j | None -> w.jobs in
-    let old = (pin w).v_graph in
+    let old = pin w in
     let prev = locked ~site:__POS__ ~wr:false w (fun () -> w.seen_versions) in
-    let g, stats =
-      integrate_now ~jobs ~prev w.options ~clock:w.clock
+    let g, stats, scope =
+      integrate_now ~jobs ~prev ~reuse:old.v_scope w.options ~clock:w.clock
         ~snapshots:w.snapshots ~fault:w.fault w.sources w.mappings
     in
-    let rebased = Sgraph.Delta.rebase ~old g in
-    let delta = Sgraph.Delta.diff ~old rebased in
+    let delta = Sgraph.Delta.diff ~old:old.v_graph g in
     let vs = versions w.sources in
     let epoch = locked ~site:__POS__ ~wr:false w (fun () -> w.refreshes) + 1 in
-    let view = build_view w ~epoch ~source_versions:vs rebased in
+    let view = build_view w ~epoch ~source_versions:vs (g, scope) in
     locked ~site:__POS__ ~wr:true w (fun () ->
         w.current <- view;
         w.seen_versions <- vs;

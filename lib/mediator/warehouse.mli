@@ -75,6 +75,13 @@ val view_shards : view -> Repository.Shard.snapshot option
 val graph : t -> Graph.t
 (** [view_graph (pin w)]. *)
 
+val scope_size : t -> int
+(** Skolem terms in the current view's mediation scope.  Every
+    integration runs under a fresh scope that takes the previous one's
+    oid for each term it builds again, so a mediated object keeps its
+    oid across refreshes while the scope holds exactly one
+    integration's terms. *)
+
 val stale : t -> bool
 (** Whether any source changed since the last integration. *)
 
@@ -86,16 +93,20 @@ val refresh : ?jobs:int -> t -> bool
     this refresh only. *)
 
 val refresh_delta : ?jobs:int -> t -> Delta.t option
-(** Delta refresh: like {!refresh}, but the freshly integrated graph is
-    {!Sgraph.Delta.rebase}d onto the previous view's oids (nodes
-    matched by name) before the view swap, and the structural
-    {!Sgraph.Delta.diff} between the two views is returned — the
-    change currency [strudel watch] feeds to the differential
-    evaluator.  [None] when no source changed ([refresh] would have
-    returned [false]); [Some Delta.empty] when versions bumped without
-    a content change.  Source fault policies apply as in {!refresh}:
-    a quarantined source serves its previous data and contributes
-    nothing to the delta. *)
+(** Delta refresh: like {!refresh}, and returns the structural
+    {!Sgraph.Delta.diff} between the previous view and the new one —
+    the change currency [strudel watch] feeds to the differential
+    evaluator.  The view is the fresh integration itself, equal to a
+    cold {!create} over the same sources in every index order: it is
+    not rebased.  Its oids are stable already, because each reloaded
+    source is rebased onto its own previous load ({!Source.update})
+    and the integration reuses the previous scope's oids
+    ({!scope_size}), so the work tracks the changed source, not the
+    mediated graph.  [None] when no source changed ([refresh] would
+    have returned [false]); [Some Delta.empty] when versions bumped
+    without a content change.  Source fault policies apply as in
+    {!refresh}: a quarantined source serves its previous data and
+    contributes nothing to the delta. *)
 
 val refresh_count : t -> int
 (** Number of integrations performed (including the initial one). *)

@@ -12,10 +12,11 @@
       applied and logged, so the delta is exact and O(change) — the
       path [strudel watch] uses for direct (un-mediated) data.
     - {!diff}, an oid-keyed structural diff of two graphs that share
-      oids — the path {!Mediator.Warehouse} uses after {!rebase}
-      re-keys a freshly integrated graph onto the previous
-      integration's oids (matched by node name, which Skolem terms
-      keep stable across refreshes). *)
+      oids — the path {!Mediator.Warehouse} uses between two
+      integrations, whose oids already agree: each source reload is
+      {!rebase}d onto the source's previous graph (nodes matched by
+      name), and the integration reuses the previous Skolem scope's
+      oids. *)
 
 type edge = Oid.t * string * Graph.target
 
@@ -87,14 +88,15 @@ let touched d =
   in
   List.fold_left (fun s (_, o) -> add s o) s (d.coll_added @ d.coll_removed)
 
-(** Backward closure of the touched set: every node that can {e reach}
-    a touched element along forward edges, i.e. every candidate driver
-    whose binding rows may change.  Expansion walks the graph's
-    incoming-edge index — on a frozen graph this is the CSR kernel's
-    reverse-adjacency lane (it feeds the same in-index) — plus the
-    reverse of the {e removed} edges, which the post-mutation graph no
-    longer holds. *)
-let closure g d =
+(** Backward closure of the touched set, by hop distance: every node
+    that can {e reach} a touched element along forward edges within
+    [depth] hops ([max_int]: any number), mapped to its fewest hops — the
+    candidate drivers of differential re-evaluation.  One breadth-first
+    walk over the incoming-edge index — on a frozen graph this is the
+    CSR kernel's reverse-adjacency lane (it feeds the same in-index) —
+    plus the reverse of the {e removed} edges, which the post-mutation
+    graph no longer holds. *)
+let closure ~depth g d =
   let rm_in : (int, Oid.t list) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (src, _, tgt) ->
@@ -105,26 +107,31 @@ let closure g d =
           (src :: (try Hashtbl.find rm_in id with Not_found -> []))
       | Graph.V _ -> ())
     d.edges_removed;
-  let seen = ref (touched d) in
-  let stack = ref (Oid.Set.elements !seen) in
-  let push o =
-    if not (Oid.Set.mem o !seen) then begin
-      seen := Oid.Set.add o !seen;
-      stack := o :: !stack
-    end
+  let seeds = touched d in
+  let dist =
+    ref (Oid.Set.fold (fun o m -> Oid.Map.add o 0 m) seeds Oid.Map.empty)
   in
-  let rec loop () =
-    match !stack with
-    | [] -> ()
-    | o :: rest ->
-      stack := rest;
-      List.iter (fun (src, _) -> push src) (Graph.in_edges g (Graph.N o));
-      (try List.iter push (Hashtbl.find rm_in (Oid.id o))
-       with Not_found -> ());
-      loop ()
-  in
-  loop ();
-  !seen
+  let frontier = ref (Oid.Set.elements seeds) in
+  let hops = ref 0 in
+  while !frontier <> [] && !hops < depth do
+    incr hops;
+    let next = ref [] in
+    let push o =
+      if not (Oid.Map.mem o !dist) then begin
+        dist := Oid.Map.add o !hops !dist;
+        next := o :: !next
+      end
+    in
+    List.iter
+      (fun o ->
+        List.iter (fun (src, _) -> push src) (Graph.in_edges g (Graph.N o));
+        match Hashtbl.find_opt rm_in (Oid.id o) with
+        | Some srcs -> List.iter push srcs
+        | None -> ())
+      !frontier;
+    frontier := !next
+  done;
+  !dist
 
 (* --- the oid-keyed structural diff --- *)
 
@@ -257,7 +264,9 @@ let rebase ~old g =
   in
   let g' = Graph.create ~indexed:(Graph.indexed g) ~name:(Graph.name g) () in
   List.iter (fun o -> Graph.add_node g' (stable o)) (Graph.nodes g);
-  Graph.iter_edges
+  (* edges in insertion order, so label-extent, value-index and
+     incoming-edge buckets keep [g]'s order, not a node-major one *)
+  Graph.iter_edges_inserted
     (fun src l tgt -> Graph.add_edge g' (stable src) l (stable_t tgt))
     g;
   List.iter

@@ -4,8 +4,10 @@
 
     Produced either exactly by the {!Rec} recording mutator (direct
     watch mode) or structurally by {!diff} over two graphs sharing
-    oids (mediated mode, after {!rebase} re-keys a fresh integration
-    onto the previous one's oids by node name). *)
+    oids: two integrations of the warehouse (mediated mode; source
+    reloads are {!rebase}d and Skolem oids reused, so surviving
+    objects keep their oids), or a re-read file {!rebase}d onto the
+    previous graph by node name (file-watch mode). *)
 
 type edge = Oid.t * string * Graph.target
 
@@ -35,12 +37,15 @@ val touched : t -> Oid.Set.t
     of changed edges, changed members, added/removed/resequenced
     nodes. *)
 
-val closure : Graph.t -> t -> Oid.Set.t
-(** Backward closure of {!touched} over the graph's incoming edges
-    {e plus} the reverse of the removed edges (which the post-change
-    graph no longer holds): every node that can forward-reach a
-    touched element — the candidate drivers of differential
-    re-evaluation.  [g] is the post-change graph. *)
+val closure : depth:int -> Graph.t -> t -> int Oid.Map.t
+(** Backward closure of {!touched} by hop distance: every node that can
+    forward-reach a touched element in at most [depth] hops ([max_int]:
+    any number), mapped to its fewest hops, walking the graph's
+    incoming edges {e plus} the reverse of the removed edges (which the
+    post-change graph no longer holds).  These are the candidate
+    drivers of differential re-evaluation: a block that reads [k] hops
+    past its driver re-derives the drivers at distance [k] or less.
+    [g] is the post-change graph. *)
 
 val diff : old:Graph.t -> Graph.t -> t
 (** Oid-keyed structural diff.  Only meaningful when both graphs share
@@ -50,9 +55,11 @@ val rebase : old:Graph.t -> Graph.t -> Graph.t
 (** Replay [g] (a freshly integrated graph) into a new graph in which
     every node whose name uniquely matches a node of [old] reuses the
     old oid.  Insertion order — node order, per-node out-bucket order,
-    collection extent order — is exactly [g]'s, so the result is an
-    order-faithful copy of [g] over stable oids.  Nodes with duplicated
-    names (in either graph) are conservatively treated as new. *)
+    collection extent order, and the order of every label-extent,
+    value-index and incoming-edge bucket — is exactly [g]'s, so the
+    result is an order-faithful copy of [g] over stable oids.  Nodes
+    with duplicated names (in either graph) are conservatively treated
+    as new. *)
 
 (** A recording mutator over a live graph: each operation applies to
     the graph and accumulates the exact delta.  No-op mutations (e.g.

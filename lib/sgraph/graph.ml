@@ -31,7 +31,9 @@ type t = {
   mutable nodes : Oid.Set.t;
   mutable node_order_rev : Oid.t list;
   out_tbl : (string * target) list ref Oid.Tbl.t;  (* reversed order *)
-  edge_set : (int * string * tkey, unit) Hashtbl.t;
+  edge_set : (int * string * tkey, int) Hashtbl.t;
+      (* edge -> its insertion sequence (a re-added edge counts anew) *)
+  mutable edge_seq : int;
   colls : (string, coll) Hashtbl.t;
   mutable coll_order_rev : string list;
   names : (string, Oid.t) Hashtbl.t;
@@ -66,6 +68,7 @@ let create ?(indexed = true) ?(name = "g") () =
     node_order_rev = [];
     out_tbl = Oid.Tbl.create 64;
     edge_set = Hashtbl.create 128;
+    edge_seq = 0;
     colls = Hashtbl.create 8;
     coll_order_rev = [];
     names = Hashtbl.create 64;
@@ -137,7 +140,8 @@ let add_edge g src l tgt =
     add_node g src;
     (match tgt with N o -> add_node g o | V _ -> ());
     touch g;
-    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) ();
+    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) g.edge_seq;
+    g.edge_seq <- g.edge_seq + 1;
     (match Oid.Tbl.find_opt g.out_tbl src with
      | Some r -> r := (l, tgt) :: !r
      | None -> Oid.Tbl.add g.out_tbl src (ref [ (l, tgt) ]));
@@ -196,6 +200,16 @@ let fold_edges f g init =
     (fun acc src ->
       List.fold_left (fun acc (l, tgt) -> f src l tgt acc) acc (out_edges g src))
     init (nodes g)
+
+(* Every index bucket appends on insertion, so the live edges sorted by
+   insertion sequence list each bucket in its own order. *)
+let iter_edges_inserted f g =
+  fold_edges
+    (fun src l tgt acc ->
+      (Hashtbl.find g.edge_set (Oid.id src, l, tkey tgt), src, l, tgt) :: acc)
+    g []
+  |> List.sort (fun (x, _, _, _) (y, _, _, _) -> Int.compare x y)
+  |> List.iter (fun (_, src, l, tgt) -> f src l tgt)
 
 let in_edges g tgt =
   if g.use_index then

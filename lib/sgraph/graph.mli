@@ -76,6 +76,14 @@ val attr_value : t -> Oid.t -> string -> Value.t option
 (** First atomic value of the attribute, if any. *)
 
 val iter_edges : (Oid.t -> string -> target -> unit) -> t -> unit
+(** Node-major: every node's out-bucket in order, nodes in insertion
+    order. *)
+
+val iter_edges_inserted : (Oid.t -> string -> target -> unit) -> t -> unit
+(** Every edge in insertion order (an edge removed and added again
+    counts from its re-insertion) — the order each label-extent,
+    value-index and incoming-edge bucket keeps its edges in. *)
+
 val fold_edges : (Oid.t -> string -> target -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** {1 Collections} *)

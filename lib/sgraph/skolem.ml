@@ -16,15 +16,20 @@ type t = {
   by_fn : (string, Oid.t list ref) Hashtbl.t;
   inverse : (string * arg list) Oid.Tbl.t;
   mutable fns_rev : string list;
+  mutable reuse : t option;
+      (* the previous generation, whose oids terms created again take *)
 }
 
-let create () =
+let create ?reuse () =
   {
     table = Hashtbl.create 256;
     by_fn = Hashtbl.create 16;
     inverse = Oid.Tbl.create 256;
     fns_rev = [];
+    reuse;
   }
+
+let forget_reuse t = t.reuse <- None
 
 let arg_name = function
   | A_oid o -> Oid.name o
@@ -38,7 +43,14 @@ let apply t f args =
   match Hashtbl.find_opt t.table key with
   | Some o -> (o, false)
   | None ->
-    let o = Oid.fresh (term_name f args) in
+    let o =
+      match t.reuse with
+      | Some prev -> (
+        match Hashtbl.find_opt prev.table key with
+        | Some o -> o
+        | None -> Oid.fresh (term_name f args))
+      | None -> Oid.fresh (term_name f args)
+    in
     Hashtbl.add t.table key o;
     Oid.Tbl.add t.inverse o (f, args);
     (match Hashtbl.find_opt t.by_fn f with

@@ -15,7 +15,17 @@ type arg =
   | A_val of Value.t
   | A_label of string
 
-val create : unit -> t
+val create : ?reuse:t -> unit -> t
+(** An empty scope.  With [reuse] — the scope of an earlier run of the
+    same queries — a term [reuse] created gets [reuse]'s oid back
+    instead of a fresh one, so a re-run keeps the oid of every term it
+    builds again.  Only the terms built again enter the new scope: it
+    holds one run's terms, however many runs preceded it.  The new
+    scope refers to [reuse] until {!forget_reuse}. *)
+
+val forget_reuse : t -> unit
+(** Drop the link to the scope given as [reuse], once the run that
+    reuses its oids is over, so the earlier scope can be collected. *)
 
 val apply : t -> string -> arg list -> Oid.t * bool
 (** [apply scope f args] returns the oid for the Skolem term

@@ -70,6 +70,39 @@ let rec coerce_compare a b =
 
 let coerce_equal a b = match coerce_compare a b with Some 0 -> true | _ -> false
 
+type coerce_key =
+  | K_null
+  | K_bool of bool
+  | K_num of float
+  | K_str of string
+  | K_file of string
+
+(* One key per way [coerce_compare] can reach [Some 0]: same-kind
+   payloads, a number against a string's numeric reading, a bool
+   against a string's bool reading, strings and URLs by text.  A
+   number's printed form always parses back as a number, so numbers
+   need no string key.  [Hashtbl.hash] agrees with [compare] on
+   [-0.]/[0.] and on NaNs, which [coerce_compare] also equates. *)
+let coerce_keys = function
+  | Null -> [ K_null ]
+  | Bool b -> [ K_bool b ]
+  | Int i -> [ K_num (float_of_int i) ]
+  | Float f -> [ K_num f ]
+  | String s ->
+    let t = String.trim s in
+    let num =
+      match float_of_string_opt t with Some f -> [ K_num f ] | None -> []
+    in
+    let bool =
+      match bool_of_string_opt t with Some b -> [ K_bool b ] | None -> []
+    in
+    K_str s :: (num @ bool)
+  | Url s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some f -> [ K_str s; K_num f ]
+    | None -> [ K_str s ])
+  | File (_, p) -> [ K_file p ]
+
 let is_null = function Null -> true | _ -> false
 let is_file = function File _ -> true | _ -> false
 let is_postscript = function File (Postscript, _) -> true | _ -> false

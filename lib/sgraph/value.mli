@@ -33,6 +33,23 @@ val coerce_equal : t -> t -> bool
     representations, e.g. [Int 3 = String "3"] and
     [Float 2. = Int 2]. *)
 
+(** A hashable key a value can be equal under: see {!coerce_keys}. *)
+type coerce_key =
+  | K_null
+  | K_bool of bool
+  | K_num of float
+  | K_str of string
+  | K_file of string
+
+val coerce_keys : t -> coerce_key list
+(** Hash keys for {!coerce_equal}: whenever [coerce_equal a b], the key
+    lists of [a] and [b] share a key.  A table indexing values under
+    all their keys therefore finds every value a probe can equal, plus
+    some it does not (["1997"] and [" 1997"] share [K_num 1997.]), so a
+    hit is re-checked with {!coerce_equal}.  Keys are for hash tables,
+    which compare with [compare]: [K_num nan] meets itself there, as
+    NaNs are coerce-equal, though not under [(=)]. *)
+
 val coerce_compare : t -> t -> int option
 (** Ordering with dynamic coercion; [None] when the two values are not
     comparable even after coercion (e.g. a file and a bool). *)

@@ -7,9 +7,10 @@
     {e driver} — the member of the driving collection its opening scan
     binds — and every later plan step only reads forward from
     driver-derived objects, so one driver's partition is a function of
-    the driver's forward neighbourhood.  A data delta therefore only
-    moves the partitions of drivers that can reach a touched object,
-    and those are found by the backward closure
+    the out-buckets and memberships within the block's read depth of
+    the driver.  A data delta therefore only moves the partitions of
+    drivers that reach a touched object in that many hops, and those
+    are found by the distance-recording backward closure
     {!Sgraph.Delta.closure} — walked over the incoming-edge index,
     which on a frozen graph the CSR kernel's reverse-adjacency lane
     feeds.
@@ -158,7 +159,10 @@ let site_queries t = List.map (fun qs -> qs.qs_query) t.queries
 
 let class_string = function
   | Plan.D_static -> "static"
-  | Plan.D_driven (c, v) -> Printf.sprintf "driven by %s(%s)" c v
+  | Plan.D_driven (c, v, depth) ->
+    Printf.sprintf "driven by %s(%s), read depth %s" c v
+      (if depth = Plan.unbounded_depth then "unbounded"
+       else string_of_int depth)
   | Plan.D_fallback why -> "fallback: " ^ why
 
 let classes t =
@@ -596,7 +600,7 @@ let prime t =
           ignore (replan t ts.ts_bs);
           ts.ts_class <- classify ts;
           (match ts.ts_class with
-           | Plan.D_driven (coll, v) ->
+           | Plan.D_driven (coll, v, _) ->
              let extent = Graph.collection t.data coll in
              renumber_ranks ts extent;
              ranks_changed t;
@@ -644,7 +648,25 @@ let apply ?data t (delta : Delta.t) : site_change =
   t.serial <- t.serial + 1;
   let cycle = t.serial in
   let c_drivers0 = t.ctr.c_drivers and c_rows0 = t.ctr.c_rows in
-  let closure = lazy (Delta.closure g delta) in
+  (* plan and classify every top-level block first, so one backward
+     walk, as deep as the deepest driven block reads, serves them all *)
+  let tops =
+    List.concat_map
+      (fun qs ->
+        List.map
+          (fun ts ->
+            let plan_changed = replan t ts.ts_bs in
+            (ts, plan_changed, classify ts))
+          qs.qs_tops)
+      t.queries
+  in
+  let reach_depth =
+    List.fold_left
+      (fun acc (_, _, cls) ->
+        match cls with Plan.D_driven (_, _, d) -> max acc d | _ -> acc)
+      0 tops
+  in
+  let closure = lazy (Delta.closure ~depth:reach_depth g delta) in
   let drained = ref [] in
   let announced = ref [] in
   let touched_srcs = ref Oid.Set.empty in
@@ -685,148 +707,147 @@ let apply ?data t (delta : Delta.t) : site_change =
   in
   let disabled = not !Exec.delta_enabled in
   List.iter
-    (fun qs ->
-      List.iter
-        (fun ts ->
-          let bs = ts.ts_bs in
-          let ids = subtree_ids bs in
-          let plan_changed = replan t bs in
-          let cls = classify ts in
-          let class_changed = cls <> ts.ts_class in
-          ts.ts_class <- cls;
-          let old_evs_iter f dk =
-            List.iter
-              (fun bid ->
-                match Hashtbl.find_opt t.derivs (bid, dk) with
-                | None -> ()
-                | Some evs -> Array.iter f evs)
-              ids
-          in
-          (* full replays note the buckets of a driver's OLD events
-             unconditionally (whole-block rank renumbering can reorder
-             survivors); the incremental path records positions instead
-             and lets the post-commit diff decide *)
-          let note_old_and_retract dk =
-            old_evs_iter (fun id -> note_ev t.slots.(id).ev) dk;
-            retract t ~drained ids dk
-          in
-          let replay_whole () =
+    (fun (ts, plan_changed, cls) ->
+      let bs = ts.ts_bs in
+      let ids = subtree_ids bs in
+      let class_changed = cls <> ts.ts_class in
+      ts.ts_class <- cls;
+      let old_evs_iter f dk =
+        List.iter
+          (fun bid ->
+            match Hashtbl.find_opt t.derivs (bid, dk) with
+            | None -> ()
+            | Some evs -> Array.iter f evs)
+          ids
+      in
+      (* full replays note the buckets of a driver's OLD events
+         unconditionally (whole-block rank renumbering can reorder
+         survivors); the incremental path records positions instead
+         and lets the post-commit diff decide *)
+      let note_old_and_retract dk =
+        old_evs_iter (fun id -> note_ev t.slots.(id).ev) dk;
+        retract t ~drained ids dk
+      in
+      let replay_whole () =
+        ignore (Graph.freeze g);
+        List.iter note_old_and_retract (-1 :: drivers_of_derivs t ids);
+        blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
+      in
+      match cls with
+      | Plan.D_static ->
+        (* data-independent: only a plan/class change can move it *)
+        if disabled || plan_changed || class_changed then begin
+          t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
+          replay_whole ()
+        end
+      | Plan.D_fallback why ->
+        t.ctr.c_fallback_replays <- t.ctr.c_fallback_replays + 1;
+        fallbacks_run := (bs.bs_path, why) :: !fallbacks_run;
+        replay_whole ()
+      | Plan.D_driven (coll, v, depth) ->
+        let full =
+          disabled || plan_changed || class_changed
+          || List.mem coll delta.Delta.reordered
+        in
+        (* [oid_of] resolves affected driver keys to their nodes; a
+           key is a live driver iff it holds a rank (ranks track
+           extent membership exactly).  The incremental branch
+           builds it from the delta's closure and membership
+           changes alone — O(change), never O(extent). *)
+        let affected_dks, oid_of =
+          if full then begin
+            t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
             ignore (Graph.freeze g);
-            List.iter note_old_and_retract (-1 :: drivers_of_derivs t ids);
-            blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
-          in
-          match cls with
-          | Plan.D_static ->
-            (* data-independent: only a plan/class change can move it *)
-            if disabled || plan_changed || class_changed then begin
-              t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
-              replay_whole ()
-            end
-          | Plan.D_fallback why ->
-            t.ctr.c_fallback_replays <- t.ctr.c_fallback_replays + 1;
-            fallbacks_run := (bs.bs_path, why) :: !fallbacks_run;
-            replay_whole ()
-          | Plan.D_driven (coll, v) ->
-            let full =
-              disabled || plan_changed || class_changed
-              || List.mem coll delta.Delta.reordered
+            let extent = Graph.collection g coll in
+            renumber_ranks ts extent;
+            ranks_changed t;
+            let old = drivers_of_derivs t ids in
+            let now = List.map (fun o -> Oid.id o) extent in
+            let h = Hashtbl.create ((2 * List.length extent) + 1) in
+            List.iter (fun o -> Hashtbl.replace h (Oid.id o) o) extent;
+            (List.sort_uniq compare (old @ now), h)
+          end
+          else begin
+            (* membership changes of the driving collection *)
+            let member_pairs =
+              List.filter
+                (fun (c, _) -> c = coll)
+                (delta.Delta.coll_added @ delta.Delta.coll_removed)
             in
-            (* [oid_of] resolves affected driver keys to their nodes; a
-               key is a live driver iff it holds a rank (ranks track
-               extent membership exactly).  The incremental branch
-               builds it from the delta's closure and membership
-               changes alone — O(change), never O(extent). *)
-            let affected_dks, oid_of =
-              if full then begin
-                t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
-                ignore (Graph.freeze g);
-                let extent = Graph.collection g coll in
-                renumber_ranks ts extent;
-                ranks_changed t;
-                let old = drivers_of_derivs t ids in
-                let now = List.map (fun o -> Oid.id o) extent in
-                let h = Hashtbl.create ((2 * List.length extent) + 1) in
-                List.iter (fun o -> Hashtbl.replace h (Oid.id o) o) extent;
-                (List.sort_uniq compare (old @ now), h)
-              end
-              else begin
-                (* membership changes of the driving collection *)
-                let member_pairs =
-                  List.filter
-                    (fun (c, _) -> c = coll)
-                    (delta.Delta.coll_added @ delta.Delta.coll_removed)
-                in
-                let member_dks =
-                  List.map (fun (_, o) -> Oid.id o) member_pairs
-                in
-                let h = Hashtbl.create 64 in
-                List.iter
-                  (fun (_, o) -> Hashtbl.replace h (Oid.id o) o)
-                  member_pairs;
-                (* drivers whose forward neighbourhood the delta touches *)
-                let reach =
-                  Oid.Set.fold
-                    (fun o acc ->
-                      let dk = Oid.id o in
-                      Hashtbl.replace h dk o;
-                      if Hashtbl.mem ts.ts_ranks dk
-                         || Hashtbl.mem t.derivs (bs.bs_id, dk)
-                      then dk :: acc
-                      else acc)
-                    (Lazy.force closure) []
-                in
-                let affected = List.sort_uniq compare (member_dks @ reach) in
-                (* positions are recorded under the pre-cycle ranks: a
-                   removed driver that held a shared event's minimum
-                   must still hold it in the recording, or the event's
-                   move to its next supporter goes unnoticed *)
-                List.iter (old_evs_iter record_prepos) affected;
-                List.iter
-                  (fun (c, o) ->
-                    if c = coll then Hashtbl.remove ts.ts_ranks (Oid.id o))
-                  delta.Delta.coll_removed;
-                (if List.exists (fun (c, _) -> c = coll) delta.Delta.coll_added
-                 then
-                   let extent = Graph.collection g coll in
-                   try assign_ranks ts extent
-                   with Rank_overflow -> renumber_ranks ts extent);
-                if member_pairs <> [] then ranks_changed t;
-                (affected, h)
-              end
+            let member_dks =
+              List.map (fun (_, o) -> Oid.id o) member_pairs
             in
-            (* also retract any stale ⊥ events from an earlier
-               classification of this block *)
-            if full then note_old_and_retract (-1);
-            let per_driver =
-              List.filter_map
-                (fun dk ->
-                  (if full then note_old_and_retract dk
-                   else retract t ~drained ids dk);
-                  match Hashtbl.find_opt oid_of dk with
-                  | Some d when Hashtbl.mem ts.ts_ranks dk ->
-                    t.ctr.c_drivers <- t.ctr.c_drivers + 1;
-                    Some
-                      ( dk,
-                        [
-                          Eval.Env.add v
-                            (Eval.B_target (Graph.N d))
-                            Eval.Env.empty;
-                        ] )
-                  | _ -> None (* removed driver: retraction only *))
-                affected_dks
+            let h = Hashtbl.create 64 in
+            List.iter
+              (fun (_, o) -> Hashtbl.replace h (Oid.id o) o)
+              member_pairs;
+            (* drivers whose neighbourhood, as far as the block
+               reads, the delta touches *)
+            let reach =
+              Oid.Map.fold
+                (fun o hops acc ->
+                  let dk = Oid.id o in
+                  if hops > depth then acc
+                  else begin
+                    Hashtbl.replace h dk o;
+                    if Hashtbl.mem ts.ts_ranks dk
+                       || Hashtbl.mem t.derivs (bs.bs_id, dk)
+                    then dk :: acc
+                    else acc
+                  end)
+                (Lazy.force closure) []
             in
-            (* derive in extent (rank) order, matching cold row order *)
-            let per_driver =
-              List.sort
-                (fun (a, _) (b, _) ->
-                  compare
-                    (Hashtbl.find_opt ts.ts_ranks a)
-                    (Hashtbl.find_opt ts.ts_ranks b))
-                per_driver
-            in
-            if per_driver <> [] then blockmajor t ~apply:false bs per_driver)
-        qs.qs_tops)
-    t.queries;
+            let affected = List.sort_uniq compare (member_dks @ reach) in
+            (* positions are recorded under the pre-cycle ranks: a
+               removed driver that held a shared event's minimum
+               must still hold it in the recording, or the event's
+               move to its next supporter goes unnoticed *)
+            List.iter (old_evs_iter record_prepos) affected;
+            List.iter
+              (fun (c, o) ->
+                if c = coll then Hashtbl.remove ts.ts_ranks (Oid.id o))
+              delta.Delta.coll_removed;
+            (if List.exists (fun (c, _) -> c = coll) delta.Delta.coll_added
+             then
+               let extent = Graph.collection g coll in
+               try assign_ranks ts extent
+               with Rank_overflow -> renumber_ranks ts extent);
+            if member_pairs <> [] then ranks_changed t;
+            (affected, h)
+          end
+        in
+        (* also retract any stale ⊥ events from an earlier
+           classification of this block *)
+        if full then note_old_and_retract (-1);
+        let per_driver =
+          List.filter_map
+            (fun dk ->
+              (if full then note_old_and_retract dk
+               else retract t ~drained ids dk);
+              match Hashtbl.find_opt oid_of dk with
+              | Some d when Hashtbl.mem ts.ts_ranks dk ->
+                t.ctr.c_drivers <- t.ctr.c_drivers + 1;
+                Some
+                  ( dk,
+                    [
+                      Eval.Env.add v
+                        (Eval.B_target (Graph.N d))
+                        Eval.Env.empty;
+                    ] )
+              | _ -> None (* removed driver: retraction only *))
+            affected_dks
+        in
+        (* derive in extent (rank) order, matching cold row order *)
+        let per_driver =
+          List.sort
+            (fun (a, _) (b, _) ->
+              compare
+                (Hashtbl.find_opt ts.ts_ranks a)
+                (Hashtbl.find_opt ts.ts_ranks b))
+            per_driver
+        in
+        if per_driver <> [] then blockmajor t ~apply:false bs per_driver)
+    tops;
   (* buffered events record their pre-commit position: genuinely new
      events (and events whose support was just drained) read max_int,
      so the diff below notes them; re-derivations at an unchanged

@@ -8,9 +8,12 @@
     Each top-level block is classified with its nested subtree
     ({!Plan.delta_class}, the classifier [explain-analyze] and lint
     code SA070 also call): {e driven} blocks re-derive only the
-    drivers — members of the driving collection — whose forward
-    neighbourhood the delta touches (found by the backward closure over
-    the reverse-adjacency index); {e fallback} blocks (aggregates,
+    drivers — members of the driving collection — within the block's
+    read depth of a touched object: a block whose subtree reads [k]
+    hops past its driver re-derives the drivers at most [k] backward
+    hops from the change (one breadth-first walk over the
+    reverse-adjacency index, as deep as the deepest block reads, serves
+    every block); {e fallback} blocks (aggregates,
     negation, enumerators, opaque externs, constant-anchored reads)
     replay in full each cycle, reason recorded.  Construction events
     are support-counted per (block, driver) and carry a canonical
@@ -82,9 +85,11 @@ type site_change = {
 val apply : ?data:Graph.t -> t -> Delta.t -> site_change
 (** Apply one data delta and bring the site graph up to date.  [data]
     swaps in a replacement data graph sharing surviving oids (the
-    mediated path: {!Sgraph.Delta.rebase} + {!Sgraph.Delta.diff});
-    without it the engine's current graph is assumed already mutated
-    (the direct path: {!Sgraph.Delta.Rec}).  When {!Exec.delta_enabled}
+    mediated path: the warehouse's new view and its
+    {!Sgraph.Delta.diff} from the old one; the file-watch path: a
+    {!Sgraph.Delta.rebase}d re-read); without it the engine's current
+    graph is assumed already mutated (the direct path:
+    {!Sgraph.Delta.Rec}).  When {!Exec.delta_enabled}
     is cleared, the cycle re-derives every block through the same
     machinery — still byte-identical, no longer O(change). *)
 

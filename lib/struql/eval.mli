@@ -32,6 +32,19 @@ val exec_step : Graph.t -> Builtins.registry -> env -> Plan.step -> env list
 (** All extensions of one binding row by one plan step, in a fixed
     order: every engine's row order is built from it. *)
 
+val term_binding : env -> Ast.term -> binding option
+(** What a WHERE term denotes under the row: a constant's value, a
+    bound variable's binding, [None] for an unbound variable. *)
+
+val match_term : env -> Ast.term -> Graph.target -> env option
+(** Unify a term with an object under the row (binding an unbound
+    variable; constants and bound values compare with
+    {!Sgraph.Value.coerce_equal}) — the test {!exec_step}'s edge scans
+    apply to every candidate endpoint. *)
+
+val match_label : env -> Ast.label_term -> string -> env option
+(** The same for an arc label. *)
+
 (** {1 Stage 2: the construction stage} *)
 
 (** Construction events, observable through an emitter: exactly the

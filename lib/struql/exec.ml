@@ -23,6 +23,7 @@ type access =
   | Extern_filter of string
   | Edge_out
   | Edge_by_label of string option
+  | Edge_probe of string option
   | Edge_in
   | Edge_scan
   | Path_walk
@@ -41,6 +42,10 @@ let pp_access ppf = function
   | Edge_out -> Fmt.string ppf "edge index: out-edges"
   | Edge_by_label (Some l) -> Fmt.pf ppf "edge index: label extent %S" l
   | Edge_by_label None -> Fmt.string ppf "edge index: label extent (runtime)"
+  | Edge_probe (Some l) ->
+    Fmt.pf ppf "edge index: label extent %S, hash probe on target" l
+  | Edge_probe None ->
+    Fmt.string ppf "edge index: label extent (runtime), hash probe on target"
   | Edge_in -> Fmt.string ppf "edge index: in-edges"
   | Edge_scan -> Fmt.string ppf "edge scan"
   | Path_walk -> Fmt.string ppf "path walk"
@@ -53,7 +58,9 @@ let pp_access ppf = function
   | Domain_labels -> Fmt.string ppf "domain: labels"
 
 let access_uses_index = function
-  | Coll_probe _ | Edge_out | Edge_by_label _ | Edge_in | Path_walk -> true
+  | Coll_probe _ | Edge_out | Edge_by_label _ | Edge_probe _ | Edge_in
+  | Path_walk ->
+    true
   | Coll_scan _ | Extern_filter _ | Edge_scan | Path_scan | Filter | Bind_eq
   | In_scan | Anti_join | Domain_objects | Domain_labels ->
     false
@@ -72,10 +79,11 @@ let classify bound (s : Plan.step) : access =
        if Plan.term_bound bound t then Coll_probe name else Coll_scan name
      | Plan.CC_extern (name, _) -> Extern_filter name
      | Plan.CC_edge (x, l, y) ->
+       let label = match l with Ast.L_const s -> Some s | Ast.L_var _ -> None in
        if Plan.term_bound bound x then Edge_out
        else if Plan.label_bound bound l then
-         Edge_by_label
-           (match l with Ast.L_const s -> Some s | Ast.L_var _ -> None)
+         if Plan.term_bound bound y then Edge_probe label
+         else Edge_by_label label
        else if Plan.term_bound bound y then Edge_in
        else Edge_scan
      | Plan.CC_path (x, _, _, _) ->
@@ -311,23 +319,121 @@ let new_op_stats bound step =
     os_timed = false;
   }
 
-let ops_of_steps bound steps =
+(* --- The bound-target edge probe ---
+
+   An edge step with an unbound source, a known label and a bound
+   target scans the label's whole extent for every row in [Eval]'s
+   lane.  The probe indexes the extent once per run instead, each entry
+   under every key its target can be equal under (an oid's id, a
+   value's {!Value.coerce_keys}).  A row visits only the entries sharing
+   a key with its own target, in ascending extent position, and applies
+   the scan's own [match_term]/[match_label] to each, so the rows and
+   their order are the scan's.  A table is rebuilt when the graph's
+   generation moves and dies with its operator. *)
+
+type pkey = P_node of int | P_val of Value.coerce_key
+
+let target_pkeys = function
+  | Graph.N o -> [ P_node (Oid.id o) ]
+  | Graph.V v -> List.map (fun k -> P_val k) (Value.coerce_keys v)
+
+type ptable = {
+  pt_entries : (Oid.t * Graph.target) array;  (* the label extent *)
+  pt_index : (pkey, int list) Hashtbl.t;  (* key -> ascending positions *)
+}
+
+let ptable_build g l =
+  let entries = Array.of_list (Graph.label_extent g l) in
+  let index = Hashtbl.create ((2 * Array.length entries) + 1) in
+  for i = Array.length entries - 1 downto 0 do
+    List.iter
+      (fun k ->
+        let ps = Option.value ~default:[] (Hashtbl.find_opt index k) in
+        Hashtbl.replace index k (i :: ps))
+      (target_pkeys (snd entries.(i)))
+  done;
+  { pt_entries = entries; pt_index = index }
+
+(* Extent positions an entry matching one of [keys] can sit at. *)
+let ptable_candidates pt keys =
+  match List.filter_map (Hashtbl.find_opt pt.pt_index) keys with
+  | [] -> []
+  | [ ps ] -> ps
+  | pss -> List.sort_uniq Int.compare (List.concat pss)
+
+(* The label an edge step reads, as [Eval]'s scan resolves it. *)
+let known_label env = function
+  | Ast.L_const c -> Some c
+  | Ast.L_var v -> (
+    match Eval.Env.find_opt v env with
+    | Some (Eval.B_label l) -> Some l
+    | Some (Eval.B_target (Graph.V (Value.String s))) -> Some s
+    | Some (Eval.B_target _) | None -> None)
+
+let target_keys env y =
+  match Eval.term_binding env y with
+  | Some (Eval.B_target tgt) -> Some (target_pkeys tgt)
+  | Some (Eval.B_label l) -> Some (target_pkeys (Graph.V (Value.String l)))
+  | None -> None
+
+(* The probe lane of one operator, tables built on first use.  A row
+   the plan's static boundness misjudged scans instead. *)
+let probe_exec g reg step x lt y =
+  let tables = Hashtbl.create 1 in
+  let gen = ref (Graph.generation g) in
+  let table l =
+    if Graph.generation g <> !gen then begin
+      Hashtbl.reset tables;
+      gen := Graph.generation g
+    end;
+    match Hashtbl.find_opt tables l with
+    | Some pt -> pt
+    | None ->
+      let pt = ptable_build g l in
+      Hashtbl.add tables l pt;
+      pt
+  in
+  fun env ->
+    match (Eval.term_binding env x, known_label env lt, target_keys env y) with
+    | None, Some l, Some keys ->
+      let pt = table l in
+      List.filter_map
+        (fun i ->
+          let src, tgt = pt.pt_entries.(i) in
+          match Eval.match_term env x (Graph.N src) with
+          | None -> None
+          | Some env' -> (
+            match Eval.match_label env' lt l with
+            | None -> None
+            | Some env'' -> Eval.match_term env'' y tgt))
+        (ptable_candidates pt keys)
+    | _ -> Eval.exec_step g reg env step
+
+(* A physical operator: its statistics, and how it extends one row. *)
+type op = { os : op_stats; exec : Eval.env -> Eval.env list }
+
+let ops_of_steps g reg bound steps =
   let _, rev =
     List.fold_left
       (fun (vs, acc) step ->
-        (vset_add_binds vs step, new_op_stats vs step :: acc))
+        let os = new_op_stats vs step in
+        let exec =
+          match (os.os_access, step) with
+          | Edge_probe _, Plan.Exec (Plan.CC_edge (x, lt, y)) ->
+            probe_exec g reg step x lt y
+          | _ -> fun env -> Eval.exec_step g reg env step
+        in
+        (vset_add_binds vs step, { os; exec } :: acc))
       (vset_of_list bound, [])
       steps
   in
   List.rev rev
 
-(* One physical operator: expand each input row with [Eval.exec_step].
-   The expansion batch is a list, but only one batch per operator is
-   ever live — [Seq.concat_map] pulls rows depth-first, which is
-   exactly the row order of a step-by-step [List.concat_map] over the
-   whole relation. *)
-let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
-    Eval.env Seq.t =
+(* One physical operator over a row stream.  The expansion batch is a
+   list, but only one batch per operator is ever live —
+   [Seq.concat_map] pulls rows depth-first, which is exactly the row
+   order of a step-by-step [List.concat_map] over the whole relation. *)
+let op_seq ~timed live { os; exec } (input : Eval.env Seq.t) : Eval.env Seq.t =
   if timed then os.os_timed <- true;
   Seq.concat_map
     (fun env ->
@@ -335,11 +441,11 @@ let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
       let outs =
         if timed then begin
           let t0 = Sys.time () in
-          let r = Eval.exec_step g reg env os.os_step in
+          let r = exec env in
           os.os_time <- os.os_time +. (Sys.time () -. t0);
           r
         end
-        else Eval.exec_step g reg env os.os_step
+        else exec env
       in
       let k = List.length outs in
       os.os_rows_out <- os.os_rows_out + k;
@@ -352,16 +458,16 @@ let op_seq g reg ~timed live (os : op_stats) (input : Eval.env Seq.t) :
         (List.to_seq outs))
     input
 
-let fold_pipeline g reg ~timed live ops input =
-  List.fold_left (fun s op -> op_seq g reg ~timed live op s) input ops
+let fold_pipeline ~timed live ops input =
+  List.fold_left (fun s op -> op_seq ~timed live op s) input ops
 
 (* The differential engine's lane: one block's operators, built once,
    stepping each driver's rows through the same pipeline. *)
 let stepper g reg ~bound steps =
-  let ops = ops_of_steps bound steps in
+  let ops = ops_of_steps g reg bound steps in
   let live = { cur = 0; peak = 0 } in
   fun envs ->
-    List.of_seq (fold_pipeline g reg ~timed:false live ops (List.to_seq envs))
+    List.of_seq (fold_pipeline ~timed:false live ops (List.to_seq envs))
 
 (* --- Sharded evaluation --- *)
 
@@ -476,17 +582,18 @@ let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
           let env0 = Eval.Env.add v (Eval.B_target (Graph.N o)) Eval.Env.empty in
           let rows =
             List.of_seq
-              (fold_pipeline rctx.g rctx.registry ~timed:rctx.timed live
-                 rest_ops (Seq.return env0))
+              (fold_pipeline ~timed:rctx.timed live rest_ops
+                 (Seq.return env0))
           in
           List.map (fun r -> (p, r)) rows)
         ext
     in
     let record_scan ext =
-      scan_op.os_rows_in <- scan_op.os_rows_in + 1;
+      let scan = scan_op.os in
+      scan.os_rows_in <- scan.os_rows_in + 1;
       let k = List.length ext in
-      scan_op.os_rows_out <- scan_op.os_rows_out + k;
-      if k > scan_op.os_max_batch then scan_op.os_max_batch <- k
+      scan.os_rows_out <- scan.os_rows_out + k;
+      if k > scan.os_max_batch then scan.os_max_batch <- k
     in
     let jobs = min sc.sc_jobs (List.length exts) in
     let tagged =
@@ -497,7 +604,10 @@ let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
         let exts_a = Array.of_list exts in
         let n = Array.length exts_a in
         let results = Array.make n [] in
-        let wstats = Array.init jobs (fun _ -> ops_of_steps bound steps) in
+        let wstats =
+          Array.init jobs (fun _ ->
+              ops_of_steps rctx.g rctx.registry bound steps)
+        in
         let wlive = Array.init jobs (fun _ -> { cur = 0; peak = 0 }) in
         (* sanitizer identity: field j < n covers [results.(j)] (each
            written by exactly one worker, striped j mod jobs), field
@@ -540,7 +650,7 @@ let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
         Array.iter
           (fun wops ->
             List.iter2
-              (fun o wo ->
+              (fun { os = o; _ } { os = wo; _ } ->
                 o.os_rows_in <- o.os_rows_in + wo.os_rows_in;
                 o.os_rows_out <- o.os_rows_out + wo.os_rows_out;
                 o.os_max_batch <- max o.os_max_batch wo.os_max_batch;
@@ -576,8 +686,10 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
       ~needed_obj ~needed_label b.where
   in
   rctx.plans <- ((b, bound), steps) :: rctx.plans;
-  let ops = ops_of_steps bound steps in
-  let bpr = { bpr_path = path; bpr_ops = ops; bpr_rows = 0 } in
+  let ops = ops_of_steps rctx.g rctx.registry bound steps in
+  let bpr =
+    { bpr_path = path; bpr_ops = List.map (fun o -> o.os) ops; bpr_rows = 0 }
+  in
   rctx.blocks_rev := bpr :: !(rctx.blocks_rev);
   let groups = Eval.new_groups () in
   let construct env = Eval.construct_row rctx.sink groups b env in
@@ -587,7 +699,7 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
     | None -> None
   in
   let stream () =
-    fold_pipeline rctx.g rctx.registry ~timed:rctx.timed rctx.live ops inputs
+    fold_pipeline ~timed:rctx.timed rctx.live ops inputs
   in
   (match sharded with
    | None when b.nested = [] && not rctx.materialize_all ->
@@ -743,11 +855,9 @@ let pipeline_of_conds ~options ~timed ~env ~bound ~needed_obj ~needed_label g
       ~bound ~needed_obj ~needed_label conds
   in
   let live = { cur = 0; peak = 0 } in
-  let ops = ops_of_steps bound steps in
-  let stream =
-    fold_pipeline g options.Eval.registry ~timed live ops (Seq.return env)
-  in
-  (stream, ops, live)
+  let ops = ops_of_steps g options.Eval.registry bound steps in
+  let stream = fold_pipeline ~timed live ops (Seq.return env) in
+  (stream, List.map (fun o -> o.os) ops, live)
 
 let bindings_seq ?(options = Eval.default_options) ?(env = Eval.Env.empty)
     ?(bound = []) ?(needed_obj = []) ?(needed_label = []) g conds =

@@ -36,6 +36,12 @@ type access =
   | Edge_by_label of string option
       (** label-extent index; [None] when the label variable is bound
           at runtime rather than a constant *)
+  | Edge_probe of string option
+      (** label-extent index with the target bound too: the operator
+          hashes the extent once per run by every key a target can be
+          equal under ({!Sgraph.Value.coerce_keys}), and each row
+          visits only the entries sharing a key with its target — the
+          label-extent scan's rows, in its order *)
   | Edge_in               (** reverse index on a bound target *)
   | Edge_scan             (** full edge scan *)
   | Path_walk             (** NFA walk from a bound source *)

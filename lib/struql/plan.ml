@@ -486,116 +486,169 @@ let plan ?(strategy = Heuristic) ?(limited = []) ~registry g ~bound
    forward neighbourhood.  Anything else — negation, active-domain
    enumerators, opaque externs, aggregate link targets, a second
    unbound scan (cross product) — makes per-driver re-derivation
-   unsound or unbounded and falls back to full re-evaluation. *)
+   unsound or unbounded and falls back to full re-evaluation.
+
+   A driven block also records its read depth: the most forward hops
+   from the driver at which its subtree reads an out-bucket (an edge
+   step) or a membership (a collection probe), [max_int] when a path
+   condition reads arbitrarily far. *)
 
 type delta_class =
   | D_static  (** no generators, and every nested block anchored *)
-  | D_driven of string * string  (** driving collection, driver var *)
+  | D_driven of string * string * int
+      (** driving collection, driver var, read depth *)
   | D_fallback of string  (** reason the block cannot delta-evaluate *)
+
+let unbounded_depth = max_int
+
+module VMap = Map.Make (String)
 
 let block_has_agg (b : Ast.block) =
   List.exists
     (fun (_, _, y) -> match y with Ast.T_agg _ -> true | _ -> false)
     b.Ast.link
 
-let anchored_step ~pure (bound, der) (s : step) :
-    (VSet.t * VSet.t, string) result =
-  (* [der] are the driver-derived variables: values reached only by
+(* The anchoring state threaded through a subtree's steps: the bound
+   variables; the driver-derived ones, each at its hop distance from
+   the driver; and the deepest read so far. *)
+type anchoring = { a_bound : VSet.t; a_der : int VMap.t; a_reads : int }
+
+let hop d = if d = unbounded_depth then d else d + 1
+
+let anchored_step ~pure st (s : step) : (anchoring, string) result =
+  (* [a_der] are the driver-derived variables: values reached only by
      forward reads from the driver, so backward closure from a touched
      object finds every driver whose reads it can invalidate.  A data
      read anchored on a bound-but-not-derived object (a constant, or a
      binding minted by a comparison with a literal) is a global filter
-     the closure cannot see, and must fall back. *)
+     the closure cannot see, and must fall back.  A variable an edge
+     step binds sits one hop past the step's source; one a path binds,
+     unboundedly far. *)
   let binds = step_binds s in
-  let extend ~derived =
-    let bound' = List.fold_left (fun b v -> VSet.add v b) bound binds in
-    let der' =
-      if derived then List.fold_left (fun b v -> VSet.add v b) der binds
-      else der
+  let extend ?at ~reads () =
+    let a_bound = List.fold_left (fun b v -> VSet.add v b) st.a_bound binds in
+    (* [binds] names the step's bound variables too: an object reached
+       twice keeps its fewest hops *)
+    let a_der =
+      match at with
+      | Some d ->
+        List.fold_left
+          (fun m v ->
+            VMap.update v
+              (function Some d0 -> Some (min d0 d) | None -> Some d)
+              m)
+          st.a_der binds
+      | None -> st.a_der
     in
-    Ok (bound', der')
+    Ok { a_bound; a_der; a_reads = max st.a_reads reads }
   in
-  let term_der = function Ast.T_var v -> VSet.mem v der | _ -> false in
+  let depth = function
+    | Ast.T_var v -> VMap.find_opt v st.a_der
+    | _ -> None
+  in
+  let bound = st.a_bound in
   match s with
   | Domain_obj _ | Domain_label _ -> Error "active-domain enumerator"
   | Exec c ->
     (match c with
-     | CC_coll (name, t) ->
-       if term_der t then extend ~derived:true
-       else if term_bound bound t then
-         Error ("collection " ^ name ^ " probed on a non-derived object")
-       else Error ("unbound scan of collection " ^ name)
-     | CC_edge (x, _, _) ->
-       if term_der x then extend ~derived:true
-       else if term_bound bound x then
-         Error "edge condition anchored on a non-derived source"
-       else Error "edge condition with unbound source"
-     | CC_path (x, _, _, _) ->
-       if term_der x then extend ~derived:true
-       else if term_bound bound x then
-         Error "path condition anchored on a non-derived source"
-       else Error "path condition with unbound source"
+     | CC_coll (name, t) -> (
+       match depth t with
+       | Some d -> extend ~at:d ~reads:d ()
+       | None ->
+         if term_bound bound t then
+           Error ("collection " ^ name ^ " probed on a non-derived object")
+         else Error ("unbound scan of collection " ^ name))
+     | CC_edge (x, _, _) -> (
+       match depth x with
+       | Some d -> extend ~at:(hop d) ~reads:d ()
+       | None ->
+         if term_bound bound x then
+           Error "edge condition anchored on a non-derived source"
+         else Error "edge condition with unbound source")
+     | CC_path (x, _, _, _) -> (
+       match depth x with
+       | Some _ -> extend ~at:unbounded_depth ~reads:unbounded_depth ()
+       | None ->
+         if term_bound bound x then
+           Error "path condition anchored on a non-derived source"
+         else Error "path condition with unbound source")
      | CC_cmp (_, a, b) ->
        (* pure value comparison: no graph read, so a constant anchor is
           fine — but a binding it mints is only derived if a compared
-          side is *)
+          side is, at that side's depth *)
        if term_bound bound a || term_bound bound b then
-         extend ~derived:(term_der a || term_der b)
+         let at =
+           match depth a, depth b with
+           | Some d, Some d' -> Some (min d d')
+           | Some d, None | None, Some d -> Some d
+           | None, None -> None
+         in
+         extend ?at ~reads:0 ()
        else Error "comparison over unbound variables"
-     | CC_in (_, _) -> extend ~derived:false
+     | CC_in (_, _) -> extend ~reads:0 ()
      | CC_extern (name, ts) ->
        if not (pure name) then Error ("opaque external predicate " ^ name)
-       else if List.for_all (term_bound bound) ts then extend ~derived:false
+       else if List.for_all (term_bound bound) ts then extend ~reads:0 ()
        else Error ("external predicate " ^ name ^ " binds its argument")
      | CC_not _ -> Error "negation")
 
-let anchored_steps ~pure ~bound ~der steps =
+let anchored_steps ~pure st steps =
   List.fold_left
     (fun acc s ->
-      match acc with Error _ -> acc | Ok bd -> anchored_step ~pure bd s)
-    (Ok (bound, der))
-    steps
+      match acc with Error _ -> acc | Ok st -> anchored_step ~pure st s)
+    (Ok st) steps
 
 (* One top-level block with its whole nested subtree: driven only when
    the block's plan opens with an unbound driving-collection scan and
    every later step — every nested block's included, under the
-   (bound, derived) pair threaded down the tree — anchors its data
-   reads on driver-derived objects.  A block delta-evaluates with its
-   subtree or not at all, since the engine replays a fallback block's
-   nested blocks with it. *)
+   anchoring state threaded down the tree — anchors its data reads on
+   driver-derived objects.  A block delta-evaluates with its subtree or
+   not at all, since the engine replays a fallback block's nested
+   blocks with it.  The read depth is the deepest read of the whole
+   subtree. *)
 let delta_class ~pure ~plan (b : Ast.block) : delta_class =
-  let rec nested_ok bd bound (blk : Ast.block) =
+  let rec nested st bound (blk : Ast.block) =
     List.fold_left
       (fun acc (nb : Ast.block) ->
         match acc with
         | Error _ -> acc
-        | Ok () ->
+        | Ok reads ->
           if block_has_agg nb then
             Error "aggregate link target in a nested block"
           else
             let steps = plan ~bound nb in
-            let b_vars, der = bd in
-            match anchored_steps ~pure ~bound:b_vars ~der steps with
+            match anchored_steps ~pure st steps with
             | Error e -> Error e
-            | Ok bd' ->
+            | Ok st' ->
               let bound' =
                 Ast.dedup (bound @ List.concat_map step_binds steps)
               in
-              nested_ok bd' bound' nb)
-      (Ok ()) blk.Ast.nested
+              Result.map (max reads) (nested st' bound' nb))
+      (Ok st.a_reads) blk.Ast.nested
   in
   if block_has_agg b then D_fallback "aggregate link target"
   else
     let steps = plan ~bound:[] b in
     let bound = Ast.dedup (List.concat_map step_binds steps) in
-    let with_nested cls bd =
-      match nested_ok bd bound b with Ok () -> cls | Error e -> D_fallback e
+    let with_nested st cls =
+      match nested st bound b with
+      | Ok reads -> cls reads
+      | Error e -> D_fallback e
     in
     match steps with
-    | [] -> with_nested D_static (VSet.empty, VSet.empty)
+    | [] ->
+      with_nested
+        { a_bound = VSet.empty; a_der = VMap.empty; a_reads = 0 }
+        (fun _ -> D_static)
     | Exec (CC_coll (cname, Ast.T_var v)) :: rest -> (
-        let seed = VSet.singleton v in
-        match anchored_steps ~pure ~bound:seed ~der:seed rest with
-        | Ok bd -> with_nested (D_driven (cname, v)) bd
+        let seed =
+          {
+            a_bound = VSet.singleton v;
+            a_der = VMap.singleton v 0;
+            a_reads = 0;
+          }
+        in
+        match anchored_steps ~pure seed rest with
+        | Ok st -> with_nested st (fun reads -> D_driven (cname, v, reads))
         | Error e -> D_fallback e)
     | _ -> D_fallback "no driving collection scan"

@@ -139,8 +139,17 @@ val pp_step : Format.formatter -> step -> unit
 
 type delta_class =
   | D_static  (** no generators, and every nested block anchored *)
-  | D_driven of string * string  (** driving collection, driver variable *)
+  | D_driven of string * string * int
+      (** driving collection, driver variable, read depth: the most
+          forward hops from the driver at which the subtree reads an
+          out-bucket (an edge step) or probes a membership (a
+          collection condition), {!unbounded_depth} when it has a path
+          condition.  A driver's rows are a function of the out-buckets
+          and memberships within that many hops of it. *)
   | D_fallback of string  (** why the block must fully re-evaluate *)
+
+val unbounded_depth : int
+(** The read depth of a block with a path condition ([max_int]). *)
 
 val delta_class :
   pure:(string -> bool) ->

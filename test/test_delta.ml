@@ -2,12 +2,16 @@
    refresh (Warehouse.refresh_delta) and the watch loop (Serve.Watch)
    maintain a published site byte-identically to a cold full build —
    property-tested under random edit scripts, including
-   collection-emptying removals, at jobs 1 and 4, both as one cycle and
-   as one cycle per edit; plus units for the kill switch, the fallback
-   taxonomy, quarantine under seeded source failures, one
-   classification across explain-analyze, the engine and lint, the
-   structural diff and delta cardinality, and the engine's event table
-   staying bounded across cycles. *)
+   collection-emptying removals and edits one and more hops past the
+   driver (blocks reading at depth 1 and through a path), at jobs 1
+   and 4, both as one cycle and as one cycle per edit; plus units for
+   the kill switch, the fallback taxonomy, quarantine under seeded
+   source failures, one classification across explain-analyze, the
+   engine and lint, the structural diff and delta cardinality, rebase
+   order, the engine's event table staying bounded across cycles, and
+   the mediated refresh: a view equal to a fresh integration in every
+   index order, stable oids, a bounded mediation scope, and an org
+   cycle re-deriving only the retitled publications. *)
 
 open Sgraph
 
@@ -36,9 +40,15 @@ let site_query =
        ItemPage(i) -> "Group" -> GroupPage(g),
        Root() -> "Group" -> GroupPage(g)
   COLLECT GroupPages(GroupPage(g)), ItemPages(ItemPage(i))
-  { WHERE i -> l -> v
+  { WHERE i -> l -> v, isAtomic(v)
     LINK ItemPage(i) -> l -> v }
 }
+// reads one hop past the driver: its owner's title
+{ WHERE Items(i), i -> "owner" -> o, o -> "title" -> n
+  LINK ItemPage(i) -> "Owner" -> n }
+// reads any number of hops past it: every ancestor owner's title
+{ WHERE Items(i), i -> "owner"."parent"* -> a, a -> "title" -> an
+  LINK ItemPage(i) -> "Lineage" -> an }
 OUTPUT SITE
 |}
 
@@ -57,6 +67,8 @@ let templates : Template.Generator.template_set =
           {|<h1><SFMT @title></h1>
 <SIF @body != NULL><p><SFMT @body></p></SIF>
 <SIF @tag != NULL><p><i><SFMT @tag></i></p></SIF>
+<SIF @Owner != NULL><p>Owner: <SFMT @Owner></p></SIF>
+<SIF @Lineage><p>Lineage: <SFMT @Lineage DELIM=", "></p></SIF>
 <p><SFMT @Group LINK="Up"></p>
 |} );
       ];
@@ -67,19 +79,36 @@ let definition =
   Strudel.Site.define ~name:"DELTASITE" ~root_family:"Root" ~templates
     [ ("site", site_query) ]
 
-let add_item_raw add_node add_edge add_coll i =
+(* Items hang off four owners chained by "parent" (own3 -> own2 ->
+   own1 -> own0), so an owner's retitle reaches items one to four hops
+   back.  Owners share the "title" label with items, which keeps every
+   plan opening on the Items scan. *)
+let n_owners = 4
+
+let add_item_raw ?owner add_node add_edge add_coll i =
   let it = Oid.fresh (Printf.sprintf "item%d" i) in
   add_node it;
   add_edge it "title" (Graph.V (Value.String (Printf.sprintf "Item %03d" i)));
   add_edge it "grp" (Graph.V (Value.String (Printf.sprintf "G%d" (i mod 3))));
+  Option.iter (fun o -> add_edge it "owner" (Graph.N o)) owner;
   add_coll "Items" it;
   it
 
+let owners g = Array.of_list (Graph.collection g "Owners")
+
 let mk_data n =
   let g = Graph.create ~name:"DATA" () in
+  for k = 0 to n_owners - 1 do
+    let o = Oid.fresh (Printf.sprintf "own%d" k) in
+    Graph.add_edge g o "title"
+      (Graph.V (Value.String (Printf.sprintf "Owner %d" k)));
+    if k > 0 then Graph.add_edge g o "parent" (Graph.N (owners g).(k - 1));
+    Graph.add_to_collection g "Owners" o
+  done;
+  let own = owners g in
   for i = 1 to n do
     ignore
-      (add_item_raw (Graph.add_node g)
+      (add_item_raw ~owner:own.(i mod n_owners) (Graph.add_node g)
          (fun o l v -> Graph.add_edge g o l v)
          (fun c o -> Graph.add_to_collection g c o)
          i)
@@ -96,6 +125,8 @@ type op =
   | Move_group of int * int
   | Drop_member of int
   | Empty_collection
+  | Retitle_owner of int * string
+  | Relink of int * int
 
 let op_gen =
   let open QCheck.Gen in
@@ -110,6 +141,9 @@ let op_gen =
       (2, map2 (fun i j -> Move_group (i, j)) (int_bound 99) (int_bound 3));
       (2, map (fun i -> Drop_member i) (int_bound 99));
       (1, return Empty_collection);
+      (3, map2 (fun k s -> Retitle_owner (k, "O" ^ s)) (int_bound 3)
+           (string_size ~gen:(char_range 'a' 'z') (int_range 1 6)));
+      (2, map2 (fun i k -> Relink (i, k)) (int_bound 99) (int_bound 3));
     ]
 
 let nth_member g i =
@@ -122,8 +156,10 @@ let apply_op r nextid op =
   match op with
   | Add _ ->
     incr nextid;
+    let own = owners g in
     ignore
-      (add_item_raw (Delta.Rec.add_node r) (Delta.Rec.add_edge r)
+      (add_item_raw ~owner:own.(!nextid mod n_owners) (Delta.Rec.add_node r)
+         (Delta.Rec.add_edge r)
          (Delta.Rec.add_to_collection r)
          (100 + !nextid))
   | Remove i -> (
@@ -151,6 +187,16 @@ let apply_op r nextid op =
     List.iter
       (fun o -> Delta.Rec.remove_from_collection r "Items" o)
       (Graph.collection g "Items")
+  | Retitle_owner (k, s) ->
+    Delta.Rec.set_value r (owners g).(k mod n_owners) "title" (Value.String s)
+  | Relink (i, k) -> (
+    match nth_member g i with
+    | Some o ->
+      List.iter
+        (fun tgt -> Delta.Rec.remove_edge r o "owner" tgt)
+        (Graph.attr g o "owner");
+      Delta.Rec.add_edge r o "owner" (Graph.N (owners g).(k mod n_owners))
+    | None -> ())
 
 (* One watch session over [items] items, the edit script applied
    through the recorder, one delta cycle — published pages must equal a
@@ -312,6 +358,141 @@ let surfaces (spec : Analysis.Lint.spec) =
     view (blocks - List.length falls) falls
   in
   (analyze, engine, lint)
+
+(* --- the mediated refresh --- *)
+
+(* A graph's content by node names, order-sensitive throughout: node
+   order, then every out-bucket, collection extent, label extent,
+   value-index bucket and in-edge bucket. *)
+let view_shape g =
+  let n = Oid.name in
+  let tgt = function
+    | Graph.N o -> "&" ^ n o
+    | Graph.V v -> Value.to_string v
+  in
+  let src_label (o, l) = n o ^ "." ^ l in
+  let nodes = Graph.nodes g in
+  let values =
+    List.sort_uniq Value.compare
+      (Graph.fold_edges
+         (fun _ _ tg acc ->
+           match tg with Graph.V v -> v :: acc | Graph.N _ -> acc)
+         g [])
+  in
+  (("nodes", List.map n nodes)
+   :: List.map
+        (fun o ->
+          ( "out " ^ n o,
+            List.map (fun (l, tg) -> l ^ "=" ^ tgt tg) (Graph.out_edges g o) ))
+        nodes)
+  @ List.map
+      (fun c -> ("coll " ^ c, List.map n (Graph.collection g c)))
+      (List.sort compare (Graph.collections g))
+  @ List.map
+      (fun l ->
+        ( "label " ^ l,
+          List.map (fun (o, tg) -> n o ^ "=" ^ tgt tg) (Graph.label_extent g l)
+        ))
+      (List.sort_uniq compare (Graph.labels g))
+  @ List.map
+      (fun v ->
+        ( "value " ^ Value.to_string v,
+          List.map src_label (Graph.value_index g v) ))
+      values
+  @ List.map
+      (fun o ->
+        ("in " ^ n o, List.map src_label (Graph.in_edges g (Graph.N o))))
+      nodes
+
+let check_shape = Alcotest.(check (list (pair string (list string))))
+
+(* The org sources' exports, as [Sites.Org.make_sources] builds them
+   (default seed), each with an edit. *)
+let org_size = (24, 4, 6, 8) (* people, orgs, projects, pubs *)
+
+let org_sources () =
+  let people, orgs, projects, pubs = org_size in
+  Sites.Org.make_sources ~people ~orgs ~projects ~pubs ()
+
+let all_sources (s : Sites.Org.sources) =
+  Sites.Org.[ s.rdb; s.projects; s.bib; s.html ]
+
+let fresh_warehouse s =
+  Mediator.Warehouse.create ~sources:(all_sources s)
+    ~mappings:Sites.Org.mediation_mappings ()
+
+(* p3 gets another email and moves to org0 *)
+let rdb_export () =
+  let people, orgs, _, _ = org_size in
+  let people_csv, orgs_csv = Wrappers.Synth.org_csv ~seed:11 ~people ~orgs () in
+  let edit line =
+    match String.split_on_char ',' line with
+    | "p3" :: name :: phone :: office :: _ :: _ :: rest ->
+      String.concat ","
+        ("p3" :: name :: phone :: office :: "p3@lab.example.com" :: "&org0"
+        :: rest)
+    | _ -> line
+  in
+  let people_csv =
+    String.concat "\n" (List.map edit (String.split_on_char '\n' people_csv))
+  in
+  let g = Graph.create ~name:"RDB" () in
+  ignore
+    (Wrappers.Csv.load_tables g
+       [
+         Wrappers.Csv.table_of_string ~name:"People" people_csv;
+         Wrappers.Csv.table_of_string ~name:"Orgs" orgs_csv;
+       ]);
+  g
+
+(* [s] with the first [count] occurrences of [sub] replaced by [by]
+   (all of them by default) *)
+let replace ?(count = max_int) ~sub ~by s =
+  let n = String.length sub in
+  let b = Buffer.create (String.length s) in
+  let rec go i left =
+    if i >= String.length s then ()
+    else if left > 0 && i + n <= String.length s && String.sub s i n = sub
+    then begin
+      Buffer.add_string b by;
+      go (i + n) (left - 1)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1) left
+    end
+  in
+  go 0 count;
+  Buffer.contents b
+
+let projects_export () =
+  let people, _, projects, _ = org_size in
+  let text = Wrappers.Synth.projects_file ~seed:12 ~projects ~people () in
+  fst
+    (Wrappers.Structured_file.load ~graph_name:"FILES"
+       (replace ~count:1 ~sub:"in: Projects\n"
+          ~by:"in: Projects\nmember: p1\nsponsor: Acme\n" text))
+
+(* [titles] entries retitled, every citation key prefixed by [keys] *)
+let bib_export ~keys ~titles () =
+  let _, _, _, pubs = org_size in
+  Wrappers.Synth.bibtex ~seed:13 ~entries:pubs ()
+  |> replace ~count:titles ~sub:"title = {On " ~by:"title = {Revisiting "
+  |> replace ~sub:"{pub" ~by:("{" ^ keys ^ "pub")
+  |> Wrappers.Bibtex.load ~graph_name:"BIB"
+  |> fst
+
+let html_export () =
+  let pages =
+    ( "news.html",
+      "<html><head><title>News</title></head><body><h1>News</h1>\n\
+       <p>A new wing opened.</p></body></html>" )
+    :: List.map
+         (fun (url, html) ->
+           (url, replace ~sub:"Campus map" ~by:"Campus maps" html))
+         Sites.Org.legacy_pages
+  in
+  fst (Wrappers.Html_wrapper.load_pages ~graph_name:"HTML" pages)
 
 let suite =
   [
@@ -707,4 +888,178 @@ OUTPUT SITE|} );
           (c.Struql.Dexec.c_events_removed > 0);
         check_int "live events as after prime" primed
           c.Struql.Dexec.c_events_live);
+      (* --- read depth: blocks one and many hops past the driver --- *)
+    t "read depths: 0, 1 and unbounded" (fun () ->
+        let _, classes = classes_of [ site_query ] (mk_data 6) in
+        Alcotest.(check (list string))
+          "classes"
+          [
+            "static";
+            "driven by Items(i), read depth 0";
+            "driven by Items(i), read depth 1";
+            "driven by Items(i), read depth unbounded";
+          ]
+          (List.map snd classes));
+    t "owner edits re-derive the items reading one and more hops away"
+      (fun () ->
+        (* own0 is an item's owner (1 hop) and, through "parent", the
+           grand-...-parent of the rest (2 to 4 hops) *)
+        check_bool "pages and site graph equal cold" true
+          (every_cycle_equals_cold
+             [
+               Retitle_owner (0, "Oa");
+               Retitle_owner (3, "Ob");
+               Relink (5, 2);
+               Retitle_owner (1, "Oc");
+             ]));
+    t "rebase keeps every index bucket's insertion order" (fun () ->
+        let export () =
+          let g = Graph.create ~name:"D" () in
+          let a = Oid.fresh "a" and b = Oid.fresh "b" in
+          List.iter
+            (fun (o, n) -> Graph.add_edge g o "x" (Graph.V (Value.Int n)))
+            [ (a, 1); (b, 2); (a, 3) ];
+          Graph.add_edge g b "y" (Graph.N a);
+          Graph.add_edge g a "y" (Graph.N a);
+          g
+        in
+        let fresh = export () in
+        let rebased = Delta.rebase ~old:(export ()) fresh in
+        check_shape "same order as the graph replayed" (view_shape fresh)
+          (view_shape rebased);
+        Alcotest.(check (list string))
+          "label extent x" [ "a=1"; "b=2"; "a=3" ]
+          (List.map
+             (fun (o, tg) -> Oid.name o ^ "=" ^ Fmt.str "%a" Graph.pp_target tg)
+             (Graph.label_extent rebased "x")));
+    (* --- the mediated refresh --- *)
+    t "refreshed view equals a fresh integration, source by source"
+      (fun () ->
+        let s = org_sources () in
+        let w = Sites.Org.warehouse s in
+        List.iter
+          (fun (name, src, export) ->
+            Mediator.Source.update src export;
+            ignore (Option.get (Mediator.Warehouse.refresh_delta w));
+            check_shape
+              (name ^ " export: refreshed = fresh")
+              (view_shape (Mediator.Warehouse.graph (fresh_warehouse s)))
+              (view_shape (Mediator.Warehouse.graph w)))
+          Sites.Org.
+            [
+              ("rdb", s.rdb, rdb_export);
+              ("projects", s.projects, projects_export);
+              ("bib", s.bib, bib_export ~keys:"" ~titles:3);
+              ("html", s.html, html_export);
+            ]);
+    t "a title-only export keeps every mediated oid" (fun () ->
+        let s = org_sources () in
+        let w = Sites.Org.warehouse s in
+        Mediator.Source.update s.Sites.Org.bib (bib_export ~keys:"" ~titles:0);
+        ignore (Mediator.Warehouse.refresh_delta w);
+        let before = Mediator.Warehouse.graph w in
+        Mediator.Source.update s.Sites.Org.bib (bib_export ~keys:"" ~titles:5);
+        let d = Option.get (Mediator.Warehouse.refresh_delta w) in
+        let after = Mediator.Warehouse.graph w in
+        check_bool "the export changed edges" true (d.Delta.edges_added <> []);
+        check_bool "no node came or went" true
+          (d.Delta.nodes_added = [] && d.Delta.nodes_removed = []);
+        check_bool "same oids, same order" true
+          (List.equal Oid.equal (Graph.nodes before) (Graph.nodes after)));
+    t "mediation scope holds one integration over 50 re-keyed exports"
+      (fun () ->
+        let s = org_sources () in
+        let w = Sites.Org.warehouse s in
+        let terms = Mediator.Warehouse.scope_size w in
+        let words () = Obj.reachable_words (Obj.repr w) in
+        let held = words () in
+        for k = 1 to 50 do
+          Mediator.Source.update s.Sites.Org.bib
+            (bib_export ~keys:(Printf.sprintf "r%d" k) ~titles:0);
+          ignore (Mediator.Warehouse.refresh_delta w)
+        done;
+        check_int "as many terms as a fresh integration"
+          (Mediator.Warehouse.scope_size (fresh_warehouse s))
+          (Mediator.Warehouse.scope_size w);
+        check_int "as many terms as at the start" terms
+          (Mediator.Warehouse.scope_size w);
+        check_bool "the warehouse's heap does not grow with exports" true
+          (words () * 2 < held * 3));
+    t "a quarantined source contributes nothing to the delta" (fun () ->
+        let fault = Fault.ctx () in
+        let items prefix titles =
+          let g = Graph.create ~name:prefix () in
+          List.iteri
+            (fun i title ->
+              let o = Oid.fresh (Printf.sprintf "%s%d" prefix i) in
+              Graph.add_edge g o "title" (Graph.V (Value.String title));
+              Graph.add_to_collection g "Items" o)
+            titles;
+          g
+        in
+        let down = ref false in
+        let flaky =
+          Mediator.Source.make
+            ~policy:(Fault.Policy.stale ~retry:Fault.Policy.no_retry 1)
+            ~name:"flaky"
+            (fun () ->
+              if !down then failwith "socket timeout"
+              else items "f" [ "F0"; "F1" ])
+        in
+        let good =
+          Mediator.Source.make ~name:"good" (fun () -> items "g" [ "G0"; "G1" ])
+        in
+        let copy source fn =
+          Mediator.Gav.mapping_of_string ~source
+            (Printf.sprintf
+               {|WHERE Items(x), x -> l -> v
+                 CREATE %s(x) LINK %s(x) -> l -> v
+                 COLLECT Items(%s(x)) OUTPUT mediated|}
+               fn fn fn)
+        in
+        let w =
+          Mediator.Warehouse.create ~fault ~sources:[ flaky; good ]
+            ~mappings:[ copy "flaky" "F"; copy "good" "G" ]
+            ()
+        in
+        down := true;
+        Mediator.Source.update flaky (fun () -> failwith "socket timeout");
+        Mediator.Source.update good (fun () -> items "g" [ "G0"; "G1 new" ]);
+        let d = Option.get (Mediator.Warehouse.refresh_delta w) in
+        check_bool "flaky quarantined" true
+          (List.exists
+             (fun (st : Mediator.Warehouse.source_stat) ->
+               st.ss_source = "flaky"
+               && match st.ss_outcome with
+                  | Mediator.Warehouse.Quarantined _ -> true
+                  | _ -> false)
+             (Mediator.Warehouse.last_refresh w));
+        Alcotest.(check (list string))
+          "only the good source's objects moved" [ "G(g1)" ]
+          (List.sort_uniq compare
+             (List.map Oid.name (Oid.Set.elements (Delta.touched d)))));
+    t "an org export retitling 10 entries re-derives 10 drivers" (fun () ->
+        (* the perfbench org-10 edit: ten publications retitled *)
+        let sources, w =
+          Sites.Org.data ~seed:1 ~people:100 ~orgs:6 ~pubs:80 ()
+        in
+        let session =
+          Serve.Watch.create ~source:(Serve.Watch.Mediated w)
+            Sites.Org.definition
+        in
+        let text = Wrappers.Synth.bibtex ~seed:3 ~entries:80 () in
+        Mediator.Source.update sources.Sites.Org.bib (fun () ->
+            fst
+              (Wrappers.Bibtex.load ~graph_name:"BIB"
+                 (replace ~count:10 ~sub:"title = {On "
+                    ~by:"title = {Revision 1 of On " text)));
+        let r = Serve.Watch.cycle session in
+        check_int "drivers re-derived" 10 r.Serve.Watch.cy_drivers;
+        let cold =
+          Strudel.Site.build ~data:(Mediator.Warehouse.graph w)
+            Sites.Org.definition
+        in
+        check_bool "byte-identical to cold build" true
+          (page_map (Serve.Watch.built session).Strudel.Site.site
+           = page_map cold.Strudel.Site.site));
   ]

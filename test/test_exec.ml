@@ -276,4 +276,191 @@ let site_cases =
             (List.length (Graph.collection out "Out")));
     ]
 
-let suite = equivalence_cases @ stats_cases @ explain_cases @ site_cases
+(* ---- the bound-target edge probe: the label-extent scan's rows ---- *)
+
+(* Atomic values drawn so coercing-equal pairs across kinds are common:
+   numbers as ints, floats (with -0. and nan) and padded numeric
+   strings, bools and their strings, URLs, files of two kinds. *)
+let atomic_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Value.Null;
+      map (fun b -> Value.Bool b) bool;
+      map (fun i -> Value.Int i) (int_range (-3) 3);
+      oneofl
+        Value.
+          [
+            Float 0.; Float (-0.); Float Float.nan; Float 1.; Float 2.5;
+            Float Float.infinity;
+          ];
+      oneofl Value.[ Float Float.nan; String "nan"; String " NaN" ];
+      map3
+        (fun pre i post -> Value.String (pre ^ string_of_int i ^ post))
+        (oneofl [ ""; " " ]) (int_range (-3) 3) (oneofl [ ""; " "; ".0"; "x" ]);
+      oneofl
+        Value.
+          [
+            String "2.5"; String "-0"; String "nan"; String "inf"; String "abc";
+            String ""; String "true"; String " false "; String "True";
+            String "0x1"; String "1e0";
+          ];
+      oneofl Value.[ Url "1"; Url " 2.5"; Url "http://a"; Url "abc" ];
+      oneofl
+        Value.
+          [
+            File (Text, "a.txt");
+            File (Image, "a.txt");
+            File (Postscript, "b.ps");
+          ];
+    ]
+
+let atomic_arb = QCheck.make ~print:Value.to_string atomic_gen
+
+(* A random graph over five nodes and two labels, grown by edge adds,
+   thinned by removals, with out-buckets reset (removed and re-added,
+   so they move to the end of every index bucket). *)
+type gop = G_add of int * int * int | G_remove of int | G_reset of int
+
+let n_nodes = 5
+
+let values =
+  Value.
+    [
+      Int 1; Int 2; String "1"; String " 2"; String "x"; Float 1.; Bool true;
+      String "true"; Null; Url "x";
+    ]
+
+let gop_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 5,
+        map3
+          (fun s l t -> G_add (s, l, t))
+          (int_bound (n_nodes - 1)) (int_bound 1)
+          (int_bound (n_nodes + List.length values - 1)) );
+      (2, map (fun k -> G_remove k) (int_bound 40));
+      (1, map (fun s -> G_reset s) (int_bound (n_nodes - 1)));
+    ]
+
+let labels = [| "a"; "b" |]
+
+let target nodes i =
+  if i < n_nodes then Graph.N nodes.(i)
+  else Graph.V (List.nth values (i - n_nodes))
+
+let apply_gop g nodes = function
+  | G_add (s, l, t) -> Graph.add_edge g nodes.(s) labels.(l) (target nodes t)
+  | G_remove k -> (
+    match Graph.fold_edges (fun s l t acc -> (s, l, t) :: acc) g [] with
+    | [] -> ()
+    | es ->
+      let s, l, t = List.nth es (k mod List.length es) in
+      Graph.remove_edge g s l t)
+  | G_reset s ->
+    let o = nodes.(s) in
+    Graph.set_out_edges g o (Graph.out_edges g o)
+
+(* One edge step whose target is bound, in three shapes: constant label
+   with rows binding the target, a runtime label variable, and a
+   constant target; the probe operator ([Exec.stepper]) must give
+   [Eval.exec_step]'s rows row by row, before and after one more
+   mutation (which moves the graph's generation under the same
+   operator). *)
+let probe_equals_scan (ops, more, picks) =
+  let g = Graph.create () in
+  let nodes =
+    Array.init n_nodes (fun i -> Oid.fresh (Printf.sprintf "n%d" i))
+  in
+  List.iter (apply_gop g nodes) ops;
+  let reg = Builtins.default in
+  let env bs =
+    List.fold_left (fun e (v, b) -> Eval.Env.add v b e) Eval.Env.empty bs
+  in
+  let tgt i = Eval.B_target (target nodes i) in
+  let value v = Eval.B_target (Graph.V v) in
+  let cases =
+    [
+      ( [ "y" ],
+        Plan.CC_edge (Ast.T_var "x", Ast.L_const "a", Ast.T_var "y"),
+        List.map (fun i -> env [ ("y", tgt i) ]) picks
+        @ [ env [ ("y", Eval.B_label "1") ] ] );
+      ( [ "l"; "y" ],
+        Plan.CC_edge (Ast.T_var "x", Ast.L_var "l", Ast.T_var "y"),
+        List.concat_map
+          (fun i ->
+            [
+              env [ ("l", Eval.B_label "a"); ("y", tgt i) ];
+              env [ ("l", value (Value.String "b")); ("y", tgt i) ];
+              env [ ("l", value (Value.Int 1)); ("y", tgt i) ];
+            ])
+          picks );
+      ( [],
+        Plan.CC_edge
+          (Ast.T_var "x", Ast.L_const "b", Ast.T_const (Value.String "1")),
+        [ Eval.Env.empty; Eval.Env.empty ] );
+    ]
+  in
+  let show rows =
+    List.map
+      (fun e ->
+        List.map
+          (fun (v, b) ->
+            v ^ "="
+            ^
+            match b with
+            | Eval.B_target tg -> Fmt.str "%a" Graph.pp_target tg
+            | Eval.B_label l -> "label " ^ l)
+          (Eval.Env.bindings e))
+      rows
+  in
+  List.for_all
+    (fun (bound, c, envs) ->
+      let step = Plan.Exec c in
+      let probe = Exec.stepper g reg ~bound [ step ] in
+      let scan () =
+        List.concat_map (fun e -> Eval.exec_step g reg e step) envs
+      in
+      let before = show (probe envs) = show (scan ()) in
+      List.iter (apply_gop g nodes) more;
+      before && show (probe envs) = show (scan ()))
+    cases
+
+let probe_cases =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000
+         ~name:"coerce_equal values share a probe key"
+         (QCheck.pair atomic_arb atomic_arb)
+         (fun (v, w) ->
+           (* keys meet as a hash table compares them: [nan] meets
+              [nan] *)
+           let meets k k' = compare k k' = 0 in
+           (not (Value.coerce_equal v w))
+           || List.exists
+                (fun k -> List.exists (meets k) (Value.coerce_keys w))
+                (Value.coerce_keys v)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"bound-target probe rows equal the label-extent scan's"
+         (QCheck.make
+            QCheck.Gen.(
+              triple
+                (list_size (int_range 5 40) gop_gen)
+                (list_size (int_range 1 3) gop_gen)
+                (list_size (int_range 1 6)
+                   (int_bound (n_nodes + List.length values - 1)))))
+         probe_equals_scan);
+    t "explain names the probe access path" (fun () ->
+        let g = small_data () in
+        let s =
+          Exec.explain g
+            (Parser.parse
+               {|WHERE x -> "k" -> 2 CREATE F(x) COLLECT Out(F(x)) OUTPUT R|})
+        in
+        check_bool "probe named" true (contains s "hash probe on target"));
+  ]
+
+let suite =
+  equivalence_cases @ stats_cases @ explain_cases @ site_cases @ probe_cases
