@@ -565,42 +565,70 @@ let e13 () =
 (* E14 — incremental re-evaluation                                    *)
 (* ----------------------------------------------------------------- *)
 
+(* same pages, same URLs, same bytes, same order *)
+let pages_identical (a : Template.Generator.site)
+    (b : Template.Generator.site) =
+  let key (p : Template.Generator.page) =
+    (p.Template.Generator.url, p.Template.Generator.html)
+  in
+  List.map key a.Template.Generator.pages
+  = List.map key b.Template.Generator.pages
+
 let e14 () =
   section "E14" "§6 — incremental rebuild after data changes";
   let articles = 300 in
-  let previous =
-    Strudel.Site.build ~data:(Sites.Cnn.data ~articles ()) Sites.Cnn.definition
-  in
-  let _, t_full =
+  let cold, t_full =
     time_it (fun () ->
-        ignore
-          (Strudel.Site.build
-             ~data:(Sites.Cnn.data ~articles ())
-             Sites.Cnn.definition))
+        Strudel.Site.build
+          ~data:(Sites.Cnn.data ~articles ())
+          Sites.Cnn.definition)
   in
   Fmt.pr "full rebuild: %.1f ms (%d pages)@." (ms t_full)
-    (Template.Generator.page_count previous.Strudel.Site.site);
-  Fmt.pr "%-10s %12s %14s %12s %12s@." "changed" "rerendered" "reused"
-    "time (ms)" "speedup";
-  List.iter
-    (fun k ->
-      let data2 = Sites.Cnn.data ~articles () in
-      for i = 0 to k - 1 do
-        match Graph.find_node data2 (Printf.sprintf "art%d" (i * 7)) with
-        | Some a ->
-          Graph.add_edge data2 a "headline"
-            (Graph.V (Value.String (Printf.sprintf "UPDATE %d" i)))
-        | None -> ()
-      done;
-      let report, t =
-        time_it (fun () ->
-            Strudel.Incremental.rebuild ~previous ~data:data2 ())
-      in
-      Fmt.pr "%-10d %12d %14d %12.1f %11.1fx@." k
-        report.Strudel.Incremental.pages_rerendered
-        report.Strudel.Incremental.pages_reused (ms t)
-        (t_full /. Float.max 1e-9 t))
-    [ 0; 1; 5; 20 ]
+    (Template.Generator.page_count cold.Strudel.Site.site);
+  Fmt.pr "%-10s %12s %14s %12s %12s %10s@." "changed" "rerendered" "reused"
+    "time (ms)" "speedup" "identical";
+  let mismatched =
+    List.filter
+      (fun k ->
+        (* every row starts from a cache primed by a build of the
+           unedited data *)
+        let cache = Strudel.Render_cache.create () in
+        let previous =
+          Strudel.Site.build ~render_cache:cache
+            ~data:(Sites.Cnn.data ~articles ())
+            Sites.Cnn.definition
+        in
+        let data2 = Sites.Cnn.data ~articles () in
+        for i = 0 to k - 1 do
+          match Graph.find_node data2 (Printf.sprintf "art%d" (i * 7)) with
+          | Some a ->
+            Graph.add_edge data2 a "headline"
+              (Graph.V (Value.String (Printf.sprintf "UPDATE %d" i)))
+          | None -> ()
+        done;
+        let report, t =
+          time_it (fun () ->
+              Strudel.Incremental.rebuild ~cache ~previous ~data:data2 ())
+        in
+        let identical =
+          pages_identical
+            (Strudel.Site.build ~data:data2 Sites.Cnn.definition)
+              .Strudel.Site.site
+            report.Strudel.Incremental.built.Strudel.Site.site
+        in
+        Fmt.pr "%-10d %12d %14d %12.1f %11.1fx %10b@." k
+          report.Strudel.Incremental.pages_rerendered
+          report.Strudel.Incremental.pages_reused (ms t)
+          (t_full /. Float.max 1e-9 t)
+          identical;
+        not identical)
+      [ 0; 1; 5; 20 ]
+  in
+  if mismatched <> [] then begin
+    Fmt.epr "E14: rebuild after %s edit(s) differs from a cold build@."
+      (String.concat ", " (List.map string_of_int mismatched));
+    exit 1
+  end
 
 (* ----------------------------------------------------------------- *)
 (* E15 — extensions: aggregation, XML exchange, DataGuides, Rodin     *)
@@ -817,14 +845,6 @@ let wall_it f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.)
-
-let pages_identical (a : Template.Generator.site)
-    (b : Template.Generator.site) =
-  let key (p : Template.Generator.page) =
-    (p.Template.Generator.url, p.Template.Generator.html)
-  in
-  List.map key a.Template.Generator.pages
-  = List.map key b.Template.Generator.pages
 
 let e17 () =
   section "E17"
@@ -1812,7 +1832,11 @@ let bechamel_suite () =
   let built = Sites.Paper_example.build () in
   let homepage_data = Sites.Homepage.data ~entries:50 () in
   let cnn_small = Sites.Cnn.data ~articles:60 () in
-  let cnn_built = Strudel.Site.build ~data:cnn_small Sites.Cnn.definition in
+  let cnn_cache = Strudel.Render_cache.create () in
+  let cnn_built =
+    Strudel.Site.build ~render_cache:cnn_cache ~data:cnn_small
+      Sites.Cnn.definition
+  in
   let tests =
     [
       Test.make ~name:"E2_parse_fig3_query"
@@ -1877,8 +1901,8 @@ let bechamel_suite () =
       Test.make ~name:"E14_incremental_rebuild_no_change"
         (Staged.stage (fun () ->
              ignore
-               (Strudel.Incremental.rebuild ~previous:cnn_built
-                  ~data:cnn_small ())));
+               (Strudel.Incremental.rebuild ~cache:cnn_cache
+                  ~previous:cnn_built ~data:cnn_small ())));
       Test.make ~name:"E15_xml_export_import"
         (Staged.stage (fun () ->
              ignore (Xml.import (Xml.export paper_data))));

@@ -2,68 +2,12 @@
     [FER 98c] "Warehousing and Incremental Evaluation for Web-site
     Management").
 
-    Strategy: the site graph is recomputed — graph construction is the
-    cheap, structural part — but HTML pages, the expensive rendered
-    artifacts, are regenerated only where a page's {e neighbourhood}
-    changed.  Each page object is fingerprinted by hashing its
-    out-neighbourhood to a bounded depth (covering what templates can
-    reach through bounded attribute traversal and embedding); pages
-    whose fingerprint matches the previous build keep their HTML and
-    are not rendered at all.
-
-    Node identities differ between builds (fresh Skolem scopes), so
-    pages are matched by Skolem-term name.  Page discovery walks the
-    site graph from the roots and treats every reachable Skolem-created
-    object as a page — a slight over-approximation of the generator's
-    demand-driven page set (an object that is only ever embedded would
-    get a page of its own), harmless for correctness and byte-identical
-    for every template set in this repository. *)
-
-open Sgraph
-
-(* A memo table (node id, depth) -> hash makes fingerprinting the whole
-   page set linear in the graph instead of re-hashing shared
-   neighbourhoods once per referencing page. *)
-type fp_cache = (int * int, int) Hashtbl.t
-
-(* Explicit hash combining: [Hashtbl.hash] on structured data stops
-   after ~10 meaningful nodes, so hashing an edge LIST through it makes
-   every node with more than a handful of edges collide with its
-   mutations.  Strings hash in full, so leaves go through
-   [Hashtbl.hash]; combining is done by hand (FNV-style). *)
-let mix acc h = (acc * 0x01000193) lxor h land max_int
-
-let fingerprint ?(cache : fp_cache option) g ~depth (o : Oid.t) : int =
-  let rec hash_node d o =
-    match cache with
-    | Some c -> (
-        match Hashtbl.find_opt c (Oid.id o, d) with
-        | Some h -> h
-        | None ->
-          let h = compute d o in
-          Hashtbl.add c (Oid.id o, d) h;
-          h)
-    | None -> compute d o
-  and compute d o =
-    if d = 0 then Hashtbl.hash (Oid.name o)
-    else
-      let edges =
-        List.map
-          (fun (l, tgt) ->
-            match tgt with
-            | Graph.V v ->
-              mix
-                (mix (Hashtbl.hash l)
-                   (Hashtbl.hash (Value.to_display_string v)))
-                (Hashtbl.hash (Value.kind_name v))
-            | Graph.N o' -> mix (Hashtbl.hash l) (hash_node (d - 1) o'))
-          (Graph.out_edges g o)
-      in
-      List.fold_left mix
-        (Hashtbl.hash (Oid.name o))
-        (List.sort compare edges)
-  in
-  hash_node depth o
+    Graph construction is the cheap, structural part, so a rebuild
+    recomputes the site graph; HTML pages, the expensive rendered
+    artifacts, are reused wherever the render cache's read traces still
+    verify.  A rebuild is therefore a cold {!Site.build} over the
+    cache, and the delta publish is {!Site.publish} over a site graph
+    the delta engine maintained in place. *)
 
 type rebuild_report = {
   built : Site.built;
@@ -72,20 +16,14 @@ type rebuild_report = {
   pages_reused : int;
 }
 
-(** Fingerprint depth: templates read a page object's own attributes
-    and one bounded hop into linked/embedded objects ([@a.date],
-    [KEY=year], an [EMBED] of an object rendering its own attributes);
-    2 levels cover every template in this repository (and the paper's
-    examples).  Raise it for templates with deeper traversal. *)
-let default_depth = 2
-
-let page_candidates site_graph roots =
-  let reachable = Algo.reachable site_graph roots in
-  List.filter
-    (fun o ->
-      Schema.Verify.family_of_node o <> None
-      || List.exists (Oid.equal o) roots)
-    (List.filter (fun o -> Oid.Set.mem o reachable) (Graph.nodes site_graph))
+let report_of (built : Site.built) =
+  let p = built.Site.render_profile in
+  {
+    built;
+    pages_total = p.Render_pool.rp_pages;
+    pages_rerendered = p.Render_pool.rp_rendered;
+    pages_reused = p.Render_pool.rp_pages - p.Render_pool.rp_rendered;
+  }
 
 (** The differential publish leg ([strudel watch]): the site graph has
     already been maintained in place by {!Struql.Dexec}, so query
@@ -94,9 +32,9 @@ let page_candidates site_graph roots =
     exact page invalidation.  [touched]/[removed] are the site-node
     names the delta cycle reported: when both are empty the previous
     pages are reused wholesale without touching the render pipeline. *)
-let publish_delta ?jobs ?file_loader ?(on_error = Fault.Abort) ?fault ?sink
-    ~cache ~(previous : Site.built) ~data ~site_graph ~scope ~touched ~removed
-    () : rebuild_report =
+let publish_delta ?jobs ?file_loader ?on_error ?fault ?sink ~cache
+    ~(previous : Site.built) ~data ~site_graph ~scope ~touched ~removed () :
+    rebuild_report =
   let def = previous.Site.def in
   if touched = [] && removed = [] then
     let total =
@@ -109,7 +47,6 @@ let publish_delta ?jobs ?file_loader ?(on_error = Fault.Abort) ?fault ?sink
       pages_reused = total;
     }
   else begin
-    let roots = Site.roots_of site_graph def.Site.root_family in
     (* the delta cycle's touched ∪ removed names are exactly the site
        nodes whose adjacency changed: hand them to the render pool so
        trace verification replays only reads of changed nodes *)
@@ -119,173 +56,19 @@ let publish_delta ?jobs ?file_loader ?(on_error = Fault.Abort) ?fault ?sink
       List.iter (fun n -> Hashtbl.replace tbl n ()) removed;
       fun n -> Hashtbl.mem tbl n
     in
-    let site, render_profile =
-      Render_pool.materialize ?jobs ~cache ~dirty ?file_loader
-        ~templates:def.Site.templates ~on_error ?fault ?sink ~refreeze:false
-        site_graph ~roots
-    in
-    let verification =
-      Schema.Verify.check_all_site site_graph def.Site.constraints
-    in
-    let rerendered = render_profile.Render_pool.rp_rendered in
-    let pages_total = render_profile.Render_pool.rp_pages in
-    {
-      built =
-        {
-          Site.def;
-          data;
-          site_graph;
-          scope;
-          schemas = previous.Site.schemas;
-          site;
-          verification;
-          query_stats = previous.Site.query_stats;
-          render_profile;
-          faults = (match fault with Some c -> Fault.reports c | None -> []);
-        };
-      pages_total;
-      pages_rerendered = rerendered;
-      pages_reused = pages_total - rerendered;
-    }
+    report_of
+      (Site.publish ?jobs ~cache ~dirty ?file_loader ?on_error ?fault ?sink
+         ~refreeze:false
+         ~roots:(Site.roots_of site_graph def.Site.root_family)
+         ~def ~data ~site_graph ~scope ~schemas:previous.Site.schemas
+         ~query_stats:previous.Site.query_stats ())
   end
 
-(** Rebuild the site over changed data, reusing unchanged pages of
-    [previous] without re-rendering them.
-
-    Two reuse disciplines:
-    - the default {e fingerprint} path hashes each page object's
-      out-neighbourhood to [depth] and reuses the previous page on a
-      match — cheap but approximate (a conservative depth must cover
-      the deepest template traversal);
-    - with [cache], the {e trace-verified} path replays each cached
-      page's recorded read set against the new site graph and reuses
-      the page iff every read still returns the same answer — exact
-      invalidation, independent of template traversal depth.  The
-      rebuild then runs through {!Render_pool.materialize} (so [jobs]
-      also parallelizes the re-renders) and fresh traces are stored
-      back into [cache]. *)
-let rebuild ?(depth = default_depth) ?jobs ?cache ?file_loader
-    ?(on_error = Fault.Abort) ?fault ?shards ~(previous : Site.built) ~data ()
-    : rebuild_report =
-  let def = previous.Site.def in
-  let site_graph, scope, schemas, query_stats =
-    Site.build_site_graph ?shards def data
-  in
-  let roots = Site.roots_of site_graph def.Site.root_family in
-  let t0 = Unix.gettimeofday () in
-  let site, render_profile, rerendered, reused =
-    match cache with
-    | Some c ->
-      let site, profile =
-        Render_pool.materialize ?jobs ~cache:c ?file_loader ~on_error ?fault
-          ~templates:def.Site.templates site_graph ~roots
-      in
-      ( site,
-        profile,
-        profile.Render_pool.rp_rendered,
-        profile.Render_pool.rp_pages - profile.Render_pool.rp_rendered )
-    | None ->
-      (* previous pages and fingerprints, keyed by node name *)
-      let old_cache : fp_cache = Hashtbl.create 1024 in
-      let new_cache : fp_cache = Hashtbl.create 1024 in
-      let old_fp = Hashtbl.create 256 in
-      List.iter
-        (fun (p : Template.Generator.page) ->
-          Hashtbl.replace old_fp
-            (Oid.name p.Template.Generator.obj)
-            ( fingerprint ~cache:old_cache previous.Site.site_graph ~depth
-                p.Template.Generator.obj,
-              p ))
-        previous.Site.site.Template.Generator.pages;
-      let rerendered = ref 0 and reused = ref 0 and degraded = ref 0 in
-      let inject = Fault.inject fault in
-      let render_one o =
-        let render () =
-          Fault.Inject.fire inject
-            (Fault.Inject.Render_page (Oid.name o));
-          Template.Generator.render_page ?file_loader
-            ~templates:def.Site.templates site_graph o
-        in
-        match on_error with
-        | Fault.Abort -> render ()
-        | Fault.Degrade -> (
-          try render ()
-          with e ->
-            let cause =
-              match e with
-              | Fault.Inject.Injected m -> m
-              | Template.Generator.Generator_error m -> m
-              | Template.Tparse.Template_error m -> "template error: " ^ m
-              | e -> Printexc.to_string e
-            in
-            let url = Template.Generator.slug (Oid.name o) ^ ".html" in
-            incr degraded;
-            (match fault with
-             | Some c ->
-               Fault.record c
-                 (Fault.report ~stage:Fault.Render
-                    ~source:(Graph.name site_graph) ~location:url ~cause ())
-             | None -> ());
-            Template.Generator.placeholder_page ~url ~cause o)
-      in
-      let pages =
-        List.map
-          (fun o ->
-            let name = Oid.name o in
-            match Hashtbl.find_opt old_fp name with
-            | Some (fp_old, p_old)
-              when fp_old = fingerprint ~cache:new_cache site_graph ~depth o
-                   (* a placeholder is not a real previous render: a
-                      matching fingerprint must still re-render it once
-                      the fault clears *)
-                   && not (Template.Generator.is_placeholder p_old) ->
-              incr reused;
-              { p_old with Template.Generator.obj = o }
-            | _ ->
-              incr rerendered;
-              render_one o)
-          (page_candidates site_graph roots)
-      in
-      let wall = (Unix.gettimeofday () -. t0) *. 1000. in
-      ( { Template.Generator.pages; graph = site_graph },
-        {
-          Render_pool.rp_jobs = 1;
-          rp_pages = List.length pages;
-          rp_rendered = !rerendered;
-          rp_waves = 1;
-          rp_steals = 0;
-          rp_shards =
-            [ { Render_pool.sh_domain = 0;
-                sh_pages = !rerendered;
-                sh_wall_ms = wall } ];
-          rp_cache_hits = !reused;
-          rp_cache_misses = !rerendered;
-          rp_cache_invalidations = 0;
-          rp_fallback = false;
-          rp_degraded = !degraded;
-          rp_wall_ms = wall;
-        },
-        !rerendered,
-        !reused )
-  in
-  let verification =
-    Schema.Verify.check_all_site site_graph def.Site.constraints
-  in
-  {
-    built =
-      {
-        Site.def;
-        data;
-        site_graph;
-        scope;
-        schemas;
-        site;
-        verification;
-        query_stats;
-        render_profile;
-        faults = (match fault with Some c -> Fault.reports c | None -> []);
-      };
-    pages_total = List.length site.Template.Generator.pages;
-    pages_rerendered = rerendered;
-    pages_reused = reused;
-  }
+(** Rebuild the site over changed data: a cold {!Site.build} of
+    [previous]'s definition through [cache], which re-renders exactly
+    the pages whose read traces the change invalidated. *)
+let rebuild ?jobs ~cache ?file_loader ?on_error ?fault ?shards
+    ~(previous : Site.built) ~data () : rebuild_report =
+  report_of
+    (Site.build ?jobs ~render_cache:cache ?file_loader ?on_error ?fault
+       ?shards ~data previous.Site.def)

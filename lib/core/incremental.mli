@@ -2,22 +2,13 @@
     [FER 98c]).
 
     The site graph is recomputed — graph construction is the cheap,
-    structural part — but HTML pages are regenerated only where a
-    page's fingerprinted neighbourhood changed; unchanged pages keep
-    their bytes without being rendered.  Incremental output is
-    byte-identical to a full rebuild (property-tested under random
-    mutations). *)
+    structural part — but HTML pages are re-rendered only where the
+    render cache's read traces no longer verify: a page is reused iff
+    every graph read its rendering made still returns the same answer.
+    Output is byte-identical to a cold {!Site.build} over the same
+    data, pages in the same order. *)
 
 open Sgraph
-
-(** Memo table for {!fingerprint}: (node id, depth) → hash. *)
-type fp_cache = (int * int, int) Hashtbl.t
-
-val fingerprint : ?cache:fp_cache -> Graph.t -> depth:int -> Oid.t -> int
-(** A stable structural hash of the node's out-neighbourhood to
-    [depth], independent of oid numbering (nodes contribute names,
-    values their contents).  Uses explicit hash combining — immune to
-    [Hashtbl.hash]'s structural truncation. *)
 
 type rebuild_report = {
   built : Site.built;
@@ -25,13 +16,6 @@ type rebuild_report = {
   pages_rerendered : int;
   pages_reused : int;
 }
-
-val default_depth : int
-(** 2: covers templates that read their object's attributes plus one
-    bounded hop ([@a.date], [KEY=year], EMBED of a neighbour).  Raise
-    it for templates with deeper traversal. *)
-
-val page_candidates : Graph.t -> Oid.t list -> Oid.t list
 
 val publish_delta :
   ?jobs:int ->
@@ -50,9 +34,9 @@ val publish_delta :
   rebuild_report
 (** The differential publish leg of [strudel watch]: the site graph was
     already maintained in place (by {!Struql.Dexec}), so query
-    re-evaluation is skipped and only page materialization runs,
-    against the cross-epoch [cache] whose verifying read traces
-    invalidate exactly the pages whose rendering observed the change.
+    re-evaluation is skipped and only {!Site.publish} runs, against the
+    cross-epoch [cache] whose verifying read traces invalidate exactly
+    the pages whose rendering observed the change.
     [touched]/[removed] are the site-node names the delta cycle
     reported; when both are empty the previous build's pages are reused
     wholesale.  Schemas and query profiles are carried over from
@@ -61,26 +45,22 @@ val publish_delta :
     data. *)
 
 val rebuild :
-  ?depth:int ->
   ?jobs:int ->
-  ?cache:Render_cache.t ->
+  cache:Render_cache.t ->
   ?file_loader:(string -> string option) ->
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
   ?shards:Struql.Exec.shard_ctx ->
   previous:Site.built -> data:Graph.t -> unit ->
   rebuild_report
-(** Rebuild the site over changed data, reusing unchanged pages of
-    [previous] without re-rendering them.  Pages match between builds
-    by Skolem-term name.  By default reuse is decided by neighbourhood
-    fingerprints to [depth]; with [cache] it is decided by replaying
-    each cached page's recorded read set against the new site graph —
-    exact invalidation — and re-renders run through
-    {!Render_pool.materialize} with [jobs] domains, storing fresh
-    traces back into [cache].
+(** Rebuild [previous]'s site over changed data: {!Site.build} with
+    [~render_cache:cache], reporting how many pages were re-rendered
+    and how many the cache served.  [previous] supplies only the
+    definition; the reuse decisions come from [cache], so prime it by
+    building [previous] through the same cache.  Re-renders run
+    through {!Render_pool.materialize} with [jobs] domains and store
+    fresh traces back into [cache].
 
-    With [~on_error:Degrade], failed re-renders become placeholder
-    pages with recorded faults (see {!Render_pool.materialize}); a
-    previous build's placeholder is never reused even when its
-    fingerprint matches, so the page re-renders for real once the
-    fault clears. *)
+    With [~on_error:Degrade], failed renders become placeholder pages
+    with recorded faults; placeholders never enter the cache, so a page
+    that failed re-renders for real once the fault clears. *)

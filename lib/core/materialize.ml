@@ -1,26 +1,18 @@
 (** Materialization strategies for STRUDEL sites (§1, §6, [FER 98c]).
 
-    The "Web site as view" spectrum:
-    - {!full}: materialize the complete site before browsing (the
-      prototype's default — warehouse-style, maximal up-front cost,
-      minimal click latency);
-    - {!Click_time}: precompute only the root(s) of the site, then
-      compute at click time the queries that obtain the next page.  The
-      site-definition query is decomposed — via the site schema — into
-      one node-expansion query per Skolem family: when the user clicks
-      to page [F(a)], the engine binds [F]'s defining variables to [a]
-      and evaluates only the link clauses leaving [F].  Results are
-      optionally cached, so a revisited page costs nothing. *)
+    The "Web site as view" spectrum runs from full materialization —
+    {!Site.build}, the prototype's default: warehouse-style, maximal
+    up-front cost, minimal click latency — to {!Click_time}: precompute
+    only the root(s) of the site, then compute at click time the
+    queries that obtain the next page.  The site-definition query is
+    decomposed — via the site schema — into one node-expansion query
+    per Skolem family: when the user clicks to page [F(a)], the engine
+    binds [F]'s defining variables to [a] and evaluates only the link
+    clauses leaving [F].  Results are optionally cached, so a revisited
+    page costs nothing. *)
 
 open Sgraph
 open Struql
-
-(* --- Full materialization --- *)
-
-let full ?jobs ?render_cache ?file_loader ~data (def : Site.definition) =
-  Site.build ?jobs ?render_cache ?file_loader ~data def
-
-(* --- Click-time evaluation --- *)
 
 module Click_time = struct
   type t = {
@@ -217,9 +209,11 @@ module Click_time = struct
                       (match e.dst, e.dst_args with
                        | Schema.Site_schema.NS, [ Ast.T_agg (fn, inner) ] ->
                          (* aggregate link: group the rows by label and
-                            emit one aggregated edge per group, exactly
-                            as full evaluation does *)
+                            emit one aggregated edge per group, in
+                            first-row order, exactly as full evaluation
+                            does *)
                          let groups = Hashtbl.create 4 in
+                         let labels = ref [] in
                          List.iter
                            (fun env ->
                              match label_of env, plain_target env inner with
@@ -230,19 +224,22 @@ module Click_time = struct
                                  | None ->
                                    let h = Hashtbl.create 8 in
                                    Hashtbl.add groups l h;
+                                   labels := l :: !labels;
                                    h
                                in
                                Hashtbl.replace vals (Eval.target_key tgt) tgt
                              | _ -> ())
                            rows;
-                         Hashtbl.iter
-                           (fun l vals ->
+                         List.iter
+                           (fun l ->
                              let values =
-                               Hashtbl.fold (fun _ v acc -> v :: acc) vals []
+                               Hashtbl.fold
+                                 (fun _ v acc -> v :: acc)
+                                 (Hashtbl.find groups l) []
                              in
                              Graph.add_edge t.partial o l
                                (Graph.V (Eval.aggregate fn values)))
-                           groups
+                           (List.rev !labels)
                        | _ ->
                       List.iter
                         (fun env ->

@@ -1,7 +1,7 @@
 (** Materialization strategies for STRUDEL sites (§1, §6, [FER 98c]) —
     the "Web site as view" spectrum.
 
-    {!full} materializes the complete site before browsing (the
+    {!Site.build} materializes the complete site before browsing (the
     prototype's default).  {!Click_time} precomputes only the root(s):
     the site-definition query is decomposed through the site schema
     into one node-expansion query per Skolem family, and when the user
@@ -11,14 +11,6 @@
     the full build's. *)
 
 open Sgraph
-
-val full :
-  ?jobs:int ->
-  ?render_cache:Render_cache.t ->
-  ?file_loader:(string -> string option) ->
-  data:Graph.t -> Site.definition -> Site.built
-(** {!Site.build}: [jobs] parallelizes page rendering over OCaml
-    domains; [render_cache] reuses pages whose read traces verify. *)
 
 module Click_time : sig
   type t = {

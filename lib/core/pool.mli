@@ -5,9 +5,9 @@
     [Domain.spawn]/[Domain.join] cycle dominated parallel
     materialization at small and medium site sizes.  This pool spawns
     workers once, parks them on a condition variable between jobs, and
-    reuses them across builds: {!Render_pool.materialize},
-    {!Incremental.rebuild} and the bench harness all share {!shared},
-    so only the first parallel build of a process pays the spawn cost.
+    reuses them across builds: {!Render_pool.materialize} and the bench
+    harness share {!shared}, so only the first parallel build of a
+    process pays the spawn cost.
 
     {!run} executes one {e job}: [f w] for every worker index
     [w ∈ 0..jobs-1], with [f 0] on the calling domain and the rest on

@@ -17,15 +17,15 @@
     dry, so skewed page costs rebalance instead of stalling a round:
     there is no per-page locking, no round-robin barrier within a
     slice, and the worker domains themselves persist across builds in
-    {!Pool.shared} — {!Site.build}, {!Incremental.rebuild} and the
-    bench harness all reuse them, so only the first parallel build of a
-    process pays domain spawns.  Workers write results into per-page
-    slots, so output never depends on which worker rendered what.
+    {!Pool.shared} — every {!Site.publish} and the bench harness reuse
+    them, so only the first parallel build of a process pays domain
+    spawns.  Workers write results into per-page slots, so output never
+    depends on which worker rendered what.
 
     Determinism and byte-identity with the sequential reference path
     ({!Template.Generator.generate}) rest on URL assignment and page
     order.  Pages here get slug-only URLs (the click-time convention,
-    which the incremental rebuilder already relies on), and the
+    which the render cache's name-keyed entries rely on), and the
     concatenation of the wave frontiers — each frontier deduplicated in
     frontier × first-reference order — replays exactly the sequential
     generator's discovery queue, so pages are emitted in canonical
@@ -253,22 +253,10 @@ let materialize ?(jobs = 1) ?cache ?dirty ?file_loader
       | Fault.Degrade -> (
         try (render (), None)
         with e ->
-          let cause =
-            match e with
-            | Fault.Inject.Injected m -> m
-            | G.Generator_error m -> m
-            | Template.Tparse.Template_error m -> "template error: " ^ m
-            | e -> Printexc.to_string e
+          let page, report =
+            G.degraded_page g o ~url:(G.slug (Oid.name o) ^ ".html") e
           in
-          let url = G.slug (Oid.name o) ^ ".html" in
-          ( {
-              G.r_page = G.placeholder_page ~url ~cause o;
-              r_reads = [];
-              r_refs = [];
-            },
-            Some
-              (Fault.report ~stage:Fault.Render ~source:(Graph.name g)
-                 ~location:url ~cause ()) ))
+          ({ G.r_page = page; r_reads = []; r_refs = [] }, Some report))
     in
     let frontier = ref (dedup roots) in
     while !frontier <> [] && not !collision do

@@ -106,23 +106,23 @@ let build_site_graph ?scope ?shards ?into def (data : Graph.t) =
 let roots_of site_graph family =
   Schema.Verify.family_members site_graph family
 
-let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
-    ~data (def : definition) : built =
-  Log.debug (fun m ->
-      m "building site %s over %a" def.name Graph.pp_stats data);
-  let site_graph, scope, schemas, query_stats =
-    build_site_graph ?shards def data
-  in
-  Log.debug (fun m -> m "site graph: %a" Graph.pp_stats site_graph);
-  let roots = roots_of site_graph def.root_family in
-  if roots = [] then
+let build_roots site_graph def =
+  match roots_of site_graph def.root_family with
+  | [] ->
     raise
       (Build_error
          (Printf.sprintf "no pages of root family %s in site graph %s"
-            def.root_family def.name));
+            def.root_family def.name))
+  | roots -> roots
+
+(** The render half of every build: materialize the pages reachable
+    from [roots], verify the declared constraints, and assemble the
+    published [built]. *)
+let publish ?jobs ?cache ?dirty ?file_loader ?on_error ?fault ?sink ?refreeze
+    ~roots ~def ~data ~site_graph ~scope ~schemas ~query_stats () : built =
   let site, render_profile =
-    Render_pool.materialize ?jobs ?cache:render_cache ?file_loader ?on_error
-      ?fault ?sink ~templates:def.templates site_graph ~roots
+    Render_pool.materialize ?jobs ?cache ?dirty ?file_loader ?on_error ?fault
+      ?sink ?refreeze ~templates:def.templates site_graph ~roots
   in
   let verification = Schema.Verify.check_all_site site_graph def.constraints in
   List.iter
@@ -150,6 +150,18 @@ let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
     render_profile;
     faults = (match fault with Some c -> Fault.reports c | None -> []);
   }
+
+let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
+    ~data (def : definition) : built =
+  Log.debug (fun m ->
+      m "building site %s over %a" def.name Graph.pp_stats data);
+  let site_graph, scope, schemas, query_stats =
+    build_site_graph ?shards def data
+  in
+  Log.debug (fun m -> m "site graph: %a" Graph.pp_stats site_graph);
+  publish ?jobs ?cache:render_cache ?file_loader ?on_error ?fault ?sink
+    ~roots:(build_roots site_graph def) ~def ~data ~site_graph ~scope ~schemas
+    ~query_stats ()
 
 (** The machine-readable outcome of a build: site name, status
     ([Clean]/[Degraded]) and the recorded faults — what the CLI writes

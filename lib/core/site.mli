@@ -75,6 +75,37 @@ val build_site_graph :
 val roots_of : Graph.t -> string -> Oid.t list
 (** Members of the root Skolem family in a site graph. *)
 
+val build_roots : Graph.t -> definition -> Oid.t list
+(** The definition's root pages in a site graph: {!roots_of} its root
+    family.  Raises {!Build_error} when the family is empty, since a
+    build needs a page to start from. *)
+
+val publish :
+  ?jobs:int ->
+  ?cache:Render_cache.t ->
+  ?dirty:(string -> bool) ->
+  ?file_loader:(string -> string option) ->
+  ?on_error:Fault.on_error ->
+  ?fault:Fault.ctx ->
+  ?sink:Render_pool.sink ->
+  ?refreeze:bool ->
+  roots:Oid.t list ->
+  def:definition ->
+  data:Graph.t ->
+  site_graph:Graph.t ->
+  scope:Skolem.t ->
+  schemas:(string * Schema.Site_schema.t) list ->
+  query_stats:Struql.Exec.profile list ->
+  unit ->
+  built
+(** The render half of every build, and the one place a [built] is
+    assembled: {!Render_pool.materialize} the pages reachable from
+    [roots] over [site_graph] (the optional arguments are passed
+    through to it), check the definition's constraints, and record the
+    faults in [fault].  {!build} calls it after evaluating the queries;
+    {!Incremental.publish_delta} and the watch session call it on a
+    site graph the delta engine maintains. *)
+
 val build :
   ?jobs:int ->
   ?render_cache:Render_cache.t ->
@@ -85,8 +116,9 @@ val build :
   ?sink:Render_pool.sink ->
   data:Graph.t -> definition ->
   built
-(** The full pipeline: site graph, schema, constraint verification,
-    HTML generation.  [jobs] (default 1) fans page rendering out over
+(** The full pipeline: site graph, schema, then {!publish} from the
+    root family ({!build_roots}).  [jobs] (default 1) fans page
+    rendering out over
     OCaml domains through {!Render_pool}'s work-stealing scheduler
     ([jobs <= 0] auto-detects the machine's domain count);
     [render_cache] reuses pages whose read traces still verify.

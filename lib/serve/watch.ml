@@ -79,51 +79,25 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~source
     | Direct g -> g
     | Mediated w -> Mediator.Warehouse.graph w
   in
-  let queries = List.map snd (Strudel.Site.parse_queries def) in
+  let parsed = Strudel.Site.parse_queries def in
   let options =
     { Struql.Eval.default_options with
       strategy = def.Strudel.Site.strategy;
       registry = def.Strudel.Site.registry }
   in
-  let engine = Struql.Dexec.create ~options ~queries data in
+  let engine =
+    Struql.Dexec.create ~options ~queries:(List.map snd parsed) data
+  in
   Struql.Dexec.prime engine;
   let cache = Strudel.Render_cache.create () in
-  Strudel.Render_cache.set_templates cache def.Strudel.Site.templates;
   let site_graph = Struql.Dexec.site_graph engine in
-  let roots =
-    Strudel.Site.roots_of site_graph def.Strudel.Site.root_family
-  in
-  if roots = [] then
-    raise
-      (Strudel.Site.Build_error
-         (Printf.sprintf "no pages of root family %s in site graph %s"
-            def.Strudel.Site.root_family def.Strudel.Site.name));
-  let site, render_profile =
-    Strudel.Render_pool.materialize ~jobs ~cache
-      ~templates:def.Strudel.Site.templates ~on_error ?fault ?sink site_graph
-      ~roots
-  in
-  let verification =
-    Schema.Verify.check_all_site site_graph def.Strudel.Site.constraints
-  in
-  let schemas =
-    List.map
-      (fun (n, q) -> (n, Schema.Site_schema.of_query q))
-      (Strudel.Site.parse_queries def)
-  in
   let built =
-    {
-      Strudel.Site.def;
-      data;
-      site_graph;
-      scope = Struql.Dexec.scope engine;
-      schemas;
-      site;
-      verification;
-      query_stats = [];
-      render_profile;
-      faults = (match fault with Some c -> Fault.reports c | None -> []);
-    }
+    Strudel.Site.publish ~jobs ~cache ~on_error ?fault ?sink
+      ~roots:(Strudel.Site.build_roots site_graph def)
+      ~def ~data ~site_graph ~scope:(Struql.Dexec.scope engine)
+      ~schemas:
+        (List.map (fun (n, q) -> (n, Schema.Site_schema.of_query q)) parsed)
+      ~query_stats:[] ()
   in
   let mode =
     match source with

@@ -429,12 +429,20 @@ let aggregate (fn : Ast.agg_fn) (values : Graph.target list) : Value.t =
     | Value.String s -> float_of_string_opt (String.trim s)
     | _ -> None
   in
-  let atomics =
+  (* fold in one canonical order, whatever order the rows came in: a
+     float sum depends on it, and so does which of two coerce-equal
+     values [min]/[max] keep ([Value.compare] ties only 0.0 and -0.0) *)
+  let atomics () =
     List.filter_map (function Graph.V v -> Some v | Graph.N _ -> None) values
+    |> List.sort (fun a b ->
+           match Value.compare a b with
+           | 0 -> String.compare (Value.to_string a) (Value.to_string b)
+           | c -> c)
   in
   match fn with
   | Ast.Count -> Value.Int (List.length values)
   | Ast.Sum ->
+    let atomics = atomics () in
     let nums = List.filter_map numeric atomics in
     let s = List.fold_left ( +. ) 0. nums in
     if
@@ -444,7 +452,7 @@ let aggregate (fn : Ast.agg_fn) (values : Graph.target list) : Value.t =
     then Value.Int (int_of_float s)
     else Value.Float s
   | Ast.Avg ->
-    let nums = List.filter_map numeric atomics in
+    let nums = List.filter_map numeric (atomics ()) in
     if nums = [] then Value.Null
     else
       Value.Float (List.fold_left ( +. ) 0. nums /. float_of_int (List.length nums))
@@ -460,7 +468,7 @@ let aggregate (fn : Ast.agg_fn) (values : Graph.target list) : Value.t =
       | Ast.Min -> fun a b -> if cmp b a < 0 then b else a
       | _ -> fun a b -> if cmp b a > 0 then b else a
     in
-    (match atomics with
+    (match atomics () with
      | [] -> Value.Null
      | v :: rest -> List.fold_left pick v rest)
 
@@ -485,12 +493,19 @@ let link_source sink env x lt =
 
 (* Aggregate link targets are grouped by (source node, label, aggregate
    expression) across the rows of one block; the groups live for the
-   duration of the block and are folded when the last row is in. *)
-type agg_groups =
-  (string, Oid.t * string * Ast.agg_fn * (string, Graph.target) Hashtbl.t)
-    Hashtbl.t
+   duration of the block and are folded when the last row is in, in
+   the order of their first rows (the keys carry oid numbers, so
+   hash order would vary with how many oids the process allocated). *)
+type agg_group =
+  Oid.t * string * Ast.agg_fn * (string, Graph.target) Hashtbl.t
 
-let new_groups () : agg_groups = Hashtbl.create 8
+type agg_groups = {
+  by_key : (string, agg_group) Hashtbl.t;
+  mutable first_rows : agg_group list;  (* newest first *)
+}
+
+let new_groups () : agg_groups =
+  { by_key = Hashtbl.create 8; first_rows = [] }
 
 (** Interpret the construction clauses of one block over a single
     binding row.  Aggregate link targets only accumulate into [groups];
@@ -514,11 +529,12 @@ let construct_row sink (groups : agg_groups) (b : Ast.block) env =
             (Fmt.str "%a" Pretty.pp_term inner)
         in
         let _, _, _, vals =
-          match Hashtbl.find_opt groups key with
+          match Hashtbl.find_opt groups.by_key key with
           | Some g -> g
           | None ->
             let g = (src, label, fn, Hashtbl.create 8) in
-            Hashtbl.add groups key g;
+            Hashtbl.add groups.by_key key g;
+            groups.first_rows <- g :: groups.first_rows;
             g
         in
         Hashtbl.replace vals (target_key v) v
@@ -534,13 +550,14 @@ let construct_row sink (groups : agg_groups) (b : Ast.block) env =
         raise (Eval_error ("COLLECT " ^ c ^ " applied to an atomic value")))
     b.collect
 
-(** Fold and emit the accumulated aggregate groups of one block. *)
+(** Fold and emit the accumulated aggregate groups of one block, in
+    first-row order. *)
 let construct_flush sink (groups : agg_groups) =
-  Hashtbl.iter
-    (fun _ (src, label, fn, vals) ->
+  List.iter
+    (fun (src, label, fn, vals) ->
       let values = Hashtbl.fold (fun _ v acc -> v :: acc) vals [] in
       sink_edge sink src label (Graph.V (aggregate fn values)))
-    groups
+    (List.rev groups.first_rows)
 
 (* Construction variables of a block, split into object and arc
    positions, for the planner's active-domain pre-pass. *)

@@ -83,7 +83,9 @@ val construct_row : cons -> agg_groups -> Ast.block -> env -> unit
     and with it the Skolem oids, by the row order alone. *)
 
 val construct_flush : cons -> agg_groups -> unit
-(** Fold and emit the accumulated aggregate groups of one block. *)
+(** Fold and emit the accumulated aggregate groups of one block, in the
+    order of each group's first row, so the emitted edges do not depend
+    on oid numbering. *)
 
 val construction_needs : Ast.block -> Ast.var list * Ast.var list
 (** Construction variables of a block, split into (object positions,
@@ -93,7 +95,9 @@ val aggregate : Ast.agg_fn -> Graph.target list -> Value.t
 (** Fold an aggregate over the distinct values of its group.  [Count]
     counts all objects; the numeric aggregates range over the atomic
     values (non-numeric values are ignored by [sum]/[avg]); [min]/[max]
-    fall back to display-string order for incomparable values. *)
+    fall back to display-string order for incomparable values.  The
+    atomic values are folded in a canonical sorted order, so the result
+    is the same for every order of [values]. *)
 
 val target_key : Graph.target -> string
 (** A hashable identity key for a target (distinctness in groups). *)

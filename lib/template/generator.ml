@@ -105,9 +105,11 @@ let hash_file = function None -> 0 | Some s -> mixh 29 (Hashtbl.hash s)
 
 let anchor_attrs = [ "title"; "name"; "Name"; "label"; "Year"; "year" ]
 
-(* [note] records the probed attributes (tracing must see the misses
-   too: adding a [title] later must invalidate the page). *)
-let default_anchor_noting note g o =
+(* The anchor text of a link to [o]: its first [anchor_attrs] value,
+   else its name, HTML-escaped.  [note] records the probed attributes
+   (tracing must see the misses too: adding a [title] later must
+   invalidate the page). *)
+let default_anchor note g o =
   let rec first = function
     | [] -> Teval.escape_html (Oid.name o)
     | a :: rest -> (
@@ -125,8 +127,6 @@ let default_anchor_noting note g o =
         | None -> first rest)
   in
   first anchor_attrs
-
-let default_anchor g o = default_anchor_noting None g o
 
 (* --- Template selection --- *)
 
@@ -206,9 +206,8 @@ let max_embed_depth = 32
 
    When a page render fails under [~on_error:Degrade], the site still
    ships: the failed page is replaced by a small error page carrying a
-   deterministic marker comment, so placeholders can be recognized
-   (and never reused) by the incremental rebuilder and are never stored
-   in the render cache. *)
+   deterministic marker comment, so placeholders can be recognized;
+   the render cache never stores one. *)
 
 let fault_marker = "<!-- strudel:fault -->"
 
@@ -225,9 +224,99 @@ let is_placeholder (p : page) =
   String.length p.body >= String.length fault_marker
   && String.sub p.body 0 (String.length fault_marker) = fault_marker
 
+let degraded_page (g : Graph.t) (o : Oid.t) ~url e : page * Fault.report =
+  let cause =
+    match e with
+    | Fault.Inject.Injected m -> m
+    | Generator_error m -> m
+    | Tparse.Template_error m -> "template error: " ^ m
+    | e -> Printexc.to_string e
+  in
+  ( placeholder_page ~url ~cause o,
+    Fault.report ~stage:Fault.Render ~source:(Graph.name g) ~location:url
+      ~cause () )
+
+(* --- The page render ---
+
+   Every page goes through [render_object_page], whichever driver asks
+   for it.  [link_url o'] is the href of a link to [o'] (the caller may
+   also record the demand edge there); [note], when given, receives
+   every graph read the render performs, in read order.  The embed
+   stack belongs to the one page, so a render that fails midway leaves
+   nothing behind for the next. *)
+let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
+    (g : Graph.t) (o : Oid.t) ~url : page =
+  let on_read =
+    Option.map
+      (fun f o' seg targets ->
+        f (R_attr (Oid.name o', seg, hash_targets targets)))
+      note
+  in
+  let file_loader =
+    match note with
+    | None -> file_loader
+    | Some f ->
+      fun p ->
+        let r = file_loader p in
+        f (R_file (p, hash_file r));
+        r
+  in
+  let depth = ref 0 in
+  let embedding = Oid.Tbl.create 8 in
+  let rec render_object ctx mode o' =
+    match mode with
+    | Teval.Link_to anchor ->
+      let href = link_url o' in
+      let anchor =
+        match anchor with
+        | Some a -> a
+        | None -> default_anchor note g o'
+      in
+      Teval.render_link ~href ~anchor
+    | Teval.Embed ->
+      if Oid.Tbl.mem embedding o' || !depth > max_embed_depth then
+        (* embedding cycle: fall back to a link *)
+        render_object ctx (Teval.Link_to None) o'
+      else begin
+        Oid.Tbl.add embedding o' ();
+        incr depth;
+        let body = render_body ctx o' in
+        decr depth;
+        Oid.Tbl.remove embedding o';
+        body
+      end
+  and render_body ctx o' =
+    match select_template ?note compiled templates g o' with
+    | Some t -> Teval.render { ctx with Teval.vars = [] } t o'
+    | None ->
+      Option.iter
+        (fun f ->
+          f (R_edges (Oid.name o', hash_edges (Graph.out_edges g o'))))
+        note;
+      default_render
+        (fun tgt -> Teval.render_target ctx o' Tast.default_directives tgt)
+        g o'
+  in
+  let ctx =
+    { Teval.graph = g; vars = []; render_object; file_loader; on_read }
+  in
+  let body = render_body ctx o in
+  Option.iter
+    (fun f ->
+      f (R_attr (Oid.name o, "title", hash_targets (Graph.attr g o "title"))))
+    note;
+  let title =
+    match Graph.attr_value g o "title" with
+    | Some v -> Value.to_display_string v
+    | None -> Oid.name o
+  in
+  { obj = o; url; title; html = wrap_page ~title body; body }
+
 (** Generate the browsable site.  [roots] are the objects realized as
     pages up front; any object referenced with the default (link)
-    format from an emitted page also becomes a page.
+    format from an emitted page also becomes a page.  A page's URL is
+    assigned, uniquified against every URL handed out before it, on its
+    first reference, and pages render in that discovery order.
 
     With [~on_error:Degrade], a page whose render fails (or whose
     injected render fault fires) becomes a {!placeholder_page} and the
@@ -241,11 +330,10 @@ let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
     ?(on_error = Fault.Abort) ?fault (g : Graph.t) ~(roots : Oid.t list) :
     site =
   let inject = Fault.inject fault in
-  let compiled = { cache = Hashtbl.create 16 } in
+  let compiled = new_compiled () in
   let urls : string Oid.Tbl.t = Oid.Tbl.create 64 in
   let used_urls = Hashtbl.create 64 in
   let queue = Queue.create () in
-  let queued = Oid.Tbl.create 64 in
   let ensure_page o =
     match Oid.Tbl.find_opt urls o with
     | Some u -> u
@@ -261,45 +349,8 @@ let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
       let u = uniq 0 in
       Hashtbl.add used_urls u ();
       Oid.Tbl.add urls o u;
-      if not (Oid.Tbl.mem queued o) then begin
-        Oid.Tbl.add queued o ();
-        Queue.add o queue
-      end;
+      Queue.add o queue;
       u
-  in
-  let depth = ref 0 in
-  let embedding = Oid.Tbl.create 8 in
-  let rec render_object ctx mode o =
-    match mode with
-    | Teval.Link_to anchor ->
-      let url = ensure_page o in
-      let anchor =
-        match anchor with Some a -> a | None -> default_anchor g o
-      in
-      Teval.render_link ~href:url ~anchor
-    | Teval.Embed ->
-      if Oid.Tbl.mem embedding o || !depth > max_embed_depth then
-        (* embedding cycle: fall back to a link *)
-        render_object ctx (Teval.Link_to None) o
-      else begin
-        Oid.Tbl.add embedding o ();
-        incr depth;
-        let body = render_body ctx o in
-        decr depth;
-        Oid.Tbl.remove embedding o;
-        body
-      end
-  and render_body ctx o =
-    match select_template compiled templates g o with
-    | Some t -> Teval.render { ctx with Teval.vars = [] } t o
-    | None ->
-      default_render
-        (fun tgt ->
-          Teval.render_target ctx o Tast.default_directives tgt)
-        g o
-  in
-  let ctx =
-    { Teval.graph = g; vars = []; render_object; file_loader; on_read = None }
   in
   List.iter (fun o -> ignore (ensure_page o)) roots;
   let pages = ref [] in
@@ -308,13 +359,8 @@ let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
     let url = Oid.Tbl.find urls o in
     let render () =
       Fault.Inject.fire inject (Fault.Inject.Render_page (Oid.name o));
-      let body = render_body ctx o in
-      let title =
-        match Graph.attr_value g o "title" with
-        | Some v -> Value.to_display_string v
-        | None -> Oid.name o
-      in
-      { obj = o; url; title; html = wrap_page ~title body; body }
+      render_object_page ~link_url:ensure_page ~compiled ~file_loader
+        ~templates g o ~url
     in
     let page =
       match on_error with
@@ -322,20 +368,9 @@ let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
       | Fault.Degrade -> (
         try render ()
         with e ->
-          let cause =
-            match e with
-            | Fault.Inject.Injected m -> m
-            | Generator_error m -> m
-            | Tparse.Template_error m -> "template error: " ^ m
-            | e -> Printexc.to_string e
-          in
-          (match fault with
-           | Some c ->
-             Fault.record c
-               (Fault.report ~stage:Fault.Render ~source:(Graph.name g)
-                  ~location:url ~cause ())
-           | None -> ());
-          placeholder_page ~url ~cause o)
+          let page, report = degraded_page g o ~url e in
+          Option.iter (fun c -> Fault.record c report) fault;
+          page)
     in
     pages := page :: !pages
   done;
@@ -354,11 +389,11 @@ type rendered = {
 (** Render a single object's page without materializing the rest of the
     site: links to internal objects get their deterministic URLs (slug
     of the object name) but the linked pages are not generated.  This
-    is the rendering primitive of the click-time evaluator, the
-    incremental rebuilder and the parallel render pool.  [compiled]
-    shares the template-compilation cache across pages (one per domain
-    in the parallel pool); [trace_reads] records the page's read set for
-    the render cache; the referenced-object list is always recorded. *)
+    is the rendering primitive of the click-time evaluator and the
+    parallel render pool.  [compiled] shares the template-compilation
+    cache across pages (one per domain in the parallel pool);
+    [trace_reads] records the page's read set for the render cache; the
+    referenced-object list is always recorded. *)
 let render_page_full ?(file_loader = fun _ -> None)
     ?(templates = empty_templates) ?compiled ?(trace_reads = false)
     (g : Graph.t) (o : Oid.t) : rendered =
@@ -366,90 +401,24 @@ let render_page_full ?(file_loader = fun _ -> None)
     match compiled with Some c -> c | None -> new_compiled ()
   in
   let reads_rev = ref [] in
-  let note_f r = reads_rev := r :: !reads_rev in
-  let note = if trace_reads then Some note_f else None in
+  let note =
+    if trace_reads then Some (fun r -> reads_rev := r :: !reads_rev)
+    else None
+  in
   let refs_rev = ref [] in
   let ref_seen = Oid.Tbl.create 8 in
-  let note_ref o' =
+  let link_url o' =
     if not (Oid.Tbl.mem ref_seen o') then begin
       Oid.Tbl.add ref_seen o' ();
       refs_rev := o' :: !refs_rev
-    end
+    end;
+    slug (Oid.name o') ^ ".html"
   in
-  let on_read =
-    if trace_reads then
-      Some
-        (fun o' seg targets ->
-          note_f (R_attr (Oid.name o', seg, hash_targets targets)))
-    else None
+  let r_page =
+    render_object_page ?note ~link_url ~compiled ~file_loader ~templates g o
+      ~url:(slug (Oid.name o) ^ ".html")
   in
-  let file_loader =
-    if trace_reads then (fun p ->
-      let r = file_loader p in
-      note_f (R_file (p, hash_file r));
-      r)
-    else file_loader
-  in
-  let depth = ref 0 in
-  let embedding = Oid.Tbl.create 8 in
-  let rec render_object ctx mode o' =
-    match mode with
-    | Teval.Link_to anchor ->
-      note_ref o';
-      let anchor =
-        match anchor with
-        | Some a -> a
-        | None -> default_anchor_noting note g o'
-      in
-      Teval.render_link ~href:(slug (Oid.name o') ^ ".html") ~anchor
-    | Teval.Embed ->
-      if Oid.Tbl.mem embedding o' || !depth > max_embed_depth then
-        render_object ctx (Teval.Link_to None) o'
-      else begin
-        Oid.Tbl.add embedding o' ();
-        incr depth;
-        let body = render_body ctx o' in
-        decr depth;
-        Oid.Tbl.remove embedding o';
-        body
-      end
-  and render_body ctx o' =
-    match select_template ?note compiled templates g o' with
-    | Some t -> Teval.render { ctx with Teval.vars = [] } t o'
-    | None ->
-      (match note with
-       | Some f ->
-         f (R_edges (Oid.name o', hash_edges (Graph.out_edges g o')))
-       | None -> ());
-      default_render
-        (fun tgt -> Teval.render_target ctx o' Tast.default_directives tgt)
-        g o'
-  in
-  let ctx =
-    { Teval.graph = g; vars = []; render_object; file_loader; on_read }
-  in
-  let body = render_body ctx o in
-  (match note with
-   | Some f ->
-     f (R_attr (Oid.name o, "title", hash_targets (Graph.attr g o "title")))
-   | None -> ());
-  let title =
-    match Graph.attr_value g o "title" with
-    | Some v -> Value.to_display_string v
-    | None -> Oid.name o
-  in
-  {
-    r_page =
-      {
-        obj = o;
-        url = slug (Oid.name o) ^ ".html";
-        title;
-        html = wrap_page ~title body;
-        body;
-      };
-    r_reads = List.rev !reads_rev;
-    r_refs = List.rev !refs_rev;
-  }
+  { r_page; r_reads = List.rev !reads_rev; r_refs = List.rev !refs_rev }
 
 let render_page ?file_loader ?templates (g : Graph.t) (o : Oid.t) : page =
   (render_page_full ?file_loader ?templates g o).r_page

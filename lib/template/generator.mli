@@ -72,10 +72,6 @@ type compiled
 
 val new_compiled : unit -> compiled
 
-val default_anchor : Graph.t -> Oid.t -> string
-(** Anchor text for a link to an object: its [title]/[name]/... if
-    present, else the object name (HTML-escaped). *)
-
 val fault_marker : string
 (** Deterministic marker comment opening every placeholder body. *)
 
@@ -84,8 +80,12 @@ val placeholder_page : url:string -> cause:string -> Oid.t -> page
     [~on_error:Degrade]. *)
 
 val is_placeholder : page -> bool
-(** Whether the page is a degraded-build placeholder (so caches and the
-    incremental rebuilder never reuse one as a real page). *)
+(** Whether the page is a degraded-build placeholder (so the render
+    cache never reuses one as a real page). *)
+
+val degraded_page : Graph.t -> Oid.t -> url:string -> exn -> page * Fault.report
+(** The {!placeholder_page} and the [Render] fault report for a page
+    whose render raised under [~on_error:Degrade]. *)
 
 val generate :
   ?file_loader:(string -> string option) ->
@@ -97,8 +97,12 @@ val generate :
   site
 (** Generate the browsable site.  [roots] are realized as pages up
     front; any object referenced with the default (link) format from an
-    emitted page also becomes a page, transitively.  [file_loader]
-    supplies the contents of text/HTML file values for inlining.
+    emitted page also becomes a page, transitively.  Each page gets its
+    URL on first reference ([slug name ^ ".html"], suffixed [_1],
+    [_2], ... when another page already holds it) and pages come out
+    in that discovery order.  Every page renders through the same
+    per-page function as {!render_page_full}.  [file_loader] supplies
+    the contents of text/HTML file values for inlining.
 
     With [~on_error:Degrade], a failed (or injected-faulty) page render
     yields a {!placeholder_page} and a recorded [Render] fault instead
@@ -123,10 +127,11 @@ val render_page_full :
   ?trace_reads:bool ->
   Graph.t -> Oid.t -> rendered
 (** Render a single object's page without materializing the rest of the
-    site — the rendering primitive of the click-time evaluator, the
-    incremental rebuilder and the parallel render pool.  Links to
-    internal objects get their deterministic URL ([slug name ^
-    ".html"]) but the linked pages are not generated. *)
+    site — the rendering primitive of the click-time evaluator and the
+    parallel render pool.  Links to internal objects get their
+    deterministic URL ([slug name ^ ".html"]) but the linked pages are
+    not generated.  Apart from URLs, the page is the one {!generate}
+    emits for the object. *)
 
 val render_page :
   ?file_loader:(string -> string option) ->

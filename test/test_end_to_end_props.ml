@@ -5,12 +5,12 @@
 
 open Sgraph
 
+(* (page object, bytes) in published order *)
 let page_map (site : Template.Generator.site) =
   List.map
     (fun (p : Template.Generator.page) ->
       (Oid.name p.Template.Generator.obj, p.Template.Generator.html))
     site.Template.Generator.pages
-  |> List.sort compare
 
 (* random mutations over a news data graph *)
 type mutation =
@@ -74,10 +74,13 @@ let articles = 15
 
 let incremental_equals_full muts =
   let data0 = Sites.Cnn.data ~articles () in
-  let previous = Strudel.Site.build ~data:data0 Sites.Cnn.definition in
+  let cache = Strudel.Render_cache.create () in
+  let previous =
+    Strudel.Site.build ~render_cache:cache ~data:data0 Sites.Cnn.definition
+  in
   let data1 = Sites.Cnn.data ~articles () in
   apply_mutations data1 articles muts;
-  let inc = Strudel.Incremental.rebuild ~previous ~data:data1 () in
+  let inc = Strudel.Incremental.rebuild ~cache ~previous ~data:data1 () in
   let full = Strudel.Site.build ~data:data1 Sites.Cnn.definition in
   page_map inc.Strudel.Incremental.built.Strudel.Site.site
   = page_map full.Strudel.Site.site

@@ -516,24 +516,24 @@ let incremental_rerenders_placeholders () =
   let clean = Strudel.Site.build ~data def in
   let inject = Fault.Inject.create ~seed:7 ~p_render:0.5 () in
   let fault = Fault.ctx ~inject () in
+  let cache = Strudel.Render_cache.create () in
   let degraded =
-    Strudel.Site.build ~on_error:Fault.Degrade ~fault ~data def
+    Strudel.Site.build ~render_cache:cache ~on_error:Fault.Degrade ~fault
+      ~data def
   in
   let broken = placeholder_count degraded.Strudel.Site.site in
   check_bool "degraded build has placeholders" true (broken > 0);
-  (* incremental rebuild over unchanged data, faults gone: fingerprints
-     all match, but placeholders must not be reused *)
+  (* incremental rebuild over unchanged data, faults gone: every clean
+     page's trace still verifies, but placeholders must not be reused *)
   let report =
-    Strudel.Incremental.rebuild ~previous:degraded ~data ()
+    Strudel.Incremental.rebuild ~cache ~previous:degraded ~data ()
   in
-  check_bool "placeholders re-rendered despite matching fingerprints" true
+  check_bool "placeholders re-rendered despite unchanged data" true
     (report.Strudel.Incremental.pages_rerendered >= broken);
-  (* incremental page order is candidate order, not generator discovery
-     order (the discipline of the incremental suite): compare sorted *)
-  let sorted b = List.sort compare (Test_parallel.page_triples b) in
   check_bool "incremental recovery restores clean bytes" true
-    (sorted report.Strudel.Incremental.built.Strudel.Site.site
-    = sorted clean.Strudel.Site.site)
+    (Test_parallel.page_triples
+       report.Strudel.Incremental.built.Strudel.Site.site
+    = Test_parallel.page_triples clean.Strudel.Site.site)
 
 (* --- determinism of the harness --- *)
 

@@ -62,10 +62,6 @@ let pages_match def data =
 
 let suite =
   [
-    t "full materialization equals Site.build" (fun () ->
-        let data = Sites.Paper_example.data () in
-        let b = Materialize.full ~data Sites.Paper_example.definition in
-        check_int "pages" 11 (Template.Generator.page_count b.Site.site));
     t "click-time starts with only the roots" (fun () ->
         let data = Sites.Paper_example.data () in
         let ct =

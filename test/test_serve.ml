@@ -338,29 +338,29 @@ let breaker_tests =
 let engine_static_tests =
   [
     t "differential: served bytes equal the full build's pages" (fun () ->
-        let built = Sites.Paper_example.build () in
-        let e =
-          Engine.create ~source:(Engine.Static (Sites.Paper_example.data ()))
-            Sites.Paper_example.definition
-        in
-        let pages = built.Strudel.Site.site.Template.Generator.pages in
-        check_bool "some pages" true (List.length pages > 5);
         List.iter
-          (fun (p : Template.Generator.page) ->
-            let resp = get e ("/" ^ p.Template.Generator.url) in
-            check_int ("status " ^ p.Template.Generator.url) 200
-              (status_of resp);
-            check_string ("bytes " ^ p.Template.Generator.url)
-              p.Template.Generator.html (body_of resp))
-          pages;
-        (* "/" is the root page *)
-        let root = get e "/" in
-        check_int "root ok" 200 (status_of root);
-        check_bool "root is one of the built pages" true
-          (List.exists
-             (fun (p : Template.Generator.page) ->
-               p.Template.Generator.html = body_of root)
-             pages));
+          (fun (site, def, data) ->
+            let built = Strudel.Site.build ~data def in
+            let e = Engine.create ~source:(Engine.Static data) def in
+            let pages = built.Strudel.Site.site.Template.Generator.pages in
+            check_bool (site ^ ": some pages") true (List.length pages > 5);
+            List.iter
+              (fun (p : Template.Generator.page) ->
+                let url = p.Template.Generator.url in
+                let resp = get e ("/" ^ url) in
+                check_int (site ^ ": status " ^ url) 200 (status_of resp);
+                check_string (site ^ ": bytes " ^ url)
+                  p.Template.Generator.html (body_of resp))
+              pages;
+            (* "/" is the root page *)
+            let root = get e "/" in
+            check_int (site ^ ": root ok") 200 (status_of root);
+            check_bool (site ^ ": root is one of the built pages") true
+              (List.exists
+                 (fun (p : Template.Generator.page) ->
+                   p.Template.Generator.html = body_of root)
+                 pages))
+          (Test_parallel.sites_under_test ()));
     t "404, 405 and the operational endpoints" (fun () ->
         let e =
           Engine.create ~source:(Engine.Static (Sites.Paper_example.data ()))
