@@ -17,33 +17,6 @@ type rebuild_report = {
   pages_reused : int;
 }
 
-val publish_delta :
-  ?jobs:int ->
-  ?file_loader:(string -> string option) ->
-  ?on_error:Fault.on_error ->
-  ?fault:Fault.ctx ->
-  ?sink:Render_pool.sink ->
-  cache:Render_cache.t ->
-  previous:Site.built ->
-  data:Graph.t ->
-  site_graph:Graph.t ->
-  scope:Skolem.t ->
-  touched:string list ->
-  removed:string list ->
-  unit ->
-  rebuild_report
-(** The differential publish leg of [strudel watch]: the site graph was
-    already maintained in place (by {!Struql.Dexec}), so query
-    re-evaluation is skipped and only {!Site.publish} runs, against the
-    cross-epoch [cache] whose verifying read traces invalidate exactly
-    the pages whose rendering observed the change.
-    [touched]/[removed] are the site-node names the delta cycle
-    reported; when both are empty the previous build's pages are reused
-    wholesale.  Schemas and query profiles are carried over from
-    [previous] (the maintained graph's queries have not changed).
-    Output is byte-identical to a cold {!Site.build} over the same
-    data. *)
-
 val rebuild :
   ?jobs:int ->
   cache:Render_cache.t ->

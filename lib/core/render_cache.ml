@@ -100,53 +100,30 @@ let set_templates c ts =
 
 (* --- Trace verification --- *)
 
-(** Replay one recorded read against [g] and compare result hashes.  A
-    node that no longer exists reads as the empty result — exactly what
-    a render against [g] would observe. *)
+(** Replay one recorded read against [g] and compare result hashes.
+    The subject is looked up by name, since a rebuild allocates fresh
+    oids; a node that no longer exists reads as the empty result —
+    exactly what a render against [g] would observe. *)
 let verify_read ?(file_loader = fun _ -> None) g read =
+  let node o = Graph.find_node g (Oid.name o) in
   match read with
-  | G.R_attr (name, label, h) ->
+  | G.R_attr (o, label, h) ->
     let targets =
-      match Graph.find_node g name with
-      | Some o -> Graph.attr g o label
-      | None -> []
+      match node o with Some o -> Graph.attr g o label | None -> []
     in
     G.hash_targets targets = h
-  | G.R_edges (name, h) ->
-    let edges =
-      match Graph.find_node g name with
-      | Some o -> Graph.out_edges g o
-      | None -> []
-    in
+  | G.R_edges (o, h) ->
+    let edges = match node o with Some o -> Graph.out_edges g o | None -> [] in
     G.hash_edges edges = h
-  | G.R_colls (name, h) ->
+  | G.R_colls (o, h) ->
     let colls =
-      match Graph.find_node g name with
-      | Some o -> Graph.collections_of g o
-      | None -> []
+      match node o with Some o -> Graph.collections_of g o | None -> []
     in
     G.hash_strings colls = h
   | G.R_file (path, h) -> G.hash_file (file_loader path) = h
 
 let verify ?file_loader g entry =
   List.for_all (verify_read ?file_loader g) entry.e_reads
-
-(** Like {!verify}, but with an exact change hint: [dirty name] must be
-    [true] for every site node whose values, out-edges or collection
-    membership changed since the entry's trace was recorded (the delta
-    cycle's touched ∪ removed names are exactly that set).  Graph reads
-    of non-dirty subjects are accepted without replay; dirty-subject
-    reads and file reads are replayed as usual.  Turns the per-publish
-    verification cost from O(site × trace) into O(changed × trace). *)
-let verify_dirty ?file_loader ~dirty g entry =
-  List.for_all
-    (fun r ->
-      match r with
-      | (G.R_attr (name, _, _) | G.R_edges (name, _) | G.R_colls (name, _))
-        when not (dirty name) ->
-        true
-      | r -> verify_read ?file_loader g r)
-    entry.e_reads
 
 (** Look up the page for object [o] (keyed by its name) and re-verify
     its trace against [g].  Counts a hit on success; a stale entry is

@@ -41,19 +41,9 @@ val set_templates : t -> Template.Generator.template_set -> unit
 
 val verify :
   ?file_loader:(string -> string option) -> Graph.t -> entry -> bool
-(** Replay the entry's trace against the graph; [true] iff every read
-    still returns the same result hash.  Does not touch statistics. *)
-
-val verify_dirty :
-  ?file_loader:(string -> string option) ->
-  dirty:(string -> bool) -> Graph.t -> entry -> bool
-(** {!verify} with an exact change hint: [dirty name] must hold for
-    every site node whose values, out-edges or collection membership
-    changed since the trace was recorded.  Graph reads of non-dirty
-    subjects are accepted without replay — O(changed) verification
-    instead of O(site) — while dirty-subject and file reads are
-    replayed.  Sound iff the hint covers every change; the delta
-    cycle's touched ∪ removed name sets do by construction. *)
+(** Replay the entry's trace against the graph, each read on the node
+    of its subject's name; [true] iff every read still returns the same
+    result hash.  Does not touch statistics. *)
 
 val find_valid :
   ?file_loader:(string -> string option) -> t -> Graph.t -> Oid.t ->

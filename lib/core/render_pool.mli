@@ -57,17 +57,22 @@ val auto_jobs : unit -> int
 
 type sink = {
   sk_emit : Template.Generator.page -> unit;
-      (** called once per page, in canonical (sequential discovery)
-          order; the pool retains nothing after the call *)
+      (** called once per new or changed page, in canonical (sequential
+          discovery) order; the pool retains nothing after the call.  A
+          build emits every page; a watch cycle ({!Page_table.update})
+          emits only the pages it rendered, so a sink keyed by URL holds
+          the current site after every call. *)
   sk_reset : unit -> unit;
-      (** called if a URL collision forces the sequential fallback:
-          everything emitted so far is invalid and will be re-emitted *)
+      (** everything emitted so far is invalid and the whole site will
+          be re-emitted in order: a URL collision forced the sequential
+          fallback, or a watch cycle dropped pages *)
 }
 
 val file_sink : dir:string -> sink
 (** A sink writing each page below [dir] (created if missing), as
-    {!Template.Generator.write_site} would; reset removes the files
-    emitted so far. *)
+    {!Template.Generator.write_site} would; reset removes every file it
+    wrote, so after a reset and re-emission the directory holds exactly
+    the current site. *)
 
 val default_slice : int
 (** Default bound on pages a wave slice holds in memory at once — also
@@ -77,14 +82,12 @@ val default_slice : int
 val materialize :
   ?jobs:int ->
   ?cache:Render_cache.t ->
-  ?dirty:(string -> bool) ->
   ?file_loader:(string -> string option) ->
   ?templates:Template.Generator.template_set ->
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
   ?sink:sink ->
   ?slice:int ->
-  ?refreeze:bool ->
   Graph.t ->
   roots:Oid.t list ->
   Template.Generator.site * profile
@@ -101,15 +104,7 @@ val materialize :
     the returned site has an empty page list ([profile.rp_pages] still
     counts them); peak memory is bounded by [slice] pages.
 
-    [dirty] (with [cache]) is an exact change hint for trace
-    verification — see {!Render_cache.verify_dirty}.  The delta publish
-    path passes the cycle's touched ∪ removed site-node names, making
-    cache verification O(changed) instead of O(site).
-
-    [refreeze:false] skips the graph freeze when running sequentially
-    (an O(site) cost the delta publish path avoids every cycle); with
-    [jobs > 1] the freeze always happens, as worker domains must read
-    the immutable kernel snapshot.
+    The graph is frozen first, so every read hits the kernel snapshot.
 
     With [~on_error:Degrade], a failed (or injected-faulty) page render
     is isolated: the page becomes a {!Template.Generator.placeholder_page},
@@ -118,3 +113,46 @@ val materialize :
     is never stored in the render cache.  Degraded builds always run
     the wave loop — even at [jobs = 1] — so degraded output is
     identical across [jobs]. *)
+
+(** {1 Rendering chosen pages}
+
+    The per-page half of {!materialize}, for a caller that decides
+    itself which pages to render — the watch session's
+    {!Page_table}. *)
+
+type renderer
+(** One build's render settings, per-worker template caches and
+    tallies. *)
+
+val renderer :
+  ?jobs:int ->
+  ?file_loader:(string -> string option) ->
+  ?templates:Template.Generator.template_set ->
+  ?on_error:Fault.on_error ->
+  ?fault:Fault.ctx ->
+  ?trace:bool ->
+  unit ->
+  renderer
+(** [jobs <= 0] auto-detects; [trace] (default [true]) records each
+    page's read trace.  Render faults are injected from [fault]'s
+    injector. *)
+
+val render_pages :
+  renderer -> Graph.t -> Oid.t array ->
+  (Template.Generator.rendered * Fault.report option) array
+(** Render the pages of the given objects, results in input order.  At
+    [jobs = 1] they render one after another against the live graph; at
+    [jobs > 1] the graph is frozen and they fan out over the shared
+    pool.  Under [~on_error:Degrade] a failed render yields a
+    placeholder (empty trace) and its fault report, which the caller
+    records; under [Abort] the exception propagates. *)
+
+val profile :
+  renderer -> t0:float -> pages:int -> rendered:int -> waves:int ->
+  hits:int -> misses:int -> invalidations:int -> fallback:bool ->
+  degraded:int -> profile
+(** A profile with the renderer's per-domain tallies; [t0] is the
+    start on the {!now_ms} clock. *)
+
+val now_ms : unit -> float
+(** Wall clock in milliseconds. *)

@@ -2,16 +2,17 @@
     publish.
 
     A watch session pairs a {!Struql.Dexec} engine (the maintained site
-    graph with its recorded construction events) with a cross-cycle
-    render cache and the previously published build.  {!cycle} drives
-    one turn of the loop: pick up what changed at the sources (a
-    recorder flush in direct mode, a
+    graph with its recorded construction events) with a
+    {!Strudel.Page_table} of the pages it published and the previously
+    published build.  {!cycle} drives one turn of the loop: pick up
+    what changed at the sources (a recorder flush in direct mode, a
     {!Mediator.Warehouse.refresh_delta} in mediated mode), maintain the
-    site graph differentially, then re-render exactly the pages whose
-    read traces the change invalidated.  Published output is
-    byte-identical to a cold {!Strudel.Site.build} over the same data,
-    at O(change) cost; clearing {!Struql.Exec.delta_enabled} falls back
-    to full re-derivation through the same pipeline.
+    site graph differentially, then visit only the pages that read a
+    changed node, re-render those whose read traces the change
+    invalidated, and hand the sink just those pages.  Published output
+    is byte-identical to a cold {!Strudel.Site.build} over the same
+    data, at O(change) cost; clearing {!Struql.Exec.delta_enabled}
+    falls back to full re-derivation through the same pipeline.
 
     Source faults degrade, never abort: a quarantined source keeps
     serving its last integrated data (the warehouse's stale-snapshot
@@ -35,7 +36,8 @@ type cycle_report = {
   cy_delta_card : int;  (** data-graph changes consumed *)
   cy_drivers : int;  (** drivers re-derived *)
   cy_rows : int;  (** binding rows re-derived *)
-  cy_touched : int;  (** site nodes whose pages may have changed *)
+  cy_touched : int;
+      (** site nodes created or whose out-edges or collections changed *)
   cy_removed : int;  (** site nodes removed *)
   cy_rerendered : int;
   cy_reused : int;
@@ -55,12 +57,14 @@ val create :
   Strudel.Site.definition ->
   t
 (** Cold-start the session: prime the differential engine (recording
-    every construction event) and publish the initial build through a
-    fresh render cache.  [jobs] parallelizes both the renders and, in
-    mediated mode, source loads; [sink] additionally streams pages out
-    (e.g. {!Strudel.Render_pool.file_sink}) on the initial publish and
-    on every changed cycle.  Raises {!Strudel.Site.Build_error} when
-    the root family is empty, as {!Strudel.Site.build} would. *)
+    every construction event) and publish the initial build, filling
+    the page table in the same pass.  [jobs] parallelizes both the
+    renders and, in mediated mode, source loads; [sink] additionally
+    streams pages out (e.g. {!Strudel.Render_pool.file_sink}): every
+    page on the initial publish, then on each changed cycle only the
+    pages it rendered — or a reset and every page, when the cycle
+    dropped pages.  Raises {!Strudel.Site.Build_error} when the root
+    family is empty, as {!Strudel.Site.build} would. *)
 
 val cycle : t -> cycle_report
 (** One turn of the watch loop: ingest the pending change, maintain
@@ -93,6 +97,11 @@ val engine : t -> Struql.Dexec.t
     reasons for [explain-analyze] surfaces. *)
 
 val cache : t -> Strudel.Render_cache.t
+(** The session's page statistics, counted as a render cache would:
+    a page a cycle reused is a hit, one it re-rendered an
+    invalidation, a new page (or a retried placeholder) a miss.  The
+    cache holds no entries; the page table keeps the pages. *)
+
 val cycles : t -> int
 
 val recorder : t -> Delta.Rec.r option

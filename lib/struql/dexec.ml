@@ -627,9 +627,10 @@ let prime t =
 (* --- the delta cycle --- *)
 
 type site_change = {
-  sc_touched : string list;
-      (** site-node names whose rendered bytes may have changed *)
-  sc_removed : string list;  (** site nodes that no longer exist *)
+  sc_touched : Oid.t list;
+      (** site nodes created, or whose ordered out-edges or collection
+          list changed *)
+  sc_removed : Oid.t list;  (** site nodes that no longer exist *)
   sc_drivers : int;  (** drivers re-derived this cycle *)
   sc_rows : int;  (** binding rows re-derived this cycle *)
   sc_fallbacks : (string * string) list;
@@ -671,15 +672,19 @@ let apply ?data t (delta : Delta.t) : site_change =
   let announced = ref [] in
   let touched_srcs = ref Oid.Set.empty in
   let touched_colls = ref SS.empty in
-  let touched_names = ref SS.empty in
+  (* every node an event of this cycle mentions: the candidates for the
+     touched set, which the state comparison below settles *)
+  let noted = ref Oid.Set.empty in
   let fallbacks_run = ref [] in
   let note_ev e =
     match e with
-    | E_node o -> touched_names := SS.add (Oid.name o) !touched_names
-    | E_edge (s, _, _) -> touched_srcs := Oid.Set.add s !touched_srcs
+    | E_node o -> noted := Oid.Set.add o !noted
+    | E_edge (s, _, _) ->
+      touched_srcs := Oid.Set.add s !touched_srcs;
+      noted := Oid.Set.add s !noted
     | E_coll (c, o) ->
       touched_colls := SS.add c !touched_colls;
-      touched_names := SS.add (Oid.name o) !touched_names
+      noted := Oid.Set.add o !noted
   in
   (* Position-diff noting for the incremental path: record the
      canonical position of every event a re-derived driver previously
@@ -865,32 +870,41 @@ let apply ?data t (delta : Delta.t) : site_change =
       minpos t s;
       if s.mp_b <> b || s.mp_r <> r || s.mp_s <> q then note_ev s.ev)
     !prepos;
-  (* net removals: drained and not re-supported; their ids are freed *)
+  (* net removals: drained and not re-supported *)
+  let net_removed =
+    List.filter
+      (fun id -> match t.slots.(id).sup with S0 -> true | S1 _ | SM _ -> false)
+      !drained
+  in
+  List.iter (fun id -> note_ev t.slots.(id).ev) net_removed;
+  (* what a render can read of each noted node, before the graph moves:
+     its ordered out-edges and its collection list ([None]: not in the
+     site graph yet) *)
+  let before =
+    Oid.Set.fold
+      (fun o acc ->
+        Oid.Map.add o
+          (if Graph.mem_node t.sg o then
+             Some (Graph.out_edges t.sg o, Graph.collections_of t.sg o)
+           else None)
+          acc)
+      !noted Oid.Map.empty
+  in
+  (* apply the removals; their ids are freed *)
   let removed_nodes = ref [] in
   List.iter
     (fun id ->
-      let s = t.slots.(id) in
-      match s.sup with
-      | S1 _ | SM _ -> ()
-      | S0 -> (
-        let e = s.ev in
-        release t id;
-        note_ev e;
-        match e with
-        | E_coll (c, o) -> Graph.remove_from_collection t.sg c o
-        | E_edge (src, l, tg) -> Graph.remove_edge t.sg src l tg
-        | E_node o -> removed_nodes := o :: !removed_nodes))
-    !drained;
+      let e = t.slots.(id).ev in
+      release t id;
+      match e with
+      | E_coll (c, o) -> Graph.remove_from_collection t.sg c o
+      | E_edge (src, l, tg) -> Graph.remove_edge t.sg src l tg
+      | E_node o -> removed_nodes := o :: !removed_nodes)
+    net_removed;
   (* nodes go last: their dangling edges and memberships are gone
      (construction emits a node event for every endpoint it mentions,
      so node support always outlives edge support) *)
-  let removed_names =
-    List.map
-      (fun o ->
-        Graph.remove_node t.sg o;
-        Oid.name o)
-      !removed_nodes
-  in
+  List.iter (Graph.remove_node t.sg) !removed_nodes;
   (* net additions (add_edge recreates endpoints as needed); bucket and
      extent order is canonicalized below, so application order is free *)
   List.iter
@@ -924,8 +938,7 @@ let apply ?data t (delta : Delta.t) : site_change =
             (fun (l, tg) -> K_edge (Oid.id src, l, Graph.tkey tg))
             cur
         in
-        if sorted <> cur then Graph.set_out_edges t.sg src sorted;
-        touched_names := SS.add (Oid.name src) !touched_names
+        if sorted <> cur then Graph.set_out_edges t.sg src sorted
       end)
     !touched_srcs;
   SS.iter
@@ -935,9 +948,30 @@ let apply ?data t (delta : Delta.t) : site_change =
       if sorted <> cur then Graph.set_collection t.sg c sorted)
     !touched_colls;
   t.ctr.c_events_live <- Hashtbl.length t.ids;
+  (* touched: the noted nodes a render would now read differently *)
+  let same_edges a b =
+    List.equal
+      (fun (l, x) (l', y) -> String.equal l l' && Graph.target_equal x y)
+      a b
+  in
+  let touched =
+    Oid.Map.fold
+      (fun o was acc ->
+        if not (Graph.mem_node t.sg o) then acc
+        else
+          match was with
+          | None -> o :: acc
+          | Some (edges, colls) ->
+            if
+              same_edges edges (Graph.out_edges t.sg o)
+              && List.equal String.equal colls (Graph.collections_of t.sg o)
+            then acc
+            else o :: acc)
+      before []
+  in
   {
-    sc_touched = SS.elements !touched_names;
-    sc_removed = List.sort_uniq String.compare removed_names;
+    sc_touched = List.rev touched;
+    sc_removed = List.sort_uniq Oid.compare !removed_nodes;
     sc_drivers = t.ctr.c_drivers - c_drivers0;
     sc_rows = t.ctr.c_rows - c_rows0;
     sc_fallbacks = List.rev !fallbacks_run;

@@ -29,7 +29,7 @@
       Dexec.prime dx;                        (* cold build, recorded *)
       ...mutate data / integrate sources...
       let ch = Dexec.apply dx delta in       (* O(change) maintenance *)
-      ...re-render pages named in ch.sc_touched...
+      ...re-render the pages that read ch.sc_touched...
     ]} *)
 
 open Sgraph
@@ -73,9 +73,12 @@ val site_queries : t -> Ast.query list
 
 (** What one delta cycle changed in the site graph. *)
 type site_change = {
-  sc_touched : string list;
-      (** site-node names whose rendered bytes may have changed *)
-  sc_removed : string list;  (** site nodes that no longer exist *)
+  sc_touched : Oid.t list;
+      (** exactly the site nodes this cycle created, plus those whose
+          ordered out-edges or collection list differ from before the
+          cycle — every node whose reads a page render could see
+          change *)
+  sc_removed : Oid.t list;  (** site nodes that no longer exist *)
   sc_drivers : int;  (** drivers re-derived this cycle *)
   sc_rows : int;  (** binding rows re-derived this cycle *)
   sc_fallbacks : (string * string) list;

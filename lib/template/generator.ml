@@ -66,15 +66,16 @@ let slug name =
    recorded together with a hash of its result, so a render cache can
    later re-verify the trace against a changed graph and reuse the page
    iff every read still returns the same answer (a verifying-trace
-   cache in the build-system sense).  Nodes contribute their {e names}
-   to hashes, not their oids, so traces survive rebuilds that allocate
-   fresh oids. *)
+   cache in the build-system sense).  A read names its subject node by
+   oid, so a session that keeps its graph can index pages by what they
+   read; nodes contribute their {e names} to hashes, not their oids,
+   so traces also survive rebuilds that allocate fresh oids. *)
 
 type read =
-  | R_attr of string * string * int  (** node name, label, result hash *)
-  | R_edges of string * int          (** node name, out-edge list hash *)
-  | R_colls of string * int          (** node name, collection-list hash *)
-  | R_file of string * int           (** path, loaded-content hash *)
+  | R_attr of Oid.t * string * int  (** node, label, result hash *)
+  | R_edges of Oid.t * int          (** node, out-edge list hash *)
+  | R_colls of Oid.t * int          (** node, collection-list hash *)
+  | R_file of string * int          (** path, loaded-content hash *)
 
 (* FNV-style combining: [Hashtbl.hash] truncates structured data after
    ~10 nodes, so lists are folded by hand (strings hash in full). *)
@@ -115,7 +116,7 @@ let default_anchor note g o =
     | a :: rest -> (
         let targets = Graph.attr g o a in
         (match note with
-         | Some f -> f (R_attr (Oid.name o, a, hash_targets targets))
+         | Some f -> f (R_attr (o, a, hash_targets targets))
          | None -> ());
         let rec first_value = function
           | [] -> None
@@ -149,10 +150,8 @@ let select_template ?note c (ts : template_set) g o : Tast.t option =
    | Some f ->
      f
        (R_attr
-          ( Oid.name o,
-            "HTML-template",
-            hash_targets (Graph.attr g o "HTML-template") ));
-     f (R_colls (Oid.name o, hash_strings (Graph.collections_of g o)))
+          (o, "HTML-template", hash_targets (Graph.attr g o "HTML-template")));
+     f (R_colls (o, hash_strings (Graph.collections_of g o)))
    | None -> ());
   match List.assoc_opt (Oid.name o) ts.by_object with
   | Some text -> Some (compile_cached c ("obj:" ^ Oid.name o) text)
@@ -249,7 +248,7 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
   let on_read =
     Option.map
       (fun f o' seg targets ->
-        f (R_attr (Oid.name o', seg, hash_targets targets)))
+        f (R_attr (o', seg, hash_targets targets)))
       note
   in
   let file_loader =
@@ -291,7 +290,7 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
     | None ->
       Option.iter
         (fun f ->
-          f (R_edges (Oid.name o', hash_edges (Graph.out_edges g o'))))
+          f (R_edges (o', hash_edges (Graph.out_edges g o'))))
         note;
       default_render
         (fun tgt -> Teval.render_target ctx o' Tast.default_directives tgt)
@@ -303,7 +302,7 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
   let body = render_body ctx o in
   Option.iter
     (fun f ->
-      f (R_attr (Oid.name o, "title", hash_targets (Graph.attr g o "title"))))
+      f (R_attr (o, "title", hash_targets (Graph.attr g o "title"))))
     note;
   let title =
     match Graph.attr_value g o "title" with

@@ -52,14 +52,17 @@ val slug : string -> string
     ~trace_reads:true] records each read with a hash of its result so a
     render cache can later re-verify the trace against a changed graph
     and reuse the page iff every read still returns the same answer.
-    Node hashes use {e names}, not oids, so traces survive rebuilds
-    that allocate fresh oids. *)
+    A read names its subject node by oid, so a session that keeps its
+    graph can index pages by the nodes they read; node hashes use
+    {e names}, not oids, so traces also survive rebuilds that allocate
+    fresh oids (a cache across rebuilds replays a read on the node of
+    the same name). *)
 
 type read =
-  | R_attr of string * string * int  (** node name, label, result hash *)
-  | R_edges of string * int          (** node name, out-edge list hash *)
-  | R_colls of string * int          (** node name, collection-list hash *)
-  | R_file of string * int           (** path, loaded-content hash *)
+  | R_attr of Oid.t * string * int  (** node, label, result hash *)
+  | R_edges of Oid.t * int          (** node, out-edge list hash *)
+  | R_colls of Oid.t * int          (** node, collection-list hash *)
+  | R_file of string * int          (** path, loaded-content hash *)
 
 val hash_targets : Graph.target list -> int
 val hash_edges : (string * Graph.target) list -> int

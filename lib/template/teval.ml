@@ -87,8 +87,9 @@ let apply_order ctx (d : Tast.directives) targets =
   match d.order with
   | None -> targets
   | Some ord ->
-    let cmp a b =
-      let ka = sort_key ctx d a and kb = sort_key ctx d b in
+    (* each element's key is read once, in list order, not once per
+       comparison: a traced render then records each key read once *)
+    let cmp (ka, _) (kb, _) =
       let c =
         match ka, kb with
         | Some va, Some vb -> (
@@ -104,7 +105,8 @@ let apply_order ctx (d : Tast.directives) targets =
       in
       match ord with Tast.Ascend -> c | Tast.Descend -> -c
     in
-    List.stable_sort cmp targets
+    List.map (fun t -> (sort_key ctx d t, t)) targets
+    |> List.stable_sort cmp |> List.map snd
 
 (* --- Value rendering --- *)
 

@@ -253,9 +253,9 @@ let obag =
 
    The kernel is off exactly when no graph is frozen.  The off leg
    evaluates the site queries with the oracle, which never freezes the
-   data graph, and renders sequentially with [~refreeze:false], as a
-   delta publish does, so every path condition and template path walk
-   takes the BFS lane.  The on legs are ordinary builds, which freeze
+   data graph, and renders with the sequential generator on the live
+   site graph, as a one-domain watch cycle does, so every path
+   condition and template path walk takes the BFS lane.  The on legs are ordinary builds, which freeze
    both graphs.  The bundled site queries follow single labels only,
    so each leg also walks [*] from every root of its site graph: BFS
    in the off leg, the kernel in the on legs. *)
@@ -286,9 +286,9 @@ let unfrozen_build (def : Strudel.Site.definition) data =
     (fun (_, q) -> ignore (Oracle.run ~options ~scope ~into:site_graph data q))
     (Strudel.Site.parse_queries def);
   let roots = Strudel.Site.roots_of site_graph def.Strudel.Site.root_family in
-  let site, _ =
-    Strudel.Render_pool.materialize ~jobs:1 ~refreeze:false
-      ~templates:def.Strudel.Site.templates site_graph ~roots
+  let site =
+    Template.Generator.generate ~templates:def.Strudel.Site.templates
+      site_graph ~roots
   in
   let reach = reachable site_graph def in
   check_bool "data graph never frozen" true (Graph.snapshot data = None);
