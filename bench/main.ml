@@ -1609,14 +1609,16 @@ let e21 () =
 (* ----------------------------------------------------------------- *)
 
 (* Two legs.  Leg A drives Engine.handle in-process over every page of
-   the cnn site, cold (each page materialized on first touch) then
-   cached (the verifying-trace render cache answers) then revalidated
-   (If-None-Match → 304): the cost of click-time materialization
-   itself, no socket noise.  Leg B is the honest load test: a real TCP
-   daemon with a small admission bound, hammered by 2× max_inflight
-   concurrent closed-loop clients — the interesting numbers are the
-   shed rate and the p99 of the *admitted* requests, which the bounded
-   gate is supposed to keep flat. *)
+   the cnn site, cold (each page rendered on first touch) then cached
+   (the verifying-trace render cache answers) then revalidated
+   (If-None-Match → 304): the cost of click-time rendering itself, no
+   socket noise.  Every leg-A response is checked after its sweep: a
+   200 must carry the cold build's page, a 304 an empty body; any
+   other answer counts as mismatched and fails the run.  Leg B is the
+   honest load test: a real TCP daemon with a small admission bound,
+   hammered by 2× max_inflight concurrent closed-loop clients — the
+   interesting numbers are the shed rate and the p99 of the *admitted*
+   requests, which the bounded gate is supposed to keep flat. *)
 
 let e22 () =
   section "E22" "strudeld: serve throughput (cold/cached/304) and overload";
@@ -1627,12 +1629,20 @@ let e22 () =
       ~source:(Serve.Engine.Static (Sites.Cnn.data ~articles ()))
       Sites.Cnn.definition
   in
+  let pages = built.Strudel.Site.site.Template.Generator.pages in
   let urls =
     List.map
       (fun (p : Template.Generator.page) -> "/" ^ p.Template.Generator.url)
-      built.Strudel.Site.site.Template.Generator.pages
+      pages
+  in
+  let htmls =
+    Array.of_list
+      (List.map
+         (fun (p : Template.Generator.page) -> p.Template.Generator.html)
+         pages)
   in
   let n_pages = List.length urls in
+  let mismatched = ref 0 in
   let req path headers =
     {
       Serve.Http.meth = Serve.Http.GET;
@@ -1645,15 +1655,24 @@ let e22 () =
   in
   let sweep name headers_of =
     let lat = Array.make n_pages 0. in
+    let resps = Array.make n_pages None in
     let t0 = Unix.gettimeofday () in
     List.iteri
       (fun i url ->
         let r0 = Unix.gettimeofday () in
         let resp = Serve.Engine.handle engine (req url (headers_of url)) in
         lat.(i) <- ms (Unix.gettimeofday () -. r0);
-        ignore resp.Serve.Http.status)
+        resps.(i) <- Some resp)
       urls;
     let wall = Unix.gettimeofday () -. t0 in
+    Array.iteri
+      (fun i resp ->
+        match resp with
+        | Some { Serve.Http.status = 200; resp_body; _ }
+          when resp_body = htmls.(i) -> ()
+        | Some { Serve.Http.status = 304; resp_body = ""; _ } -> ()
+        | Some _ | None -> incr mismatched)
+      resps;
     Array.sort compare lat;
     let rps = float_of_int n_pages /. wall in
     let p50 = percentile lat 0.50 and p99 = percentile lat 0.99 in
@@ -1683,6 +1702,7 @@ let e22 () =
     Fmt.pr "  render cache: %d hits, %d misses, %d invalidations@." hits
       misses inv
   | None -> ());
+  Fmt.pr "  bodies not equal to the cold build's page: %d@." !mismatched;
   (* --- leg B: overload through the real daemon --- *)
   let workers = 4 and max_inflight = 8 in
   let clients = 2 * max_inflight in
@@ -1786,6 +1806,8 @@ let e22 () =
   Buffer.add_string buf "{\n  \"experiment\": \"E22_serve\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"site\": \"cnn\",\n  \"pages\": %d,\n" n_pages);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"mismatched\": %d,\n" !mismatched);
   Buffer.add_string buf (leg cold ^ ",\n");
   Buffer.add_string buf (leg cached ^ ",\n");
   Buffer.add_string buf (leg reval ^ ",\n");
@@ -1801,7 +1823,11 @@ let e22 () =
   let oc = open_out "BENCH_serve.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Fmt.pr "serve profile written to BENCH_serve.json@."
+  Fmt.pr "serve profile written to BENCH_serve.json@.";
+  if !mismatched > 0 then begin
+    Fmt.epr "E22: %d served bodies differ from the cold build@." !mismatched;
+    exit 1
+  end
 
 (* ----------------------------------------------------------------- *)
 (* Bechamel microbenchmarks — one Test.make per measured experiment   *)

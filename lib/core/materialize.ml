@@ -5,11 +5,12 @@
     up-front cost, minimal click latency — to {!Click_time}: precompute
     only the root(s) of the site, then compute at click time the
     queries that obtain the next page.  The site-definition query is
-    decomposed — via the site schema — into one node-expansion query
-    per Skolem family: when the user clicks to page [F(a)], the engine
-    binds [F]'s defining variables to [a] and evaluates only the link
-    clauses leaving [F].  Results are optionally cached, so a revisited
-    page costs nothing. *)
+    decomposed statically ({!Schema.Decompose}) into one block per
+    create, link and collect clause: when the user clicks to page
+    [F(a)], the engine binds [F]'s defining variables to [a] and
+    evaluates only the link and collect pieces over [F], through the
+    same row pipeline and construction stage a full build runs.
+    Results are optionally cached, so a revisited page costs nothing. *)
 
 open Sgraph
 open Struql
@@ -20,7 +21,9 @@ module Click_time = struct
     def : Site.definition;
     scope : Skolem.t;
     partial : Graph.t;  (** the lazily materialized site graph *)
-    schemas : Schema.Site_schema.t list;
+    pieces : Ast.block list;
+        (** the static decomposition of every site-definition query, in
+            query order: one block per create, link and collect clause *)
     options : Eval.options;
     mutable expanded : Oid.Set.t;
     page_cache : Render_cache.t;
@@ -32,7 +35,7 @@ module Click_time = struct
     compiled : Template.Generator.compiled;
         (** session-wide template-compilation cache *)
     mutable stats_expansions : int;
-    mutable stats_queries : int;  (** link-clause evaluations performed *)
+    mutable stats_queries : int;  (** piece evaluations performed *)
     mutable stats_peak_live : int;
         (** largest live-binding watermark any click-time query reached *)
   }
@@ -40,9 +43,8 @@ module Click_time = struct
   let binding_of_arg = function
     | Skolem.A_oid o -> Eval.B_target (Graph.N o)
     | Skolem.A_val v -> Eval.B_target (Graph.V v)
-    | Skolem.A_label l -> Eval.B_label l
 
-  (* Bind the source-term variables of a schema edge to the concrete
+  (* Bind the argument terms of a piece's Skolem term to the concrete
      arguments of the clicked node. *)
   let bind_args (terms : Ast.term list) (args : Skolem.arg list) =
     let rec go env ts as_ =
@@ -58,29 +60,44 @@ module Click_time = struct
     in
     go Eval.Env.empty terms args
 
-  (** Start a click-time session: evaluate only the CREATE clauses of
-      the root family (plus its collects), leaving all links pending. *)
-  let start ?(cache = true) ~(data : Graph.t) (def : Site.definition) : t =
-    let queries = Site.parse_queries def in
-    let scope = Skolem.create () in
-    (* the data graph is never mutated by a click-time session: one
-       freeze serves every root and expansion query *)
-    ignore (Graph.freeze data);
-    let partial = Graph.create ~name:(def.Site.name ^ "-clicktime") () in
-    let options =
-      { Eval.default_options with
-        strategy = def.Site.strategy;
-        registry = def.Site.registry }
+  (* Evaluate one piece into the partial graph as [Exec.run_block] does
+     a block: its rows with [env] pre-bound, each constructed through
+     [Eval], aggregate links folded once the last row is in. *)
+  let run_piece ?env t (b : Ast.block) =
+    t.stats_queries <- t.stats_queries + 1;
+    let needed_obj, needed_label = Eval.construction_needs b in
+    let rows, _, peak =
+      Exec.bindings_profiled ~options:t.options ?env ~needed_obj
+        ~needed_label t.data b.Ast.where
     in
-    let schemas = List.map (fun (_, q) -> Schema.Site_schema.of_query q) queries in
+    t.stats_peak_live <- max t.stats_peak_live peak;
+    let sink = { Eval.out = t.partial; scope = t.scope; emit = None } in
+    let groups = Eval.new_groups () in
+    List.iter (Eval.construct_row sink groups b) rows;
+    Eval.construct_flush sink groups
+
+  (** Start a click-time session: evaluate only the create pieces of
+      the root family, leaving all links pending. *)
+  let start ?(cache = true) ~(data : Graph.t) (def : Site.definition) : t =
+    let pieces =
+      List.concat_map
+        (fun (_, q) ->
+          List.concat_map
+            (fun (p : Schema.Decompose.piece) -> p.query.Ast.blocks)
+            (Schema.Decompose.of_query q))
+        (Site.parse_queries def)
+    in
     let t =
       {
         data;
         def;
-        scope;
-        partial;
-        schemas;
-        options;
+        scope = Skolem.create ();
+        partial = Graph.create ~name:(def.Site.name ^ "-clicktime") ();
+        pieces;
+        options =
+          { Eval.default_options with
+            strategy = def.Site.strategy;
+            registry = def.Site.registry };
         expanded = Oid.Set.empty;
         page_cache = Render_cache.create ();
         cache_pages = cache;
@@ -91,201 +108,45 @@ module Click_time = struct
       }
     in
     Render_cache.set_templates t.page_cache def.Site.templates;
-    (* materialize the root family's nodes *)
+    (* Declare every collection, then run the root family's create
+       pieces.  A page in two templated collections takes the template
+       of the collection listed first; a full build lists collections
+       in the order it fills them, clause order, and declaring them up
+       front keeps that order whichever page the session reaches
+       first. *)
     List.iter
-      (fun sch ->
+      (fun (b : Ast.block) ->
         List.iter
-          (fun (k : Schema.Site_schema.create_info) ->
-            if k.k_fn = def.Site.root_family then begin
-              t.stats_queries <- t.stats_queries + 1;
-              let rows, _, peak =
-                Exec.bindings_profiled ~options data k.k_conds
-                  ~needed_obj:
-                    (Ast.dedup
-                       (List.concat_map (Ast.term_vars []) k.k_args))
-              in
-              t.stats_peak_live <- max t.stats_peak_live peak;
-              List.iter
-                (fun env ->
-                  let args =
-                    List.map
-                      (fun term ->
-                        match term with
-                        | Ast.T_var v -> (
-                            match Eval.Env.find_opt v env with
-                            | Some (Eval.B_target (Graph.N o)) ->
-                              Skolem.A_oid o
-                            | Some (Eval.B_target (Graph.V v')) ->
-                              Skolem.A_val v'
-                            | Some (Eval.B_label l) -> Skolem.A_label l
-                            | None -> Skolem.A_val Value.Null)
-                        | Ast.T_const c -> Skolem.A_val c
-                        | Ast.T_skolem _ | Ast.T_agg _ -> Skolem.A_val Value.Null)
-                      k.k_args
-                  in
-                  let o, _ = Skolem.apply scope k.k_fn args in
-                  Graph.add_node partial o)
-                rows
-            end)
-          sch.Schema.Site_schema.creates)
-      schemas;
+          (fun (c, _) -> Graph.declare_collection t.partial c)
+          b.collect;
+        match b.create, b.link, b.collect with
+        | [ (f, _) ], [], [] when f = def.Site.root_family -> run_piece t b
+        | _ -> ())
+      pieces;
     t
 
-  let family_of t o =
-    match Skolem.term_of t.scope o with
-    | Some (f, args) -> Some (f, args)
-    | None -> None
-
-  (* Materialize the collections a node of this family belongs to. *)
-  let apply_collects t o fam =
-    List.iter
-      (fun sch ->
-        List.iter
-          (fun (c : Schema.Site_schema.collect_info) ->
-            match c.c_term with
-            | Ast.T_skolem (f, _) when f = fam ->
-              Graph.add_to_collection t.partial c.c_name o
-            | _ -> ())
-          sch.Schema.Site_schema.collects)
-      t.schemas
-
-  (** Materialize the outgoing links of one site-graph node by
-      evaluating, per schema edge leaving its family, the governing
-      conjunction with the node's defining variables bound. *)
+  (** Materialize one node's outgoing links and its collections by
+      evaluating each link piece whose source is [F(xs)] and each
+      collect piece over [F(xs)], [F] being the node's family, with
+      [xs] bound to the node's Skolem arguments. *)
   let expand t (o : Oid.t) =
     if not (Oid.Set.mem o t.expanded) then begin
       t.expanded <- Oid.Set.add o t.expanded;
       t.stats_expansions <- t.stats_expansions + 1;
-      match family_of t o with
+      match Skolem.term_of t.scope o with
       | None -> ()  (* a data object copied into the site graph *)
       | Some (fam, args) ->
-        apply_collects t o fam;
         List.iter
-          (fun sch ->
-            List.iter
-              (fun (e : Schema.Site_schema.edge) ->
-                match e.src with
-                | Schema.Site_schema.NF f when f = fam -> (
-                    match bind_args e.src_args args with
-                    | None -> ()
-                    | Some env ->
-                      t.stats_queries <- t.stats_queries + 1;
-                      let rows, _, peak =
-                        Exec.bindings_profiled ~options:t.options ~env t.data
-                          e.conds
-                          ~needed_obj:
-                            (Ast.dedup
-                               (List.concat_map (Ast.term_vars [])
-                                  (e.dst_args
-                                  @ List.concat_map
-                                      (fun lt ->
-                                        match lt with
-                                        | Ast.L_var v -> [ Ast.T_var v ]
-                                        | Ast.L_const _ -> [])
-                                      [ e.label ])))
-                      in
-                      t.stats_peak_live <- max t.stats_peak_live peak;
-                      let label_of env =
-                        match e.label with
-                        | Ast.L_const c -> Some c
-                        | Ast.L_var v -> (
-                            match Eval.Env.find_opt v env with
-                            | Some (Eval.B_label l) -> Some l
-                            | Some (Eval.B_target (Graph.V v')) ->
-                              Some (Value.to_display_string v')
-                            | _ -> None)
-                      in
-                      let plain_target env term =
-                        match term with
-                        | Ast.T_var v -> (
-                            match Eval.Env.find_opt v env with
-                            | Some (Eval.B_target tgt) -> Some tgt
-                            | Some (Eval.B_label l) ->
-                              Some (Graph.V (Value.String l))
-                            | None -> None)
-                        | Ast.T_const c -> Some (Graph.V c)
-                        | Ast.T_skolem _ | Ast.T_agg _ -> None
-                      in
-                      (match e.dst, e.dst_args with
-                       | Schema.Site_schema.NS, [ Ast.T_agg (fn, inner) ] ->
-                         (* aggregate link: group the rows by label and
-                            emit one aggregated edge per group, in
-                            first-row order, exactly as full evaluation
-                            does *)
-                         let groups = Hashtbl.create 4 in
-                         let labels = ref [] in
-                         List.iter
-                           (fun env ->
-                             match label_of env, plain_target env inner with
-                             | Some l, Some tgt ->
-                               let vals =
-                                 match Hashtbl.find_opt groups l with
-                                 | Some h -> h
-                                 | None ->
-                                   let h = Hashtbl.create 8 in
-                                   Hashtbl.add groups l h;
-                                   labels := l :: !labels;
-                                   h
-                               in
-                               Hashtbl.replace vals (Eval.target_key tgt) tgt
-                             | _ -> ())
-                           rows;
-                         List.iter
-                           (fun l ->
-                             let values =
-                               Hashtbl.fold
-                                 (fun _ v acc -> v :: acc)
-                                 (Hashtbl.find groups l) []
-                             in
-                             Graph.add_edge t.partial o l
-                               (Graph.V (Eval.aggregate fn values)))
-                           (List.rev !labels)
-                       | _ ->
-                      List.iter
-                        (fun env ->
-                          let label = label_of env in
-                          let target =
-                            match e.dst with
-                            | Schema.Site_schema.NF g_fn ->
-                              let sargs =
-                                List.map
-                                  (fun term ->
-                                    match term with
-                                    | Ast.T_var v -> (
-                                        match Eval.Env.find_opt v env with
-                                        | Some (Eval.B_target (Graph.N n)) ->
-                                          Some (Skolem.A_oid n)
-                                        | Some (Eval.B_target (Graph.V v')) ->
-                                          Some (Skolem.A_val v')
-                                        | Some (Eval.B_label l) ->
-                                          Some (Skolem.A_label l)
-                                        | None -> None)
-                                    | Ast.T_const c -> Some (Skolem.A_val c)
-                                    | Ast.T_skolem _ | Ast.T_agg _ -> None)
-                                  e.dst_args
-                              in
-                              if List.for_all Option.is_some sargs then begin
-                                let n, _ =
-                                  Skolem.apply t.scope g_fn
-                                    (List.map Option.get sargs)
-                                in
-                                Graph.add_node t.partial n;
-                                Some (Graph.N n)
-                              end
-                              else None
-                            | Schema.Site_schema.NS -> (
-                                match e.dst_args with
-                                | [ term ] -> plain_target env term
-                                | _ -> None)
-                          in
-                          match label, target with
-                          | Some l, Some tgt ->
-                            Graph.add_edge t.partial o l tgt
-                          | _ -> ())
-                        rows))
-                | _ -> ())
-              sch.Schema.Site_schema.edges)
-          t.schemas
+          (fun (b : Ast.block) ->
+            match b.link, b.collect with
+            | [ (Ast.T_skolem (f, xs), _, _) ], []
+            | [], [ (_, Ast.T_skolem (f, xs)) ]
+              when f = fam -> (
+                match bind_args xs args with
+                | Some env -> run_piece ~env t b
+                | None -> ())
+            | _ -> ())
+          t.pieces
     end
 
   type browse_error =
@@ -302,41 +163,36 @@ module Click_time = struct
     | Unknown_object name -> "unknown site object: " ^ name
     | Render_failed msg -> "page render failed: " ^ msg
 
+  (** Run a page render as a structured result: any exception but
+      [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes
+      [Render_failed], never an escape — one crashing page must not
+      take down a serving worker.  The serving engine renders through
+      this mapping too. *)
+  let guarded f =
+    match f () with
+    | r -> Ok r
+    | exception Template.Generator.Generator_error msg ->
+      Error (Render_failed msg)
+    | exception Template.Tparse.Template_error msg -> Error (Render_failed msg)
+    | exception Fault.Inject.Injected msg -> Error (Render_failed msg)
+    | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) -> raise e
+    | exception e -> Error (Render_failed (Printexc.to_string e))
+
   (** Expand the node (and, for embedded content, its immediate
-      successors) and render just that page, as a structured result: an
-      oid outside the session's site graph or a generator exception
-      becomes an [Error], never an escape — one crashing page must not
-      take down a serving worker.  [compiled] lets each caller thread of
-      control own its template-compilation cache (the session-wide one
-      is not domain-safe); [trace_reads] defaults to the session's
-      caching mode. *)
-  let render_page ?compiled ?trace_reads t (o : Oid.t) :
+      successors) and render just that page, through {!guarded}; an oid
+      outside the session's site graph is [Unknown_object]. *)
+  let render_page t (o : Oid.t) :
       (Template.Generator.rendered, browse_error) result =
     if not (Graph.mem_node t.partial o) then Error (Unknown_object (Oid.name o))
-    else begin
-      expand t o;
-      List.iter
-        (fun (_, tgt) ->
-          match tgt with Graph.N n -> expand t n | Graph.V _ -> ())
-        (Graph.out_edges t.partial o);
-      let compiled = match compiled with Some c -> c | None -> t.compiled in
-      let trace_reads =
-        match trace_reads with Some b -> b | None -> t.cache_pages
-      in
-      match
-        Template.Generator.render_page_full
-          ~templates:t.def.Site.templates ~compiled ~trace_reads t.partial o
-      with
-      | r -> Ok r
-      | exception Template.Generator.Generator_error msg ->
-        Error (Render_failed msg)
-      | exception Template.Tparse.Template_error msg ->
-        Error (Render_failed msg)
-      | exception Fault.Inject.Injected msg -> Error (Render_failed msg)
-      | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) ->
-        raise e
-      | exception e -> Error (Render_failed (Printexc.to_string e))
-    end
+    else
+      guarded (fun () ->
+          expand t o;
+          List.iter
+            (fun (_, tgt) ->
+              match tgt with Graph.N n -> expand t n | Graph.V _ -> ())
+            (Graph.out_edges t.partial o);
+          Template.Generator.render_page_full ~templates:t.def.Site.templates
+            ~compiled:t.compiled ~trace_reads:t.cache_pages t.partial o)
 
   let try_browse t (o : Oid.t) : (string, browse_error) result =
     match
@@ -362,7 +218,7 @@ module Click_time = struct
   let roots t =
     List.filter
       (fun o ->
-        match family_of t o with
+        match Skolem.term_of t.scope o with
         | Some (f, _) -> f = t.def.Site.root_family
         | None -> false)
       (Graph.nodes t.partial)

@@ -3,12 +3,27 @@
 
     {!Site.build} materializes the complete site before browsing (the
     prototype's default).  {!Click_time} precomputes only the root(s):
-    the site-definition query is decomposed through the site schema
-    into one node-expansion query per Skolem family, and when the user
-    clicks to page [F(a)] the engine binds [F]'s defining variables to
-    [a] and evaluates only the link clauses leaving [F], caching
-    rendered pages optionally.  Click-time pages are byte-identical to
-    the full build's. *)
+    the site-definition query is decomposed statically
+    ({!Schema.Decompose}) into one block per create, link and collect
+    clause, and when the user clicks to page [F(a)] the engine binds
+    [F]'s defining variables to [a] and evaluates only the link and
+    collect pieces over [F], through the row pipeline and construction
+    stage ({!Struql.Exec}, {!Struql.Eval}) a full build runs; rendered
+    pages are optionally cached.
+
+    What holds: a click-time page gets the full build's out-edges and
+    collections.  Collections are declared at {!Click_time.start} in
+    the order of their first COLLECT clause, the order a full build
+    fills them in, so a page in two templated collections takes the
+    full build's template however the session reached it.  A page's
+    bytes still differ from the full build's in three cases.  A block
+    whose link clauses give one page two or more out-edges per row
+    lists them row by row in a full build but clause by clause here,
+    since each link piece runs alone.  A template read more than two
+    edges deep reaches nodes the session has not expanded.  A family
+    whose Skolem arguments nest another Skolem term is never expanded.
+    The differential suite checks every page of the five bundled sites
+    byte for byte. *)
 
 open Sgraph
 
@@ -18,7 +33,9 @@ module Click_time : sig
     def : Site.definition;
     scope : Skolem.t;
     partial : Graph.t;  (** the lazily materialized site graph *)
-    schemas : Schema.Site_schema.t list;
+    pieces : Struql.Ast.block list;
+        (** the static decomposition of every site-definition query, in
+            query order: one block per create, link and collect clause *)
     options : Struql.Eval.options;
     mutable expanded : Oid.Set.t;
     page_cache : Render_cache.t;
@@ -28,23 +45,24 @@ module Click_time : sig
     compiled : Template.Generator.compiled;
         (** session-wide template-compilation cache *)
     mutable stats_expansions : int;
-    mutable stats_queries : int;
+    mutable stats_queries : int;  (** piece evaluations performed *)
     mutable stats_peak_live : int;
         (** largest live-binding watermark any click-time query reached
             on the streaming {!Struql.Exec} pipeline *)
   }
 
   val start : ?cache:bool -> data:Graph.t -> Site.definition -> t
-  (** Evaluate only the CREATE clauses of the root family; all links
+  (** Evaluate only the create pieces of the root family; all links
       stay pending. *)
 
   val roots : t -> Oid.t list
 
   val expand : t -> Oid.t -> unit
-  (** Materialize one node's outgoing links by evaluating, per schema
-      edge leaving its family, the governing conjunction with the
-      node's Skolem arguments bound.  Aggregate link targets are
-      grouped and folded exactly as in full evaluation.  Idempotent. *)
+  (** Materialize one node's outgoing links and its collections: each
+      link piece whose source is [F(xs)] and each collect piece over
+      [F(xs)], [F] being the node's family, runs with [xs] bound to
+      the node's Skolem arguments (a link piece re-creates the node,
+      same term and oid, and creates its target).  Idempotent. *)
 
   type browse_error =
     | Unknown_object of string
@@ -58,18 +76,18 @@ module Click_time : sig
 
   val browse_error_message : browse_error -> string
 
+  val guarded : (unit -> 'a) -> ('a, browse_error) result
+  (** Run a page render as a structured result: any exception but
+      [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes
+      [Render_failed], never an escape.  The one exception mapping the
+      click-time session and the serving engine share. *)
+
   val render_page :
-    ?compiled:Template.Generator.compiled ->
-    ?trace_reads:bool ->
-    t -> Oid.t ->
-    (Template.Generator.rendered, browse_error) result
+    t -> Oid.t -> (Template.Generator.rendered, browse_error) result
   (** Expand the node and its immediate successors, then render just
-      that page, as a structured result: an unknown oid or a generator
-      exception becomes an [Error], never an escape.  [compiled] lets a
-      caller thread of control (a serving worker domain) own its
-      template-compilation cache; [trace_reads] defaults to the
-      session's caching mode.  Does not consult or fill the page
-      cache. *)
+      that page under {!guarded}, tracing reads when the session
+      caches pages; an unknown oid is [Unknown_object].  Does not
+      consult or fill the page cache. *)
 
   val try_browse : t -> Oid.t -> (string, browse_error) result
   (** {!browse} with structured errors, through the page cache when
@@ -87,7 +105,7 @@ module Click_time : sig
 
   type stats = {
     expansions : int;
-    queries : int;        (** link-clause evaluations performed *)
+    queries : int;        (** piece evaluations performed *)
     cache_hits : int;
     cache_misses : int;
     cache_invalidations : int;

@@ -128,7 +128,7 @@ let verify ?file_loader g entry =
 (** Look up the page for object [o] (keyed by its name) and re-verify
     its trace against [g].  Counts a hit on success; a stale entry is
     removed and counted as an invalidation; an absent one as a miss. *)
-let find_valid ?file_loader c g o =
+let find_valid c g o =
   let key = Oid.name o in
   Dsan.write ~site:__POS__ c.ds_obj 0;
   Dsan.write ~site:__POS__ c.ds_obj 1;
@@ -137,7 +137,7 @@ let find_valid ?file_loader c g o =
     c.stats.misses <- c.stats.misses + 1;
     None
   | Some e ->
-    if verify ?file_loader g e then begin
+    if verify g e then begin
       c.stats.hits <- c.stats.hits + 1;
       Some e
     end

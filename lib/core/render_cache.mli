@@ -45,11 +45,10 @@ val verify :
     of its subject's name; [true] iff every read still returns the same
     result hash.  Does not touch statistics. *)
 
-val find_valid :
-  ?file_loader:(string -> string option) -> t -> Graph.t -> Oid.t ->
-  entry option
+val find_valid : t -> Graph.t -> Oid.t -> entry option
 (** Cached page for object [o] (by name), re-verified against the
-    graph.  Counts a hit; a stale entry is removed and counted as an
+    graph with no file loader (a traced file read verifies against an
+    absent file).  Counts a hit; a stale entry is removed and counted as an
     invalidation; an absent one as a miss. *)
 
 val peek_batch : t -> Oid.t array -> entry option array

@@ -285,11 +285,12 @@ let stale w =
   versions w.sources
   <> locked ~site:__POS__ ~wr:false w (fun () -> w.seen_versions)
 
-(** Re-integrate if any source changed; returns whether a rebuild
-    happened.  The new graph (and shard snapshot) is built completely
-    before the view swap, so concurrent readers holding {!pin}ned views
-    never observe a half-refreshed mix. *)
-let refresh ?jobs w =
+(* Re-integrate if any source changed and install the result as the
+   new view; returns the old and new views' graphs when it ran.  The
+   new graph (and shard snapshot) is built completely before the view
+   swap, so concurrent readers holding {!pin}ned views never observe a
+   half-refreshed mix. *)
+let reintegrate ?jobs w =
   if stale w then begin
     let jobs = match jobs with Some j -> j | None -> w.jobs in
     let old = pin w in
@@ -306,9 +307,13 @@ let refresh ?jobs w =
         w.seen_versions <- vs;
         w.refreshes <- w.refreshes + 1;
         w.last_stats <- stats);
-    true
+    Some (old.v_graph, g)
   end
-  else false
+  else None
+
+(** Re-integrate if any source changed; returns whether a rebuild
+    happened. *)
+let refresh ?jobs w = Option.is_some (reintegrate ?jobs w)
 
 (** Delta refresh ([strudel watch]'s ingest leg): re-integrate if
     stale, install the fresh graph as the new view, and return the
@@ -322,26 +327,9 @@ let refresh ?jobs w =
     apply exactly as in {!refresh} — a quarantined source serves its
     previous data, so its objects simply do not appear in the delta. *)
 let refresh_delta ?jobs w =
-  if stale w then begin
-    let jobs = match jobs with Some j -> j | None -> w.jobs in
-    let old = pin w in
-    let prev = locked ~site:__POS__ ~wr:false w (fun () -> w.seen_versions) in
-    let g, stats, scope =
-      integrate_now ~jobs ~prev ~reuse:old.v_scope w.options ~clock:w.clock
-        ~snapshots:w.snapshots ~fault:w.fault w.sources w.mappings
-    in
-    let delta = Sgraph.Delta.diff ~old:old.v_graph g in
-    let vs = versions w.sources in
-    let epoch = locked ~site:__POS__ ~wr:false w (fun () -> w.refreshes) + 1 in
-    let view = build_view w ~epoch ~source_versions:vs (g, scope) in
-    locked ~site:__POS__ ~wr:true w (fun () ->
-        w.current <- view;
-        w.seen_versions <- vs;
-        w.refreshes <- w.refreshes + 1;
-        w.last_stats <- stats);
-    Some delta
-  end
-  else None
+  Option.map
+    (fun (old, g) -> Sgraph.Delta.diff ~old g)
+    (reintegrate ?jobs w)
 
 let find_source w name =
   List.find_opt (fun s -> Source.name s = name) w.sources

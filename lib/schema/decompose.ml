@@ -11,9 +11,11 @@
     composing all pieces under a shared Skolem scope reproduces the
     original site graph exactly (tested), and any subset computes the
     corresponding fragment — the basis for evaluating parts of a site
-    on different schedules.  The {e dynamic} counterpart — binding a
-    clicked node's Skolem arguments and evaluating just its outgoing
-    link clauses — is {!Strudel.Materialize.Click_time}. *)
+    on different schedules.  The {e dynamic} use is
+    {!Strudel.Materialize.Click_time}: it evaluates these pieces one
+    clicked node at a time, the node's Skolem arguments bound, running
+    each link piece whose source is the node's family and each collect
+    piece over it. *)
 
 open Struql
 

@@ -3,8 +3,8 @@
     work — one per Skolem family's CREATE, one per link clause, one per
     collect clause.  Composing all pieces under a shared Skolem scope
     reproduces the original site graph exactly; any subset computes the
-    corresponding fragment.  The dynamic counterpart is
-    [Strudel.Materialize.Click_time]. *)
+    corresponding fragment.  [Strudel.Materialize.Click_time]
+    evaluates the pieces one clicked node at a time. *)
 
 type piece = {
   piece_name : string;  (** e.g. ["create:YearPage"], ["link:3:..."] *)

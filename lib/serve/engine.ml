@@ -9,15 +9,14 @@ type source =
   | Static of Graph.t
   | Federated of Warehouse.t
 
-(* One installed epoch: a fully expanded click-time session over an
-   immutable graph plus its route table.  After [build_epoch] returns,
-   nothing here mutates (the session's page cache is disabled and every
-   reachable node is already expanded), so worker domains read it
-   without locks; ETag memoization is the one mutable corner and takes
-   its own mutex. *)
+(* One installed epoch: the site graph a cold build of the pinned data
+   evaluates, frozen once, plus its route table.  After [build_epoch]
+   returns nothing here mutates, so worker domains read it without
+   locks; ETag memoization is the one mutable corner and takes its own
+   mutex. *)
 type epoch_state = {
   ep_epoch : int;
-  ep_ct : CT.t;
+  ep_graph : Graph.t;
   ep_routes : (string, Oid.t) Hashtbl.t;  (* page url -> page object *)
   ep_root : string;                       (* url "/" resolves to *)
   ep_etag_m : Mutex.t;
@@ -57,40 +56,35 @@ type t = {
 
 (* --- Epoch construction --- *)
 
-(* Expand every node reachable from the roots so the partial graph and
-   the session's expanded set are static afterwards: request handling
-   on worker domains then only ever reads the session. *)
-let crawl ct =
-  let visited = ref Oid.Set.empty in
+let page_url o = Generator.slug (Oid.name o) ^ ".html"
+
+(* Routes: every node reachable from the root family over node targets,
+   in breadth-first order from the roots; the first node to claim a URL
+   keeps it. *)
+let build_epoch def ~epoch data =
+  let g, _, _, _ = Strudel.Site.build_site_graph def data in
+  ignore (Graph.freeze g);
+  let roots = Strudel.Site.roots_of g def.Strudel.Site.root_family in
+  let routes = Hashtbl.create 64 in
+  let visited = Oid.Tbl.create 64 in
   let queue = Queue.create () in
-  List.iter (fun o -> Queue.add o queue) (CT.roots ct);
+  List.iter (fun o -> Queue.add o queue) roots;
   while not (Queue.is_empty queue) do
     let o = Queue.pop queue in
-    if not (Oid.Set.mem o !visited) then begin
-      visited := Oid.Set.add o !visited;
-      CT.expand ct o;
+    if not (Oid.Tbl.mem visited o) then begin
+      Oid.Tbl.add visited o ();
+      let url = page_url o in
+      if not (Hashtbl.mem routes url) then Hashtbl.add routes url o;
       List.iter
         (fun (_, tgt) ->
           match tgt with
-          | Graph.N n when not (Oid.Set.mem n !visited) -> Queue.add n queue
-          | Graph.N _ | Graph.V _ -> ())
-        (Graph.out_edges ct.CT.partial o)
+          | Graph.N n -> Queue.add n queue
+          | Graph.V _ -> ())
+        (Graph.out_edges g o)
     end
-  done
-
-let page_url o = Generator.slug (Oid.name o) ^ ".html"
-
-let build_epoch def ~epoch data =
-  let ct = CT.start ~cache:false ~data def in
-  crawl ct;
-  let routes = Hashtbl.create 64 in
-  List.iter
-    (fun o ->
-      let url = page_url o in
-      if not (Hashtbl.mem routes url) then Hashtbl.add routes url o)
-    (Graph.nodes ct.CT.partial);
-  let root = match CT.roots ct with o :: _ -> page_url o | [] -> "" in
-  { ep_epoch = epoch; ep_ct = ct; ep_routes = routes; ep_root = root;
+  done;
+  let root = match roots with o :: _ -> page_url o | [] -> "" in
+  { ep_epoch = epoch; ep_graph = g; ep_routes = routes; ep_root = root;
     ep_etag_m = Mutex.create (); ep_etags = Hashtbl.create 64;
     ds_ep_obj = Dsan.alloc ~name:"Engine.epoch";
     ds_ep_m = Dsan.lock_id ~name:"Engine.ep_etag_m" }
@@ -140,7 +134,7 @@ let create ?(clock = Fault.Clock.real) ?(cache = true) ?(workers = 8)
     ds_swap_m = Dsan.lock_id ~name:"Engine.swap_m";
   }
   in
-  (* the initial epoch's graph writes (the crawl) happen before any
+  (* the initial epoch's graph writes (its evaluation) happen before any
      worker exists, but record the publication anyway so consumers are
      ordered after them regardless of who spawned whom *)
   Dsan.publish ~site:__POS__ t.ds_current;
@@ -339,7 +333,7 @@ let cache_find t ep o =
   | Some c ->
     Mutex.lock t.cache_m;
     Dsan.acquire ~site:__POS__ t.ds_cache_m;
-    let e = Strudel.Render_cache.find_valid c ep.ep_ct.CT.partial o in
+    let e = Strudel.Render_cache.find_valid c ep.ep_graph o in
     Dsan.release ~site:__POS__ t.ds_cache_m;
     Mutex.unlock t.cache_m;
     e
@@ -360,7 +354,9 @@ let render t ep ~worker o =
   | exception Fault.Inject.Injected msg ->
     Error (CT.Render_failed ("injected fault: " ^ msg))
   | () ->
-    CT.render_page ~compiled ~trace_reads:(t.cache <> None) ep.ep_ct o
+    CT.guarded (fun () ->
+        Generator.render_page_full ~templates:t.def.Strudel.Site.templates
+          ~compiled ~trace_reads:(t.cache <> None) ep.ep_graph o)
 
 let page_response t ep req url html =
   let tag = etag_of ep url html in

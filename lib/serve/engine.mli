@@ -2,28 +2,36 @@
 
     One engine serves one site definition over either a static data
     graph or a warehousing mediator.  Per {e epoch} (one consistent
-    integration) it keeps an immutable serving state: a click-time
-    session over the pinned graph, expanded once at install time so the
-    site {e structure} is materialized per epoch while page {e HTML}
-    stays click-time — rendered on first request through the verifying
-    render cache, revalidated with ETags.
+    integration) it keeps an immutable serving state: the site graph a
+    cold build evaluates from the pinned graph
+    ({!Strudel.Site.build_site_graph}), frozen once, so the site
+    {e structure} is materialized per epoch while page {e HTML} stays
+    click-time — rendered on first request by the cold build's
+    generator through the verifying render cache, revalidated with
+    ETags.  Routes are the pages reachable from the root family, each
+    at its slug URL, the first page to claim a URL keeping it.  Served
+    bytes equal a cold build's page, except where two page names share
+    a slug: a cold build renames the second page and rewrites links to
+    it, while here those links keep the shared URL and the renamed URL
+    answers 404.
 
     A request pins the current epoch state with one atomic read and
     works against that snapshot for its whole lifetime; {!refresh}
     builds the next epoch completely off to the side (warehouse
-    refresh under snapshot isolation, then a fresh click-time session
-    and route table) and installs it with one atomic swap — no request
+    refresh under snapshot isolation, then a fresh site graph and
+    route table) and installs it with one atomic swap — no request
     ever observes a half-refreshed view.  The render cache is shared
     across epochs and keyed by page {e name} with verifying read
     traces, so a swap invalidates exactly the pages whose reads
     changed: unchanged pages keep hitting, changed ones re-render.
 
-    Render failures are structured ({!Strudel.Materialize.Click_time.render_page}):
-    a failing page answers [503] with the fault manifest as body and
-    trips its per-page circuit {!Breaker}; a quarantined source keeps
-    its last integrated data serving (the warehouse's stale-snapshot
-    policy) and is reported on [/healthz] — degradation is always
-    page- or source-scoped, never process-wide. *)
+    Render failures are structured
+    ({!Strudel.Materialize.Click_time.guarded}): a failing page answers
+    [503] with the fault manifest as body and trips its per-page
+    circuit {!Breaker}; a quarantined source keeps its last integrated
+    data serving (the warehouse's stale-snapshot policy) and is
+    reported on [/healthz] — degradation is always page- or
+    source-scoped, never process-wide. *)
 
 open Sgraph
 

@@ -476,6 +476,12 @@ let attr_value g o l =
 
 let find_coll g c = Hashtbl.find_opt g.colls c
 
+let declare_collection g c =
+  if find_coll g c = None then begin
+    Hashtbl.add g.colls c { set = Oid.Set.empty; order_rev = [] };
+    g.coll_order_rev <- c :: g.coll_order_rev
+  end
+
 let add_to_collection g c o =
   add_node g o;
   match find_coll g c with

@@ -88,6 +88,10 @@ val fold_edges : (Oid.t -> string -> target -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** {1 Collections} *)
 
+val declare_collection : t -> string -> unit
+(** Create an empty collection unless it exists, fixing its place in
+    {!collections} and so in every {!collections_of}. *)
+
 val add_to_collection : t -> string -> Oid.t -> unit
 val remove_from_collection : t -> string -> Oid.t -> unit
 val in_collection : t -> string -> Oid.t -> bool

@@ -1,15 +1,13 @@
 type arg =
   | A_oid of Oid.t
   | A_val of Value.t
-  | A_label of string
 
 (* Arguments are keyed structurally; oids by their numeric id. *)
-type key_arg = K_oid of int | K_val of Value.t | K_label of string
+type key_arg = K_oid of int | K_val of Value.t
 
 let key_of_arg = function
   | A_oid o -> K_oid (Oid.id o)
   | A_val v -> K_val v
-  | A_label l -> K_label l
 
 type t = {
   table : (string * key_arg list, Oid.t) Hashtbl.t;
@@ -34,7 +32,6 @@ let forget_reuse t = t.reuse <- None
 let arg_name = function
   | A_oid o -> Oid.name o
   | A_val v -> Value.to_display_string v
-  | A_label l -> l
 
 let term_name f args = f ^ "(" ^ String.concat "," (List.map arg_name args) ^ ")"
 

@@ -12,8 +12,7 @@ type t
 
 type arg =
   | A_oid of Oid.t
-  | A_val of Value.t
-  | A_label of string
+  | A_val of Value.t  (** a value, or a label bound to an arc variable *)
 
 val create : ?reuse:t -> unit -> t
 (** An empty scope.  With [reuse] — the scope of an earlier run of the

@@ -87,6 +87,17 @@ let collections =
         check_bool "mem" true (Graph.in_collection g "C" a);
         Alcotest.(check (list string)) "of a" [ "C"; "D" ]
           (Graph.collections_of g a));
+    t "declared collections keep their declared order" (fun () ->
+        let g, a, _, _ = mk () in
+        Graph.declare_collection g "C";
+        Graph.declare_collection g "D";
+        check_int "declared empty" 0 (Graph.collection_size g "C");
+        Graph.add_to_collection g "D" a;
+        Graph.add_to_collection g "C" a;
+        Graph.declare_collection g "C";
+        Alcotest.(check (list string)) "of a" [ "C"; "D" ]
+          (Graph.collections_of g a);
+        check_int "redeclaring keeps members" 1 (Graph.collection_size g "C"));
     t "collection duplicate add ignored" (fun () ->
         let g, a, _, _ = mk () in
         Graph.add_to_collection g "C" a;

@@ -77,6 +77,27 @@ let suite =
     t "click-time pages equal full pages (homepage)" (fun () ->
         check_bool "identical" true
           (pages_match Sites.Homepage.definition (Sites.Homepage.data ~entries:8 ())));
+    t "click-time pages equal full pages (org)" (fun () ->
+        let _, w = Sites.Org.data ~people:20 ~orgs:3 () in
+        check_bool "identical" true
+          (pages_match Sites.Org.definition (Mediator.Warehouse.graph w)));
+    t "click-time pages equal full pages (rodin)" (fun () ->
+        check_bool "identical" true
+          (pages_match Sites.Rodin.definition
+             (Sites.Rodin.data ~extra_projects:2 ())));
+    t "click-time pages equal full pages (selective collect)" (fun () ->
+        let _, def, data = Test_parallel.shape_b () in
+        check_bool "identical" true (pages_match def data);
+        (* the root's links reach x2 first, so the session fills Items
+           before Featured; x1 must still take the Featured template *)
+        let featured_last, _ =
+          Ddl.parse ~graph_name:"featured-last"
+            {|object x2 in C { featured "no" title "Two" }
+object x1 in C { featured "yes" title "One" }
+|}
+        in
+        check_bool "featured item expanded last" true
+          (pages_match def featured_last));
     t "browsing materializes only what is needed" (fun () ->
         let data = Sites.Homepage.data ~entries:40 () in
         let full = Site.build ~data Sites.Homepage.definition in

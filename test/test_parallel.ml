@@ -35,6 +35,62 @@ let sites_under_test () =
     ("rodin", Sites.Rodin.definition, Sites.Rodin.data ~extra_projects:2 ());
   ]
 
+let shape_data name =
+  fst
+    (Ddl.parse ~graph_name:name
+       {|object x1 in C { a "a1" a "a2" b "b1" featured "yes" title "One" }
+object x2 in C { a "a3" b "b2" featured "no" title "Two" }
+object x3 in C { a "a4" b "b3" title "Three" }
+object x4 in C { a "a5" b "b4" title "Four" }
+object x5 in C { a "a6" b "b5" title "Five" }
+|})
+
+(* Shape A: one block links a page to two attributes, so a cold build
+   lists P(x1)'s out-edges row by row (a1, b1, a2), not clause by
+   clause (a1, a2, b1).  No templates: the default page prints every
+   out-edge in order. *)
+let shape_a () =
+  ( "shape-a",
+    Strudel.Site.define ~name:"shape-a" ~root_family:"Root"
+      [
+        ( "site",
+          {|{ CREATE Root() }
+            { WHERE C(x), x -> "a" -> va, x -> "b" -> vb
+              CREATE P(x)
+              LINK Root() -> "item" -> P(x), P(x) -> "a" -> va,
+                   P(x) -> "b" -> vb }
+            OUTPUT A|} );
+      ],
+    shape_data "shape-a" )
+
+(* Shape B: a COLLECT with its own WHERE, placed before the block that
+   creates the pages, puts only x1's page in Featured; every other
+   page takes the Items template. *)
+let shape_b () =
+  ( "shape-b",
+    Strudel.Site.define ~name:"shape-b" ~root_family:"Root"
+      ~templates:
+        {
+          Template.Generator.by_object = [];
+          by_collection =
+            [
+              ("Featured", "<h1>Featured: <SFMT @title></h1>\n");
+              ("Items", "<p>Item: <SFMT @title></p>\n");
+            ];
+          named = [];
+        }
+      [
+        ( "site",
+          {|{ CREATE Root() }
+            { WHERE C(x), x -> "featured" -> "yes" COLLECT Featured(P(x)) }
+            { WHERE C(x), x -> "title" -> t
+              CREATE P(x)
+              LINK Root() -> "item" -> P(x), P(x) -> "title" -> t
+              COLLECT Items(P(x)) }
+            OUTPUT B|} );
+      ],
+    shape_data "shape-b" )
+
 let example_site_tests =
   List.map
     (fun (name, def, data) ->

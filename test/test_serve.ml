@@ -360,7 +360,8 @@ let engine_static_tests =
                  (fun (p : Template.Generator.page) ->
                    p.Template.Generator.html = body_of root)
                  pages))
-          (Test_parallel.sites_under_test ()));
+          (Test_parallel.sites_under_test ()
+          @ [ Test_parallel.shape_a (); Test_parallel.shape_b () ]));
     t "404, 405 and the operational endpoints" (fun () ->
         let e =
           Engine.create ~source:(Engine.Static (Sites.Paper_example.data ()))

@@ -29,11 +29,6 @@ let suite =
         let o1, _ = Skolem.apply s "F" [ Skolem.A_oid a ] in
         let o2, _ = Skolem.apply s "F" [ Skolem.A_oid b ] in
         check_bool "distinct oids distinct terms" false (Oid.equal o1 o2));
-    t "label vs string value distinct" (fun () ->
-        let s = Skolem.create () in
-        let o1, _ = Skolem.apply s "F" [ Skolem.A_label "x" ] in
-        let o2, _ = Skolem.apply s "F" [ Skolem.A_val (Value.String "x") ] in
-        check_bool "distinct kinds" false (Oid.equal o1 o2));
     t "term name readable" (fun () ->
         Alcotest.(check string) "name" "YearPage(1997)"
           (Skolem.term_name "YearPage" [ Skolem.A_val (Value.Int 1997) ]));
@@ -47,7 +42,9 @@ let suite =
            | None -> false));
     t "term_of inverse" (fun () ->
         let s = Skolem.create () in
-        let args = [ Skolem.A_val (Value.Int 7); Skolem.A_label "l" ] in
+        let args =
+          [ Skolem.A_val (Value.Int 7); Skolem.A_val (Value.String "l") ]
+        in
         let o, _ = Skolem.apply s "G" args in
         check_bool "inverse" true
           (match Skolem.term_of s o with
