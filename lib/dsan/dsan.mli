@@ -3,10 +3,10 @@
 
     An annotation-based dynamic race detector in the sanitizer style:
     the concurrent hot spots of the codebase ({!Pool}, {!Render_pool},
-    the {!Sgraph.Graph} double-checked freeze, the {!Sgraph.Sym}
-    interner, the warehouse view swap, the serving layer) carry
-    explicit instrumentation points, and when the sanitizer is enabled
-    every instrumented memory access is checked against a
+    the {!Sgraph.Graph} double-checked freeze, the warehouse view
+    swap, the serving layer) carry explicit instrumentation points,
+    and when the sanitizer is enabled every instrumented memory access
+    is checked against a
     FastTrack-flavoured vector-clock happens-before relation: two
     accesses to the same (object, field) location, at least one a
     write, from different domains, neither ordered before the other by

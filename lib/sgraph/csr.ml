@@ -19,13 +19,11 @@ type t = {
   stats : kstats;
   n_nodes : int;
   node_ids : Oid.t array;
-  idx_of_node : (int, int) Hashtbl.t;
+  idx_of_node : int Oid.Tbl.t;
   n_values : int;
   values : Value.t array;
   n_labels : int;
-  label_syms : int array;
   label_names : string array;
-  local_of_sym : (int, int) Hashtbl.t;
   local_of_label : (string, int) Hashtbl.t;
   fwd_off : int array;
   fwd_lab : int array;
@@ -50,7 +48,7 @@ let fresh_uid () =
   Mutex.unlock uid_lock;
   u
 
-let node_index s o = Hashtbl.find_opt s.idx_of_node (Oid.id o)
+let node_index s o = Oid.Tbl.find_opt s.idx_of_node o
 let label_local s l = Hashtbl.find_opt s.local_of_label l
 
 let tcode_is_node s tc = tc < s.n_nodes

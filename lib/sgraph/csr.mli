@@ -4,9 +4,8 @@
     generation: nodes are renumbered [0..n_nodes-1] in {!Graph.nodes}
     order, atomic values are interned per snapshot as
     [n_nodes..n_nodes+n_values-1] in first-appearance order, and labels
-    get a dense {e local} index in first-seen order alongside their
-    global {!Sym} symbol.  Edge targets are {e tcodes} drawn from that
-    combined space.
+    keep the graph's own dense index, in first-seen order.  Edge
+    targets are {e tcodes} drawn from that combined space.
 
     The snapshot carries
 
@@ -54,13 +53,11 @@ type t = {
   stats : kstats;
   n_nodes : int;
   node_ids : Oid.t array;              (** index → oid, {!Graph.nodes} order *)
-  idx_of_node : (int, int) Hashtbl.t;  (** oid id → index *)
+  idx_of_node : int Oid.Tbl.t;         (** oid → index *)
   n_values : int;
   values : Value.t array;              (** value tcode - n_nodes → value *)
   n_labels : int;
-  label_syms : int array;              (** local label → global {!Sym} symbol *)
   label_names : string array;          (** local label → label string *)
-  local_of_sym : (int, int) Hashtbl.t;
   local_of_label : (string, int) Hashtbl.t;
   fwd_off : int array;                 (** length [n_nodes + 1] *)
   fwd_lab : int array;                 (** per edge: local label *)

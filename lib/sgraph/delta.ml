@@ -150,15 +150,16 @@ let same_relative_order ~mem kept now =
 let diff ~old g =
   let d = ref empty in
   let add f = d := f !d in
-  let old_nodes = Graph.node_set old and new_nodes = Graph.node_set g in
-  Oid.Set.iter
+  let by_id g = List.sort Oid.compare (Graph.nodes g) in
+  let old_nodes = by_id old and new_nodes = by_id g in
+  List.iter
     (fun o ->
-      if not (Oid.Set.mem o old_nodes) then
+      if not (Graph.mem_node old o) then
         add (fun d -> { d with nodes_added = o :: d.nodes_added }))
     new_nodes;
-  Oid.Set.iter
+  List.iter
     (fun o ->
-      if not (Oid.Set.mem o new_nodes) then begin
+      if not (Graph.mem_node g o) then begin
         add (fun d -> { d with nodes_removed = o :: d.nodes_removed });
         List.iter
           (fun (l, tgt) ->
@@ -172,9 +173,9 @@ let diff ~old g =
   let same_edge (l, t) (l', t') =
     String.equal l l' && Graph.target_equal t t'
   in
-  Oid.Set.iter
+  List.iter
     (fun o ->
-      if Oid.Set.mem o old_nodes then begin
+      if Graph.mem_node old o then begin
         let oe = Graph.out_edges old o and ne = Graph.out_edges g o in
         if not (List.equal same_edge oe ne) then begin
           let oset = Hashtbl.create 8 and nset = Hashtbl.create 8 in

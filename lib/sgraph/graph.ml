@@ -23,28 +23,114 @@ type tkey = Knode of int | Kval of Value.t
 
 let tkey = function N o -> Knode (Oid.id o) | V v -> Kval v
 
-type coll = { mutable set : Oid.Set.t; mutable order_rev : Oid.t list }
+module Stbl = Hashtbl.Make (String)
+
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Hashtbl.hash
+end)
+
+(* --- storage ---
+
+   Everything lives in dense per-graph slots.  A node has a slot, in
+   insertion order; a label and a collection have an id, in first-seen
+   order; an atomic value has an id while some live edge points at it.
+   Edges form one log in insertion order, and every bucket (out-edges,
+   label extents, value index, incoming edges) is a vector of edge ids
+   in that order.  Removing an edge marks it dead in the log and leaves
+   its ids in the buckets as tombstones; a bucket is swept once its dead
+   entries outnumber its live ones, and the whole graph is compacted
+   (slots and edge ids renumbered, in order) once removed nodes and
+   edges outnumber live ones.  Both keep order and cost O(1) amortized
+   per removal. *)
+
+(* An append-only int vector whose entries die in place: only its owner
+   can tell a dead entry, and [dead] counts them. *)
+type vec = { mutable a : int array; mutable n : int; mutable dead : int }
+
+let vec () = { a = [||]; n = 0; dead = 0 }
+
+(* Shared placeholders, never pushed to: [nil] is an empty bucket not
+   yet allocated, [gone] marks the out-bucket of a removed node's slot. *)
+let nil = vec ()
+let gone = vec ()
+
+let push v x =
+  if v.n = Array.length v.a then begin
+    let a = Array.make (max 2 (2 * v.n)) 0 in
+    Array.blit v.a 0 a 0 v.n;
+    v.a <- a
+  end;
+  v.a.(v.n) <- x;
+  v.n <- v.n + 1
+
+let own buckets i =
+  let v = buckets.(i) in
+  if v == nil then begin
+    let v = vec () in
+    buckets.(i) <- v;
+    v
+  end
+  else v
+
+let shrink v =
+  if Array.length v.a > 4 * (v.n + 1) then v.a <- Array.sub v.a 0 (2 * v.n)
+
+(* Keep the entries [keep] maps to a non-negative replacement, in order. *)
+let sweep v keep =
+  let j = ref 0 in
+  for i = 0 to v.n - 1 do
+    let x = keep v.a.(i) in
+    if x >= 0 then begin
+      v.a.(!j) <- x;
+      incr j
+    end
+  done;
+  v.n <- !j;
+  v.dead <- 0;
+  shrink v
+
+(* A node's place in one collection: a member-vector entry is live
+   exactly when its node holds the membership with that position. *)
+type mem = { cid : int; mutable pos : int }
 
 type t = {
   gname : string;
   use_index : bool;
-  mutable nodes : Oid.Set.t;
-  mutable node_order_rev : Oid.t list;
-  out_tbl : (string * target) list ref Oid.Tbl.t;  (* reversed order *)
-  edge_set : (int * string * tkey, int) Hashtbl.t;
-      (* edge -> its insertion sequence (a re-added edge counts anew) *)
-  mutable edge_seq : int;
-  colls : (string, coll) Hashtbl.t;
-  mutable coll_order_rev : string list;
-  names : (string, Oid.t) Hashtbl.t;
-  (* indexes, maintained only when [use_index]; buckets are ordered bags
-     so [remove_edge] is O(1) per bucket instead of a re-filter *)
-  label_idx : (string, (int * tkey, Oid.t * target) Obag.t) Hashtbl.t;
-  value_idx : (Value.t, (int * string, Oid.t * string) Obag.t) Hashtbl.t;
-  in_idx : (int * string, Oid.t * string) Obag.t Oid.Tbl.t;
-  mutable label_order_rev : string list;  (* labels in first-seen order *)
-  label_seen : (string, unit) Hashtbl.t;
+  slot : int Oid.Tbl.t;  (* live nodes only *)
+  mutable s_oid : Oid.t array;
+  mutable s_out : vec array;  (* edge ids; [gone] for a removed node *)
+  mutable s_in : vec array;  (* incoming edge ids, when indexed *)
+  mutable s_coll : mem list array;
+  mutable n_slots : int;
+  mutable n_nodes : int;
+  names : Oid.t Stbl.t;
+  label_id : int Stbl.t;
+  mutable l_name : string array;
+  mutable l_ext : vec array;  (* edge ids, when indexed *)
+  mutable n_labels : int;
+  value_id : int Vtbl.t;
+  mutable v_val : Value.t array;
+  mutable v_in : vec array;  (* edge ids, when indexed *)
+  mutable v_refs : int array;  (* live edges pointing at the value *)
+  mutable v_free : int list;
+  mutable n_values : int;
+  (* the edge log; an edge's target key [tk] is [slot lsl 1] for a node
+     and [(value id lsl 1) lor 1] for a value; [e_lab] is -1 once dead *)
+  mutable e_src : int array;
+  mutable e_lab : int array;
+  mutable e_tk : int array;
+  mutable e_tgt : target array;
+  mutable e_next : int array;  (* edge-set chain *)
+  mutable n_log : int;
   mutable n_edges : int;
+  mutable heads : int array;  (* edge set: live edges chained by key hash *)
+  coll_id : int Stbl.t;
+  mutable c_name : string array;
+  mutable c_mem : vec array;  (* member slots *)
+  mutable n_colls : int;
   (* kernel snapshot: bumped by every mutation the CSR reflects *)
   mutable generation : int;
   mutable frozen : Csr.t option;
@@ -60,24 +146,42 @@ type t = {
   dsan_freeze_lock : int;
 }
 
+let no_target = V Value.Null
+
 let create ?(indexed = true) ?(name = "g") () =
   {
     gname = name;
     use_index = indexed;
-    nodes = Oid.Set.empty;
-    node_order_rev = [];
-    out_tbl = Oid.Tbl.create 64;
-    edge_set = Hashtbl.create 128;
-    edge_seq = 0;
-    colls = Hashtbl.create 8;
-    coll_order_rev = [];
-    names = Hashtbl.create 64;
-    label_idx = Hashtbl.create 32;
-    value_idx = Hashtbl.create 128;
-    in_idx = Oid.Tbl.create 64;
-    label_order_rev = [];
-    label_seen = Hashtbl.create 32;
+    slot = Oid.Tbl.create 64;
+    s_oid = [||];
+    s_out = [||];
+    s_in = [||];
+    s_coll = [||];
+    n_slots = 0;
+    n_nodes = 0;
+    names = Stbl.create 64;
+    label_id = Stbl.create 16;
+    l_name = [||];
+    l_ext = [||];
+    n_labels = 0;
+    value_id = Vtbl.create 64;
+    v_val = [||];
+    v_in = [||];
+    v_refs = [||];
+    v_free = [];
+    n_values = 0;
+    e_src = [||];
+    e_lab = [||];
+    e_tk = [||];
+    e_tgt = [||];
+    e_next = [||];
+    n_log = 0;
     n_edges = 0;
+    heads = Array.make 16 (-1);
+    coll_id = Stbl.create 8;
+    c_name = [||];
+    c_mem = [||];
+    n_colls = 0;
     generation = 0;
     frozen = None;
     kstats = Csr.kstats_create ();
@@ -90,192 +194,455 @@ let create ?(indexed = true) ?(name = "g") () =
 let name g = g.gname
 let indexed g = g.use_index
 let generation g = g.generation
+
+(* Every mutation the snapshot reflects comes through here; it also lets
+   go of the snapshot, which no reader can be handed any more. *)
 let touch g =
   Dsan.write ~site:__POS__ g.dsan_obj 0;
-  g.generation <- g.generation + 1
+  g.generation <- g.generation + 1;
+  match g.frozen with Some _ -> g.frozen <- None | None -> ()
 
-let add_node g o =
-  if not (Oid.Set.mem o g.nodes) then begin
-    touch g;
-    g.nodes <- Oid.Set.add o g.nodes;
-    g.node_order_rev <- o :: g.node_order_rev;
-    if not (Hashtbl.mem g.names (Oid.name o)) then
-      Hashtbl.add g.names (Oid.name o) o
-  end
+let grow a n fill =
+  let b = Array.make (max 8 (2 * n)) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* --- nodes --- *)
+
+let slot_find g o =
+  match Oid.Tbl.find_opt g.slot o with Some s -> s | None -> -1
+
+let add_slot g o =
+  touch g;
+  let s = g.n_slots in
+  if s = Array.length g.s_oid then begin
+    g.s_oid <- grow g.s_oid s o;
+    g.s_out <- grow g.s_out s nil;
+    g.s_in <- grow g.s_in s nil;
+    g.s_coll <- grow g.s_coll s []
+  end;
+  g.s_oid.(s) <- o;
+  g.n_slots <- s + 1;
+  g.n_nodes <- g.n_nodes + 1;
+  Oid.Tbl.add g.slot o s;
+  if not (Stbl.mem g.names (Oid.name o)) then Stbl.add g.names (Oid.name o) o;
+  s
+
+let slot_of g o =
+  match Oid.Tbl.find_opt g.slot o with Some s -> s | None -> add_slot g o
+
+let add_node g o = ignore (slot_of g o)
 
 let new_node g hint =
   let o = Oid.fresh hint in
   add_node g o;
   o
 
-let mem_node g o = Oid.Set.mem o g.nodes
-let nodes g = List.rev g.node_order_rev
-let node_set g = g.nodes
-let node_count g = Oid.Set.cardinal g.nodes
-let find_node g n = Hashtbl.find_opt g.names n
+let mem_node g o = Oid.Tbl.mem g.slot o
 
-let note_label g l =
-  if not (Hashtbl.mem g.label_seen l) then begin
-    Hashtbl.add g.label_seen l ();
-    g.label_order_rev <- l :: g.label_order_rev
+let nodes g =
+  let acc = ref [] in
+  for s = g.n_slots - 1 downto 0 do
+    if g.s_out.(s) != gone then acc := g.s_oid.(s) :: !acc
+  done;
+  !acc
+
+let node_count g = g.n_nodes
+let find_node g n = Stbl.find_opt g.names n
+
+(* --- labels and values --- *)
+
+let label_find g l =
+  match Stbl.find_opt g.label_id l with Some i -> i | None -> -1
+
+let label_of g l =
+  match Stbl.find_opt g.label_id l with
+  | Some i -> i
+  | None ->
+    let i = g.n_labels in
+    if i = Array.length g.l_name then begin
+      g.l_name <- grow g.l_name i l;
+      g.l_ext <- grow g.l_ext i nil
+    end;
+    g.l_name.(i) <- l;
+    g.n_labels <- i + 1;
+    Stbl.add g.label_id l i;
+    i
+
+let value_of g v =
+  match Vtbl.find_opt g.value_id v with
+  | Some i -> i
+  | None ->
+    let i =
+      match g.v_free with
+      | i :: rest ->
+        g.v_free <- rest;
+        i
+      | [] ->
+        let i = g.n_values in
+        if i = Array.length g.v_val then begin
+          g.v_val <- grow g.v_val i v;
+          g.v_in <- grow g.v_in i nil;
+          g.v_refs <- grow g.v_refs i 0
+        end;
+        g.n_values <- i + 1;
+        i
+    in
+    g.v_val.(i) <- v;
+    Vtbl.add g.value_id v i;
+    i
+
+(* A value no live edge points at any more gives up its id. *)
+let release_value g i =
+  g.v_refs.(i) <- g.v_refs.(i) - 1;
+  if g.v_refs.(i) = 0 then begin
+    Vtbl.remove g.value_id g.v_val.(i);
+    g.v_val.(i) <- Value.Null;
+    g.v_in.(i) <- nil;
+    g.v_free <- i :: g.v_free
   end
 
-let bag_push tbl key k v =
-  match Hashtbl.find_opt tbl key with
-  | Some b -> Obag.add b k v
-  | None ->
-    let b = Obag.create () in
-    Obag.add b k v;
-    Hashtbl.add tbl key b
+(* The target key of an object, without adding it ([-1]: unknown). *)
+let tk_find g = function
+  | N o ->
+    let s = slot_find g o in
+    if s < 0 then -1 else s lsl 1
+  | V v -> (
+      match Vtbl.find_opt g.value_id v with
+      | Some i -> (i lsl 1) lor 1
+      | None -> -1)
 
-let bag_remove tbl key k =
-  match Hashtbl.find_opt tbl key with
-  | Some b -> Obag.remove b k
-  | None -> ()
+let tk_of g = function
+  | N o -> slot_of g o lsl 1
+  | V v -> (value_of g v lsl 1) lor 1
 
-let has_edge g src l tgt = Hashtbl.mem g.edge_set (Oid.id src, l, tkey tgt)
+(* --- edges --- *)
+
+let hash s lab tk =
+  let h = (s * 0x2f0b3a49) + (lab * 0x1b873593) + (tk * 0x5bd1e995) in
+  h lxor (h lsr 23)
+
+let head g s lab tk = hash s lab tk land (Array.length g.heads - 1)
+
+let find_edge g s lab tk =
+  let rec go e =
+    if e < 0 then -1
+    else if g.e_src.(e) = s && g.e_lab.(e) = lab && g.e_tk.(e) = tk then e
+    else go g.e_next.(e)
+  in
+  go g.heads.(head g s lab tk)
+
+let chain g e =
+  let h = head g g.e_src.(e) g.e_lab.(e) g.e_tk.(e) in
+  g.e_next.(e) <- g.heads.(h);
+  g.heads.(h) <- e
+
+let rehash g size =
+  g.heads <- Array.make size (-1);
+  for e = 0 to g.n_log - 1 do
+    if g.e_lab.(e) >= 0 then chain g e
+  done
+
+let edge_id g src l tgt =
+  let s = slot_find g src and lab = label_find g l and tk = tk_find g tgt in
+  if s < 0 || lab < 0 || tk < 0 then -1 else find_edge g s lab tk
+
+let has_edge g src l tgt = edge_id g src l tgt >= 0
+
+let link_edge g s lab tk tgt =
+  touch g;
+  let e = g.n_log in
+  if e = Array.length g.e_src then begin
+    g.e_src <- grow g.e_src e 0;
+    g.e_lab <- grow g.e_lab e 0;
+    g.e_tk <- grow g.e_tk e 0;
+    g.e_tgt <- grow g.e_tgt e no_target;
+    g.e_next <- grow g.e_next e 0
+  end;
+  g.e_src.(e) <- s;
+  g.e_lab.(e) <- lab;
+  g.e_tk.(e) <- tk;
+  g.e_tgt.(e) <- tgt;
+  g.n_log <- e + 1;
+  g.n_edges <- g.n_edges + 1;
+  if g.n_edges > Array.length g.heads then rehash g (2 * Array.length g.heads)
+  else chain g e;
+  push (own g.s_out s) e;
+  let value = tk land 1 = 1 in
+  if value then g.v_refs.(tk lsr 1) <- g.v_refs.(tk lsr 1) + 1;
+  if g.use_index then begin
+    push (own g.l_ext lab) e;
+    push (if value then own g.v_in (tk lsr 1) else own g.s_in (tk lsr 1)) e
+  end
+
+(* [s] and [lab] already resolved: the source is a node of [g]. *)
+let add_edge_at g s lab tgt =
+  let tk = tk_of g tgt in
+  if find_edge g s lab tk < 0 then link_edge g s lab tk tgt
 
 let add_edge g src l tgt =
-  if not (has_edge g src l tgt) then begin
-    add_node g src;
-    (match tgt with N o -> add_node g o | V _ -> ());
-    touch g;
-    Hashtbl.replace g.edge_set (Oid.id src, l, tkey tgt) g.edge_seq;
-    g.edge_seq <- g.edge_seq + 1;
-    (match Oid.Tbl.find_opt g.out_tbl src with
-     | Some r -> r := (l, tgt) :: !r
-     | None -> Oid.Tbl.add g.out_tbl src (ref [ (l, tgt) ]));
-    note_label g l;
-    g.n_edges <- g.n_edges + 1;
-    if g.use_index then begin
-      bag_push g.label_idx l (Oid.id src, tkey tgt) (src, tgt);
-      match tgt with
-      | V v -> bag_push g.value_idx v (Oid.id src, l) (src, l)
-      | N o ->
-        (match Oid.Tbl.find_opt g.in_idx o with
-         | Some b -> Obag.add b (Oid.id src, l) (src, l)
-         | None ->
-           let b = Obag.create () in
-           Obag.add b (Oid.id src, l) (src, l);
-           Oid.Tbl.add g.in_idx o b)
-    end
+  let s = slot_of g src in
+  add_edge_at g s (label_of g l) tgt
+
+let live_edge g e = if g.e_lab.(e) >= 0 then e else -1
+
+let drop g v =
+  v.dead <- v.dead + 1;
+  if 2 * v.dead > v.n then sweep v (live_edge g)
+
+let unchain g e =
+  let h = head g g.e_src.(e) g.e_lab.(e) g.e_tk.(e) in
+  if g.heads.(h) = e then g.heads.(h) <- g.e_next.(e)
+  else begin
+    let rec go p =
+      let q = g.e_next.(p) in
+      if q = e then g.e_next.(p) <- g.e_next.(e) else go q
+    in
+    go g.heads.(h)
   end
 
-let remove_assoc_edge r pred = r := List.filter (fun e -> not (pred e)) !r
+let kill_edge g e =
+  touch g;
+  unchain g e;
+  let s = g.e_src.(e) and lab = g.e_lab.(e) and tk = g.e_tk.(e) in
+  g.e_lab.(e) <- -1;
+  g.e_tgt.(e) <- no_target;
+  g.n_edges <- g.n_edges - 1;
+  drop g g.s_out.(s);
+  let value = tk land 1 = 1 in
+  if g.use_index then begin
+    drop g g.l_ext.(lab);
+    drop g (if value then g.v_in.(tk lsr 1) else g.s_in.(tk lsr 1))
+  end;
+  if value then release_value g (tk lsr 1)
+
+let live_ids g v =
+  let acc = ref [] in
+  for i = v.n - 1 downto 0 do
+    let e = v.a.(i) in
+    if g.e_lab.(e) >= 0 then acc := e :: !acc
+  done;
+  !acc
+
+let membership g s cid = List.find_opt (fun m -> m.cid = cid) g.s_coll.(s)
+
+(* Drop a collection's dead member entries, in order, mapping each
+   survivor's slot through [slot].  A node's live entry is its last one
+   in the vector, so its membership can move as soon as it is found. *)
+let sweep_members g cid slot =
+  let v = g.c_mem.(cid) in
+  let j = ref 0 in
+  for i = 0 to v.n - 1 do
+    let s = v.a.(i) in
+    match membership g s cid with
+    | Some m when m.pos = i ->
+      m.pos <- !j;
+      v.a.(!j) <- slot s;
+      incr j
+    | _ -> ()
+  done;
+  v.n <- !j;
+  v.dead <- 0;
+  shrink v
+
+(* Renumber slots and edge ids over the live ones, in order, sweeping
+   every bucket on the way. *)
+let compact g =
+  let snew = Array.make g.n_slots (-1) in
+  let k = ref 0 in
+  for s = 0 to g.n_slots - 1 do
+    if g.s_out.(s) != gone then begin
+      snew.(s) <- !k;
+      incr k
+    end
+  done;
+  for c = 0 to g.n_colls - 1 do
+    sweep_members g c (fun s -> snew.(s))
+  done;
+  let enew = Array.make g.n_log (-1) in
+  let m = ref 0 in
+  for e = 0 to g.n_log - 1 do
+    if g.e_lab.(e) >= 0 then begin
+      let e' = !m in
+      enew.(e) <- e';
+      let tk = g.e_tk.(e) in
+      g.e_src.(e') <- snew.(g.e_src.(e));
+      g.e_lab.(e') <- g.e_lab.(e);
+      g.e_tk.(e') <- (if tk land 1 = 1 then tk else snew.(tk lsr 1) lsl 1);
+      g.e_tgt.(e') <- g.e_tgt.(e);
+      incr m
+    end
+  done;
+  Array.fill g.e_tgt !m (g.n_log - !m) no_target;
+  g.n_log <- !m;
+  let remap v = if v != nil && v != gone then sweep v (fun e -> enew.(e)) in
+  for s = 0 to g.n_slots - 1 do
+    let s' = snew.(s) in
+    if s' >= 0 then begin
+      remap g.s_out.(s);
+      remap g.s_in.(s);
+      if s' < s then begin
+        g.s_oid.(s') <- g.s_oid.(s);
+        g.s_out.(s') <- g.s_out.(s);
+        g.s_in.(s') <- g.s_in.(s);
+        g.s_coll.(s') <- g.s_coll.(s);
+        Oid.Tbl.replace g.slot g.s_oid.(s') s'
+      end
+    end
+  done;
+  let dead = g.n_slots - !k in
+  Array.fill g.s_out !k dead nil;
+  Array.fill g.s_in !k dead nil;
+  Array.fill g.s_coll !k dead [];
+  g.n_slots <- !k;
+  for i = 0 to g.n_labels - 1 do
+    remap g.l_ext.(i)
+  done;
+  for i = 0 to g.n_values - 1 do
+    remap g.v_in.(i)
+  done;
+  rehash g (Array.length g.heads)
+
+let maybe_compact g =
+  let garbage = g.n_log - g.n_edges + (g.n_slots - g.n_nodes) in
+  if garbage > g.n_edges + g.n_nodes then compact g
 
 let remove_edge g src l tgt =
-  if has_edge g src l tgt then begin
-    touch g;
-    Hashtbl.remove g.edge_set (Oid.id src, l, tkey tgt);
-    (match Oid.Tbl.find_opt g.out_tbl src with
-     | Some r ->
-       remove_assoc_edge r (fun (l', t') -> l' = l && target_equal t' tgt)
-     | None -> ());
-    g.n_edges <- g.n_edges - 1;
-    if g.use_index then begin
-      bag_remove g.label_idx l (Oid.id src, tkey tgt);
-      match tgt with
-      | V v -> bag_remove g.value_idx v (Oid.id src, l)
-      | N o ->
-        (match Oid.Tbl.find_opt g.in_idx o with
-         | Some b -> Obag.remove b (Oid.id src, l)
-         | None -> ())
-    end
+  let e = edge_id g src l tgt in
+  if e >= 0 then begin
+    kill_edge g e;
+    maybe_compact g
   end
 
 let edge_count g = g.n_edges
 
 let out_edges g o =
-  match Oid.Tbl.find_opt g.out_tbl o with
-  | Some r -> List.rev !r
-  | None -> []
+  let s = slot_find g o in
+  if s < 0 then []
+  else begin
+    let v = g.s_out.(s) and acc = ref [] in
+    for i = v.n - 1 downto 0 do
+      let e = v.a.(i) in
+      let lab = g.e_lab.(e) in
+      if lab >= 0 then acc := (g.l_name.(lab), g.e_tgt.(e)) :: !acc
+    done;
+    !acc
+  end
 
 let iter_edges f g =
-  List.iter
-    (fun src -> List.iter (fun (l, tgt) -> f src l tgt) (out_edges g src))
-    (nodes g)
+  for s = 0 to g.n_slots - 1 do
+    let v = g.s_out.(s) in
+    if v != gone then
+      for i = 0 to v.n - 1 do
+        let e = v.a.(i) in
+        let lab = g.e_lab.(e) in
+        if lab >= 0 then f g.s_oid.(s) g.l_name.(lab) g.e_tgt.(e)
+      done
+  done
 
 let fold_edges f g init =
-  List.fold_left
-    (fun acc src ->
-      List.fold_left (fun acc (l, tgt) -> f src l tgt acc) acc (out_edges g src))
-    init (nodes g)
+  let acc = ref init in
+  iter_edges (fun src l tgt -> acc := f src l tgt !acc) g;
+  !acc
 
-(* Every index bucket appends on insertion, so the live edges sorted by
-   insertion sequence list each bucket in its own order. *)
 let iter_edges_inserted f g =
-  fold_edges
-    (fun src l tgt acc ->
-      (Hashtbl.find g.edge_set (Oid.id src, l, tkey tgt), src, l, tgt) :: acc)
-    g []
-  |> List.sort (fun (x, _, _, _) (y, _, _, _) -> Int.compare x y)
-  |> List.iter (fun (_, src, l, tgt) -> f src l tgt)
+  for e = 0 to g.n_log - 1 do
+    let lab = g.e_lab.(e) in
+    if lab >= 0 then f g.s_oid.(g.e_src.(e)) g.l_name.(lab) g.e_tgt.(e)
+  done
+
+(* The edges of a bucket, or of the log when [keep] picks them, in
+   insertion order. *)
+let of_bucket g v f =
+  let acc = ref [] in
+  for i = v.n - 1 downto 0 do
+    let e = v.a.(i) in
+    if g.e_lab.(e) >= 0 then acc := f e :: !acc
+  done;
+  !acc
+
+let of_log g keep f =
+  let acc = ref [] in
+  for e = g.n_log - 1 downto 0 do
+    if g.e_lab.(e) >= 0 && keep e then acc := f e :: !acc
+  done;
+  !acc
+
+let src_label g e = (g.s_oid.(g.e_src.(e)), g.l_name.(g.e_lab.(e)))
 
 let in_edges g tgt =
-  if g.use_index then
-    match tgt with
-    | N o ->
-      (match Oid.Tbl.find_opt g.in_idx o with
-       | Some b -> Obag.to_list b
-       | None -> [])
-    | V v ->
-      (match Hashtbl.find_opt g.value_idx v with
-       | Some b -> Obag.to_list b
-       | None -> [])
-  else
-    fold_edges
-      (fun src l t acc -> if target_equal t tgt then (src, l) :: acc else acc)
-      g []
-    |> List.rev
+  let tk = tk_find g tgt in
+  if tk < 0 then []
+  else if g.use_index then
+    let v = if tk land 1 = 1 then g.v_in.(tk lsr 1) else g.s_in.(tk lsr 1) in
+    of_bucket g v (src_label g)
+  else of_log g (fun e -> g.e_tk.(e) = tk) (src_label g)
 
 (* --- kernel snapshot --- *)
 
-let labels g = List.rev g.label_order_rev
+let labels g = Array.to_list (Array.sub g.l_name 0 g.n_labels)
 
 let build_csr g : Csr.t =
-  let node_ids = Array.of_list (nodes g) in
-  let nn = Array.length node_ids in
-  let idx_of_node = Hashtbl.create (max 16 (2 * nn)) in
-  Array.iteri (fun i o -> Hashtbl.replace idx_of_node (Oid.id o) i) node_ids;
-  let label_names = Array.of_list (labels g) in
-  let nl = Array.length label_names in
-  let label_syms = Array.map Sym.intern label_names in
-  let local_of_sym = Hashtbl.create (2 * nl + 1) in
+  let nn = g.n_nodes in
+  (* node index of every slot: the slot itself unless removed nodes
+     await compaction *)
+  let idx = Array.make g.n_slots (-1) in
+  let node_ids = if nn = 0 then [||] else Array.make nn g.s_oid.(0) in
+  let i = ref 0 in
+  for s = 0 to g.n_slots - 1 do
+    if g.s_out.(s) != gone then begin
+      idx.(s) <- !i;
+      node_ids.(!i) <- g.s_oid.(s);
+      incr i
+    end
+  done;
+  let idx_of_node =
+    if nn = g.n_slots then Oid.Tbl.copy g.slot
+    else begin
+      let t = Oid.Tbl.create (max 16 nn) in
+      Array.iteri (fun i o -> Oid.Tbl.replace t o i) node_ids;
+      t
+    end
+  in
+  let nl = g.n_labels in
+  let label_names = Array.sub g.l_name 0 nl in
   let local_of_label = Hashtbl.create (2 * nl + 1) in
-  Array.iteri (fun li s -> Hashtbl.replace local_of_sym s li) label_syms;
   Array.iteri (fun li l -> Hashtbl.replace local_of_label l li) label_names;
   let ne = g.n_edges in
   let fwd_off = Array.make (nn + 1) 0 in
   let fwd_lab = Array.make (max 1 ne) 0 in
   let fwd_tgt = Array.make (max 1 ne) 0 in
   (* values interned per snapshot in first-appearance order *)
-  let val_tbl = Hashtbl.create 256 in
+  let vcode = Array.make g.n_values (-1) in
   let vals_rev = ref [] in
   let nv = ref 0 in
-  let vcode v =
-    match Hashtbl.find_opt val_tbl v with
-    | Some c -> c
-    | None ->
-      let c = nn + !nv in
-      incr nv;
-      vals_rev := v :: !vals_rev;
-      Hashtbl.add val_tbl v c;
-      c
-  in
   let e = ref 0 in
-  Array.iteri
-    (fun i o ->
-      fwd_off.(i) <- !e;
-      List.iter
-        (fun (l, tgt) ->
-          fwd_lab.(!e) <- Hashtbl.find local_of_label l;
+  for s = 0 to g.n_slots - 1 do
+    let v = g.s_out.(s) in
+    if v != gone then begin
+      fwd_off.(idx.(s)) <- !e;
+      for k = 0 to v.n - 1 do
+        let ed = v.a.(k) in
+        let lab = g.e_lab.(ed) in
+        if lab >= 0 then begin
+          fwd_lab.(!e) <- lab;
+          let tk = g.e_tk.(ed) in
           fwd_tgt.(!e) <-
-            (match tgt with
-             | N o' -> Hashtbl.find idx_of_node (Oid.id o')
-             | V v -> vcode v);
-          incr e)
-        (out_edges g o))
-    node_ids;
+            (if tk land 1 = 0 then idx.(tk lsr 1)
+             else begin
+               let vi = tk lsr 1 in
+               if vcode.(vi) < 0 then begin
+                 vcode.(vi) <- nn + !nv;
+                 incr nv;
+                 vals_rev := g.v_val.(vi) :: !vals_rev
+               end;
+               vcode.(vi)
+             end);
+          incr e
+        end
+      done
+    end
+  done;
   fwd_off.(nn) <- !e;
   let values = Array.of_list (List.rev !vals_rev) in
   (* per-(node, label) segments, preserving per-label insertion order *)
@@ -342,9 +709,7 @@ let build_csr g : Csr.t =
     n_values = !nv;
     values;
     n_labels = nl;
-    label_syms;
     label_names;
-    local_of_sym;
     local_of_label;
     fwd_off;
     fwd_lab;
@@ -415,14 +780,24 @@ let decode_tcode (s : Csr.t) tc =
 
 (* --- attribute lookups: snapshot segment when valid, live scan else --- *)
 
-let attr_slow g o l =
-  List.filter_map
-    (fun (l', tgt) -> if l' = l then Some tgt else None)
-    (out_edges g o)
+(* The out-bucket of [o] and the id of [l], if both are known. *)
+let live_lookup g o l k none =
+  let s = slot_find g o in
+  let lab = if s < 0 then -1 else label_find g l in
+  if lab < 0 then none else k g.s_out.(s) lab
 
 let attr g o l =
   match snapshot g with
-  | None -> attr_slow g o l
+  | None ->
+    live_lookup g o l
+      (fun v lab ->
+        let acc = ref [] in
+        for i = v.n - 1 downto 0 do
+          let e = v.a.(i) in
+          if g.e_lab.(e) = lab then acc := g.e_tgt.(e) :: !acc
+        done;
+        !acc)
+      []
   | Some s -> (
       match Csr.node_index s o, Csr.label_local s l with
       | Some i, Some li -> (
@@ -432,14 +807,21 @@ let attr g o l =
             List.init len (fun k -> decode_tcode s s.Csr.seg_tgt.(off + k)))
       | _ -> [])
 
+(* The first live target of [lab] in [v] that [pick] accepts. *)
+let first g v lab pick =
+  let rec go i =
+    if i >= v.n then None
+    else
+      let e = v.a.(i) in
+      if g.e_lab.(e) = lab then
+        match pick g.e_tgt.(e) with Some _ as r -> r | None -> go (i + 1)
+      else go (i + 1)
+  in
+  go 0
+
 let attr1 g o l =
   match snapshot g with
-  | None ->
-    let rec first = function
-      | [] -> None
-      | (l', tgt) :: rest -> if l' = l then Some tgt else first rest
-    in
-    first (out_edges g o)
+  | None -> live_lookup g o l (fun v lab -> first g v lab Option.some) None
   | Some s -> (
       match Csr.node_index s o, Csr.label_local s l with
       | Some i, Some li -> (
@@ -451,12 +833,10 @@ let attr1 g o l =
 let attr_value g o l =
   match snapshot g with
   | None ->
-    let rec first = function
-      | [] -> None
-      | (l', V v) :: _ when l' = l -> Some v
-      | _ :: rest -> first rest
-    in
-    first (out_edges g o)
+    live_lookup g o l
+      (fun v lab ->
+        first g v lab (function V x -> Some x | N _ -> None))
+      None
   | Some s -> (
       match Csr.node_index s o, Csr.label_local s l with
       | Some i, Some li -> (
@@ -474,98 +854,127 @@ let attr_value g o l =
             scan 0)
       | _ -> None)
 
-let find_coll g c = Hashtbl.find_opt g.colls c
+(* --- collections --- *)
 
-let declare_collection g c =
-  if find_coll g c = None then begin
-    Hashtbl.add g.colls c { set = Oid.Set.empty; order_rev = [] };
-    g.coll_order_rev <- c :: g.coll_order_rev
-  end
+let coll_of g c =
+  match Stbl.find_opt g.coll_id c with
+  | Some i -> i
+  | None ->
+    let i = g.n_colls in
+    if i = Array.length g.c_name then begin
+      g.c_name <- grow g.c_name i c;
+      g.c_mem <- grow g.c_mem i nil
+    end;
+    g.c_name.(i) <- c;
+    g.c_mem.(i) <- vec ();
+    g.n_colls <- i + 1;
+    Stbl.add g.coll_id c i;
+    i
+
+let declare_collection g c = ignore (coll_of g c)
 
 let add_to_collection g c o =
-  add_node g o;
-  match find_coll g c with
-  | Some coll ->
-    if not (Oid.Set.mem o coll.set) then begin
-      coll.set <- Oid.Set.add o coll.set;
-      coll.order_rev <- o :: coll.order_rev
-    end
-  | None ->
-    Hashtbl.add g.colls c { set = Oid.Set.singleton o; order_rev = [ o ] };
-    g.coll_order_rev <- c :: g.coll_order_rev
+  let s = slot_of g o in
+  let cid = coll_of g c in
+  if Option.is_none (membership g s cid) then begin
+    let v = g.c_mem.(cid) in
+    g.s_coll.(s) <- { cid; pos = v.n } :: g.s_coll.(s);
+    push v s
+  end
+
+let leave g s m =
+  g.s_coll.(s) <- List.filter (fun m' -> m' != m) g.s_coll.(s);
+  let v = g.c_mem.(m.cid) in
+  v.dead <- v.dead + 1;
+  if 2 * v.dead > v.n then sweep_members g m.cid Fun.id
 
 let remove_from_collection g c o =
-  match find_coll g c with
-  | Some coll when Oid.Set.mem o coll.set ->
-    coll.set <- Oid.Set.remove o coll.set;
-    coll.order_rev <- List.filter (fun x -> not (Oid.equal x o)) coll.order_rev
-  | _ -> ()
+  match Stbl.find_opt g.coll_id c with
+  | None -> ()
+  | Some cid -> (
+      let s = slot_find g o in
+      if s >= 0 then
+        match membership g s cid with Some m -> leave g s m | None -> ())
 
 let in_collection g c o =
-  match find_coll g c with Some coll -> Oid.Set.mem o coll.set | None -> false
+  match Stbl.find_opt g.coll_id c with
+  | None -> false
+  | Some cid ->
+    let s = slot_find g o in
+    s >= 0 && Option.is_some (membership g s cid)
 
 let collection g c =
-  match find_coll g c with Some coll -> List.rev coll.order_rev | None -> []
+  match Stbl.find_opt g.coll_id c with
+  | None -> []
+  | Some cid ->
+    let v = g.c_mem.(cid) and acc = ref [] in
+    for i = v.n - 1 downto 0 do
+      let s = v.a.(i) in
+      if v.dead = 0
+         || (match membership g s cid with Some m -> m.pos = i | None -> false)
+      then acc := g.s_oid.(s) :: !acc
+    done;
+    !acc
 
 let collection_size g c =
-  match find_coll g c with Some coll -> Oid.Set.cardinal coll.set | None -> 0
+  match Stbl.find_opt g.coll_id c with
+  | None -> 0
+  | Some cid -> g.c_mem.(cid).n - g.c_mem.(cid).dead
 
-let collections g = List.rev g.coll_order_rev
+let collections g = Array.to_list (Array.sub g.c_name 0 g.n_colls)
 
 let collections_of g o =
-  List.filter (fun c -> in_collection g c o) (collections g)
+  let s = slot_find g o in
+  if s < 0 then []
+  else
+    List.map (fun m -> m.cid) g.s_coll.(s)
+    |> List.sort Int.compare
+    |> List.map (fun c -> g.c_name.(c))
+
+(* --- label and value indexes --- *)
+
+let src_tgt g e = (g.s_oid.(g.e_src.(e)), g.e_tgt.(e))
 
 let label_extent g l =
-  if g.use_index then
-    match Hashtbl.find_opt g.label_idx l with
-    | Some b -> Obag.to_list b
-    | None -> []
-  else
-    fold_edges
-      (fun src l' tgt acc -> if l' = l then (src, tgt) :: acc else acc)
-      g []
-    |> List.rev
+  let lab = label_find g l in
+  if lab < 0 then []
+  else if g.use_index then of_bucket g g.l_ext.(lab) (src_tgt g)
+  else of_log g (fun e -> g.e_lab.(e) = lab) (src_tgt g)
 
 let label_count g l =
-  if g.use_index then
-    match Hashtbl.find_opt g.label_idx l with
-    | Some b -> Obag.length b
-    | None -> 0
+  let lab = label_find g l in
+  if lab < 0 then 0
+  else if g.use_index then g.l_ext.(lab).n - g.l_ext.(lab).dead
   else List.length (label_extent g l)
 
-let value_index g v =
-  if g.use_index then
-    match Hashtbl.find_opt g.value_idx v with
-    | Some b -> Obag.to_list b
-    | None -> []
-  else
-    fold_edges
-      (fun src l tgt acc ->
-        match tgt with
-        | V v' when Value.equal v v' -> (src, l) :: acc
-        | _ -> acc)
-      g []
-    |> List.rev
+let value_index g v = in_edges g (V v)
+
+(* --- whole-graph operations --- *)
 
 let remove_node g o =
-  if Oid.Set.mem o g.nodes then begin
-    List.iter (fun (l, tgt) -> remove_edge g o l tgt) (out_edges g o);
-    List.iter (fun (src, l) -> remove_edge g src l (N o)) (in_edges g (N o));
-    List.iter (fun c -> remove_from_collection g c o) (collections_of g o);
+  let s = slot_find g o in
+  if s >= 0 then begin
+    List.iter (kill_edge g) (live_ids g g.s_out.(s));
+    (if g.use_index then live_ids g g.s_in.(s)
+     else of_log g (fun e -> g.e_tk.(e) = s lsl 1) Fun.id)
+    |> List.iter (kill_edge g);
+    List.iter (leave g s) g.s_coll.(s);
     touch g;
-    g.nodes <- Oid.Set.remove o g.nodes;
-    g.node_order_rev <-
-      List.filter (fun x -> not (Oid.equal x o)) g.node_order_rev;
-    Oid.Tbl.remove g.out_tbl o;
-    Oid.Tbl.remove g.in_idx o;
-    match Hashtbl.find_opt g.names (Oid.name o) with
-    | Some o' when Oid.equal o o' -> Hashtbl.remove g.names (Oid.name o)
-    | _ -> ()
+    g.s_out.(s) <- gone;
+    g.s_in.(s) <- nil;
+    Oid.Tbl.remove g.slot o;
+    g.n_nodes <- g.n_nodes - 1;
+    (match Stbl.find_opt g.names (Oid.name o) with
+     | Some o' when Oid.equal o o' -> Stbl.remove g.names (Oid.name o)
+     | _ -> ());
+    maybe_compact g
   end
 
 let set_out_edges g o edges =
-  List.iter (fun (l, tgt) -> remove_edge g o l tgt) (out_edges g o);
-  List.iter (fun (l, tgt) -> add_edge g o l tgt) edges
+  let s = slot_find g o in
+  if s >= 0 then List.iter (kill_edge g) (live_ids g g.s_out.(s));
+  List.iter (fun (l, tgt) -> add_edge g o l tgt) edges;
+  maybe_compact g
 
 let set_collection g c members =
   List.iter (fun o -> remove_from_collection g c o) (collection g c);
@@ -573,7 +982,21 @@ let set_collection g c members =
 
 let merge_into ~dst ~src =
   List.iter (fun o -> add_node dst o) (nodes src);
-  iter_edges (fun s l t -> add_edge dst s l t) src;
+  let lab = Array.make src.n_labels (-1) in
+  for s = 0 to src.n_slots - 1 do
+    let v = src.s_out.(s) in
+    if v != gone && v.n > v.dead then begin
+      let d = slot_of dst src.s_oid.(s) in
+      for i = 0 to v.n - 1 do
+        let e = v.a.(i) in
+        let l = src.e_lab.(e) in
+        if l >= 0 then begin
+          if lab.(l) < 0 then lab.(l) <- label_of dst src.l_name.(l);
+          add_edge_at dst d lab.(l) src.e_tgt.(e)
+        end
+      done
+    end
+  done;
   List.iter
     (fun c -> List.iter (fun o -> add_to_collection dst c o) (collection src c))
     (collections src)
@@ -586,6 +1009,4 @@ let copy ?name g =
 
 let pp_stats ppf g =
   Fmt.pf ppf "graph %s: %d nodes, %d edges, %d collections, %d labels"
-    g.gname (node_count g) g.n_edges
-    (List.length (collections g))
-    (List.length (labels g))
+    g.gname (node_count g) g.n_edges g.n_colls g.n_labels

@@ -12,7 +12,14 @@
     repository: the extent of every attribute label, the extent of every
     collection, a value index global to the graph, and an incoming-edge
     index.  With [~indexed:false] those lookups fall back to full scans
-    (used by the indexing ablation bench). *)
+    of the edges (used by the indexing ablation bench); a scan answers
+    in the same order as the index.
+
+    Every listing is in a fixed order, which the system's output
+    depends on down to Skolem oid allocation: nodes, collection members
+    and edges in insertion order (a removed and re-added one counts
+    from its re-insertion), labels and collections in first-seen
+    order. *)
 
 type target =
   | N of Oid.t      (** an internal object *)
@@ -43,7 +50,8 @@ val new_node : t -> string -> Oid.t
 
 val mem_node : t -> Oid.t -> bool
 val nodes : t -> Oid.t list
-val node_set : t -> Oid.Set.t
+(** In insertion order; a node removed and added again goes last. *)
+
 val node_count : t -> int
 
 val find_node : t -> string -> Oid.t option
@@ -63,7 +71,8 @@ val out_edges : t -> Oid.t -> (string * target) list
 (** Outgoing edges in insertion order. *)
 
 val in_edges : t -> target -> (Oid.t * string) list
-(** Incoming edges of an object (or of an atomic value). *)
+(** Incoming edges of an object (or of an atomic value), in the order
+    the edges were inserted. *)
 
 val attr : t -> Oid.t -> string -> target list
 (** All targets of edges labeled [label] leaving the node, in insertion
@@ -100,20 +109,26 @@ val collection : t -> string -> Oid.t list
 
 val collection_size : t -> string -> int
 val collections : t -> string list
+(** In the order first declared or used; an emptied collection stays. *)
+
 val collections_of : t -> Oid.t -> string list
+(** The node's collections, in {!collections} order. *)
 
 (** {1 Schema and value indexes} *)
 
 val labels : t -> string list
-(** All attribute names appearing in the graph (the schema index). *)
+(** All attribute names that ever appeared in the graph (the schema
+    index), in first-seen order; a label whose edges are all removed
+    stays. *)
 
 val label_extent : t -> string -> (Oid.t * target) list
-(** All edges carrying the label. *)
+(** All edges carrying the label, in the order they were inserted. *)
 
 val label_count : t -> string -> int
 val value_index : t -> Value.t -> (Oid.t * string) list
 (** All (source, label) pairs of edges whose target is exactly this
-    atomic value.  Global to the graph, as in the paper. *)
+    atomic value, in the order the edges were inserted.  Global to the
+    graph, as in the paper. *)
 
 (** {1 Kernel snapshot}
 
@@ -124,7 +139,8 @@ val value_index : t -> Value.t -> (Oid.t * string) list
     Every mutation bumps the graph's generation, which makes
     outstanding snapshots invisible to {!snapshot} (readers fall back
     to the live structures) — a stale snapshot can never be observed
-    through this API.  [freeze] is safe to call from multiple domains. *)
+    through this API — and lets go of the graph's own hold on the last
+    snapshot.  [freeze] is safe to call from multiple domains. *)
 
 val generation : t -> int
 (** Mutation counter; bumped by node/edge additions and removals. *)

@@ -1,10 +1,9 @@
 type t = { id : int; name : string }
 
-let counter = ref 0
+(* Wrappers mint oids on several domains at once. *)
+let counter = Atomic.make 1
 
-let fresh name =
-  incr counter;
-  { id = !counter; name }
+let fresh name = { id = Atomic.fetch_and_add counter 1; name }
 
 let id t = t.id
 let name t = t.name

@@ -10,7 +10,7 @@ type t
 
 val fresh : string -> t
 (** [fresh name] allocates a new oid, distinct from all previously
-    allocated ones. *)
+    allocated ones, on any domain. *)
 
 val id : t -> int
 val name : t -> string

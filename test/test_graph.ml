@@ -229,28 +229,24 @@ let apply_ops ~indexed ops =
   g
 
 (* Same op sequence on indexed and unindexed graphs must agree on every
-   observable. *)
+   observable, in order: a scan answers in the index's order. *)
 let indexes_consistent ops =
   let gi = apply_ops ~indexed:true ops
   and gu = apply_ops ~indexed:false ops in
-  let norm l = List.sort compare l in
   Graph.edge_count gi = Graph.edge_count gu
   && List.for_all
        (fun l ->
-         norm
-           (List.map
-              (fun (s, t) -> (Oid.name s, Fmt.str "%a" Graph.pp_target t))
-              (Graph.label_extent gi l))
-         = norm
-             (List.map
-                (fun (s, t) -> (Oid.name s, Fmt.str "%a" Graph.pp_target t))
-                (Graph.label_extent gu l)))
+         List.map
+           (fun (s, t) -> (Oid.name s, Fmt.str "%a" Graph.pp_target t))
+           (Graph.label_extent gi l)
+         = List.map
+             (fun (s, t) -> (Oid.name s, Fmt.str "%a" Graph.pp_target t))
+             (Graph.label_extent gu l))
        [ "x"; "y"; "z" ]
   && List.for_all
        (fun v ->
-         norm (List.map (fun (s, l) -> (Oid.name s, l)) (Graph.value_index gi v))
-         = norm
-             (List.map (fun (s, l) -> (Oid.name s, l)) (Graph.value_index gu v)))
+         List.map (fun (s, l) -> (Oid.name s, l)) (Graph.value_index gi v)
+         = List.map (fun (s, l) -> (Oid.name s, l)) (Graph.value_index gu v))
        (List.init 5 (fun i -> Value.Int i))
 
 let props =
@@ -261,4 +257,302 @@ let props =
          indexes_consistent);
   ]
 
-let suite = basics @ collections @ indexes @ whole_graph @ props
+(* --- the order-exact differential against the list model ---
+
+   Random scripts of every mutation run through Graph_model and through
+   a graph, indexed or scan-only, on a small pool of nodes (three pairs
+   share a name), labels, values and collections, so removal, re-adding,
+   tombstones, bucket sweeps and whole-graph compaction all happen
+   often.  After every step each observable of the order contract must
+   equal the model's exactly, and attr, attr1, attr_value and every
+   out-bucket again once the graph is frozen. *)
+
+let pool = Array.map Oid.fresh [| "a"; "b"; "c"; "a"; "d"; "b"; "e"; "c" |]
+let pool_names = [ "a"; "b"; "c"; "d"; "e"; "zz" ]
+let pool_labels = [| "x"; "y"; "z" |]
+
+let pool_values =
+  [| Value.Int 0; Value.Int 1; Value.String "1"; Value.String "s" |]
+
+let pool_colls = [| "C"; "D"; "E" |]
+
+(* a target index: a pool node, then a pool value *)
+let target k =
+  if k < Array.length pool then Graph.N pool.(k)
+  else Graph.V pool_values.(k - Array.length pool)
+
+type gop =
+  | Add_node of int
+  | Add_edge of int * int * int  (* source, label, target *)
+  | Remove_edge of int * int * int
+  | Remove_node of int
+  | Add_member of int * int  (* collection, node *)
+  | Remove_member of int * int
+  | Declare of int
+  | Set_out of int * (int * int) list  (* source, (label, target)s *)
+  | Set_members of int * int list
+  | Copy
+  | Merge  (* the side graph into the main one *)
+
+let pp_gop ppf = function
+  | Add_node i -> Fmt.pf ppf "add_node %d" i
+  | Add_edge (a, l, t) -> Fmt.pf ppf "add_edge %d %d %d" a l t
+  | Remove_edge (a, l, t) -> Fmt.pf ppf "remove_edge %d %d %d" a l t
+  | Remove_node i -> Fmt.pf ppf "remove_node %d" i
+  | Add_member (c, i) -> Fmt.pf ppf "add_member %d %d" c i
+  | Remove_member (c, i) -> Fmt.pf ppf "remove_member %d %d" c i
+  | Declare c -> Fmt.pf ppf "declare %d" c
+  | Set_out (i, es) ->
+    Fmt.pf ppf "set_out %d [%a]" i
+      Fmt.(list ~sep:semi (pair ~sep:comma int int))
+      es
+  | Set_members (c, is) ->
+    Fmt.pf ppf "set_members %d [%a]" c Fmt.(list ~sep:semi int) is
+  | Copy -> Fmt.string ppf "copy"
+  | Merge -> Fmt.string ppf "merge"
+
+(* each step acts on the main graph, or ([true]) on the side graph *)
+let script_gen =
+  let open QCheck.Gen in
+  let node = int_bound (Array.length pool - 1)
+  and label = int_bound (Array.length pool_labels - 1)
+  and tgt = int_bound (Array.length pool + Array.length pool_values - 1)
+  and coll = int_bound (Array.length pool_colls - 1) in
+  let op =
+    frequency
+      [
+        (2, map (fun i -> Add_node i) node);
+        (10, map3 (fun a l t -> Add_edge (a, l, t)) node label tgt);
+        (7, map3 (fun a l t -> Remove_edge (a, l, t)) node label tgt);
+        (2, map (fun i -> Remove_node i) node);
+        (3, map2 (fun c i -> Add_member (c, i)) coll node);
+        (2, map2 (fun c i -> Remove_member (c, i)) coll node);
+        (1, map (fun c -> Declare c) coll);
+        ( 2,
+          map2
+            (fun i es -> Set_out (i, es))
+            node
+            (list_size (int_bound 4) (pair label tgt)) );
+        ( 1,
+          map2
+            (fun c is -> Set_members (c, is))
+            coll
+            (list_size (int_bound 4) node) );
+        (1, return Copy);
+        (1, return Merge);
+      ]
+  in
+  list_size (int_range 0 150) (pair (frequencyl [ (5, false); (1, true) ]) op)
+
+type pair = { mutable g : Graph.t; mutable m : Graph_model.t }
+
+let step main side (on_side, op) =
+  let p = if on_side then side else main in
+  let g = p.g and m = p.m in
+  let node = Array.get pool
+  and label = Array.get pool_labels
+  and coll = Array.get pool_colls in
+  match op with
+  | Add_node i ->
+    Graph.add_node g (node i);
+    Graph_model.add_node m (node i)
+  | Add_edge (a, l, t) ->
+    Graph.add_edge g (node a) (label l) (target t);
+    Graph_model.add_edge m (node a) (label l) (target t)
+  | Remove_edge (a, l, t) ->
+    Graph.remove_edge g (node a) (label l) (target t);
+    Graph_model.remove_edge m (node a) (label l) (target t)
+  | Remove_node i ->
+    Graph.remove_node g (node i);
+    Graph_model.remove_node m (node i)
+  | Add_member (c, i) ->
+    Graph.add_to_collection g (coll c) (node i);
+    Graph_model.add_to_collection m (coll c) (node i)
+  | Remove_member (c, i) ->
+    Graph.remove_from_collection g (coll c) (node i);
+    Graph_model.remove_from_collection m (coll c) (node i)
+  | Declare c ->
+    Graph.declare_collection g (coll c);
+    Graph_model.declare_collection m (coll c)
+  | Set_out (i, es) ->
+    let es = List.map (fun (l, t) -> (label l, target t)) es in
+    Graph.set_out_edges g (node i) es;
+    Graph_model.set_out_edges m (node i) es
+  | Set_members (c, is) ->
+    let ms = List.map node is in
+    Graph.set_collection g (coll c) ms;
+    Graph_model.set_collection m (coll c) ms
+  | Copy ->
+    p.g <- Graph.copy g;
+    p.m <- Graph_model.copy m
+  | Merge ->
+    Graph.merge_into ~dst:main.g ~src:side.g;
+    Graph_model.merge_into ~dst:main.m ~src:side.m
+
+module M = Graph_model
+
+(* The first observable of the order contract that differs from the
+   model, if any: the live ones, or the frozen ones and the snapshot's
+   own nodes, labels and out-buckets. *)
+let mismatch ~frozen p =
+  let g = p.g and m = p.m in
+  let found = ref None in
+  let chk what a b = if !found = None && a <> b then found := Some what in
+  let oids = Array.to_list pool and colls = Array.to_list pool_colls in
+  let labels = "nope" :: Array.to_list pool_labels in
+  let targets =
+    List.init (Array.length pool + Array.length pool_values) target
+  in
+  List.iter
+    (fun o ->
+      chk "out_edges" (Graph.out_edges g o) (M.out_edges m o);
+      List.iter
+        (fun l ->
+          chk "attr" (Graph.attr g o l) (M.attr m o l);
+          chk "attr1" (Graph.attr1 g o l) (M.attr1 m o l);
+          chk "attr_value" (Graph.attr_value g o l) (M.attr_value m o l))
+        labels)
+    oids;
+  if frozen then begin
+    let s = Graph.freeze g in
+    chk "snapshot nodes" (Array.to_list s.Csr.node_ids) m.M.nodes;
+    chk "snapshot labels" (Array.to_list s.Csr.label_names) m.M.labels;
+    Array.iteri
+      (fun i o ->
+        let fwd =
+          List.init (Csr.out_degree s i) (fun k ->
+              let e = s.Csr.fwd_off.(i) + k in
+              ( s.Csr.label_names.(s.Csr.fwd_lab.(e)),
+                Graph.decode_tcode s s.Csr.fwd_tgt.(e) ))
+        in
+        chk "snapshot out-bucket" fwd (M.out_edges m o))
+      s.Csr.node_ids
+  end
+  else begin
+    let listed iter =
+      let acc = ref [] in
+      iter (fun s l t -> acc := (s, l, t) :: !acc) g;
+      List.rev !acc
+    in
+    chk "nodes" (Graph.nodes g) m.M.nodes;
+    chk "node_count" (Graph.node_count g) (List.length m.M.nodes);
+    chk "edge_count" (Graph.edge_count g) (List.length m.M.edges);
+    chk "iter_edges" (listed Graph.iter_edges) (M.edges_node_major m);
+    chk "fold_edges"
+      (List.rev (Graph.fold_edges (fun s l t acc -> (s, l, t) :: acc) g []))
+      (M.edges_node_major m);
+    chk "iter_edges_inserted" (listed Graph.iter_edges_inserted) m.M.edges;
+    List.iter
+      (fun (s, l, t) -> chk "has_edge" (Graph.has_edge g s l t) true)
+      m.M.edges;
+    List.iter
+      (fun t -> chk "in_edges" (Graph.in_edges g t) (M.in_edges m t))
+      targets;
+    List.iter
+      (fun l ->
+        let extent = M.label_extent m l in
+        chk "label_extent" (Graph.label_extent g l) extent;
+        chk "label_count" (Graph.label_count g l) (List.length extent))
+      labels;
+    Array.iter
+      (fun v -> chk "value_index" (Graph.value_index g v) (M.value_index m v))
+      pool_values;
+    chk "labels" (Graph.labels g) m.M.labels;
+    chk "collections" (Graph.collections g) (List.map fst m.M.colls);
+    List.iter
+      (fun c ->
+        let members = M.collection m c in
+        chk "collection" (Graph.collection g c) members;
+        chk "collection_size" (Graph.collection_size g c) (List.length members))
+      colls;
+    List.iter
+      (fun o ->
+        chk "mem_node" (Graph.mem_node g o) (M.mem_node m o);
+        chk "collections_of" (Graph.collections_of g o) (M.collections_of m o);
+        List.iter
+          (fun c ->
+            chk "in_collection" (Graph.in_collection g c o)
+              (M.in_collection m c o))
+          colls)
+      oids;
+    List.iter
+      (fun n -> chk "find_node" (Graph.find_node g n) (M.find_node m n))
+      pool_names
+  end;
+  !found
+
+let run_script ~indexed script =
+  let fresh () = { g = Graph.create ~indexed (); m = M.create () } in
+  let main = fresh () and side = fresh () in
+  let check p =
+    match mismatch ~frozen:false p with
+    | Some _ as bad -> bad
+    | None -> mismatch ~frozen:true p
+  in
+  List.iteri
+    (fun k op ->
+      step main side op;
+      match check main, check side with
+      | None, None -> ()
+      | Some what, _ | _, Some what ->
+        QCheck.Test.fail_reportf "step %d (%a): %s differs from the model" k
+          pp_gop (snd op) what)
+    script;
+  true
+
+let script_arb =
+  QCheck.make
+    ~print:
+      (Fmt.str "%a" Fmt.(list ~sep:semi (pair ~sep:(any ":") bool pp_gop)))
+    script_gen
+
+let differential =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"graph equals the list model, in order (indexed)"
+         ~count:300 script_arb (run_script ~indexed:true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"graph equals the list model, in order (scan-only)" ~count:300
+         script_arb (run_script ~indexed:false));
+  ]
+
+let lifecycle =
+  [
+    t "a mutation lets go of the last snapshot" (fun () ->
+        let g, a, _, _ = mk () in
+        let held = Weak.create 1 in
+        Weak.set held 0 (Some (Graph.freeze g));
+        Graph.add_edge g a "w" (Graph.V Value.Null);
+        Gc.full_major ();
+        check_bool "collected" false (Weak.check held 0);
+        (* the graph itself stays live across the collection *)
+        check_int "graph intact" 6 (Graph.edge_count g));
+    t "oids minted on four domains at once are distinct" (fun () ->
+        let per = 200_000 and ready = Atomic.make 0 in
+        let mint () =
+          (* start together, or one domain may be done before the next
+             is up *)
+          Atomic.incr ready;
+          while Atomic.get ready < 4 do
+            Domain.cpu_relax ()
+          done;
+          let ids = Array.make per 0 in
+          for i = 0 to per - 1 do
+            ids.(i) <- Oid.id (Oid.fresh "o")
+          done;
+          ids
+        in
+        let ids =
+          List.init 4 (fun _ -> Domain.spawn mint)
+          |> List.map Domain.join |> Array.concat
+        in
+        Array.sort Int.compare ids;
+        let dups = ref 0 in
+        Array.iteri (fun i x -> if i > 0 && ids.(i - 1) = x then incr dups) ids;
+        check_int "duplicate ids" 0 !dups);
+  ]
+
+let suite =
+  basics @ collections @ indexes @ whole_graph @ props @ differential
+  @ lifecycle

@@ -223,32 +223,6 @@ let lifecycle =
           (List.length (Path.eval_from g Path.any_path stranger)));
   ]
 
-(* --- Obag: the indexed buckets under label/value/in indexes --- *)
-
-let obag =
-  [
-    t "insertion order survives keyed removal" (fun () ->
-        let b = Obag.create () in
-        List.iter (fun i -> Obag.add b i (string_of_int i)) [ 1; 2; 3; 4; 5 ];
-        Obag.remove b 3;
-        Obag.remove b 1;
-        Obag.remove b 5;
-        check_bool "order" true (Obag.to_list b = [ "2"; "4" ]);
-        check_int "length" 2 (Obag.length b);
-        Obag.remove b 42 (* absent: no-op *);
-        check_int "still 2" 2 (Obag.length b);
-        Obag.add b 1 "1'";
-        check_bool "re-add appends" true (Obag.to_list b = [ "2"; "4"; "1'" ]));
-    t "duplicate key rejected" (fun () ->
-        let b = Obag.create () in
-        Obag.add b "k" 0;
-        check_bool "raises" true
-          (try
-             Obag.add b "k" 1;
-             false
-           with Invalid_argument _ -> true));
-  ]
-
 (* --- full site builds: kernel on ≡ kernel off, at jobs ∈ {1, 4} ---
 
    The kernel is off exactly when no graph is frozen.  The off leg
@@ -356,4 +330,4 @@ let profile_tests =
         check_bool "kernel line printed" true (contains_sub s "kernel:"));
   ]
 
-let suite = props @ lifecycle @ obag @ site_tests @ profile_tests
+let suite = props @ lifecycle @ site_tests @ profile_tests
