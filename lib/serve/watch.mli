@@ -45,6 +45,10 @@ type cycle_report = {
       (** (block path, reason) of full block replays this cycle *)
   cy_quarantined : (string * string) list;
       (** (source, reason) of sources serving stale data this cycle *)
+  cy_mapped : (int * int) option;
+      (** mediated mode: the GAV mappings the cycle's integration ran,
+          of all mappings — the rest replayed their construction logs
+          or were skipped ({!Mediator.Warehouse.last_runs}) *)
   cy_wall_ms : float;
 }
 
@@ -113,4 +117,5 @@ val warehouse : t -> Mediator.Warehouse.t option
 
 val pp_report : Format.formatter -> cycle_report -> unit
 (** One line per cycle (plus fallback/quarantine detail lines) — the
-    [strudel watch] console format. *)
+    [strudel watch] console format; a mediated cycle's line carries
+    [mapped=ran/total]. *)

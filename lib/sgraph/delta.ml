@@ -2,15 +2,20 @@
     maintenance.
 
     A delta is a set of node / edge / collection additions and
-    removals between two states of a graph, together with two order
+    removals between two states of a graph, together with three order
     signals the byte-identity contract needs: nodes whose out-edge
-    bucket kept its edge set but changed order ([d_resequenced]), and
+    bucket kept its edge set but changed order ([resequenced]),
     collections whose surviving members changed relative order
-    ([d_reordered]).  Deltas come from two producers:
+    ([reordered]), and labels whose surviving edges changed relative
+    order in the label's extent ([label_reordered]) — the order a scan
+    of the label delivers its rows in.  Deltas come from two producers:
 
     - {!Rec}, a recorder wrapped around a live graph: mutations are
       applied and logged, so the delta is exact and O(change) — the
-      path [strudel watch] uses for direct (un-mediated) data.
+      path [strudel watch] uses for direct (un-mediated) data.  A live
+      graph appends what it gains, so its surviving edges and members
+      never change relative order: [Rec] reports no [reordered] or
+      [label_reordered] signal.
     - {!diff}, an oid-keyed structural diff of two graphs that share
       oids — the path {!Mediator.Warehouse} uses between two
       integrations, whose oids already agree: each source reload is
@@ -31,6 +36,9 @@ type t = {
       (** out-bucket kept its edge set but changed order *)
   reordered : string list;
       (** collections whose surviving members changed relative order *)
+  label_reordered : string list;
+      (** labels whose surviving edges changed relative order in the
+          label's extent *)
 }
 
 let empty =
@@ -43,18 +51,20 @@ let empty =
     coll_removed = [];
     resequenced = [];
     reordered = [];
+    label_reordered = [];
   }
 
 let is_empty d =
   d.nodes_added = [] && d.nodes_removed = [] && d.edges_added = []
   && d.edges_removed = [] && d.coll_added = [] && d.coll_removed = []
-  && d.resequenced = [] && d.reordered = []
+  && d.resequenced = [] && d.reordered = [] && d.label_reordered = []
 
 let card d =
   List.length d.nodes_added + List.length d.nodes_removed
   + List.length d.edges_added + List.length d.edges_removed
   + List.length d.coll_added + List.length d.coll_removed
   + List.length d.resequenced + List.length d.reordered
+  + List.length d.label_reordered
 
 let union a b =
   {
@@ -66,6 +76,7 @@ let union a b =
     coll_removed = a.coll_removed @ b.coll_removed;
     resequenced = a.resequenced @ b.resequenced;
     reordered = a.reordered @ b.reordered;
+    label_reordered = a.label_reordered @ b.label_reordered;
   }
 
 (* Seeds of dependency propagation: every oid whose local
@@ -231,6 +242,22 @@ let diff ~old g =
       if not (same_relative_order ~mem:(fun o -> Oid.Set.mem o oset) kept nc)
       then add (fun d -> { d with reordered = c :: d.reordered }))
     colls;
+  (* label extents: the surviving edges' relative order, which a fresh
+     integration can change while every edge and bucket stays (rows
+     inserted in another order); an unchanged extent needs no probes *)
+  let same_entry (o, t) (o', t') = Oid.equal o o' && Graph.target_equal t t' in
+  List.iter
+    (fun l ->
+      let oe = Graph.label_extent old l and ne = Graph.label_extent g l in
+      if not (List.equal same_entry oe ne) then begin
+        let kept_old = List.filter (fun (o, t) -> Graph.has_edge g o l t) oe
+        and kept_new =
+          List.filter (fun (o, t) -> Graph.has_edge old o l t) ne
+        in
+        if not (List.equal same_entry kept_old kept_new) then
+          add (fun d -> { d with label_reordered = l :: d.label_reordered })
+      end)
+    (List.sort_uniq String.compare (Graph.labels old @ Graph.labels g));
   !d
 
 (* --- rebase: re-key a fresh integration onto the previous one's oids --- *)
@@ -354,7 +381,7 @@ module Rec = struct
 end
 
 let pp ppf d =
-  Fmt.pf ppf "+%dn -%dn +%de -%de +%dc -%dc ~%db ~%dx"
+  Fmt.pf ppf "+%dn -%dn +%de -%de +%dc -%dc ~%db ~%dx ~%dl"
     (List.length d.nodes_added)
     (List.length d.nodes_removed)
     (List.length d.edges_added)
@@ -363,3 +390,4 @@ let pp ppf d =
     (List.length d.coll_removed)
     (List.length d.resequenced)
     (List.length d.reordered)
+    (List.length d.label_reordered)

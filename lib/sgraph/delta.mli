@@ -1,6 +1,7 @@
 (** Data-graph deltas: node / edge / collection adds and removes
     between two states of a graph, plus the order signals differential
-    evaluation needs (out-bucket resequencing, collection reordering).
+    evaluation needs (out-bucket resequencing, collection reordering,
+    label-extent reordering).
 
     Produced either exactly by the {!Rec} recording mutator (direct
     watch mode) or structurally by {!diff} over two graphs sharing
@@ -22,6 +23,11 @@ type t = {
       (** nodes whose out-bucket kept its edge set but changed order *)
   reordered : string list;
       (** collections whose surviving members changed relative order *)
+  label_reordered : string list;
+      (** labels whose surviving edges changed relative order in the
+          label's extent ({!Graph.label_extent}): the order a scan of
+          the label yields its rows in.  Only {!diff} reports it; a
+          recorded live graph never reorders. *)
 }
 
 val empty : t

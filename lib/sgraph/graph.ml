@@ -131,7 +131,7 @@ type t = {
   mutable c_name : string array;
   mutable c_mem : vec array;  (* member slots *)
   mutable n_colls : int;
-  (* kernel snapshot: bumped by every mutation the CSR reflects *)
+  (* bumped by every mutation; the kernel snapshot is tagged with it *)
   mutable generation : int;
   mutable frozen : Csr.t option;
   kstats : Csr.kstats;
@@ -195,8 +195,10 @@ let name g = g.gname
 let indexed g = g.use_index
 let generation g = g.generation
 
-(* Every mutation the snapshot reflects comes through here; it also lets
-   go of the snapshot, which no reader can be handed any more. *)
+(* Every mutation comes through here, collection memberships too (the
+   snapshot holds none, but an unmoved generation promises unchanged
+   content); it also lets go of the snapshot, which no reader can be
+   handed any more. *)
 let touch g =
   Dsan.write ~site:__POS__ g.dsan_obj 0;
   g.generation <- g.generation + 1;
@@ -865,6 +867,7 @@ let coll_of g c =
       g.c_name <- grow g.c_name i c;
       g.c_mem <- grow g.c_mem i nil
     end;
+    touch g;
     g.c_name.(i) <- c;
     g.c_mem.(i) <- vec ();
     g.n_colls <- i + 1;
@@ -877,12 +880,14 @@ let add_to_collection g c o =
   let s = slot_of g o in
   let cid = coll_of g c in
   if Option.is_none (membership g s cid) then begin
+    touch g;
     let v = g.c_mem.(cid) in
     g.s_coll.(s) <- { cid; pos = v.n } :: g.s_coll.(s);
     push v s
   end
 
 let leave g s m =
+  touch g;
   g.s_coll.(s) <- List.filter (fun m' -> m' != m) g.s_coll.(s);
   let v = g.c_mem.(m.cid) in
   v.dead <- v.dead + 1;

@@ -143,7 +143,9 @@ val value_index : t -> Value.t -> (Oid.t * string) list
     snapshot.  [freeze] is safe to call from multiple domains. *)
 
 val generation : t -> int
-(** Mutation counter; bumped by node/edge additions and removals. *)
+(** Mutation counter; bumped by every node, edge and membership addition
+    and removal and by a collection's creation, so a graph whose
+    generation has not moved holds exactly what it held. *)
 
 val freeze : t -> Csr.t
 (** The snapshot for the current generation, building it if needed. *)

@@ -35,6 +35,15 @@ let arg_name = function
 
 let term_name f args = f ^ "(" ^ String.concat "," (List.map arg_name args) ^ ")"
 
+let enter t key f args o =
+  Hashtbl.add t.table key o;
+  Oid.Tbl.add t.inverse o (f, args);
+  match Hashtbl.find_opt t.by_fn f with
+  | Some r -> r := o :: !r
+  | None ->
+    Hashtbl.add t.by_fn f (ref [ o ]);
+    t.fns_rev <- f :: t.fns_rev
+
 let apply t f args =
   let key = (f, List.map key_of_arg args) in
   match Hashtbl.find_opt t.table key with
@@ -48,14 +57,17 @@ let apply t f args =
         | None -> Oid.fresh (term_name f args))
       | None -> Oid.fresh (term_name f args)
     in
-    Hashtbl.add t.table key o;
-    Oid.Tbl.add t.inverse o (f, args);
-    (match Hashtbl.find_opt t.by_fn f with
-     | Some r -> r := o :: !r
-     | None ->
-       Hashtbl.add t.by_fn f (ref [ o ]);
-       t.fns_rev <- f :: t.fns_rev);
+    enter t key f args o;
     (o, true)
+
+let adopt t o =
+  if not (Oid.Tbl.mem t.inverse o) then
+    match t.reuse with
+    | Some prev -> (
+      match Oid.Tbl.find_opt prev.inverse o with
+      | Some (f, args) -> enter t (f, List.map key_of_arg args) f args o
+      | None -> invalid_arg ("Skolem.adopt: no term for " ^ Oid.name o))
+    | None -> invalid_arg "Skolem.adopt: the scope reuses none"
 
 let find t f args = Hashtbl.find_opt t.table (f, List.map key_of_arg args)
 let functions t = List.rev t.fns_rev

@@ -31,6 +31,13 @@ val apply : t -> string -> arg list -> Oid.t * bool
     [f(args)], creating it on first use.  The boolean is [true] when
     the oid was created by this call. *)
 
+val adopt : t -> Oid.t -> unit
+(** [adopt scope o] enters the term that the [reuse] scope built [o]
+    for into [scope], under the same oid: the effect {!apply} of that
+    term would have, for a caller replaying a recorded construction
+    instead of evaluating it again.  A no-op when [scope] holds [o]
+    already.  Raises [Invalid_argument] when neither scope knows [o]. *)
+
 val find : t -> string -> arg list -> Oid.t option
 (** The oid for the term if it has been created already. *)
 

@@ -15,7 +15,13 @@
     reverse-adjacency index, as deep as the deepest block reads, serves
     every block); {e fallback} blocks (aggregates,
     negation, enumerators, opaque externs, constant-anchored reads)
-    replay in full each cycle, reason recorded.  Construction events
+    replay in full, reason recorded, on a cycle whose delta can change
+    what their subtree reads: a member of a footprint collection gained
+    or lost, an edge of a footprint label added or removed, a node
+    holding one resequenced, or either kind of extent reordered
+    ({!Plan.delta_footprint}, {!Sgraph.Delta.t}); an opaque footprint,
+    a changed plan or class, or delta evaluation switched off always
+    replays.  Construction events
     are support-counted per (block, driver) and carry a canonical
     (block, driver-rank, sequence) position; touched out-buckets and
     collections re-sort by minimum position over supporters, which is
@@ -83,6 +89,15 @@ type site_change = {
   sc_rows : int;  (** binding rows re-derived this cycle *)
   sc_fallbacks : (string * string) list;
       (** (block path, reason) of full block replays this cycle *)
+  sc_structural : bool;
+      (** a site node, or an edge whose target is a node, was net added
+          or removed: the only changes that can move reachability or
+          the families' links *)
+  sc_labels : string list;
+      (** the labels of the value edges net added or removed, and of
+          every edge in an out-bucket the cycle re-sorted (re-sorting
+          moves those edges to the end of their labels' extents): with
+          [sc_structural], every label whose extent can differ *)
 }
 
 val apply : ?data:Graph.t -> t -> Delta.t -> site_change

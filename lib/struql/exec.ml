@@ -747,7 +747,7 @@ let classify_top rctx path (b : Ast.block) =
     prof.prf_delta_fallback <- (path, why) :: prof.prf_delta_fallback
 
 let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
-    ?shards ?into g (q : Ast.query) =
+    ?shards ?into ?emit g (q : Ast.query) =
   if options.Eval.validate then Check.validate_exn q;
   let out =
     match into with Some g' -> g' | None -> Graph.create ~name:q.output ()
@@ -787,7 +787,7 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   let rctx =
     {
       g;
-      sink = { Eval.out; scope; emit = None };
+      sink = { Eval.out; scope; emit };
       registry = options.Eval.registry;
       strategy = options.Eval.strategy;
       timed;
@@ -830,8 +830,8 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       shard_k0;
   (out, prof)
 
-let run ?options ?scope ?shards ?into g q =
-  fst (run_with_profile ?options ?scope ?shards ?into g q)
+let run ?options ?scope ?shards ?into ?emit g q =
+  fst (run_with_profile ?options ?scope ?shards ?into ?emit g q)
 
 let run_string ?options ?scope ?into g src =
   let registry =

@@ -180,12 +180,15 @@ val run :
   ?scope:Skolem.t ->
   ?shards:shard_ctx ->
   ?into:Graph.t ->
+  ?emit:Eval.emitter ->
   Graph.t -> Ast.query -> Graph.t
 (** Evaluate a query over a data graph.  [scope] shares Skolem terms
     across composed queries; [into] adds to an existing output graph
     (§5.2: "we allowed queries to add nodes and arcs to a graph").
     Without them, a fresh scope and a fresh graph named after the
-    query's OUTPUT are used.  Peak memory is bounded by per-row fanout
+    query's OUTPUT are used.  [emit] observes every construction event
+    in mutation order (the mediator records a mapping's construction
+    through it).  Peak memory is bounded by per-row fanout
     instead of intermediate relation size.  Blocks with nested blocks
     materialize their (final) binding relation, which the nested
     pipelines then stream from; if [into] is the data graph itself,
@@ -208,6 +211,7 @@ val run_with_profile :
   ?scope:Skolem.t ->
   ?shards:shard_ctx ->
   ?into:Graph.t ->
+  ?emit:Eval.emitter ->
   Graph.t -> Ast.query -> Graph.t * profile
 (** [run] with a per-operator profile.  [timed] (default [false])
     additionally measures per-operator elapsed time — it costs two

@@ -294,6 +294,21 @@ let footprint steps =
 let conds_footprint registry conds =
   footprint (List.map (fun c -> Exec (compile registry c)) conds)
 
+let rec ccond_walks = function
+  | CC_path _ -> true
+  | CC_not c -> ccond_walks c
+  | CC_coll _ | CC_extern _ | CC_edge _ | CC_cmp _ | CC_in _ -> false
+
+let delta_footprint steps =
+  let fp = footprint steps in
+  if
+    List.exists
+      (function
+        | Exec c -> ccond_walks c | Domain_obj _ | Domain_label _ -> false)
+      steps
+  then { fp with fp_opaque = true }
+  else fp
+
 let pp_footprint ppf fp =
   Fmt.pf ppf "collections=[%a] labels=[%a]%s"
     Fmt.(list ~sep:comma string)

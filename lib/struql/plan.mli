@@ -78,6 +78,14 @@ val footprint : step list -> footprint
 val conds_footprint : Builtins.registry -> Ast.condition list -> footprint
 (** [footprint] over the compiled (unordered) conditions. *)
 
+val delta_footprint : step list -> footprint
+(** The footprint a data delta is tested against: {!footprint}, made
+    opaque also by a path condition, whose walk can follow the graph's
+    node order (and which, when it accepts the empty path, matches every
+    node), an order no collection or label signal of a delta reports.
+    When it is not opaque, the plan's rows are a function of its
+    collections' extents and of its labels' extents, each in order. *)
+
 val pp_footprint : Format.formatter -> footprint -> unit
 
 (** {1 Cost model} *)

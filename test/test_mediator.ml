@@ -27,7 +27,9 @@ let suite =
         let m =
           Mediator.Gav.copy_collection ~source:"a" ~collection:"As" ()
         in
-        let med = Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m ] in
+        let med, _ =
+          Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m ]
+        in
         check_int "1 member" 1 (Graph.collection_size med "As");
         let o = List.hd (Graph.collection med "As") in
         check_bool "attr copied" true
@@ -42,7 +44,9 @@ let suite =
           Mediator.Gav.mapping_of_string ~source:"a"
             {|WHERE As(x), x -> "name" -> n CREATE F(x) LINK F(x) -> "nm" -> n OUTPUT m|}
         in
-        let med = Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m1; m2 ] in
+        let med, _ =
+          Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m1; m2 ]
+        in
         check_int "single fused object" 1 (Graph.collection_size med "Out");
         let o = List.hd (Graph.collection med "Out") in
         check_bool "edge landed on same node" true
@@ -61,7 +65,9 @@ let suite =
                 CREATE F(x), G(y) LINK F(x) -> "joined" -> G(y) OUTPUT m|};
           ]
         in
-        let med = Mediator.Gav.integrate ~scope:(Skolem.create ()) [ sa; sb ] mappings in
+        let med, _ =
+          Mediator.Gav.integrate ~scope:(Skolem.create ()) [ sa; sb ] mappings
+        in
         check_int "join edge" 1 (Graph.label_count med "joined"));
     t "unknown source fails" (fun () ->
         let s = Mediator.Source.of_graph ~name:"a" (src_a ()) in
@@ -69,7 +75,10 @@ let suite =
           Mediator.Gav.mapping_of_string ~source:"zzz" "WHERE As(x) COLLECT O(x) OUTPUT m"
         in
         check_bool "raises" true
-          (try ignore (Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m ]); false
+          (try
+             ignore
+               (Mediator.Gav.integrate ~scope:(Skolem.create ()) [ s ] [ m ]);
+             false
            with Mediator.Gav.Unknown_source ("zzz", [ "a" ]) -> true));
     t "source caching and versioning" (fun () ->
         let calls = ref 0 in
