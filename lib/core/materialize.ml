@@ -40,19 +40,15 @@ module Click_time = struct
         (** largest live-binding watermark any click-time query reached *)
   }
 
-  let binding_of_arg = function
-    | Skolem.A_oid o -> Eval.B_target (Graph.N o)
-    | Skolem.A_val v -> Eval.B_target (Graph.V v)
-
   (* Bind the argument terms of a piece's Skolem term to the concrete
      arguments of the clicked node. *)
-  let bind_args (terms : Ast.term list) (args : Skolem.arg list) =
+  let bind_args (terms : Ast.term list) (args : Graph.target list) =
     let rec go env ts as_ =
       match ts, as_ with
       | [], [] -> Some env
       | Ast.T_var v :: ts', a :: as' ->
-        go (Eval.Env.add v (binding_of_arg a) env) ts' as'
-      | Ast.T_const c :: ts', Skolem.A_val v :: as' ->
+        go (Eval.Env.add v (Eval.B_target a) env) ts' as'
+      | Ast.T_const c :: ts', Graph.V v :: as' ->
         if Value.coerce_equal c v then go env ts' as' else None
       | Ast.T_const _ :: _, _ -> None
       | Ast.T_skolem _ :: _, _ -> None  (* nested Skolem args: not expandable *)
@@ -72,9 +68,9 @@ module Click_time = struct
     in
     t.stats_peak_live <- max t.stats_peak_live peak;
     let sink = { Eval.out = t.partial; scope = t.scope; emit = None } in
-    let groups = Eval.new_groups () in
-    List.iter (Eval.construct_row sink groups b) rows;
-    Eval.construct_flush sink groups
+    let bld = Eval.builder sink (Eval.compile b) in
+    List.iter (Eval.row bld) rows;
+    Eval.flush bld
 
   (** Start a click-time session: evaluate only the create pieces of
       the root family, leaving all links pending. *)

@@ -103,6 +103,7 @@ type bstate = {
   bs_id : int;  (* global preorder id — the major canonical-order key *)
   bs_path : string;  (* "q2.1.3" display path *)
   bs_block : Ast.block;
+  bs_cons : Eval.compiled;  (* its construction clauses, compiled once *)
   bs_bound : string list ref;  (* bindings entering the block *)
   mutable bs_steps : Plan.step list;
   mutable bs_fp : string;  (* plan fingerprint *)
@@ -391,7 +392,7 @@ let sink t ~apply =
    mutation order, since a cold block's relation is driver-major (its
    opening scan enumerates the extent in order). *)
 let rec blockmajor t ~apply bs (per_driver : (int * Eval.env list) list) =
-  let snk = sink t ~apply in
+  let bld = Eval.builder (sink t ~apply) bs.bs_cons in
   let step =
     Exec.stepper t.data t.options.Eval.registry ~bound:!(bs.bs_bound)
       bs.bs_steps
@@ -408,9 +409,8 @@ let rec blockmajor t ~apply bs (per_driver : (int * Eval.env list) list) =
     (fun (dk, rows) ->
       t.serial <- t.serial + 1;
       t.cur <- [];
-      let groups = Eval.new_groups () in
-      List.iter (fun env -> Eval.construct_row snk groups bs.bs_block env) rows;
-      Eval.construct_flush snk groups;
+      List.iter (Eval.row bld) rows;
+      Eval.flush bld;
       t.pending <- (bs.bs_id, dk, t.cur) :: t.pending)
     per_rows;
   List.iter (fun nb -> blockmajor t ~apply nb per_rows) bs.bs_nested
@@ -475,6 +475,7 @@ let create ?(options = Eval.default_options) ~queries data =
       bs_id = id;
       bs_path = path;
       bs_block = b;
+      bs_cons = Eval.compile b;
       bs_bound = ref [];
       bs_steps = [];
       bs_fp = "";

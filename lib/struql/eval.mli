@@ -8,7 +8,9 @@
     rows: nodes are created with Skolem functions (same inputs — same
     oid), edges added (only from newly created nodes; existing nodes
     are immutable), collections populated, and aggregate link targets
-    grouped by source node ({!construct_row}, {!construct_flush}).
+    grouped by source node.  Each block's construction clauses compile
+    once into a construction that builds each distinct Skolem term at
+    most once per row ({!compile}, {!row}, {!flush}).
 
     This module holds no whole-query driver.  {!Exec} runs every query
     (nested blocks inherit their ancestors' bindings, so their WHERE
@@ -68,24 +70,47 @@ type cons = {
   emit : emitter option;
 }
 
-type agg_groups
-(** Aggregate-link accumulator of one block: groups keyed by (source
-    node, label, aggregate expression), holding distinct inner values. *)
+(** {2 The compiled construction}
 
-val new_groups : unit -> agg_groups
+    A block's CREATE / LINK / COLLECT clauses compile once ({!compile})
+    into a construction over memo slots, one per distinct Skolem term
+    of the block (terms are told apart structurally, nested arguments
+    included).  A run feeds the block's rows to a {!builder} in
+    relation order and then calls {!flush}; that fixes the mutation
+    sequence, and with it the Skolem oids, by the row order alone.
 
-val construct_row : cons -> agg_groups -> Ast.block -> env -> unit
-(** Interpret a block's CREATE / LINK / COLLECT clauses over one
-    binding row.  Aggregate link targets only accumulate into the
-    groups; non-aggregate construction mutates the sink immediately.
-    Feeding the block's rows in relation order through this function
-    and then calling {!construct_flush} fixes the mutation sequence,
-    and with it the Skolem oids, by the row order alone. *)
+    Within one row, a term is built at its first use — its arguments
+    first, so a nested term comes before its parent — and read from its
+    slot after that.  The emitter therefore sees each distinct term's
+    node event once per row, at its first use; edge and membership
+    events come one per clause and row.  Each variable the clauses
+    read is looked up in the row once, constant labels are fixed at
+    compile time, and every {!Eval_error} is raised where the clause
+    reading the faulty operand reaches it, with the rows and clauses
+    before it already constructed. *)
 
-val construct_flush : cons -> agg_groups -> unit
-(** Fold and emit the accumulated aggregate groups of one block, in the
-    order of each group's first row, so the emitted edges do not depend
-    on oid numbering. *)
+type compiled
+(** A block's construction clauses, compiled.  Immutable: one value
+    serves every run of the block, on any domain. *)
+
+val compile : Ast.block -> compiled
+
+type builder
+(** One run of a compiled block into a sink: the row's memo slots and
+    the block's aggregate groups.  Not to be shared between domains. *)
+
+val builder : cons -> compiled -> builder
+
+val row : builder -> env -> unit
+(** Construct one binding row.  Aggregate link targets only accumulate
+    into the groups, keyed by (source node, label, aggregate function
+    and inner term), over the distinct values the inner term takes;
+    the rest mutates the sink at once. *)
+
+val flush : builder -> unit
+(** Fold and emit the accumulated aggregate groups, in the order of
+    each group's first row, so the emitted edges do not depend on oid
+    numbering; the builder then starts with no groups. *)
 
 val construction_needs : Ast.block -> Ast.var list * Ast.var list
 (** Construction variables of a block, split into (object positions,
@@ -98,9 +123,6 @@ val aggregate : Ast.agg_fn -> Graph.target list -> Value.t
     fall back to display-string order for incomparable values.  The
     atomic values are folded in a canonical sorted order, so the result
     is the same for every order of [values]. *)
-
-val target_key : Graph.target -> string
-(** A hashable identity key for a target (distinctness in groups). *)
 
 (** {1 Engine options} *)
 

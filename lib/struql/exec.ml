@@ -4,10 +4,11 @@
    Each plan step becomes a pipelined operator over an [env Seq.t];
    rows flow operator-to-operator depth-first, so the pull order is
    exactly the row order of applying the steps one at a time to the
-   whole relation (the naive two-stage semantics of §3).  Construction
-   consumes the stream row-by-row through {!Eval.construct_row}, so the
-   mutation sequence — and therefore every Skolem oid — is fixed by
-   that row order.  Two situations force materialization of a block's
+   whole relation (the naive two-stage semantics of §3).  Each block's
+   construction clauses compile once per run ({!Eval.compile}) and
+   consume the stream row-by-row ({!Eval.row}), so the mutation
+   sequence — and therefore every Skolem oid — is fixed by that row
+   order.  Two situations force materialization of a block's
    relation: nested blocks (they re-consume the parent rows, and the
    parent's construction must fully precede theirs), and [into == g]
    (construction would mutate the graph the pipeline is still
@@ -691,8 +692,8 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
     { bpr_path = path; bpr_ops = List.map (fun o -> o.os) ops; bpr_rows = 0 }
   in
   rctx.blocks_rev := bpr :: !(rctx.blocks_rev);
-  let groups = Eval.new_groups () in
-  let construct env = Eval.construct_row rctx.sink groups b env in
+  let bld = Eval.builder rctx.sink (Eval.compile b) in
+  let construct env = Eval.row bld env in
   let sharded =
     match shardable rctx ~top steps with
     | Some (sc, cname, v) -> sharded_rows rctx sc cname v bound steps ops
@@ -709,7 +710,7 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
          bpr.bpr_rows <- bpr.bpr_rows + 1;
          construct env)
        (stream ());
-     Eval.construct_flush rctx.sink groups
+     Eval.flush bld
    | _ ->
      (* sharded rows arrive materialized in unsharded order; otherwise
         nested blocks re-consume the relation, and the parent's
@@ -721,7 +722,7 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
      bpr.bpr_rows <- n;
      live_alloc rctx.live n;
      List.iter construct rows;
-     Eval.construct_flush rctx.sink groups;
+     Eval.flush bld;
      let bound' =
        Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
      in

@@ -187,7 +187,8 @@ val run :
     (§5.2: "we allowed queries to add nodes and arcs to a graph").
     Without them, a fresh scope and a fresh graph named after the
     query's OUTPUT are used.  [emit] observes every construction event
-    in mutation order (the mediator records a mapping's construction
+    in mutation order, a distinct Skolem term's node event once per row
+    at its first use (the mediator records a mapping's construction
     through it).  Peak memory is bounded by per-row fanout
     instead of intermediate relation size.  Blocks with nested blocks
     materialize their (final) binding relation, which the nested

@@ -1,16 +1,17 @@
 (* The reference StruQL evaluator: the naive two-stage semantics of §3,
-   kept as the oracle the streaming engine (Struql.Exec) is checked
-   against.
+   kept as the oracle the streaming engine (Struql.Exec) and its
+   compiled construction are checked against.
 
    Stage 1 materializes a block's whole binding relation, applying one
-   plan step at a time to every row; stage 2 constructs over the
-   finished relation; nested blocks then run over the parent's
-   relation, so their WHERE clauses are conjoined with their
-   ancestors'.  Only the per-row semantics (Eval.exec_step,
-   Eval.construct_row) is shared with the engine.  The oracle never
-   freezes the data graph itself, so on a graph nobody has frozen its
-   path conditions take the interpretive BFS lane rather than the
-   compiled kernel. *)
+   plan step at a time to every row; stage 2 interprets the block's
+   construction clauses over the finished relation, row by row and term
+   by term, building a Skolem term again at every use; nested blocks
+   then run over the parent's relation, so their WHERE clauses are
+   conjoined with their ancestors'.  Only the query stage's per-row
+   step (Eval.exec_step) and the aggregate fold (Eval.aggregate) are
+   shared with the engine.  The oracle never freezes the data graph
+   itself, so on a graph nobody has frozen its path conditions take
+   the interpretive BFS lane rather than the compiled kernel. *)
 
 open Sgraph
 open Struql
@@ -34,23 +35,190 @@ let plan (options : Eval.options) g ~bound ~needed_obj ~needed_label conds =
   Plan.plan ~strategy:options.strategy ~registry:options.registry g ~bound
     ~needed_obj ~needed_label conds
 
+(* --- the construction interpreter --- *)
+
+(* A reference Skolem scope, keyed as the engine keyed terms before its
+   scopes went monomorphic: (function name, arguments) under the
+   polymorphic hash and compare, an oid argument by its id.  It shares
+   nothing with Sgraph.Skolem, so the engine's keying is checked, not
+   assumed. *)
+type key_arg = K_oid of int | K_val of Value.t
+
+type scope = {
+  table : (string * key_arg list, Oid.t) Hashtbl.t;
+  inverse : (string * Graph.target list) Oid.Tbl.t;
+}
+
+let new_scope () = { table = Hashtbl.create 64; inverse = Oid.Tbl.create 64 }
+let scope_size s = Hashtbl.length s.table
+let term_of s o = Oid.Tbl.find_opt s.inverse o
+
+let term_name f args =
+  let arg = function
+    | Graph.N o -> Oid.name o
+    | Graph.V v -> Value.to_display_string v
+  in
+  f ^ "(" ^ String.concat "," (List.map arg args) ^ ")"
+
+let skolem s f args =
+  let key =
+    (f, List.map (function Graph.N o -> K_oid (Oid.id o) | Graph.V v -> K_val v) args)
+  in
+  match Hashtbl.find_opt s.table key with
+  | Some o -> o
+  | None ->
+    let o = Oid.fresh (term_name f args) in
+    Hashtbl.add s.table key o;
+    Oid.Tbl.add s.inverse o (f, args);
+    o
+
+type sink = { out : Graph.t; scope : scope; emit : Eval.emitter option }
+
+let sink_node sink o =
+  match sink.emit with
+  | None -> Graph.add_node sink.out o
+  | Some e ->
+    if e.em_apply then Graph.add_node sink.out o;
+    e.em_node o
+
+let sink_edge sink src l tgt =
+  match sink.emit with
+  | None -> Graph.add_edge sink.out src l tgt
+  | Some e ->
+    if e.em_apply then Graph.add_edge sink.out src l tgt;
+    e.em_edge src l tgt
+
+let sink_coll sink c o =
+  match sink.emit with
+  | None -> Graph.add_to_collection sink.out c o
+  | Some e ->
+    if e.em_apply then Graph.add_to_collection sink.out c o;
+    e.em_coll c o
+
+let rec cons_target sink env (t : Ast.term) : Graph.target =
+  match t with
+  | Ast.T_const c -> Graph.V c
+  | Ast.T_var v -> (
+    match Eval.Env.find_opt v env with
+    | Some (Eval.B_target tgt) -> tgt
+    | Some (Eval.B_label l) -> Graph.V (Value.String l)
+    | None ->
+      raise
+        (Eval.Eval_error (Fmt.str "unbound variable %s in construction" v)))
+  | Ast.T_skolem (f, args) ->
+    let o = skolem sink.scope f (List.map (cons_target sink env) args) in
+    sink_node sink o;
+    Graph.N o
+  | Ast.T_agg (fn, _) ->
+    raise
+      (Eval.Eval_error
+         (Ast.agg_name fn ^ "(...) may only appear as a LINK target"))
+
+let cons_label env = function
+  | Ast.L_const c -> c
+  | Ast.L_var v -> (
+    match Eval.Env.find_opt v env with
+    | Some (Eval.B_label l) -> l
+    | Some (Eval.B_target (Graph.V v')) -> Value.to_display_string v'
+    | Some (Eval.B_target (Graph.N _)) ->
+      raise (Eval.Eval_error ("arc variable " ^ v ^ " bound to a node"))
+    | None -> raise (Eval.Eval_error ("unbound arc variable " ^ v)))
+
+let target_key = function
+  | Graph.N o -> "N" ^ string_of_int (Oid.id o)
+  | Graph.V v -> "V" ^ Value.to_string v
+
+let link_source sink env x lt =
+  let src =
+    match x with
+    | Ast.T_skolem _ -> (
+      match cons_target sink env x with
+      | Graph.N o -> o
+      | Graph.V _ -> assert false)
+    | Ast.T_var _ | Ast.T_const _ | Ast.T_agg _ ->
+      raise
+        (Eval.Eval_error
+           "LINK may only add edges from newly created (Skolem) nodes; \
+            existing nodes are immutable")
+  in
+  (src, cons_label env lt)
+
+(* Aggregate groups of one block, keyed by (source node, label,
+   aggregate expression), in the order of their first rows. *)
+type agg_group =
+  Oid.t * string * Ast.agg_fn * (string, Graph.target) Hashtbl.t
+
+type agg_groups = {
+  by_key : (string, agg_group) Hashtbl.t;
+  mutable first_rows : agg_group list;  (* newest first *)
+}
+
+let new_groups () = { by_key = Hashtbl.create 8; first_rows = [] }
+
+let construct_row sink groups (b : Ast.block) env =
+  List.iter
+    (fun (f, args) -> ignore (cons_target sink env (Ast.T_skolem (f, args))))
+    b.create;
+  List.iter
+    (fun (x, lt, y) ->
+      match y with
+      | Ast.T_agg (fn, inner) ->
+        let src, label = link_source sink env x lt in
+        let v = cons_target sink env inner in
+        let key =
+          Printf.sprintf "%d|%s|%s|%s" (Oid.id src) label (Ast.agg_name fn)
+            (Fmt.str "%a" Pretty.pp_term inner)
+        in
+        let _, _, _, vals =
+          match Hashtbl.find_opt groups.by_key key with
+          | Some g -> g
+          | None ->
+            let g = (src, label, fn, Hashtbl.create 8) in
+            Hashtbl.add groups.by_key key g;
+            groups.first_rows <- g :: groups.first_rows;
+            g
+        in
+        Hashtbl.replace vals (target_key v) v
+      | y ->
+        let src, label = link_source sink env x lt in
+        sink_edge sink src label (cons_target sink env y))
+    b.link;
+  List.iter
+    (fun (c, t) ->
+      match cons_target sink env t with
+      | Graph.N o -> sink_coll sink c o
+      | Graph.V _ ->
+        raise
+          (Eval.Eval_error ("COLLECT " ^ c ^ " applied to an atomic value")))
+    b.collect
+
+let construct_flush sink groups =
+  List.iter
+    (fun (src, label, fn, vals) ->
+      let values = Hashtbl.fold (fun _ v acc -> v :: acc) vals [] in
+      sink_edge sink src label (Graph.V (Eval.aggregate fn values)))
+    (List.rev groups.first_rows)
+
+(* --- whole queries --- *)
+
 let rec run_block options sink g bound envs (b : Ast.block) =
   let needed_obj, needed_label = Eval.construction_needs b in
   let steps = plan options g ~bound ~needed_obj ~needed_label b.where in
   let envs = exec_steps g options.Eval.registry envs steps in
-  let groups = Eval.new_groups () in
-  List.iter (Eval.construct_row sink groups b) envs;
-  Eval.construct_flush sink groups;
+  let groups = new_groups () in
+  List.iter (construct_row sink groups b) envs;
+  construct_flush sink groups;
   let bound = Ast.dedup (bound @ List.concat_map Plan.step_binds steps) in
   List.iter (run_block options sink g bound envs) b.nested
 
-let run ?(options = Eval.default_options) ?scope ?into g (q : Ast.query) =
+let run ?(options = Eval.default_options) ?scope ?into ?emit g (q : Ast.query)
+    =
   if options.validate then Check.validate_exn q;
   let out =
     match into with Some o -> o | None -> Graph.create ~name:q.output ()
   in
-  let scope = match scope with Some s -> s | None -> Skolem.create () in
-  let sink = { Eval.out; scope; emit = None } in
+  let scope = match scope with Some s -> s | None -> new_scope () in
+  let sink = { out; scope; emit } in
   List.iter (run_block options sink g [] [ Eval.Env.empty ]) q.blocks;
   out
 

@@ -254,7 +254,7 @@ let unfrozen_build (def : Strudel.Site.definition) data =
       strategy = def.Strudel.Site.strategy;
       registry = def.Strudel.Site.registry }
   in
-  let scope = Skolem.create () in
+  let scope = Oracle.new_scope () in
   let site_graph = Graph.create ~name:def.Strudel.Site.name () in
   List.iter
     (fun (_, q) -> ignore (Oracle.run ~options ~scope ~into:site_graph data q))
