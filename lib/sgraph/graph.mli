@@ -52,6 +52,9 @@ val mem_node : t -> Oid.t -> bool
 val nodes : t -> Oid.t list
 (** In insertion order; a node removed and added again goes last. *)
 
+val iter_nodes : (Oid.t -> unit) -> t -> unit
+(** Every node, in {!nodes} order, without building the list. *)
+
 val node_count : t -> int
 
 val find_node : t -> string -> Oid.t option
@@ -129,6 +132,22 @@ val value_index : t -> Value.t -> (Oid.t * string) list
 (** All (source, label) pairs of edges whose target is exactly this
     atomic value, in the order the edges were inserted.  Global to the
     graph, as in the paper. *)
+
+(** {1 Comparing two graphs}
+
+    Whether one listing of two graphs that share oids agrees entry by
+    entry, in order — an oid by identity, a value by {!Value.equal} —
+    without building either list. *)
+
+val same_out_edges : t -> t -> Oid.t -> bool
+(** The node's {!out_edges} in both graphs; [true] when neither holds
+    the node. *)
+
+val same_label_extent : t -> t -> string -> bool
+(** The label's {!label_extent} in both graphs. *)
+
+val same_collection : t -> t -> string -> bool
+(** The collection's members ({!collection}) in both graphs. *)
 
 (** {1 Kernel snapshot}
 

@@ -889,11 +889,33 @@ let refresh_script_arb =
            script))
     QCheck.Gen.(list_size (int_range 1 6) refresh_gen)
 
+(* A delta's lists, in order, oids by id and values by kind. *)
+let delta_repr (d : Delta.t) =
+  let o x = string_of_int (Oid.id x) in
+  let tg = function
+    | Graph.N x -> "&" ^ o x
+    | Graph.V (Value.Float f) -> Printf.sprintf "float %h" f
+    | Graph.V v -> Value.kind_name v ^ " " ^ Value.to_string v
+  in
+  let e (s, l, t) = o s ^ "." ^ l ^ "=" ^ tg t in
+  let m (c, x) = c ^ " " ^ o x in
+  [ ("nodes_added", List.map o d.nodes_added);
+    ("nodes_removed", List.map o d.nodes_removed);
+    ("edges_added", List.map e d.edges_added);
+    ("edges_removed", List.map e d.edges_removed);
+    ("coll_added", List.map m d.coll_added);
+    ("coll_removed", List.map m d.coll_removed);
+    ("resequenced", List.map o d.resequenced);
+    ("reordered", d.reordered);
+    ("label_reordered", d.label_reordered) ]
+
 (* After every refresh of the script: the view equals a fresh
    integration in every index order, its scope holds as many terms, and
    exactly the mappings whose sources did not change replayed their
    logs — a single-source mapping when its source was not updated,
-   never a "*" join, which reads every source. *)
+   never a "*" join, which reads every source.  The refresh's delta is
+   the one the reference diff (test/diff_oracle.ml) finds between the
+   two views. *)
 let refresh_replays_exactly script =
   let s = org_sources () in
   let w = Sites.Org.warehouse s in
@@ -903,7 +925,11 @@ let refresh_replays_exactly script =
       List.iter
         (fun (i, e) -> Mediator.Source.update src.(i) (export_loader e))
         updates;
-      ignore (Option.get (Mediator.Warehouse.refresh_delta w));
+      let before = Mediator.Warehouse.graph w in
+      let d = Option.get (Mediator.Warehouse.refresh_delta w) in
+      delta_repr d
+      = delta_repr (Diff_oracle.diff ~old:before (Mediator.Warehouse.graph w))
+      &&
       let updated name =
         List.exists (fun (i, _) -> Mediator.Source.name src.(i) = name) updates
       in
@@ -924,6 +950,72 @@ let refresh_replays_exactly script =
          = expected
       && not (List.mem Mediator.Gav.Skipped (Mediator.Warehouse.last_runs w)))
     script
+
+(* Random graph pairs over one pool of oids: an old graph with
+   tombstones (removed edges, nodes and memberships), and a new one
+   made from it by further edits (re-adding an edge moves it last in
+   every bucket) or built afresh in another order. *)
+type gop =
+  | Op_edge of int * int * int  (* source, label, target (node < 0) *)
+  | Op_unedge of int * int * int
+  | Op_unnode of int
+  | Op_member of int * int  (* collection, node *)
+  | Op_unmember of int * int
+
+let gop_gen =
+  let open QCheck.Gen in
+  let node = int_bound 5 and lab = int_bound 2 and tgt = int_range (-4) 5 in
+  frequency
+    [ (6, map3 (fun a b c -> Op_edge (a, b, c)) node lab tgt);
+      (3, map3 (fun a b c -> Op_unedge (a, b, c)) node lab tgt);
+      (1, map (fun a -> Op_unnode a) node);
+      (3, map2 (fun c a -> Op_member (c, a)) (int_bound 1) node);
+      (1, map2 (fun c a -> Op_unmember (c, a)) (int_bound 1) node) ]
+
+let apply_gops pool g ops =
+  let tg i =
+    if i < 0 then
+      Graph.V
+        [| Value.Int 1; Value.Float 1.0; Value.String "1"; Value.Float (-0.0) |].(-i - 1)
+    else Graph.N pool.(i)
+  in
+  let lab i = [| "a"; "b"; "c" |].(i) and coll i = [| "C"; "D" |].(i) in
+  List.iter
+    (function
+      | Op_edge (a, l, t) -> Graph.add_edge g pool.(a) (lab l) (tg t)
+      | Op_unedge (a, l, t) -> Graph.remove_edge g pool.(a) (lab l) (tg t)
+      | Op_unnode a -> Graph.remove_node g pool.(a)
+      | Op_member (c, a) -> Graph.add_to_collection g (coll c) pool.(a)
+      | Op_unmember (c, a) -> Graph.remove_from_collection g (coll c) pool.(a))
+    ops
+
+let graph_pair_arb =
+  QCheck.make
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 30) gop_gen)
+        (list_size (int_range 0 15) gop_gen)
+        bool)
+
+let diff_agrees (base, edits, afresh) =
+  let pool = Array.init 6 (fun i -> Oid.fresh (Printf.sprintf "p%d" i)) in
+  let old = Graph.create ~name:"old" () in
+  apply_gops pool old base;
+  let g =
+    if afresh then begin
+      (* the same edits over a fresh graph, in another order *)
+      let g = Graph.create ~name:"new" () in
+      apply_gops pool g (List.rev base @ edits);
+      g
+    end
+    else begin
+      let g = Graph.copy ~name:"new" old in
+      apply_gops pool g edits;
+      g
+    end
+  in
+  delta_repr (Delta.diff ~old g) = delta_repr (Diff_oracle.diff ~old g)
+  && delta_repr (Delta.diff ~old:g old) = delta_repr (Diff_oracle.diff ~old:g old)
 
 let check_runs what expected w =
   Alcotest.(check (list string))
@@ -1847,6 +1939,11 @@ OUTPUT SITE|} );
         check_bool "byte-identical to cold build" true
           (page_map (Serve.Watch.built session).Strudel.Site.site
            = page_map cold.Strudel.Site.site));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300
+         ~name:"diff = the reference diff on random graph pairs, order signals \
+                included"
+         graph_pair_arb diff_agrees);
     t "diff reports the labels whose surviving edges changed order" (fun () ->
         let a = Oid.fresh "a" and b = Oid.fresh "b" and c = Oid.fresh "c" in
         let mk edges =
