@@ -864,7 +864,7 @@ let e17 () =
   let job_levels = [ 1; 2; 4; 8 ] in
   (* Steady-state measurement discipline: the shared pool spawns its
      worker domains on first use and each site's first build pays
-     one-time costs (graph freeze, template compile, allocator growth)
+     one-time costs (template compile, allocator growth)
      that are not render cost.  One untimed warm-up build at the
      highest jobs level pays all of it up front, and a major GC before
      every timed leg keeps earlier legs' garbage from being collected
@@ -1337,30 +1337,64 @@ let e19 () =
   Fmt.pr "lint cost profile written to BENCH_lint.json@."
 
 (* ----------------------------------------------------------------- *)
-(* E20 — compiled graph kernel: frozen CSR + memoized path engine     *)
+(* E20 — compiled graph kernel: memoized path engine on the live graph *)
 (* ----------------------------------------------------------------- *)
 
+(* The interpretive product BFS the kernel's results must equal, order
+   included (the test suite's oracle runs the same search): (state,
+   object) pairs in FIFO order over each node's out-edges, an object
+   recorded the first time it is dequeued in an accepting state. *)
+let bfs_eval_from nfa g src =
+  let key = function Graph.N o -> `N (Oid.id o) | Graph.V v -> `V v in
+  let visited = Hashtbl.create 64 and seen = Hashtbl.create 16 in
+  let results_rev = ref [] and queue = Queue.create () in
+  let trans = Array.init (Path.nfa_states nfa) (Path.nfa_transitions nfa) in
+  let push s t =
+    if not (Hashtbl.mem visited (s, key t)) then begin
+      Hashtbl.add visited (s, key t) ();
+      Queue.add (s, t) queue
+    end
+  in
+  List.iter (fun s -> push s (Graph.N src)) (Path.nfa_start_states nfa);
+  while not (Queue.is_empty queue) do
+    let s, t = Queue.pop queue in
+    if Path.nfa_is_accepting nfa s && not (Hashtbl.mem seen (key t)) then begin
+      Hashtbl.add seen (key t) ();
+      results_rev := t :: !results_rev
+    end;
+    match t with
+    | Graph.V _ -> ()
+    | Graph.N o ->
+      List.iter
+        (fun (l, tgt) ->
+          List.iter
+            (fun (p, succ) ->
+              if Path.edge_pred_matches p l then
+                List.iter (fun s' -> push s' tgt) succ)
+            trans.(s))
+        (Graph.out_edges g o)
+  done;
+  List.rev !results_rev
+
 let e20 () =
-  section "E20" "graph kernel: interned CSR + memoized regular-path engine";
+  section "E20" "graph kernel: memoized regular-path engine on the live graph";
   (* Closure-heavy workload shaped like eval_pairs: the same source set
-     probed repeatedly (once per conjunct / per round).  On a graph
-     never frozen the legacy engine re-runs the interpretive BFS every
-     time; the kernel pays one freeze plus one compiled BFS per
-     distinct source, then serves memo hits. *)
+     probed repeatedly (once per conjunct / per round).  The reference
+     BFS re-runs its search every time; the kernel runs one compiled
+     BFS per distinct source over the live slot adjacency, then serves
+     memo hits. *)
   let rounds = 5 in
   (* one compiled automaton per workload, as query plans hold one nfa
      per conjunct — this is what makes the per-source memo effective *)
-  let run_closure g ~nfa r nsources =
+  let run_closure eval g nsources =
     let sources =
       List.filteri (fun i _ -> i < nsources) (Graph.nodes g)
     in
-    let n = ref 0 in
+    let results = ref [] in
     for _ = 1 to rounds do
-      List.iter
-        (fun s -> n := !n + List.length (Path.eval_from ~nfa g r s))
-        sources
+      results := List.map (eval g) sources
     done;
-    !n
+    !results
   in
   let closure_workloads =
     [
@@ -1381,35 +1415,35 @@ let e20 () =
     ]
   in
   Fmt.pr "  closure workload: %d rounds over the source set@." rounds;
-  Fmt.pr "  %-10s %8s %12s %12s %12s %8s@." "graph" "srcs" "legacy ms"
+  Fmt.pr "  %-10s %8s %12s %12s %12s %8s@." "graph" "srcs" "BFS ms"
     "kernel ms" "warm ms" "speedup";
   let closure_rows =
     List.map
       (fun (name, build, r, nsources) ->
         let nfa = Path.compile r in
-        let g_legacy = build () in
-        let legacy, legacy_ms =
-          wall_it (fun () -> run_closure g_legacy ~nfa r nsources)
+        let g = build () in
+        let reference, legacy_ms =
+          wall_it (fun () -> run_closure (bfs_eval_from nfa) g nsources)
         in
-        let g_kernel = build () in
-        (* cold leg pays the freeze and every memo miss *)
+        let kernel_eval g o = Path.eval_from ~nfa g r o in
+        (* cold leg: prepares the kernel state and misses every memo *)
         let kernel, kernel_ms =
-          wall_it (fun () ->
-              ignore (Graph.freeze g_kernel);
-              run_closure g_kernel ~nfa r nsources)
+          wall_it (fun () -> run_closure kernel_eval g nsources)
         in
-        (* warm leg: snapshot and memo already populated *)
+        (* warm leg: memos already populated *)
         let _, warm_ms =
-          wall_it (fun () -> run_closure g_kernel ~nfa r nsources)
+          wall_it (fun () -> run_closure kernel_eval g nsources)
         in
-        if legacy <> kernel then
-          failwith (Printf.sprintf "E20 %s: result mismatch" name);
-        let k = Graph.kernel_counters g_kernel in
+        if
+          not
+            (List.equal (List.equal Graph.target_equal) reference kernel)
+        then failwith (Printf.sprintf "E20 %s: result mismatch" name);
+        let k = Graph.kernel_counters g in
         let speedup = legacy_ms /. kernel_ms in
         Fmt.pr "  %-10s %8d %12.1f %12.1f %12.1f %7.1fx@." name nsources
           legacy_ms kernel_ms warm_ms speedup;
-        Fmt.pr "             kernel counters: freezes=%d hits=%d misses=%d@."
-          k.Graph.freezes k.Graph.hits k.Graph.misses;
+        Fmt.pr "             kernel counters: hits=%d misses=%d@."
+          k.Graph.hits k.Graph.misses;
         (name, nsources, legacy_ms, kernel_ms, warm_ms, speedup))
       closure_workloads
   in
@@ -2130,107 +2164,92 @@ type e24_row = {
   dr_identical : bool;
 }
 
-let e24 () =
-  section "E24"
-    "Delta-StruQL: differential maintenance vs full re-query + rebuild";
-  let sizes = [ 1; 10; 100; 1000 ] in
-  let header label =
-    Fmt.pr "@.%s@." label;
-    Fmt.pr "  %8s %8s %12s %12s %9s %11s %9s %10s@." "edited" "mutated"
-      "watch ms" "full ms" "speedup" "rerendered" "reused" "identical"
-  in
-  (* One cell: [cycles] mutate→publish measurements, each applying the
-     edit, running one watch cycle, then timing the comparator — a cold
-     [Site.build] over the same mutated data — and checking the two
-     publishes byte-identical.  Times are medians over the cycles; the
-     counters are the last cycle's. *)
-  let row ?(cycles = 1) ~session ~mutate ~cold k =
-    let one () =
-      let mutated = mutate k in
-      Gc.full_major ();
-      let report, t_watch = wall_it (fun () -> Serve.Watch.cycle session) in
-      Gc.full_major ();
-      let cold_built, t_full = wall_it cold in
-      let identical =
-        pages_identical (Serve.Watch.built session).Strudel.Site.site
-          cold_built.Strudel.Site.site
-      in
-      (mutated, report, t_watch, t_full, identical)
+let e24_header label =
+  Fmt.pr "@.%s@." label;
+  Fmt.pr "  %8s %8s %12s %12s %9s %11s %9s %10s@." "edited" "mutated"
+    "watch ms" "full ms" "speedup" "rerendered" "reused" "identical"
+
+(* One cell: [cycles] mutate→publish measurements, each applying the
+   edit, running one watch cycle, then timing the comparator — a cold
+   [Site.build] over the same mutated data — and checking the two
+   publishes byte-identical.  Times are medians over the cycles; the
+   counters are the last cycle's. *)
+let e24_row ?(cycles = 1) ~session ~mutate ~cold k =
+  let one () =
+    let mutated = mutate k in
+    Gc.full_major ();
+    let report, t_watch = wall_it (fun () -> Serve.Watch.cycle session) in
+    Gc.full_major ();
+    let cold_built, t_full = wall_it cold in
+    let identical =
+      pages_identical (Serve.Watch.built session).Strudel.Site.site
+        cold_built.Strudel.Site.site
     in
-    let runs = List.init cycles (fun _ -> one ()) in
-    let sorted f =
-      let a = Array.of_list (List.map f runs) in
-      Array.sort Float.compare a;
-      a
-    in
-    let watch = sorted (fun (_, _, t, _, _) -> t) in
-    let t_watch = percentile watch 0.5
-    and t_full = percentile (sorted (fun (_, _, _, t, _) -> t)) 0.5
-    and t_delta =
-      percentile (sorted (fun (_, r, _, _, _) -> r.Serve.Watch.cy_wall_ms)) 0.5
-    in
-    let identical = List.for_all (fun (_, _, _, _, id) -> id) runs in
-    let mutated, report, _, _, _ = List.nth runs (cycles - 1) in
-    Fmt.pr "  %8d %8d %12.1f %12.1f %8.1fx %11d %9d %10b%s@." k mutated t_watch
-      t_full (t_full /. t_watch) report.Serve.Watch.cy_rerendered
-      report.Serve.Watch.cy_reused identical
-      (if cycles > 1 then
-         Printf.sprintf "   (median of %d, IQR %.1f-%.1f)" cycles
-           (percentile watch 0.25) (percentile watch 0.75)
-       else "");
-    {
-      dr_requested = k;
-      dr_mutated = mutated;
-      dr_cycles = cycles;
-      dr_watch_ms = t_watch;
-      dr_watch_q1_ms = percentile watch 0.25;
-      dr_watch_q3_ms = percentile watch 0.75;
-      dr_delta_ms = t_delta;
-      dr_full_ms = t_full;
-      dr_drivers = report.Serve.Watch.cy_drivers;
-      dr_rows = report.Serve.Watch.cy_rows;
-      dr_touched = report.Serve.Watch.cy_touched;
-      dr_rerendered = report.Serve.Watch.cy_rerendered;
-      dr_reused = report.Serve.Watch.cy_reused;
-      dr_identical = identical;
-    }
+    (mutated, report, t_watch, t_full, identical)
   in
-  (* --- direct mode: synth-100k, edits through the watch recorder --- *)
-  let synth_items =
-    match Sys.getenv_opt "STRUDEL_SYNTH_PAGES" with
-    | Some s -> ( try max 1_000 (int_of_string s) with _ -> 100_000)
-    | None -> 100_000
+  let runs = List.init cycles (fun _ -> one ()) in
+  let sorted f =
+    let a = Array.of_list (List.map f runs) in
+    Array.sort Float.compare a;
+    a
   in
-  let data = Sites.Scale.data ~items:synth_items () in
-  let session, t_prime =
-    wall_it (fun () ->
-        Serve.Watch.create ~source:(Serve.Watch.Direct data)
-          Sites.Scale.definition)
+  let watch = sorted (fun (_, _, t, _, _) -> t) in
+  let t_watch = percentile watch 0.5
+  and t_full = percentile (sorted (fun (_, _, _, t, _) -> t)) 0.5
+  and t_delta =
+    percentile (sorted (fun (_, r, _, _, _) -> r.Serve.Watch.cy_wall_ms)) 0.5
   in
-  let synth_pages =
-    List.length
-      (Serve.Watch.built session).Strudel.Site.site.Template.Generator.pages
-  in
-  let items = Array.of_list (Graph.collection data "Items") in
-  let cursor = ref 0 in
-  let rev = ref 0 in
-  let mutate k =
-    let r = Option.get (Serve.Watch.recorder session) in
-    incr rev;
-    for _ = 1 to k do
-      let o = items.(!cursor mod Array.length items) in
-      incr cursor;
-      Delta.Rec.set_value r o "title"
-        (Value.String (Printf.sprintf "%s rev %d" (Oid.name o) !rev))
-    done;
-    min k (Array.length items)
-  in
-  let cold () = Strudel.Site.build ~data Sites.Scale.definition in
-  header
-    (Printf.sprintf "synth-%dk   %d pages, watch primed in %.0f ms"
-       (synth_items / 1000) synth_pages t_prime);
-  let synth_rows = List.map (row ~session ~mutate ~cold) sizes in
-  (* --- mediated mode: org-100, edits arrive as source updates --- *)
+  let identical = List.for_all (fun (_, _, _, _, id) -> id) runs in
+  let mutated, report, _, _, _ = List.nth runs (cycles - 1) in
+  Fmt.pr "  %8d %8d %12.1f %12.1f %8.1fx %11d %9d %10b%s@." k mutated t_watch
+    t_full (t_full /. t_watch) report.Serve.Watch.cy_rerendered
+    report.Serve.Watch.cy_reused identical
+    (if cycles > 1 then
+       Printf.sprintf "   (median of %d, IQR %.1f-%.1f)" cycles
+         (percentile watch 0.25) (percentile watch 0.75)
+     else "");
+  {
+    dr_requested = k;
+    dr_mutated = mutated;
+    dr_cycles = cycles;
+    dr_watch_ms = t_watch;
+    dr_watch_q1_ms = percentile watch 0.25;
+    dr_watch_q3_ms = percentile watch 0.75;
+    dr_delta_ms = t_delta;
+    dr_full_ms = t_full;
+    dr_drivers = report.Serve.Watch.cy_drivers;
+    dr_rows = report.Serve.Watch.cy_rows;
+    dr_touched = report.Serve.Watch.cy_touched;
+    dr_rerendered = report.Serve.Watch.cy_rerendered;
+    dr_reused = report.Serve.Watch.cy_reused;
+    dr_identical = identical;
+  }
+
+let e24_sizes = [ 1; 10; 100; 1000 ]
+
+let e24_json_rows rows =
+  String.concat ", "
+    (List.map
+       (fun r ->
+         Printf.sprintf
+           "{\"requested\": %d, \"mutated\": %d, \"cycles\": %d, \
+            \"watch_ms\": %.3f, \"watch_q1_ms\": %.3f, \"watch_q3_ms\": \
+            %.3f, \"delta_ms\": %.3f, \"full_ms\": %.3f, \"speedup\": %.2f, \
+            \"drivers\": %d, \"rows\": %d, \"touched\": %d, \
+            \"rerendered\": %d, \"reused\": %d, \"identical\": %b}"
+           r.dr_requested r.dr_mutated r.dr_cycles r.dr_watch_ms
+           r.dr_watch_q1_ms r.dr_watch_q3_ms r.dr_delta_ms r.dr_full_ms
+           (r.dr_full_ms /. r.dr_watch_ms)
+           r.dr_drivers r.dr_rows r.dr_touched r.dr_rerendered r.dr_reused
+           r.dr_identical)
+       rows)
+
+(* E24's mediated half, org-100 with edits arriving as source updates.
+   It runs in a process of its own ([main.exe --e24-org FILE]), so its
+   medians are not taken in the heap the synth-100k half just grew; it
+   writes two lines to FILE: whether every publish was identical, and
+   its JSON object. *)
+let e24_org out =
   let sources, w = Sites.Org.data ~people:100 ~orgs:6 () in
   let pubs = 80 (* [Sites.Org.data]'s default bibliography size *) in
   (* Re-seat the bibliography on a text we control, so graded edits
@@ -2278,51 +2297,93 @@ let e24 () =
   let ocold () =
     Strudel.Site.build ~data:(Mediator.Warehouse.graph w) Sites.Org.definition
   in
-  header
+  e24_header
     (Printf.sprintf "org-100    %d pages, watch primed in %.0f ms"
        org_pages t_oprime);
   let org_rows =
-    List.map (row ~cycles:7 ~session:osession ~mutate:omutate ~cold:ocold) sizes
+    List.map
+      (e24_row ~cycles:7 ~session:osession ~mutate:omutate ~cold:ocold)
+      e24_sizes
   in
+  let oc = open_out out in
+  Printf.fprintf oc "%b\n" (List.for_all (fun r -> r.dr_identical) org_rows);
+  Printf.fprintf oc
+    "{\"pubs\": %d, \"pages\": %d, \"prime_ms\": %.1f, \"runs\": [%s]}\n"
+    pubs org_pages t_oprime (e24_json_rows org_rows);
+  close_out oc
+
+let e24 () =
+  section "E24"
+    "Delta-StruQL: differential maintenance vs full re-query + rebuild";
+  (* --- direct mode: synth-100k, edits through the watch recorder --- *)
+  let synth_items =
+    match Sys.getenv_opt "STRUDEL_SYNTH_PAGES" with
+    | Some s -> ( try max 1_000 (int_of_string s) with _ -> 100_000)
+    | None -> 100_000
+  in
+  let data = Sites.Scale.data ~items:synth_items () in
+  let session, t_prime =
+    wall_it (fun () ->
+        Serve.Watch.create ~source:(Serve.Watch.Direct data)
+          Sites.Scale.definition)
+  in
+  let synth_pages =
+    List.length
+      (Serve.Watch.built session).Strudel.Site.site.Template.Generator.pages
+  in
+  let items = Array.of_list (Graph.collection data "Items") in
+  let cursor = ref 0 in
+  let rev = ref 0 in
+  let mutate k =
+    let r = Option.get (Serve.Watch.recorder session) in
+    incr rev;
+    for _ = 1 to k do
+      let o = items.(!cursor mod Array.length items) in
+      incr cursor;
+      Delta.Rec.set_value r o "title"
+        (Value.String (Printf.sprintf "%s rev %d" (Oid.name o) !rev))
+    done;
+    min k (Array.length items)
+  in
+  let cold () = Strudel.Site.build ~data Sites.Scale.definition in
+  e24_header
+    (Printf.sprintf "synth-%dk   %d pages, watch primed in %.0f ms"
+       (synth_items / 1000) synth_pages t_prime);
+  let synth_rows = List.map (e24_row ~session ~mutate ~cold) e24_sizes in
+  (* --- mediated mode: org-100, in its own process --- *)
+  let out = Filename.temp_file "strudel-e24-org" ".txt" in
+  Format.pp_print_flush Format.std_formatter ();
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "--e24-org"; out |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  (match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> failwith "E24: the org-100 process failed");
+  let ic = open_in out in
+  let org_identical = bool_of_string (input_line ic) in
+  let org_json = input_line ic in
+  close_in ic;
+  Sys.remove out;
   (* --- acceptance + profile --- *)
   let one = List.hd synth_rows in
   let speedup_1 = one.dr_full_ms /. one.dr_watch_ms in
   let all_identical =
-    List.for_all (fun r -> r.dr_identical) (synth_rows @ org_rows)
+    List.for_all (fun r -> r.dr_identical) synth_rows && org_identical
   in
   Fmt.pr
     "@.acceptance: 1-item mutation on synth-%dk publishes %.1fx faster than \
      a full rebuild (>=10x: %b), byte-identical everywhere: %b@."
     (synth_items / 1000) speedup_1 (speedup_1 >= 10.) all_identical;
-  let json_rows rows =
-    String.concat ", "
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "{\"requested\": %d, \"mutated\": %d, \"cycles\": %d, \
-              \"watch_ms\": %.3f, \"watch_q1_ms\": %.3f, \"watch_q3_ms\": \
-              %.3f, \"delta_ms\": %.3f, \"full_ms\": %.3f, \"speedup\": %.2f, \
-              \"drivers\": %d, \"rows\": %d, \"touched\": %d, \
-              \"rerendered\": %d, \"reused\": %d, \"identical\": %b}"
-             r.dr_requested r.dr_mutated r.dr_cycles r.dr_watch_ms
-             r.dr_watch_q1_ms r.dr_watch_q3_ms r.dr_delta_ms r.dr_full_ms
-             (r.dr_full_ms /. r.dr_watch_ms)
-             r.dr_drivers r.dr_rows r.dr_touched r.dr_rerendered r.dr_reused
-             r.dr_identical)
-         rows)
-  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"experiment\": \"E24_delta_maintenance\",\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"synth\": {\"items\": %d, \"pages\": %d, \"prime_ms\": %.1f, \
         \"runs\": [%s]},\n"
-       synth_items synth_pages t_prime (json_rows synth_rows));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"org\": {\"pubs\": %d, \"pages\": %d, \"prime_ms\": %.1f, \
-        \"runs\": [%s]},\n"
-       pubs org_pages t_oprime (json_rows org_rows));
+       synth_items synth_pages t_prime (e24_json_rows synth_rows));
+  Buffer.add_string buf (Printf.sprintf "  \"org\": %s,\n" org_json);
   Buffer.add_string buf
     (Printf.sprintf
        "  \"acceptance\": {\"synth_1item_speedup\": %.2f, \"ge_10x\": %b, \
@@ -2356,6 +2417,9 @@ let () =
   let t0 = Sys.time () in
   let requested =
     match Array.to_list Sys.argv with
+    | [ _; "--e24-org"; out ] ->
+      e24_org out;
+      exit 0
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in

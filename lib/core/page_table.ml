@@ -321,10 +321,7 @@ let by_location a b = compare a.Fault.f_location b.Fault.f_location
 let run t ~touched ~removed =
   let t0 = Render_pool.now_ms () in
   let prime = not t.primed in
-  if prime then begin
-    clear t;
-    ignore (Graph.freeze t.graph)
-  end;
+  if prime then clear t;
   t.cycle <- t.cycle + 1;
   let rd =
     Render_pool.renderer ~jobs:t.jobs ~templates:t.templates

@@ -231,11 +231,10 @@ let fan_out rd ~len f =
   else Pool.run Pool.shared ~jobs:rd.rd_jobs run_worker;
   rd.rd_steals <- rd.rd_steals + Pool.Work.steals work
 
+(* Worker domains read the live graph, which nothing mutates while
+   they render: every graph read records a sanitizer read, so a
+   mutation racing them is reported. *)
 let render_pages rd g (os : Oid.t array) =
-  (* worker domains read the immutable kernel snapshot; one domain
-     renders against the live graph, which a few pages do not pay an
-     O(site) freeze for *)
-  if rd.rd_jobs > 1 then ignore (Graph.freeze g);
   let n = Array.length os in
   let out = Array.make n None in
   (* sanitizer identity for the batch: field [i] covers [out.(i)] *)
@@ -292,10 +291,6 @@ let materialize ?(jobs = 1) ?cache ?file_loader
   let t0 = now_ms () in
   let jobs = if jobs <= 0 then auto_jobs () else jobs in
   let slice = max 1 slice in
-  (* the site graph is read-only from here on: freeze once so every
-     graph probe — template attributes, cache-trace verification — from
-     all domains hits the kernel snapshot's per-(node, label) segments *)
-  ignore (Graph.freeze g);
   let inject = Fault.inject fault in
   (* degraded (or injectable) builds always run the wave loop, even at
      [jobs = 1]: the sequential generator lets a failed render's

@@ -104,7 +104,8 @@ val materialize :
     the returned site has an empty page list ([profile.rp_pages] still
     counts them); peak memory is bounded by [slice] pages.
 
-    The graph is frozen first, so every read hits the kernel snapshot.
+    Workers read the graph in place: nothing may mutate it until
+    [materialize] returns.
 
     With [~on_error:Degrade], a failed (or injected-faulty) page render
     is isolated: the page becomes a {!Template.Generator.placeholder_page},

@@ -105,19 +105,23 @@ let tick c = c.vc.(c.tid) <- c.vc.(c.tid) + 1
 (* --- identifier registries --- *)
 
 (* ids are minted lock-free so constructors stay cheap while the
-   sanitizer is off; names are recorded under [m]. *)
+   sanitizer is off; names are recorded under [m], and only while it is
+   on, so a process that never arms it keeps no name of the objects it
+   creates and drops.  A report names an object created while the
+   sanitizer was off by its id. *)
 let next_id = Atomic.make 0
 let names : (int, string) Hashtbl.t = Hashtbl.create 256
 
 let register ~name =
   let id = Atomic.fetch_and_add next_id 1 in
-  locked (fun () -> Hashtbl.replace names id name);
+  if Atomic.get on then locked (fun () -> Hashtbl.replace names id name);
   id
 
 let alloc ~name = register ~name
 let lock_id ~name = register ~name
 let atomic_id ~name = register ~name
 let name_of id = try Hashtbl.find names id with Not_found -> "?" ^ string_of_int id
+let registered () = locked (fun () -> Hashtbl.length names)
 
 (* --- synchronization clocks (locks and atomics share the table) --- *)
 

@@ -3,7 +3,7 @@
 
     An annotation-based dynamic race detector in the sanitizer style:
     the concurrent hot spots of the codebase ({!Pool}, {!Render_pool},
-    the {!Sgraph.Graph} double-checked freeze, the warehouse view
+    the {!Sgraph.Graph} reads worker domains share, the warehouse view
     swap, the serving layer) carry explicit instrumentation points,
     and when the sanitizer is enabled every instrumented memory access
     is checked against a
@@ -31,7 +31,9 @@
     small ints; mutexes register {!lock_id}s; release/acquire atomics
     register {!atomic_id}s.  All three share one id space, and ids are
     cheap to mint while disabled, so registration can live in
-    constructors.
+    constructors.  A name is recorded only while the sanitizer is
+    enabled: a report names an object registered while it was off by
+    its id (["?<id>"]).
 
     {2 Soundness and completeness}
 
@@ -81,8 +83,10 @@ val lock_id : name:string -> int
 
 val atomic_id : name:string -> int
 (** Register a release/acquire publication point (an [Atomic.t], or a
-    field intentionally read unlocked under a publication protocol —
-    the double-checked freeze). *)
+    field intentionally read unlocked under a publication protocol). *)
+
+val registered : unit -> int
+(** How many names the registry holds. *)
 
 (** {1 Instrumentation points} *)
 

@@ -1,7 +1,7 @@
 (* Mmap-able binary shard segments.
 
-   The layout is the CSR kernel's int-coded form written out as
-   fixed-width little-endian int64 sections: a header of counts, then
+   The layout is a node-major int-coded form of the graph written out
+   as fixed-width little-endian int64 sections: a header of counts, then
    string table, node table (global id + name), value heap, forward and
    reverse adjacency, collections, per-element sequence numbers and a
    small metadata blob.  Every section's offset is a pure function of
@@ -132,33 +132,128 @@ let geometry ~n_nodes ~n_values ~n_labels ~n_edges ~n_colls ~n_members
 
 (* --- writing --- *)
 
-let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
-  let csr = Graph.freeze g in
-  let n_nodes = csr.Csr.n_nodes in
-  let n_values = csr.Csr.n_values in
-  let n_labels = csr.Csr.n_labels in
-  (* [Graph.freeze] pads the edge arrays to length [max 1 ne], so the true
-     edge count comes from the offsets, not the array length. *)
-  let n_edges = csr.Csr.fwd_off.(n_nodes) in
+(* The node-major int-coded layout a segment stores, read off the live
+   graph: nodes renumbered [0..n_nodes-1] in [Graph.nodes] order, atomic
+   values coded [n_nodes..] in first-appearance order over the forward
+   edges, labels by the graph's own ids; forward adjacency in each
+   node's edge insertion order, reverse adjacency over every code,
+   node-major. *)
+type layout = {
+  l_idx : int array;  (* slot -> node index, -1 for a removed node *)
+  l_nodes : Oid.t array;
+  l_values : Value.t array;
+  l_labels : string array;
+  l_fwd_off : int array;
+  l_fwd_lab : int array;
+  l_fwd_tgt : int array;
+  l_rev_off : int array;
+  l_rev_src : int array;
+  l_rev_lab : int array;
+}
+
+let layout g =
+  let module S = Graph.Slots in
+  let ns = S.count g in
+  let idx = Array.make ns (-1) in
+  let nodes = ref [] and nn = ref 0 in
+  for s = 0 to ns - 1 do
+    if S.live g s then begin
+      idx.(s) <- !nn;
+      incr nn;
+      nodes := S.oid g s :: !nodes
+    end
+  done;
+  let nn = !nn in
+  let ne = Graph.edge_count g in
+  let fwd_off = Array.make (nn + 1) 0 in
+  let fwd_lab = Array.make ne 0 and fwd_tgt = Array.make ne 0 in
+  let vcode = Array.make (S.value_count g) (-1) in
+  let vals_rev = ref [] and nv = ref 0 in
+  let e = ref 0 in
+  for s = 0 to ns - 1 do
+    if S.live g s then begin
+      fwd_off.(idx.(s)) <- !e;
+      let ids = S.out g s in
+      for k = 0 to S.out_len g s - 1 do
+        let lab = S.label g ids.(k) in
+        if lab >= 0 then begin
+          let tk = S.target g ids.(k) in
+          fwd_lab.(!e) <- lab;
+          fwd_tgt.(!e) <-
+            (if S.is_node tk then idx.(S.index tk)
+             else begin
+               let vi = S.index tk in
+               if vcode.(vi) < 0 then begin
+                 vcode.(vi) <- nn + !nv;
+                 incr nv;
+                 vals_rev := S.value g vi :: !vals_rev
+               end;
+               vcode.(vi)
+             end);
+          incr e
+        end
+      done
+    end
+  done;
+  fwd_off.(nn) <- !e;
+  let ntc = nn + !nv in
+  let rev_off = Array.make (ntc + 1) 0 in
+  Array.iter (fun t -> rev_off.(t + 1) <- rev_off.(t + 1) + 1) fwd_tgt;
+  for t = 1 to ntc do
+    rev_off.(t) <- rev_off.(t) + rev_off.(t - 1)
+  done;
+  let rev_src = Array.make ne 0 and rev_lab = Array.make ne 0 in
+  let rcur = Array.sub rev_off 0 ntc in
+  for i = 0 to nn - 1 do
+    for e = fwd_off.(i) to fwd_off.(i + 1) - 1 do
+      let t = fwd_tgt.(e) in
+      rev_src.(rcur.(t)) <- i;
+      rev_lab.(rcur.(t)) <- fwd_lab.(e);
+      rcur.(t) <- rcur.(t) + 1
+    done
+  done;
+  {
+    l_idx = idx;
+    l_nodes = Array.of_list (List.rev !nodes);
+    l_values = Array.of_list (List.rev !vals_rev);
+    l_labels = Array.init (S.label_count g) (S.label_name g);
+    l_fwd_off = fwd_off;
+    l_fwd_lab = fwd_lab;
+    l_fwd_tgt = fwd_tgt;
+    l_rev_off = rev_off;
+    l_rev_src = rev_src;
+    l_rev_lab = rev_lab;
+  }
+
+let node_index lay g o ~err =
+  let s = Graph.Slots.find g o in
+  if s < 0 then invalid_arg err else lay.l_idx.(s)
+
+let encode_layout lay ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq
+    (g : Graph.t) =
+  let n_nodes = Array.length lay.l_nodes in
+  let n_values = Array.length lay.l_values in
+  let n_labels = Array.length lay.l_labels in
+  let n_edges = Array.length lay.l_fwd_lab in
   let it = Binary.interner () in
-  let label_sid = Array.map (Binary.intern it) csr.Csr.label_names in
+  let label_sid = Array.map (Binary.intern it) lay.l_labels in
   let node_name_sid =
-    Array.map (fun o -> Binary.intern it (Oid.name o)) csr.Csr.node_ids
+    Array.map (fun o -> Binary.intern it (Oid.name o)) lay.l_nodes
   in
-  let node_gid = Array.map gid csr.Csr.node_ids in
+  let node_gid = Array.map gid lay.l_nodes in
   let vbuf = Buffer.create 256 in
   let val_off = Array.make (n_values + 1) 0 in
   Array.iteri
     (fun i v ->
       val_off.(i) <- Buffer.length vbuf;
       Binary.put_value vbuf it v)
-    csr.Csr.values;
+    lay.l_values;
   val_off.(n_values) <- Buffer.length vbuf;
   let seqs = Array.make n_edges 0 in
   for i = 0 to n_nodes - 1 do
-    let base = csr.Csr.fwd_off.(i) in
-    let o = csr.Csr.node_ids.(i) in
-    for k = 0 to csr.Csr.fwd_off.(i + 1) - base - 1 do
+    let base = lay.l_fwd_off.(i) in
+    let o = lay.l_nodes.(i) in
+    for k = 0 to lay.l_fwd_off.(i + 1) - base - 1 do
       seqs.(base + k) <- edge_seq o k
     done
   done;
@@ -180,10 +275,8 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
       Array.iteri
         (fun k o ->
           let p = coll_off.(ci) + k in
-          (mem_idx.(p) <-
-             (match Csr.node_index csr o with
-              | Some i -> i
-              | None -> invalid_arg "Segment.encode: member is not a node"));
+          mem_idx.(p) <-
+            node_index lay g o ~err:"Segment.encode: member is not a node";
           mem_seq.(p) <- coll_seq c k)
         ms)
     member_lists;
@@ -217,11 +310,6 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
   let body = Buffer.create (geo.total - header_len) in
   let add_int v = Buffer.add_int64_le body (Int64.of_int v) in
   let add_ints a = Array.iter add_int a in
-  let add_edge_ints a =
-    for i = 0 to n_edges - 1 do
-      add_int a.(i)
-    done
-  in
   let add_blob b =
     let len = Buffer.length b in
     Buffer.add_buffer body b;
@@ -236,13 +324,13 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
   add_ints node_name_sid;
   add_ints val_off;
   add_blob vbuf;
-  add_ints csr.Csr.fwd_off;
-  add_edge_ints csr.Csr.fwd_lab;
-  add_edge_ints csr.Csr.fwd_tgt;
+  add_ints lay.l_fwd_off;
+  add_ints lay.l_fwd_lab;
+  add_ints lay.l_fwd_tgt;
   add_ints seqs;
-  add_ints csr.Csr.rev_off;
-  add_edge_ints csr.Csr.rev_src;
-  add_edge_ints csr.Csr.rev_lab;
+  add_ints lay.l_rev_off;
+  add_ints lay.l_rev_src;
+  add_ints lay.l_rev_lab;
   add_ints coll_sid;
   add_ints coll_off;
   add_ints mem_idx;
@@ -272,8 +360,10 @@ let encode ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq (g : Graph.t) =
   Buffer.add_string out body;
   Buffer.contents out
 
-let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
-  let s = encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g in
+let encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
+  encode_layout (layout g) ?epoch ?meta ~gid ~edge_seq ~coll_seq g
+
+let write_file ~path s =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   output_string oc s;
@@ -281,13 +371,12 @@ let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
   Sys.rename tmp path;
   String.length s
 
+let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
+  write_file ~path (encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g)
+
 let write_graph ~path ?epoch ?meta g =
-  let csr = Graph.freeze g in
-  let idx o =
-    match Csr.node_index csr o with
-    | Some i -> i
-    | None -> invalid_arg "Segment.write_graph: unknown node"
-  in
+  let lay = layout g in
+  let idx o = node_index lay g o ~err:"Segment.write_graph: unknown node" in
   let coll_base = Hashtbl.create 16 in
   let base = ref 0 in
   List.iter
@@ -295,10 +384,11 @@ let write_graph ~path ?epoch ?meta g =
       Hashtbl.replace coll_base c !base;
       base := !base + Graph.collection_size g c)
     (Graph.collections g);
-  write ~path ?epoch ?meta ~gid:idx
-    ~edge_seq:(fun o k -> csr.Csr.fwd_off.(idx o) + k)
-    ~coll_seq:(fun c k -> Hashtbl.find coll_base c + k)
-    g
+  write_file ~path
+    (encode_layout lay ?epoch ?meta ~gid:idx
+       ~edge_seq:(fun o k -> lay.l_fwd_off.(idx o) + k)
+       ~coll_seq:(fun c k -> Hashtbl.find coll_base c + k)
+       g)
 
 (* --- reading --- *)
 

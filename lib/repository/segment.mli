@@ -1,17 +1,18 @@
-(** Mmap-able binary shard segments — the frozen, int-coded form of one
+(** Mmap-able binary shard segments — the int-coded form of one
     repository shard.
 
-    A segment persists a graph in the CSR kernel's layout (interned
-    symbol table, forward and reverse adjacency, value heap): the shard
-    is frozen once at publish time and the resulting arrays are written
-    as fixed-width little-endian [int64] sections behind a checksummed
+    A segment persists a graph in a node-major int-coded layout
+    (interned symbol table, forward and reverse adjacency, value heap),
+    built from the live graph at publish time and written as
+    fixed-width little-endian [int64] sections behind a checksummed
     header, so a reader can either decode the whole file or map it and
-    index sections in place without parsing.  Alongside the CSR arrays
-    a segment records what the plain {!Binary} format cannot: each
-    node's {e global id} (its position in the mediated union graph) and
-    per-element {e sequence numbers} for edges and collection members,
-    which let {!Shard} re-assemble a multi-segment repository into a
-    union graph whose iteration orders are deterministic.
+    index sections in place without parsing.  Alongside the adjacency
+    arrays a segment records what the plain {!Binary} format cannot:
+    each node's {e global id} (its position in the mediated union
+    graph) and per-element {e sequence numbers} for edges and
+    collection members, which let {!Shard} re-assemble a multi-segment
+    repository into a union graph whose iteration orders are
+    deterministic.
 
     All malformed-input errors raise {!Binary.Corrupt} carrying the
     absolute byte offset at which the reader gave up. *)
@@ -31,7 +32,7 @@ val encode :
   coll_seq:(string -> int -> int) ->
   Graph.t ->
   string
-(** Freeze the graph and serialize its snapshot.  [gid] maps each node
+(** Serialize the graph.  [gid] maps each node
     to its global id; [edge_seq node k] gives the global sequence
     number of the node's [k]-th outgoing edge (insertion order);
     [coll_seq c k] that of collection [c]'s [k]-th member.  [meta] keys
@@ -78,7 +79,7 @@ val map : ?verify:bool -> path:string -> unit -> t
 val size_bytes : t -> int
 val version : t -> int
 val generation : t -> int
-(** The source graph's mutation generation at freeze time. *)
+(** The source graph's mutation generation when it was written. *)
 
 val epoch : t -> int
 val node_count : t -> int

@@ -6,7 +6,7 @@
     it holds its member nodes (plus {e ghost} stubs for foreign edge
     targets), every out-edge of a member, and each member's collection
     entries — so a collection whose members fall in several shards
-    appears, split, in each of them.  Publishing freezes every shard to
+    appears, split, in each of them.  Publishing writes every shard to
     an mmap-able {!Segment} under the repository directory and then
     atomically replaces the [MANIFEST] file, which names the current
     epoch's segment set; readers that pinned the previous manifest keep

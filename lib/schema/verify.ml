@@ -180,9 +180,7 @@ let family_members g fam =
   List.filter (fun o -> family_of_node o = Some fam) (Graph.nodes g)
 
 let check_site (g : Graph.t) (c : constraint_) : verdict =
-  (* constraints only read the graph, through the kernel snapshot when
-     it is valid (a cold build's render froze it) and the live indexes
-     otherwise: a refreeze per watch cycle would cost O(site) *)
+  (* constraints only read the graph, through its live indexes *)
   match c with
   | Reachable_from root ->
     let roots = family_members g root in

@@ -10,7 +10,7 @@ type source =
   | Federated of Warehouse.t
 
 (* One installed epoch: the site graph a cold build of the pinned data
-   evaluates, frozen once, plus its route table.  After [build_epoch]
+   evaluates, plus its route table.  After [build_epoch]
    returns nothing here mutates, so worker domains read it without
    locks; ETag memoization is the one mutable corner and takes its own
    mutex. *)
@@ -63,7 +63,6 @@ let page_url o = Generator.slug (Oid.name o) ^ ".html"
    keeps it. *)
 let build_epoch def ~epoch data =
   let g, _, _, _ = Strudel.Site.build_site_graph def data in
-  ignore (Graph.freeze g);
   let roots = Strudel.Site.roots_of g def.Strudel.Site.root_family in
   let routes = Hashtbl.create 64 in
   let visited = Oid.Tbl.create 64 in

@@ -103,10 +103,9 @@ let touched d =
     that can {e reach} a touched element along forward edges within
     [depth] hops ([max_int]: any number), mapped to its fewest hops — the
     candidate drivers of differential re-evaluation.  One breadth-first
-    walk over the incoming-edge index — on a frozen graph this is the
-    CSR kernel's reverse-adjacency lane (it feeds the same in-index) —
-    plus the reverse of the {e removed} edges, which the post-mutation
-    graph no longer holds. *)
+    walk over the incoming-edge index (the one the path kernel's
+    backward lane reads), plus the reverse of the {e removed} edges,
+    which the post-mutation graph no longer holds. *)
 let closure ~depth g d =
   let rm_in : (int, Oid.t list) Hashtbl.t = Hashtbl.create 16 in
   List.iter

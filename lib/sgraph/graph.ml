@@ -29,7 +29,7 @@ module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
   let equal = Value.equal
-  let hash = Hashtbl.hash
+  let hash = Value.hash
 end)
 
 (* --- storage ---
@@ -131,19 +131,15 @@ type t = {
   mutable c_name : string array;
   mutable c_mem : vec array;  (* member slots *)
   mutable n_colls : int;
-  (* bumped by every mutation; the kernel snapshot is tagged with it *)
+  (* bumped by every mutation; the path kernel's memos are tagged with it *)
   mutable generation : int;
-  mutable frozen : Csr.t option;
-  kstats : Csr.kstats;
-  freeze_lock : Mutex.t;
-  (* sanitizer identities: field 0 = the mutable structure (proxied by
-     the generation bump every mutation performs), field 1 = [frozen];
-     [dsan_frozen] is the publication point of the double-checked
-     freeze (the unlocked fast-path read is an intended racy read,
-     ordered by publish/consume, not by the freeze lock) *)
+  (* path-kernel memo hits and misses: atomic, as worker domains may
+     evaluate paths on the graph while the main domain reads them *)
+  k_hits : int Atomic.t;
+  k_misses : int Atomic.t;
+  (* sanitizer identity: field 0 = the mutable structure, written by
+     every mutation (through [touch]) and read by every public read *)
   dsan_obj : int;
-  dsan_frozen : int;
-  dsan_freeze_lock : int;
 }
 
 let no_target = V Value.Null
@@ -183,26 +179,27 @@ let create ?(indexed = true) ?(name = "g") () =
     c_mem = [||];
     n_colls = 0;
     generation = 0;
-    frozen = None;
-    kstats = Csr.kstats_create ();
-    freeze_lock = Mutex.create ();
+    k_hits = Atomic.make 0;
+    k_misses = Atomic.make 0;
     dsan_obj = Dsan.alloc ~name:("Graph(" ^ name ^ ")");
-    dsan_frozen = Dsan.atomic_id ~name:("Graph(" ^ name ^ ").frozen");
-    dsan_freeze_lock = Dsan.lock_id ~name:("Graph(" ^ name ^ ").freeze_lock");
   }
 
 let name g = g.gname
 let indexed g = g.use_index
-let generation g = g.generation
 
-(* Every mutation comes through here, collection memberships too (the
-   snapshot holds none, but an unmoved generation promises unchanged
-   content); it also lets go of the snapshot, which no reader can be
-   handed any more. *)
+(* Every public read records one sanitizer read of the structure, so a
+   mutation racing a reader on another domain is reported. *)
+let observe g site = Dsan.read ~site g.dsan_obj 0
+
+let generation g =
+  observe g __POS__;
+  g.generation
+
+(* Every mutation comes through here, collection memberships too: an
+   unmoved generation promises unchanged content. *)
 let touch g =
   Dsan.write ~site:__POS__ g.dsan_obj 0;
-  g.generation <- g.generation + 1;
-  match g.frozen with Some _ -> g.frozen <- None | None -> ()
+  g.generation <- g.generation + 1
 
 let grow a n fill =
   let b = Array.make (max 8 (2 * n)) fill in
@@ -240,9 +237,12 @@ let new_node g hint =
   add_node g o;
   o
 
-let mem_node g o = Oid.Tbl.mem g.slot o
+let mem_node g o =
+  observe g __POS__;
+  Oid.Tbl.mem g.slot o
 
 let nodes g =
+  observe g __POS__;
   let acc = ref [] in
   for s = g.n_slots - 1 downto 0 do
     if g.s_out.(s) != gone then acc := g.s_oid.(s) :: !acc
@@ -250,12 +250,18 @@ let nodes g =
   !acc
 
 let iter_nodes f g =
+  observe g __POS__;
   for s = 0 to g.n_slots - 1 do
     if g.s_out.(s) != gone then f g.s_oid.(s)
   done
 
-let node_count g = g.n_nodes
-let find_node g n = Stbl.find_opt g.names n
+let node_count g =
+  observe g __POS__;
+  g.n_nodes
+
+let find_node g n =
+  observe g __POS__;
+  Stbl.find_opt g.names n
 
 (* --- labels and values --- *)
 
@@ -354,7 +360,9 @@ let edge_id g src l tgt =
   let s = slot_find g src and lab = label_find g l and tk = tk_find g tgt in
   if s < 0 || lab < 0 || tk < 0 then -1 else find_edge g s lab tk
 
-let has_edge g src l tgt = edge_id g src l tgt >= 0
+let has_edge g src l tgt =
+  observe g __POS__;
+  edge_id g src l tgt >= 0
 
 let link_edge g s lab tk tgt =
   touch g;
@@ -521,9 +529,12 @@ let remove_edge g src l tgt =
     maybe_compact g
   end
 
-let edge_count g = g.n_edges
+let edge_count g =
+  observe g __POS__;
+  g.n_edges
 
 let out_edges g o =
+  observe g __POS__;
   let s = slot_find g o in
   if s < 0 then []
   else begin
@@ -537,6 +548,7 @@ let out_edges g o =
   end
 
 let iter_edges f g =
+  observe g __POS__;
   for s = 0 to g.n_slots - 1 do
     let v = g.s_out.(s) in
     if v != gone then
@@ -553,6 +565,7 @@ let fold_edges f g init =
   !acc
 
 let iter_edges_inserted f g =
+  observe g __POS__;
   for e = 0 to g.n_log - 1 do
     let lab = g.e_lab.(e) in
     if lab >= 0 then f g.s_oid.(g.e_src.(e)) g.l_name.(lab) g.e_tgt.(e)
@@ -578,6 +591,7 @@ let of_log g keep f =
 let src_label g e = (g.s_oid.(g.e_src.(e)), g.l_name.(g.e_lab.(e)))
 
 let in_edges g tgt =
+  observe g __POS__;
   let tk = tk_find g tgt in
   if tk < 0 then []
   else if g.use_index then
@@ -585,234 +599,29 @@ let in_edges g tgt =
     of_bucket g v (src_label g)
   else of_log g (fun e -> g.e_tk.(e) = tk) (src_label g)
 
-(* --- kernel snapshot --- *)
+let labels g =
+  observe g __POS__;
+  Array.to_list (Array.sub g.l_name 0 g.n_labels)
 
-let labels g = Array.to_list (Array.sub g.l_name 0 g.n_labels)
-
-let build_csr g : Csr.t =
-  let nn = g.n_nodes in
-  (* node index of every slot: the slot itself unless removed nodes
-     await compaction *)
-  let idx = Array.make g.n_slots (-1) in
-  let node_ids = if nn = 0 then [||] else Array.make nn g.s_oid.(0) in
-  let i = ref 0 in
-  for s = 0 to g.n_slots - 1 do
-    if g.s_out.(s) != gone then begin
-      idx.(s) <- !i;
-      node_ids.(!i) <- g.s_oid.(s);
-      incr i
-    end
-  done;
-  let idx_of_node =
-    if nn = g.n_slots then Oid.Tbl.copy g.slot
-    else begin
-      let t = Oid.Tbl.create (max 16 nn) in
-      Array.iteri (fun i o -> Oid.Tbl.replace t o i) node_ids;
-      t
-    end
-  in
-  let nl = g.n_labels in
-  let label_names = Array.sub g.l_name 0 nl in
-  let local_of_label = Hashtbl.create (2 * nl + 1) in
-  Array.iteri (fun li l -> Hashtbl.replace local_of_label l li) label_names;
-  let ne = g.n_edges in
-  let fwd_off = Array.make (nn + 1) 0 in
-  let fwd_lab = Array.make (max 1 ne) 0 in
-  let fwd_tgt = Array.make (max 1 ne) 0 in
-  (* values interned per snapshot in first-appearance order *)
-  let vcode = Array.make g.n_values (-1) in
-  let vals_rev = ref [] in
-  let nv = ref 0 in
-  let e = ref 0 in
-  for s = 0 to g.n_slots - 1 do
-    let v = g.s_out.(s) in
-    if v != gone then begin
-      fwd_off.(idx.(s)) <- !e;
-      for k = 0 to v.n - 1 do
-        let ed = v.a.(k) in
-        let lab = g.e_lab.(ed) in
-        if lab >= 0 then begin
-          fwd_lab.(!e) <- lab;
-          let tk = g.e_tk.(ed) in
-          fwd_tgt.(!e) <-
-            (if tk land 1 = 0 then idx.(tk lsr 1)
-             else begin
-               let vi = tk lsr 1 in
-               if vcode.(vi) < 0 then begin
-                 vcode.(vi) <- nn + !nv;
-                 incr nv;
-                 vals_rev := g.v_val.(vi) :: !vals_rev
-               end;
-               vcode.(vi)
-             end);
-          incr e
-        end
-      done
-    end
-  done;
-  fwd_off.(nn) <- !e;
-  let values = Array.of_list (List.rev !vals_rev) in
-  (* per-(node, label) segments, preserving per-label insertion order *)
-  let seg = Hashtbl.create (2 * nn + 1) in
-  let seg_tgt = Array.make (max 1 ne) 0 in
-  let label_edges = Array.make (max 1 nl) 0 in
-  let label_srcs = Array.make (max 1 nl) 0 in
-  let counts = Array.make (max 1 nl) 0 in
-  let cursor = Array.make (max 1 nl) 0 in
-  let scur = ref 0 in
-  for i = 0 to nn - 1 do
-    let lo = fwd_off.(i) and hi = fwd_off.(i + 1) in
-    if hi > lo then begin
-      let touched = ref [] in
-      for e = lo to hi - 1 do
-        let l = fwd_lab.(e) in
-        if counts.(l) = 0 then touched := l :: !touched;
-        counts.(l) <- counts.(l) + 1
-      done;
-      List.iter
-        (fun l ->
-          Hashtbl.add seg ((i * nl) + l) (!scur, counts.(l));
-          cursor.(l) <- !scur;
-          scur := !scur + counts.(l);
-          label_edges.(l) <- label_edges.(l) + counts.(l);
-          label_srcs.(l) <- label_srcs.(l) + 1)
-        (List.rev !touched);
-      for e = lo to hi - 1 do
-        let l = fwd_lab.(e) in
-        seg_tgt.(cursor.(l)) <- fwd_tgt.(e);
-        cursor.(l) <- cursor.(l) + 1
-      done;
-      List.iter (fun l -> counts.(l) <- 0) !touched
-    end
-  done;
-  (* reverse CSR over all tcodes (node-major order, backward lane only) *)
-  let ntc = nn + !nv in
-  let rev_off = Array.make (ntc + 1) 0 in
-  for e = 0 to ne - 1 do
-    let t = fwd_tgt.(e) in
-    rev_off.(t + 1) <- rev_off.(t + 1) + 1
-  done;
-  for t = 1 to ntc do
-    rev_off.(t) <- rev_off.(t) + rev_off.(t - 1)
-  done;
-  let rev_src = Array.make (max 1 ne) 0 in
-  let rev_lab = Array.make (max 1 ne) 0 in
-  let rcur = Array.sub rev_off 0 ntc in
-  for i = 0 to nn - 1 do
-    for e = fwd_off.(i) to fwd_off.(i + 1) - 1 do
-      let t = fwd_tgt.(e) in
-      rev_src.(rcur.(t)) <- i;
-      rev_lab.(rcur.(t)) <- fwd_lab.(e);
-      rcur.(t) <- rcur.(t) + 1
-    done
-  done;
-  {
-    Csr.gen = g.generation;
-    uid = Csr.fresh_uid ();
-    stats = g.kstats;
-    n_nodes = nn;
-    node_ids;
-    idx_of_node;
-    n_values = !nv;
-    values;
-    n_labels = nl;
-    label_names;
-    local_of_label;
-    fwd_off;
-    fwd_lab;
-    fwd_tgt;
-    seg;
-    seg_tgt;
-    rev_off;
-    rev_src;
-    rev_lab;
-    label_edges;
-    label_srcs;
-    cache = Hashtbl.create 8;
-  }
-
-(* The [frozen] field is an {e intended} racy read: the fast path
-   checks it with no lock, ordered only by the publish below — so the
-   sanitizer models it as a publication point (publish/consume), not a
-   plain field.  The [generation] read (field 0) stays a plain read:
-   mutating the graph while another domain freezes or snapshots it is
-   a genuine protocol violation Dsan must flag. *)
-let freeze g =
-  Dsan.consume ~site:__POS__ g.dsan_frozen;
-  Dsan.read ~site:__POS__ g.dsan_obj 0;
-  match g.frozen with
-  | Some s when s.Csr.gen = g.generation -> s
-  | _ ->
-    Mutex.lock g.freeze_lock;
-    Dsan.acquire ~site:__POS__ g.dsan_freeze_lock;
-    Fun.protect
-      ~finally:(fun () ->
-        Dsan.release ~site:__POS__ g.dsan_freeze_lock;
-        Mutex.unlock g.freeze_lock)
-      (fun () ->
-        Dsan.consume ~site:__POS__ g.dsan_frozen;
-        match g.frozen with
-        | Some s when s.Csr.gen = g.generation -> s
-        | _ ->
-          let s = build_csr g in
-          Atomic.incr g.kstats.freezes;
-          g.frozen <- Some s;
-          Dsan.publish ~site:__POS__ g.dsan_frozen;
-          s)
-
-let snapshot g =
-  Dsan.consume ~site:__POS__ g.dsan_frozen;
-  Dsan.read ~site:__POS__ g.dsan_obj 0;
-  match g.frozen with
-  | Some s when s.Csr.gen = g.generation -> Some s
-  | _ -> None
-
-type kernel_counters = { freezes : int; hits : int; misses : int }
-
-let kernel_counters g =
-  {
-    freezes = Atomic.get g.kstats.Csr.freezes;
-    hits = Atomic.get g.kstats.Csr.hits;
-    misses = Atomic.get g.kstats.Csr.misses;
-  }
-
-let reset_kernel_counters g =
-  Atomic.set g.kstats.Csr.freezes 0;
-  Atomic.set g.kstats.Csr.hits 0;
-  Atomic.set g.kstats.Csr.misses 0
-
-let decode_tcode (s : Csr.t) tc =
-  if tc < s.Csr.n_nodes then N s.Csr.node_ids.(tc)
-  else V s.Csr.values.(tc - s.Csr.n_nodes)
-
-(* --- attribute lookups: snapshot segment when valid, live scan else --- *)
+(* --- attribute lookups --- *)
 
 (* The out-bucket of [o] and the id of [l], if both are known. *)
-let live_lookup g o l k none =
+let lookup g o l k none =
   let s = slot_find g o in
   let lab = if s < 0 then -1 else label_find g l in
   if lab < 0 then none else k g.s_out.(s) lab
 
 let attr g o l =
-  match snapshot g with
-  | None ->
-    live_lookup g o l
-      (fun v lab ->
-        let acc = ref [] in
-        for i = v.n - 1 downto 0 do
-          let e = v.a.(i) in
-          if g.e_lab.(e) = lab then acc := g.e_tgt.(e) :: !acc
-        done;
-        !acc)
-      []
-  | Some s -> (
-      match Csr.node_index s o, Csr.label_local s l with
-      | Some i, Some li -> (
-          match Csr.seg_range s i li with
-          | None -> []
-          | Some (off, len) ->
-            List.init len (fun k -> decode_tcode s s.Csr.seg_tgt.(off + k)))
-      | _ -> [])
+  observe g __POS__;
+  lookup g o l
+    (fun v lab ->
+      let acc = ref [] in
+      for i = v.n - 1 downto 0 do
+        let e = v.a.(i) in
+        if g.e_lab.(e) = lab then acc := g.e_tgt.(e) :: !acc
+      done;
+      !acc)
+    []
 
 (* The first live target of [lab] in [v] that [pick] accepts. *)
 let first g v lab pick =
@@ -827,39 +636,14 @@ let first g v lab pick =
   go 0
 
 let attr1 g o l =
-  match snapshot g with
-  | None -> live_lookup g o l (fun v lab -> first g v lab Option.some) None
-  | Some s -> (
-      match Csr.node_index s o, Csr.label_local s l with
-      | Some i, Some li -> (
-          match Csr.seg_range s i li with
-          | None -> None
-          | Some (off, _) -> Some (decode_tcode s s.Csr.seg_tgt.(off)))
-      | _ -> None)
+  observe g __POS__;
+  lookup g o l (fun v lab -> first g v lab Option.some) None
 
 let attr_value g o l =
-  match snapshot g with
-  | None ->
-    live_lookup g o l
-      (fun v lab ->
-        first g v lab (function V x -> Some x | N _ -> None))
-      None
-  | Some s -> (
-      match Csr.node_index s o, Csr.label_local s l with
-      | Some i, Some li -> (
-          match Csr.seg_range s i li with
-          | None -> None
-          | Some (off, len) ->
-            let rec scan k =
-              if k >= len then None
-              else
-                let tc = s.Csr.seg_tgt.(off + k) in
-                if tc >= s.Csr.n_nodes then
-                  Some s.Csr.values.(tc - s.Csr.n_nodes)
-                else scan (k + 1)
-            in
-            scan 0)
-      | _ -> None)
+  observe g __POS__;
+  lookup g o l
+    (fun v lab -> first g v lab (function V x -> Some x | N _ -> None))
+    None
 
 (* --- collections --- *)
 
@@ -907,6 +691,7 @@ let remove_from_collection g c o =
         match membership g s cid with Some m -> leave g s m | None -> ())
 
 let in_collection g c o =
+  observe g __POS__;
   match Stbl.find_opt g.coll_id c with
   | None -> false
   | Some cid ->
@@ -914,6 +699,7 @@ let in_collection g c o =
     s >= 0 && Option.is_some (membership g s cid)
 
 let collection g c =
+  observe g __POS__;
   match Stbl.find_opt g.coll_id c with
   | None -> []
   | Some cid ->
@@ -927,13 +713,17 @@ let collection g c =
     !acc
 
 let collection_size g c =
+  observe g __POS__;
   match Stbl.find_opt g.coll_id c with
   | None -> 0
   | Some cid -> g.c_mem.(cid).n - g.c_mem.(cid).dead
 
-let collections g = Array.to_list (Array.sub g.c_name 0 g.n_colls)
+let collections g =
+  observe g __POS__;
+  Array.to_list (Array.sub g.c_name 0 g.n_colls)
 
 let collections_of g o =
+  observe g __POS__;
   let s = slot_find g o in
   if s < 0 then []
   else
@@ -946,12 +736,14 @@ let collections_of g o =
 let src_tgt g e = (g.s_oid.(g.e_src.(e)), g.e_tgt.(e))
 
 let label_extent g l =
+  observe g __POS__;
   let lab = label_find g l in
   if lab < 0 then []
   else if g.use_index then of_bucket g g.l_ext.(lab) (src_tgt g)
   else of_log g (fun e -> g.e_lab.(e) = lab) (src_tgt g)
 
 let label_count g l =
+  observe g __POS__;
   let lab = label_find g l in
   if lab < 0 then 0
   else if g.use_index then g.l_ext.(lab).n - g.l_ext.(lab).dead
@@ -979,6 +771,8 @@ let same_target g1 e1 g2 e2 =
   t1 == t2 || target_equal t1 t2
 
 let same_out_edges g1 g2 o =
+  observe g1 __POS__;
+  observe g2 __POS__;
   let s1 = slot_find g1 o and s2 = slot_find g2 o in
   if s1 < 0 || s2 < 0 then s1 < 0 && s2 < 0
   else
@@ -987,6 +781,8 @@ let same_out_edges g1 g2 o =
         && same_target g1 e1 g2 e2)
 
 let same_label_extent g1 g2 l =
+  observe g1 __POS__;
+  observe g2 __POS__;
   let l1 = label_find g1 l and l2 = label_find g2 l in
   if not (g1.use_index && g2.use_index) || l1 < 0 || l2 < 0 then
     List.equal
@@ -1000,6 +796,8 @@ let same_label_extent g1 g2 l =
 (* A collection's member vector: entry [i] is live when its node's
    membership still sits at [i]. *)
 let same_collection g1 g2 c =
+  observe g1 __POS__;
+  observe g2 __POS__;
   let members g =
     match Stbl.find_opt g.coll_id c with
     | Some cid -> (cid, g.c_mem.(cid))
@@ -1085,5 +883,55 @@ let copy ?name g =
   g'
 
 let pp_stats ppf g =
+  observe g __POS__;
   Fmt.pf ppf "graph %s: %d nodes, %d edges, %d collections, %d labels"
     g.gname (node_count g) g.n_edges g.n_colls g.n_labels
+
+(* --- the slot layout, read in place --- *)
+
+type kernel_counters = { hits : int; misses : int }
+
+let kernel_counters g =
+  { hits = Atomic.get g.k_hits; misses = Atomic.get g.k_misses }
+
+let reset_kernel_counters g =
+  Atomic.set g.k_hits 0;
+  Atomic.set g.k_misses 0
+
+module Slots = struct
+  let is_node tk = tk land 1 = 0
+  let index tk = tk lsr 1
+  let node_key s = s lsl 1
+  let value_key i = (i lsl 1) lor 1
+  let count g = g.n_slots
+  let find = slot_find
+  let live g s = g.s_out.(s) != gone
+  let oid g s = g.s_oid.(s)
+  let out g s = g.s_out.(s).a
+  let out_len g s = g.s_out.(s).n
+  let label g e = g.e_lab.(e)
+  let target g e = g.e_tk.(e)
+  let source g e = g.e_src.(e)
+
+  let in_bucket g tk =
+    if is_node tk then g.s_in.(index tk) else g.v_in.(index tk)
+
+  let incoming g tk = (in_bucket g tk).a
+  let incoming_len g tk = (in_bucket g tk).n
+
+  let in_degree g tk =
+    let v = in_bucket g tk in
+    v.n - v.dead
+
+  let label_count g = g.n_labels
+  let label_name g l = g.l_name.(l)
+  let value_count g = g.n_values
+  let value_live g i = g.v_refs.(i) > 0
+  let value g i = g.v_val.(i)
+
+  let decode g tk =
+    if is_node tk then N g.s_oid.(index tk) else V g.v_val.(index tk)
+
+  let hit g = Atomic.incr g.k_hits
+  let miss g = Atomic.incr g.k_misses
+end

@@ -149,44 +149,28 @@ val same_label_extent : t -> t -> string -> bool
 val same_collection : t -> t -> string -> bool
 (** The collection's members ({!collection}) in both graphs. *)
 
-(** {1 Kernel snapshot}
+(** {1 Generations}
 
-    A graph can be {e frozen} into an immutable {!Csr.t} snapshot — the
-    compiled form the path engine and attribute fast paths run on.
-    Freezing is lazy and cached: the first call after any mutation
-    builds the snapshot (O(V + E)); subsequent calls return it in O(1).
-    Every mutation bumps the graph's generation, which makes
-    outstanding snapshots invisible to {!snapshot} (readers fall back
-    to the live structures) — a stale snapshot can never be observed
-    through this API — and lets go of the graph's own hold on the last
-    snapshot.  [freeze] is safe to call from multiple domains. *)
+    Readers on several domains may share a graph while nothing mutates
+    it: every public read records a sanitizer read ({!Dsan.read}) of
+    the graph, and every mutation a write, so a mutation racing a
+    reader is reported when the sanitizer is armed. *)
 
 val generation : t -> int
 (** Mutation counter; bumped by every node, edge and membership addition
     and removal and by a collection's creation, so a graph whose
-    generation has not moved holds exactly what it held. *)
+    generation has not moved holds exactly what it held.  {!Path}'s
+    kernel keys its prepared state and memos to it. *)
 
-val freeze : t -> Csr.t
-(** The snapshot for the current generation, building it if needed. *)
-
-val snapshot : t -> Csr.t option
-(** The cached snapshot, only if it is still valid ([None] after any
-    mutation since the last {!freeze}).  Never builds. *)
-
-val decode_tcode : Csr.t -> int -> target
-(** The object behind a snapshot tcode (node index or interned value). *)
-
-type kernel_counters = { freezes : int; hits : int; misses : int }
+type kernel_counters = { hits : int; misses : int }
 
 val kernel_counters : t -> kernel_counters
-(** Cumulative kernel statistics: snapshot builds, and path-engine memo
-    hits/misses (counted by {!Path} against this graph's snapshots). *)
+(** Cumulative path-kernel memo hits and misses, counted by {!Path}
+    against this graph. *)
 
 val reset_kernel_counters : t -> unit
-(** Zero the counters (outstanding snapshots share the record, so their
-    future hits/misses count against the fresh baseline).  Used by
-    [explain-analyze] and the shard observability surfaces to report
-    per-run deltas deterministically. *)
+(** Zero the counters.  Used by [explain-analyze] and the shard
+    observability surfaces to report per-run deltas deterministically. *)
 
 (** {1 Whole-graph operations} *)
 
@@ -211,3 +195,86 @@ val merge_into : dst:t -> src:t -> unit
     shared, not copied — graphs of one database may share objects). *)
 
 val pp_stats : Format.formatter -> t -> unit
+
+(** {1 Slot layout}
+
+    The dense storage behind the listings above, read in place by
+    {!Path}'s compiled kernel and the segment writer.  A node has a
+    {e slot}: slots are numbered in {!nodes} order, with the slots of
+    removed nodes left in place until the graph compacts.  An edge has
+    an {e edge id} into the edge log, and its target a {e target key},
+    which codes a node's slot or an atomic value's id.  Labels have ids
+    in {!labels} order; a value has an id while some live edge points
+    at it.  Every bucket holds edge ids in
+    insertion order, and keeps dead ones (whose {!Slots.label} is [-1])
+    until it is swept.
+
+    Everything here is valid until the next mutation, that is while
+    {!generation} stays put, and records no sanitizer read: a reader
+    records one through {!generation} first. *)
+module Slots : sig
+  val is_node : int -> bool
+  (** Whether a target key is a node's (else a value's). *)
+
+  val index : int -> int
+  (** The slot or value id behind a target key. *)
+
+  val node_key : int -> int
+  (** The target key of a slot. *)
+
+  val value_key : int -> int
+  (** The target key of a value id. *)
+
+  val count : t -> int
+  (** Slots in use, removed nodes' included. *)
+
+  val find : t -> Oid.t -> int
+  (** The node's slot, [-1] when it is not a node of the graph. *)
+
+  val live : t -> int -> bool
+  (** Whether the slot holds a node (not a removed one). *)
+
+  val oid : t -> int -> Oid.t
+
+  val out : t -> int -> int array
+  (** The slot's out-bucket: edge ids, in insertion order; its first
+      [out_len] entries are in use. *)
+
+  val out_len : t -> int -> int
+
+  val label : t -> int -> int
+  (** The edge's label id; [-1] once the edge is dead. *)
+
+  val target : t -> int -> int
+  (** The edge's target key. *)
+
+  val source : t -> int -> int
+  (** The edge's source slot. *)
+
+  val incoming : t -> int -> int array
+  (** The incoming edge ids of a target key, in insertion order; its
+      first [incoming_len] entries are in use.  Empty on a graph
+      created with [~indexed:false]. *)
+
+  val incoming_len : t -> int -> int
+
+  val in_degree : t -> int -> int
+  (** Live incoming edges of a target key (an indexed graph's). *)
+
+  val label_count : t -> int
+  val label_name : t -> int -> string
+
+  val value_count : t -> int
+  (** Value ids in use, freed ones included. *)
+
+  val value_live : t -> int -> bool
+  val value : t -> int -> Value.t
+
+  val decode : t -> int -> target
+  (** The object behind a target key: the node, or the value as the
+      graph interned it (the first of its {!Value.equal} class). *)
+
+  val hit : t -> unit
+  val miss : t -> unit
+  (** Count a path-kernel memo hit or miss ({!kernel_counters}). *)
+end

@@ -48,13 +48,40 @@ let new_state b =
 let add_eps b s s' = b.eps_edges <- (s, s') :: b.eps_edges
 let add_trans b s p s' = b.trans_edges <- (s, p, s') :: b.trans_edges
 
+(* The kernel's state for one automaton on one graph: dispatch rows
+   over the graph's label ids, epoch-stamped (code, state) visited and
+   seen tables, the BFS queue, and per-source memos.  A node's code is
+   its slot, a value's is [slots + value id]: dense over the graph as of
+   generation [p_gen], which the memos hold for. *)
+type prepared = {
+  nstates : int;
+  start_states : int array;
+  p_accepting : bool array;
+  is_start : bool array;
+  mutable p_gen : int;
+  mutable slots : int;                (* slot count at [p_gen] *)
+  mutable n_labels : int;             (* labels the rows cover *)
+  mutable dispatch : int array array array;  (* state -> label -> succs *)
+  mutable rdispatch : int array array array;  (* state -> label -> preds *)
+  mutable visited : int array;        (* (code * nstates + state) -> epoch *)
+  mutable seen_t : int array;         (* code -> epoch *)
+  mutable epoch : int;
+  mutable qbuf : int array;
+  mutable qhead : int;
+  mutable qtail : int;
+  memo_fwd : (int, Graph.target list) Hashtbl.t;
+  memo_bwd : (int list, Oid.t list) Hashtbl.t;
+}
+
 type nfa = {
-  id : int;                       (* process-unique, keys snapshot caches *)
   n : int;
   start : int;
   closure : int list array;       (* eps-closure of each state, ascending *)
   accepting : bool array;         (* accept reachable via eps *)
   trans : (edge_pred * int) list array;
+  (* the kernel state for the graph last evaluated on, held only as
+     long as that graph is alive *)
+  mutable kernel : (Graph.t, prepared) Ephemeron.K1.t option;
 }
 
 let rec build b r =
@@ -92,8 +119,6 @@ let rec build b r =
   | Plus a -> build b (Seq (a, Star a))
   | Opt a -> build b (Alt (a, Epsilon))
 
-let nfa_counter = Atomic.make 0
-
 let compile r =
   let b = { next = 0; eps_edges = []; trans_edges = [] } in
   let start, accept = build b r in
@@ -130,10 +155,9 @@ let compile r =
   mark accept;
   let trans = Array.make n [] in
   List.iter (fun (s, p, s') -> trans.(s) <- (p, s') :: trans.(s)) b.trans_edges;
-  { id = Atomic.fetch_and_add nfa_counter 1; n; start; closure; accepting; trans }
+  { n; start; closure; accepting; trans; kernel = None }
 
 let nfa_states a = a.n
-let nfa_id a = a.id
 let nfa_start_states a = a.closure.(a.start)
 let nfa_is_accepting a s = a.accepting.(s)
 let nfa_transitions a s = List.map (fun (p, s') -> (p, a.closure.(s'))) a.trans.(s)
@@ -190,31 +214,10 @@ let matcher_start m = m.m_start
 let matcher_accepting m q = m.m_accepting.(q)
 let matcher_row m q l = m.m_rows.(q).(l)
 
-(* --- compiled kernel engine over a frozen Csr snapshot --- *)
+(* --- compiled kernel over the live slot adjacency --- *)
 
-type prepared = {
-  pcsr : Csr.t;
-  nstates : int;
-  start_states : int array;
-  p_accepting : bool array;
-  is_start : bool array;
-  dispatch : int array array array;   (* state -> local label -> successors *)
-  rdispatch : int array array array;  (* state -> local label -> predecessors *)
-  visited : int array;                (* (tcode * nstates + state) -> epoch *)
-  seen_t : int array;                 (* tcode -> epoch *)
-  mutable epoch : int;
-  mutable qbuf : int array;
-  mutable qhead : int;
-  mutable qtail : int;
-  memo_fwd : (int, Graph.target list) Hashtbl.t;
-  memo_bwd : (int list, Oid.t list) Hashtbl.t;
-}
-
-type Csr.cache += Prepared of prepared
-
-let build_prepared (s : Csr.t) a =
-  let dispatch = dispatch_rows a s.Csr.label_names in
-  let rrows = Array.init a.n (fun _ -> Array.make (max 1 s.Csr.n_labels) []) in
+let reverse_rows a dispatch nl =
+  let rrows = Array.init a.n (fun _ -> Array.make nl []) in
   Array.iteri
     (fun q rows ->
       Array.iteri
@@ -222,19 +225,23 @@ let build_prepared (s : Csr.t) a =
           Array.iter (fun q'' -> rrows.(q'').(l) <- q :: rrows.(q'').(l)) row)
         rows)
     dispatch;
+  Array.map (Array.map Array.of_list) rrows
+
+let fresh_prepared a =
   let is_start = Array.make a.n false in
   List.iter (fun q -> is_start.(q) <- true) a.closure.(a.start);
-  let ntc = s.Csr.n_nodes + s.Csr.n_values in
   {
-    pcsr = s;
     nstates = a.n;
     start_states = Array.of_list a.closure.(a.start);
     p_accepting = Array.copy a.accepting;
     is_start;
-    dispatch;
-    rdispatch = Array.map (Array.map (fun l -> Array.of_list l)) rrows;
-    visited = Array.make (max 1 (a.n * ntc)) 0;
-    seen_t = Array.make (max 1 ntc) 0;
+    p_gen = -1;
+    slots = 0;
+    n_labels = -1;
+    dispatch = [||];
+    rdispatch = [||];
+    visited = [||];
+    seen_t = [||];
     epoch = 0;
     qbuf = Array.make 256 0;
     qhead = 0;
@@ -243,13 +250,40 @@ let build_prepared (s : Csr.t) a =
     memo_bwd = Hashtbl.create 16;
   }
 
-let prepare (s : Csr.t) a =
-  match Hashtbl.find_opt s.Csr.cache a.id with
-  | Some (Prepared p) -> p
-  | _ ->
-    let p = build_prepared s a in
-    Hashtbl.replace s.Csr.cache a.id (Prepared p);
-    p
+(* Bring [p] to generation [gen] of [g]: memos go, rows follow new
+   labels, and the stamped tables grow to the code space (their stale
+   stamps are older than any later epoch). *)
+let refresh a p g gen =
+  Hashtbl.reset p.memo_fwd;
+  Hashtbl.reset p.memo_bwd;
+  let nl = Graph.Slots.label_count g in
+  if nl <> p.n_labels then begin
+    p.dispatch <- dispatch_rows a (Array.init nl (Graph.Slots.label_name g));
+    p.rdispatch <- reverse_rows a p.dispatch nl;
+    p.n_labels <- nl
+  end;
+  p.slots <- Graph.Slots.count g;
+  let codes = max 1 (p.slots + Graph.Slots.value_count g) in
+  if Array.length p.seen_t < codes then begin
+    let size = max codes (2 * Array.length p.seen_t) in
+    p.seen_t <- Array.make size 0;
+    p.visited <- Array.make (size * a.n) 0
+  end;
+  p.p_gen <- gen
+
+(* The kernel state of [a] on [g], current with [g]'s generation. *)
+let prepare g a =
+  let gen = Graph.generation g in
+  let p =
+    match Option.bind a.kernel (fun k -> Ephemeron.K1.query k g) with
+    | Some p -> p
+    | None ->
+      let p = fresh_prepared a in
+      a.kernel <- Some (Ephemeron.K1.make g p);
+      p
+  in
+  if p.p_gen <> gen then refresh a p g gen;
+  p
 
 let q_reset p =
   p.qhead <- 0;
@@ -264,121 +298,133 @@ let q_push p c =
   p.qbuf.(p.qtail) <- c;
   p.qtail <- p.qtail + 1
 
-(* Forward product BFS from one source node index.  Pair (tcode, state)
-   enqueue order mirrors the interpretive BFS exactly (see
-   [dispatch_rows]), accepting tcodes are recorded on dequeue, so the
-   decoded result list is identical — order included — to the legacy
-   [eval_from].  Results are memoized per source; the epoch-stamped
-   visited/seen tables are shared across all sources of a conjunct. *)
-let kernel_eval_from p src_i =
-  match Hashtbl.find_opt p.memo_fwd src_i with
+let push p ep q code =
+  let c = (code * p.nstates) + q in
+  if p.visited.(c) <> ep then begin
+    p.visited.(c) <- ep;
+    q_push p c
+  end
+
+let code_of p tk =
+  let i = Graph.Slots.index tk in
+  if Graph.Slots.is_node tk then i else p.slots + i
+
+let key_of p code =
+  if code < p.slots then Graph.Slots.node_key code
+  else Graph.Slots.value_key (code - p.slots)
+
+(* Forward product BFS from one source slot.  Pair (code, state)
+   enqueue order is the interpretive BFS's exactly (see
+   [dispatch_rows]: the out-bucket in insertion order, each edge's row
+   in push order), and accepting codes are recorded on dequeue, so the
+   result list is the BFS's, order included.  Results are memoized per
+   source; the epoch-stamped tables serve every source. *)
+let kernel_eval_from g p src =
+  match Hashtbl.find_opt p.memo_fwd src with
   | Some r ->
-    Atomic.incr p.pcsr.Csr.stats.Csr.hits;
+    Graph.Slots.hit g;
     r
   | None ->
-    Atomic.incr p.pcsr.Csr.stats.Csr.misses;
-    let s = p.pcsr in
+    Graph.Slots.miss g;
     let ns = p.nstates in
-    let nn = s.Csr.n_nodes in
     p.epoch <- p.epoch + 1;
     let ep = p.epoch in
     q_reset p;
-    let push q tc =
-      let c = (tc * ns) + q in
-      if p.visited.(c) <> ep then begin
-        p.visited.(c) <- ep;
-        q_push p c
-      end
-    in
-    Array.iter (fun q -> push q src_i) p.start_states;
+    Array.iter (fun q -> push p ep q src) p.start_states;
     let out_rev = ref [] in
     while p.qhead < p.qtail do
       let c = p.qbuf.(p.qhead) in
       p.qhead <- p.qhead + 1;
-      let q = c mod ns and tc = c / ns in
-      if p.p_accepting.(q) && p.seen_t.(tc) <> ep then begin
-        p.seen_t.(tc) <- ep;
-        out_rev := tc :: !out_rev
+      let q = c mod ns and code = c / ns in
+      if p.p_accepting.(q) && p.seen_t.(code) <> ep then begin
+        p.seen_t.(code) <- ep;
+        out_rev := code :: !out_rev
       end;
-      if tc < nn then
-        for e = s.Csr.fwd_off.(tc) to s.Csr.fwd_off.(tc + 1) - 1 do
-          let row = p.dispatch.(q).(s.Csr.fwd_lab.(e)) in
-          if Array.length row > 0 then begin
-            let t = s.Csr.fwd_tgt.(e) in
-            for j = 0 to Array.length row - 1 do
-              push row.(j) t
-            done
+      if code < p.slots then begin
+        let ids = Graph.Slots.out g code and rows = p.dispatch.(q) in
+        for i = 0 to Graph.Slots.out_len g code - 1 do
+          let e = ids.(i) in
+          let lab = Graph.Slots.label g e in
+          if lab >= 0 then begin
+            let row = rows.(lab) in
+            if Array.length row > 0 then begin
+              let t = code_of p (Graph.Slots.target g e) in
+              for j = 0 to Array.length row - 1 do
+                push p ep row.(j) t
+              done
+            end
           end
         done
+      end
     done;
-    let res = List.rev_map (Graph.decode_tcode s) !out_rev in
-    Hashtbl.add p.memo_fwd src_i res;
+    let res =
+      List.rev_map (fun code -> Graph.Slots.decode g (key_of p code)) !out_rev
+    in
+    Hashtbl.add p.memo_fwd src res;
     res
 
-(* Backward lane: all source nodes from which some probe tcode is
-   reachable under the automaton — a complete candidate set (callers
-   re-confirm forward, so a superset is safe; a subset never happens by
-   reverse-reachability completeness).  Candidates come out in node
-   index order, i.e. [Graph.nodes] order.  Degree statistics gate the
-   search: probes with zero in-degree can only be their own witnesses
-   (nullable case), no BFS needed. *)
-let kernel_sources p probes =
+(* Backward lane: every source slot from which some probe code is
+   reachable under the automaton, over the incoming-edge buckets — a
+   complete candidate set (callers re-confirm forward, so a superset is
+   safe; reverse reachability misses no source).  Candidates come out
+   in slot order, i.e. [Graph.nodes] order.  Probes with no incoming
+   edge can only be their own witnesses (nullable case): no BFS. *)
+let kernel_sources g p probes =
   match Hashtbl.find_opt p.memo_bwd probes with
   | Some r ->
-    Atomic.incr p.pcsr.Csr.stats.Csr.hits;
+    Graph.Slots.hit g;
     r
   | None ->
-    Atomic.incr p.pcsr.Csr.stats.Csr.misses;
-    let s = p.pcsr in
+    Graph.Slots.miss g;
     let ns = p.nstates in
-    let nn = s.Csr.n_nodes in
     let res =
       let total_in =
-        List.fold_left (fun acc tc -> acc + Csr.in_degree s tc) 0 probes
+        List.fold_left
+          (fun acc code -> acc + Graph.Slots.in_degree g (key_of p code))
+          0 probes
       in
       if total_in = 0 then
         if Array.exists (fun q -> p.p_accepting.(q)) p.start_states then
-          (* nullable: each probe node is its own (only) source *)
           List.filter_map
-            (fun tc -> if tc < nn then Some s.Csr.node_ids.(tc) else None)
+            (fun code ->
+              if code < p.slots then Some (Graph.Slots.oid g code) else None)
             probes
         else []
       else begin
         p.epoch <- p.epoch + 1;
         let ep = p.epoch in
         q_reset p;
-        let push q tc =
-          let c = (tc * ns) + q in
-          if p.visited.(c) <> ep then begin
-            p.visited.(c) <- ep;
-            q_push p c
-          end
-        in
         List.iter
-          (fun tc ->
+          (fun code ->
             for q = 0 to ns - 1 do
-              if p.p_accepting.(q) then push q tc
+              if p.p_accepting.(q) then push p ep q code
             done)
           probes;
-        let cand = Array.make (max 1 nn) false in
+        let cand = Array.make (max 1 p.slots) false in
         while p.qhead < p.qtail do
           let c = p.qbuf.(p.qhead) in
           p.qhead <- p.qhead + 1;
-          let q = c mod ns and tc = c / ns in
-          if tc < nn && p.is_start.(q) then cand.(tc) <- true;
-          for e = s.Csr.rev_off.(tc) to s.Csr.rev_off.(tc + 1) - 1 do
-            let row = p.rdispatch.(q).(s.Csr.rev_lab.(e)) in
-            if Array.length row > 0 then begin
-              let i = s.Csr.rev_src.(e) in
-              for j = 0 to Array.length row - 1 do
-                push row.(j) i
-              done
+          let q = c mod ns and code = c / ns in
+          if code < p.slots && p.is_start.(q) then cand.(code) <- true;
+          let tk = key_of p code in
+          let ids = Graph.Slots.incoming g tk and rows = p.rdispatch.(q) in
+          for i = 0 to Graph.Slots.incoming_len g tk - 1 do
+            let e = ids.(i) in
+            let lab = Graph.Slots.label g e in
+            if lab >= 0 then begin
+              let row = rows.(lab) in
+              if Array.length row > 0 then begin
+                let src = Graph.Slots.source g e in
+                for j = 0 to Array.length row - 1 do
+                  push p ep row.(j) src
+                done
+              end
             end
           done
         done;
         let acc = ref [] in
-        for i = nn - 1 downto 0 do
-          if cand.(i) then acc := s.Csr.node_ids.(i) :: !acc
+        for s = p.slots - 1 downto 0 do
+          if cand.(s) then acc := Graph.Slots.oid g s :: !acc
         done;
         !acc
       end
@@ -386,60 +432,17 @@ let kernel_sources p probes =
     Hashtbl.add p.memo_bwd probes res;
     res
 
-let kernel_for g a =
-  match Graph.snapshot g with Some s -> Some (prepare s a) | None -> None
-
 (* --- evaluation --- *)
-
-let legacy_eval_from g a src =
-  let visited = Hashtbl.create 64 in
-  let results_seen = Hashtbl.create 16 in
-  let results_rev = ref [] in
-  let record t =
-    let k = Graph.(match t with N o -> `N (Oid.id o) | V v -> `V v) in
-    if not (Hashtbl.mem results_seen k) then begin
-      Hashtbl.add results_seen k ();
-      results_rev := t :: !results_rev
-    end
-  in
-  let queue = Queue.create () in
-  let push s t =
-    let k =
-      Graph.(match t with N o -> (s, `N (Oid.id o)) | V v -> (s, `V v))
-    in
-    if not (Hashtbl.mem visited k) then begin
-      Hashtbl.add visited k ();
-      Queue.add (s, t) queue
-    end
-  in
-  List.iter (fun s -> push s (Graph.N src)) a.closure.(a.start);
-  while not (Queue.is_empty queue) do
-    let s, t = Queue.pop queue in
-    if a.accepting.(s) then record t;
-    match t with
-    | Graph.V _ -> ()
-    | Graph.N o ->
-      List.iter
-        (fun (l, tgt) ->
-          List.iter
-            (fun (p, s') ->
-              if edge_pred_matches p l then
-                List.iter (fun s'' -> push s'' tgt) a.closure.(s'))
-            a.trans.(s))
-        (Graph.out_edges g o)
-  done;
-  List.rev !results_rev
 
 let eval_from ?nfa g r src =
   let a = match nfa with Some a -> a | None -> compile r in
-  match kernel_for g a with
-  | Some p -> (
-      match Csr.node_index p.pcsr src with
-      | Some i -> kernel_eval_from p i
-      | None ->
-        (* source unknown to the snapshot (not a node of the graph) *)
-        legacy_eval_from g a src)
-  | None -> legacy_eval_from g a src
+  let p = prepare g a in
+  let s = Graph.Slots.find g src in
+  if s >= 0 then kernel_eval_from g p s
+  else if a.accepting.(a.start) then
+    (* a node foreign to the graph reaches only itself *)
+    [ Graph.N src ]
+  else []
 
 let matches ?nfa g r src tgt =
   List.exists (Graph.target_equal tgt) (eval_from ?nfa g r src)
@@ -453,26 +456,28 @@ let eval_pairs ?nfa g r ~sources =
 type probe = Pnode of Oid.t | Pvalue of Value.t
 
 let candidate_sources ?nfa g r ~towards =
-  let a = match nfa with Some a -> a | None -> compile r in
-  match kernel_for g a with
-  | None -> None
-  | Some p ->
-    let s = p.pcsr in
-    let nn = s.Csr.n_nodes in
+  if not (Graph.indexed g) then None
+  else begin
+    let a = match nfa with Some a -> a | None -> compile r in
+    let p = prepare g a in
     let probes =
       match towards with
-      | Pnode o -> (
-          match Csr.node_index s o with Some i -> [ i ] | None -> [])
+      | Pnode o ->
+        let s = Graph.Slots.find g o in
+        if s < 0 then [] else [ s ]
       | Pvalue v ->
         let acc = ref [] in
-        for k = s.Csr.n_values - 1 downto 0 do
-          let v' = s.Csr.values.(k) in
-          if Value.equal v v' || Value.coerce_equal v v' then
-            acc := (nn + k) :: !acc
+        for k = Graph.Slots.value_count g - 1 downto 0 do
+          if Graph.Slots.value_live g k then begin
+            let v' = Graph.Slots.value g k in
+            if Value.equal v v' || Value.coerce_equal v v' then
+              acc := (p.slots + k) :: !acc
+          end
         done;
         !acc
     in
-    Some (kernel_sources p probes)
+    Some (kernel_sources g p probes)
+  end
 
 (* --- Reference semantics (for tests) --- *)
 

@@ -40,9 +40,6 @@ type nfa
 
 val compile : t -> nfa
 val nfa_states : nfa -> int
-val nfa_id : nfa -> int
-(** Process-unique id of this compiled automaton; keys the per-snapshot
-    caches of prepared dispatch tables. *)
 
 val nfa_start_states : nfa -> int list
 (** The ε-closure of the start state. *)
@@ -77,17 +74,20 @@ val matcher_row : matcher -> int -> int -> int array
 
 (** {1 Evaluation}
 
-    When the graph has a valid {!Graph.snapshot}, evaluation runs on
-    the compiled kernel: per-state symbol-dispatch tables over the
-    snapshot's CSR, an epoch-stamped (state, tcode) visited table and
-    per-source result memo shared across all sources of a conjunct,
-    and a backward lane over the reverse CSR for bound targets.  The
-    result {e order is identical} to the interpretive BFS, so callers
-    (and everything downstream: Skolem oid allocation, golden sites,
-    the render cache) observe byte-identical results either way.
-    Without a valid snapshot the interpretive BFS runs directly on the
-    live graph: that lane serves every unfrozen graph, such as the data
-    graph a delta cycle reads between refreezes. *)
+    Evaluation runs on a compiled kernel over the graph's live slot
+    adjacency ({!Graph.Slots}): per-state dispatch rows over the
+    graph's label ids, an epoch-stamped (state, object) visited table
+    and a per-source result memo shared by every source a compiled
+    automaton is evaluated from, and a backward lane over the
+    incoming-edge index for bound targets.  The kernel state lives
+    with the automaton, for the graph it last ran on (and only while
+    that graph is alive), and is keyed to the graph's
+    {!Graph.generation}: a mutation drops the memos.  An automaton's
+    kernel state is not shared between domains: evaluate one compiled
+    automaton on one domain at a time.  The result {e order} is the
+    interpretive product BFS's, which the test suite keeps as its
+    oracle, so everything downstream (Skolem oid allocation, golden
+    sites, the render cache) sees the BFS's results. *)
 
 val eval_from : ?nfa:nfa -> Graph.t -> t -> Oid.t -> Graph.target list
 (** All objects [y] such that a path from the source matching the
@@ -102,10 +102,11 @@ val candidate_sources :
   ?nfa:nfa -> Graph.t -> t -> towards:probe -> Oid.t list option
 (** Backward lane: the complete set of source nodes from which a
     matching path can reach the probe, in {!Graph.nodes} order —
-    [None] when no kernel snapshot is available.  The set may be a
-    superset of the exact sources only in that callers are expected to
-    re-confirm each candidate forward (which the memoized kernel makes
-    cheap); it is never missing a source. *)
+    [None] on a graph without the incoming-edge index
+    ([~indexed:false]).  The set may be a superset of the exact sources
+    only in that callers are expected to re-confirm each candidate
+    forward (which the memoized kernel makes cheap); it is never
+    missing a source. *)
 
 val matches : ?nfa:nfa -> Graph.t -> t -> Oid.t -> Graph.target -> bool
 

@@ -6,41 +6,10 @@ let fn f_name = { f_name; f_hash = String.hash f_name }
    copy once the key enters a table. *)
 type key = { k_fn : fn; k_args : Graph.target array }
 
-(* [Value.equal] is structural compare: a float meets itself under
-   [Float.equal], which equates NaNs and the two zeros. *)
-let file_kind_equal (a : Value.file_kind) (b : Value.file_kind) =
-  match (a, b) with
-  | Text, Text | Postscript, Postscript | Image, Image | Html_file, Html_file
-    ->
-    true
-  | Other_file x, Other_file y -> String.equal x y
-  | (Text | Postscript | Image | Html_file | Other_file _), _ -> false
-
-let value_equal (a : Value.t) (b : Value.t) =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool x, Bool y -> Bool.equal x y
-  | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
-  | String x, String y | Url x, Url y -> String.equal x y
-  | File (k, p), File (k', p') -> file_kind_equal k k' && String.equal p p'
-  | (Null | Bool _ | Int _ | Float _ | String _ | Url _ | File _), _ -> false
-
-(* [Float.hash] sends both zeros, and every NaN, to one hash. *)
-let value_hash (v : Value.t) =
-  match v with
-  | Null -> 0
-  | Bool b -> if b then 1 else 2
-  | Int i -> i
-  | Float f -> Float.hash f
-  | String s -> String.hash s
-  | Url s -> String.hash s + 3
-  | File (_, p) -> String.hash p + 5
-
 let arg_equal (a : Graph.target) (b : Graph.target) =
   match (a, b) with
   | N x, N y -> Oid.id x = Oid.id y
-  | V x, V y -> value_equal x y
+  | V x, V y -> Value.equal x y
   | N _, V _ | V _, N _ -> false
 
 let mix h x =
@@ -49,7 +18,7 @@ let mix h x =
 
 let arg_hash : Graph.target -> int = function
   | N o -> 2 * Oid.id o
-  | V v -> (2 * value_hash v) + 1
+  | V v -> (2 * Value.hash v) + 1
 
 let rec args_equal a b i =
   i = Array.length a || (arg_equal a.(i) b.(i) && args_equal a b (i + 1))

@@ -14,7 +14,36 @@ type t =
   | Url of string
   | File of file_kind * string
 
-let equal (a : t) (b : t) = Stdlib.compare a b = 0
+let file_kind_equal a b =
+  match (a, b) with
+  | Text, Text | Postscript, Postscript | Image, Image | Html_file, Html_file
+    ->
+    true
+  | Other_file x, Other_file y -> String.equal x y
+  | (Text | Postscript | Image | Html_file | Other_file _), _ -> false
+
+(* Agrees with [compare a b = 0]: [Float.equal] equates NaNs and the two
+   zeros, as structural compare does. *)
+let equal a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> Float.equal x y
+  | String x, String y | Url x, Url y -> String.equal x y
+  | File (k, p), File (k', p') -> file_kind_equal k k' && String.equal p p'
+  | (Null | Bool _ | Int _ | Float _ | String _ | Url _ | File _), _ -> false
+
+(* [Float.hash] sends both zeros, and every NaN, to one hash. *)
+let hash = function
+  | Null -> 0
+  | Bool b -> if b then 1 else 2
+  | Int i -> i
+  | Float f -> Float.hash f
+  | String s -> String.hash s
+  | Url s -> String.hash s + 3
+  | File (_, p) -> String.hash p + 5
+
 let compare (a : t) (b : t) = Stdlib.compare a b
 
 let float_of_value = function

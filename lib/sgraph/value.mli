@@ -23,7 +23,12 @@ type t =
   | File of file_kind * string  (** kind and path of the file *)
 
 val equal : t -> t -> bool
-(** Structural equality, no coercion. *)
+(** Structural equality, no coercion: [compare a b = 0], so NaN equals
+    NaN and [0.0] equals [-0.0], while [Int 1], [Float 1.0] and
+    [String "1"] are all distinct. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}. *)
 
 val compare : t -> t -> int
 (** Total structural order (used for indexing). *)

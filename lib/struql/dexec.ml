@@ -12,8 +12,7 @@
     drivers that reach a touched object in that many hops, and those
     are found by the distance-recording backward closure
     {!Sgraph.Delta.closure} — walked over the incoming-edge index,
-    which on a frozen graph the CSR kernel's reverse-adjacency lane
-    feeds.
+    the one the path kernel's backward lane reads.
 
     Construction events (node creates, edge adds, collection adds —
     observed through {!Eval.emitter}) are recorded per
@@ -619,7 +618,6 @@ let drivers_of_derivs t bs_ids =
     construction event.  The result is byte-identical to {!Exec.run} of
     the same queries over the same data graph. *)
 let prime t =
-  ignore (Graph.freeze t.data);
   List.iter
     (fun qs ->
       List.iter
@@ -674,9 +672,6 @@ module SS = Set.Make (String)
 let apply ?data t (delta : Delta.t) : site_change =
   (match data with Some g -> t.data <- g | None -> ());
   let g = t.data in
-  (* no whole-graph refreeze here: a small delta re-derives a handful
-     of drivers, whose reads run fine against the live graph.  Full
-     replays freeze on their own (below) before scanning the extent. *)
   t.ctr.c_cycles <- t.ctr.c_cycles + 1;
   t.serial <- t.serial + 1;
   let cycle = t.serial in
@@ -766,7 +761,6 @@ let apply ?data t (delta : Delta.t) : site_change =
         retract t ~drained ids dk
       in
       let replay_whole () =
-        ignore (Graph.freeze g);
         List.iter note_old_and_retract (-1 :: drivers_of_derivs t ids);
         blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
       in
@@ -800,7 +794,6 @@ let apply ?data t (delta : Delta.t) : site_change =
         let affected_dks, oid_of =
           if full then begin
             t.ctr.c_full_rederives <- t.ctr.c_full_rederives + 1;
-            ignore (Graph.freeze g);
             let extent = Graph.collection g coll in
             renumber_ranks ts extent;
             ranks_changed t;

@@ -238,9 +238,9 @@ and exec_path g env x r nfa y =
   | `Unbound ->
     (* enumerate sources over the graph's nodes (and, for nullable
        expressions, value objects pair with themselves); when the
-       target end is bound and a kernel snapshot is live, the reverse
-       CSR prunes the enumeration to the complete candidate set, in
-       the same [Graph.nodes] order *)
+       target end is bound, the kernel's backward lane over the
+       incoming-edge index prunes the enumeration to the complete
+       candidate set, in the same [Graph.nodes] order *)
     let sources =
       let candidates =
         match term_binding env y with

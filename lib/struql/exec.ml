@@ -227,7 +227,6 @@ type profile = {
   mutable prf_rows : int;
   mutable prf_peak_live : int;
   mutable prf_time : float;
-  mutable prf_kernel_freezes : int;
   mutable prf_kernel_hits : int;
   mutable prf_kernel_misses : int;
   mutable prf_shards_scanned : int;
@@ -269,18 +268,16 @@ let pp_profile ppf p =
   Fmt.pf ppf "@,total: rows=%d operators=%d peak live bindings=%d%t@]"
     p.prf_rows (profile_steps p) p.prf_peak_live (fun ppf ->
       if p.prf_time > 0. then Fmt.pf ppf " elapsed=%.3fms" (p.prf_time *. 1000.);
-      if p.prf_kernel_freezes > 0 || p.prf_kernel_hits > 0
-         || p.prf_kernel_misses > 0
-      then
-        Fmt.pf ppf "@,kernel: freezes=%d memo hits=%d misses=%d"
-          p.prf_kernel_freezes p.prf_kernel_hits p.prf_kernel_misses;
+      if p.prf_kernel_hits > 0 || p.prf_kernel_misses > 0 then
+        Fmt.pf ppf "@,kernel: memo hits=%d misses=%d" p.prf_kernel_hits
+          p.prf_kernel_misses;
       if p.prf_shards_scanned > 0 || p.prf_shards_pruned > 0 then
         Fmt.pf ppf "@,shards: scanned=%d pruned=%d" p.prf_shards_scanned
           p.prf_shards_pruned;
       List.iter
         (fun (name, k) ->
-          Fmt.pf ppf "@,shard %s kernel: freezes=%d memo hits=%d misses=%d"
-            name k.Graph.freezes k.Graph.hits k.Graph.misses)
+          Fmt.pf ppf "@,shard %s kernel: memo hits=%d misses=%d" name
+            k.Graph.hits k.Graph.misses)
         p.prf_shard_kernel;
       if p.prf_delta_blocks > 0 || p.prf_delta_fallback <> [] then begin
         Fmt.pf ppf "@,delta: evaluable blocks=%d fallback=%d"
@@ -761,7 +758,6 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       prf_rows = 0;
       prf_peak_live = 0;
       prf_time = 0.;
-      prf_kernel_freezes = 0;
       prf_kernel_hits = 0;
       prf_kernel_misses = 0;
       prf_shards_scanned = 0;
@@ -779,12 +775,7 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
         (fun sv -> (sv, Graph.kernel_counters sv.sv_graph))
         sc.sc_shards
   in
-  (* Read-only data graph: freeze so path conditions and attribute
-     probes run on the compiled kernel.  When constructing into the
-     data graph itself every mutation would invalidate the snapshot
-     immediately, so skip the build. *)
   let k0 = Graph.kernel_counters g in
-  if not (out == g) then ignore (Graph.freeze g);
   let rctx =
     {
       g;
@@ -811,7 +802,6 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   prof.prf_peak_live <- rctx.live.peak;
   prof.prf_blocks <- List.rev !(rctx.blocks_rev);
   let k1 = Graph.kernel_counters g in
-  prof.prf_kernel_freezes <- k1.Graph.freezes - k0.Graph.freezes;
   prof.prf_kernel_hits <- k1.Graph.hits - k0.Graph.hits;
   prof.prf_kernel_misses <- k1.Graph.misses - k0.Graph.misses;
   prof.prf_shard_kernel <-
@@ -820,13 +810,11 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
         let sk1 = Graph.kernel_counters sv.sv_graph in
         let d =
           {
-            Graph.freezes = sk1.Graph.freezes - sk0.Graph.freezes;
-            hits = sk1.Graph.hits - sk0.Graph.hits;
+            Graph.hits = sk1.Graph.hits - sk0.Graph.hits;
             misses = sk1.Graph.misses - sk0.Graph.misses;
           }
         in
-        if d.Graph.freezes = 0 && d.Graph.hits = 0 && d.Graph.misses = 0 then
-          None
+        if d.Graph.hits = 0 && d.Graph.misses = 0 then None
         else Some (sv.sv_name, d))
       shard_k0;
   (out, prof)
@@ -845,9 +833,6 @@ let run_string ?options ?scope ?into g src =
 
 let pipeline_of_conds ~options ~timed ~env ~bound ~needed_obj ~needed_label g
     conds =
-  (* bare condition pipelines (click-time expansion, lint) never mutate
-     the graph they query *)
-  ignore (Graph.freeze g);
   let bound =
     Ast.dedup (bound @ List.map fst (Eval.Env.bindings env))
   in

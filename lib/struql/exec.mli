@@ -117,8 +117,6 @@ type profile = {
           the streaming analogue of the largest intermediate relation
           an eager evaluator materializes *)
   mutable prf_time : float;     (** wall-clock seconds of the whole run *)
-  mutable prf_kernel_freezes : int;
-      (** graph-kernel snapshot builds during this run *)
   mutable prf_kernel_hits : int;    (** path-engine memo hits *)
   mutable prf_kernel_misses : int;  (** path-engine memo misses *)
   mutable prf_shards_scanned : int;
@@ -127,7 +125,7 @@ type profile = {
       (** shards skipped because the driving collection has no members
           there *)
   mutable prf_shard_kernel : (string * Graph.kernel_counters) list;
-      (** per-shard kernel freeze/hit/miss deltas during the run, shards
+      (** per-shard kernel memo hit/miss deltas during the run, shards
           in context order, omitting all-zero entries *)
   mutable prf_delta_blocks : int;
       (** top-level blocks the differential engine can maintain
@@ -271,4 +269,4 @@ val stepper :
     plan once ([bound]: the variables bound on entry); the returned
     function streams a relation through them and materializes the
     result, in pipeline order.  The differential engine ({!Dexec})
-    steps each driver's rows through it.  Nothing here freezes [g]. *)
+    steps each driver's rows through it. *)

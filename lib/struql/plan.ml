@@ -177,7 +177,7 @@ let rec estimate st bound c =
     let bx = term_bound bound x and by = term_bound bound y in
     (* work models the kernel's per-conjunct lanes: a forward product
        BFS from a bound source is degree-bounded (and memoized across
-       rows); a bound target runs one reverse-CSR sweep instead of an
+       rows); a bound target runs one backward sweep instead of an
        all-sources enumeration; fanouts are unchanged so heuristic
        plans — and the orderings every golden build depends on — do
        not move *)

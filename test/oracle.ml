@@ -9,9 +9,10 @@
    then run over the parent's relation, so their WHERE clauses are
    conjoined with their ancestors'.  Only the query stage's per-row
    step (Eval.exec_step) and the aggregate fold (Eval.aggregate) are
-   shared with the engine.  The oracle never freezes the data graph
-   itself, so on a graph nobody has frozen its path conditions take
-   the interpretive BFS lane rather than the compiled kernel. *)
+   shared with the engine, except for top-level path conditions: those
+   run on the interpretive product BFS below ([eval_from]), the
+   reference the compiled kernel in Path is checked against, over every
+   node of the graph (no backward lane). *)
 
 open Sgraph
 open Struql
@@ -21,11 +22,92 @@ type stats = { mutable max_intermediate : int }
 
 let new_stats () = { max_intermediate = 0 }
 
+(* --- the path reference --- *)
+
+(* The interpretive product BFS: (state, object) pairs in FIFO order
+   from the source's start closure, over each node's out-edges in
+   insertion order and each state's transitions in order; an object is
+   a result the first time it is dequeued in an accepting state. *)
+let eval_from nfa g src =
+  let key = function Graph.N o -> `N (Oid.id o) | Graph.V v -> `V v in
+  let visited = Hashtbl.create 64 and seen = Hashtbl.create 16 in
+  let results_rev = ref [] and queue = Queue.create () in
+  let trans = Array.init (Path.nfa_states nfa) (Path.nfa_transitions nfa) in
+  let push s t =
+    if not (Hashtbl.mem visited (s, key t)) then begin
+      Hashtbl.add visited (s, key t) ();
+      Queue.add (s, t) queue
+    end
+  in
+  List.iter (fun s -> push s (Graph.N src)) (Path.nfa_start_states nfa);
+  while not (Queue.is_empty queue) do
+    let s, t = Queue.pop queue in
+    if Path.nfa_is_accepting nfa s && not (Hashtbl.mem seen (key t)) then begin
+      Hashtbl.add seen (key t) ();
+      results_rev := t :: !results_rev
+    end;
+    match t with
+    | Graph.V _ -> ()
+    | Graph.N o ->
+      List.iter
+        (fun (l, tgt) ->
+          List.iter
+            (fun (p, succ) ->
+              if Path.edge_pred_matches p l then
+                List.iter (fun s' -> push s' tgt) succ)
+            trans.(s))
+        (Graph.out_edges g o)
+  done;
+  List.rev !results_rev
+
+(* [x -> r -> y] as Eval runs it, on the BFS: a bound source walks from
+   itself, an unbound one from every node in [Graph.nodes] order, and a
+   nullable expression also pairs each value target with itself. *)
+let exec_path g env x r nfa y =
+  let from src env =
+    List.filter_map (fun t -> Eval.match_term env y t) (eval_from nfa g src)
+  in
+  match Eval.term_binding env x with
+  | Some (Eval.B_target (Graph.N o)) -> from o env
+  | Some (Eval.B_target (Graph.V v)) ->
+    if Path.nullable r then Option.to_list (Eval.match_term env y (Graph.V v))
+    else []
+  | Some (Eval.B_label _) -> []
+  | None ->
+    let from_nodes =
+      List.concat_map
+        (fun src ->
+          match Eval.match_term env x (Graph.N src) with
+          | None -> []
+          | Some env' -> from src env')
+        (Graph.nodes g)
+    in
+    let value_pairs =
+      if not (Path.nullable r) then []
+      else
+        Graph.fold_edges
+          (fun _ _ tgt acc ->
+            match tgt with
+            | Graph.V _ -> (
+              match Option.bind (Eval.match_term env x tgt) (fun env' ->
+                  Eval.match_term env' y tgt) with
+              | Some env'' -> env'' :: acc
+              | None -> acc)
+            | Graph.N _ -> acc)
+          g []
+        |> List.rev
+    in
+    from_nodes @ value_pairs
+
+let exec_step g reg env = function
+  | Plan.Exec (Plan.CC_path (x, r, nfa, y)) -> exec_path g env x r nfa y
+  | step -> Eval.exec_step g reg env step
+
 let exec_steps ?(stats = new_stats ()) g reg envs steps =
   List.fold_left
     (fun envs step ->
       let envs' =
-        List.concat_map (fun env -> Eval.exec_step g reg env step) envs
+        List.concat_map (fun env -> exec_step g reg env step) envs
       in
       stats.max_intermediate <- max stats.max_intermediate (List.length envs');
       envs')

@@ -85,6 +85,16 @@ let forked_ww () =
   Dsan.joined tok;
   Dsan.write ~site:__POS__ obj 0
 
+(* A reader domain lists a node's out-edges; the parent joins it
+   without telling the sanitizer and then mutates the graph: the
+   graph's own per-read instrumentation must expose the pair. *)
+let racy_graph () =
+  let g = Graph.create ~name:"fixture.graph" () in
+  let a = Graph.new_node g "a" in
+  let d = Domain.spawn (fun () -> ignore (Graph.out_edges g a)) in
+  Domain.join d;
+  Graph.add_edge g a "x" (Graph.V (Value.Int 1))
+
 (* --- Unit: detection and suppression --- *)
 
 let unit_tests =
@@ -95,6 +105,13 @@ let unit_tests =
         racy_ww ();
         check_int "no races recorded" 0 (Dsan.race_count ());
         check_int "no ops recorded" 0 (Dsan.stats ()).Dsan.st_ops);
+    t "disabled: creating objects leaves the name registry alone" (fun () ->
+        check_bool "disabled" false (Dsan.enabled ());
+        let before = Dsan.registered () in
+        for _ = 1 to 1000 do
+          ignore (Graph.create ())
+        done;
+        check_int "registry size" before (Dsan.registered ()));
     t "write-write race: reported with both sites and locksets" (fun () ->
         sanitized (fun () ->
             racy_ww ();
@@ -117,6 +134,14 @@ let unit_tests =
             let r = List.hd races in
             check_bool "kind" true (r.Dsan.r_kind = `Read_write);
             check_int "field" 3 r.Dsan.r_field));
+    t "a graph mutation racing a reader domain is reported" (fun () ->
+        sanitized (fun () ->
+            racy_graph ();
+            match Dsan.races () with
+            | [ r ] ->
+              check_string "object" "Graph(fixture.graph)" r.Dsan.r_object;
+              check_bool "kind" true (r.Dsan.r_kind = `Read_write)
+            | rs -> Alcotest.failf "%d races, expected one" (List.length rs)));
     t "mutex release->acquire suppresses the report" (fun () ->
         sanitized (fun () ->
             locked_ww ();

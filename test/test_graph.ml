@@ -123,6 +123,31 @@ let collections =
         Alcotest.(check (list string)) "none" [] (Graph.collections g));
   ]
 
+(* Every value's index holds exactly the edges whose target is
+   [Value.equal] to it, in insertion order: the graph interns values by
+   that equality, no coarser and no finer. *)
+let check_values g values =
+  let inserted = ref [] in
+  Graph.iter_edges_inserted (fun s l t -> inserted := (s, l, t) :: !inserted) g;
+  let inserted = List.rev !inserted in
+  List.iter
+    (fun v ->
+      let expect =
+        List.filter_map
+          (fun (s, l, t) ->
+            match t with
+            | Graph.V w when Value.equal v w -> Some (s, l)
+            | _ -> None)
+          inserted
+      in
+      check_bool
+        (Fmt.str "value index of %a" Value.pp v)
+        true
+        (List.equal
+           (fun (s, l) (s', l') -> Oid.equal s s' && String.equal l l')
+           (Graph.value_index g v) expect))
+    (List.sort_uniq Value.compare values)
+
 let indexes =
   [
     t "label_extent" (fun () ->
@@ -153,6 +178,29 @@ let indexes =
         check_int "in_edges"
           (List.length (Graph.in_edges gi (Graph.V (Value.Int 1))))
           (List.length (Graph.in_edges gu (Graph.V (Value.Int 1)))));
+    t "edge values intern exactly as Value.equal says" (fun () ->
+        let tricky =
+          Value.
+            [ Float 0.0; Float (-0.0); Float nan; Float (-.nan); Int 1;
+              Float 1.0; String "1"; Url "1"; Null; Bool true; Int 0;
+              File (Text, "p"); File (Image, "p") ]
+        in
+        let g = Graph.create ~name:"t" () in
+        List.iteri
+          (fun i v ->
+            Graph.add_edge g (Graph.new_node g (string_of_int i)) "v"
+              (Graph.V v))
+          tricky;
+        check_values g tricky);
+    t "the synth site's value edges intern as Value.equal says" (fun () ->
+        let g = Sites.Scale.data ~items:200 ~groups:4 () in
+        let values =
+          Graph.fold_edges
+            (fun _ _ t acc -> match t with Graph.V v -> v :: acc | _ -> acc)
+            g []
+        in
+        check_bool "has value edges" true (values <> []);
+        check_values g values);
   ]
 
 let whole_graph =
@@ -392,9 +440,8 @@ let step main side (on_side, op) =
 module M = Graph_model
 
 (* The first observable of the order contract that differs from the
-   model, if any: the live ones, or the frozen ones and the snapshot's
-   own nodes, labels and out-buckets. *)
-let mismatch ~frozen p =
+   model, if any. *)
+let mismatch p =
   let g = p.g and m = p.m in
   let found = ref None in
   let chk what a b = if !found = None && a <> b then found := Some what in
@@ -413,86 +460,64 @@ let mismatch ~frozen p =
           chk "attr_value" (Graph.attr_value g o l) (M.attr_value m o l))
         labels)
     oids;
-  if frozen then begin
-    let s = Graph.freeze g in
-    chk "snapshot nodes" (Array.to_list s.Csr.node_ids) m.M.nodes;
-    chk "snapshot labels" (Array.to_list s.Csr.label_names) m.M.labels;
-    Array.iteri
-      (fun i o ->
-        let fwd =
-          List.init (Csr.out_degree s i) (fun k ->
-              let e = s.Csr.fwd_off.(i) + k in
-              ( s.Csr.label_names.(s.Csr.fwd_lab.(e)),
-                Graph.decode_tcode s s.Csr.fwd_tgt.(e) ))
-        in
-        chk "snapshot out-bucket" fwd (M.out_edges m o))
-      s.Csr.node_ids
-  end
-  else begin
-    let listed iter =
-      let acc = ref [] in
-      iter (fun s l t -> acc := (s, l, t) :: !acc) g;
-      List.rev !acc
-    in
-    chk "nodes" (Graph.nodes g) m.M.nodes;
-    chk "node_count" (Graph.node_count g) (List.length m.M.nodes);
-    chk "edge_count" (Graph.edge_count g) (List.length m.M.edges);
-    chk "iter_edges" (listed Graph.iter_edges) (M.edges_node_major m);
-    chk "fold_edges"
-      (List.rev (Graph.fold_edges (fun s l t acc -> (s, l, t) :: acc) g []))
-      (M.edges_node_major m);
-    chk "iter_edges_inserted" (listed Graph.iter_edges_inserted) m.M.edges;
-    List.iter
-      (fun (s, l, t) -> chk "has_edge" (Graph.has_edge g s l t) true)
-      m.M.edges;
-    List.iter
-      (fun t -> chk "in_edges" (Graph.in_edges g t) (M.in_edges m t))
-      targets;
-    List.iter
-      (fun l ->
-        let extent = M.label_extent m l in
-        chk "label_extent" (Graph.label_extent g l) extent;
-        chk "label_count" (Graph.label_count g l) (List.length extent))
-      labels;
-    Array.iter
-      (fun v -> chk "value_index" (Graph.value_index g v) (M.value_index m v))
-      pool_values;
-    chk "labels" (Graph.labels g) m.M.labels;
-    chk "collections" (Graph.collections g) (List.map fst m.M.colls);
-    List.iter
-      (fun c ->
-        let members = M.collection m c in
-        chk "collection" (Graph.collection g c) members;
-        chk "collection_size" (Graph.collection_size g c) (List.length members))
-      colls;
-    List.iter
-      (fun o ->
-        chk "mem_node" (Graph.mem_node g o) (M.mem_node m o);
-        chk "collections_of" (Graph.collections_of g o) (M.collections_of m o);
-        List.iter
-          (fun c ->
-            chk "in_collection" (Graph.in_collection g c o)
-              (M.in_collection m c o))
-          colls)
-      oids;
-    List.iter
-      (fun n -> chk "find_node" (Graph.find_node g n) (M.find_node m n))
-      pool_names
-  end;
+  let listed iter =
+    let acc = ref [] in
+    iter (fun s l t -> acc := (s, l, t) :: !acc) g;
+    List.rev !acc
+  in
+  chk "nodes" (Graph.nodes g) m.M.nodes;
+  chk "node_count" (Graph.node_count g) (List.length m.M.nodes);
+  chk "edge_count" (Graph.edge_count g) (List.length m.M.edges);
+  chk "iter_edges" (listed Graph.iter_edges) (M.edges_node_major m);
+  chk "fold_edges"
+    (List.rev (Graph.fold_edges (fun s l t acc -> (s, l, t) :: acc) g []))
+    (M.edges_node_major m);
+  chk "iter_edges_inserted" (listed Graph.iter_edges_inserted) m.M.edges;
+  List.iter
+    (fun (s, l, t) -> chk "has_edge" (Graph.has_edge g s l t) true)
+    m.M.edges;
+  List.iter
+    (fun t -> chk "in_edges" (Graph.in_edges g t) (M.in_edges m t))
+    targets;
+  List.iter
+    (fun l ->
+      let extent = M.label_extent m l in
+      chk "label_extent" (Graph.label_extent g l) extent;
+      chk "label_count" (Graph.label_count g l) (List.length extent))
+    labels;
+  Array.iter
+    (fun v -> chk "value_index" (Graph.value_index g v) (M.value_index m v))
+    pool_values;
+  chk "labels" (Graph.labels g) m.M.labels;
+  chk "collections" (Graph.collections g) (List.map fst m.M.colls);
+  List.iter
+    (fun c ->
+      let members = M.collection m c in
+      chk "collection" (Graph.collection g c) members;
+      chk "collection_size" (Graph.collection_size g c) (List.length members))
+    colls;
+  List.iter
+    (fun o ->
+      chk "mem_node" (Graph.mem_node g o) (M.mem_node m o);
+      chk "collections_of" (Graph.collections_of g o) (M.collections_of m o);
+      List.iter
+        (fun c ->
+          chk "in_collection" (Graph.in_collection g c o)
+            (M.in_collection m c o))
+        colls)
+    oids;
+  List.iter
+    (fun n -> chk "find_node" (Graph.find_node g n) (M.find_node m n))
+    pool_names;
   !found
 
 let run_script ~indexed script =
   let fresh () = { g = Graph.create ~indexed (); m = M.create () } in
   let main = fresh () and side = fresh () in
-  let check p =
-    match mismatch ~frozen:false p with
-    | Some _ as bad -> bad
-    | None -> mismatch ~frozen:true p
-  in
   List.iteri
     (fun k op ->
       step main side op;
-      match check main, check side with
+      match mismatch main, mismatch side with
       | None, None -> ()
       | Some what, _ | _, Some what ->
         QCheck.Test.fail_reportf "step %d (%a): %s differs from the model" k
@@ -519,15 +544,6 @@ let differential =
 
 let lifecycle =
   [
-    t "a mutation lets go of the last snapshot" (fun () ->
-        let g, a, _, _ = mk () in
-        let held = Weak.create 1 in
-        Weak.set held 0 (Some (Graph.freeze g));
-        Graph.add_edge g a "w" (Graph.V Value.Null);
-        Gc.full_major ();
-        check_bool "collected" false (Weak.check held 0);
-        (* the graph itself stays live across the collection *)
-        check_int "graph intact" 6 (Graph.edge_count g));
     t "oids minted on four domains at once are distinct" (fun () ->
         let per = 200_000 and ready = Atomic.make 0 in
         let mint () =

@@ -64,8 +64,9 @@ let digest_run ?(emit = fun (_ : Template.Generator.page) -> ()) jobs =
   let wall = (Unix.gettimeofday () -. t0) *. 1000. in
   (!d, !pages, !bytes, prof, wall)
 
-(* the sequential streaming reference; its first forcing also warms the
-   graph (CSR freeze, interning), which the memory case relies on *)
+(* the sequential streaming reference; its first forcing also warms
+   what the first render allocates once (template compilation, the
+   shared pool), which the memory case relies on *)
 let reference = lazy (digest_run 1)
 
 let live_words () =
@@ -90,7 +91,7 @@ let suite =
           (prof8.Strudel.Render_pool.rp_rendered = expected_pages);
         check_bool "output is non-trivial" true (b1 > 100 * expected_pages));
     t "streaming never holds the page set in memory" (fun () ->
-        (* warmup: graph freeze + interning happen before the baseline *)
+        (* warmup: one-time allocations happen before the baseline *)
         let _ = Lazy.force reference in
         let baseline = live_words () in
         let sample_every = max 2_000 (items / 5) in

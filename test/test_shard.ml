@@ -462,12 +462,11 @@ let eval_tests =
           let g = build_data fixed_spec in
           let q = Struql.Parser.parse (List.nth query_pool 5) in
           ignore (Struql.Exec.run g q);
-          (* the path condition froze the kernel at least once *)
-          check_bool "freeze happened" true
-            ((Graph.kernel_counters g).Graph.freezes >= 1);
+          (* the path condition ran the kernel at least once *)
+          check_bool "kernel ran" true
+            ((Graph.kernel_counters g).Graph.misses >= 1);
           Graph.reset_kernel_counters g;
           let k = Graph.kernel_counters g in
-          check_int "freezes zero" 0 k.Graph.freezes;
           check_int "hits zero" 0 k.Graph.hits;
           check_int "misses zero" 0 k.Graph.misses);
     ]
