@@ -850,7 +850,7 @@ let e17 () =
   section "E17"
     "parallel materialization on domains + dependency-tracked render cache";
   (* the same auto-detection [strudel build --jobs 0] uses *)
-  let cores = Strudel.Render_pool.auto_jobs () in
+  let cores = Pool.auto_jobs () in
   Fmt.pr "recommended domain count on this machine: %d@." cores;
   let sites =
     [
@@ -876,30 +876,47 @@ let e17 () =
     Gc.full_major ();
     wall_it f
   in
+  (* one sample per level cannot order two builds on a host whose
+     speed swings between runs: each level is timed [samples] times in
+     a row and reported as the median with min and max beside it;
+     every sample's result is kept for the identity checks *)
+  let samples = 7 in
+  let sampled f =
+    let runs = List.init samples (fun _ -> measured f) in
+    let ts = Array.of_list (List.sort Float.compare (List.map snd runs)) in
+    (List.map fst runs, (ts.(samples / 2), ts.(0), ts.(samples - 1)))
+  in
   let entries =
     List.map
       (fun (name, def, data) ->
         ignore (Strudel.Site.build ~jobs:max_jobs ~data def);
-        let reference, t_seq =
-          measured (fun () -> Strudel.Site.build ~data def)
-        in
-        Fmt.pr "@.%-10s sequential reference: %d pages, %.1f ms@." name
+        let refs, seq = sampled (fun () -> Strudel.Site.build ~data def) in
+        let reference = List.hd refs in
+        let t_seq, seq_min, seq_max = seq in
+        Fmt.pr
+          "@.%-10s sequential reference: %d pages, %.1f ms (%.1f-%.1f)@." name
           (Template.Generator.page_count reference.Strudel.Site.site)
-          t_seq;
-        Fmt.pr "  %-8s %10s %9s %6s %7s %10s@." "jobs" "wall ms" "speedup"
-          "waves" "steals" "identical";
+          t_seq seq_min seq_max;
+        Fmt.pr "  %-8s %10s %13s %9s %6s %10s@." "jobs" "wall ms" "min-max"
+          "speedup" "waves" "identical";
         let runs =
           List.map
             (fun jobs ->
-              let b, t = measured (fun () -> Strudel.Site.build ~jobs ~data def) in
-              let prof = b.Strudel.Site.render_profile in
-              let identical =
-                pages_identical reference.Strudel.Site.site b.Strudel.Site.site
+              let bs, ((t, t_min, t_max) as wall) =
+                sampled (fun () -> Strudel.Site.build ~jobs ~data def)
               in
-              Fmt.pr "  %-8d %10.1f %8.2fx %6d %7d %10b@." jobs t (t_seq /. t)
-                prof.Strudel.Render_pool.rp_waves
-                prof.Strudel.Render_pool.rp_steals identical;
-              (jobs, t, prof, identical))
+              let prof = (List.hd bs).Strudel.Site.render_profile in
+              let identical =
+                List.for_all
+                  (fun b ->
+                    pages_identical reference.Strudel.Site.site
+                      b.Strudel.Site.site)
+                  (bs @ List.tl refs)
+              in
+              Fmt.pr "  %-8d %10.1f %6.1f-%-6.1f %8.2fx %6d %10b@." jobs t
+                t_min t_max (t_seq /. t) prof.Strudel.Render_pool.rp_waves
+                identical;
+              (jobs, wall, prof, identical))
             job_levels
         in
         (* cache: cold build seeds the traces, an identical rebuild hits
@@ -958,7 +975,7 @@ let e17 () =
           i_inval;
         ignore inc;
         ( name,
-          t_seq,
+          seq,
           runs,
           (t_cold, t_warm, w_hits, w_misses, w_inval, hit_rate, warm_identical),
           (t_inc, i_hits, i_misses, i_inval) ))
@@ -1013,34 +1030,38 @@ let e17 () =
   in
   let synth_run jobs =
     let sink, d, pages, bytes = digest_sink () in
-    let (_, prof), t =
-      measured (fun () ->
-          Strudel.Render_pool.materialize ~jobs ~sink
-            ~templates:Sites.Scale.templates synth_sg ~roots:synth_roots)
+    let _, prof =
+      Strudel.Render_pool.materialize ~jobs ~sink
+        ~templates:Sites.Scale.templates synth_sg ~roots:synth_roots
     in
-    (t, prof, !d, !pages, !bytes)
+    (prof, !d, !pages, !bytes)
   in
-  let t_ref, ref_prof, ref_digest, ref_pages, ref_bytes = synth_run 1 in
+  let ref_runs, synth_seq = sampled (fun () -> synth_run 1) in
+  let t_ref, t_ref_min, t_ref_max = synth_seq in
+  let _, ref_digest, ref_pages, ref_bytes = List.hd ref_runs in
+  let same (_, digest, pages, _) = digest = ref_digest && pages = ref_pages in
   Fmt.pr
     "@.synth-%dk   data %.0f ms, site graph %.0f ms (median of 3, %.0f-%.0f); \
-     %d pages, %.1f MB, sequential materialize %.1f ms (streamed)@."
+     %d pages, %.1f MB, sequential materialize %.1f ms (median of %d, \
+     %.1f-%.1f, streamed)@."
     (synth_items / 1000) t_data t_sg t_sg_min t_sg_max ref_pages
     (float_of_int ref_bytes /. 1e6)
-    t_ref;
-  Fmt.pr "  %-8s %10s %9s %6s %7s %10s@." "jobs" "wall ms" "speedup" "waves"
-    "steals" "identical";
+    t_ref samples t_ref_min t_ref_max;
+  Fmt.pr "  %-8s %10s %13s %9s %6s %10s@." "jobs" "wall ms" "min-max"
+    "speedup" "waves" "identical";
   let synth_runs =
     List.map
       (fun jobs ->
-        let t, prof, digest, pages, _ = synth_run jobs in
-        let identical = digest = ref_digest && pages = ref_pages in
-        Fmt.pr "  %-8d %10.1f %8.2fx %6d %7d %10b@." jobs t (t_ref /. t)
-          prof.Strudel.Render_pool.rp_waves prof.Strudel.Render_pool.rp_steals
-          identical;
-        (jobs, t, prof, identical))
+        let rs, ((t, t_min, t_max) as wall) =
+          sampled (fun () -> synth_run jobs)
+        in
+        let prof, _, _, _ = List.hd rs in
+        let identical = List.for_all same (rs @ List.tl ref_runs) in
+        Fmt.pr "  %-8d %10.1f %6.1f-%-6.1f %8.2fx %6d %10b@." jobs t t_min
+          t_max (t_ref /. t) prof.Strudel.Render_pool.rp_waves identical;
+        (jobs, wall, prof, identical))
       job_levels
   in
-  ignore ref_prof;
   Fmt.pr
     "@.note: speedup tracks the machine's core count (this container \
      reports %d); byte-identity holds at every jobs level by \
@@ -1050,30 +1071,37 @@ let e17 () =
   Buffer.add_string buf
     "{\n  \"experiment\": \"E17_parallel_materialization\",\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"recommended_domain_count\": %d,\n  \"sites\": [\n"
-       cores);
+    (Printf.sprintf
+       "  \"recommended_domain_count\": %d, \"samples\": %d,\n  \"sites\": [\n"
+       cores samples);
   List.iteri
     (fun i
          ( name,
-           t_seq,
+           (t_seq, seq_min, seq_max),
            runs,
            (t_cold, t_warm, w_hits, w_misses, w_inval, hit_rate, warm_id),
            (t_inc, i_hits, i_misses, i_inval) ) ->
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"site\": \"%s\", \"sequential_ms\": %.3f,\n     \"jobs\": ["
-           (json_escape name) t_seq);
+           "    {\"site\": \"%s\", \"sequential_ms\": %.3f, \
+            \"sequential_min_ms\": %.3f, \"sequential_max_ms\": %.3f,\n     \
+            \"jobs\": ["
+           (json_escape name) t_seq seq_min seq_max);
       List.iteri
-        (fun j (jobs, t, (prof : Strudel.Render_pool.profile), identical) ->
+        (fun j
+             ( jobs,
+               (t, t_min, t_max),
+               (prof : Strudel.Render_pool.profile),
+               identical ) ->
           if j > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf
             (Printf.sprintf
-               "{\"jobs\": %d, \"wall_ms\": %.3f, \"speedup\": %.3f, \
-                \"waves\": %d, \"steals\": %d, \"pages\": %d, \
-                \"identical\": %b}"
-               jobs t (t_seq /. t) prof.Strudel.Render_pool.rp_waves
-               prof.Strudel.Render_pool.rp_steals
+               "{\"jobs\": %d, \"wall_ms\": %.3f, \"wall_min_ms\": %.3f, \
+                \"wall_max_ms\": %.3f, \"speedup\": %.3f, \"waves\": %d, \
+                \"pages\": %d, \"identical\": %b}"
+               jobs t t_min t_max (t_seq /. t)
+               prof.Strudel.Render_pool.rp_waves
                prof.Strudel.Render_pool.rp_pages identical))
         runs;
       Buffer.add_string buf
@@ -1091,18 +1119,23 @@ let e17 () =
     (Printf.sprintf
        "  \"synth\": {\"items\": %d, \"pages\": %d, \"bytes\": %d,\n   \
         \"data_ms\": %.3f, \"site_graph_ms\": %.3f, \"site_graph_min_ms\": \
-        %.3f, \"site_graph_max_ms\": %.3f, \"sequential_ms\": %.3f,\n   \
+        %.3f, \"site_graph_max_ms\": %.3f, \"sequential_ms\": %.3f, \
+        \"sequential_min_ms\": %.3f, \"sequential_max_ms\": %.3f,\n   \
         \"jobs\": ["
-       synth_items ref_pages ref_bytes t_data t_sg t_sg_min t_sg_max t_ref);
+       synth_items ref_pages ref_bytes t_data t_sg t_sg_min t_sg_max t_ref
+       t_ref_min t_ref_max);
   List.iteri
-    (fun j (jobs, t, (prof : Strudel.Render_pool.profile), identical) ->
+    (fun j
+         ((jobs, (t, t_min, t_max), (prof : Strudel.Render_pool.profile),
+           identical)) ->
       if j > 0 then Buffer.add_string buf ", ";
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"jobs\": %d, \"wall_ms\": %.3f, \"speedup\": %.3f, \"waves\": \
-            %d, \"steals\": %d, \"identical\": %b}"
-           jobs t (t_ref /. t) prof.Strudel.Render_pool.rp_waves
-           prof.Strudel.Render_pool.rp_steals identical))
+           "{\"jobs\": %d, \"wall_ms\": %.3f, \"wall_min_ms\": %.3f, \
+            \"wall_max_ms\": %.3f, \"speedup\": %.3f, \"waves\": %d, \
+            \"identical\": %b}"
+           jobs t t_min t_max (t_ref /. t) prof.Strudel.Render_pool.rp_waves
+           identical))
     synth_runs;
   Buffer.add_string buf "]}\n}\n";
   let oc = open_out "BENCH_parallel.json" in

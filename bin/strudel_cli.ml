@@ -447,7 +447,7 @@ let build_cmd =
       retries faults_out shards_dir shard_by =
     or_die (fun () ->
         let jobs =
-          if jobs <= 0 then Strudel.Render_pool.auto_jobs () else jobs
+          if jobs <= 0 then Pool.auto_jobs () else jobs
         in
         let fault = Fault.ctx () in
         let t0 = Unix.gettimeofday () in
@@ -855,7 +855,7 @@ let dsan_cmd =
             Serve.Engine.create ~workers:jobs
               ~source:(Serve.Engine.Static data) def
           in
-          Strudel.Pool.run Strudel.Pool.shared ~jobs (fun w ->
+          Pool.run Pool.shared ~jobs (fun w ->
               for _ = 1 to 25 do
                 List.iter
                   (fun path ->
@@ -1275,7 +1275,7 @@ let watch_cmd =
     or_die (fun () ->
         if full then Struql.Exec.delta_enabled := false;
         let jobs =
-          if jobs <= 0 then Strudel.Render_pool.auto_jobs () else jobs
+          if jobs <= 0 then Pool.auto_jobs () else jobs
         in
         let fault = Fault.ctx () in
         let sink =

@@ -1,5 +1,4 @@
-(** Parallel page materialization: a work-stealing scheduler on a
-    persistent domain pool.
+(** Parallel page materialization on the persistent domain pool.
 
     The generator's page set is demand-driven: roots become pages, and
     every object a rendered page links to becomes a page transitively.
@@ -11,16 +10,14 @@
     appears.
 
     Scheduling.  Each wave is cut into {e slices} of at most [slice]
-    pages (the emission granularity — see below), and each slice is cut
-    into chunks dealt to per-worker deques ({!Pool.Work}).  A worker
-    takes chunks from its own deque and steals from others when it runs
-    dry, so skewed page costs rebalance instead of stalling a round:
-    there is no per-page locking, no round-robin barrier within a
-    slice, and the worker domains themselves persist across builds in
-    {!Pool.shared} — every {!Site.build} and the bench harness reuse
-    them, so only the first parallel build of a process pays domain
-    spawns.  Workers write results into per-page slots, so output never
-    depends on which worker rendered what.
+    pages (the emission granularity — see below), and each slice is
+    rendered through {!Pool.iter}: the workers claim chunks of it from
+    one atomic cursor, so skewed page costs even out instead of
+    stalling a round — there is no per-page locking and no round-robin
+    barrier within a slice.  The worker domains persist across builds
+    in {!Pool.shared}, so only the first parallel call of a process
+    pays domain spawns.  Workers write results into per-page slots, so
+    output never depends on which worker rendered what.
 
     Determinism and byte-identity with the sequential reference path
     ({!Template.Generator.generate}) rest on URL assignment and page
@@ -61,9 +58,6 @@ type profile = {
   rp_pages : int;     (** pages in the final site *)
   rp_rendered : int;  (** pages actually rendered (not served from cache) *)
   rp_waves : int;
-  rp_steals : int;
-      (** chunks executed by a worker other than the one they were
-          dealt to — 0 when the load was balanced up front *)
   rp_shards : shard list;
   rp_cache_hits : int;
   rp_cache_misses : int;
@@ -79,9 +73,9 @@ type profile = {
 
 let pp_profile ppf p =
   Fmt.pf ppf
-    "@[<v>jobs=%d pages=%d rendered=%d waves=%d steals=%d wall=%.2fms \
+    "@[<v>jobs=%d pages=%d rendered=%d waves=%d wall=%.2fms \
      cache=%d/%d/%d (hit/miss/invalid)%s%s"
-    p.rp_jobs p.rp_pages p.rp_rendered p.rp_waves p.rp_steals p.rp_wall_ms
+    p.rp_jobs p.rp_pages p.rp_rendered p.rp_waves p.rp_wall_ms
     p.rp_cache_hits p.rp_cache_misses p.rp_cache_invalidations
     (if p.rp_fallback then " FALLBACK(sequential)" else "")
     (if p.rp_degraded > 0 then Printf.sprintf " DEGRADED(%d)" p.rp_degraded
@@ -94,8 +88,6 @@ let pp_profile ppf p =
   Fmt.pf ppf "@]"
 
 let now_ms () = Unix.gettimeofday () *. 1000.
-
-let auto_jobs = Pool.auto_jobs
 
 (* --- Streaming emission --- *)
 
@@ -137,11 +129,11 @@ let file_sink ~dir =
         Hashtbl.reset written);
   }
 
-(** How many pages a wave slice holds in memory at once (and the
-    granularity of streaming emission and of deterministic fault-report
-    ordering).  Must not depend on [jobs], or degraded manifests would
-    not be reproducible across job counts. *)
-let default_slice = 4096
+(* How many pages a wave slice holds in memory at once (and the
+   granularity of streaming emission and of deterministic fault-report
+   ordering).  Must not depend on [jobs], or degraded manifests would
+   not be reproducible across job counts. *)
+let slice = 4096
 
 (* --- Rendering pages on the workers --- *)
 
@@ -162,12 +154,11 @@ type renderer = {
      [rd_pages.(w)]/[rd_ms.(w)]/[rd_compiled.(w)] — written only by
      worker [w], read by the main domain after the pool barrier *)
   rd_ds : int;
-  mutable rd_steals : int;
 }
 
 let renderer ?(jobs = 1) ?file_loader ?(templates = G.empty_templates)
     ?(on_error = Fault.Abort) ?fault ?(trace = true) () =
-  let jobs = if jobs <= 0 then auto_jobs () else jobs in
+  let jobs = if jobs <= 0 then Pool.auto_jobs () else jobs in
   {
     rd_jobs = jobs;
     rd_file_loader = file_loader;
@@ -179,7 +170,6 @@ let renderer ?(jobs = 1) ?file_loader ?(templates = G.empty_templates)
     rd_pages = Array.make jobs 0;
     rd_ms = Array.make jobs 0.;
     rd_ds = Dsan.alloc ~name:"Render_pool.shards";
-    rd_steals = 0;
   }
 
 (* Render [o] on worker [w].  Under [Degrade] a failed (or
@@ -204,32 +194,16 @@ let render_one rd w g o =
       in
       ({ G.r_page = page; r_reads = []; r_refs = [] }, Some report))
 
-(* Run [f w i] for every [i < len] on the renderer's workers: chunks
-   dealt to per-worker deques, stolen when a worker runs dry; worker 0
-   is the main domain. *)
+(* Run [f w i] for every [i < len] on the renderer's workers, worker 0
+   being the main domain; each worker's clock runs per chunk. *)
 let fan_out rd ~len f =
-  let work = Pool.Work.create ~total:len ~workers:rd.rd_jobs in
-  let run_worker w =
-    let t = now_ms () in
-    let rec loop () =
-      Dsan.yield ~site:__POS__;
-      match Pool.Work.take work w with
-      | None -> ()
-      | Some (lo, hi) ->
-        for i = lo to hi - 1 do
-          f w i
-        done;
-        loop ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Dsan.write ~site:__POS__ rd.rd_ds w;
-        rd.rd_ms.(w) <- rd.rd_ms.(w) +. (now_ms () -. t))
-      loop
-  in
-  if rd.rd_jobs = 1 then run_worker 0
-  else Pool.run Pool.shared ~jobs:rd.rd_jobs run_worker;
-  rd.rd_steals <- rd.rd_steals + Pool.Work.steals work
+  Pool.iter Pool.shared ~jobs:rd.rd_jobs len (fun w lo hi ->
+      let t = now_ms () in
+      for i = lo to hi - 1 do
+        f w i
+      done;
+      Dsan.write ~site:__POS__ rd.rd_ds w;
+      rd.rd_ms.(w) <- rd.rd_ms.(w) +. (now_ms () -. t))
 
 (* Worker domains read the live graph, which nothing mutates while
    they render: every graph read records a sanitizer read, so a
@@ -255,7 +229,6 @@ let profile rd ~t0 ~pages ~rendered ~waves ~hits ~misses ~invalidations
     rp_pages = pages;
     rp_rendered = rendered;
     rp_waves = waves;
-    rp_steals = rd.rd_steals;
     rp_shards =
       List.init rd.rd_jobs (fun i ->
           Dsan.read ~site:__POS__ rd.rd_ds i;
@@ -281,16 +254,14 @@ type slot =
 (** Materialize the site's pages.  [jobs = 1] with no cache and no sink
     is the sequential reference path — a plain
     {!Template.Generator.generate}.  [jobs <= 0] auto-detects
-    ({!auto_jobs}).  Otherwise the work-stealing wave loop runs on
-    [jobs] domains (the main domain renders alongside [jobs - 1] pool
+    ({!Pool.auto_jobs}).  Otherwise the wave loop runs on [jobs]
+    domains (the main domain renders alongside [jobs - 1] pool
     workers). *)
 let materialize ?(jobs = 1) ?cache ?file_loader
     ?(templates = G.empty_templates) ?(on_error = Fault.Abort) ?fault ?sink
-    ?(slice = default_slice) (g : Graph.t) ~(roots : Oid.t list) :
-    G.site * profile =
+    (g : Graph.t) ~(roots : Oid.t list) : G.site * profile =
   let t0 = now_ms () in
-  let jobs = if jobs <= 0 then auto_jobs () else jobs in
-  let slice = max 1 slice in
+  let jobs = if jobs <= 0 then Pool.auto_jobs () else jobs in
   let inject = Fault.inject fault in
   (* degraded (or injectable) builds always run the wave loop, even at
      [jobs = 1]: the sequential generator lets a failed render's
@@ -310,7 +281,6 @@ let materialize ?(jobs = 1) ?cache ?file_loader
         rp_pages = pages;
         rp_rendered = pages;
         rp_waves = 1;
-        rp_steals = 0;
         rp_shards = [ { sh_domain = 0; sh_pages = pages; sh_wall_ms = wall } ];
         rp_cache_hits = 0;
         rp_cache_misses = 0;
@@ -400,7 +370,7 @@ let materialize ?(jobs = 1) ?cache ?file_loader
         fan_out rd ~len process;
         (* settle the slice on the main domain, in frontier order:
            cache verdicts and stores, fault reports (sorted by URL so
-           manifests are identical whatever the stealing produced),
+           manifests are identical whatever the scheduling produced),
            page emission, demand refs *)
         let sl_hits = ref 0 and sl_miss = ref 0 and sl_inval = ref 0 in
         let sl_reports = ref [] in
@@ -424,7 +394,7 @@ let materialize ?(jobs = 1) ?cache ?file_loader
              | None -> ());
             refs_acc := r.G.r_refs :: !refs_acc;
             emit r.G.r_page
-          | None -> assert false  (* Pool.run re-raised before settling *)
+          | None -> assert false  (* Pool.iter re-raised before settling *)
         done;
         (match cache with
          | Some c ->

@@ -1,13 +1,11 @@
-(** Parallel page materialization: a work-stealing scheduler on a
-    persistent domain pool.
+(** Parallel page materialization on the persistent domain pool.
 
     Pages are rendered in waves (BFS levels of the demand-driven page
-    closure).  Each wave is cut into bounded {e slices}; a slice's
-    pages are chunked onto per-worker deques and the workers — the main
-    domain plus [jobs - 1] domains from the persistent {!Pool.shared},
-    reused across builds — take their own chunks and steal from each
-    other when they run dry.  Results land in per-page slots, so output
-    never depends on scheduling; the concatenation of the wave
+    closure).  Each wave is cut into bounded {e slices}; the workers —
+    the main domain plus [jobs - 1] domains from the persistent
+    {!Pool.shared}, reused across builds — claim chunks of a slice's
+    pages from one atomic cursor ({!Pool.iter}).  Results land in
+    per-page slots, so output never depends on scheduling; the concatenation of the wave
     frontiers replays the sequential generator's discovery queue, so
     pages are produced in canonical order and byte-identical to the
     reference path.  On a URL collision (two pages sharing a slug) the
@@ -33,9 +31,6 @@ type profile = {
   rp_pages : int;     (** pages in the final site *)
   rp_rendered : int;  (** pages actually rendered (not served from cache) *)
   rp_waves : int;
-  rp_steals : int;
-      (** chunks executed by a worker other than the one they were
-          dealt to — 0 when the load was balanced up front *)
   rp_shards : shard list;
   rp_cache_hits : int;
   rp_cache_misses : int;
@@ -50,10 +45,6 @@ type profile = {
 }
 
 val pp_profile : Format.formatter -> profile -> unit
-
-val auto_jobs : unit -> int
-(** The job count used for [jobs <= 0]:
-    [Domain.recommended_domain_count], clamped to at least 1. *)
 
 type sink = {
   sk_emit : Template.Generator.page -> unit;
@@ -74,11 +65,6 @@ val file_sink : dir:string -> sink
     wrote, so after a reset and re-emission the directory holds exactly
     the current site. *)
 
-val default_slice : int
-(** Default bound on pages a wave slice holds in memory at once — also
-    the granularity of streaming emission and of deterministic
-    fault-report ordering (it must not depend on [jobs]). *)
-
 val materialize :
   ?jobs:int ->
   ?cache:Render_cache.t ->
@@ -87,22 +73,22 @@ val materialize :
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
   ?sink:sink ->
-  ?slice:int ->
   Graph.t ->
   roots:Oid.t list ->
   Template.Generator.site * profile
 (** Materialize the site's pages.  [jobs = 1] (the default) with no
     cache, no injector, no sink and [~on_error:Abort] is the sequential
     reference path, a plain {!Template.Generator.generate}; [jobs <= 0]
-    auto-detects ({!auto_jobs}); otherwise the work-stealing wave loop
-    runs on [jobs] domains (the main domain renders alongside
+    auto-detects ({!Pool.auto_jobs}); otherwise the wave loop runs on
+    [jobs] domains (the main domain renders alongside
     [jobs - 1] persistent pool workers).  Output is byte-identical to
     the reference path on every input (enforced by the differential
     suite).
 
     With [~sink], pages are streamed to the sink in canonical order and
     the returned site has an empty page list ([profile.rp_pages] still
-    counts them); peak memory is bounded by [slice] pages.
+    counts them); peak memory is bounded by a slice of 4096 pages,
+    which is also the granularity of streaming emission.
 
     Workers read the graph in place: nothing may mutate it until
     [materialize] returns.
@@ -142,9 +128,8 @@ val render_pages :
   renderer -> Graph.t -> Oid.t array ->
   (Template.Generator.rendered * Fault.report option) array
 (** Render the pages of the given objects, results in input order.  At
-    [jobs = 1] they render one after another against the live graph; at
-    [jobs > 1] the graph is frozen and they fan out over the shared
-    pool.  Under [~on_error:Degrade] a failed render yields a
+    [jobs = 1] they render one after another; at [jobs > 1] they fan
+    out over the shared pool.  Either way they read the live graph.  Under [~on_error:Degrade] a failed render yields a
     placeholder (empty trace) and its fault report, which the caller
     records; under [Abort] the exception propagates. *)
 

@@ -117,16 +117,14 @@ val build :
 (** The full pipeline: site graph, schema, then
     {!Render_pool.materialize} the pages reachable from the root
     family ({!build_roots}) and {!assemble}.  [jobs] (default 1) fans
-    page rendering out over
-    OCaml domains through {!Render_pool}'s work-stealing scheduler
+    page rendering out over OCaml domains through {!Render_pool}
     ([jobs <= 0] auto-detects the machine's domain count);
     [render_cache] reuses pages whose read traces still verify.
     Output is byte-identical across [jobs] values and cache states.
 
     With [sink], pages are streamed out in canonical order as they
     render and [built.site] carries an empty page list — peak memory
-    is bounded by {!Render_pool.default_slice} pages instead of the
-    site size ([built.render_profile.rp_pages] still counts them).
+    is bounded by one render slice of pages instead of the site size ([built.render_profile.rp_pages] still counts them).
 
     With [~on_error:Degrade] a failed page render becomes a
     placeholder instead of aborting the build; faults recorded in

@@ -112,50 +112,30 @@ let settle_one ~direct ~prev ~snapshots ~fault s att dt =
   in
   (r, stat)
 
-(* Attempt every source's load in parallel: [jobs] domains, each owning
-   a round-robin slice, writing disjoint slots of [results].  Faults
-   are neither recorded nor resolved here (that is sequential), but an
-   injector shared across domains fires from all of them — injection
-   tests should refresh with [jobs = 1]. *)
+(* Attempt every source's load in parallel on the shared pool, each
+   load writing its own slot of [results].  Faults are neither
+   recorded nor resolved here (that is sequential), but an injector
+   shared across domains fires from all of them — injection tests
+   should refresh with [jobs = 1]. *)
 let attempt_parallel ~jobs ~clock ~fault ~direct sources =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
-  let jobs = max 1 (min jobs n) in
   let results = Array.make n (Source.Load_failed (Exit, 0), 0.) in
   let now () = clock.Fault.Clock.now_ms () in
-  (* sanitizer identity: field j = [results.(j)], each written by
-     exactly one domain (round-robin striping), read after the joins *)
+  (* sanitizer identity: field j = [results.(j)], written by exactly
+     one participant, read after [Pool.iter]'s join *)
   let ds_par = Dsan.alloc ~name:"Warehouse.parallel_load" in
-  let slice i () =
-    let j = ref i in
-    while !j < n do
-      Dsan.yield ~site:__POS__;
-      let s = srcs.(!j) in
-      let t0 = now () in
-      let att =
-        if direct then attempt_direct s else Source.load_attempt ~clock ?fault s
-      in
-      Dsan.write ~site:__POS__ ds_par !j;
-      results.(!j) <- (att, now () -. t0);
-      j := !j + jobs
-    done
-  in
-  let workers =
-    List.init (jobs - 1) (fun i ->
-        let tok = Dsan.fork () in
-        let d =
-          Domain.spawn (fun () ->
-              Dsan.born tok;
-              Fun.protect ~finally:(fun () -> Dsan.dying tok) (slice (i + 1)))
+  Pool.iter Pool.shared ~jobs n (fun _ lo hi ->
+      for j = lo to hi - 1 do
+        let s = srcs.(j) in
+        let t0 = now () in
+        let att =
+          if direct then attempt_direct s
+          else Source.load_attempt ~clock ?fault s
         in
-        (d, tok))
-  in
-  slice 0 ();
-  List.iter
-    (fun (d, tok) ->
-      Domain.join d;
-      Dsan.joined tok)
-    workers;
+        Dsan.write ~site:__POS__ ds_par j;
+        results.(j) <- (att, now () -. t0)
+      done);
   if Dsan.enabled () then
     for j = 0 to n - 1 do
       Dsan.read ~site:__POS__ ds_par j

@@ -160,22 +160,25 @@ type t = {
   act_m : Mutex.t;
   active : (int, conn) Hashtbl.t;
   next_id : int Atomic.t;
-  mutable code : int;
+  code : int Atomic.t;
   s_served : int Atomic.t;
   s_client_aborts : int Atomic.t;
   s_timeouts : int Atomic.t;
   s_deadlines : int Atomic.t;
   s_aborted : int Atomic.t;
   (* sanitizer identities: field 0 = [q]/[q_closed] (under [q_m]),
-     field 1 = [active] (under [act_m]), field 2 = [code] (main domain
-     only, before workers start and after they join).  [stop_requested]
-     is deliberately not instrumented: it is set from signal handlers,
-     where taking the sanitizer's mutex could self-deadlock, and as a
-     lone atomic flag it orders nothing by itself — the worker handoff
-     happens through the instrumented queue. *)
+     field 1 = [active] (under [act_m]); [ds_code] publishes [code],
+     which [serve] sets on whatever domain runs it and [exit_code]
+     reads on another, with or without a join in between.
+     [stop_requested] is deliberately not instrumented: it is set from
+     signal handlers, where taking the sanitizer's mutex could
+     self-deadlock, and as a lone atomic flag it orders nothing by
+     itself — the worker handoff happens through the instrumented
+     queue. *)
   ds_obj : int;
   ds_q_m : int;
   ds_act_m : int;
+  ds_code : int;
 }
 
 let create ?(config = default_config) ?(on_drain = fun () -> ())
@@ -194,7 +197,7 @@ let create ?(config = default_config) ?(on_drain = fun () -> ())
     act_m = Mutex.create ();
     active = Hashtbl.create 64;
     next_id = Atomic.make 0;
-    code = 0;
+    code = Atomic.make 0;
     s_served = Atomic.make 0;
     s_client_aborts = Atomic.make 0;
     s_timeouts = Atomic.make 0;
@@ -203,14 +206,19 @@ let create ?(config = default_config) ?(on_drain = fun () -> ())
     ds_obj = Dsan.alloc ~name:"Daemon";
     ds_q_m = Dsan.lock_id ~name:"Daemon.q_m";
     ds_act_m = Dsan.lock_id ~name:"Daemon.act_m";
+    ds_code = Dsan.atomic_id ~name:"Daemon.code";
   }
 
 let stop t = Atomic.set t.stop_requested true
 let stopping t = Atomic.get t.stop_requested
 
 let exit_code t =
-  Dsan.read ~site:__POS__ t.ds_obj 2;
-  t.code
+  Dsan.consume ~site:__POS__ t.ds_code;
+  Atomic.get t.code
+
+let set_code t code =
+  Dsan.publish ~site:__POS__ t.ds_code;
+  Atomic.set t.code code
 
 let install_signal_handlers t =
   (* A client that vanishes mid-write must surface as EPIPE (a counted
@@ -483,7 +491,7 @@ let drain t =
 let serve t listener =
   let jobs = t.cfg.workers + 1 in
   (try
-     Strudel.Pool.run Strudel.Pool.shared ~jobs (fun w ->
+     Pool.run Pool.shared ~jobs (fun w ->
          if w > 0 then worker_loop t ~worker:(w - 1)
          else
            (* closing the queue is the workers' exit signal; protect it
@@ -497,11 +505,9 @@ let serve t listener =
                (try listener.l_close () with _ -> ());
                drain t))
    with e ->
-     Dsan.write ~site:__POS__ t.ds_obj 2;
-     t.code <- 1;
+     set_code t 1;
      raise e);
-  Dsan.write ~site:__POS__ t.ds_obj 2;
-  t.code <-
+  set_code t
     (if Atomic.get t.s_aborted > 0 then 4
      else if t.degraded () then 3
      else 0)

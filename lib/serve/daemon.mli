@@ -1,7 +1,7 @@
 (** The [strudeld] daemon: transport, worker pool, overload and drain.
 
     {!serve} runs an accept loop plus [workers] request workers on
-    {!Strudel.Pool.shared} and blocks until the daemon drains.  Every
+    {!Pool.shared} and blocks until the daemon drains.  Every
     accepted connection passes the admission {!Gate} first: over
     [max_inflight] it is {e shed} with [503 + Retry-After] before any
     work happens — the backlog stays bounded, so the tail latency of

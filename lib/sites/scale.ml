@@ -1,11 +1,11 @@
 (** The scale site: a minimal three-level site over {!Wrappers.Synth}'s
     scale corpus, built to materialize 100k–1M pages.
 
-    The paper's sites top out around a thousand pages; the work-stealing
-    render pool targets two orders of magnitude more.  This site keeps
-    the per-page work small and uniform — a root index, one page per
-    group, one page per item — so builds are render-bound and the
-    scheduler's behaviour (speedup, steals, streaming memory) is what a
+    The paper's sites top out around a thousand pages; the render pool
+    targets two orders of magnitude more.  This site keeps the per-page
+    work small and uniform — a root index, one page per group, one page
+    per item — so builds are render-bound and the pool's behaviour
+    (speedup, per-domain balance, streaming memory) is what a
     measurement sees, not template complexity. *)
 
 let data ?(items = 100_000) ?(groups = 100) ?(seed = 5) () =

@@ -596,9 +596,10 @@ let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
     let jobs = min sc.sc_jobs (List.length exts) in
     let tagged =
       if jobs > 1 && List.for_all step_parallel_safe (List.tl steps) then begin
-        (* one domain per slice of shards, each with private op_stats
-           (merged below) and live accounting; the union graph is only
-           read — path/extern steps were excluded above *)
+        (* the shards fan out over the shared pool, each participant
+           with private op_stats and live accounting (merged below);
+           the union graph is only read — path/extern steps were
+           excluded above *)
         let exts_a = Array.of_list exts in
         let n = Array.length exts_a in
         let results = Array.make n [] in
@@ -608,39 +609,17 @@ let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
         in
         let wlive = Array.init jobs (fun _ -> { cur = 0; peak = 0 }) in
         (* sanitizer identity: field j < n covers [results.(j)] (each
-           written by exactly one worker, striped j mod jobs), field
-           n+w covers worker w's private [wstats]/[wlive]; the
-           fork/join edges order all of them before the merge below *)
+           written by exactly one participant), field n+w covers
+           participant w's private [wstats]/[wlive]; [Pool.iter]'s join
+           orders all of them before the merge below *)
         let ds_scan = Dsan.alloc ~name:"Exec.shard_scan" in
-        let slice w () =
-          let wrest = List.tl wstats.(w) in
-          let j = ref w in
-          while !j < n do
-            Dsan.yield ~site:__POS__;
-            Dsan.write ~site:__POS__ ds_scan !j;
-            results.(!j) <- eval_ext ~live:wlive.(w) wrest exts_a.(!j);
-            j := !j + jobs
-          done;
-          Dsan.write ~site:__POS__ ds_scan (n + w)
-        in
-        let workers =
-          List.init (jobs - 1) (fun w ->
-              let tok = Dsan.fork () in
-              let d =
-                Domain.spawn (fun () ->
-                    Dsan.born tok;
-                    Fun.protect
-                      ~finally:(fun () -> Dsan.dying tok)
-                      (slice (w + 1)))
-              in
-              (d, tok))
-        in
-        slice 0 ();
-        List.iter
-          (fun (d, tok) ->
-            Domain.join d;
-            Dsan.joined tok)
-          workers;
+        Pool.iter Pool.shared ~jobs n (fun w lo hi ->
+            let wrest = List.tl wstats.(w) in
+            for j = lo to hi - 1 do
+              Dsan.write ~site:__POS__ ds_scan j;
+              results.(j) <- eval_ext ~live:wlive.(w) wrest exts_a.(j)
+            done;
+            Dsan.write ~site:__POS__ ds_scan (n + w));
         if Dsan.enabled () then
           for k = 0 to n + jobs - 1 do
             Dsan.read ~site:__POS__ ds_scan k

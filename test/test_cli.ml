@@ -202,7 +202,7 @@ let suite =
         check_int "jobs=0 --stream exit 0" 0 code0;
         check_bool "auto-detected profile printed" true
           (contains out0
-             (Printf.sprintf "jobs=%d" (Strudel.Render_pool.auto_jobs ())));
+             (Printf.sprintf "jobs=%d" (Pool.auto_jobs ())));
         check_bool "streamed files byte-identical" true (pages1 = pages0)));
     t "lint: bundled site in all three formats"
       (guard (fun () ->

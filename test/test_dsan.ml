@@ -5,7 +5,8 @@
    diagnostic bridge, stability pinning of the catalog codes, and
    no-false-positive runs of the real parallel runtime — builds, cached
    rebuilds, sharded scans, warehouse refresh, serving — with the
-   sanitizer armed at jobs 2 and 8. *)
+   sanitizer armed at jobs 2 and 8, and a daemon's exit code read on
+   another domain. *)
 
 open Sgraph
 
@@ -388,7 +389,7 @@ let clean_runtime_tests =
                     body = "";
                   }
                 in
-                Strudel.Pool.run Strudel.Pool.shared ~jobs (fun w ->
+                Pool.run Pool.shared ~jobs (fun w ->
                     for _ = 1 to 20 do
                       List.iter
                         (fun path ->
@@ -399,6 +400,30 @@ let clean_runtime_tests =
                 check_int (Printf.sprintf "jobs=%d races" jobs) 0
                   (Dsan.race_count ())))
           job_levels);
+    (* a daemon served on a domain the sanitizer was not told about, as
+       an embedding program may do: its exit code must still reach the
+       domain that reads it after the join without a report *)
+    t "sanitized daemon: exit code read after an unrecorded join" (fun () ->
+        sanitized (fun () ->
+            let listener =
+              {
+                Serve.Daemon.l_accept =
+                  (fun () ->
+                    Unix.sleepf 0.002;
+                    None);
+                l_close = ignore;
+              }
+            in
+            let d =
+              Serve.Daemon.create
+                ~handler:(fun ~worker:_ _ -> Serve.Http.response ~status:200 "")
+                ()
+            in
+            let srv = Domain.spawn (fun () -> Serve.Daemon.serve d listener) in
+            Serve.Daemon.stop d;
+            Domain.join srv;
+            check_int "exit 0" 0 (Serve.Daemon.exit_code d);
+            check_int "races" 0 (Dsan.race_count ())));
   ]
 
 let suite = unit_tests @ determinism_tests @ catalog_tests @ clean_runtime_tests

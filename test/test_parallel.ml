@@ -134,7 +134,7 @@ let parallel_equals_sequential_random muts =
 
 (* scheduler correctness under fault injection: an injector's fail
    decisions are a pure hash of (seed, point) — jobs-independent — so a
-   degraded work-stealing build must equal the degraded jobs=1 wave
+   degraded parallel build must equal the degraded jobs=1 wave
    build page-for-page (placeholders included), report-for-report (the
    manifest), and count-for-count *)
 let degraded_parallel_equals_sequential (muts, seed) =

@@ -1,4 +1,4 @@
-(* Differential stress tests for the work-stealing materializer at the
+(* Differential stress tests for the parallel materializer at the
    100k-page scale the paper's sites never reached.
 
    Everything here streams through a sink: byte identity across job
@@ -128,11 +128,11 @@ let suite =
                stream_peak_delta inmem_delta)
             true
             (stream_peak_delta * 2 < inmem_delta));
-    t "work-stealing wall time does not regress vs sequential" (fun () ->
-        if Strudel.Render_pool.auto_jobs () < 2 then
+    t "parallel wall time does not regress vs sequential" (fun () ->
+        if Pool.auto_jobs () < 2 then
           (* single-core container: 8 domains timeslice one core, so a
              wall-clock bound would measure the scheduler's GC sync, not
-             its stealing; the bound is enforced on multicore (CI gate
+             its chunking; the bound is enforced on multicore (CI gate
              + E17's acceptance threshold) *)
           check_bool "skipped on single-core machine" true true
         else begin
