@@ -1500,12 +1500,12 @@ let e20 () =
   Fmt.pr "path-kernel profile written to BENCH_path.json@."
 
 (* ----------------------------------------------------------------- *)
-(* E21 — sharded repository: parallel refresh, mmap segments, pruning *)
+(* E21 — sharded repository: parallel refresh, mmap segments           *)
 (* ----------------------------------------------------------------- *)
 
 let e21 () =
   section "E21"
-    "sharded repository: parallel refresh, mmap segments, shard pruning";
+    "sharded repository: parallel refresh, mmap segments";
   (* --- A: parallel refresh across domains ---
      A synthetic federation of independent sources whose loaders are
      CPU-bound (the busy loop stands in for wrapper parsing cost; pure
@@ -1553,19 +1553,31 @@ let e21 () =
     t
   in
   ignore (refresh_ms 1) (* warm-up: fault-free steady state *);
+  (* one refresh per level spread jobs=2 over 260-414 ms across runs
+     of one build: each level is the median of [samples] refreshes in
+     a row, with min and max beside it *)
+  let samples = 5 in
+  let sampled jobs =
+    let ts =
+      Array.of_list
+        (List.sort Float.compare (List.init samples (fun _ -> refresh_ms jobs)))
+    in
+    (ts.(samples / 2), ts.(0), ts.(samples - 1))
+  in
   let base = ref nan in
   Fmt.pr "  parallel refresh: %d sources, %d items each (cores: %d)@."
     n_sources items
     (Domain.recommended_domain_count ());
-  Fmt.pr "  %-6s %12s %8s@." "jobs" "ms" "speedup";
+  Fmt.pr "  %-6s %12s %17s %8s   (median of %d)@." "jobs" "ms" "min-max"
+    "speedup" samples;
   let refresh_rows =
     List.map
       (fun jobs ->
-        let t = refresh_ms jobs in
+        let ((t, t_min, t_max) as wall) = sampled jobs in
         if jobs = 1 then base := t;
         let sp = !base /. t in
-        Fmt.pr "  %-6d %12.1f %7.2fx@." jobs t sp;
-        (jobs, t, sp))
+        Fmt.pr "  %-6d %12.1f %8.1f-%-8.1f %7.2fx@." jobs t t_min t_max sp;
+        (jobs, wall, sp))
       [ 1; 2; 4; 8 ]
   in
   let speedup4 =
@@ -1587,7 +1599,7 @@ let e21 () =
     f
   in
   let cfg = { Repository.Shard.dir; cfg_spec = Repository.Shard.By_collection } in
-  let snap = Repository.Shard.publish cfg ~epoch:1 g in
+  ignore (Repository.Shard.publish cfg ~epoch:1 g);
   let seg_files =
     List.filter (fun f -> Filename.check_suffix f ".seg") (Array.to_list (Sys.readdir dir))
   in
@@ -1626,27 +1638,6 @@ let e21 () =
   Fmt.pr "  segment %s: %d bytes@." (Filename.basename seg_path) seg_bytes;
   Fmt.pr "  open read+verify %.3f ms | mmap %.3f ms | decode to graph %.3f ms@."
     read_ms mmap_ms decode_ms;
-  (* --- C: shard-pruned vs full-scan query --- *)
-  let q =
-    Struql.Parser.parse
-      {|INPUT D { WHERE Src0(x), x -> "v" -> y
-                  CREATE P(x) LINK P(x) -> "val" -> y
-                  COLLECT Ps(P(x)) } OUTPUT S|}
-  in
-  let ctx = Mediator.Warehouse.shard_ctx_of_snapshot snap in
-  let full_ms = best_of (fun () -> ignore (Struql.Exec.run g q)) in
-  let sharded_ms =
-    best_of (fun () -> ignore (Struql.Exec.run ~shards:ctx g q))
-  in
-  let out_full = Struql.Exec.run g q in
-  let out_sharded, prof = Struql.Exec.run_with_profile ~shards:ctx g q in
-  if Repository.Binary.encode out_full <> Repository.Binary.encode out_sharded
-  then failwith "E21: sharded evaluation diverged from full scan";
-  Fmt.pr
-    "  single-collection query: full scan %.3f ms | sharded %.3f ms \
-     (scanned %d, pruned %d)@."
-    full_ms sharded_ms prof.Struql.Exec.prf_shards_scanned
-    prof.Struql.Exec.prf_shards_pruned;
   (* best-effort cleanup of the temp repository *)
   Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
     (Sys.readdir dir);
@@ -1655,28 +1646,26 @@ let e21 () =
   Buffer.add_string buf "{\n  \"experiment\": \"E21_sharded_repository\",\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"sources\": %d,\n  \"items_per_source\": %d,\n  \"cores\": %d,\n"
+       "  \"sources\": %d,\n  \"items_per_source\": %d,\n  \"cores\": %d,\n\
+       \  \"samples\": %d,\n"
        n_sources items
-       (Domain.recommended_domain_count ()));
+       (Domain.recommended_domain_count ())
+       samples);
   Buffer.add_string buf "  \"refresh\": [";
   List.iteri
-    (fun i (jobs, t, sp) ->
+    (fun i (jobs, (t, t_min, t_max), sp) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "\n    {\"jobs\": %d, \"ms\": %.3f, \"speedup\": %.2f}" jobs t sp))
+           "\n    {\"jobs\": %d, \"ms\": %.3f, \"min_ms\": %.3f, \
+            \"max_ms\": %.3f, \"speedup\": %.2f}"
+           jobs t t_min t_max sp))
     refresh_rows;
   Buffer.add_string buf
     (Printf.sprintf
        "\n  ],\n  \"segment\": {\"bytes\": %d, \"read_verify_ms\": %.3f, \
-        \"mmap_ms\": %.3f, \"decode_ms\": %.3f},\n"
+        \"mmap_ms\": %.3f, \"decode_ms\": %.3f}\n}\n"
        seg_bytes read_ms mmap_ms decode_ms);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"pruned_query\": {\"full_ms\": %.3f, \"sharded_ms\": %.3f, \
-        \"shards_scanned\": %d, \"shards_pruned\": %d}\n}\n"
-       full_ms sharded_ms prof.Struql.Exec.prf_shards_scanned
-       prof.Struql.Exec.prf_shards_pruned);
   let oc = open_out "BENCH_shard.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

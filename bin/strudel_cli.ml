@@ -255,31 +255,21 @@ let explain_analyze_cmd =
   let run data graphs query strategy shards_dir =
     or_die (fun () ->
         let q = Struql.Parser.parse (read_file query) in
-        let g, shards =
+        let g =
           match shards_dir with
-          | None -> (input_graph data graphs q, None)
+          | None -> input_graph data graphs q
           | Some dir ->
-            (* the repository is the data: run over its union graph,
-               with the shard context driving per-shard scans *)
-            let sn = Repository.Shard.open_dir ~dir () in
-            ( sn.Repository.Shard.sn_union,
-              Some (Mediator.Warehouse.shard_ctx_of_snapshot sn) )
+            (* the repository is the data: run over its union graph *)
+            (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union
         in
         List.iter
           (fun strategy ->
             let options = { Struql.Eval.default_options with strategy } in
             (* fresh counter baseline per strategy, so each profile's
-               kernel and shard lines stand alone *)
+               kernel line stands alone *)
             Graph.reset_kernel_counters g;
-            (match shards with
-             | Some sc ->
-               List.iter
-                 (fun sv ->
-                   Graph.reset_kernel_counters sv.Struql.Exec.sv_graph)
-                 sc.Struql.Exec.sc_shards
-             | None -> ());
             let _, prof =
-              Struql.Exec.run_with_profile ~options ~timed:true ?shards g q
+              Struql.Exec.run_with_profile ~options ~timed:true g q
             in
             Fmt.pr "%a@." Struql.Exec.pp_profile prof)
           (strategies_of strategy))
@@ -290,8 +280,7 @@ let explain_analyze_cmd =
          "Run a query on the streaming engine and show the measured plan: \
           per-operator rows in/out, batch watermarks, timings and the peak \
           live-binding count.  With $(b,--shards), the query runs over the \
-          repository's union graph and the profile reports shards \
-          scanned/pruned and per-shard kernel counters.")
+          repository's union graph.")
     Term.(const run $ data_opt_arg $ graphs_arg $ query_pos_arg
           $ strategy_opt_arg $ shards_dir_arg)
 
@@ -463,9 +452,8 @@ let build_cmd =
           | Error (e, _) -> raise e
         in
         let load_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (* with --shards, publish the data graph as segment files and
-           let the site queries run shard-aware; pages are
-           byte-identical either way *)
+        (* with --shards, also publish the data graph as a repository
+           of segment files; the site queries run over [g] either way *)
         let snapshot =
           Option.map
             (fun sdir ->
@@ -475,11 +463,6 @@ let build_cmd =
                 ~sources:[ ("input", 0) ]
                 g)
             shards_dir
-        in
-        let shards =
-          Option.map
-            (Mediator.Warehouse.shard_ctx_of_snapshot ~jobs)
-            snapshot
         in
         let templates =
           {
@@ -497,7 +480,7 @@ let build_cmd =
           if stream then Some (Strudel.Render_pool.file_sink ~dir) else None
         in
         let built =
-          Strudel.Site.build ~jobs ~on_error ~fault ?shards ?sink ~data:g def
+          Strudel.Site.build ~jobs ~on_error ~fault ?sink ~data:g def
         in
         let rec mkdirs d =
           if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -680,8 +663,7 @@ let lint_cmd =
     | "rodin" -> Some (Sites.Lint_specs.rodin ())
     | _ -> None
   in
-  let run list_codes spec_name data templates root format fail_on shards
-      output =
+  let run list_codes spec_name data templates root format fail_on output =
     or_die (fun () ->
         if list_codes then begin
           List.iter
@@ -724,7 +706,6 @@ let lint_cmd =
                   data;
               declared_sources = [];
               mapping_sources = [];
-              shard_manifest = None;
               max_guide_states = 10_000;
             }
           | None ->
@@ -733,22 +714,6 @@ let lint_cmd =
                rodin) and no such file@."
               spec_name;
             exit 2
-        in
-        let spec =
-          match shards with
-          | None -> spec
-          | Some dir ->
-            let m = Repository.Shard.load_manifest ~dir in
-            {
-              spec with
-              Analysis.Lint.shard_manifest =
-                Some
-                  (List.map
-                     (fun (e : Repository.Shard.entry) ->
-                       (e.Repository.Shard.e_name,
-                        e.Repository.Shard.e_collections))
-                     m.Repository.Shard.m_entries);
-            }
         in
         let diags = Analysis.Lint.run spec in
         let rendered =
@@ -765,13 +730,11 @@ let lint_cmd =
        ~doc:
          "Statically analyze a site specification without building it: \
           path emptiness, dead/unused spec, constraint verification and \
-          template lint, as structured SA0xx diagnostics.  With \
-          $(b,--shards), also checks query collections against the \
-          repository's shard manifest (SA050).  $(b,--list-codes) \
+          template lint, as structured SA0xx diagnostics.  $(b,--list-codes) \
           prints the full stable catalog, including the race-sanitizer \
           codes emitted by $(b,strudel dsan).")
     Term.(const run $ list_codes_arg $ spec_arg $ data_opt_arg $ template_arg
-          $ root_arg $ format_arg $ fail_on_arg $ shards_dir_arg $ output_arg)
+          $ root_arg $ format_arg $ fail_on_arg $ output_arg)
 
 (* --- dsan: race-sanitized runs of the parallel runtime --- *)
 

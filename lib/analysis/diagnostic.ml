@@ -23,7 +23,10 @@ let make ?span ?(related = []) ~code severity message =
   { code; severity; message; span; related }
 
 (* The complete diagnostic catalog.  Codes are stable: never renumber,
-   only append.  The DESIGN.md table mirrors this list. *)
+   only append.  A retired code leaves the list and is never reused:
+   SA050 (query collections no shard of a repository manifest is home
+   to) went with the shard-aware evaluator it served.  The DESIGN.md
+   table mirrors this list and marks the retired rows. *)
 let catalog : (string * severity * string) list =
   [
     ("SA001", Error, "StruQL query does not parse");
@@ -46,9 +49,6 @@ let catalog : (string * severity * string) list =
     ("SA041", Warning, "attribute no page of the template's family can carry");
     ("SA042", Error, "broken template reference");
     ("SA043", Info, "named template never selected by a constant link");
-    ("SA050", Warning,
-     "query reads a collection no shard of the repository manifest is home \
-      to");
     ("SA060", Error,
      "data race: two unordered writes to the same shared location");
     ("SA061", Error,

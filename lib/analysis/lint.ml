@@ -19,12 +19,11 @@ type spec = {
   data : Graph.t option;
   declared_sources : string list;
   mapping_sources : string list;
-  shard_manifest : (string * string list) list option;
   max_guide_states : int;
 }
 
 let of_definition ?data ?(declared_sources = []) ?(mapping_sources = [])
-    ?shard_manifest ?(max_guide_states = 10_000)
+    ?(max_guide_states = 10_000)
     (def : Strudel.Site.definition) =
   {
     name = def.Strudel.Site.name;
@@ -36,7 +35,6 @@ let of_definition ?data ?(declared_sources = []) ?(mapping_sources = [])
     data;
     declared_sources;
     mapping_sources;
-    shard_manifest;
     max_guide_states;
   }
 
@@ -254,61 +252,7 @@ let run (spec : spec) : Diagnostic.t list =
   let all_creates = List.rev !all_creates in
   let all_collects = List.rev !all_collects in
 
-  (* --- family 5: shard-manifest coverage (SA050) ---
-     With a shard manifest, every collection a query's WHERE footprint
-     reads should be home to some shard: an uncovered collection means
-     the sharded evaluator falls back to a full union scan for that
-     block.  The footprint comes from the shard planner itself
-     ({!Struql.Plan.conds_footprint}), so the lint flags exactly what
-     the evaluator would fail to prune; externs are classified opaque
-     by the footprint and never flagged. *)
-  (match spec.shard_manifest with
-   | None -> ()
-   | Some entries ->
-     let covered c =
-       List.exists (fun (_, colls) -> List.mem c colls) entries
-     in
-     let shard_names = String.concat ", " (List.map fst entries) in
-     List.iter
-       (fun pq ->
-         let seen = ref [] in
-         iter_blocks
-           (fun qn b sb ->
-             let fp =
-               try Some (Struql.Plan.conds_footprint spec.registry b.Ast.where)
-               with _ -> None (* unplannable block: reported as SA002 *)
-             in
-             match fp with
-             | None -> ()
-             | Some fp ->
-               List.iter
-                 (fun cname ->
-                   if (not (covered cname)) && not (List.mem cname !seen)
-                   then begin
-                     seen := cname :: !seen;
-                     let sp =
-                       List.find_map
-                         (fun (c, sp) ->
-                           match c with
-                           | Ast.C_atom (n, _) when n = cname -> sp
-                           | _ -> None)
-                         (zip_opt b.Ast.where (where_sp sb))
-                     in
-                     add_
-                       ?span:(Option.map (dspan qn) sp)
-                       "SA050" Diagnostic.Warning
-                       (Printf.sprintf
-                          "collection %s matches no shard in the repository \
-                           manifest (shards: %s): sharded evaluation falls \
-                           back to a full union scan"
-                          cname
-                          (if shard_names = "" then "none" else shard_names))
-                   end)
-                 fp.Struql.Plan.fp_collections)
-           pq)
-       parsed);
-
-  (* --- family 6: delta evaluability (SA070) ---
+  (* --- family 5: delta evaluability (SA070) ---
      [strudel watch] maintains the site differentially only for blocks
      whose re-derivation a data delta can drive; a block that falls
      back (aggregates, negation, enumerators, opaque externs,

@@ -20,9 +20,9 @@
       schema — impossible attribute references, templates bound to
       never-collected collections, broken template references, unused
       named templates (SA040–SA043);
-    - {b shard-manifest coverage}: with a repository shard manifest,
-      query collections no shard is home to — blocks the sharded
-      evaluator cannot prune (SA050).
+    - {b delta evaluability}: site-query blocks [strudel watch]
+      re-evaluates in full each cycle instead of differentially, with
+      the reason (SA070).
 
     Parse/check plumbing (SA001–SA005) runs first; analyses degrade
     gracefully when a query does not parse. *)
@@ -43,12 +43,6 @@ type spec = {
       (** mediated sites: the declared source names *)
   mapping_sources : string list;
       (** mediated sites: the source name of every GAV mapping *)
-  shard_manifest : (string * string list) list option;
-      (** sharded repositories: each shard's name and home collections,
-          as published in the {!Repository.Shard} manifest.  When
-          present, SA050 flags query collections no shard is home to
-          (the sharded evaluator would fall back to a full union scan
-          for those blocks); [None] disables the analysis *)
   max_guide_states : int;
       (** DataGuide size bound for the path-emptiness analysis; when
           exceeded the analysis degrades to SA013 instead of failing *)
@@ -58,7 +52,6 @@ val of_definition :
   ?data:Graph.t ->
   ?declared_sources:string list ->
   ?mapping_sources:string list ->
-  ?shard_manifest:(string * string list) list ->
   ?max_guide_states:int ->
   Strudel.Site.definition ->
   spec

@@ -28,8 +28,8 @@ let report_of (built : Site.built) =
 (** Rebuild the site over changed data: a cold {!Site.build} of
     [previous]'s definition through [cache], which re-renders exactly
     the pages whose read traces the change invalidated. *)
-let rebuild ?jobs ~cache ?file_loader ?on_error ?fault ?shards
+let rebuild ?jobs ~cache ?file_loader ?on_error ?fault
     ~(previous : Site.built) ~data () : rebuild_report =
   report_of
-    (Site.build ?jobs ~render_cache:cache ?file_loader ?on_error ?fault
-       ?shards ~data previous.Site.def)
+    (Site.build ?jobs ~render_cache:cache ?file_loader ?on_error ?fault ~data
+       previous.Site.def)

@@ -23,7 +23,6 @@ val rebuild :
   ?file_loader:(string -> string option) ->
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
-  ?shards:Struql.Exec.shard_ctx ->
   previous:Site.built -> data:Graph.t -> unit ->
   rebuild_report
 (** Rebuild [previous]'s site over changed data: {!Site.build} with

@@ -75,7 +75,7 @@ let parse_queries def =
 (** Evaluate the definition's queries over [data] into one site graph;
     returns the graph, the shared Skolem scope, per-query schemas and
     evaluator statistics. *)
-let build_site_graph ?scope ?shards ?into def (data : Graph.t) =
+let build_site_graph ?scope ?into def (data : Graph.t) =
   let queries = parse_queries def in
   let scope = match scope with Some s -> s | None -> Skolem.create () in
   let site_graph =
@@ -92,8 +92,8 @@ let build_site_graph ?scope ?shards ?into def (data : Graph.t) =
     List.map
       (fun (_, q) ->
         let _, prof =
-          Struql.Exec.run_with_profile ~options ~scope ?shards
-            ~into:site_graph data q
+          Struql.Exec.run_with_profile ~options ~scope ~into:site_graph data
+            q
         in
         prof)
       queries
@@ -151,12 +151,12 @@ let assemble ?fault ?verification ~def ~data ~site_graph ~scope ~schemas
     faults = (match fault with Some c -> Fault.reports c | None -> []);
   }
 
-let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?shards ?sink
-    ~data (def : definition) : built =
+let build ?jobs ?render_cache ?file_loader ?on_error ?fault ?sink ~data
+    (def : definition) : built =
   Log.debug (fun m ->
       m "building site %s over %a" def.name Graph.pp_stats data);
   let site_graph, scope, schemas, query_stats =
-    build_site_graph ?shards def data
+    build_site_graph def data
   in
   Log.debug (fun m -> m "site graph: %a" Graph.pp_stats site_graph);
   assemble ?fault ~def ~data ~site_graph ~scope ~schemas ~query_stats

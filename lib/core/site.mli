@@ -57,7 +57,6 @@ val parse_queries : definition -> (string * Struql.Ast.query) list
 
 val build_site_graph :
   ?scope:Skolem.t ->
-  ?shards:Struql.Exec.shard_ctx ->
   ?into:Graph.t ->
   definition ->
   Graph.t ->
@@ -66,11 +65,7 @@ val build_site_graph :
 (** Evaluate the definition's queries over the data into one site
     graph, without generating HTML.  Queries run on the streaming
     {!Struql.Exec} engine; the returned profiles carry per-operator
-    row counts and the peak live-binding watermark of each query.
-    [shards] (a context whose union is the data graph, e.g. from
-    {!Mediator.Warehouse.shard_ctx_of_view}) lets driving collection
-    scans prune and parallelize per shard — output is byte-identical
-    either way. *)
+    row counts and the peak live-binding watermark of each query. *)
 
 val roots_of : Graph.t -> string -> Oid.t list
 (** Members of the root Skolem family in a site graph. *)
@@ -110,7 +105,6 @@ val build :
   ?file_loader:(string -> string option) ->
   ?on_error:Fault.on_error ->
   ?fault:Fault.ctx ->
-  ?shards:Struql.Exec.shard_ctx ->
   ?sink:Render_pool.sink ->
   data:Graph.t -> definition ->
   built

@@ -268,8 +268,6 @@ let refresh_count w =
 let last_refresh w =
   locked ~site:__POS__ ~wr:false w (fun () -> w.last_stats)
 
-let shard_config w = w.shards
-
 let faults w = match w.fault with Some c -> Fault.reports c | None -> []
 
 let stale w =
@@ -324,30 +322,6 @@ let refresh_delta ?jobs w =
 
 let find_source w name =
   List.find_opt (fun s -> Source.name s = name) w.sources
-
-(* --- Bridging shard snapshots to the evaluator --- *)
-
-let shard_ctx_of_snapshot ?(jobs = 1) (sn : Repository.Shard.snapshot) =
-  {
-    Struql.Exec.sc_shards =
-      List.map
-        (fun (sh : Repository.Shard.shard) ->
-          {
-            Struql.Exec.sv_name = sh.Repository.Shard.sh_entry.e_name;
-            sv_graph = sh.sh_graph;
-            sv_collections = sh.sh_entry.e_collections;
-          })
-        sn.Repository.Shard.sn_shards;
-    sc_union = sn.Repository.Shard.sn_union;
-    sc_jobs = jobs;
-  }
-
-(** The evaluator-facing view of a pinned integration's shards; [None]
-    when the warehouse does not shard.  The context's union is the
-    view's graph itself (shards share its oids), so it is valid for any
-    query run against [view_graph]. *)
-let shard_ctx_of_view ?jobs v =
-  Option.map (shard_ctx_of_snapshot ?jobs) v.v_shards
 
 let pp_outcome ppf = function
   | Changed -> Fmt.string ppf "changed"

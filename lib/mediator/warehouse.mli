@@ -130,23 +130,11 @@ val last_refresh : t -> source_stat list
     source order.  With [jobs = 1] only sources some mapping consulted
     appear; with [jobs > 1] every declared source does. *)
 
-val shard_config : t -> Repository.Shard.config option
-
 val faults : t -> Fault.report list
 (** Reports recorded in the warehouse's fault context, oldest first
     ([[]] without a context). *)
 
 val find_source : t -> string -> Source.t option
-
-val shard_ctx_of_snapshot :
-  ?jobs:int -> Repository.Shard.snapshot -> Struql.Exec.shard_ctx
-(** The evaluator-facing view of a shard snapshot ([jobs] defaults to
-    [1]); its union is the snapshot's union graph. *)
-
-val shard_ctx_of_view : ?jobs:int -> view -> Struql.Exec.shard_ctx option
-(** Same, for a pinned integration; [None] when the warehouse does not
-    shard.  Valid for queries run against [view_graph] (the shards
-    share its oids). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_stats : Format.formatter -> source_stat list -> unit

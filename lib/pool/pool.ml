@@ -9,7 +9,11 @@
     barrier.  [Condition.wait] is modeled as release-before /
     acquire-after, which is exactly what it does to the mutex. *)
 
-let auto_jobs () = max 1 (Domain.recommended_domain_count ())
+(* read once: it is a system call, and [iter] runs once per render
+   wave *)
+let domain_count = max 1 (Domain.recommended_domain_count ())
+
+let auto_jobs () = domain_count
 
 (* --- The persistent pool --- *)
 
@@ -208,7 +212,10 @@ let run t ~jobs f =
    shared between participants but the cursor; each item's result
    lives in the caller's per-index slot, which [run]'s join publishes. *)
 let iter t ~jobs n f =
-  let jobs = max 1 jobs in
+  (* a participant beyond the domain count only queues for a core, and
+     the worker it took stays parked in the pool for good, joining
+     every later minor collection *)
+  let jobs = max 1 (min jobs domain_count) in
   (* several chunks per participant so skewed item costs even out,
      capped so a small batch still forms whole chunks *)
   let chunk = max 1 (min 64 ((n + (jobs * 8) - 1) / (jobs * 8))) in

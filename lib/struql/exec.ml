@@ -229,9 +229,6 @@ type profile = {
   mutable prf_time : float;
   mutable prf_kernel_hits : int;
   mutable prf_kernel_misses : int;
-  mutable prf_shards_scanned : int;
-  mutable prf_shards_pruned : int;
-  mutable prf_shard_kernel : (string * Graph.kernel_counters) list;
   (* differential-evaluation observability (Delta-StruQL): how many
      top-level blocks the delta engine can maintain incrementally, and
      the fallback reasons of the rest *)
@@ -271,14 +268,6 @@ let pp_profile ppf p =
       if p.prf_kernel_hits > 0 || p.prf_kernel_misses > 0 then
         Fmt.pf ppf "@,kernel: memo hits=%d misses=%d" p.prf_kernel_hits
           p.prf_kernel_misses;
-      if p.prf_shards_scanned > 0 || p.prf_shards_pruned > 0 then
-        Fmt.pf ppf "@,shards: scanned=%d pruned=%d" p.prf_shards_scanned
-          p.prf_shards_pruned;
-      List.iter
-        (fun (name, k) ->
-          Fmt.pf ppf "@,shard %s kernel: memo hits=%d misses=%d" name
-            k.Graph.hits k.Graph.misses)
-        p.prf_shard_kernel;
       if p.prf_delta_blocks > 0 || p.prf_delta_fallback <> [] then begin
         Fmt.pf ppf "@,delta: evaluable blocks=%d fallback=%d"
           p.prf_delta_blocks
@@ -467,44 +456,12 @@ let stepper g reg ~bound steps =
   fun envs ->
     List.of_seq (fold_pipeline ~timed:false live ops (List.to_seq envs))
 
-(* --- Sharded evaluation --- *)
-
-(* One shard of a partitioned repository, as the evaluator sees it: a
-   graph sharing oids with the mediated union, plus the collections it
-   is home to.  [Mediator.Warehouse] builds these from a pinned
-   {!Repository.Shard} snapshot; the evaluator itself has no dependency
-   on the repository layer. *)
-type shard_view = {
-  sv_name : string;
-  sv_graph : Graph.t;
-  sv_collections : string list;
-}
-
-type shard_ctx = {
-  sc_shards : shard_view list;
-  sc_union : Graph.t;  (** must be the graph the query runs against *)
-  sc_jobs : int;  (** domains for per-shard scans; [1] = sequential *)
-}
-
 (** Kill switch for differential (delta) evaluation: when cleared,
     {!Dexec}-driven pipelines ([strudel watch], warehouse delta
     refresh) fall back to cold full builds.  The streaming evaluator
     itself always runs full — the switch is honoured by the
     differential layer above it. *)
 let delta_enabled = ref true
-
-(* Whether a compiled condition is safe to evaluate from several
-   domains at once: path conditions go through the kernel's memo tables
-   and external predicates run arbitrary code, so both force the
-   sequential lane; everything else only reads the graph. *)
-let rec ccond_parallel_safe = function
-  | Plan.CC_path _ | Plan.CC_extern _ -> false
-  | Plan.CC_not c -> ccond_parallel_safe c
-  | Plan.CC_coll _ | Plan.CC_edge _ | Plan.CC_cmp _ | Plan.CC_in _ -> true
-
-let step_parallel_safe = function
-  | Plan.Exec c -> ccond_parallel_safe c
-  | Plan.Domain_obj _ | Plan.Domain_label _ -> true
 
 (* --- Whole-query evaluation --- *)
 
@@ -519,7 +476,6 @@ type rctx = {
       (* [into == g]: stage 1 would scan the graph construction is
          mutating, so each block materializes its relation before
          constructing *)
-  shards : shard_ctx option;
   blocks_rev : block_profile list ref;
   mutable plans : ((Ast.block * Ast.var list) * Plan.step list) list;
       (* every block planned so far, keyed by (block, bound variables),
@@ -527,136 +483,7 @@ type rctx = {
   prof : profile;
 }
 
-(* A top-level block whose plan is driven by an unbound collection scan
-   can be sharded: the driving scan runs per shard (only over shards
-   home to the collection), the remaining operators run against the
-   union, and the per-member row chunks are merged back by the member's
-   position in the union extent — which restores exactly the row order
-   of the unsharded pipeline, so construction performs the identical
-   mutation sequence. *)
-let shardable rctx ~top steps =
-  match rctx.shards with
-  | Some sc when top && sc.sc_union == rctx.g -> (
-    match steps with
-    | Plan.Exec (Plan.CC_coll (cname, Ast.T_var v)) :: _ -> Some (sc, cname, v)
-    | _ -> None)
-  | _ -> None
-
-(* Stage 1 of a sharded block: returns the merged binding rows (in
-   unsharded order) after updating the driving scan's [op_stats]. *)
-let sharded_rows rctx (sc : shard_ctx) cname v bound steps ops =
-  let union_ext = Graph.collection rctx.g cname in
-  let pos = Hashtbl.create (List.length union_ext * 2 + 1) in
-  List.iteri (fun i o -> Hashtbl.replace pos (Oid.id o) i) union_ext;
-  let relevant =
-    List.filter (fun sv -> List.mem cname sv.sv_collections) sc.sc_shards
-  in
-  let exts =
-    List.map (fun sv -> Graph.collection sv.sv_graph cname) relevant
-  in
-  let total = List.fold_left (fun n e -> n + List.length e) 0 exts in
-  let covered =
-    total = List.length union_ext
-    && List.for_all
-         (List.for_all (fun o -> Hashtbl.mem pos (Oid.id o)))
-         exts
-  in
-  if not covered then None
-  else begin
-    rctx.prof.prf_shards_scanned <-
-      rctx.prof.prf_shards_scanned + List.length relevant;
-    rctx.prof.prf_shards_pruned <-
-      rctx.prof.prf_shards_pruned
-      + (List.length sc.sc_shards - List.length relevant);
-    let scan_op, rest_ops =
-      match ops with o :: rest -> (o, rest) | [] -> assert false
-    in
-    (* evaluate one shard's extent with a given operator list; the
-       chunks come back tagged with union-extent positions, ascending *)
-    let eval_ext ~live rest_ops ext =
-      List.concat_map
-        (fun o ->
-          let p = Hashtbl.find pos (Oid.id o) in
-          let env0 = Eval.Env.add v (Eval.B_target (Graph.N o)) Eval.Env.empty in
-          let rows =
-            List.of_seq
-              (fold_pipeline ~timed:rctx.timed live rest_ops
-                 (Seq.return env0))
-          in
-          List.map (fun r -> (p, r)) rows)
-        ext
-    in
-    let record_scan ext =
-      let scan = scan_op.os in
-      scan.os_rows_in <- scan.os_rows_in + 1;
-      let k = List.length ext in
-      scan.os_rows_out <- scan.os_rows_out + k;
-      if k > scan.os_max_batch then scan.os_max_batch <- k
-    in
-    let jobs = min sc.sc_jobs (List.length exts) in
-    let tagged =
-      if jobs > 1 && List.for_all step_parallel_safe (List.tl steps) then begin
-        (* the shards fan out over the shared pool, each participant
-           with private op_stats and live accounting (merged below);
-           the union graph is only read — path/extern steps were
-           excluded above *)
-        let exts_a = Array.of_list exts in
-        let n = Array.length exts_a in
-        let results = Array.make n [] in
-        let wstats =
-          Array.init jobs (fun _ ->
-              ops_of_steps rctx.g rctx.registry bound steps)
-        in
-        let wlive = Array.init jobs (fun _ -> { cur = 0; peak = 0 }) in
-        (* sanitizer identity: field j < n covers [results.(j)] (each
-           written by exactly one participant), field n+w covers
-           participant w's private [wstats]/[wlive]; [Pool.iter]'s join
-           orders all of them before the merge below *)
-        let ds_scan = Dsan.alloc ~name:"Exec.shard_scan" in
-        Pool.iter Pool.shared ~jobs n (fun w lo hi ->
-            let wrest = List.tl wstats.(w) in
-            for j = lo to hi - 1 do
-              Dsan.write ~site:__POS__ ds_scan j;
-              results.(j) <- eval_ext ~live:wlive.(w) wrest exts_a.(j)
-            done;
-            Dsan.write ~site:__POS__ ds_scan (n + w));
-        if Dsan.enabled () then
-          for k = 0 to n + jobs - 1 do
-            Dsan.read ~site:__POS__ ds_scan k
-          done;
-        Array.iter
-          (fun wops ->
-            List.iter2
-              (fun { os = o; _ } { os = wo; _ } ->
-                o.os_rows_in <- o.os_rows_in + wo.os_rows_in;
-                o.os_rows_out <- o.os_rows_out + wo.os_rows_out;
-                o.os_max_batch <- max o.os_max_batch wo.os_max_batch;
-                o.os_time <- o.os_time +. wo.os_time)
-              rest_ops (List.tl wops))
-          wstats;
-        Array.iter
-          (fun lv -> if lv.peak > rctx.live.peak then rctx.live.peak <- lv.peak)
-          wlive;
-        List.iter record_scan exts;
-        Array.to_list results
-      end
-      else
-        List.map
-          (fun ext ->
-            record_scan ext;
-            eval_ext ~live:rctx.live rest_ops ext)
-          exts
-    in
-    let merged =
-      List.fold_left
-        (List.merge (fun (a, _) (b, _) -> compare (a : int) b))
-        [] tagged
-    in
-    Some (List.map snd merged)
-  end
-
-let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
-    =
+let rec run_block rctx path bound (inputs : Eval.env Seq.t) (b : Ast.block) =
   let needed_obj, needed_label = Eval.construction_needs b in
   let steps =
     Plan.plan ~strategy:rctx.strategy ~registry:rctx.registry rctx.g ~bound
@@ -670,45 +497,36 @@ let rec run_block rctx ~top path bound (inputs : Eval.env Seq.t) (b : Ast.block)
   rctx.blocks_rev := bpr :: !(rctx.blocks_rev);
   let bld = Eval.builder rctx.sink (Eval.compile b) in
   let construct env = Eval.row bld env in
-  let sharded =
-    match shardable rctx ~top steps with
-    | Some (sc, cname, v) -> sharded_rows rctx sc cname v bound steps ops
-    | None -> None
-  in
-  let stream () =
-    fold_pipeline ~timed:rctx.timed rctx.live ops inputs
-  in
-  (match sharded with
-   | None when b.nested = [] && not rctx.materialize_all ->
-     (* fully pipelined: construct each row as it is pulled *)
-     Seq.iter
-       (fun env ->
-         bpr.bpr_rows <- bpr.bpr_rows + 1;
-         construct env)
-       (stream ());
-     Eval.flush bld
-   | _ ->
-     (* sharded rows arrive materialized in unsharded order; otherwise
-        nested blocks re-consume the relation, and the parent's
-        construction must fully precede theirs for oid-order fidelity *)
-     let rows =
-       match sharded with Some rows -> rows | None -> List.of_seq (stream ())
-     in
-     let n = List.length rows in
-     bpr.bpr_rows <- n;
-     live_alloc rctx.live n;
-     List.iter construct rows;
-     Eval.flush bld;
-     let bound' =
-       Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
-     in
-     List.iteri
-       (fun i nested ->
-         run_block rctx ~top:false
-           (path ^ "." ^ string_of_int (i + 1))
-           bound' (List.to_seq rows) nested)
-       b.nested;
-     live_release rctx.live n);
+  let stream = fold_pipeline ~timed:rctx.timed rctx.live ops inputs in
+  if b.nested = [] && not rctx.materialize_all then begin
+    (* fully pipelined: construct each row as it is pulled *)
+    Seq.iter
+      (fun env ->
+        bpr.bpr_rows <- bpr.bpr_rows + 1;
+        construct env)
+      stream;
+    Eval.flush bld
+  end
+  else begin
+    (* nested blocks re-consume the relation, and the parent's
+       construction must fully precede theirs for oid-order fidelity *)
+    let rows = List.of_seq stream in
+    let n = List.length rows in
+    bpr.bpr_rows <- n;
+    live_alloc rctx.live n;
+    List.iter construct rows;
+    Eval.flush bld;
+    let bound' =
+      Ast.dedup (bound @ List.concat_map (fun s -> Plan.step_binds s) steps)
+    in
+    List.iteri
+      (fun i nested ->
+        run_block rctx
+          (path ^ "." ^ string_of_int (i + 1))
+          bound' (List.to_seq rows) nested)
+      b.nested;
+    live_release rctx.live n
+  end;
   rctx.prof.prf_rows <- rctx.prof.prf_rows + bpr.bpr_rows
 
 (* One delta class per top-level block, from the plans its run made. *)
@@ -724,7 +542,7 @@ let classify_top rctx path (b : Ast.block) =
     prof.prf_delta_fallback <- (path, why) :: prof.prf_delta_fallback
 
 let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
-    ?shards ?into ?emit g (q : Ast.query) =
+    ?into ?emit g (q : Ast.query) =
   if options.Eval.validate then Check.validate_exn q;
   let out =
     match into with Some g' -> g' | None -> Graph.create ~name:q.output ()
@@ -739,20 +557,9 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       prf_time = 0.;
       prf_kernel_hits = 0;
       prf_kernel_misses = 0;
-      prf_shards_scanned = 0;
-      prf_shards_pruned = 0;
-      prf_shard_kernel = [];
       prf_delta_blocks = 0;
       prf_delta_fallback = [];
     }
-  in
-  let shard_k0 =
-    match shards with
-    | None -> []
-    | Some sc ->
-      List.map
-        (fun sv -> (sv, Graph.kernel_counters sv.sv_graph))
-        sc.sc_shards
   in
   let k0 = Graph.kernel_counters g in
   let rctx =
@@ -764,7 +571,6 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       timed;
       live = { cur = 0; peak = 0 };
       materialize_all = out == g;
-      shards;
       blocks_rev = ref [];
       plans = [];
       prof;
@@ -774,7 +580,7 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   List.iteri
     (fun i b ->
       let path = string_of_int (i + 1) in
-      run_block rctx ~top:true path [] (Seq.return Eval.Env.empty) b;
+      run_block rctx path [] (Seq.return Eval.Env.empty) b;
       classify_top rctx path b)
     q.blocks;
   prof.prf_time <- Sys.time () -. t0;
@@ -783,23 +589,10 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   let k1 = Graph.kernel_counters g in
   prof.prf_kernel_hits <- k1.Graph.hits - k0.Graph.hits;
   prof.prf_kernel_misses <- k1.Graph.misses - k0.Graph.misses;
-  prof.prf_shard_kernel <-
-    List.filter_map
-      (fun (sv, (sk0 : Graph.kernel_counters)) ->
-        let sk1 = Graph.kernel_counters sv.sv_graph in
-        let d =
-          {
-            Graph.hits = sk1.Graph.hits - sk0.Graph.hits;
-            misses = sk1.Graph.misses - sk0.Graph.misses;
-          }
-        in
-        if d.Graph.hits = 0 && d.Graph.misses = 0 then None
-        else Some (sv.sv_name, d))
-      shard_k0;
   (out, prof)
 
-let run ?options ?scope ?shards ?into ?emit g q =
-  fst (run_with_profile ?options ?scope ?shards ?into ?emit g q)
+let run ?options ?scope ?into ?emit g q =
+  fst (run_with_profile ?options ?scope ?into ?emit g q)
 
 let run_string ?options ?scope ?into g src =
   let registry =

@@ -119,14 +119,6 @@ type profile = {
   mutable prf_time : float;     (** wall-clock seconds of the whole run *)
   mutable prf_kernel_hits : int;    (** path-engine memo hits *)
   mutable prf_kernel_misses : int;  (** path-engine memo misses *)
-  mutable prf_shards_scanned : int;
-      (** shards whose extent drove a sharded collection scan *)
-  mutable prf_shards_pruned : int;
-      (** shards skipped because the driving collection has no members
-          there *)
-  mutable prf_shard_kernel : (string * Graph.kernel_counters) list;
-      (** per-shard kernel memo hit/miss deltas during the run, shards
-          in context order, omitting all-zero entries *)
   mutable prf_delta_blocks : int;
       (** top-level blocks the differential engine can maintain
           incrementally ({!Plan.delta_class}) *)
@@ -147,25 +139,6 @@ val pp_profile : Format.formatter -> profile -> unit
     [in=... out=... batch<=...] counters and, when timed, elapsed
     milliseconds. *)
 
-(** {1 Sharded evaluation} *)
-
-(** One shard of a partitioned repository, as the evaluator sees it: a
-    graph {e sharing oids} with the mediated union, plus the collections
-    it is home to.  [Mediator.Warehouse] builds these from a pinned
-    {!Repository.Shard} snapshot; the evaluator itself has no dependency
-    on the repository layer. *)
-type shard_view = {
-  sv_name : string;
-  sv_graph : Graph.t;
-  sv_collections : string list;
-}
-
-type shard_ctx = {
-  sc_shards : shard_view list;
-  sc_union : Graph.t;  (** must be the graph the query runs against *)
-  sc_jobs : int;  (** domains for per-shard scans; [1] = sequential *)
-}
-
 val delta_enabled : bool ref
 (** Kill switch for differential (delta) evaluation; cleared, the
     differential layer ([strudel watch], warehouse delta refresh)
@@ -176,7 +149,6 @@ val delta_enabled : bool ref
 val run :
   ?options:Eval.options ->
   ?scope:Skolem.t ->
-  ?shards:shard_ctx ->
   ?into:Graph.t ->
   ?emit:Eval.emitter ->
   Graph.t -> Ast.query -> Graph.t
@@ -192,23 +164,12 @@ val run :
     materialize their (final) binding relation, which the nested
     pipelines then stream from; if [into] is the data graph itself,
     the engine falls back to materializing every block's relation
-    before construction.
-
-    With [shards] (whose [sc_union] must be [g]), a top-level block
-    driven by an unbound collection scan runs that scan per shard —
-    pruning shards not home to the collection, in parallel across
-    domains when [sc_jobs > 1] and every other operator is
-    domain-safe (no path walks, no external predicates) — and merges
-    the per-member row chunks back into the exact unsharded row order,
-    so the output graph stays byte-identical.  Blocks the shard
-    planner cannot cover (or mismatched contexts) silently fall back
-    to the plain pipeline. *)
+    before construction. *)
 
 val run_with_profile :
   ?options:Eval.options ->
   ?timed:bool ->
   ?scope:Skolem.t ->
-  ?shards:shard_ctx ->
   ?into:Graph.t ->
   ?emit:Eval.emitter ->
   Graph.t -> Ast.query -> Graph.t * profile

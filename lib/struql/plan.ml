@@ -291,9 +291,6 @@ let footprint steps =
     fp_labels = Ast.dedup fp.fp_labels;
   }
 
-let conds_footprint registry conds =
-  footprint (List.map (fun c -> Exec (compile registry c)) conds)
-
 let rec ccond_walks = function
   | CC_path _ -> true
   | CC_not c -> ccond_walks c
@@ -308,14 +305,6 @@ let delta_footprint steps =
       steps
   then { fp with fp_opaque = true }
   else fp
-
-let pp_footprint ppf fp =
-  Fmt.pf ppf "collections=[%a] labels=[%a]%s"
-    Fmt.(list ~sep:comma string)
-    fp.fp_collections
-    Fmt.(list ~sep:comma string)
-    fp.fp_labels
-    (if fp.fp_opaque then " opaque" else "")
 
 let step_binds = function
   | Exec c -> ccond_binds c

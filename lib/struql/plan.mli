@@ -61,8 +61,8 @@ val step_binds : step -> Ast.var list
 (** {1 Collection/label footprint}
 
     A conservative summary of the graph regions a plan can touch, used
-    to prune shards a query cannot match and by the lint pass to detect
-    site queries no shard of the configured repository covers. *)
+    by the differential engine to skip subtrees a data delta cannot
+    reach ({!delta_footprint}). *)
 
 type footprint = {
   fp_collections : string list;  (** collections scanned or probed *)
@@ -70,13 +70,10 @@ type footprint = {
   fp_opaque : bool;
       (** the plan also touches regions this summary cannot name (label
           variables, wildcard path edges, external predicates, domain
-          enumerators) — pruning by labels is then unsound, though
-          collection pruning of {e driving} scans remains valid *)
+          enumerators) *)
 }
 
 val footprint : step list -> footprint
-val conds_footprint : Builtins.registry -> Ast.condition list -> footprint
-(** [footprint] over the compiled (unordered) conditions. *)
 
 val delta_footprint : step list -> footprint
 (** The footprint a data delta is tested against: {!footprint}, made
@@ -85,8 +82,6 @@ val delta_footprint : step list -> footprint
     node), an order no collection or label signal of a delta reports.
     When it is not opaque, the plan's rows are a function of its
     collections' extents and of its labels' extents, each in order. *)
-
-val pp_footprint : Format.formatter -> footprint -> unit
 
 (** {1 Cost model} *)
 

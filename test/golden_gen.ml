@@ -29,18 +29,8 @@ let () =
   | "lint-org" -> lint (Sites.Lint_specs.org ())
   | "lint-homepage" -> lint (Sites.Lint_specs.homepage ())
   | "lint-rodin" -> lint (Sites.Lint_specs.rodin ())
-  (* lint-shard: the paper spec against a deliberately stale shard
-     manifest (its only shard is home to a collection the queries never
-     read), the SA050 baseline. *)
-  | "lint-shard" ->
-    lint
-      {
-        (Sites.Lint_specs.paper ()) with
-        Analysis.Lint.shard_manifest =
-          Some [ ("Archive", [ "TechReports" ]) ];
-      }
   | other ->
     prerr_endline
-      ("usage: golden_gen (lint-)?(paper|cnn|org|homepage|rodin|shard) — \
+      ("usage: golden_gen (lint-)?(paper|cnn|org|homepage|rodin) — \
         got: " ^ other);
     exit 1

@@ -19,7 +19,7 @@ let contains hay needle =
 let empty_tpl = Template.Generator.empty_templates
 
 let mk ?data ?(templates = empty_tpl) ?(root = "Root") ?(constraints = [])
-    ?(declared = []) ?(mappings = []) ?shards ?(max_guide = 10_000) queries =
+    ?(declared = []) ?(mappings = []) ?(max_guide = 10_000) queries =
   {
     L.name = "test";
     queries;
@@ -30,7 +30,6 @@ let mk ?data ?(templates = empty_tpl) ?(root = "Root") ?(constraints = [])
     data;
     declared_sources = declared;
     mapping_sources = mappings;
-    shard_manifest = shards;
     max_guide_states = max_guide;
   }
 
@@ -133,32 +132,6 @@ OUTPUT S|} in
                [ ("site", q_ok) ])
         in
         check_bool "star ok" false (has "SA005" clean));
-    t "SA050: shard-manifest coverage" (fun () ->
-        (* Items is home to no shard: flagged, and the message names the
-           collection and the manifest's shards. *)
-        let ds =
-          L.run
-            (mk ~templates:tpl_ok
-               ~shards:[ ("archive", [ "TechReports" ]) ]
-               [ ("site", q_ok) ])
-        in
-        check_bool "has" true (has "SA050" ds);
-        (match diag "SA050" ds with
-         | Some d ->
-           check_bool "names collection" true (contains d.D.message "Items");
-           check_bool "names shard" true (contains d.D.message "archive")
-         | None -> Alcotest.fail "missing");
-        (* covered collection: clean *)
-        let clean =
-          L.run
-            (mk ~templates:tpl_ok
-               ~shards:[ ("items", [ "Items" ]) ]
-               [ ("site", q_ok) ])
-        in
-        check_bool "covered ok" false (has "SA050" clean);
-        (* no manifest: analysis off *)
-        let off = L.run (mk ~templates:tpl_ok [ ("site", q_ok) ]) in
-        check_bool "off" false (has "SA050" off));
   ]
 
 (* --- path emptiness --- *)

@@ -1,8 +1,9 @@
 (* Pool.iter, the batch loop every parallel path runs on: its chunks
-   cover 0..n-1 exactly once at every participant budget, a failing
-   chunk is re-raised only after every participant finished and leaves
-   the shared pool usable, and a batch started from inside a running
-   one completes on ephemeral domains. *)
+   cover 0..n-1 exactly once at every participant budget, a budget
+   above the domain count runs on no more domains than the machine
+   has, a failing chunk is re-raised only after every participant
+   finished and leaves the shared pool usable, and a batch started from
+   inside a running one completes on ephemeral domains. *)
 
 let t name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
@@ -80,6 +81,20 @@ let suite =
                 check_bool (what ^ " each index once") true (once hits))
               [ 0; 1; 63; 64; 65; 1000 ])
           [ 1; 2; 4; 8 ]);
+    t "iter: participants capped at the domain count" (fun () ->
+        (* every chunk sleeps, so an uncapped budget of 8 would show 8
+           domains here: the caller's and every pool worker's *)
+        let ids = participant_domains ~jobs:8 1000 in
+        let distinct =
+          List.sort_uniq Int.compare
+            (List.filter (fun id -> id >= 0) (Array.to_list ids))
+        in
+        check_bool
+          (Printf.sprintf "%d distinct domains <= %d"
+             (List.length distinct)
+             (Domain.recommended_domain_count ()))
+          true
+          (List.length distinct <= Domain.recommended_domain_count ()));
     t "iter: an exception waits for every participant, the pool runs on"
       (fun () ->
         failing_batch ~jobs:4 ~n:64 ~at:0;
