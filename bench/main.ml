@@ -549,9 +549,9 @@ let e13 () =
       let roots =
         Schema.Verify.family_members b.Strudel.Site.site_graph "FrontPage"
       in
-      let site, t =
+      let (site, _), t =
         time_it (fun () ->
-            Template.Generator.generate ~templates:Sites.Cnn.templates
+            Strudel.Render_pool.materialize ~templates:Sites.Cnn.templates
               b.Strudel.Site.site_graph ~roots)
       in
       let pages = Template.Generator.page_count site in
@@ -1948,7 +1948,7 @@ let bechamel_suite () =
                  "RootPage"
              in
              ignore
-               (Template.Generator.generate
+               (Strudel.Render_pool.materialize
                   ~templates:Sites.Paper_example.templates
                   built.Strudel.Site.site_graph ~roots)));
       Test.make ~name:"E6_full_build_small_site"

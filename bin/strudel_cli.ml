@@ -380,20 +380,9 @@ let build_cmd =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:
-               "Render pages on $(docv) OCaml domains (1 = the \
-                sequential reference path; 0 = auto-detect the \
-                machine's domain count; output is byte-identical \
-                either way).")
-  in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:
-               "Stream pages to the output directory as they render \
-                instead of materializing the whole site in memory \
-                first — peak memory is bounded by the render slice, \
-                not the site size.  Output is byte-identical to a \
-                non-streamed build.")
+               "Render pages on $(docv) OCaml domains (0 = auto-detect \
+                the machine's domain count; output is byte-identical \
+                at every level).")
   in
   let stats_arg =
     Arg.(value & flag
@@ -432,7 +421,7 @@ let build_cmd =
          & info [ "shard-by" ] ~docv:"SPEC"
              ~doc:"Partitioning spec for $(b,--shards): collection or family.")
   in
-  let run data query root templates strategy dir jobs stream stats on_error
+  let run data query root templates strategy dir jobs stats on_error
       retries faults_out shards_dir shard_by =
     or_die (fun () ->
         let jobs =
@@ -476,21 +465,11 @@ let build_cmd =
             ~strategy
             [ ("site", read_file query) ]
         in
-        let sink =
-          if stream then Some (Strudel.Render_pool.file_sink ~dir) else None
-        in
+        (* pages are written as they render, never held *)
         let built =
-          Strudel.Site.build ~jobs ~on_error ~fault ?sink ~data:g def
+          Strudel.Site.build ~jobs ~on_error ~fault
+            ~sink:(Strudel.Render_pool.file_sink ~dir) ~data:g def
         in
-        let rec mkdirs d =
-          if d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-            mkdirs (Filename.dirname d);
-            Sys.mkdir d 0o755
-          end
-        in
-        mkdirs dir;
-        if not stream then
-          Template.Generator.write_site ~dir built.Strudel.Site.site;
         Fmt.pr "%d pages written to %s@."
           built.Strudel.Site.render_profile.Strudel.Render_pool.rp_pages
           dir;
@@ -508,12 +487,11 @@ let build_cmd =
            | Some sn ->
              Fmt.pr "shards (epoch %d):@." sn.Repository.Shard.sn_epoch;
              List.iter
-               (fun (sh : Repository.Shard.shard) ->
-                 let e = sh.Repository.Shard.sh_entry in
+               (fun (e : Repository.Shard.entry) ->
                  Fmt.pr "  %-20s %6d nodes %6d edges %8d bytes  %s@."
                    e.Repository.Shard.e_name e.e_nodes e.e_edges e.e_bytes
                    e.e_file)
-               sn.Repository.Shard.sn_shards
+               sn.Repository.Shard.sn_manifest.Repository.Shard.m_entries
            | None -> ());
           List.iter
             (fun prof -> Fmt.pr "%a@." Struql.Exec.pp_profile prof)
@@ -538,7 +516,7 @@ let build_cmd =
   in
   Cmd.v (Cmd.info "build" ~doc:"Build a browsable site from data + query + templates.")
     Term.(const run $ data_arg $ query_arg $ root_arg $ template_arg
-          $ strategy_arg $ dir_arg $ jobs_arg $ stream_arg $ stats_arg
+          $ strategy_arg $ dir_arg $ jobs_arg $ stats_arg
           $ on_error_arg $ retries_arg $ faults_out_arg $ shards_dir_arg
           $ shard_by_arg)
 

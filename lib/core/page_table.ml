@@ -12,9 +12,10 @@
 
     Discovery order is kept in [order] (slots) and [pos] (slot →
     index): a breadth-first pass from the roots over the slots' refs,
-    deduplicated with a per-slot stamp, which replays the sequential
-    generator's queue.  The same pass decides reachability, so it
-    runs whenever a ref list or the root set changed. *)
+    deduplicated with a per-slot stamp, which replays the discovery
+    order of {!Render_pool.materialize}.  The same pass decides
+    reachability, so it runs whenever a ref list or the root set
+    changed. *)
 
 module G = Template.Generator
 module IT = Hashtbl.Make (Int)
@@ -282,9 +283,8 @@ let new_pass t =
   t.pass <- t.pass + 1;
   t.pass
 
-(* Breadth-first from the roots over the slots' refs: the sequential
-   generator's discovery queue.  Slots it does not reach keep an old
-   stamp. *)
+(* Breadth-first from the roots over the slots' refs: a cold build's
+   discovery order.  Slots it does not reach keep an old stamp. *)
 let reorder t =
   let pass = new_pass t in
   if Array.length t.spare < t.next then
@@ -424,20 +424,17 @@ let run t ~touched ~removed =
     List.iter sk.Render_pool.sk_emit pages
   in
   if t.clashes > 0 then begin
-    (* two pages share a slug: only the sequential generator's
-       discovery-ordered uniquification yields the reference URLs.  Its
-       own fault reports replace the batches'. *)
-    let site =
-      G.generate ~templates:t.templates ~on_error:t.on_error ?fault:t.fault
-        t.graph ~roots:t.roots
-    in
+    (* two pages share a slug URL, and the table holds slug URLs only:
+       the site renders afresh through the wave loop, which assigns the
+       renamed URLs.  Its fault reports replace the batches'. *)
     clear t;
+    let site, profile =
+      Render_pool.materialize ~jobs:t.jobs ~templates:t.templates
+        ~on_error:t.on_error ?fault:t.fault t.graph ~roots:t.roots
+    in
     Option.iter (fun sk -> emit_all sk site.G.pages) t.sink;
-    let degraded = List.length (List.filter G.is_placeholder site.G.pages) in
     ( site,
-      Render_pool.profile rd ~t0 ~pages:(G.page_count site)
-        ~rendered:(G.page_count site) ~waves:!waves ~hits:0 ~misses:0
-        ~invalidations:0 ~fallback:true ~degraded )
+      { profile with Render_pool.rp_wall_ms = Render_pool.now_ms () -. t0 } )
   end
   else begin
     t.primed <- true;
@@ -456,7 +453,7 @@ let run t ~touched ~removed =
     ( { G.pages; graph = t.graph },
       Render_pool.profile rd ~t0 ~pages:t.n ~rendered:(List.length !rendered)
         ~waves:!waves ~hits ~misses:!misses ~invalidations:!invalidations
-        ~fallback:false ~degraded:(List.length !reports) )
+        ~degraded:(List.length !reports) )
   end
 
 let update t ~touched ~removed =

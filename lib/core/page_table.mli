@@ -22,9 +22,10 @@
 
     A sink receives only the pages a cycle rendered, in discovery
     order; a cycle that drops a published page resets the sink and
-    re-emits the whole site.  If two pages share a URL slug, the cycle
-    falls back to the sequential generator (as {!Render_pool.materialize}
-    does) and the next cycle renders the table afresh. *)
+    re-emits the whole site.  The table holds slug URLs only: if two
+    pages share one, the cycle renders the whole site again through
+    {!Render_pool.materialize}, which assigns the renamed URLs, and the
+    next cycle renders the table afresh. *)
 
 open Sgraph
 
@@ -67,4 +68,4 @@ val idle : t -> bool
 (** [true] when an {!update} with no touched or removed node would
     reuse every page as it is: the table holds the last publish and no
     placeholder to retry.  [false] after a render raised or a cycle
-    fell back to the generator, since the table is then empty. *)
+    met a URL clash, since the table is then empty. *)

@@ -26,7 +26,6 @@ type entry = {
 type t
 
 val create : unit -> t
-val clear : t -> unit
 val size : t -> int
 
 val stats : t -> int * int * int

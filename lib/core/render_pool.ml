@@ -1,4 +1,4 @@
-(** Parallel page materialization on the persistent domain pool.
+(** Page materialization on the persistent domain pool.
 
     The generator's page set is demand-driven: roots become pages, and
     every object a rendered page links to becomes a page transitively.
@@ -7,7 +7,8 @@
     frontier's pages concurrently (each page render is a pure function
     of the graph — graph reads build no indexes and mutate nothing),
     collect the objects they link to, and repeat until no new page
-    appears.
+    appears.  Every build discovers its pages with this wave loop, at
+    every job count.
 
     Scheduling.  Each wave is cut into {e slices} of at most [slice]
     pages (the emission granularity — see below), and each slice is
@@ -19,23 +20,27 @@
     pays domain spawns.  Workers write results into per-page slots, so
     output never depends on which worker rendered what.
 
-    Determinism and byte-identity with the sequential reference path
-    ({!Template.Generator.generate}) rest on URL assignment and page
-    order.  Pages here get slug-only URLs (the click-time convention,
-    which the render cache's name-keyed entries rely on), and the
-    concatenation of the wave frontiers — each frontier deduplicated in
-    frontier × first-reference order — replays exactly the sequential
-    generator's discovery queue, so pages are emitted in canonical
-    order with no post-hoc reconstruction.  If two pages collide on a
-    URL the pool discards its output and falls back to the sequential
-    generator ([rp_fallback] — no site in this repository collides).
+    Order and URLs.  A slice settles on the main domain in frontier
+    order, and the concatenation of the wave frontiers — each frontier
+    deduplicated in frontier × first-reference order — is the
+    sequential discovery queue of the paper's generator, so pages are
+    emitted in canonical order with no post-hoc reconstruction.  URLs
+    are assigned in that same order: roots first, then, as each page
+    settles, every page it references for the first time gets
+    [slug.html], or the first [slug_N.html] no earlier page holds.
+    Workers render with slug hrefs (the click-time convention, which
+    the render cache's name-keyed entries rely on); a page that is
+    itself renamed or links to a renamed page is rendered again on the
+    main domain with the assigned hrefs before it is emitted, and that
+    render never enters the cache.  The reference implementation of
+    the same rule is the test oracle's sequential generator.
 
     Memory.  With a {!sink}, pages are {e streamed}: each slice's pages
     are handed to the sink in canonical order as soon as the slice
     settles and are never retained, so peak memory is bounded by the
     slice size, not the site size — a 1M-page site builds in the memory
     of a few thousand pages.  Without a sink the full
-    {!Template.Generator.site} is returned as before.
+    {!Template.Generator.site} is returned.
 
     A {!Render_cache} short-circuits rendering with {e batched}
     lookups: entries for a whole slice are prefetched in one pass on
@@ -62,9 +67,6 @@ type profile = {
   rp_cache_hits : int;
   rp_cache_misses : int;
   rp_cache_invalidations : int;
-  rp_fallback : bool;
-      (** URL collision detected; the sequential generator's output was
-          used instead of the pool's *)
   rp_degraded : int;
       (** pages that failed to render and were emitted as placeholders
           (always 0 under [~on_error:Abort]) *)
@@ -74,10 +76,9 @@ type profile = {
 let pp_profile ppf p =
   Fmt.pf ppf
     "@[<v>jobs=%d pages=%d rendered=%d waves=%d wall=%.2fms \
-     cache=%d/%d/%d (hit/miss/invalid)%s%s"
+     cache=%d/%d/%d (hit/miss/invalid)%s"
     p.rp_jobs p.rp_pages p.rp_rendered p.rp_waves p.rp_wall_ms
     p.rp_cache_hits p.rp_cache_misses p.rp_cache_invalidations
-    (if p.rp_fallback then " FALLBACK(sequential)" else "")
     (if p.rp_degraded > 0 then Printf.sprintf " DEGRADED(%d)" p.rp_degraded
      else "");
   List.iter
@@ -97,8 +98,8 @@ type sink = {
           discovery) order; the pool retains nothing after the call *)
   sk_reset : unit -> unit;
       (** everything emitted so far is invalid and the whole site will
-          be re-emitted: a URL collision forced the sequential
-          fallback, or a watch cycle dropped pages *)
+          be re-emitted: a watch cycle dropped pages, or two of its
+          pages clashed on a URL *)
 }
 
 (** A sink that writes each page below [dir] as {!G.write_site} would
@@ -137,9 +138,10 @@ let slice = 4096
 
 (* --- Rendering pages on the workers --- *)
 
-(* A build's render state: the job count, what every page render needs,
-   one template-compilation cache per worker, and the per-worker
-   tallies a profile reports. *)
+(* A build's render state: the job count asked for, what every page
+   render needs, and per participant — {!Pool.iter} runs at most the
+   machine's domain count, whatever [jobs] says — a template-compilation
+   cache and the tallies a profile reports. *)
 type renderer = {
   rd_jobs : int;
   rd_file_loader : (string -> string option) option;
@@ -159,6 +161,7 @@ type renderer = {
 let renderer ?(jobs = 1) ?file_loader ?(templates = G.empty_templates)
     ?(on_error = Fault.Abort) ?fault ?(trace = true) () =
   let jobs = if jobs <= 0 then Pool.auto_jobs () else jobs in
+  let workers = min jobs (Pool.auto_jobs ()) in
   {
     rd_jobs = jobs;
     rd_file_loader = file_loader;
@@ -166,21 +169,22 @@ let renderer ?(jobs = 1) ?file_loader ?(templates = G.empty_templates)
     rd_on_error = on_error;
     rd_inject = Fault.inject fault;
     rd_trace = trace;
-    rd_compiled = Array.init jobs (fun _ -> G.new_compiled ());
-    rd_pages = Array.make jobs 0;
-    rd_ms = Array.make jobs 0.;
+    rd_compiled = Array.init workers (fun _ -> G.new_compiled ());
+    rd_pages = Array.make workers 0;
+    rd_ms = Array.make workers 0.;
     rd_ds = Dsan.alloc ~name:"Render_pool.shards";
   }
 
-(* Render [o] on worker [w].  Under [Degrade] a failed (or
-   injected-faulty) render is isolated: it yields a placeholder with an
-   empty trace and the fault report. *)
-let render_one rd w g o =
+(* Render [o] on worker [w], with slug hrefs ([href], when given, must
+   return them too).  Under [Degrade] a failed (or injected-faulty)
+   render is isolated: it yields a placeholder with an empty trace and
+   the fault report. *)
+let render_one ?href rd w g o =
   let render () =
     Fault.Inject.fire rd.rd_inject (Fault.Inject.Render_page (Oid.name o));
     G.render_page_full ?file_loader:rd.rd_file_loader
       ~templates:rd.rd_templates ~compiled:rd.rd_compiled.(w)
-      ~trace_reads:rd.rd_trace g o
+      ~trace_reads:rd.rd_trace ?href g o
   in
   Dsan.write ~site:__POS__ rd.rd_ds w;
   rd.rd_pages.(w) <- rd.rd_pages.(w) + 1;
@@ -189,10 +193,18 @@ let render_one rd w g o =
   | Fault.Degrade -> (
     try (render (), None)
     with e ->
-      let page, report =
-        G.degraded_page g o ~url:(G.slug (Oid.name o) ^ ".html") e
-      in
+      let page, report = G.degraded_page g o ~url:(G.slug_url o) e in
       ({ G.r_page = page; r_reads = []; r_refs = [] }, Some report))
+
+(* [o]'s page rendered again on the main domain, which is worker 0 and
+   idle between fan-outs, with [href]'s URLs.  Only a page that
+   rendered (or verified) with slug hrefs comes here, so it renders
+   again; the render is neither traced nor counted. *)
+let rerender rd ~href g o =
+  Dsan.write ~site:__POS__ rd.rd_ds 0;
+  (G.render_page_full ?file_loader:rd.rd_file_loader
+     ~templates:rd.rd_templates ~compiled:rd.rd_compiled.(0) ~href g o)
+    .G.r_page
 
 (* Run [f w i] for every [i < len] on the renderer's workers, worker 0
    being the main domain; each worker's clock runs per chunk. *)
@@ -223,20 +235,19 @@ let render_pages rd g (os : Oid.t array) =
     out
 
 let profile rd ~t0 ~pages ~rendered ~waves ~hits ~misses ~invalidations
-    ~fallback ~degraded =
+    ~degraded =
   {
     rp_jobs = rd.rd_jobs;
     rp_pages = pages;
     rp_rendered = rendered;
     rp_waves = waves;
     rp_shards =
-      List.init rd.rd_jobs (fun i ->
+      List.init (Array.length rd.rd_pages) (fun i ->
           Dsan.read ~site:__POS__ rd.rd_ds i;
           { sh_domain = i; sh_pages = rd.rd_pages.(i); sh_wall_ms = rd.rd_ms.(i) });
     rp_cache_hits = hits;
     rp_cache_misses = misses;
     rp_cache_invalidations = invalidations;
-    rp_fallback = fallback;
     rp_degraded = degraded;
     rp_wall_ms = now_ms () -. t0;
   }
@@ -251,204 +262,174 @@ type slot =
           a stale entry this render replaced (an invalidation, not a
           miss) *)
 
-(** Materialize the site's pages.  [jobs = 1] with no cache and no sink
-    is the sequential reference path — a plain
-    {!Template.Generator.generate}.  [jobs <= 0] auto-detects
-    ({!Pool.auto_jobs}).  Otherwise the wave loop runs on [jobs]
-    domains (the main domain renders alongside [jobs - 1] pool
-    workers). *)
+(** Materialize the site's pages: the wave loop on [jobs] domains
+    ([jobs <= 0] auto-detects, {!Pool.auto_jobs}), the main domain
+    rendering alongside [jobs - 1] pool workers. *)
 let materialize ?(jobs = 1) ?cache ?file_loader
     ?(templates = G.empty_templates) ?(on_error = Fault.Abort) ?fault ?sink
     (g : Graph.t) ~(roots : Oid.t list) : G.site * profile =
   let t0 = now_ms () in
-  let jobs = if jobs <= 0 then Pool.auto_jobs () else jobs in
-  let inject = Fault.inject fault in
-  (* degraded (or injectable) builds always run the wave loop, even at
-     [jobs = 1]: the sequential generator lets a failed render's
-     partial work leak extra pages into its queue, so only the wave
-     loop — which isolates each page render — keeps degraded output
-     independent of [jobs] *)
-  if
-    jobs = 1 && cache = None && on_error = Fault.Abort && inject = None
-    && sink = None
-  then begin
-    let site = G.generate ?file_loader ~templates g ~roots in
-    let wall = now_ms () -. t0 in
-    let pages = G.page_count site in
-    ( site,
-      {
-        rp_jobs = 1;
-        rp_pages = pages;
-        rp_rendered = pages;
-        rp_waves = 1;
-        rp_shards = [ { sh_domain = 0; sh_pages = pages; sh_wall_ms = wall } ];
-        rp_cache_hits = 0;
-        rp_cache_misses = 0;
-        rp_cache_invalidations = 0;
-        rp_fallback = false;
-        rp_degraded = 0;
-        rp_wall_ms = wall;
-      } )
-  end
-  else begin
-    (match cache with
-     | Some c -> Render_cache.set_templates c templates
-     | None -> ());
-    let h0, m0, i0 =
-      match cache with Some c -> Render_cache.stats c | None -> (0, 0, 0)
-    in
-    let rd =
-      renderer ~jobs ?file_loader ~templates ~on_error ?fault
-        ~trace:(cache <> None) ()
-    in
-    let seen = Oid.Tbl.create 1024 in
-    let dedup os =
-      List.filter
-        (fun o ->
-          if Oid.Tbl.mem seen o then false
-          else begin
-            Oid.Tbl.add seen o ();
-            true
-          end)
-        os
-    in
-    let waves = ref 0 in
-    let all_reports = ref [] in
-    let pages_rev = ref [] in  (* only fed without a sink *)
-    let emitted = ref 0 in
-    let urls = Hashtbl.create 1024 in
-    let collision = ref false in
-    let emit (p : G.page) =
-      if Hashtbl.mem urls p.G.url then collision := true
-      else Hashtbl.add urls p.G.url ();
-      (match sink with
-       | Some s -> s.sk_emit p
-       | None -> pages_rev := p :: !pages_rev);
-      incr emitted
-    in
-    let frontier = ref (dedup roots) in
-    while !frontier <> [] && not !collision do
-      incr waves;
-      let arr = Array.of_list !frontier in
-      let n = Array.length arr in
-      let refs_acc = ref [] in  (* per-page demand refs, reversed *)
-      let s0 = ref 0 in
-      while !s0 < n && not !collision do
-        let base = !s0 in
-        let len = min slice (n - base) in
-        s0 := base + len;
-        let ents =
-          match cache with
-          | Some c -> Render_cache.peek_batch c (Array.sub arr base len)
-          | None -> Array.make (min len 1) None
+  (* the cache keys entries and replays reads by node name: where two
+     nodes share one, an entry could stand for the other's page *)
+  let cache = if Graph.names_shared g then None else cache in
+  (match cache with
+   | Some c -> Render_cache.set_templates c templates
+   | None -> ());
+  let h0, m0, i0 =
+    match cache with Some c -> Render_cache.stats c | None -> (0, 0, 0)
+  in
+  let rd =
+    renderer ~jobs ?file_loader ~templates ~on_error ?fault
+      ~trace:(cache <> None) ()
+  in
+  (* URL assignment in discovery order: [seen] maps every page given a
+     URL to its slug URL, [used] holds every URL given, [renamed] maps
+     the pages whose URL is not their slug URL to theirs, and [next] is
+     the next wave's frontier, newest first.  Workers look up the slug
+     hrefs of pages named before their slice in [seen], which only the
+     main domain writes, between fan-outs (sanitizer identity
+     [ds_seen], one field). *)
+  let seen : string Oid.Tbl.t = Oid.Tbl.create 1024 in
+  let used = Hashtbl.create 1024 and renamed = Oid.Tbl.create 16 in
+  let ds_seen = Dsan.alloc ~name:"Render_pool.urls" in
+  let next = ref [] in
+  let assign o =
+    if not (Oid.Tbl.mem seen o) then begin
+      let base = G.slug (Oid.name o) in
+      let url = base ^ ".html" in
+      Dsan.write ~site:__POS__ ds_seen 0;
+      Oid.Tbl.add seen o url;
+      next := o :: !next;
+      if not (Hashtbl.mem used url) then Hashtbl.add used url ()
+      else begin
+        let rec free n =
+          let u = Printf.sprintf "%s_%d.html" base n in
+          if Hashtbl.mem used u then free (n + 1) else u
         in
-        let slots : slot option array = Array.make len None in
-        (* sanitizer identity for the slice: field [i] covers cell [i]
-           of [ents] (written on the main domain before fan-out) and of
-           [slots] (written by exactly one worker, read at settle) *)
-        let ds_slice = Dsan.alloc ~name:"Render_pool.slice" in
-        if Dsan.enabled () then
-          for i = 0 to len - 1 do
-            Dsan.write ~site:__POS__ ds_slice i
-          done;
-        (* executed on worker domains: verify the prefetched entry or
-           render; each slot is written by exactly one worker *)
-        let process w i =
-          Dsan.write ~site:__POS__ ds_slice i;
-          let o = arr.(base + i) in
-          match if cache = None then None else ents.(i) with
-          | Some e when Render_cache.verify ?file_loader g e ->
-            slots.(i) <-
-              Some
-                (S_hit
-                   (Render_cache.page_of_entry e o,
-                    Render_cache.refs_of_entry g e))
-          | ent ->
-            let r, report = render_one rd w g o in
-            slots.(i) <- Some (S_fresh (r, report, ent <> None))
-        in
-        fan_out rd ~len process;
-        (* settle the slice on the main domain, in frontier order:
-           cache verdicts and stores, fault reports (sorted by URL so
-           manifests are identical whatever the scheduling produced),
-           page emission, demand refs *)
-        let sl_hits = ref 0 and sl_miss = ref 0 and sl_inval = ref 0 in
-        let sl_reports = ref [] in
+        let u = free 1 in
+        Hashtbl.add used u ();
+        Oid.Tbl.add renamed o u
+      end
+    end
+  in
+  let slug_href o =
+    match Oid.Tbl.find_opt seen o with Some u -> u | None -> G.slug_url o
+  in
+  let href o =
+    match Oid.Tbl.find_opt renamed o with Some u -> u | None -> slug_href o
+  in
+  let waves = ref 0 in
+  let all_reports = ref [] in
+  let pages_rev = ref [] in  (* only fed without a sink *)
+  let emitted = ref 0 in
+  (* Emit [o]'s page once the pages it references have URLs: a
+     placeholder takes [o]'s URL, and a page that is renamed or links
+     to a renamed page renders again with the assigned hrefs. *)
+  let settle_page o (p : G.page) refs ~placeholder =
+    List.iter assign refs;
+    let p =
+      if Oid.Tbl.length renamed = 0 then p
+      else if placeholder then { p with G.url = href o }
+      else if Oid.Tbl.mem renamed o || List.exists (Oid.Tbl.mem renamed) refs
+      then rerender rd ~href g o
+      else p
+    in
+    (match sink with
+     | Some s -> s.sk_emit p
+     | None -> pages_rev := p :: !pages_rev);
+    incr emitted
+  in
+  List.iter assign roots;
+  while !next <> [] do
+    let arr = Array.of_list (List.rev !next) in
+    next := [];
+    incr waves;
+    let n = Array.length arr in
+    let s0 = ref 0 in
+    while !s0 < n do
+      let base = !s0 in
+      let len = min slice (n - base) in
+      s0 := base + len;
+      let ents =
+        match cache with
+        | Some c -> Render_cache.peek_batch c (Array.sub arr base len)
+        | None -> Array.make (min len 1) None
+      in
+      let slots : slot option array = Array.make len None in
+      (* sanitizer identity for the slice: field [i] covers cell [i]
+         of [ents] (written on the main domain before fan-out) and of
+         [slots] (written by exactly one worker, read at settle) *)
+      let ds_slice = Dsan.alloc ~name:"Render_pool.slice" in
+      if Dsan.enabled () then
         for i = 0 to len - 1 do
-          Dsan.read ~site:__POS__ ds_slice i;
-          match slots.(i) with
-          | Some (S_hit (p, refs)) ->
-            incr sl_hits;
-            refs_acc := refs :: !refs_acc;
-            emit p
-          | Some (S_fresh (r, report, stale)) ->
-            if stale then incr sl_inval else incr sl_miss;
-            (* placeholders never enter the cache: their empty read
-               trace would re-validate vacuously forever *)
-            (match (cache, report) with
-             | Some c, None -> Render_cache.store c r
-             | Some c, Some _ -> if stale then Render_cache.drop c arr.(base + i)
-             | None, _ -> ());
-            (match report with
-             | Some rep -> sl_reports := rep :: !sl_reports
-             | None -> ());
-            refs_acc := r.G.r_refs :: !refs_acc;
-            emit r.G.r_page
-          | None -> assert false  (* Pool.iter re-raised before settling *)
+          Dsan.write ~site:__POS__ ds_slice i
         done;
-        (match cache with
-         | Some c ->
-           Render_cache.settle c ~hits:!sl_hits ~misses:!sl_miss
-             ~invalidations:!sl_inval
-         | None -> ());
-        all_reports :=
-          !all_reports
-          @ List.sort
-              (fun a b -> compare a.Fault.f_location b.Fault.f_location)
-              (List.rev !sl_reports)
+      (* executed on worker domains: verify the prefetched entry or
+         render; each slot is written by exactly one worker *)
+      let process w i =
+        Dsan.write ~site:__POS__ ds_slice i;
+        let o = arr.(base + i) in
+        match if cache = None then None else ents.(i) with
+        | Some e when Render_cache.verify ?file_loader g e ->
+          slots.(i) <-
+            Some
+              (S_hit
+                 (Render_cache.page_of_entry e o,
+                  Render_cache.refs_of_entry g e))
+        | ent ->
+          Dsan.read ~site:__POS__ ds_seen 0;
+          let r, report = render_one ~href:slug_href rd w g o in
+          slots.(i) <- Some (S_fresh (r, report, ent <> None))
+      in
+      fan_out rd ~len process;
+      (* settle the slice on the main domain, in frontier order: cache
+         verdicts and stores, fault reports (sorted by URL so manifests
+         are identical whatever the scheduling produced), URLs for the
+         pages referenced, page emission *)
+      let sl_hits = ref 0 and sl_miss = ref 0 and sl_inval = ref 0 in
+      let sl_reports = ref [] in
+      for i = 0 to len - 1 do
+        Dsan.read ~site:__POS__ ds_slice i;
+        let o = arr.(base + i) in
+        match slots.(i) with
+        | Some (S_hit (p, refs)) ->
+          incr sl_hits;
+          settle_page o p refs ~placeholder:false
+        | Some (S_fresh (r, report, stale)) ->
+          if stale then incr sl_inval else incr sl_miss;
+          (* placeholders never enter the cache: their empty read
+             trace would re-validate vacuously forever *)
+          (match (cache, report) with
+           | Some c, None -> Render_cache.store c r
+           | Some c, Some _ -> if stale then Render_cache.drop c o
+           | None, _ -> ());
+          (match report with
+           | Some rep ->
+             sl_reports := { rep with Fault.f_location = href o } :: !sl_reports
+           | None -> ());
+          settle_page o r.G.r_page r.G.r_refs ~placeholder:(report <> None)
+        | None -> assert false  (* Pool.iter re-raised before settling *)
       done;
-      (* next wave: referenced objects not yet seen, discovered in
-         deterministic frontier × reference order — the concatenation of
-         these frontiers replays the sequential generator's queue *)
-      frontier := dedup (List.concat (List.rev !refs_acc))
-    done;
-    let mk_profile ~site_pages ~fallback ~degraded =
-      let h, m, i =
-        match cache with Some c -> Render_cache.stats c | None -> (0, 0, 0)
-      in
-      profile rd ~t0 ~pages:site_pages
-        ~rendered:(Array.fold_left ( + ) 0 rd.rd_pages)
-        ~waves:!waves ~hits:(h - h0) ~misses:(m - m0) ~invalidations:(i - i0) ~fallback
-        ~degraded
-    in
-    if !collision then begin
-      (* distinct pages share a slug: only the sequential generator's
-         discovery-ordered uniquification produces the reference URLs,
-         and name-keyed cache entries are ambiguous — drop them.  The
-         pool's queued fault reports are discarded with its output; the
-         generator records its own. *)
-      (match cache with Some c -> Render_cache.clear c | None -> ());
-      (match sink with Some s -> s.sk_reset () | None -> ());
-      let site = G.generate ?file_loader ~templates ~on_error ?fault g ~roots in
-      let degraded = List.length (List.filter G.is_placeholder site.G.pages) in
-      let profile =
-        mk_profile ~site_pages:(G.page_count site) ~fallback:true ~degraded
-      in
-      match sink with
-      | Some s ->
-        List.iter s.sk_emit site.G.pages;
-        ({ G.pages = []; graph = g }, profile)
-      | None -> (site, profile)
-    end
-    else begin
-      (match fault with
-       | Some c -> List.iter (Fault.record c) !all_reports
+      (match cache with
+       | Some c ->
+         Render_cache.settle c ~hits:!sl_hits ~misses:!sl_miss
+           ~invalidations:!sl_inval
        | None -> ());
-      let pages =
-        match sink with Some _ -> [] | None -> List.rev !pages_rev
-      in
-      ( { G.pages; graph = g },
-        mk_profile ~site_pages:!emitted ~fallback:false
-          ~degraded:(List.length !all_reports) )
-    end
-  end
+      all_reports :=
+        !all_reports
+        @ List.sort
+            (fun a b -> compare a.Fault.f_location b.Fault.f_location)
+            (List.rev !sl_reports)
+    done
+  done;
+  (match fault with
+   | Some c -> List.iter (Fault.record c) !all_reports
+   | None -> ());
+  let h, m, i =
+    match cache with Some c -> Render_cache.stats c | None -> (0, 0, 0)
+  in
+  ( { G.pages = List.rev !pages_rev; graph = g },
+    profile rd ~t0 ~pages:!emitted
+      ~rendered:(Array.fold_left ( + ) 0 rd.rd_pages)
+      ~waves:!waves ~hits:(h - h0) ~misses:(m - m0) ~invalidations:(i - i0)
+      ~degraded:(List.length !all_reports) )

@@ -1,15 +1,18 @@
-(** Parallel page materialization on the persistent domain pool.
+(** Page materialization on the persistent domain pool: the one loop
+    that discovers a site build's pages.
 
     Pages are rendered in waves (BFS levels of the demand-driven page
     closure).  Each wave is cut into bounded {e slices}; the workers —
     the main domain plus [jobs - 1] domains from the persistent
     {!Pool.shared}, reused across builds — claim chunks of a slice's
     pages from one atomic cursor ({!Pool.iter}).  Results land in
-    per-page slots, so output never depends on scheduling; the concatenation of the wave
-    frontiers replays the sequential generator's discovery queue, so
-    pages are produced in canonical order and byte-identical to the
-    reference path.  On a URL collision (two pages sharing a slug) the
-    pool falls back to the sequential generator.
+    per-page slots and settle on the main domain in frontier order, so
+    output never depends on scheduling: the concatenation of the wave
+    frontiers is the generator's discovery queue, and URLs are assigned
+    in that order ([slug.html], or the first free [slug_N.html] when an
+    earlier page holds it).  Pages come out in canonical order and
+    byte-identical at every [jobs]; the test oracle's sequential
+    generator is the reference.
 
     With a {!sink} pages are streamed out in canonical order as each
     slice settles and never retained — peak memory is bounded by the
@@ -35,9 +38,6 @@ type profile = {
   rp_cache_hits : int;
   rp_cache_misses : int;
   rp_cache_invalidations : int;
-  rp_fallback : bool;
-      (** URL collision detected; the sequential generator's output was
-          used instead of the pool's *)
   rp_degraded : int;
       (** pages that failed to render and were emitted as placeholders
           (always 0 under [~on_error:Abort]) *)
@@ -55,8 +55,8 @@ type sink = {
           the current site after every call. *)
   sk_reset : unit -> unit;
       (** everything emitted so far is invalid and the whole site will
-          be re-emitted in order: a URL collision forced the sequential
-          fallback, or a watch cycle dropped pages *)
+          be re-emitted in order: a watch cycle dropped pages, or two
+          of its pages clashed on a URL *)
 }
 
 val file_sink : dir:string -> sink
@@ -76,14 +76,21 @@ val materialize :
   Graph.t ->
   roots:Oid.t list ->
   Template.Generator.site * profile
-(** Materialize the site's pages.  [jobs = 1] (the default) with no
-    cache, no injector, no sink and [~on_error:Abort] is the sequential
-    reference path, a plain {!Template.Generator.generate}; [jobs <= 0]
-    auto-detects ({!Pool.auto_jobs}); otherwise the wave loop runs on
-    [jobs] domains (the main domain renders alongside
-    [jobs - 1] persistent pool workers).  Output is byte-identical to
-    the reference path on every input (enforced by the differential
-    suite).
+(** Materialize the site's pages reachable from [roots] with the wave
+    loop on [jobs] domains (default 1; [jobs <= 0] auto-detects,
+    {!Pool.auto_jobs}): the main domain renders alongside [jobs - 1]
+    persistent pool workers.  Output is byte-identical at every [jobs]
+    and cache state, and equal to the test oracle's sequential
+    generator (enforced by the differential suites).
+
+    A page gets its URL the first time a settled page references it
+    (roots first, in root order): [slug.html], or the first
+    [slug_N.html] no earlier page holds.  A page that holds a renamed
+    URL, or links to a page that does, is rendered again on the main
+    domain with the assigned hrefs before it is emitted; that render is
+    not stored in [cache] and not counted in [rp_rendered].  [cache]
+    keys pages by name, so it is not used on a graph where two nodes
+    share one ({!Sgraph.Graph.names_shared}).
 
     With [~sink], pages are streamed to the sink in canonical order and
     the returned site has an empty page list ([profile.rp_pages] still
@@ -94,12 +101,11 @@ val materialize :
     [materialize] returns.
 
     With [~on_error:Degrade], a failed (or injected-faulty) page render
-    is isolated: the page becomes a {!Template.Generator.placeholder_page},
-    a [Render] fault is recorded in [fault] (in deterministic URL order
-    per slice, so manifests are [jobs]-independent), and the placeholder
-    is never stored in the render cache.  Degraded builds always run
-    the wave loop — even at [jobs = 1] — so degraded output is
-    identical across [jobs]. *)
+    is isolated: the page becomes a {!Template.Generator.placeholder_page}
+    under its assigned URL, a [Render] fault naming that URL is
+    recorded in [fault] (in URL order per slice, so manifests are
+    [jobs]-independent), and the placeholder is never stored in the
+    render cache. *)
 
 (** {1 Rendering chosen pages}
 
@@ -127,18 +133,19 @@ val renderer :
 val render_pages :
   renderer -> Graph.t -> Oid.t array ->
   (Template.Generator.rendered * Fault.report option) array
-(** Render the pages of the given objects, results in input order.  At
-    [jobs = 1] they render one after another; at [jobs > 1] they fan
-    out over the shared pool.  Either way they read the live graph.  Under [~on_error:Degrade] a failed render yields a
+(** Render the pages of the given objects with slug hrefs, results in
+    input order.  At [jobs = 1] they render one after another; at
+    [jobs > 1] they fan out over the shared pool.  Either way they read
+    the live graph.  Under [~on_error:Degrade] a failed render yields a
     placeholder (empty trace) and its fault report, which the caller
     records; under [Abort] the exception propagates. *)
 
 val profile :
   renderer -> t0:float -> pages:int -> rendered:int -> waves:int ->
-  hits:int -> misses:int -> invalidations:int -> fallback:bool ->
-  degraded:int -> profile
-(** A profile with the renderer's per-domain tallies; [t0] is the
-    start on the {!now_ms} clock. *)
+  hits:int -> misses:int -> invalidations:int -> degraded:int -> profile
+(** A profile with the renderer's per-domain tallies, one per domain
+    that can take part ([min jobs (Pool.auto_jobs ())]; [rp_jobs] is
+    [jobs] as asked); [t0] is the start on the {!now_ms} clock. *)
 
 val now_ms : unit -> float
 (** Wall clock in milliseconds. *)

@@ -153,23 +153,21 @@ let encode (g : Graph.t) : string =
       Oid.Tbl.replace node_idx o i;
       put_varint body (intern it (Oid.name o)))
     nodes;
-  (* edges *)
+  (* edges, in insertion order: replaying them rebuilds every index in
+     the graph's order, not only each node's out-edges *)
   put_varint body (Graph.edge_count g);
-  List.iter
-    (fun src ->
-      List.iter
-        (fun (l, tgt) ->
-          put_varint body (Oid.Tbl.find node_idx src);
-          put_varint body (intern it l);
-          match tgt with
-          | Graph.N o ->
-            put_varint body 0;
-            put_varint body (Oid.Tbl.find node_idx o)
-          | Graph.V v ->
-            put_varint body 1;
-            put_value body it v)
-        (Graph.out_edges g src))
-    nodes;
+  Graph.iter_edges_inserted
+    (fun src l tgt ->
+      put_varint body (Oid.Tbl.find node_idx src);
+      put_varint body (intern it l);
+      match tgt with
+      | Graph.N o ->
+        put_varint body 0;
+        put_varint body (Oid.Tbl.find node_idx o)
+      | Graph.V v ->
+        put_varint body 1;
+        put_value body it v)
+    g;
   (* collections *)
   let colls = Graph.collections g in
   put_varint body (List.length colls);

@@ -3,9 +3,11 @@
 
     Stores a graph schema-free but compactly: one string table (labels,
     names and string values interned once), varint ids, a flat edge
-    list; indexes are rebuilt on load per the repository's
-    full-indexing policy (§2.2).  Deterministic (no [Marshal]) and
-    versioned by magic. *)
+    list in insertion order; indexes are rebuilt on load per the
+    repository's full-indexing policy (§2.2), so a decoded graph lists
+    its out-edges, label extents, value index and incoming edges in the
+    encoded graph's order.  Deterministic (no [Marshal]) and versioned
+    by magic. *)
 
 open Sgraph
 

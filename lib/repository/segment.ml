@@ -374,6 +374,21 @@ let write_file ~path s =
 let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
   write_file ~path (encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g)
 
+let edge_log_seq g =
+  let module S = Graph.Slots in
+  let live = Array.make (S.count g) [||] in
+  for s = 0 to S.count g - 1 do
+    if S.live g s then begin
+      let bucket = S.out g s in
+      let ids = ref [] in
+      for i = S.out_len g s - 1 downto 0 do
+        if S.label g bucket.(i) >= 0 then ids := bucket.(i) :: !ids
+      done;
+      live.(s) <- Array.of_list !ids
+    end
+  done;
+  fun o k -> live.(S.find g o).(k)
+
 let write_graph ~path ?epoch ?meta g =
   let lay = layout g in
   let idx o = node_index lay g o ~err:"Segment.write_graph: unknown node" in
@@ -386,7 +401,7 @@ let write_graph ~path ?epoch ?meta g =
     (Graph.collections g);
   write_file ~path
     (encode_layout lay ?epoch ?meta ~gid:idx
-       ~edge_seq:(fun o k -> lay.l_fwd_off.(idx o) + k)
+       ~edge_seq:(edge_log_seq g)
        ~coll_seq:(fun c k -> Hashtbl.find coll_base c + k)
        g)
 
@@ -659,12 +674,22 @@ let to_graph ?(indexed = true) ?name t =
   let g = Graph.create ~indexed ~name () in
   let nodes = Array.init t.geo.n_nodes (fun i -> Oid.fresh (node_name t i)) in
   Array.iter (Graph.add_node g) nodes;
-  iter_edges t (fun _ i l tgt ->
+  let by_seq l =
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev l)
+  in
+  let edges = ref [] and members = ref [] in
+  iter_edges t (fun seq i l tgt -> edges := (seq, (i, l, tgt)) :: !edges);
+  List.iter
+    (fun (_, (i, l, tgt)) ->
       Graph.add_edge g nodes.(i) l
         (match tgt with
          | T_node j -> Graph.N nodes.(j)
-         | T_value v -> Graph.V v));
-  iter_members t (fun _ c i -> Graph.add_to_collection g c nodes.(i));
+         | T_value v -> Graph.V v))
+    (by_seq !edges);
+  iter_members t (fun seq c i -> members := (seq, (c, i)) :: !members);
+  List.iter
+    (fun (_, (c, i)) -> Graph.add_to_collection g c nodes.(i))
+    (by_seq !members);
   g
 
 let validate t =

@@ -50,11 +50,17 @@ val write :
 (** [encode] to a file (written to a temporary name, then renamed into
     place); returns the byte size. *)
 
+val edge_log_seq : Graph.t -> Oid.t -> int -> int
+(** [edge_log_seq g] numbers [g]'s edges for [edge_seq] by their ids in
+    [g]'s edge log: [edge_log_seq g o k] is the id of node [o]'s [k]-th
+    out-edge, and sequence order is insertion order. *)
+
 val write_graph :
   path:string -> ?epoch:int -> ?meta:(string * string) list -> Graph.t -> int
-(** [write] with canonical standalone numbering: global ids are node
-    positions and sequence numbers the node-major enumeration order —
-    the single-shard (or testing) case. *)
+(** [write] with canonical standalone numbering — the single-shard (or
+    testing) case: global ids are node positions, edge sequence
+    numbers {!edge_log_seq}, and member sequence numbers the
+    collection-major member positions. *)
 
 (** {1 Reading} *)
 
@@ -108,9 +114,10 @@ val iter_members : t -> (int -> string -> int -> unit) -> unit
 
 val to_graph : ?indexed:bool -> ?name:string -> t -> Graph.t
 (** Materialize the segment as a fresh graph: nodes in stored order
-    (names preserved, fresh oids), then edges node-major, then
-    collections — the same canonical replay order {!Binary.decode}
-    uses. *)
+    (names preserved, fresh oids), then edges and then collection
+    members replayed in sequence order.  A {!write_graph} segment reads
+    back with every index in the written graph's order, as a
+    {!Binary.decode} does. *)
 
 val validate : t -> unit
 (** Walk every section (strings, values, adjacency in both directions,

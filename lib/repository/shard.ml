@@ -244,14 +244,7 @@ let pp_manifest ppf m =
 
 (* --- snapshots --- *)
 
-type shard = { sh_entry : entry; sh_graph : Graph.t }
-
-type snapshot = {
-  sn_epoch : int;
-  sn_manifest : manifest;
-  sn_shards : shard list;
-  sn_union : Graph.t;
-}
+type snapshot = { sn_epoch : int; sn_manifest : manifest; sn_union : Graph.t }
 
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
@@ -285,18 +278,9 @@ let publish config ~epoch ?(sources = []) g =
   (* An edge's sequence number is its id in [g]'s edge log, which runs
      in insertion order: a cold open replays every edge in that order,
      so the union's label extents and value and incoming indexes list
-     their edges as [g]'s do, not only each node's out-edges. *)
-  let edge_ids = Oid.Tbl.create (max 16 n) in
-  List.iter
-    (fun o ->
-      let s = Graph.Slots.find g o in
-      let bucket = Graph.Slots.out g s in
-      let live = ref [] in
-      for i = Graph.Slots.out_len g s - 1 downto 0 do
-        if Graph.Slots.label g bucket.(i) >= 0 then live := bucket.(i) :: !live
-      done;
-      Oid.Tbl.replace edge_ids o (Array.of_list !live))
-    nodes;
+     their edges as [g]'s do, not only each node's out-edges.  A shard
+     holds each member's out-edges in [g]'s order. *)
+  let edge_seq = Segment.edge_log_seq g in
   let cbase = Hashtbl.create 8 in
   let cpos = Hashtbl.create 8 in
   let cb = ref 0 in
@@ -310,7 +294,7 @@ let publish config ~epoch ?(sources = []) g =
     (Graph.collections g);
   let gid o = Oid.Tbl.find gid_tbl o in
   let used = Hashtbl.create 8 in
-  let shards =
+  let entries =
     List.map
       (fun (key, sg) ->
         let file =
@@ -326,7 +310,6 @@ let publish config ~epoch ?(sources = []) g =
           let o = (Hashtbl.find coll_arr c).(k) in
           Hashtbl.find cbase c + Oid.Tbl.find (Hashtbl.find cpos c) o
         in
-        let edge_seq o k = (Oid.Tbl.find edge_ids o).(k) in
         let bytes =
           Segment.write
             ~path:(Filename.concat config.dir file)
@@ -335,17 +318,13 @@ let publish config ~epoch ?(sources = []) g =
             ~gid ~edge_seq ~coll_seq sg
         in
         {
-          sh_entry =
-            {
-              e_name = key;
-              e_file = file;
-              e_collections = Graph.collections sg;
-              e_labels = Graph.labels sg;
-              e_nodes = Graph.node_count sg;
-              e_edges = Graph.edge_count sg;
-              e_bytes = bytes;
-            };
-          sh_graph = sg;
+          e_name = key;
+          e_file = file;
+          e_collections = Graph.collections sg;
+          e_labels = Graph.labels sg;
+          e_nodes = Graph.node_count sg;
+          e_edges = Graph.edge_count sg;
+          e_bytes = bytes;
         })
       parts
   in
@@ -355,11 +334,11 @@ let publish config ~epoch ?(sources = []) g =
       m_spec = config.cfg_spec;
       m_graph = Graph.name g;
       m_sources = sources;
-      m_entries = List.map (fun s -> s.sh_entry) shards;
+      m_entries = entries;
     }
   in
   write_manifest ~dir:config.dir manifest;
-  { sn_epoch = epoch; sn_manifest = manifest; sn_shards = shards; sn_union = g }
+  { sn_epoch = epoch; sn_manifest = manifest; sn_union = g }
 
 let open_dir ?(verify = true) ~dir () =
   let m = load_manifest ~dir in
@@ -418,18 +397,4 @@ let open_dir ?(verify = true) ~dir () =
     segs;
   let members = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !members in
   List.iter (fun (_, c, o) -> Graph.add_to_collection union c o) members;
-  let shards =
-    List.map
-      (fun (e, s) ->
-        let sg = Graph.create ~name:("shard:" ^ e.e_name) () in
-        for i = 0 to Segment.node_count s - 1 do
-          Graph.add_node sg (resolve s i)
-        done;
-        Segment.iter_edges s (fun _ i l tgt ->
-            Graph.add_edge sg (resolve s i) l (target s tgt));
-        Segment.iter_members s (fun _ c i ->
-            Graph.add_to_collection sg c (resolve s i));
-        { sh_entry = e; sh_graph = sg })
-      segs
-  in
-  { sn_epoch = m.m_epoch; sn_manifest = m; sn_shards = shards; sn_union = union }
+  { sn_epoch = m.m_epoch; sn_manifest = m; sn_union = union }

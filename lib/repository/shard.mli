@@ -83,16 +83,9 @@ val pp_manifest : Format.formatter -> manifest -> unit
 
 (** {1 Snapshots} *)
 
-type shard = {
-  sh_entry : entry;
-  sh_graph : Graph.t;
-      (** the shard's graph, sharing oids with [sn_union] *)
-}
-
 type snapshot = {
   sn_epoch : int;
-  sn_manifest : manifest;
-  sn_shards : shard list;
+  sn_manifest : manifest;  (** its entries describe the shards *)
   sn_union : Graph.t;
 }
 
@@ -104,13 +97,12 @@ val publish :
   snapshot
 (** Partition the graph, write one segment per shard
     ([<key>.<epoch>.seg]), then atomically swap the manifest
-    (write-to-temporary, rename).  The returned snapshot's shard graphs
-    are the live partitions (sharing the argument's oids) — no segment
-    is read back. *)
+    (write-to-temporary, rename).  The returned snapshot's union is the
+    argument itself — no segment is read back, and the partitions are
+    not kept. *)
 
 val open_dir : ?verify:bool -> dir:string -> unit -> snapshot
 (** Load a cold repository: read the manifest, decode every segment
     ([verify] as in {!Segment.read}, default [true]), and re-assemble
     the union graph by global-id node order and sequence-ordered edge /
-    collection replay.  Shard graphs share the rebuilt union's oids.
-    Raises {!Manifest_error} or {!Binary.Corrupt}. *)
+    collection replay.  Raises {!Manifest_error} or {!Binary.Corrupt}. *)

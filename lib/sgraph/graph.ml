@@ -107,6 +107,7 @@ type t = {
   mutable n_slots : int;
   mutable n_nodes : int;
   names : Oid.t Stbl.t;
+  mutable names_shared : bool;  (* a node was added under a held name *)
   label_id : int Stbl.t;
   mutable l_name : string array;
   mutable l_ext : vec array;  (* edge ids, when indexed *)
@@ -156,6 +157,7 @@ let create ?(indexed = true) ?(name = "g") () =
     n_slots = 0;
     n_nodes = 0;
     names = Stbl.create 64;
+    names_shared = false;
     label_id = Stbl.create 16;
     l_name = [||];
     l_ext = [||];
@@ -224,7 +226,8 @@ let add_slot g o =
   g.n_slots <- s + 1;
   g.n_nodes <- g.n_nodes + 1;
   Oid.Tbl.add g.slot o s;
-  if not (Stbl.mem g.names (Oid.name o)) then Stbl.add g.names (Oid.name o) o;
+  if Stbl.mem g.names (Oid.name o) then g.names_shared <- true
+  else Stbl.add g.names (Oid.name o) o;
   s
 
 let slot_of g o =
@@ -262,6 +265,10 @@ let node_count g =
 let find_node g n =
   observe g __POS__;
   Stbl.find_opt g.names n
+
+let names_shared g =
+  observe g __POS__;
+  g.names_shared
 
 (* --- labels and values --- *)
 

@@ -60,6 +60,11 @@ val node_count : t -> int
 val find_node : t -> string -> Oid.t option
 (** Look up a node by its oid name (first added wins). *)
 
+val names_shared : t -> bool
+(** [true] once a node was added under a name a node of the graph held
+    at the time: {!find_node} then answers for one of them only.
+    Removals do not reset it. *)
+
 (** {1 Edges} *)
 
 val add_edge : t -> Oid.t -> string -> target -> unit

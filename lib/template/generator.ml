@@ -56,6 +56,8 @@ let slug name =
   let s = Buffer.contents buf in
   if s = "" then "page" else s
 
+let slug_url o = slug (Oid.name o) ^ ".html"
+
 (* --- Read tracing (render-cache support) ---
 
    A page's bytes are a function of (a) the template set, (b) the
@@ -311,70 +313,6 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
   in
   { obj = o; url; title; html = wrap_page ~title body; body }
 
-(** Generate the browsable site.  [roots] are the objects realized as
-    pages up front; any object referenced with the default (link)
-    format from an emitted page also becomes a page.  A page's URL is
-    assigned, uniquified against every URL handed out before it, on its
-    first reference, and pages render in that discovery order.
-
-    With [~on_error:Degrade], a page whose render fails (or whose
-    injected render fault fires) becomes a {!placeholder_page} and the
-    fault is recorded in [fault]; note that work the failed render did
-    before failing — objects it already queued via links — still
-    becomes pages, so prefer the render pool's wave loop (which
-    isolates each page render) when degraded output must be
-    jobs-independent.  No site in this repository hits this path except
-    through the pool's URL-collision fallback. *)
-let generate ?(file_loader = fun _ -> None) ?(templates = empty_templates)
-    ?(on_error = Fault.Abort) ?fault (g : Graph.t) ~(roots : Oid.t list) :
-    site =
-  let inject = Fault.inject fault in
-  let compiled = new_compiled () in
-  let urls : string Oid.Tbl.t = Oid.Tbl.create 64 in
-  let used_urls = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let ensure_page o =
-    match Oid.Tbl.find_opt urls o with
-    | Some u -> u
-    | None ->
-      let base = slug (Oid.name o) in
-      let rec uniq n =
-        let candidate =
-          if n = 0 then base ^ ".html"
-          else Printf.sprintf "%s_%d.html" base n
-        in
-        if Hashtbl.mem used_urls candidate then uniq (n + 1) else candidate
-      in
-      let u = uniq 0 in
-      Hashtbl.add used_urls u ();
-      Oid.Tbl.add urls o u;
-      Queue.add o queue;
-      u
-  in
-  List.iter (fun o -> ignore (ensure_page o)) roots;
-  let pages = ref [] in
-  while not (Queue.is_empty queue) do
-    let o = Queue.pop queue in
-    let url = Oid.Tbl.find urls o in
-    let render () =
-      Fault.Inject.fire inject (Fault.Inject.Render_page (Oid.name o));
-      render_object_page ~link_url:ensure_page ~compiled ~file_loader
-        ~templates g o ~url
-    in
-    let page =
-      match on_error with
-      | Fault.Abort -> render ()
-      | Fault.Degrade -> (
-        try render ()
-        with e ->
-          let page, report = degraded_page g o ~url e in
-          Option.iter (fun c -> Fault.record c report) fault;
-          page)
-    in
-    pages := page :: !pages
-  done;
-  { pages = List.rev !pages; graph = g }
-
 type rendered = {
   r_page : page;
   r_reads : read list;
@@ -386,16 +324,17 @@ type rendered = {
 }
 
 (** Render a single object's page without materializing the rest of the
-    site: links to internal objects get their deterministic URLs (slug
-    of the object name) but the linked pages are not generated.  This
-    is the rendering primitive of the click-time evaluator and the
-    parallel render pool.  [compiled] shares the template-compilation
-    cache across pages (one per domain in the parallel pool);
-    [trace_reads] records the page's read set for the render cache; the
-    referenced-object list is always recorded. *)
+    site: [href] gives the URL of a page, the rendered one's own
+    included (by default its slug URL, the click-time convention), and
+    the linked pages are not generated.  This is the rendering
+    primitive of the click-time evaluator and the render pool.
+    [compiled] shares the template-compilation cache across pages (one
+    per domain in the parallel pool); [trace_reads] records the page's
+    read set for the render cache; the referenced-object list is always
+    recorded. *)
 let render_page_full ?(file_loader = fun _ -> None)
     ?(templates = empty_templates) ?compiled ?(trace_reads = false)
-    (g : Graph.t) (o : Oid.t) : rendered =
+    ?(href = slug_url) (g : Graph.t) (o : Oid.t) : rendered =
   let compiled =
     match compiled with Some c -> c | None -> new_compiled ()
   in
@@ -411,11 +350,11 @@ let render_page_full ?(file_loader = fun _ -> None)
       Oid.Tbl.add ref_seen o' ();
       refs_rev := o' :: !refs_rev
     end;
-    slug (Oid.name o') ^ ".html"
+    href o'
   in
   let r_page =
     render_object_page ?note ~link_url ~compiled ~file_loader ~templates g o
-      ~url:(slug (Oid.name o) ^ ".html")
+      ~url:(href o)
   in
   { r_page; r_reads = List.rev !reads_rev; r_refs = List.rev !refs_rev }
 

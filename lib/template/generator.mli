@@ -45,6 +45,10 @@ type site = {
 val slug : string -> string
 (** URL-safe name fragment used for page file names. *)
 
+val slug_url : Oid.t -> string
+(** [slug (Oid.name o) ^ ".html"]: the page's URL unless an earlier
+    page of its site holds it. *)
+
 (** {1 Read tracing}
 
     A rendered page's bytes are a function of the template set, the
@@ -90,29 +94,6 @@ val degraded_page : Graph.t -> Oid.t -> url:string -> exn -> page * Fault.report
 (** The {!placeholder_page} and the [Render] fault report for a page
     whose render raised under [~on_error:Degrade]. *)
 
-val generate :
-  ?file_loader:(string -> string option) ->
-  ?templates:template_set ->
-  ?on_error:Fault.on_error ->
-  ?fault:Fault.ctx ->
-  Graph.t ->
-  roots:Oid.t list ->
-  site
-(** Generate the browsable site.  [roots] are realized as pages up
-    front; any object referenced with the default (link) format from an
-    emitted page also becomes a page, transitively.  Each page gets its
-    URL on first reference ([slug name ^ ".html"], suffixed [_1],
-    [_2], ... when another page already holds it) and pages come out
-    in that discovery order.  Every page renders through the same
-    per-page function as {!render_page_full}.  [file_loader] supplies
-    the contents of text/HTML file values for inlining.
-
-    With [~on_error:Degrade], a failed (or injected-faulty) page render
-    yields a {!placeholder_page} and a recorded [Render] fault instead
-    of aborting; objects the failed render linked before failing still
-    become pages, so degraded builds normally run through the render
-    pool's wave loop, which isolates each page. *)
-
 type rendered = {
   r_page : page;
   r_reads : read list;
@@ -128,13 +109,16 @@ val render_page_full :
   ?templates:template_set ->
   ?compiled:compiled ->
   ?trace_reads:bool ->
+  ?href:(Oid.t -> string) ->
   Graph.t -> Oid.t -> rendered
 (** Render a single object's page without materializing the rest of the
-    site — the rendering primitive of the click-time evaluator and the
-    parallel render pool.  Links to internal objects get their
-    deterministic URL ([slug name ^ ".html"]) but the linked pages are
-    not generated.  Apart from URLs, the page is the one {!generate}
-    emits for the object. *)
+    site — the rendering primitive of the click-time evaluator and of
+    {!Strudel.Render_pool}, which builds sites from it.  [href o] is
+    the URL of [o]'s page: the rendered page's own URL and the href of
+    every link to an internal object.  It defaults to the slug URL
+    ([slug name ^ ".html"]), which a site build replaces only for pages
+    whose slug URL an earlier page already holds.  The linked pages
+    are not generated. *)
 
 val render_page :
   ?file_loader:(string -> string option) ->

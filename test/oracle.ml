@@ -1,6 +1,8 @@
 (* The reference StruQL evaluator: the naive two-stage semantics of §3,
    kept as the oracle the streaming engine (Struql.Exec) and its
-   compiled construction are checked against.
+   compiled construction are checked against; and, at the end, the
+   reference HTML generator the render pool's wave loop is checked
+   against.
 
    Stage 1 materializes a block's whole binding relation, applying one
    plan step at a time to every row; stage 2 interprets the block's
@@ -308,3 +310,62 @@ let run ?(options = Eval.default_options) ?scope ?into ?emit g (q : Ast.query)
 let bindings ?(options = Eval.default_options) g conds =
   let steps = plan options g ~bound:[] ~needed_obj:[] ~needed_label:[] conds in
   exec_steps g options.registry [ Eval.Env.empty ] steps
+
+(* --- the page reference ---
+
+   The HTML generator of §2.5 as one sequential queue: roots become
+   pages up front, and a page's render, link by link, makes every
+   object it links to a page.  A page gets its URL at its first
+   reference (slug.html, or the first slug_N.html no page holds yet)
+   and pages come out in that discovery order, each rendered with the
+   hrefs assigned so far.  Under [~on_error:Degrade] a failed (or
+   injected-faulty) render becomes a placeholder and its fault is
+   recorded in [fault]; objects the failed render linked before it
+   failed stay pages. *)
+let generate ?(templates = Template.Generator.empty_templates)
+    ?(on_error = Fault.Abort) ?fault g ~roots : Template.Generator.site =
+  let module G = Template.Generator in
+  let inject = Fault.inject fault in
+  let compiled = G.new_compiled () in
+  let urls = Oid.Tbl.create 64 and used = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let ensure_page o =
+    match Oid.Tbl.find_opt urls o with
+    | Some u -> u
+    | None ->
+      let base = G.slug (Oid.name o) in
+      let rec uniq n =
+        let candidate =
+          if n = 0 then base ^ ".html" else Printf.sprintf "%s_%d.html" base n
+        in
+        if Hashtbl.mem used candidate then uniq (n + 1) else candidate
+      in
+      let u = uniq 0 in
+      Hashtbl.add used u ();
+      Oid.Tbl.add urls o u;
+      Queue.add o queue;
+      u
+  in
+  List.iter (fun o -> ignore (ensure_page o)) roots;
+  let pages = ref [] in
+  while not (Queue.is_empty queue) do
+    let o = Queue.pop queue in
+    let render () =
+      Fault.Inject.fire inject (Fault.Inject.Render_page (Oid.name o));
+      (G.render_page_full ~templates ~compiled ~href:ensure_page g o).G.r_page
+    in
+    let page =
+      match on_error with
+      | Fault.Abort -> render ()
+      | Fault.Degrade -> (
+        try render ()
+        with e ->
+          let page, report =
+            G.degraded_page g o ~url:(Oid.Tbl.find urls o) e
+          in
+          Option.iter (fun c -> Fault.record c report) fault;
+          page)
+    in
+    pages := page :: !pages
+  done;
+  { G.pages = List.rev !pages; graph = g }

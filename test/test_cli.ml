@@ -244,7 +244,7 @@ let suite =
         check_bool "stats profile printed" true (contains out1 "jobs=1");
         check_bool "stats shows 4 domains" true (contains out4 "jobs=4");
         check_bool "written files byte-identical" true (pages1 = pages4)));
-    t "build: --jobs 0 auto-detects, --stream output byte-identical"
+    t "build: --jobs 0 auto-detects, output byte-identical to --jobs 1"
       (guard (fun () ->
         let d = write_tmp ".ddl" Sites.Paper_example.data_ddl in
         let q = write_tmp ".struql" Sites.Paper_example.site_query in
@@ -275,14 +275,14 @@ let suite =
           (code, out, pages)
         in
         let code1, _, pages1 = build_to "--jobs 1" in
-        let code0, out0, pages0 = build_to "--jobs 0 --stream --stats" in
+        let code0, out0, pages0 = build_to "--jobs 0 --stats" in
         List.iter Sys.remove [ d; q ];
         check_int "jobs=1 exit 0" 0 code1;
-        check_int "jobs=0 --stream exit 0" 0 code0;
+        check_int "jobs=0 exit 0" 0 code0;
         check_bool "auto-detected profile printed" true
           (contains out0
              (Printf.sprintf "jobs=%d" (Pool.auto_jobs ())));
-        check_bool "streamed files byte-identical" true (pages1 = pages0)));
+        check_bool "written files byte-identical" true (pages1 = pages0)));
     repository_case None;
     repository_case (Some "family");
     t "lint: bundled site in all three formats"

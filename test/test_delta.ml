@@ -394,48 +394,7 @@ let surfaces (spec : Analysis.Lint.spec) =
 
 (* --- the mediated refresh --- *)
 
-(* A graph's content by node names, order-sensitive throughout: node
-   order, then every out-bucket, collection extent, label extent,
-   value-index bucket and in-edge bucket. *)
-let view_shape g =
-  let n = Oid.name in
-  let tgt = function
-    | Graph.N o -> "&" ^ n o
-    | Graph.V v -> Value.to_string v
-  in
-  let src_label (o, l) = n o ^ "." ^ l in
-  let nodes = Graph.nodes g in
-  let values =
-    List.sort_uniq Value.compare
-      (Graph.fold_edges
-         (fun _ _ tg acc ->
-           match tg with Graph.V v -> v :: acc | Graph.N _ -> acc)
-         g [])
-  in
-  (("nodes", List.map n nodes)
-   :: List.map
-        (fun o ->
-          ( "out " ^ n o,
-            List.map (fun (l, tg) -> l ^ "=" ^ tgt tg) (Graph.out_edges g o) ))
-        nodes)
-  @ List.map
-      (fun c -> ("coll " ^ c, List.map n (Graph.collection g c)))
-      (List.sort compare (Graph.collections g))
-  @ List.map
-      (fun l ->
-        ( "label " ^ l,
-          List.map (fun (o, tg) -> n o ^ "=" ^ tgt tg) (Graph.label_extent g l)
-        ))
-      (List.sort_uniq compare (Graph.labels g))
-  @ List.map
-      (fun v ->
-        ( "value " ^ Value.to_string v,
-          List.map src_label (Graph.value_index g v) ))
-      values
-  @ List.map
-      (fun o ->
-        ("in " ^ n o, List.map src_label (Graph.in_edges g (Graph.N o))))
-      nodes
+let view_shape = Shape.of_graph
 
 let check_shape = Alcotest.(check (list (pair string (list string))))
 
@@ -2132,7 +2091,7 @@ OUTPUT SITE|} );
       (placeholder_retried ~jobs:4);
     t "a placeholder is retried on a cycle that touches no site node"
       (placeholder_retried ~touching:false ~jobs:1);
-    t "a slug collision falls back to the sequential generator" (fun () ->
+    t "a slug collision publishes the oracle's pages" (fun () ->
         (* "x.y" and "x_y" share the slug of their item pages: the
            collision is there from the start, goes away with "x_y" and
            comes back with it *)
@@ -2154,28 +2113,33 @@ OUTPUT SITE|} );
           Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g) definition
         in
         let r = Option.get (Serve.Watch.recorder w) in
-        let step what ~fallback edit =
+        let step what edit =
           edit ();
           if what <> "first publish" then ignore (Serve.Watch.cycle w);
           let built = Serve.Watch.built w in
+          let sg = built.Strudel.Site.site_graph in
+          let oracle =
+            Oracle.generate ~templates sg
+              ~roots:(Strudel.Site.build_roots sg definition)
+          in
           let cold = Strudel.Site.build ~data:g definition in
-          check_bool (what ^ ": fell back") fallback
-            built.Strudel.Site.render_profile.Strudel.Render_pool.rp_fallback;
+          check_bool (what ^ ": pages equal the oracle's") true
+            (page_map built.Strudel.Site.site = page_map oracle);
           check_bool (what ^ ": pages equal cold") true
             (page_map built.Strudel.Site.site = page_map cold.Strudel.Site.site);
-          check_bool (what ^ ": sink holds cold") true
-            (store_holds store cold.Strudel.Site.site)
+          check_bool (what ^ ": sink holds the oracle's") true
+            (store_holds store oracle)
         in
-        step "first publish" ~fallback:true ignore;
-        step "a retitle" ~fallback:true (fun () ->
+        step "first publish" ignore;
+        step "a retitle" (fun () ->
             Delta.Rec.set_value r (Option.get (nth_member g 2)) "title"
               (Value.String "Renamed"));
-        step "the clash removed" ~fallback:false (fun () ->
+        step "the clash removed" (fun () ->
             Delta.Rec.remove_node r (List.nth clashing 1));
-        step "a retitle without the clash" ~fallback:false (fun () ->
+        step "a retitle without the clash" (fun () ->
             Delta.Rec.set_value r (Option.get (nth_member g 3)) "title"
               (Value.String "Renamed again"));
-        step "the clash back" ~fallback:true (fun () ->
+        step "the clash back" (fun () ->
             ignore
               (add_item (Delta.Rec.add_edge r) (Delta.Rec.add_to_collection r)
                  "x_y")));

@@ -35,15 +35,19 @@ let templates =
     named = [];
   }
 
+(* a site build's page loop *)
+let generate ?templates g ~roots =
+  fst (Strudel.Render_pool.materialize ?templates g ~roots)
+
 let generation =
   [
     t "pages discovered transitively from roots" (fun () ->
         let g, root, _, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         check_int "3 pages" 3 (Generator.page_count site));
     t "collection template selected" (fun () ->
         let g, root, a, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let pa = Option.get (Generator.page_of_object site a) in
         check_bool "rendered with Pages tpl" true
           (contains pa.Generator.html "<h2>Page A</h2>"));
@@ -52,7 +56,7 @@ let generation =
         let templates =
           { templates with Generator.by_object = [ ("Page(a)", "SPECIAL") ] }
         in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let pa = Option.get (Generator.page_of_object site a) in
         check_bool "special" true (contains pa.Generator.html "SPECIAL"));
     t "HTML-template attribute beats collection template" (fun () ->
@@ -61,26 +65,25 @@ let generation =
         let templates =
           { templates with Generator.named = [ ("alt", "NAMED <SFMT @title>") ] }
         in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let pa = Option.get (Generator.page_of_object site a) in
         check_bool "named used" true (contains pa.Generator.html "NAMED Page A"));
     t "unknown HTML-template name raises" (fun () ->
         let g, root, a, _ = mk_site_graph () in
         Graph.add_edge g a "HTML-template" (Graph.V (Value.String "missing"));
         check_bool "raises" true
-          (try ignore (Generator.generate ~templates g ~roots:[ root ]); false
+          (try ignore (generate ~templates g ~roots:[ root ]); false
            with Generator.Generator_error _ -> true));
     t "object without template gets property sheet" (fun () ->
         let g, root, _, _ = mk_site_graph () in
         let site =
-          Generator.generate ~templates:Generator.empty_templates g
-            ~roots:[ root ]
+          generate ~templates:Generator.empty_templates g ~roots:[ root ]
         in
         let pr = Option.get (Generator.page_of_object site root) in
         check_bool "dl rendering" true (contains pr.Generator.html "<dl>"));
     t "links use anchors from title attr" (fun () ->
         let g, root, _, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let pr = Option.get (Generator.page_of_object site root) in
         check_bool "anchor" true (contains pr.Generator.html ">Page A</a>"));
     t "urls unique even with colliding slugs" (fun () ->
@@ -90,7 +93,7 @@ let generation =
         let b = Graph.new_node g "P(x.y)" in
         Graph.add_edge g r "c" (Graph.N a);
         Graph.add_edge g r "c" (Graph.N b);
-        let site = Generator.generate g ~roots:[ r ] in
+        let site = generate g ~roots:[ r ] in
         let urls = List.map (fun p -> p.Generator.url) site.Generator.pages in
         check_int "3 urls distinct" 3
           (List.length (List.sort_uniq compare urls)));
@@ -107,13 +110,13 @@ let generation =
             Generator.by_collection = [ ("Cyc", "[<SFMT @next EMBED>]") ];
           }
         in
-        let site = Generator.generate ~templates g ~roots:[ a ] in
+        let site = generate ~templates g ~roots:[ a ] in
         let pa = Option.get (Generator.page_of_object site a) in
         (* a embeds b, b's embed of a becomes a link *)
         check_bool "cycle broken" true (contains pa.Generator.html "<a href="));
     t "page wrapping adds html scaffold once" (fun () ->
         let g, root, _, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let pr = Option.get (Generator.page_of_object site root) in
         check_bool "wrapped" true (contains pr.Generator.html "<html>");
         check_bool "title tag" true (contains pr.Generator.html "<title>"));
@@ -127,7 +130,7 @@ let generation =
             Generator.by_collection = [ ("Rs", "<html><body>X</body></html>") ];
           }
         in
-        let site = Generator.generate ~templates g ~roots:[ r ] in
+        let site = generate ~templates g ~roots:[ r ] in
         let pr = Option.get (Generator.page_of_object site r) in
         check_int "one html tag" 1
           (let h = pr.Generator.html in
@@ -139,14 +142,14 @@ let generation =
            count 0 0));
     t "render_page matches generate output for same object" (fun () ->
         let g, root, a, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let from_site = Option.get (Generator.page_of_object site a) in
         let single = Generator.render_page ~templates g a in
         Alcotest.(check string) "same html" from_site.Generator.html
           single.Generator.html);
     t "write_site produces files" (fun () ->
         let g, root, _, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         let dir = Filename.temp_file "strudelsite" "" in
         Sys.remove dir;
         Generator.write_site ~dir site;
@@ -155,7 +158,7 @@ let generation =
         Sys.rmdir dir);
     t "total_bytes positive" (fun () ->
         let g, root, _, _ = mk_site_graph () in
-        let site = Generator.generate ~templates g ~roots:[ root ] in
+        let site = generate ~templates g ~roots:[ root ] in
         check_bool "bytes" true (Generator.total_bytes site > 0));
   ]
 

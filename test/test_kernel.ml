@@ -333,7 +333,7 @@ let memo =
 
    The oracle leg evaluates the site queries with the test oracle,
    whose path conditions run on the interpretive BFS over every node,
-   and renders with the sequential generator; the other legs are
+   and renders with the oracle's sequential generator; the other legs are
    ordinary builds, whose path conditions run on the kernel, backward
    lane included.  The bundled site queries mostly follow single
    labels, so each leg also walks [*] from every root of its site
@@ -367,8 +367,7 @@ let oracle_build (def : Strudel.Site.definition) data =
     (Strudel.Site.parse_queries def);
   let roots = Strudel.Site.roots_of site_graph def.Strudel.Site.root_family in
   let site =
-    Template.Generator.generate ~templates:def.Strudel.Site.templates
-      site_graph ~roots
+    Oracle.generate ~templates:def.Strudel.Site.templates site_graph ~roots
   in
   (page_triples site, reachable (Oracle.eval_from star) site_graph def)
 

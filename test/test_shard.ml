@@ -29,10 +29,9 @@ let rm_rf dir =
   end
 
 (* Byte-identity oracle: the deterministic binary codec serializes
-   nodes, each node's out-edges and collection entries in iteration
-   order, so equal encodings mean equal graphs in those orders.  It does
-   not record the global edge order that label extents follow, which is
-   why the repository differentials below compare query outputs too. *)
+   nodes, edges (in insertion order, which every edge index keeps) and
+   collection entries in iteration order, so equal encodings mean equal
+   graphs in those orders. *)
 let bytes_of g = Repository.Binary.encode g
 
 let specs = [ Repository.Shard.By_collection; Repository.Shard.By_family ]
@@ -230,6 +229,59 @@ let partition_tests =
           specs)
   ]
 
+(* A random graph whose edge log is not node-major: the spec's edges in
+   random source order, then some of them removed, each added back
+   (last in the log) when its flag is set. *)
+let removals_gen =
+  QCheck.Gen.(
+    pair data_gen (list_size (int_range 1 6) (pair (int_bound 15) bool)))
+
+let print_removals (spec, removals) =
+  Printf.sprintf "%s removed=[%s]" (print_data spec)
+    (String.concat ";"
+       (List.map
+          (fun (k, back) -> Printf.sprintf "%d%s" k (if back then "+" else ""))
+          removals))
+
+let build_with_removals (((_, edges, _, _) as spec), removals) =
+  let g = build_data spec in
+  let node i = Option.get (Graph.find_node g (Printf.sprintf "n%d" i)) in
+  List.iter
+    (fun (k, back) ->
+      match List.nth_opt edges k with
+      | None -> ()
+      | Some (a, l, tgt) ->
+        let tgt =
+          match tgt with
+          | `I v -> Graph.V (Value.Int v)
+          | `N j -> Graph.N (node j)
+        in
+        Graph.remove_edge g (node a) l tgt;
+        if back then Graph.add_edge g (node a) l tgt)
+    removals;
+  g
+
+(* Both read-backs — a [.sgbin] encoding and a standalone segment —
+   list every index as the saved graph does (labels and lists a
+   removal emptied aside: neither format stores them), and answer the
+   edge-scan query of [query_pool] as it does. *)
+let read_backs_keep_order case =
+  let g = build_with_removals case in
+  let path = Filename.temp_file "strudelseg" ".seg" in
+  let _n = Repository.Segment.write_graph ~path g in
+  let seg =
+    Repository.Segment.to_graph ~name:(Graph.name g)
+      (Repository.Segment.read ~path ())
+  in
+  Sys.remove path;
+  let bin = Repository.Binary.decode (Repository.Binary.encode g) in
+  let shape g = List.filter (fun (_, l) -> l <> []) (Shape.of_graph g) in
+  let q = Struql.Parser.parse (List.nth query_pool 6) in
+  let answer g = Shape.of_graph (Struql.Exec.run g q) in
+  List.for_all
+    (fun g' -> shape g' = shape g && answer g' = answer g)
+    [ bin; seg ]
+
 let segment_tests =
   (* one canonical segment encoding, reused by the fuzz cases *)
   let segment_bytes () =
@@ -277,6 +329,14 @@ let segment_tests =
            in
            Sys.remove path;
            ok));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "binary and segment read-backs keep every index order (random \
+            graphs with removals)"
+         ~count:100
+         (QCheck.make ~print:print_removals removals_gen)
+         read_backs_keep_order);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"truncated segments raise Corrupt with an in-range offset"
@@ -340,16 +400,17 @@ let manifest_tests =
         check_int "epoch" 1 cold.Repository.Shard.sn_epoch;
         check_string "union re-assembles byte-identically" (bytes_of g)
           (bytes_of cold.Repository.Shard.sn_union);
+        let entries sn = sn.Repository.Shard.sn_manifest.Repository.Shard.m_entries in
         check_int "same shard count"
-          (List.length snap.Repository.Shard.sn_shards)
-          (List.length cold.Repository.Shard.sn_shards);
+          (List.length (entries snap))
+          (List.length (entries cold));
         List.iter2
-          (fun (a : Repository.Shard.shard) (b : Repository.Shard.shard) ->
-            check_string "shard name" a.sh_entry.Repository.Shard.e_name
-              b.sh_entry.Repository.Shard.e_name;
-            check_int "shard edges" a.sh_entry.Repository.Shard.e_edges
-              b.sh_entry.Repository.Shard.e_edges)
-          snap.Repository.Shard.sn_shards cold.Repository.Shard.sn_shards;
+          (fun (a : Repository.Shard.entry) (b : Repository.Shard.entry) ->
+            check_string "shard name" a.Repository.Shard.e_name
+              b.Repository.Shard.e_name;
+            check_int "shard edges" a.Repository.Shard.e_edges
+              b.Repository.Shard.e_edges)
+          (entries snap) (entries cold);
         (* manifest names the collections each shard is home to *)
         let m = Repository.Shard.load_manifest ~dir in
         check_bool "some shard is home to C" true
