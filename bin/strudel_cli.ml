@@ -173,12 +173,8 @@ let input_graph data graphs (q : Struql.Ast.query) =
         Repository.Store.put repo
           (fst (Ddl.parse ~graph_name:name (read_file file))))
       graphs;
-    let merged = Sgraph.Graph.create ~name:"inputs" () in
-    List.iter
-      (fun n ->
-        Graph.merge_into ~dst:merged ~src:(Repository.Store.get repo n))
-      q.Struql.Ast.input;
-    merged
+    Graph.union ~name:"inputs"
+      (List.map (Repository.Store.get repo) q.Struql.Ast.input)
   | Some _, _ :: _ ->
     Fmt.epr "use either -d or -g, not both@.";
     exit 1

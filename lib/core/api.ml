@@ -42,12 +42,7 @@ let query_repo ?options (repo : Store.t) (src : string) : Graph.t =
   let input =
     match q.Struql.Ast.input with
     | [ one ] -> Store.get repo one
-    | names ->
-      let merged = Graph.create ~name:"inputs" () in
-      List.iter
-        (fun n -> Graph.merge_into ~dst:merged ~src:(Store.get repo n))
-        names;
-      merged
+    | names -> Graph.union ~name:"inputs" (List.map (Store.get repo) names)
   in
   let out = Exec.run ?options input q in
   Store.put repo out;

@@ -67,7 +67,7 @@ module Click_time = struct
         ~needed_label t.data b.Ast.where
     in
     t.stats_peak_live <- max t.stats_peak_live peak;
-    let sink = { Eval.out = t.partial; scope = t.scope; emit = None } in
+    let sink = { Eval.out = Eval.Live t.partial; scope = t.scope; emit = None } in
     let bld = Eval.builder sink (Eval.compile b) in
     List.iter (Eval.row bld) rows;
     Eval.flush bld

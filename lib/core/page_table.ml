@@ -206,7 +206,9 @@ let subjects_of t reads =
    (a new page always counts). *)
 let set_entry t pending s (r : G.rendered) ~placeholder =
   let subjects = subjects_of t r.G.r_reads in
-  let refs = Array.of_list (List.map (resolve t pending) r.G.r_refs) in
+  let refs =
+    Array.of_list (List.map (fun (o, _) -> resolve t pending o) r.G.r_refs)
+  in
   let old = t.ents.(s) in
   reindex t s
     (match old with Some e -> e.subjects | None -> [||])

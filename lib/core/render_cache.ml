@@ -183,7 +183,7 @@ let store c (r : G.rendered) =
       e_body = p.G.body;
       e_html = p.G.html;
       e_reads = r.G.r_reads;
-      e_refs = List.map Oid.name r.G.r_refs;
+      e_refs = List.map (fun (o, _) -> Oid.name o) r.G.r_refs;
     }
 
 (** Rebuild a {!Template.Generator.page} for the current build's page

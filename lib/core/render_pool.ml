@@ -293,15 +293,15 @@ let materialize ?(jobs = 1) ?cache ?file_loader
   let used = Hashtbl.create 1024 and renamed = Oid.Tbl.create 16 in
   let ds_seen = Dsan.alloc ~name:"Render_pool.urls" in
   let next = ref [] in
-  let assign o =
+  (* name [o], whose slug URL is [url], unless it has a URL *)
+  let claim o url =
     if not (Oid.Tbl.mem seen o) then begin
-      let base = G.slug (Oid.name o) in
-      let url = base ^ ".html" in
       Dsan.write ~site:__POS__ ds_seen 0;
       Oid.Tbl.add seen o url;
       next := o :: !next;
       if not (Hashtbl.mem used url) then Hashtbl.add used url ()
       else begin
+        let base = Filename.chop_suffix url ".html" in
         let rec free n =
           let u = Printf.sprintf "%s_%d.html" base n in
           if Hashtbl.mem used u then free (n + 1) else u
@@ -312,6 +312,8 @@ let materialize ?(jobs = 1) ?cache ?file_loader
       end
     end
   in
+  let claim_ref (o, url) = claim o url in
+  let assign o = if not (Oid.Tbl.mem seen o) then claim o (G.slug_url o) in
   let slug_href o =
     match Oid.Tbl.find_opt seen o with Some u -> u | None -> G.slug_url o
   in
@@ -322,15 +324,21 @@ let materialize ?(jobs = 1) ?cache ?file_loader
   let all_reports = ref [] in
   let pages_rev = ref [] in  (* only fed without a sink *)
   let emitted = ref 0 in
-  (* Emit [o]'s page once the pages it references have URLs: a
-     placeholder takes [o]'s URL, and a page that is renamed or links
-     to a renamed page renders again with the assigned hrefs. *)
-  let settle_page o (p : G.page) refs ~placeholder =
-    List.iter assign refs;
+  (* Emit [o]'s page once the pages it references have URLs (given
+     in [refs], or [hit_refs] for a cache hit): a placeholder takes
+     [o]'s URL, and a page that is renamed or links to a renamed page
+     renders again with the assigned hrefs. *)
+  let settle_page o (p : G.page) ?(refs = []) ?(hit_refs = []) ~placeholder ()
+      =
+    List.iter claim_ref refs;
+    List.iter assign hit_refs;
     let p =
       if Oid.Tbl.length renamed = 0 then p
       else if placeholder then { p with G.url = href o }
-      else if Oid.Tbl.mem renamed o || List.exists (Oid.Tbl.mem renamed) refs
+      else if
+        Oid.Tbl.mem renamed o
+        || List.exists (fun (o', _) -> Oid.Tbl.mem renamed o') refs
+        || List.exists (Oid.Tbl.mem renamed) hit_refs
       then rerender rd ~href g o
       else p
     in
@@ -394,7 +402,7 @@ let materialize ?(jobs = 1) ?cache ?file_loader
         match slots.(i) with
         | Some (S_hit (p, refs)) ->
           incr sl_hits;
-          settle_page o p refs ~placeholder:false
+          settle_page o p ~hit_refs:refs ~placeholder:false ()
         | Some (S_fresh (r, report, stale)) ->
           if stale then incr sl_inval else incr sl_miss;
           (* placeholders never enter the cache: their empty read
@@ -407,7 +415,8 @@ let materialize ?(jobs = 1) ?cache ?file_loader
            | Some rep ->
              sl_reports := { rep with Fault.f_location = href o } :: !sl_reports
            | None -> ());
-          settle_page o r.G.r_page r.G.r_refs ~placeholder:(report <> None)
+          settle_page o r.G.r_page ~refs:r.G.r_refs
+            ~placeholder:(report <> None) ()
         | None -> assert false  (* Pool.iter re-raised before settling *)
       done;
       (match cache with

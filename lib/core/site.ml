@@ -75,28 +75,17 @@ let parse_queries def =
 (** Evaluate the definition's queries over [data] into one site graph;
     returns the graph, the shared Skolem scope, per-query schemas and
     evaluator statistics. *)
-let build_site_graph ?scope ?into def (data : Graph.t) =
+let build_site_graph ?scope def (data : Graph.t) =
   let queries = parse_queries def in
   let scope = match scope with Some s -> s | None -> Skolem.create () in
-  let site_graph =
-    match into with
-    | Some g -> g
-    | None -> Graph.create ~name:def.name ()
-  in
   let options =
     { Struql.Eval.default_options with
       strategy = def.strategy;
       registry = def.registry }
   in
-  let stats =
-    List.map
-      (fun (_, q) ->
-        let _, prof =
-          Struql.Exec.run_with_profile ~options ~scope ~into:site_graph data
-            q
-        in
-        prof)
-      queries
+  let site_graph, stats =
+    Struql.Exec.run_all ~options ~scope ~name:def.name data
+      (List.map snd queries)
   in
   let schemas =
     List.map (fun (n, q) -> (n, Schema.Site_schema.of_query q)) queries

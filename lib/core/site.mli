@@ -57,7 +57,6 @@ val parse_queries : definition -> (string * Struql.Ast.query) list
 
 val build_site_graph :
   ?scope:Skolem.t ->
-  ?into:Graph.t ->
   definition ->
   Graph.t ->
   Graph.t * Skolem.t * (string * Schema.Site_schema.t) list

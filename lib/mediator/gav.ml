@@ -187,15 +187,8 @@ let integrate ?(options = Eval.default_options)
       r
   in
   let mediated = Graph.create ~name:graph_name () in
-  let merged = lazy (
-    let g = Graph.create ~name:"all-sources" () in
-    List.iter
-      (fun s ->
-        match get_source s with
-        | Some src -> Graph.merge_into ~dst:g ~src
-        | None -> ())
-      sources;
-    g)
+  let merged =
+    lazy (Graph.union ~name:"all-sources" (List.filter_map get_source sources))
   in
   let n = List.length mappings in
   let prev =

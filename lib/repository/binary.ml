@@ -206,10 +206,10 @@ let decode ?(indexed = true) (s : string) : Graph.t =
     if i < 0 || i >= nstrings then raise (Corrupt ("string index", r.pos));
     strings.(i)
   in
-  let g = Graph.create ~indexed ~name:(str (get_varint r)) () in
+  let g = Graph.Loader.create ~indexed ~name:(str (get_varint r)) () in
   let nnodes = get_varint r in
   let nodes = Array.init nnodes (fun _ -> Oid.fresh (str (get_varint r))) in
-  Array.iter (Graph.add_node g) nodes;
+  Array.iter (Graph.Loader.add_node g) nodes;
   let node i =
     if i < 0 || i >= nnodes then raise (Corrupt ("node index", r.pos));
     nodes.(i)
@@ -219,20 +219,21 @@ let decode ?(indexed = true) (s : string) : Graph.t =
     let src = node (get_varint r) in
     let label = str (get_varint r) in
     match get_varint r with
-    | 0 -> Graph.add_edge g src label (Graph.N (node (get_varint r)))
-    | 1 -> Graph.add_edge g src label (Graph.V (get_value r strings))
+    | 0 -> Graph.Loader.add_edge g src label (Graph.N (node (get_varint r)))
+    | 1 -> Graph.Loader.add_edge g src label (Graph.V (get_value r strings))
     | t -> raise (Corrupt (Printf.sprintf "unknown target tag %d" t, r.pos))
   done;
   let ncolls = get_varint r in
   for _ = 1 to ncolls do
     let cname = str (get_varint r) in
+    Graph.Loader.declare_collection g cname;
     let nmembers = get_varint r in
     for _ = 1 to nmembers do
-      Graph.add_to_collection g cname (node (get_varint r))
+      Graph.Loader.add_to_collection g cname (node (get_varint r))
     done
   done;
   if r.pos <> String.length s then raise (Corrupt ("trailing bytes", r.pos));
-  g
+  Graph.Loader.finish g
 
 (* --- file helpers --- *)
 

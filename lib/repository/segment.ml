@@ -671,9 +671,9 @@ let to_graph ?(indexed = true) ?name t =
       | Some n -> n
       | None -> "segment")
   in
-  let g = Graph.create ~indexed ~name () in
+  let g = Graph.Loader.create ~indexed ~name () in
   let nodes = Array.init t.geo.n_nodes (fun i -> Oid.fresh (node_name t i)) in
-  Array.iter (Graph.add_node g) nodes;
+  Array.iter (Graph.Loader.add_node g) nodes;
   let by_seq l =
     List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev l)
   in
@@ -681,16 +681,17 @@ let to_graph ?(indexed = true) ?name t =
   iter_edges t (fun seq i l tgt -> edges := (seq, (i, l, tgt)) :: !edges);
   List.iter
     (fun (_, (i, l, tgt)) ->
-      Graph.add_edge g nodes.(i) l
+      Graph.Loader.add_edge g nodes.(i) l
         (match tgt with
          | T_node j -> Graph.N nodes.(j)
          | T_value v -> Graph.V v))
     (by_seq !edges);
+  List.iter (Graph.Loader.declare_collection g) (collections t);
   iter_members t (fun seq c i -> members := (seq, (c, i)) :: !members);
   List.iter
-    (fun (_, (c, i)) -> Graph.add_to_collection g c nodes.(i))
+    (fun (_, (c, i)) -> Graph.Loader.add_to_collection g c nodes.(i))
     (by_seq !members);
-  g
+  Graph.Loader.finish g
 
 let validate t =
   ignore (strings t);

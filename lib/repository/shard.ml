@@ -62,7 +62,7 @@ let partition spec g =
     match Hashtbl.find_opt shards k with
     | Some sg -> sg
     | None ->
-      let sg = Graph.create ~name:("shard:" ^ k) () in
+      let sg = Graph.Loader.create ~name:("shard:" ^ k) () in
       Hashtbl.add shards k sg;
       order := k :: !order;
       sg
@@ -73,20 +73,22 @@ let partition spec g =
     (fun o ->
       let sg = shard_of (key o) in
       Oid.Tbl.replace home o sg;
-      Graph.add_node sg o)
+      Graph.Loader.add_node sg o)
     nodes;
   List.iter
     (fun o ->
       let sg = Oid.Tbl.find home o in
-      List.iter (fun (l, t) -> Graph.add_edge sg o l t) (Graph.out_edges g o))
+      List.iter
+        (fun (l, t) -> Graph.Loader.add_edge sg o l t)
+        (Graph.out_edges g o))
     nodes;
   List.iter
     (fun c ->
       List.iter
-        (fun o -> Graph.add_to_collection (Oid.Tbl.find home o) c o)
+        (fun o -> Graph.Loader.add_to_collection (Oid.Tbl.find home o) c o)
         (Graph.collection g c))
     (Graph.collections g);
-  List.rev_map (fun k -> (k, Hashtbl.find shards k)) !order
+  List.rev_map (fun k -> (k, Graph.Loader.finish (Hashtbl.find shards k))) !order
 
 (* --- manifest --- *)
 
@@ -368,13 +370,13 @@ let open_dir ?(verify = true) ~dir () =
   let gids =
     List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) node_tbl [])
   in
-  let union = Graph.create ~name:m.m_graph () in
+  let union = Graph.Loader.create ~name:m.m_graph () in
   let oid_of = Hashtbl.create (max 16 (List.length gids)) in
   List.iter
     (fun gid ->
       let o = Oid.fresh (Hashtbl.find node_tbl gid) in
       Hashtbl.add oid_of gid o;
-      Graph.add_node union o)
+      Graph.Loader.add_node union o)
     gids;
   let resolve s i = Hashtbl.find oid_of (Segment.node_gid s i) in
   let target s = function
@@ -388,7 +390,7 @@ let open_dir ?(verify = true) ~dir () =
           edges := (seq, resolve s i, l, target s tgt) :: !edges))
     segs;
   let edges = List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !edges in
-  List.iter (fun (_, src, l, t) -> Graph.add_edge union src l t) edges;
+  List.iter (fun (_, src, l, t) -> Graph.Loader.add_edge union src l t) edges;
   let members = ref [] in
   List.iter
     (fun (_, s) ->
@@ -396,5 +398,5 @@ let open_dir ?(verify = true) ~dir () =
           members := (seq, c, resolve s i) :: !members))
     segs;
   let members = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !members in
-  List.iter (fun (_, c, o) -> Graph.add_to_collection union c o) members;
-  { sn_epoch = m.m_epoch; sn_manifest = m; sn_union = union }
+  List.iter (fun (_, c, o) -> Graph.Loader.add_to_collection union c o) members;
+  { sn_epoch = m.m_epoch; sn_manifest = m; sn_union = Graph.Loader.finish union }

@@ -97,16 +97,11 @@ let of_query q = decompose (Site_schema.of_query q)
     original query's site graph. *)
 let run_all ?(options = Eval.default_options) (pieces : piece list)
     (data : Sgraph.Graph.t) : Sgraph.Graph.t =
-  let scope = Sgraph.Skolem.create () in
-  let out =
-    Sgraph.Graph.create
-      ~name:(match pieces with p :: _ -> p.query.Ast.output | [] -> "out")
-      ()
-  in
-  List.iter
-    (fun p -> ignore (Exec.run ~options ~scope ~into:out data p.query))
-    pieces;
-  out
+  fst
+    (Exec.run_all ~options
+       ~name:(match pieces with p :: _ -> p.query.Ast.output | [] -> "out")
+       data
+       (List.map (fun p -> p.query) pieces))
 
 let pp ppf (pieces : piece list) =
   List.iter

@@ -229,11 +229,11 @@ let check_site (g : Graph.t) (c : constraint_) : verdict =
            (Graph.label_extent g l))
   | Acyclic_links l ->
     (* restrict the graph to l-labeled edges and test for cycles *)
-    let sub = Graph.create ~name:"sub" () in
+    let sub = Graph.Loader.create ~name:"sub" () in
     Graph.iter_edges
-      (fun src lab tgt -> if lab = l then Graph.add_edge sub src lab tgt)
+      (fun src lab tgt -> if lab = l then Graph.Loader.add_edge sub src lab tgt)
       g;
-    if Algo.is_dag sub then Holds
+    if Algo.is_dag (Graph.Loader.finish sub) then Holds
     else Violated [ Fmt.str "cycle among %S links" l ]
 
 let check_all_site g cs = List.map (fun c -> (c, check_site g c)) cs

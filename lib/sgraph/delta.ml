@@ -296,20 +296,23 @@ let rebase ~old g =
     | Graph.N o -> Graph.N (stable o)
     | Graph.V _ as v -> v
   in
-  let g' = Graph.create ~indexed:(Graph.indexed g) ~name:(Graph.name g) () in
-  List.iter (fun o -> Graph.add_node g' (stable o)) (Graph.nodes g);
+  let g' =
+    Graph.Loader.create ~indexed:(Graph.indexed g) ~name:(Graph.name g) ()
+  in
+  List.iter (fun o -> Graph.Loader.add_node g' (stable o)) (Graph.nodes g);
   (* edges in insertion order, so label-extent, value-index and
      incoming-edge buckets keep [g]'s order, not a node-major one *)
   Graph.iter_edges_inserted
-    (fun src l tgt -> Graph.add_edge g' (stable src) l (stable_t tgt))
+    (fun src l tgt -> Graph.Loader.add_edge g' (stable src) l (stable_t tgt))
     g;
   List.iter
     (fun c ->
+      Graph.Loader.declare_collection g' c;
       List.iter
-        (fun o -> Graph.add_to_collection g' c (stable o))
+        (fun o -> Graph.Loader.add_to_collection g' c (stable o))
         (Graph.collection g c))
     (Graph.collections g);
-  g'
+  Graph.Loader.finish g'
 
 (* --- the recording mutator --- *)
 

@@ -99,7 +99,14 @@ type mem = { cid : int; mutable pos : int }
 type t = {
   gname : string;
   use_index : bool;
-  slot : int Oid.Tbl.t;  (* live nodes only *)
+  (* the node set, as the edge set: each live slot chained from
+     [s_heads] by its oid id's low bits.  A lookup allocates and raises
+     nothing (an [Oid.Tbl] allocates an option per hit), and ids are
+     minted in sequence, so nodes added in order sit in order in the
+     heads and in [s_id] *)
+  mutable s_heads : int array;
+  mutable s_next : int array;
+  mutable s_id : int array;
   mutable s_oid : Oid.t array;
   mutable s_out : vec array;  (* edge ids; [gone] for a removed node *)
   mutable s_in : vec array;  (* incoming edge ids, when indexed *)
@@ -149,7 +156,9 @@ let create ?(indexed = true) ?(name = "g") () =
   {
     gname = name;
     use_index = indexed;
-    slot = Oid.Tbl.create 64;
+    s_heads = Array.make 16 (-1);
+    s_next = [||];
+    s_id = [||];
     s_oid = [||];
     s_out = [||];
     s_in = [||];
@@ -210,28 +219,64 @@ let grow a n fill =
 
 (* --- nodes --- *)
 
+let node_head g id = id land (Array.length g.s_heads - 1)
+
+(* closed, so a probe allocates no closure *)
+let rec slot_from g id s =
+  if s < 0 || g.s_id.(s) = id then s else slot_from g id g.s_next.(s)
+
 let slot_find g o =
-  match Oid.Tbl.find_opt g.slot o with Some s -> s | None -> -1
+  let id = Oid.id o in
+  slot_from g id g.s_heads.(node_head g id)
+
+let chain_node g s =
+  let h = node_head g g.s_id.(s) in
+  g.s_next.(s) <- g.s_heads.(h);
+  g.s_heads.(h) <- s
+
+let unchain_node g s =
+  let h = node_head g g.s_id.(s) in
+  if g.s_heads.(h) = s then g.s_heads.(h) <- g.s_next.(s)
+  else begin
+    let rec go p =
+      let q = g.s_next.(p) in
+      if q = s then g.s_next.(p) <- g.s_next.(s) else go q
+    in
+    go g.s_heads.(h)
+  end
+
+(* Chain every live slot again, into [size] heads. *)
+let rehash_nodes g size =
+  g.s_heads <- Array.make size (-1);
+  for s = 0 to g.n_slots - 1 do
+    if g.s_out.(s) != gone then chain_node g s
+  done
 
 let add_slot g o =
   touch g;
   let s = g.n_slots in
   if s = Array.length g.s_oid then begin
     g.s_oid <- grow g.s_oid s o;
+    g.s_id <- grow g.s_id s 0;
+    g.s_next <- grow g.s_next s 0;
     g.s_out <- grow g.s_out s nil;
     g.s_in <- grow g.s_in s nil;
     g.s_coll <- grow g.s_coll s []
   end;
   g.s_oid.(s) <- o;
+  g.s_id.(s) <- Oid.id o;
   g.n_slots <- s + 1;
   g.n_nodes <- g.n_nodes + 1;
-  Oid.Tbl.add g.slot o s;
+  if g.n_nodes > Array.length g.s_heads then
+    rehash_nodes g (2 * Array.length g.s_heads)
+  else chain_node g s;
   if Stbl.mem g.names (Oid.name o) then g.names_shared <- true
   else Stbl.add g.names (Oid.name o) o;
   s
 
 let slot_of g o =
-  match Oid.Tbl.find_opt g.slot o with Some s -> s | None -> add_slot g o
+  let s = slot_find g o in
+  if s >= 0 then s else add_slot g o
 
 let add_node g o = ignore (slot_of g o)
 
@@ -242,7 +287,7 @@ let new_node g hint =
 
 let mem_node g o =
   observe g __POS__;
-  Oid.Tbl.mem g.slot o
+  slot_find g o >= 0
 
 let nodes g =
   observe g __POS__;
@@ -344,13 +389,12 @@ let hash s lab tk =
 
 let head g s lab tk = hash s lab tk land (Array.length g.heads - 1)
 
-let find_edge g s lab tk =
-  let rec go e =
-    if e < 0 then -1
-    else if g.e_src.(e) = s && g.e_lab.(e) = lab && g.e_tk.(e) = tk then e
-    else go g.e_next.(e)
-  in
-  go g.heads.(head g s lab tk)
+let rec find_from g s lab tk e =
+  if e < 0 then -1
+  else if g.e_src.(e) = s && g.e_lab.(e) = lab && g.e_tk.(e) = tk then e
+  else find_from g s lab tk g.e_next.(e)
+
+let find_edge g s lab tk = find_from g s lab tk g.heads.(head g s lab tk)
 
 let chain g e =
   let h = head g g.e_src.(e) g.e_lab.(e) g.e_tk.(e) in
@@ -371,7 +415,8 @@ let has_edge g src l tgt =
   observe g __POS__;
   edge_id g src l tgt >= 0
 
-let link_edge g s lab tk tgt =
+(* Append an edge to the log and the edge set, leaving the buckets. *)
+let log_edge g s lab tk tgt =
   touch g;
   let e = g.n_log in
   if e = Array.length g.e_src then begin
@@ -389,22 +434,26 @@ let link_edge g s lab tk tgt =
   g.n_edges <- g.n_edges + 1;
   if g.n_edges > Array.length g.heads then rehash g (2 * Array.length g.heads)
   else chain g e;
+  if tk land 1 = 1 then g.v_refs.(tk lsr 1) <- g.v_refs.(tk lsr 1) + 1;
+  e
+
+let link_edge g s lab tk tgt =
+  let e = log_edge g s lab tk tgt in
   push (own g.s_out s) e;
-  let value = tk land 1 = 1 in
-  if value then g.v_refs.(tk lsr 1) <- g.v_refs.(tk lsr 1) + 1;
   if g.use_index then begin
     push (own g.l_ext lab) e;
-    push (if value then own g.v_in (tk lsr 1) else own g.s_in (tk lsr 1)) e
+    push (if tk land 1 = 1 then own g.v_in (tk lsr 1) else own g.s_in (tk lsr 1)) e
   end
 
-(* [s] and [lab] already resolved: the source is a node of [g]. *)
-let add_edge_at g s lab tgt =
-  let tk = tk_of g tgt in
-  if find_edge g s lab tk < 0 then link_edge g s lab tk tgt
-
-let add_edge g src l tgt =
+(* The edge unless [g] has it, entered by [file] (into the log and
+   the buckets, or the log alone while a loader runs). *)
+let add_edge_with file g src l tgt =
   let s = slot_of g src in
-  add_edge_at g s (label_of g l) tgt
+  let lab = label_of g l in
+  let tk = tk_of g tgt in
+  if find_edge g s lab tk < 0 then file g s lab tk tgt
+
+let add_edge g src l tgt = add_edge_with link_edge g src l tgt
 
 let live_edge g e = if g.e_lab.(e) >= 0 then e else -1
 
@@ -447,6 +496,9 @@ let live_ids g v =
   !acc
 
 let membership g s cid = List.find_opt (fun m -> m.cid = cid) g.s_coll.(s)
+
+let rec holds cid = function [] -> false | m :: ms -> m.cid = cid || holds cid ms
+let is_member g s cid = holds cid g.s_coll.(s)
 
 (* Drop a collection's dead member entries, in order, mapping each
    survivor's slot through [slot].  A node's live entry is its last one
@@ -505,10 +557,10 @@ let compact g =
       remap g.s_in.(s);
       if s' < s then begin
         g.s_oid.(s') <- g.s_oid.(s);
+        g.s_id.(s') <- g.s_id.(s);
         g.s_out.(s') <- g.s_out.(s);
         g.s_in.(s') <- g.s_in.(s);
-        g.s_coll.(s') <- g.s_coll.(s);
-        Oid.Tbl.replace g.slot g.s_oid.(s') s'
+        g.s_coll.(s') <- g.s_coll.(s)
       end
     end
   done;
@@ -523,7 +575,8 @@ let compact g =
   for i = 0 to g.n_values - 1 do
     remap g.v_in.(i)
   done;
-  rehash g (Array.length g.heads)
+  rehash g (Array.length g.heads);
+  rehash_nodes g (Array.length g.s_heads)
 
 let maybe_compact g =
   let garbage = g.n_log - g.n_edges + (g.n_slots - g.n_nodes) in
@@ -672,15 +725,19 @@ let coll_of g c =
 
 let declare_collection g c = ignore (coll_of g c)
 
-let add_to_collection g c o =
+(* [o] joins [c] unless it is a member; [fill] stores its slot in the
+   member vector, else only the vector's length counts it. *)
+let join ~fill g c o =
   let s = slot_of g o in
   let cid = coll_of g c in
-  if Option.is_none (membership g s cid) then begin
+  if not (is_member g s cid) then begin
     touch g;
     let v = g.c_mem.(cid) in
     g.s_coll.(s) <- { cid; pos = v.n } :: g.s_coll.(s);
-    push v s
+    if fill then push v s else v.n <- v.n + 1
   end
+
+let add_to_collection g c o = join ~fill:true g c o
 
 let leave g s m =
   touch g;
@@ -703,7 +760,7 @@ let in_collection g c o =
   | None -> false
   | Some cid ->
     let s = slot_find g o in
-    s >= 0 && Option.is_some (membership g s cid)
+    s >= 0 && is_member g s cid
 
 let collection g c =
   observe g __POS__;
@@ -844,7 +901,7 @@ let remove_node g o =
     touch g;
     g.s_out.(s) <- gone;
     g.s_in.(s) <- nil;
-    Oid.Tbl.remove g.slot o;
+    unchain_node g s;
     g.n_nodes <- g.n_nodes - 1;
     (match Stbl.find_opt g.names (Oid.name o) with
      | Some o' when Oid.equal o o' -> Stbl.remove g.names (Oid.name o)
@@ -862,32 +919,115 @@ let set_collection g c members =
   List.iter (fun o -> remove_from_collection g c o) (collection g c);
   List.iter (fun o -> add_to_collection g c o) members
 
-let merge_into ~dst ~src =
-  List.iter (fun o -> add_node dst o) (nodes src);
-  let lab = Array.make src.n_labels (-1) in
-  for s = 0 to src.n_slots - 1 do
-    let v = src.s_out.(s) in
-    if v != gone && v.n > v.dead then begin
-      let d = slot_of dst src.s_oid.(s) in
-      for i = 0 to v.n - 1 do
-        let e = v.a.(i) in
-        let l = src.e_lab.(e) in
-        if l >= 0 then begin
-          if lab.(l) < 0 then lab.(l) <- label_of dst src.l_name.(l);
-          add_edge_at dst d lab.(l) src.e_tgt.(e)
-        end
-      done
-    end
-  done;
-  List.iter
-    (fun c -> List.iter (fun o -> add_to_collection dst c o) (collection src c))
-    (collections src)
+(* --- the bulk loader ---
 
-let copy ?name g =
-  let name = match name with Some n -> n | None -> g.gname in
-  let g' = create ~indexed:g.use_index ~name () in
-  merge_into ~dst:g' ~src:g;
-  g'
+   A graph that starts empty and is only written until it is returned
+   is built in two phases.  Events assign slots, label ids and value
+   ids and enter the edge log and edge set as [add_edge] does, and a
+   membership takes its place in its node's list; no bucket is touched.
+   [finish] then sizes every bucket exactly from the log and fills each
+   in log order, which is the order one-at-a-time insertion gives. *)
+
+module Loader = struct
+  type graph = t
+  type nonrec t = { lg : graph; mutable spent : bool }
+
+  let create ?indexed ?name () = { lg = create ?indexed ?name (); spent = false }
+
+  let live ld =
+    if ld.spent then invalid_arg "Graph.Loader: used after finish";
+    ld.lg
+
+  let add_node ld o = add_node (live ld) o
+
+  let log g s lab tk tgt = ignore (log_edge g s lab tk tgt)
+  let add_edge ld src l tgt = add_edge_with log (live ld) src l tgt
+
+  let declare_collection ld c = declare_collection (live ld) c
+  let add_to_collection ld c o = join ~fill:false (live ld) c o
+
+  (* [f bs i e] for every bucket [bs.(i)] log entry [e] belongs to *)
+  let buckets g f e =
+    f g.s_out g.e_src.(e) e;
+    if g.use_index then begin
+      f g.l_ext g.e_lab.(e) e;
+      let tk = g.e_tk.(e) in
+      f (if tk land 1 = 1 then g.v_in else g.s_in) (tk lsr 1) e
+    end
+
+  let count bs i _ =
+    let v = bs.(i) in
+    if v == nil then bs.(i) <- { a = [||]; n = 1; dead = 0 } else v.n <- v.n + 1
+
+  (* a counted bucket gets its array at its first entry *)
+  let fill bs i e =
+    let v = bs.(i) in
+    if Array.length v.a = 0 then begin
+      v.a <- Array.make v.n 0;
+      v.n <- 0
+    end;
+    v.a.(v.n) <- e;
+    v.n <- v.n + 1
+
+  let finish ld =
+    let g = live ld in
+    ld.spent <- true;
+    for e = 0 to g.n_log - 1 do
+      buckets g count e
+    done;
+    for e = 0 to g.n_log - 1 do
+      buckets g fill e
+    done;
+    for c = 0 to g.n_colls - 1 do
+      let v = g.c_mem.(c) in
+      v.a <- Array.make v.n 0
+    done;
+    for s = 0 to g.n_slots - 1 do
+      List.iter (fun m -> g.c_mem.(m.cid).a.(m.pos) <- s) g.s_coll.(s)
+    done;
+    g
+
+  (* [src]'s nodes in order, its edges in log order, then its
+     collections in order with their members. *)
+  let replay ld src =
+    let g = live ld in
+    let smap = Array.make src.n_slots (-1) in
+    for s = 0 to src.n_slots - 1 do
+      if src.s_out.(s) != gone then smap.(s) <- slot_of g src.s_oid.(s)
+    done;
+    let lmap = Array.make src.n_labels (-1)
+    and vmap = Array.make src.n_values (-1) in
+    for e = 0 to src.n_log - 1 do
+      let l = src.e_lab.(e) in
+      if l >= 0 then begin
+        if lmap.(l) < 0 then lmap.(l) <- label_of g src.l_name.(l);
+        let tk = src.e_tk.(e) and tgt = src.e_tgt.(e) in
+        let i = tk lsr 1 in
+        let tk =
+          if tk land 1 = 0 then smap.(i) lsl 1
+          else begin
+            if vmap.(i) < 0 then vmap.(i) <- tk_of g tgt lsr 1;
+            (vmap.(i) lsl 1) lor 1
+          end
+        in
+        let s = smap.(src.e_src.(e)) in
+        if find_edge g s lmap.(l) tk < 0 then log g s lmap.(l) tk tgt
+      end
+    done;
+    List.iter
+      (fun c ->
+        declare_collection ld c;
+        List.iter (add_to_collection ld c) (collection src c))
+      (collections src)
+end
+
+let union ~name gs =
+  let indexed = match gs with g :: _ -> g.use_index | [] -> true in
+  let ld = Loader.create ~indexed ~name () in
+  List.iter (Loader.replay ld) gs;
+  Loader.finish ld
+
+let copy ?name g = union ~name:(Option.value name ~default:g.gname) [ g ]
 
 let pp_stats ppf g =
   observe g __POS__;

@@ -194,10 +194,46 @@ val set_out_edges : t -> Oid.t -> (string * target) list -> unit
 val set_collection : t -> string -> Oid.t list -> unit
 (** Replace a collection's extent with exactly [members], in order. *)
 
+val union : name:string -> t list -> t
+(** A fresh graph, indexed as the first graph is, built by a {!Loader}
+    from each graph in turn: its nodes in order, its edges in insertion
+    order, then its collections in order (an empty one too) with their
+    members.  Every
+    edge listing, collection and member list keeps the graphs' order,
+    a node, edge or membership they share entering where it first
+    occurs.  Objects are shared, not copied (graphs of one database
+    may share objects). *)
+
 val copy : ?name:string -> t -> t
-val merge_into : dst:t -> src:t -> unit
-(** Adds all nodes, edges and collections of [src] to [dst] (objects are
-    shared, not copied — graphs of one database may share objects). *)
+(** [union] of the graph alone, under its own name by default. *)
+
+(** {1 Bulk loading}
+
+    The one way to build a graph that starts empty and is only written
+    until it is returned (a construction's fresh output, a copy, a
+    union, a read-back).  Events assign slots, label ids and value ids
+    and deduplicate edges as they arrive, as the per-event calls do;
+    {!finish} then sizes every bucket (out-edges, incoming edges, label
+    extents, the value index, member vectors) exactly and fills each
+    in event order.  The result equals the graph the same events give
+    one at a time through {!add_node}, {!add_edge},
+    {!declare_collection} and {!add_to_collection}, in every listing
+    and in its {!generation}.  Nothing can read the graph before
+    [finish]. *)
+module Loader : sig
+  type graph := t
+  type t
+
+  val create : ?indexed:bool -> ?name:string -> unit -> t
+  val add_node : t -> Oid.t -> unit
+  val add_edge : t -> Oid.t -> string -> target -> unit
+  val declare_collection : t -> string -> unit
+  val add_to_collection : t -> string -> Oid.t -> unit
+
+  val finish : t -> graph
+  (** The loaded graph.  The loader is spent: any further call raises
+      [Invalid_argument]. *)
+end
 
 val pp_stats : Format.formatter -> t -> unit
 

@@ -383,7 +383,7 @@ let emitter t ~apply =
   }
 
 let sink t ~apply =
-  { Eval.out = t.sg; scope = t.scope; emit = Some (emitter t ~apply) }
+  { Eval.out = Eval.Live t.sg; scope = t.scope; emit = Some (emitter t ~apply) }
 
 (* Evaluate one block over per-driver input rows and construct, in
    cold block-major order: all of this block's rows (drivers in extent

@@ -107,13 +107,12 @@ let rec exec_cond g reg env (c : Plan.ccond) : env list =
   | Plan.CC_in (t, vs) ->
     (match term_binding env t with
      | Some b ->
-       let v =
-         match b with
-         | B_target (Graph.V v) -> v
-         | B_label l -> Value.String l
-         | B_target (Graph.N _) -> Value.Null
-       in
-       if List.exists (Value.coerce_equal v) vs then [ env ] else []
+       (* an object is in no value set: the scan below never binds one *)
+       let member v = List.exists (Value.coerce_equal v) vs in
+       (match b with
+        | B_target (Graph.V v) -> if member v then [ env ] else []
+        | B_label l -> if member (Value.String l) then [ env ] else []
+        | B_target (Graph.N _) -> [])
      | None ->
        (match t with
         | Ast.T_var var ->
@@ -349,35 +348,54 @@ type emitter = {
   em_coll : string -> Oid.t -> unit;
 }
 
-(** The construction sinks: the output graph and the Skolem scope that
+(** Where construction writes: a graph that is read or mutated while
+    it is written, or a loader building a fresh one. *)
+type out = Live of Graph.t | Fresh of Graph.Loader.t
+
+(** The construction sinks: the output and the Skolem scope that
     names the nodes it creates.  {!Exec} feeds rows into it one at a
     time.  An optional {!emitter} observes (and may replace) the
     writes. *)
 type cons = {
-  out : Graph.t;
+  out : out;
   scope : Skolem.t;
   emit : emitter option;
 }
 
+let out_node out o =
+  match out with
+  | Live g -> Graph.add_node g o
+  | Fresh ld -> Graph.Loader.add_node ld o
+
+let out_edge out src l tgt =
+  match out with
+  | Live g -> Graph.add_edge g src l tgt
+  | Fresh ld -> Graph.Loader.add_edge ld src l tgt
+
+let out_coll out c o =
+  match out with
+  | Live g -> Graph.add_to_collection g c o
+  | Fresh ld -> Graph.Loader.add_to_collection ld c o
+
 let sink_node sink o =
   match sink.emit with
-  | None -> Graph.add_node sink.out o
+  | None -> out_node sink.out o
   | Some e ->
-    if e.em_apply then Graph.add_node sink.out o;
+    if e.em_apply then out_node sink.out o;
     e.em_node o
 
 let sink_edge sink src l tgt =
   match sink.emit with
-  | None -> Graph.add_edge sink.out src l tgt
+  | None -> out_edge sink.out src l tgt
   | Some e ->
-    if e.em_apply then Graph.add_edge sink.out src l tgt;
+    if e.em_apply then out_edge sink.out src l tgt;
     e.em_edge src l tgt
 
 let sink_coll sink c o =
   match sink.emit with
-  | None -> Graph.add_to_collection sink.out c o
+  | None -> out_coll sink.out c o
   | Some e ->
-    if e.em_apply then Graph.add_to_collection sink.out c o;
+    if e.em_apply then out_coll sink.out c o;
     e.em_coll c o
 
 (* --- Aggregation (the §5.2 grouping/aggregation extension) ---

@@ -62,10 +62,15 @@ type emitter = {
   em_coll : string -> Oid.t -> unit;
 }
 
-(** The construction sinks: the output graph and the Skolem scope that
-    names the nodes it creates, plus an optional observing emitter. *)
+(** Where construction writes: a graph that is read or mutated while
+    it is written (a maintained or click-time graph, or the data graph
+    itself), or a loader building a fresh one. *)
+type out = Live of Graph.t | Fresh of Graph.Loader.t
+
+(** The construction sinks: the output and the Skolem scope that names
+    the nodes it creates, plus an optional observing emitter. *)
 type cons = {
-  out : Graph.t;
+  out : out;
   scope : Skolem.t;
   emit : emitter option;
 }

@@ -541,13 +541,10 @@ let classify_top rctx path (b : Ast.block) =
   | Plan.D_fallback why ->
     prof.prf_delta_fallback <- (path, why) :: prof.prf_delta_fallback
 
-let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
-    ?into ?emit g (q : Ast.query) =
+(* One query into [out]; [materialize_all] when [out] is the data graph. *)
+let eval_query ~options ~timed ~scope ?emit ~out ~materialize_all g
+    (q : Ast.query) =
   if options.Eval.validate then Check.validate_exn q;
-  let out =
-    match into with Some g' -> g' | None -> Graph.create ~name:q.output ()
-  in
-  let scope = match scope with Some s -> s | None -> Skolem.create () in
   let prof =
     {
       prf_strategy = options.Eval.strategy;
@@ -570,7 +567,7 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
       strategy = options.Eval.strategy;
       timed;
       live = { cur = 0; peak = 0 };
-      materialize_all = out == g;
+      materialize_all;
       blocks_rev = ref [];
       plans = [];
       prof;
@@ -589,7 +586,32 @@ let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
   let k1 = Graph.kernel_counters g in
   prof.prf_kernel_hits <- k1.Graph.hits - k0.Graph.hits;
   prof.prf_kernel_misses <- k1.Graph.misses - k0.Graph.misses;
-  (out, prof)
+  prof
+
+let run_all ?(options = Eval.default_options) ?(timed = false) ?scope ?emit
+    ~name g qs =
+  let scope = match scope with Some s -> s | None -> Skolem.create () in
+  let ld = Graph.Loader.create ~name () in
+  let profs =
+    List.map
+      (eval_query ~options ~timed ~scope ?emit ~out:(Eval.Fresh ld)
+         ~materialize_all:false g)
+      qs
+  in
+  (Graph.Loader.finish ld, profs)
+
+let run_with_profile ?(options = Eval.default_options) ?(timed = false) ?scope
+    ?into ?emit g (q : Ast.query) =
+  match into with
+  | None -> (
+    match run_all ~options ~timed ?scope ?emit ~name:q.output g [ q ] with
+    | out, [ prof ] -> (out, prof)
+    | _ -> assert false)
+  | Some out ->
+    let scope = match scope with Some s -> s | None -> Skolem.create () in
+    ( out,
+      eval_query ~options ~timed ~scope ?emit ~out:(Eval.Live out)
+        ~materialize_all:(out == g) g q )
 
 let run ?options ?scope ?into ?emit g q =
   fst (run_with_profile ?options ?scope ?into ?emit g q)

@@ -156,7 +156,8 @@ val run :
     across composed queries; [into] adds to an existing output graph
     (§5.2: "we allowed queries to add nodes and arcs to a graph").
     Without them, a fresh scope and a fresh graph named after the
-    query's OUTPUT are used.  [emit] observes every construction event
+    query's OUTPUT are used, the graph built by a loader ({!run_all}).
+    [emit] observes every construction event
     in mutation order, a distinct Skolem term's node event once per row
     at its first use (the mediator records a mapping's construction
     through it).  Peak memory is bounded by per-row fanout
@@ -176,6 +177,19 @@ val run_with_profile :
 (** [run] with a per-operator profile.  [timed] (default [false])
     additionally measures per-operator elapsed time — it costs two
     clock reads per binding row, so leave it off on hot paths. *)
+
+val run_all :
+  ?options:Eval.options ->
+  ?timed:bool ->
+  ?scope:Skolem.t ->
+  ?emit:Eval.emitter ->
+  name:string ->
+  Graph.t -> Ast.query list -> Graph.t * profile list
+(** Evaluate the queries in order over one data graph into one fresh
+    graph named [name], under one Skolem scope, with one profile per
+    query.  Construction feeds a {!Sgraph.Graph.Loader}, so the output
+    exists only once the last query is done; [run] without [into] is
+    [run_all] of the one query, named after its OUTPUT. *)
 
 val run_string :
   ?options:Eval.options ->

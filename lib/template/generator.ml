@@ -133,9 +133,11 @@ let default_anchor note g o =
 
 (* --- Template selection --- *)
 
-type compiled = { cache : (string, Tast.t) Hashtbl.t }
+(* Besides the template cache, the hrefs of the objects the page in
+   render links to, emptied for each page. *)
+type compiled = { cache : (string, Tast.t) Hashtbl.t; refs : string Oid.Tbl.t }
 
-let new_compiled () = { cache = Hashtbl.create 16 }
+let new_compiled () = { cache = Hashtbl.create 16; refs = Oid.Tbl.create 16 }
 
 let compile_cached c key text =
   match Hashtbl.find_opt c.cache key with
@@ -262,8 +264,7 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
         f (R_file (p, hash_file r));
         r
   in
-  let depth = ref 0 in
-  let embedding = Oid.Tbl.create 8 in
+  let embedding = ref [] in  (* the embed stack, innermost first *)
   let rec render_object ctx mode o' =
     match mode with
     | Teval.Link_to anchor ->
@@ -275,15 +276,16 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
       in
       Teval.render_link ~href ~anchor
     | Teval.Embed ->
-      if Oid.Tbl.mem embedding o' || !depth > max_embed_depth then
+      let stack = !embedding in
+      if List.exists (Oid.equal o') stack
+         || List.compare_length_with stack max_embed_depth > 0
+      then
         (* embedding cycle: fall back to a link *)
         render_object ctx (Teval.Link_to None) o'
       else begin
-        Oid.Tbl.add embedding o' ();
-        incr depth;
+        embedding := o' :: stack;
         let body = render_body ctx o' in
-        decr depth;
-        Oid.Tbl.remove embedding o';
+        embedding := stack;
         body
       end
   and render_body ctx o' =
@@ -318,9 +320,10 @@ type rendered = {
   r_reads : read list;
       (** the page's read set with result hashes, in read order (empty
           unless rendered with [~trace_reads:true]) *)
-  r_refs : Oid.t list;
-      (** internal objects the page links to, in first-reference order —
-          the demand edges page discovery follows *)
+  r_refs : (Oid.t * string) list;
+      (** internal objects the page links to, in first-reference order,
+          each with the href its links carry — the demand edges page
+          discovery follows *)
 }
 
 (** Render a single object's page without materializing the rest of the
@@ -343,14 +346,16 @@ let render_page_full ?(file_loader = fun _ -> None)
     if trace_reads then Some (fun r -> reads_rev := r :: !reads_rev)
     else None
   in
+  Oid.Tbl.reset compiled.refs;
   let refs_rev = ref [] in
-  let ref_seen = Oid.Tbl.create 8 in
   let link_url o' =
-    if not (Oid.Tbl.mem ref_seen o') then begin
-      Oid.Tbl.add ref_seen o' ();
-      refs_rev := o' :: !refs_rev
-    end;
-    href o'
+    match Oid.Tbl.find_opt compiled.refs o' with
+    | Some u -> u
+    | None ->
+      let u = href o' in
+      Oid.Tbl.add compiled.refs o' u;
+      refs_rev := (o', u) :: !refs_rev;
+      u
   in
   let r_page =
     render_object_page ?note ~link_url ~compiled ~file_loader ~templates g o

@@ -74,8 +74,10 @@ val hash_strings : string list -> int
 val hash_file : string option -> int
 
 type compiled
-(** Template-compilation cache; share one per rendering thread of
-    control (e.g. one per domain in the parallel render pool). *)
+(** Template-compilation cache, and the table that deduplicates a
+    page's refs, reused from page to page; share one per rendering
+    thread of control (e.g. one per domain in the parallel render
+    pool). *)
 
 val new_compiled : unit -> compiled
 
@@ -99,9 +101,11 @@ type rendered = {
   r_reads : read list;
       (** the page's read set with result hashes, in read order (empty
           unless rendered with [~trace_reads:true]) *)
-  r_refs : Oid.t list;
-      (** internal objects the page links to, in first-reference order —
-          the demand edges page discovery follows *)
+  r_refs : (Oid.t * string) list;
+      (** internal objects the page links to, in first-reference order,
+          each with the href its links carry (the [href] of the render,
+          asked once per object) — the demand edges page discovery
+          follows *)
 }
 
 val render_page_full :

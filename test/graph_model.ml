@@ -109,17 +109,35 @@ let edges_node_major m =
     (fun o -> List.map (fun (l, t) -> (o, l, t)) (out_edges m o))
     m.nodes
 
-let merge_into ~dst ~src =
-  List.iter (add_node dst) src.nodes;
-  List.iter (fun (s, l, t) -> add_edge dst s l t) (edges_node_major src);
-  List.iter
-    (fun (c, ms) -> List.iter (add_to_collection dst c) ms)
-    src.colls
-
-let copy m =
+(* each model in turn: its nodes, its edges in insertion order, then
+   its collections in order with their members *)
+let union ms =
   let m' = create () in
-  merge_into ~dst:m' ~src:m;
+  List.iter
+    (fun src ->
+      List.iter (add_node m') src.nodes;
+      List.iter (fun (s, l, t) -> add_edge m' s l t) src.edges;
+      List.iter
+        (fun (c, members) ->
+          declare_collection m' c;
+          List.iter (add_to_collection m' c) members)
+        src.colls)
+    ms;
   m'
+
+let copy m = union [ m ]
+
+(* the model with every node [o] replaced by [f o], a renaming that
+   keeps names *)
+let rename f m =
+  let tgt = function Graph.N o -> Graph.N (f o) | Graph.V _ as t -> t in
+  {
+    nodes = List.map f m.nodes;
+    edges = List.map (fun (s, l, t) -> (f s, l, tgt t)) m.edges;
+    colls = List.map (fun (c, ms) -> (c, List.map f ms)) m.colls;
+    labels = m.labels;
+    names = List.map (fun (n, o) -> (n, f o)) m.names;
+  }
 
 (* --- observables --- *)
 

@@ -31,7 +31,7 @@ type event = Ev_node of Oid.t | Ev_edge of Oid.t * string * Graph.target
 type scope = Compiled of Skolem.t | Reference of Oracle.scope
 
 type run = {
-  out : Graph.t;
+  mutable out : Graph.t;
   scope : scope;
   events : event list ref;  (* newest first *)
   mutable raised : string option;
@@ -68,7 +68,7 @@ let recorder r =
   }
 
 let compiled_sink r =
-  { Eval.out = r.out; scope = skolem r; emit = Some (recorder r) }
+  { Eval.out = Eval.Live r.out; scope = skolem r; emit = Some (recorder r) }
 
 let oracle_sink r =
   { Oracle.out = r.out; scope = reference r; emit = Some (recorder r) }
@@ -340,7 +340,9 @@ let options = { Eval.default_options with validate = false }
 
 let run_query engine data q =
   let r =
-    match engine with `Oracle -> oracle_run () | `Compiled -> compiled_run ()
+    match engine with
+    | `Oracle -> oracle_run ()
+    | `Compiled | `Fresh -> compiled_run ()
   in
   catching r (fun () ->
       match engine with
@@ -351,13 +353,24 @@ let run_query engine data q =
       | `Compiled ->
         ignore
           (Exec.run ~options ~scope:(skolem r) ~into:r.out ~emit:(recorder r)
-             data q));
+             data q)
+      | `Fresh ->
+        r.out <- Exec.run ~options ~scope:(skolem r) ~emit:(recorder r) data q);
   observe r
 
 let query_agrees (d, q) =
   let data, _ = build_data d in
   let o = run_query `Oracle data q and c = run_query `Compiled data q in
-  o = c || QCheck.Test.fail_report (diff o c)
+  (* the same run into a fresh output, which the bulk loader builds; a
+     run that raises returns no graph, so then only the error compares *)
+  let f = run_query `Fresh data q in
+  let f, c' =
+    match c with
+    | ("raised", [ _ ]) :: _ -> ([ List.hd f ], [ List.hd c ])
+    | _ -> (f, c)
+  in
+  (o = c || QCheck.Test.fail_report (diff o c))
+  && (f = c' || QCheck.Test.fail_reportf "into a graph / fresh: %s" (diff c' f))
 
 let arb_query =
   QCheck.make

@@ -131,6 +131,38 @@ let retry_recovers_without_fault () =
   check_int "three attempts" 3 !calls;
   check_int "no faults on eventual success" 0 (Fault.fault_count fault)
 
+(* Nodes a, b, c whose [t] edges went in as a, c, b: a node-major
+   replay would list the label's extent as a, b, c. *)
+let acb_graph name =
+  let g = Graph.create ~name () in
+  let a = Graph.new_node g "a" in
+  let b = Graph.new_node g "b" in
+  let c = Graph.new_node g "c" in
+  List.iter
+    (fun (o, v) -> Graph.add_edge g o "t" (Graph.V (Value.Int v)))
+    [ (a, 1); (c, 3); (b, 2) ];
+  g
+
+(* A site whose root page lists one page per [t] edge, in the label
+   extent's order. *)
+let t_scan_site =
+  Strudel.Site.define ~name:"tscan" ~root_family:"Root"
+    [
+      ( "scan",
+        {|{ CREATE Root() }
+{ WHERE x -> "t" -> v
+  CREATE P(x)
+  LINK Root() -> "p" -> P(x), P(x) -> "v" -> v
+  COLLECT Ps(P(x)) }
+OUTPUT Site|} );
+    ]
+
+let t_scan_pages data =
+  List.map
+    (fun p -> (p.Template.Generator.url, p.Template.Generator.html))
+    (Strudel.Site.build ~data t_scan_site).Strudel.Site.site
+      .Template.Generator.pages
+
 let stale_serves_snapshot () =
   let clock, _ = Fault.Clock.virtual_ () in
   let fault = Fault.ctx () in
@@ -153,7 +185,20 @@ let stale_serves_snapshot () =
   check_bool "cause mentions stale" true
     (Test_cli.contains
        (List.hd (Fault.reports fault)).Fault.f_cause
-       "stale snapshot (1 version(s) behind)")
+       "stale snapshot (1 version(s) behind)");
+  (* the stored snapshot lists every index as the live graph does, so a
+     site scanning a label builds the same pages from either *)
+  let s = Mediator.Source.make ~name:"acb" (fun () -> acb_graph "T") in
+  let live =
+    match Mediator.Source.load_with ~clock ~snapshots s with
+    | Some g -> g
+    | None -> Alcotest.fail "acb load failed"
+  in
+  let snapshot = Repository.Store.get snapshots "source:acb" in
+  check_bool "snapshot in every index order" true
+    (Shape.of_graph snapshot = Shape.of_graph live);
+  check_bool "same pages from the snapshot" true
+    (t_scan_pages snapshot = t_scan_pages live)
 
 let stale_age_exceeded_skips () =
   let clock, _ = Fault.Clock.virtual_ () in

@@ -216,13 +216,13 @@ let whole_graph =
         let d = Graph.new_node g' "d" in
         Graph.add_edge g' d "w" (Graph.V Value.Null);
         check_int "orig nodes" 3 (Graph.node_count g));
-    t "merge_into shares objects" (fun () ->
+    t "union shares objects" (fun () ->
         let g, a, _, _ = mk () in
         let h = Graph.create ~name:"h" () in
         let z = Graph.new_node h "z" in
         Graph.add_edge h z "to" (Graph.N a);
         (* a is shared between graphs *)
-        Graph.merge_into ~dst:h ~src:g;
+        let h = Graph.union ~name:"h" [ h; g ] in
         check_int "nodes" 4 (Graph.node_count h);
         check_int "edges" 6 (Graph.edge_count h);
         check_bool "shared" true (Graph.mem_node h a));
@@ -340,7 +340,7 @@ type gop =
   | Set_out of int * (int * int) list  (* source, (label, target)s *)
   | Set_members of int * int list
   | Copy
-  | Merge  (* the side graph into the main one *)
+  | Merge  (* the main graph becomes its union with the side graph *)
 
 let pp_gop ppf = function
   | Add_node i -> Fmt.pf ppf "add_node %d" i
@@ -434,21 +434,23 @@ let step main side (on_side, op) =
     p.g <- Graph.copy g;
     p.m <- Graph_model.copy m
   | Merge ->
-    Graph.merge_into ~dst:main.g ~src:side.g;
-    Graph_model.merge_into ~dst:main.m ~src:side.m
+    main.g <- Graph.union ~name:"main" [ main.g; side.g ];
+    main.m <- Graph_model.union [ main.m; side.m ]
 
 module M = Graph_model
 
 (* The first observable of the order contract that differs from the
-   model, if any. *)
-let mismatch p =
+   model, if any; [pool] names the nodes to probe (the node pool, or
+   its image in a read-back). *)
+let mismatch ?(pool = pool) p =
   let g = p.g and m = p.m in
   let found = ref None in
   let chk what a b = if !found = None && a <> b then found := Some what in
   let oids = Array.to_list pool and colls = Array.to_list pool_colls in
   let labels = "nope" :: Array.to_list pool_labels in
   let targets =
-    List.init (Array.length pool + Array.length pool_values) target
+    List.map (fun o -> Graph.N o) oids
+    @ List.map (fun v -> Graph.V v) (Array.to_list pool_values)
   in
   List.iter
     (fun o ->
@@ -542,6 +544,141 @@ let differential =
          script_arb (run_script ~indexed:false));
   ]
 
+(* --- the bulk loader against one-at-a-time insertion ---
+
+   Random event scripts (duplicate edges, values shared by many edges,
+   repeated memberships, nodes sharing a name) go through a loader and
+   through the per-event calls: both must equal the list model in every
+   observable, and agree on [names_shared] and the generation. *)
+
+type lev =
+  | L_node of int
+  | L_edge of int * int * int
+  | L_member of int * int
+  | L_declare of int
+
+let pp_lev ppf = function
+  | L_node i -> Fmt.pf ppf "node %d" i
+  | L_edge (a, l, t) -> Fmt.pf ppf "edge %d %d %d" a l t
+  | L_member (c, i) -> Fmt.pf ppf "member %d %d" c i
+  | L_declare c -> Fmt.pf ppf "declare %d" c
+
+let load_script_arb =
+  let open QCheck.Gen in
+  let node = int_bound (Array.length pool - 1)
+  and label = int_bound (Array.length pool_labels - 1)
+  and tgt = int_bound (Array.length pool + Array.length pool_values - 1)
+  and coll = int_bound (Array.length pool_colls - 1) in
+  QCheck.make
+    ~print:(Fmt.str "%a" Fmt.(list ~sep:semi pp_lev))
+    (list_size (int_range 0 120)
+       (frequency
+          [
+            (2, map (fun i -> L_node i) node);
+            (8, map3 (fun a l t -> L_edge (a, l, t)) node label tgt);
+            (3, map2 (fun c i -> L_member (c, i)) coll node);
+            (1, map (fun c -> L_declare c) coll);
+          ]))
+
+let load_equals_inserting ~indexed script =
+  let g = Graph.create ~indexed () and m = M.create () in
+  let ld = Graph.Loader.create ~indexed () in
+  let node = Array.get pool
+  and label = Array.get pool_labels
+  and coll = Array.get pool_colls in
+  List.iter
+    (function
+      | L_node i ->
+        Graph.add_node g (node i);
+        Graph.Loader.add_node ld (node i);
+        M.add_node m (node i)
+      | L_edge (a, l, t) ->
+        Graph.add_edge g (node a) (label l) (target t);
+        Graph.Loader.add_edge ld (node a) (label l) (target t);
+        M.add_edge m (node a) (label l) (target t)
+      | L_member (c, i) ->
+        Graph.add_to_collection g (coll c) (node i);
+        Graph.Loader.add_to_collection ld (coll c) (node i);
+        M.add_to_collection m (coll c) (node i)
+      | L_declare c ->
+        Graph.declare_collection g (coll c);
+        Graph.Loader.declare_collection ld (coll c);
+        M.declare_collection m (coll c))
+    script;
+  let loaded = Graph.Loader.finish ld in
+  match (mismatch { g; m }, mismatch { g = loaded; m }) with
+  | Some what, _ -> QCheck.Test.fail_reportf "inserting: %s differs" what
+  | _, Some what -> QCheck.Test.fail_reportf "loading: %s differs" what
+  | None, None ->
+    Graph.names_shared loaded = Graph.names_shared g
+    && Graph.generation loaded = Graph.generation g
+
+(* --- copies and read-backs against the list model ---
+
+   A random script of the differential above (removals, re-additions,
+   copies and unions) builds the main graph; every way of rebuilding it
+   must list what the model's copy lists, with the nodes renamed to the
+   rebuilt graph's, position by position in node order. *)
+
+let renaming src dst =
+  let tbl = Oid.Tbl.create 16 in
+  List.iter2 (Oid.Tbl.replace tbl) (Graph.nodes src) (Graph.nodes dst);
+  fun o -> Option.value (Oid.Tbl.find_opt tbl o) ~default:o
+
+let equals_copy ?(colls = Fun.id) what g m g' =
+  let f = renaming g g' in
+  let expected = M.rename f (M.copy m) in
+  expected.M.colls <- colls expected.M.colls;
+  match mismatch ~pool:(Array.map f pool) { g = g'; m = expected } with
+  | None -> true
+  | Some x ->
+    QCheck.Test.fail_reportf "%s: %s differs from the model's copy" what x
+
+let read_backs_equal_copy script =
+  let fresh () = { g = Graph.create (); m = M.create () } in
+  let main = fresh () and side = fresh () in
+  List.iter (step main side) script;
+  let g = main.g and m = main.m in
+  let bin = Repository.Binary.decode (Repository.Binary.encode g) in
+  let path = Filename.temp_file "strudelgraph" ".seg" in
+  let _n = Repository.Segment.write_graph ~path g in
+  let seg =
+    Repository.Segment.to_graph ~name:(Graph.name g)
+      (Repository.Segment.read ~path ())
+  in
+  Sys.remove path;
+  let dir = Test_shard.tmp_dir "strudelgraph" in
+  ignore
+    (Repository.Shard.publish
+       { Repository.Shard.dir; cfg_spec = Repository.Shard.By_collection }
+       ~epoch:1 g);
+  let union = (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union in
+  Test_shard.rm_rf dir;
+  equals_copy ".sgbin" g m bin
+  && equals_copy "segment" g m seg
+  (* a repository stores no empty collection *)
+  && equals_copy "repository union"
+       ~colls:(List.filter (fun (_, ms) -> ms <> []))
+       g m union
+  && equals_copy "Delta.rebase" g m (Delta.rebase ~old:bin g)
+
+let loader_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"loading a script equals inserting it (indexed)"
+         ~count:300 load_script_arb (load_equals_inserting ~indexed:true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"loading a script equals inserting it (scan-only)" ~count:300
+         load_script_arb (load_equals_inserting ~indexed:false));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:
+           "read-backs and rebases equal the model's copy (.sgbin, segment, \
+            repository union, Delta.rebase)"
+         ~count:150 script_arb read_backs_equal_copy);
+  ]
+
 let lifecycle =
   [
     t "oids minted on four domains at once are distinct" (fun () ->
@@ -571,4 +708,4 @@ let lifecycle =
 
 let suite =
   basics @ collections @ indexes @ whole_graph @ props @ differential
-  @ lifecycle
+  @ loader_props @ lifecycle

@@ -105,6 +105,23 @@ let suite =
               WHERE Joined(j) CREATE F(j) COLLECT Fs(F(j)) OUTPUT FINAL|}
         in
         check_int "chained" 1 (Graph.collection_size out2 "Fs"));
+    t "query_repo over two graphs keeps each one's index order" (fun () ->
+        let r = Repository.Store.create () in
+        let a = Test_fault.acb_graph "A" in
+        Repository.Store.put r a;
+        Repository.Store.put r
+          (fst (Ddl.parse ~graph_name:"B" "object b1 in Bs { k 2 }"));
+        let q =
+          {|INPUT A, B
+            WHERE x -> "t" -> v
+            CREATE P(x) LINK P(x) -> "v" -> v
+            COLLECT Ps(P(x))
+            OUTPUT TS|}
+        in
+        (* B holds no [t] edge: the union scans A's extent, a, c, b *)
+        check_bool "the union's scan in A's order" true
+          (Shape.of_graph (Strudel.Api.query_repo r q)
+          = Shape.of_graph (Struql.Exec.run a (Struql.Parser.parse q))));
     t "query_repo with unknown input raises" (fun () ->
         let r = Repository.Store.create () in
         check_bool "raises" true
