@@ -2249,6 +2249,66 @@ let e24_row ?(cycles = 1) ~session ~mutate ~cold k =
 
 let e24_sizes = [ 1; 10; 100; 1000 ]
 
+(* The set-up split, medians of 5 rounds in this process.  Each round
+   times, after a full collection each, the engine's prime alone, the
+   whole watch set-up (prime, first publish, verification), the site
+   query a cold build runs, and the cold build, so a drift of the
+   host's speed between rounds moves all four alike. *)
+type e24_setup = {
+  su_prime_ms : float;
+  su_setup_ms : float;
+  su_query_ms : float;
+  su_cold_ms : float;
+}
+
+let e24_setup ~source ~data (def : Strudel.Site.definition) =
+  let queries = List.map snd (Strudel.Site.parse_queries def) in
+  let options =
+    { Struql.Eval.default_options with
+      strategy = def.Strudel.Site.strategy;
+      registry = def.Strudel.Site.registry }
+  in
+  let timed f =
+    Gc.full_major ();
+    snd (wall_it f)
+  in
+  let rounds =
+    Array.init 5 (fun _ ->
+        let dx = Struql.Dexec.create ~options ~queries data in
+        let prime = timed (fun () -> Struql.Dexec.prime dx) in
+        let setup = timed (fun () -> Serve.Watch.create ~source def) in
+        let query =
+          timed (fun () -> Strudel.Site.build_site_graph def data)
+        in
+        let cold = timed (fun () -> Strudel.Site.build ~data def) in
+        [| prime; setup; query; cold |])
+  in
+  let med k =
+    let a = Array.map (fun r -> r.(k)) rounds in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  { su_prime_ms = med 0; su_setup_ms = med 1; su_query_ms = med 2;
+    su_cold_ms = med 3 }
+
+let e24_setup_line label su =
+  Fmt.pr
+    "  %s set-up (median of 5): prime %.1f ms / site query %.1f ms = %.2fx; \
+     watch set-up %.1f ms / cold build %.1f ms = %.2fx@."
+    label su.su_prime_ms su.su_query_ms
+    (su.su_prime_ms /. su.su_query_ms)
+    su.su_setup_ms su.su_cold_ms
+    (su.su_setup_ms /. su.su_cold_ms)
+
+let e24_setup_json su =
+  Printf.sprintf
+    "\"prime_ms\": %.1f, \"setup_ms\": %.1f, \"site_query_ms\": %.1f, \
+     \"cold_build_ms\": %.1f, \"prime_over_query\": %.2f, \
+     \"setup_over_cold\": %.2f"
+    su.su_prime_ms su.su_setup_ms su.su_query_ms su.su_cold_ms
+    (su.su_prime_ms /. su.su_query_ms)
+    (su.su_setup_ms /. su.su_cold_ms)
+
 let e24_json_rows rows =
   String.concat ", "
     (List.map
@@ -2280,11 +2340,12 @@ let e24_org out =
   let load_bib text () = fst (Wrappers.Bibtex.load ~graph_name:"BIB" text) in
   Mediator.Source.update sources.Sites.Org.bib (load_bib base_bib);
   ignore (Mediator.Warehouse.refresh_delta w);
-  let osession, t_oprime =
-    wall_it (fun () ->
-        Serve.Watch.create ~source:(Serve.Watch.Mediated w)
-          Sites.Org.definition)
+  let osource = Serve.Watch.Mediated w in
+  let osetup =
+    e24_setup ~source:osource ~data:(Mediator.Warehouse.graph w)
+      Sites.Org.definition
   in
+  let osession = Serve.Watch.create ~source:osource Sites.Org.definition in
   let org_pages =
     List.length
       (Serve.Watch.built osession).Strudel.Site.site.Template.Generator.pages
@@ -2319,9 +2380,8 @@ let e24_org out =
   let ocold () =
     Strudel.Site.build ~data:(Mediator.Warehouse.graph w) Sites.Org.definition
   in
-  e24_header
-    (Printf.sprintf "org-100    %d pages, watch primed in %.0f ms"
-       org_pages t_oprime);
+  e24_header (Printf.sprintf "org-100    %d pages" org_pages);
+  e24_setup_line "org-100" osetup;
   let org_rows =
     List.map
       (e24_row ~cycles:7 ~session:osession ~mutate:omutate ~cold:ocold)
@@ -2329,9 +2389,8 @@ let e24_org out =
   in
   let oc = open_out out in
   Printf.fprintf oc "%b\n" (List.for_all (fun r -> r.dr_identical) org_rows);
-  Printf.fprintf oc
-    "{\"pubs\": %d, \"pages\": %d, \"prime_ms\": %.1f, \"runs\": [%s]}\n"
-    pubs org_pages t_oprime (e24_json_rows org_rows);
+  Printf.fprintf oc "{\"pubs\": %d, \"pages\": %d, %s, \"runs\": [%s]}\n"
+    pubs org_pages (e24_setup_json osetup) (e24_json_rows org_rows);
   close_out oc
 
 let e24 () =
@@ -2344,11 +2403,9 @@ let e24 () =
     | None -> 100_000
   in
   let data = Sites.Scale.data ~items:synth_items () in
-  let session, t_prime =
-    wall_it (fun () ->
-        Serve.Watch.create ~source:(Serve.Watch.Direct data)
-          Sites.Scale.definition)
-  in
+  let source = Serve.Watch.Direct data in
+  let setup = e24_setup ~source ~data Sites.Scale.definition in
+  let session = Serve.Watch.create ~source Sites.Scale.definition in
   let synth_pages =
     List.length
       (Serve.Watch.built session).Strudel.Site.site.Template.Generator.pages
@@ -2368,9 +2425,9 @@ let e24 () =
     min k (Array.length items)
   in
   let cold () = Strudel.Site.build ~data Sites.Scale.definition in
-  e24_header
-    (Printf.sprintf "synth-%dk   %d pages, watch primed in %.0f ms"
-       (synth_items / 1000) synth_pages t_prime);
+  let synth_label = Printf.sprintf "synth-%dk" (synth_items / 1000) in
+  e24_header (Printf.sprintf "%s   %d pages" synth_label synth_pages);
+  e24_setup_line synth_label setup;
   let synth_rows = List.map (e24_row ~session ~mutate ~cold) e24_sizes in
   (* --- mediated mode: org-100, in its own process --- *)
   let out = Filename.temp_file "strudel-e24-org" ".txt" in
@@ -2402,9 +2459,9 @@ let e24 () =
   Buffer.add_string buf "{\n  \"experiment\": \"E24_delta_maintenance\",\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"synth\": {\"items\": %d, \"pages\": %d, \"prime_ms\": %.1f, \
-        \"runs\": [%s]},\n"
-       synth_items synth_pages t_prime (e24_json_rows synth_rows));
+       "  \"synth\": {\"items\": %d, \"pages\": %d, %s, \"runs\": [%s]},\n"
+       synth_items synth_pages (e24_setup_json setup)
+       (e24_json_rows synth_rows));
   Buffer.add_string buf (Printf.sprintf "  \"org\": %s,\n" org_json);
   Buffer.add_string buf
     (Printf.sprintf

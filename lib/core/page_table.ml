@@ -36,6 +36,7 @@ type t = {
   on_error : Fault.on_error;
   fault : Fault.ctx option;
   sink : Render_pool.sink option;
+  rd : Render_pool.renderer;  (* every pass's, restarted per pass *)
   root_family : string;
   mutable roots : Oid.t list;
   slot_of : int IT.t;
@@ -325,10 +326,8 @@ let run t ~touched ~removed =
   let prime = not t.primed in
   if prime then clear t;
   t.cycle <- t.cycle + 1;
-  let rd =
-    Render_pool.renderer ~jobs:t.jobs ~templates:t.templates
-      ~on_error:t.on_error ?fault:t.fault ()
-  in
+  let rd = t.rd in
+  Render_pool.restart rd;
   let pending = ref [] and rendered = ref [] and reports = ref [] in
   let waves = ref 0 and misses = ref 0 and invalidations = ref 0 in
   let reorder_needed = ref prime in
@@ -477,6 +476,7 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~templates
       on_error;
       fault;
       sink;
+      rd = Render_pool.renderer ~jobs ~templates ~on_error ?fault ();
       root_family;
       roots;
       slot_of = IT.create 1024;

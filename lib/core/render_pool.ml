@@ -175,6 +175,13 @@ let renderer ?(jobs = 1) ?file_loader ?(templates = G.empty_templates)
     rd_ds = Dsan.alloc ~name:"Render_pool.shards";
   }
 
+let restart rd =
+  for w = 0 to Array.length rd.rd_pages - 1 do
+    Dsan.write ~site:__POS__ rd.rd_ds w;
+    rd.rd_pages.(w) <- 0;
+    rd.rd_ms.(w) <- 0.
+  done
+
 (* Render [o] on worker [w], with slug hrefs ([href], when given, must
    return them too).  Under [Degrade] a failed (or injected-faulty)
    render is isolated: it yields a placeholder with an empty trace and

@@ -130,6 +130,11 @@ val renderer :
     page's read trace.  Render faults are injected from [fault]'s
     injector. *)
 
+val restart : renderer -> unit
+(** Zero the tallies a {!profile} reports and keep the template caches,
+    so one renderer serves pass after pass, each template parsed once
+    per domain. *)
+
 val render_pages :
   renderer -> Graph.t -> Oid.t array ->
   (Template.Generator.rendered * Fault.report option) array

@@ -26,10 +26,11 @@
     graph byte-identical to a cold full build at O(change) cost.
 
     Every live event has a dense int id, handed out the first time a
-    derivation emits it; a derivation is the array of its event ids,
-    and an event's support and cached minimum position live in its id's
-    slot, so the per-cycle bookkeeping indexes arrays instead of hashing
-    event keys.
+    derivation emits it, and its fields (identity, support, cached
+    minimum position, stamps) live in one flat int array at that id,
+    found through a chained index that allocates nothing per probe; a
+    derivation is the array of its event ids.  Recording an event
+    allocates nothing but the store's growth.
 
     Blocks that cannot delta-evaluate — aggregates, negation,
     active-domain enumerators, opaque externs, constant-anchored data
@@ -39,62 +40,85 @@
     recorded events stand as they are.  Every derivation, primed, per
     driver or replayed, steps rows through {!Exec}'s operators
     ({!Exec.stepper}), so the maintained graph and a cold {!Exec.run}
-    share one evaluator.  The {!Exec.delta_enabled} kill switch turns
-    every cycle into a full re-derivation through the same machinery. *)
+    share one evaluator, and the prime builds its site graph through
+    the bulk loader, as a cold build does.  The {!Exec.delta_enabled}
+    kill switch turns every cycle into a full re-derivation through the
+    same machinery. *)
 
 open Sgraph
 
-(* --- construction events and their identities --- *)
+(* int-keyed tables: keys are oid ids, minted in sequence, or packed
+   from them, so their low bits spread as they are *)
+module IT = Hashtbl.Make (struct
+  type t = int
 
-type ev =
-  | E_node of Oid.t
-  | E_edge of Oid.t * string * Graph.target
-  | E_coll of string * Oid.t
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+module Stbl = Hashtbl.Make (String)
 
-(* An event's identity.  Edges are keyed as {!Graph}'s own edge set
-   keys them (source id, label, target key), so values hash
-   structurally and are never printed. *)
-type ekey =
-  | K_node of int
-  | K_edge of int * string * Graph.tkey
-  | K_coll of string * int
+(* --- the event store ---
 
-let key_of = function
-  | E_node o -> K_node (Oid.id o)
-  | E_edge (s, l, tg) -> K_edge (Oid.id s, l, Graph.tkey tg)
-  | E_coll (c, o) -> K_coll (c, Oid.id o)
+   Construction events are node creations, edge additions and
+   collection additions.  A live event holds a dense int id, and the
+   fields of id [i] sit in [ev] at [i * stride + f]: an event costs no
+   heap block of its own.  Its identity is the graph's: a node by oid
+   id, an edge by (source id, label, target) with values compared by
+   {!Value.equal}, a membership by (collection, member id).  Labels and
+   collections are interned to name ids, and a target has an int key:
+   [oid id lsl 1] for a node, [(Value.hash v lsl 1) lor 1] for a value,
+   whose value is compared in [tgts] on a hit. *)
 
-(* Support of an event: which (block, driver) derivations emit it, at
-   what minimum sequence number.  Retraction always removes a
-   (block, driver)'s events wholesale, so per-pair multiplicity is
-   irrelevant and only the pair's minimum sequence — its canonical
-   position — is kept.  Single support is by far the common case and
-   gets an immediate representation; events emitted by many drivers
-   (shared endpoints like a site's root node) are promoted to a table
-   so per-driver retraction is O(1), not O(supporters).  A drained
-   table reverts to [S0]. *)
-type sups =
-  | S0
-  | S1 of int * int * int  (* block id, driver key, min seq *)
-  | SM of (int * int, int) Hashtbl.t  (* (block, driver) -> min seq *)
+let k_node = 0
+let k_edge = 1
+let k_coll = 2
 
-(* An event id's slot.  The minimum canonical position over its
-   supporters — (mp_b, mp_r, mp_s) = (block, driver rank, sequence),
-   held by driver mp_d — is cached while [mp_epoch] equals the engine's
-   rank epoch: a new supporter lowers it in place, retracting the
-   supporter that held it invalidates it, and any rank change
-   invalidates every slot at once by bumping the epoch. *)
-type slot = {
-  mutable ev : ev;
-  mutable sup : sups;
-  mutable emitted : int;  (* serial of the last derivation emitting it *)
-  mutable recorded : int;  (* serial of the last cycle recording it *)
-  mutable mp_epoch : int;
-  mutable mp_b : int;
-  mutable mp_d : int;
-  mutable mp_r : int;
-  mutable mp_s : int;
+let f_key = 0 (* [name lsl 2 lor kind]; -1 for a free id *)
+let f_src = 1 (* the node's, edge source's or member's oid id *)
+let f_tk = 2 (* the edge target's key; 0 for the other kinds *)
+let f_next = 3 (* the index chain; the free-id chain for a free id *)
+
+(* Support: which (block, driver) derivations emit the event, at what
+   minimum sequence number.  Retraction always removes a (block,
+   driver)'s events wholesale, so per-pair multiplicity is irrelevant
+   and only the pair's minimum sequence, its canonical position, is
+   kept.  A single supporter, by far the common case, sits in the
+   fields; an event with several (shared endpoints like a site's root
+   node) keeps them in a side table, so per-driver retraction is O(1),
+   not O(supporters).  A drained table leaves the event unsupported. *)
+let f_sup = 4 (* the supporter, as a pair key; [none] or [several] *)
+let f_sq = 5 (* its minimum sequence *)
+
+(* The canonical position of a supported event is the minimum
+   (block, driver rank, sequence) over its supporters.  A single
+   supporter's position is its own, with its driver's rank cached in
+   [f_rank]; several supporters' minimum is cached in their side
+   record.  Either cache is current while [f_epoch] equals the engine's
+   rank epoch: a new supporter lowers a current minimum in place,
+   retracting the supporter that held it invalidates it, and any rank
+   change invalidates every cache at once by bumping the epoch. *)
+let f_rank = 6
+let f_epoch = 7
+let f_emitted = 8 (* serial of the last derivation emitting it *)
+let f_recorded = 9 (* serial of the last cycle recording its position *)
+let stride = 10
+
+let none = -1
+let several = -2
+
+type several = {
+  sups : int IT.t;  (* pair key -> min seq *)
+  mutable m_k : int;  (* the pair holding the cached minimum *)
+  mutable m_b : int;
+  mutable m_r : int;
+  mutable m_s : int;
 }
+
+let no_target = Graph.V Value.Null
+
+let tkey = function
+  | Graph.N o -> Oid.id o lsl 1
+  | Graph.V v -> (Value.hash v lsl 1) lor 1
 
 (* --- block-tree state --- *)
 
@@ -114,7 +138,7 @@ type tstate = {
   mutable ts_class : Plan.delta_class;
   (* spaced driver ranks in extent order, so mid-extent insertions
      order without renumbering *)
-  ts_ranks : (int, int) Hashtbl.t;  (* driver oid id -> rank *)
+  ts_ranks : int IT.t;  (* driver oid id -> rank *)
 }
 
 type qstate = { qs_query : Ast.query; qs_tops : tstate list }
@@ -126,6 +150,7 @@ type counters = {
   mutable c_events_added : int;
   mutable c_events_removed : int;
   mutable c_events_live : int;  (** events holding an id *)
+  mutable c_event_ids : int;  (** ids handed out, live or free *)
   mutable c_fallback_replays : int;  (** ⊥-driver full block replays *)
   mutable c_full_rederives : int;  (** whole-block re-derivations *)
 }
@@ -133,24 +158,35 @@ type counters = {
 type t = {
   options : Eval.options;
   queries : qstate list;
-  ranks : (int, int) Hashtbl.t array;
+  ranks : int IT.t array;
   (* block id -> the driver ranks of its top-level ancestor *)
-  sg : Graph.t;  (* the maintained site graph *)
+  mutable sg : Graph.t;  (* the maintained site graph *)
   scope : Skolem.t;
   mutable data : Graph.t;
-  derivs : (int * int, int array) Hashtbl.t;
-  (* (block id, driver key) -> its event ids, first-emission order;
+  derivs : int array IT.t array;
+  (* block id -> driver key -> its event ids, first-emission order;
      driver key -1 = ⊥ *)
-  ids : (ekey, int) Hashtbl.t;  (* live event -> id *)
-  mutable slots : slot array;  (* ids [0, hw) in use or free *)
+  (* the event store: ids [0, hw) are live or free *)
+  mutable ev : int array;  (* [stride] fields per id *)
+  mutable oids : Oid.t array;  (* the oid behind [f_src] *)
+  mutable tgts : Graph.target array;  (* an edge's target *)
+  mutable heads : int array;  (* the index: live ids chained by key hash *)
   mutable hw : int;
-  mutable free : int list;  (* drained ids, reused before [hw] grows *)
+  mutable live : int;
+  mutable free : int;  (* the first free id, -1 when none *)
+  multi : several IT.t;  (* id -> its supporters, when several *)
+  names : int Stbl.t;  (* label or collection -> name id *)
+  mutable name_of : string array;
   mutable epoch : int;  (* rank epoch: bumped by every rank change *)
   mutable serial : int;  (* derivation and cycle stamps *)
   ctr : counters;
-  (* the derivation in flight, and those awaiting commit *)
-  mutable cur : int list;
-  mutable pending : (int * int * int list) list;
+  (* the derivations awaiting commit: their ids, one after another, in
+     [buf], and per derivation (block id, driver key, start in [buf])
+     in [pend] *)
+  mutable buf : int array;
+  mutable buf_n : int;
+  mutable pend : int array;
+  mutable pend_n : int;
 }
 
 let counters t = t.ctr
@@ -186,131 +222,304 @@ let fallbacks t =
         qs.qs_tops)
     t.queries
 
+(* --- the pending derivations --- *)
+
+(* [a], or a copy at least twice as long, so that index [n] fits *)
+let room a n =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 256 (2 * n)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* The next derivation is (block [bid], driver [dk])'s. *)
+let open_derivation t bid dk =
+  t.serial <- t.serial + 1;
+  t.pend <- room t.pend (t.pend_n + 2);
+  t.pend.(t.pend_n) <- bid;
+  t.pend.(t.pend_n + 1) <- dk;
+  t.pend.(t.pend_n + 2) <- t.buf_n;
+  t.pend_n <- t.pend_n + 3
+
+(* The derivation in flight emitted [id]. *)
+let buffer t id =
+  if t.buf_n = Array.length t.buf then t.buf <- room t.buf t.buf_n;
+  t.buf.(t.buf_n) <- id;
+  t.buf_n <- t.buf_n + 1
+
+(* The pending derivations' ids, in derivation and emission order. *)
+let iter_pending t f =
+  for k = 0 to t.buf_n - 1 do
+    f t.buf.(k)
+  done
+
+(* --- names --- *)
+
+let name_id t s =
+  match Stbl.find t.names s with
+  | i -> i
+  | exception Not_found ->
+    let i = Stbl.length t.names in
+    if i = Array.length t.name_of then begin
+      let a = Array.make (max 16 (2 * i)) s in
+      Array.blit t.name_of 0 a 0 i;
+      t.name_of <- a
+    end;
+    t.name_of.(i) <- s;
+    Stbl.add t.names s i;
+    i
+
+let name_find t s =
+  match Stbl.find t.names s with i -> i | exception Not_found -> -1
+
+(* --- the index --- *)
+
+let hash key src tk =
+  let h = (src * 0x2f0b3a49) + (key * 0x1b873593) + (tk * 0x5bd1e995) in
+  h lxor (h lsr 23)
+
+let head t id =
+  let i = id * stride in
+  let ev = t.ev in
+  hash ev.(i + f_key) ev.(i + f_src) ev.(i + f_tk)
+  land (Array.length t.heads - 1)
+
+(* closed, so a probe allocates no closure *)
+let rec find_from t key src tk tgt id =
+  if id < 0 then -1
+  else
+    let ev = t.ev and i = id * stride in
+    if
+      ev.(i + f_src) = src
+      && ev.(i + f_tk) = tk
+      && ev.(i + f_key) = key
+      && (tk land 1 = 0 || Graph.target_equal t.tgts.(id) tgt)
+    then id
+    else find_from t key src tk tgt ev.(i + f_next)
+
+(* The id of an event, -1 when it holds none. *)
+let find t kind src name tk tgt =
+  let key = (name lsl 2) lor kind in
+  find_from t key src tk tgt
+    t.heads.(hash key src tk land (Array.length t.heads - 1))
+
+let chain t id =
+  let h = head t id in
+  t.ev.((id * stride) + f_next) <- t.heads.(h);
+  t.heads.(h) <- id
+
+let unchain t id =
+  let h = head t id in
+  let ev = t.ev in
+  if t.heads.(h) = id then t.heads.(h) <- ev.((id * stride) + f_next)
+  else begin
+    let rec go p =
+      let q = ev.((p * stride) + f_next) in
+      if q = id then ev.((p * stride) + f_next) <- ev.((id * stride) + f_next)
+      else go q
+    in
+    go t.heads.(h)
+  end
+
+let rehash t size =
+  t.heads <- Array.make size (-1);
+  for id = 0 to t.hw - 1 do
+    if t.ev.((id * stride) + f_key) >= 0 then chain t id
+  done
+
 (* --- event ids --- *)
 
-(* The id of event [e], handing out a fresh (or recycled) one the first
+let grow t o =
+  let n = t.hw in
+  let cap = max 1024 (2 * n) in
+  let ev = Array.make (cap * stride) 0 in
+  Array.blit t.ev 0 ev 0 (n * stride);
+  t.ev <- ev;
+  let oids = Array.make cap o in
+  Array.blit t.oids 0 oids 0 n;
+  t.oids <- oids;
+  let tgts = Array.make cap no_target in
+  Array.blit t.tgts 0 tgts 0 n;
+  t.tgts <- tgts
+
+(* The id of an event, handing out a free one, or a new one, the first
    time a derivation emits it. *)
-let intern t e =
-  let k = key_of e in
-  match Hashtbl.find_opt t.ids k with
-  | Some id -> id
-  | None ->
+let intern t kind src name tk o tgt =
+  let id = find t kind src name tk tgt in
+  if id >= 0 then id
+  else begin
     let id =
-      match t.free with
-      | id :: rest ->
-        t.free <- rest;
-        let s = t.slots.(id) in
-        s.ev <- e;
-        s.sup <- S0;
-        s.mp_epoch <- -1;
+      if t.free >= 0 then begin
+        let id = t.free in
+        t.free <- t.ev.((id * stride) + f_next);
         id
-      | [] ->
-        let s =
-          {
-            ev = e;
-            sup = S0;
-            emitted = -1;
-            recorded = -1;
-            mp_epoch = -1;
-            mp_b = 0;
-            mp_d = 0;
-            mp_r = 0;
-            mp_s = 0;
-          }
-        in
+      end
+      else begin
         let id = t.hw in
-        if id = Array.length t.slots then begin
-          let a = Array.make (max 1024 (2 * id)) s in
-          Array.blit t.slots 0 a 0 id;
-          t.slots <- a
-        end;
-        t.slots.(id) <- s;
+        if id = Array.length t.oids then grow t o;
         t.hw <- id + 1;
         id
+      end
     in
-    Hashtbl.add t.ids k id;
+    let ev = t.ev and i = id * stride in
+    ev.(i + f_key) <- (name lsl 2) lor kind;
+    ev.(i + f_src) <- src;
+    ev.(i + f_tk) <- tk;
+    ev.(i + f_sup) <- none;
+    ev.(i + f_epoch) <- -1;
+    ev.(i + f_emitted) <- -1;
+    ev.(i + f_recorded) <- -1;
+    t.oids.(id) <- o;
+    t.tgts.(id) <- tgt;
+    t.live <- t.live + 1;
+    if t.live > Array.length t.heads then rehash t (2 * Array.length t.heads)
+    else chain t id;
     id
+  end
 
-(* A drained id leaves the key table, so the table holds exactly the
-   live events. *)
+(* A drained id leaves the index, so the index holds exactly the live
+   events.  Its oid stays until the id is handed out again. *)
 let release t id =
-  Hashtbl.remove t.ids (key_of t.slots.(id).ev);
-  t.free <- id :: t.free
+  unchain t id;
+  let i = id * stride in
+  t.ev.(i + f_key) <- -1;
+  t.ev.(i + f_next) <- t.free;
+  t.free <- id;
+  t.tgts.(id) <- no_target;
+  t.live <- t.live - 1
+
+let kind t id = t.ev.((id * stride) + f_key) land 3
+let name t id = t.name_of.(t.ev.((id * stride) + f_key) lsr 2)
+let supported t id = t.ev.((id * stride) + f_sup) <> none
 
 (* --- canonical positions --- *)
 
 let rank_of t bid dk =
   if dk = -1 then 0
   else
-    match Hashtbl.find_opt t.ranks.(bid) dk with
-    | Some r -> r
-    | None -> max_int
+    match IT.find t.ranks.(bid) dk with
+    | r -> r
+    | exception Not_found -> max_int
 
 let ranks_changed t = t.epoch <- t.epoch + 1
 
-(* (b, r, q) strictly before the slot's cached position *)
-let before b r q s =
-  b < s.mp_b || (b = s.mp_b && (r < s.mp_r || (r = s.mp_r && q < s.mp_s)))
+(* A (block, driver) pair as one int key, and back: a driver key is
+   -1 (⊥) or an oid id, and oid ids are minted in sequence from 1. *)
+let pair t bid dk = ((dk + 1) * Array.length t.derivs) + bid
+let pair_block t k = k mod Array.length t.derivs
+let pair_driver t k = (k / Array.length t.derivs) - 1
 
-let set_min s b d r q =
-  s.mp_b <- b;
-  s.mp_d <- d;
-  s.mp_r <- r;
-  s.mp_s <- q
+(* (b, r, q) strictly before the side record's cached minimum *)
+let before b r q m =
+  b < m.m_b || (b = m.m_b && (r < m.m_r || (r = m.m_r && q < m.m_s)))
 
-(* Make the slot's cached minimum position current; an unsupported
-   event sits at (max_int, 0, 0). *)
-let minpos t s =
-  if s.mp_epoch <> t.epoch then begin
-    set_min s max_int 0 0 0;
-    (match s.sup with
-     | S0 -> ()
-     | S1 (b, d, q) -> set_min s b d (rank_of t b d) q
-     | SM h ->
-       Hashtbl.iter
-         (fun (b, d) q ->
-           let r = rank_of t b d in
-           if before b r q s then set_min s b d r q)
-         h);
-    s.mp_epoch <- t.epoch
+let set_min m k b r q =
+  m.m_k <- k;
+  m.m_b <- b;
+  m.m_r <- r;
+  m.m_s <- q
+
+(* Make the id's cached position current. *)
+let minpos t id =
+  let i = id * stride in
+  if t.ev.(i + f_epoch) <> t.epoch then begin
+    let k = t.ev.(i + f_sup) in
+    if k >= 0 then
+      t.ev.(i + f_rank) <- rank_of t (pair_block t k) (pair_driver t k)
+    else if k = several then begin
+      let m = IT.find t.multi id in
+      set_min m none max_int 0 0;
+      IT.iter
+        (fun k q ->
+          let b = pair_block t k in
+          let r = rank_of t b (pair_driver t k) in
+          if before b r q m then set_min m k b r q)
+        m.sups
+    end;
+    t.ev.(i + f_epoch) <- t.epoch
   end
+
+(* The id's canonical position; an unsupported event sits at
+   (max_int, 0, 0). *)
+let position t id =
+  minpos t id;
+  let i = id * stride in
+  let k = t.ev.(i + f_sup) in
+  if k >= 0 then (pair_block t k, t.ev.(i + f_rank), t.ev.(i + f_sq))
+  else if k = none then (max_int, 0, 0)
+  else
+    let m = IT.find t.multi id in
+    (m.m_b, m.m_r, m.m_s)
 
 (* --- support --- *)
 
-(* Add supporter (bid, dk) at sequence [q]; [r] is the driver's rank. *)
-let sup_add t s bid dk r q =
-  (match s.sup with
-   | S0 -> s.sup <- S1 (bid, dk, q)
-   | S1 (b, d, q0) ->
-     if b = bid && d = dk then begin
-       if q < q0 then s.sup <- S1 (b, d, q)
-     end
-     else begin
-       let h = Hashtbl.create 4 in
-       Hashtbl.replace h (b, d) q0;
-       Hashtbl.replace h (bid, dk) q;
-       s.sup <- SM h
-     end
-   | SM h -> (
-     match Hashtbl.find_opt h (bid, dk) with
-     | Some q0 when q0 <= q -> ()
-     | _ -> Hashtbl.replace h (bid, dk) q));
-  if s.mp_epoch = t.epoch && before bid r q s then set_min s bid dk r q
+(* Add supporter (bid, dk) at sequence [q]; [r] is the driver's rank.
+   True when the event had no support. *)
+let sup_add t id bid dk r q =
+  let ev = t.ev and i = id * stride in
+  let k0 = ev.(i + f_sup) and k = pair t bid dk in
+  if k0 = none then begin
+    ev.(i + f_sup) <- k;
+    ev.(i + f_sq) <- q;
+    ev.(i + f_rank) <- r;
+    ev.(i + f_epoch) <- t.epoch;
+    true
+  end
+  else begin
+    if k0 = k then begin
+      if q < ev.(i + f_sq) then ev.(i + f_sq) <- q
+    end
+    else if k0 >= 0 then begin
+      let q0 = ev.(i + f_sq) in
+      let sups = IT.create 4 in
+      IT.replace sups k0 q0;
+      IT.replace sups k q;
+      (* the cached rank, and so this minimum, is as current as
+         [f_epoch] says *)
+      let m =
+        {
+          sups;
+          m_k = k0;
+          m_b = pair_block t k0;
+          m_r = ev.(i + f_rank);
+          m_s = q0;
+        }
+      in
+      if before bid r q m then set_min m k bid r q;
+      IT.replace t.multi id m;
+      ev.(i + f_sup) <- several
+    end
+    else begin
+      let m = IT.find t.multi id in
+      (match IT.find_opt m.sups k with
+       | Some q0 when q0 <= q -> ()
+       | _ -> IT.replace m.sups k q);
+      if ev.(i + f_epoch) = t.epoch && before bid r q m then set_min m k bid r q
+    end;
+    false
+  end
 
-(* Drop supporter (bid, dk); true when that drained the support (an
-   [SM] table is never empty, so emptying it drains). *)
-let sup_retract s bid dk =
-  if s.mp_b = bid && s.mp_d = dk then s.mp_epoch <- -1;
-  let drained =
-    match s.sup with
-    | S0 -> false
-    | S1 (b, d, _) -> b = bid && d = dk
-    | SM h ->
-      Hashtbl.remove h (bid, dk);
-      Hashtbl.length h = 0
-  in
-  if drained then s.sup <- S0;
-  drained
+(* Drop supporter (bid, dk); true when that drained the support. *)
+let sup_retract t id bid dk =
+  let ev = t.ev and i = id * stride in
+  let k0 = ev.(i + f_sup) and k = pair t bid dk in
+  if k0 >= 0 then begin
+    if k0 = k then ev.(i + f_sup) <- none;
+    k0 = k
+  end
+  else if k0 = none then false
+  else begin
+    let m = IT.find t.multi id in
+    IT.remove m.sups k;
+    if m.m_k = k then ev.(i + f_epoch) <- -1;
+    if IT.length m.sups = 0 then begin
+      IT.remove t.multi id;
+      ev.(i + f_sup) <- none;
+      true
+    end
+    else false
+  end
 
 (* --- planning and classification --- *)
 
@@ -361,58 +570,69 @@ let classify ts =
    repeat cannot lower the derivation's minimum sequence, and skipping
    it spares the commit and the stored array. *)
 let emitter t ~apply =
-  let push e =
-    let id = intern t e in
-    let s = t.slots.(id) in
-    if s.emitted <> t.serial then begin
-      s.emitted <- t.serial;
-      t.cur <- id :: t.cur
+  let push id =
+    let i = (id * stride) + f_emitted in
+    if t.ev.(i) <> t.serial then begin
+      t.ev.(i) <- t.serial;
+      buffer t id
     end
   in
+  let node o = push (intern t k_node (Oid.id o) 0 0 o no_target) in
   {
     Eval.em_apply = apply;
-    em_node = (fun o -> push (E_node o));
+    em_node = node;
     em_edge =
       (fun s l tg ->
-        (* implicit endpoint existence rides the edge event, so data
-           nodes pulled into the site graph are support-counted too *)
-        push (E_node s);
-        (match tg with Graph.N o -> push (E_node o) | Graph.V _ -> ());
-        push (E_edge (s, l, tg)));
-    em_coll = (fun c o -> push (E_coll (c, o)));
+        (* a LINK's source is a Skolem term, which the row built, and
+           so recorded, before the edge; a node target may be a data
+           node, whose existence rides the edge event, so data nodes
+           pulled into the site graph are support-counted too *)
+        (match tg with Graph.N o -> node o | Graph.V _ -> ());
+        push (intern t k_edge (Oid.id s) (name_id t l) (tkey tg) s tg));
+    em_coll =
+      (fun c o ->
+        push (intern t k_coll (Oid.id o) (name_id t c) 0 o no_target));
   }
 
-let sink t ~apply =
-  { Eval.out = Eval.Live t.sg; scope = t.scope; emit = Some (emitter t ~apply) }
+(* The driver key of a row of a block driven through [v], and of a row
+   of a block that is not ([bottom]: ⊥). *)
+let driver_of v row =
+  match Eval.Env.find v row with
+  | Eval.B_target (Graph.N d) -> Oid.id d
+  | Eval.B_target (Graph.V _) | Eval.B_label _ -> assert false
 
-(* Evaluate one block over per-driver input rows and construct, in
-   cold block-major order: all of this block's rows (drivers in extent
-   order) construct before any nested block runs — the exact cold
-   mutation order, since a cold block's relation is driver-major (its
-   opening scan enumerates the extent in order). *)
-let rec blockmajor t ~apply bs (per_driver : (int * Eval.env list) list) =
-  let bld = Eval.builder (sink t ~apply) bs.bs_cons in
-  let step =
+let bottom (_ : Eval.env) = -1
+
+(* The input row of driver [d]. *)
+let driver_env v d =
+  Eval.Env.add v (Eval.B_target (Graph.N d)) Eval.Env.empty
+
+(* Evaluate one block over its input rows, driver-major, and construct
+   into [sink], in cold block-major order: all of this block's rows
+   (drivers in extent order) construct before any nested block runs —
+   the exact cold mutation order, since a cold block's relation is
+   driver-major (its opening scan enumerates the extent in order).
+   Each run of rows of one driver ([driver]) is one derivation. *)
+let rec blockmajor t sink ~driver bs (inputs : Eval.env list) =
+  let bld = Eval.builder sink bs.bs_cons in
+  let rows =
     Exec.stepper t.data t.options.Eval.registry ~bound:!(bs.bs_bound)
-      bs.bs_steps
+      bs.bs_steps inputs
   in
-  let per_rows =
-    List.map
-      (fun (dk, envs) ->
-        let rows = step envs in
-        t.ctr.c_rows <- t.ctr.c_rows + List.length rows;
-        (dk, rows))
-      per_driver
-  in
+  t.ctr.c_rows <- t.ctr.c_rows + List.length rows;
+  let cur = ref min_int in
   List.iter
-    (fun (dk, rows) ->
-      t.serial <- t.serial + 1;
-      t.cur <- [];
-      List.iter (Eval.row bld) rows;
-      Eval.flush bld;
-      t.pending <- (bs.bs_id, dk, t.cur) :: t.pending)
-    per_rows;
-  List.iter (fun nb -> blockmajor t ~apply nb per_rows) bs.bs_nested
+    (fun row ->
+      let dk = driver row in
+      if dk <> !cur then begin
+        if !cur <> min_int then Eval.flush bld;
+        open_derivation t bs.bs_id dk;
+        cur := dk
+      end;
+      Eval.row bld row)
+    rows;
+  if !cur <> min_int then Eval.flush bld;
+  List.iter (fun nb -> blockmajor t sink ~driver nb rows) bs.bs_nested
 
 (* --- driver ranks --- *)
 
@@ -427,7 +647,7 @@ exception Rank_overflow
 let assign_ranks ts extent =
   let arr = Array.of_list extent in
   let n = Array.length arr in
-  let rank_of i = Hashtbl.find_opt ts.ts_ranks (Oid.id arr.(i)) in
+  let rank_of i = IT.find_opt ts.ts_ranks (Oid.id arr.(i)) in
   let last = ref 0 in
   let i = ref 0 in
   while !i < n do
@@ -451,15 +671,15 @@ let assign_ranks ts extent =
       let step = max 1 ((hi - !last) / (run + 1)) in
       for k = !i to !j - 1 do
         last := !last + step;
-        Hashtbl.replace ts.ts_ranks (Oid.id arr.(k)) !last
+        IT.replace ts.ts_ranks (Oid.id arr.(k)) !last
       done;
       i := !j
   done
 
 let renumber_ranks ts extent =
-  Hashtbl.reset ts.ts_ranks;
+  IT.reset ts.ts_ranks;
   List.iteri
-    (fun i o -> Hashtbl.replace ts.ts_ranks (Oid.id o) ((i + 1) * rank_gap))
+    (fun i o -> IT.replace ts.ts_ranks (Oid.id o) ((i + 1) * rank_gap))
     extent
 
 (* --- engine construction --- *)
@@ -494,14 +714,14 @@ let create ?(options = Eval.default_options) ~queries data =
               {
                 ts_bs = bs;
                 ts_class = Plan.D_static;
-                ts_ranks = Hashtbl.create 64;
+                ts_ranks = IT.create 64;
               })
             q.Ast.blocks
         in
         { qs_query = q; qs_tops })
       queries
   in
-  let ranks = Array.make !next_id (Hashtbl.create 0) in
+  let ranks = Array.make !next_id (IT.create 0) in
   List.iter
     (fun qs ->
       List.iter
@@ -520,11 +740,17 @@ let create ?(options = Eval.default_options) ~queries data =
     sg = Graph.create ~name:"site" ();
     scope = Skolem.create ();
     data;
-    derivs = Hashtbl.create 4096;
-    ids = Hashtbl.create 8192;
-    slots = [||];
+    derivs = Array.init !next_id (fun _ -> IT.create 16);
+    ev = [||];
+    oids = [||];
+    tgts = [||];
+    heads = Array.make 1024 (-1);
     hw = 0;
-    free = [];
+    live = 0;
+    free = -1;
+    multi = IT.create 64;
+    names = Stbl.create 64;
+    name_of = [||];
     epoch = 0;
     serial = 0;
     ctr =
@@ -535,46 +761,51 @@ let create ?(options = Eval.default_options) ~queries data =
         c_events_added = 0;
         c_events_removed = 0;
         c_events_live = 0;
+        c_event_ids = 0;
         c_fallback_replays = 0;
         c_full_rederives = 0;
       };
-    cur = [];
-    pending = [];
+    buf = [||];
+    buf_n = 0;
+    pend = [||];
+    pend_n = 0;
   }
 
 (* Commit the pending derivations, in derivation order: store their id
    arrays and add support.  [announce] sees ids whose support went
    0 -> 1. *)
 let commit t ~announce =
-  List.iter
-    (fun (bid, dk, rev_ids) ->
-      let ids = Array.of_list (List.rev rev_ids) in
-      if Array.length ids = 0 then Hashtbl.remove t.derivs (bid, dk)
-      else Hashtbl.replace t.derivs (bid, dk) ids;
-      t.ctr.c_events_added <- t.ctr.c_events_added + Array.length ids;
-      let r = rank_of t bid dk in
-      Array.iteri
-        (fun q id ->
-          let s = t.slots.(id) in
-          (match s.sup with S0 -> announce id | S1 _ | SM _ -> ());
-          sup_add t s bid dk r q)
-        ids)
-    (List.rev t.pending);
-  t.pending <- []
+  let n = t.pend_n / 3 in
+  for k = 0 to n - 1 do
+    let bid = t.pend.(3 * k) and dk = t.pend.((3 * k) + 1) in
+    let start = t.pend.((3 * k) + 2) in
+    let stop = if k + 1 < n then t.pend.((3 * k) + 5) else t.buf_n in
+    let tbl = t.derivs.(bid) in
+    if stop = start then IT.remove tbl dk
+    else IT.replace tbl dk (Array.sub t.buf start (stop - start));
+    t.ctr.c_events_added <- t.ctr.c_events_added + (stop - start);
+    let r = rank_of t bid dk in
+    for q = 0 to stop - start - 1 do
+      let id = t.buf.(start + q) in
+      if sup_add t id bid dk r q then announce id
+    done
+  done;
+  t.pend_n <- 0;
+  t.buf_n <- 0
 
 (* Retract the derivations of (block list x driver): drop support; ids
    whose support drains to zero are pushed onto [drained]. *)
 let retract t ~drained bs_ids dk =
   List.iter
     (fun bid ->
-      match Hashtbl.find_opt t.derivs (bid, dk) with
+      let tbl = t.derivs.(bid) in
+      match IT.find_opt tbl dk with
       | None -> ()
       | Some ids ->
-        Hashtbl.remove t.derivs (bid, dk);
+        IT.remove tbl dk;
         t.ctr.c_events_removed <- t.ctr.c_events_removed + Array.length ids;
         Array.iter
-          (fun id ->
-            if sup_retract t.slots.(id) bid dk then drained := id :: !drained)
+          (fun id -> if sup_retract t id bid dk then drained := id :: !drained)
           ids)
     bs_ids
 
@@ -608,16 +839,23 @@ let reaches g (d : Delta.t) (fp : Plan.footprint) =
 
 let drivers_of_derivs t bs_ids =
   List.sort_uniq compare
-    (Hashtbl.fold
-       (fun (bid, dk) _ acc ->
-         if dk <> -1 && List.mem bid bs_ids then dk :: acc else acc)
-       t.derivs [])
+    (List.fold_left
+       (fun acc bid ->
+         IT.fold (fun dk _ acc -> if dk <> -1 then dk :: acc else acc)
+           t.derivs.(bid) acc)
+       [] bs_ids)
 
 (** Cold-prime the engine: plan, classify, and construct the site graph
-    with a cold build's exact mutation sequence, recording every
-    construction event.  The result is byte-identical to {!Exec.run} of
-    the same queries over the same data graph. *)
+    with a cold build's exact mutation sequence, through the bulk
+    loader as {!Exec.run_all} does, recording every construction event.
+    The result is byte-identical to {!Exec.run} of the same queries over
+    the same data graph. *)
 let prime t =
+  let ld = Graph.Loader.create ~name:"site" () in
+  let sink =
+    { Eval.out = Eval.Fresh ld; scope = t.scope;
+      emit = Some (emitter t ~apply:true) }
+  in
   List.iter
     (fun qs ->
       List.iter
@@ -629,25 +867,21 @@ let prime t =
              let extent = Graph.collection t.data coll in
              renumber_ranks ts extent;
              ranks_changed t;
-             let per_driver =
-               List.map
-                 (fun d ->
-                   ( Oid.id d,
-                     [
-                       Eval.Env.add v
-                         (Eval.B_target (Graph.N d))
-                         Eval.Env.empty;
-                     ] ))
-                 extent
-             in
              t.ctr.c_drivers <- t.ctr.c_drivers + List.length extent;
-             blockmajor t ~apply:true ts.ts_bs per_driver
+             blockmajor t sink ~driver:(driver_of v) ts.ts_bs
+               (List.map (driver_env v) extent)
            | Plan.D_static | Plan.D_fallback _ ->
-             blockmajor t ~apply:true ts.ts_bs [ (-1, [ Eval.Env.empty ]) ]);
+             blockmajor t sink ~driver:bottom ts.ts_bs [ Eval.Env.empty ]);
           commit t ~announce:ignore)
         qs.qs_tops)
     t.queries;
-  t.ctr.c_events_live <- Hashtbl.length t.ids
+  t.sg <- Graph.Loader.finish ld;
+  (* the buffers grew to the largest block's events: a cycle needs
+     only its change's *)
+  t.buf <- [||];
+  t.pend <- [||];
+  t.ctr.c_events_live <- t.live;
+  t.ctr.c_event_ids <- t.hw
 
 (* --- the delta cycle --- *)
 
@@ -703,15 +937,12 @@ let apply ?data t (delta : Delta.t) : site_change =
      touched set, which the state comparison below settles *)
   let noted = ref Oid.Set.empty in
   let fallbacks_run = ref [] in
-  let note_ev e =
-    match e with
-    | E_node o -> noted := Oid.Set.add o !noted
-    | E_edge (s, _, _) ->
-      touched_srcs := Oid.Set.add s !touched_srcs;
-      noted := Oid.Set.add s !noted
-    | E_coll (c, o) ->
-      touched_colls := SS.add c !touched_colls;
-      noted := Oid.Set.add o !noted
+  let note id =
+    let o = t.oids.(id) in
+    noted := Oid.Set.add o !noted;
+    let k = kind t id in
+    if k = k_edge then touched_srcs := Oid.Set.add o !touched_srcs
+    else if k = k_coll then touched_colls := SS.add (name t id) !touched_colls
   in
   (* Position-diff noting for the incremental path: record the
      canonical position of every event a re-derived driver previously
@@ -727,15 +958,15 @@ let apply ?data t (delta : Delta.t) : site_change =
      captures its true pre-cycle position. *)
   let prepos = ref [] in
   let record_prepos id =
-    let s = t.slots.(id) in
-    match s.ev with
-    | E_node _ -> ()
-    | E_edge _ | E_coll _ ->
-      if s.recorded <> cycle then begin
-        s.recorded <- cycle;
-        minpos t s;
-        prepos := (s, s.mp_b, s.mp_r, s.mp_s) :: !prepos
-      end
+    let i = (id * stride) + f_recorded in
+    if kind t id <> k_node && t.ev.(i) <> cycle then begin
+      t.ev.(i) <- cycle;
+      prepos := (id, position t id) :: !prepos
+    end
+  in
+  let sink =
+    { Eval.out = Eval.Live t.sg; scope = t.scope;
+      emit = Some (emitter t ~apply:false) }
   in
   let disabled = not !Exec.delta_enabled in
   List.iter
@@ -747,9 +978,9 @@ let apply ?data t (delta : Delta.t) : site_change =
       let old_evs_iter f dk =
         List.iter
           (fun bid ->
-            match Hashtbl.find_opt t.derivs (bid, dk) with
+            match IT.find_opt t.derivs.(bid) dk with
             | None -> ()
-            | Some evs -> Array.iter f evs)
+            | Some ids -> Array.iter f ids)
           ids
       in
       (* full replays note the buckets of a driver's OLD events
@@ -757,12 +988,12 @@ let apply ?data t (delta : Delta.t) : site_change =
          survivors); the incremental path records positions instead
          and lets the post-commit diff decide *)
       let note_old_and_retract dk =
-        old_evs_iter (fun id -> note_ev t.slots.(id).ev) dk;
+        old_evs_iter note dk;
         retract t ~drained ids dk
       in
       let replay_whole () =
         List.iter note_old_and_retract (-1 :: drivers_of_derivs t ids);
-        blockmajor t ~apply:false bs [ (-1, [ Eval.Env.empty ]) ]
+        blockmajor t sink ~driver:bottom bs [ Eval.Env.empty ]
       in
       match cls with
       | Plan.D_static ->
@@ -826,8 +1057,8 @@ let apply ?data t (delta : Delta.t) : site_change =
                   if hops > depth then acc
                   else begin
                     Hashtbl.replace h dk o;
-                    if Hashtbl.mem ts.ts_ranks dk
-                       || Hashtbl.mem t.derivs (bs.bs_id, dk)
+                    if IT.mem ts.ts_ranks dk
+                       || IT.mem t.derivs.(bs.bs_id) dk
                     then dk :: acc
                     else acc
                   end)
@@ -841,7 +1072,7 @@ let apply ?data t (delta : Delta.t) : site_change =
             List.iter (old_evs_iter record_prepos) affected;
             List.iter
               (fun (c, o) ->
-                if c = coll then Hashtbl.remove ts.ts_ranks (Oid.id o))
+                if c = coll then IT.remove ts.ts_ranks (Oid.id o))
               delta.Delta.coll_removed;
             (if List.exists (fun (c, _) -> c = coll) delta.Delta.coll_added
              then
@@ -861,15 +1092,9 @@ let apply ?data t (delta : Delta.t) : site_change =
               (if full then note_old_and_retract dk
                else retract t ~drained ids dk);
               match Hashtbl.find_opt oid_of dk with
-              | Some d when Hashtbl.mem ts.ts_ranks dk ->
+              | Some d when IT.mem ts.ts_ranks dk ->
                 t.ctr.c_drivers <- t.ctr.c_drivers + 1;
-                Some
-                  ( dk,
-                    [
-                      Eval.Env.add v
-                        (Eval.B_target (Graph.N d))
-                        Eval.Env.empty;
-                    ] )
+                Some (dk, driver_env v d)
               | _ -> None (* removed driver: retraction only *))
             affected_dks
         in
@@ -878,36 +1103,28 @@ let apply ?data t (delta : Delta.t) : site_change =
           List.sort
             (fun (a, _) (b, _) ->
               compare
-                (Hashtbl.find_opt ts.ts_ranks a)
-                (Hashtbl.find_opt ts.ts_ranks b))
+                (IT.find_opt ts.ts_ranks a)
+                (IT.find_opt ts.ts_ranks b))
             per_driver
         in
-        if per_driver <> [] then blockmajor t ~apply:false bs per_driver)
+        if per_driver <> [] then
+          blockmajor t sink ~driver:(driver_of v) bs
+            (List.map snd per_driver))
     tops;
   (* buffered events record their pre-commit position: genuinely new
      events (and events whose support was just drained) read max_int,
      so the diff below notes them; re-derivations at an unchanged
      position cancel out *)
-  List.iter (fun (_, _, ids) -> List.iter record_prepos ids) t.pending;
+  iter_pending t record_prepos;
   commit t ~announce:(fun id ->
       announced := id :: !announced;
-      match t.slots.(id).ev with
-      | E_node _ as e -> note_ev e
-      | E_edge _ | E_coll _ -> ());
+      if kind t id = k_node then note id);
   (* position diff: note exactly the events whose canonical position
      moved or whose existence flipped *)
-  List.iter
-    (fun (s, b, r, q) ->
-      minpos t s;
-      if s.mp_b <> b || s.mp_r <> r || s.mp_s <> q then note_ev s.ev)
-    !prepos;
+  List.iter (fun (id, p) -> if position t id <> p then note id) !prepos;
   (* net removals: drained and not re-supported *)
-  let net_removed =
-    List.filter
-      (fun id -> match t.slots.(id).sup with S0 -> true | S1 _ | SM _ -> false)
-      !drained
-  in
-  List.iter (fun id -> note_ev t.slots.(id).ev) net_removed;
+  let net_removed = List.filter (fun id -> not (supported t id)) !drained in
+  List.iter note net_removed;
   (* what a render can read of each noted node, before the graph moves:
      its ordered out-edges and its collection list ([None]: not in the
      site graph yet) *)
@@ -930,9 +1147,7 @@ let apply ?data t (delta : Delta.t) : site_change =
     ref
       (List.exists
          (fun id ->
-           match t.slots.(id).ev with
-           | E_node o -> not (Graph.mem_node t.sg o)
-           | E_edge _ | E_coll _ -> false)
+           kind t id = k_node && not (Graph.mem_node t.sg t.oids.(id)))
          !announced)
   and labels = ref SS.empty in
   let edge_moved l = function
@@ -943,16 +1158,18 @@ let apply ?data t (delta : Delta.t) : site_change =
   let removed_nodes = ref [] in
   List.iter
     (fun id ->
-      let e = t.slots.(id).ev in
+      let k = kind t id and o = t.oids.(id) and tg = t.tgts.(id) in
+      let l = if k = k_node then "" else name t id in
       release t id;
-      match e with
-      | E_coll (c, o) -> Graph.remove_from_collection t.sg c o
-      | E_edge (src, l, tg) ->
-        edge_moved l tg;
-        Graph.remove_edge t.sg src l tg
-      | E_node o ->
+      if k = k_node then begin
         structural := true;
-        removed_nodes := o :: !removed_nodes)
+        removed_nodes := o :: !removed_nodes
+      end
+      else if k = k_edge then begin
+        edge_moved l tg;
+        Graph.remove_edge t.sg o l tg
+      end
+      else Graph.remove_from_collection t.sg l o)
     net_removed;
   (* nodes go last: their dangling edges and memberships are gone
      (construction emits a node event for every endpoint it mentions,
@@ -963,24 +1180,22 @@ let apply ?data t (delta : Delta.t) : site_change =
      An announced event re-supported after draining is still there. *)
   List.iter
     (fun id ->
-      match t.slots.(id).ev with
-      | E_node o -> Graph.add_node t.sg o
-      | E_edge (s, l, tg) ->
-        if not (Graph.has_edge t.sg s l tg) then edge_moved l tg;
-        Graph.add_edge t.sg s l tg
-      | E_coll (c, o) -> Graph.add_to_collection t.sg c o)
+      let k = kind t id and o = t.oids.(id) in
+      if k = k_node then Graph.add_node t.sg o
+      else if k = k_edge then begin
+        let l = name t id and tg = t.tgts.(id) in
+        if not (Graph.has_edge t.sg o l tg) then edge_moved l tg;
+        Graph.add_edge t.sg o l tg
+      end
+      else Graph.add_to_collection t.sg (name t id) o)
     !announced;
   (* canonical re-sort of every touched bucket and collection, each
      element decorated once with its event's minimum position *)
-  let sort_by_minpos key items =
+  let sort_by_minpos find items =
     List.map
       (fun x ->
-        match Hashtbl.find_opt t.ids (key x) with
-        | Some id ->
-          let s = t.slots.(id) in
-          minpos t s;
-          ((s.mp_b, s.mp_r, s.mp_s), x)
-        | None -> ((max_int, 0, 0), x))
+        let id = find x in
+        ((if id >= 0 then position t id else (max_int, 0, 0)), x))
       items
     |> List.stable_sort (fun (a, _) (b, _) -> compare (a : int * int * int) b)
     |> List.map snd
@@ -991,7 +1206,8 @@ let apply ?data t (delta : Delta.t) : site_change =
         let cur = Graph.out_edges t.sg src in
         let sorted =
           sort_by_minpos
-            (fun (l, tg) -> K_edge (Oid.id src, l, Graph.tkey tg))
+            (fun (l, tg) ->
+              find t k_edge (Oid.id src) (name_find t l) (tkey tg) tg)
             cur
         in
         if sorted <> cur then begin
@@ -1004,10 +1220,14 @@ let apply ?data t (delta : Delta.t) : site_change =
   SS.iter
     (fun c ->
       let cur = Graph.collection t.sg c in
-      let sorted = sort_by_minpos (fun o -> K_coll (c, Oid.id o)) cur in
+      let cid = name_find t c in
+      let sorted =
+        sort_by_minpos (fun o -> find t k_coll (Oid.id o) cid 0 no_target) cur
+      in
       if sorted <> cur then Graph.set_collection t.sg c sorted)
     !touched_colls;
-  t.ctr.c_events_live <- Hashtbl.length t.ids;
+  t.ctr.c_events_live <- t.live;
+  t.ctr.c_event_ids <- t.hw;
   (* touched: the noted nodes a render would now read differently *)
   let same_edges a b =
     List.equal
@@ -1041,7 +1261,7 @@ let apply ?data t (delta : Delta.t) : site_change =
 
 let pp_counters ppf c =
   Fmt.pf ppf
-    "cycles=%d drivers=%d rows=%d events +%d/-%d live=%d fallback-replays=%d \
-     full-rederives=%d"
+    "cycles=%d drivers=%d rows=%d events +%d/-%d live=%d ids=%d \
+     fallback-replays=%d full-rederives=%d"
     c.c_cycles c.c_drivers c.c_rows c.c_events_added c.c_events_removed
-    c.c_events_live c.c_fallback_replays c.c_full_rederives
+    c.c_events_live c.c_event_ids c.c_fallback_replays c.c_full_rederives

@@ -51,6 +51,10 @@ type counters = {
   mutable c_events_live : int;
       (** events holding an id after the last prime or cycle: exactly
           the events some derivation still emits *)
+  mutable c_event_ids : int;
+      (** ids the event store has handed out, live or free: its
+          high-water mark, as the last prime or cycle left it.  A
+          drained id is handed out again before a new one. *)
   mutable c_fallback_replays : int;  (** ⊥-driver full block replays *)
   mutable c_full_rederives : int;  (** whole-block re-derivations *)
 }
@@ -61,13 +65,14 @@ val create : ?options:Eval.options -> queries:Ast.query list -> Graph.t -> t
 
 val prime : t -> unit
 (** Cold-prime: plan, classify, and construct the site graph with a
-    cold build's exact mutation sequence, recording every construction
-    event.  The resulting {!site_graph} is byte-identical to
-    {!Exec.run} of the same queries. *)
+    cold build's exact mutation sequence, through a {!Graph.Loader} as
+    {!Exec.run_all} builds one, recording every construction event.
+    The resulting {!site_graph} equals {!Exec.run_all}'s of the same
+    queries in every listing. *)
 
 val site_graph : t -> Graph.t
-(** The maintained site graph.  Owned by the engine: callers must not
-    mutate it. *)
+(** The maintained site graph, empty until {!prime}.  Owned by the
+    engine: callers must not mutate it. *)
 
 val scope : t -> Skolem.t
 (** The Skolem scope naming the site graph's nodes. *)

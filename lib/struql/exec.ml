@@ -449,7 +449,7 @@ let fold_pipeline ~timed live ops input =
   List.fold_left (fun s op -> op_seq ~timed live op s) input ops
 
 (* The differential engine's lane: one block's operators, built once,
-   stepping each driver's rows through the same pipeline. *)
+   stepping its drivers' rows through the same pipeline. *)
 let stepper g reg ~bound steps =
   let ops = ops_of_steps g reg bound steps in
   let live = { cur = 0; peak = 0 } in

@@ -244,4 +244,4 @@ val stepper :
     plan once ([bound]: the variables bound on entry); the returned
     function streams a relation through them and materializes the
     result, in pipeline order.  The differential engine ({!Dexec})
-    steps each driver's rows through it. *)
+    steps its drivers' rows through it, a block's inputs in one pass. *)

@@ -139,10 +139,15 @@ type compiled = { cache : (string, Tast.t) Hashtbl.t; refs : string Oid.Tbl.t }
 
 let new_compiled () = { cache = Hashtbl.create 16; refs = Oid.Tbl.create 16 }
 
+(* templates parsed by every cache in the process *)
+let parses = Atomic.make 0
+let templates_parsed () = Atomic.get parses
+
 let compile_cached c key text =
   match Hashtbl.find_opt c.cache key with
   | Some t -> t
   | None ->
+    Atomic.incr parses;
     let t = Tparse.parse text in
     Hashtbl.add c.cache key t;
     t

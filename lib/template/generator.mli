@@ -81,6 +81,11 @@ type compiled
 
 val new_compiled : unit -> compiled
 
+val templates_parsed : unit -> int
+(** Templates parsed so far by the renders of the whole process: a
+    {!compiled} cache parses each template it selects once, at its
+    first use. *)
+
 val fault_marker : string
 (** Deterministic marker comment opening every placeholder body. *)
 

@@ -306,6 +306,42 @@ let run ?(options = Eval.default_options) ?scope ?into ?emit g (q : Ast.query)
   List.iter (run_block options sink g [] [ Eval.Env.empty ]) q.blocks;
   out
 
+(* --- the reference event identity ---
+
+   A construction event keyed structurally, as the differential engine
+   keyed its event table before its events moved into a flat store: a
+   node by oid id, an edge by (source id, label, {!Graph.tkey} of its
+   target), a membership by (collection, member id).  The polymorphic
+   hash and compare equate what {!Value.equal} equates (the two zeros,
+   every NaN) and tell apart what it does ([Int 1], [Float 1.0],
+   [String "1"]). *)
+
+type event_key =
+  | K_node of int
+  | K_edge of int * string * Graph.tkey
+  | K_coll of string * int
+
+(* The distinct construction events of a cold {!Exec.run_all} of
+   [queries] over [g], an edge's endpoints counting as node events. *)
+let distinct_events ?(options = Eval.default_options) g queries =
+  let keys = Hashtbl.create 1024 in
+  let add k = Hashtbl.replace keys k () in
+  let node o = add (K_node (Oid.id o)) in
+  let emit =
+    {
+      Eval.em_apply = true;
+      em_node = node;
+      em_edge =
+        (fun s l tg ->
+          node s;
+          (match tg with Graph.N o -> node o | Graph.V _ -> ());
+          add (K_edge (Oid.id s, l, Graph.tkey tg)));
+      em_coll = (fun c o -> add (K_coll (c, Oid.id o)));
+    }
+  in
+  ignore (Exec.run_all ~options ~emit ~name:"events" g queries);
+  Hashtbl.length keys
+
 (* stage 1 alone: the binding relation of a condition list *)
 let bindings ?(options = Eval.default_options) g conds =
   let steps = plan options g ~bound:[] ~needed_obj:[] ~needed_label:[] conds in

@@ -8,10 +8,13 @@
    the kill switch, the fallback taxonomy, quarantine under seeded
    source failures, one classification across explain-analyze, the
    engine and lint, the structural diff and delta cardinality, rebase
-   order, the engine's event table staying bounded across cycles, and
-   the mediated refresh: a view equal to a fresh integration in every
-   index order, stable oids, a bounded mediation scope, and an org
-   cycle re-deriving only the retitled publications. *)
+   order, the engine's event store staying bounded across cycles and
+   reusing drained ids, its value identity against a cold run's
+   events, a primed site graph equal to a cold build's in every index
+   order, one template parse per session, and the mediated refresh: a
+   view equal to a fresh integration in every index order, stable
+   oids, a bounded mediation scope, and an org cycle re-deriving only
+   the retitled publications. *)
 
 open Sgraph
 
@@ -1145,6 +1148,104 @@ let check_listing_verdicts what w g =
     (show_verdicts (Serve.Watch.built w).Strudel.Site.verification);
   cold
 
+(* --- the event store's identity: values the graph equates or tells
+   apart --- *)
+
+let identity_values =
+  [|
+    Value.Int 1; Value.Float 1.0; Value.String "1"; Value.Float 0.0;
+    Value.Float (-0.0); Value.Float Float.nan; Value.Int 0;
+  |]
+
+(* every driver links its value from its own page and from the shared
+   root, so equal values from several drivers meet in one event *)
+let identity_query =
+  parse
+    {|INPUT DATA
+{ CREATE Root()
+  COLLECT Roots(Root()) }
+{ WHERE Items(i), i -> "v" -> v
+  CREATE P(i)
+  LINK P(i) -> "v" -> v, Root() -> "v" -> v
+  COLLECT Ps(P(i)) }
+OUTPUT SITE
+|}
+
+type id_op = Set of int * int | Add_item of int | Drop of int | Delete of int
+
+let id_op_gen =
+  let open QCheck.Gen in
+  let value = int_bound (Array.length identity_values - 1) in
+  frequency
+    [
+      (4, map2 (fun k v -> Set (k, v)) (int_bound 9) value);
+      (2, map (fun v -> Add_item v) value);
+      (1, map (fun k -> Drop k) (int_bound 9));
+      (1, map (fun k -> Delete k) (int_bound 9));
+    ]
+
+let show_id_op = function
+  | Set (k, v) -> Printf.sprintf "set %d %d" k v
+  | Add_item v -> Printf.sprintf "add %d" v
+  | Drop k -> Printf.sprintf "drop %d" k
+  | Delete k -> Printf.sprintf "delete %d" k
+
+let identity_arb =
+  QCheck.make
+    ~print:(fun (vals, ops) ->
+      Printf.sprintf "values [%s]; edits [%s]"
+        (String.concat "; " (List.map string_of_int vals))
+        (String.concat "; " (List.map show_id_op ops)))
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 6)
+           (int_bound (Array.length identity_values - 1)))
+        (list_size (int_range 1 12) id_op_gen))
+
+(* After the prime and after every cycle, the engine holds exactly as
+   many live events as a cold run emits distinct ones under the
+   reference identity. *)
+let live_events_match_cold (vals, ops) =
+  let g = Graph.create ~name:"DATA" () in
+  let fresh = ref 0 in
+  let add_item add_edge add_coll vi =
+    incr fresh;
+    let o = Oid.fresh (Printf.sprintf "it%d" !fresh) in
+    add_edge o "v" (Graph.V identity_values.(vi));
+    add_coll "Items" o
+  in
+  List.iter
+    (add_item (Graph.add_edge g) (fun c o -> Graph.add_to_collection g c o))
+    vals;
+  let dx = Struql.Dexec.create ~queries:[ identity_query ] g in
+  Struql.Dexec.prime dx;
+  let agrees () =
+    (Struql.Dexec.counters dx).Struql.Dexec.c_events_live
+    = Oracle.distinct_events g [ identity_query ]
+  in
+  let member k =
+    match Graph.collection g "Items" with
+    | [] -> None
+    | ms -> Some (List.nth ms (k mod List.length ms))
+  in
+  agrees ()
+  && List.for_all
+       (fun op ->
+         let r = Delta.Rec.create g in
+         (match op with
+          | Set (k, vi) ->
+            Option.iter
+              (fun o -> Delta.Rec.set_value r o "v" identity_values.(vi))
+              (member k)
+          | Add_item vi ->
+            add_item (Delta.Rec.add_edge r) (Delta.Rec.add_to_collection r) vi
+          | Drop k ->
+            Option.iter (Delta.Rec.remove_from_collection r "Items") (member k)
+          | Delete k -> Option.iter (Delta.Rec.remove_node r) (member k));
+         ignore (Struql.Dexec.apply dx (Delta.Rec.flush r));
+         agrees ())
+       ops
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -1538,7 +1639,77 @@ OUTPUT SITE|} );
         check_bool "events retracted" true
           (c.Struql.Dexec.c_events_removed > 0);
         check_int "live events as after prime" primed
-          c.Struql.Dexec.c_events_live);
+          c.Struql.Dexec.c_events_live;
+        check_bool "ids bounded" true
+          (c.Struql.Dexec.c_event_ids <= primed + 2));
+    t "events drained and re-added 300 times reuse their ids" (fun () ->
+        let g = mk_data 30 in
+        let w =
+          Serve.Watch.create ~source:(Serve.Watch.Direct g) definition
+        in
+        let c = Struql.Dexec.counters (Serve.Watch.engine w) in
+        let primed = c.Struql.Dexec.c_events_live in
+        let r = Option.get (Serve.Watch.recorder w) in
+        let o = Option.get (nth_member g 3) in
+        let drain_and_re_add () =
+          Delta.Rec.remove_from_collection r "Items" o;
+          ignore (Serve.Watch.cycle w);
+          check_bool "drained" true (c.Struql.Dexec.c_events_live < primed);
+          Delta.Rec.add_to_collection r "Items" o;
+          ignore (Serve.Watch.cycle w)
+        in
+        drain_and_re_add ();
+        let ids = c.Struql.Dexec.c_event_ids in
+        for _ = 2 to 300 do
+          drain_and_re_add ()
+        done;
+        check_int "live events as after prime" primed
+          c.Struql.Dexec.c_events_live;
+        check_int "no id past the first round's" ids c.Struql.Dexec.c_event_ids;
+        let cold = Strudel.Site.build ~data:g definition in
+        check_bool "pages equal cold" true
+          (page_map (Serve.Watch.built w).Strudel.Site.site
+           = page_map cold.Strudel.Site.site));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"live events = a cold run's distinct events, by value identity"
+         ~count:100 identity_arb live_events_match_cold);
+    t "a primed site graph equals a cold build's in every index order"
+      (fun () ->
+        let g = mk_data 30 in
+        let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) definition in
+        let cold = Strudel.Site.build ~data:g definition in
+        check_shape "static and driven blocks"
+          (view_shape cold.Strudel.Site.site_graph)
+          (view_shape (Struql.Dexec.site_graph (Serve.Watch.engine w)));
+        let _, wh = Sites.Org.data ~people:24 ~orgs:4 ~projects:6 ~pubs:8 () in
+        let w =
+          Serve.Watch.create ~source:(Serve.Watch.Mediated wh)
+            Sites.Org.definition
+        in
+        check_bool "org has fallback blocks" true
+          (Struql.Dexec.fallbacks (Serve.Watch.engine w) <> []);
+        check_shape "static, driven and fallback blocks"
+          (view_shape
+             (Strudel.Site.build ~data:(Mediator.Warehouse.graph wh)
+                Sites.Org.definition)
+               .Strudel.Site.site_graph)
+          (view_shape (Struql.Dexec.site_graph (Serve.Watch.engine w))));
+    t "a watch session parses each template once over 20 retitle cycles"
+      (fun () ->
+        let g = mk_data 30 in
+        let parsed0 = Template.Generator.templates_parsed () in
+        let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) definition in
+        let r = Option.get (Serve.Watch.recorder w) in
+        for i = 1 to 20 do
+          let o = Option.get (nth_member g i) in
+          Delta.Rec.set_value r o "title"
+            (Value.String (Printf.sprintf "Retitled %d" i));
+          check_bool "pages re-rendered" true
+            ((Serve.Watch.cycle w).Serve.Watch.cy_rerendered > 0)
+        done;
+        check_int "three templates, one parse each" 3
+          (Template.Generator.templates_parsed () - parsed0));
       (* --- read depth: blocks one and many hops past the driver --- *)
     t "read depths: 0, 1 and unbounded" (fun () ->
         let _, classes = classes_of [ site_query ] (mk_data 6) in
