@@ -1500,12 +1500,12 @@ let e20 () =
   Fmt.pr "path-kernel profile written to BENCH_path.json@."
 
 (* ----------------------------------------------------------------- *)
-(* E21 — sharded repository: parallel refresh, mmap segments           *)
+(* E21 — sharded repository: parallel refresh, segment decode          *)
 (* ----------------------------------------------------------------- *)
 
 let e21 () =
   section "E21"
-    "sharded repository: parallel refresh, mmap segments";
+    "sharded repository: parallel refresh, segment decode";
   (* --- A: parallel refresh across domains ---
      A synthetic federation of independent sources whose loaders are
      CPU-bound (the busy loop stands in for wrapper parsing cost; pure
@@ -1590,7 +1590,8 @@ let e21 () =
   else
     Fmt.pr "  WARNING: refresh at 4 domains only %.2fx (< 2x target)@."
       speedup4;
-  (* --- B: cold segment open — full read+verify vs mmap --- *)
+  (* --- B: cold segment open — decode (checksum included), then the
+     graph --- *)
   let g = Mediator.Warehouse.graph w in
   let dir =
     let f = Filename.temp_file "e21shard" "" in
@@ -1623,21 +1624,16 @@ let e21 () =
     done;
     !t
   in
-  let read_ms =
-    best_of (fun () ->
-        ignore (Repository.Segment.read ~verify:true ~path:seg_path ()))
-  in
-  let mmap_ms =
-    best_of (fun () ->
-        ignore (Repository.Segment.map ~verify:false ~path:seg_path ()))
-  in
   let decode_ms =
-    let seg = Repository.Segment.read ~verify:true ~path:seg_path () in
-    best_of (fun () -> ignore (Repository.Segment.to_graph seg))
+    best_of (fun () -> ignore (Repository.Segment.read ~path:seg_path ()))
+  in
+  let to_graph_ms =
+    let seg = Repository.Segment.read ~path:seg_path () in
+    best_of (fun () -> ignore (Repository.Segment.to_graph [ seg ]))
   in
   Fmt.pr "  segment %s: %d bytes@." (Filename.basename seg_path) seg_bytes;
-  Fmt.pr "  open read+verify %.3f ms | mmap %.3f ms | decode to graph %.3f ms@."
-    read_ms mmap_ms decode_ms;
+  Fmt.pr "  decode (checksum included) %.3f ms | to_graph %.3f ms@." decode_ms
+    to_graph_ms;
   (* best-effort cleanup of the temp repository *)
   Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
     (Sys.readdir dir);
@@ -1663,9 +1659,9 @@ let e21 () =
     refresh_rows;
   Buffer.add_string buf
     (Printf.sprintf
-       "\n  ],\n  \"segment\": {\"bytes\": %d, \"read_verify_ms\": %.3f, \
-        \"mmap_ms\": %.3f, \"decode_ms\": %.3f}\n}\n"
-       seg_bytes read_ms mmap_ms decode_ms);
+       "\n  ],\n  \"segment\": {\"bytes\": %d, \"decode_ms\": %.3f, \
+        \"to_graph_ms\": %.3f}\n}\n"
+       seg_bytes decode_ms to_graph_ms);
   let oc = open_out "BENCH_shard.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -2002,7 +1998,9 @@ let bechamel_suite () =
       Test.make ~name:"E15_binary_encode_decode"
         (Staged.stage (fun () ->
              ignore
-               (Repository.Binary.decode (Repository.Binary.encode cnn_small))));
+               (Repository.Segment.to_graph
+                  [ Repository.Segment.of_string
+                      (Repository.Segment.encode cnn_small) ])));
       Test.make ~name:"E15_ddl_print_parse"
         (Staged.stage (fun () ->
              ignore (Ddl.parse (Ddl.print cnn_small))));

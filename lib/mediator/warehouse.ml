@@ -17,9 +17,8 @@
     {!refresh_delta} can diff the two views directly.
 
     The mediated result lives in an immutable {!view} that is swapped
-    under a mutex: [refresh] builds the next graph (and, when sharding
-    is configured, publishes its segments) entirely off to the side,
-    then installs it atomically, so a reader that {!pin}s a view sees
+    under a mutex: [refresh] builds the next graph entirely off to the
+    side, then installs it atomically, so a reader that {!pin}s a view sees
     one consistent integration end to end no matter how many refreshes
     race past it.  With [jobs > 1] the per-source load attempts run in
     parallel across domains; policy resolution (fault recording,
@@ -42,7 +41,6 @@ type source_stat = {
 type view = {
   v_epoch : int;
   v_graph : Graph.t;
-  v_shards : Repository.Shard.snapshot option;
   v_scope : Skolem.t;
       (* the Skolem scope the graph was integrated under: the next
          integration takes its oids for every term it builds again *)
@@ -58,7 +56,6 @@ type t = {
   clock : Fault.Clock.t;
   snapshots : Repository.Store.t option;
   fault : Fault.ctx option;
-  shards : Repository.Shard.config option;
   jobs : int;
   lock : Mutex.t;
   mutable current : view;
@@ -197,54 +194,29 @@ let integrate_now ~jobs ~prev ?reuse w_options ~clock ~snapshots ~fault
   in
   (g, stats, scope, logs)
 
-(* Build the next view off to the side: publish shard segments for the
-   fresh graph (when configured), never touching the live view. *)
-let build_view w ~epoch ~source_versions (g, _, scope, logs) =
-  let shards =
-    match w.shards with
-    | None -> None
-    | Some cfg ->
-      Some (Repository.Shard.publish cfg ~epoch ~sources:source_versions g)
-  in
-  { v_epoch = epoch; v_graph = g; v_shards = shards; v_scope = scope;
-    v_logs = logs }
-
 let create ?(options = Struql.Eval.default_options)
-    ?(clock = Fault.Clock.real) ?snapshots ?fault ?shards ?(jobs = 1) ~sources
+    ?(clock = Fault.Clock.real) ?snapshots ?fault ?(jobs = 1) ~sources
     ~mappings () =
-  let ((g, stats, scope, logs) as integration) =
+  let g, stats, scope, logs =
     integrate_now ~jobs ~prev:[] options ~clock ~snapshots ~fault sources
       mappings
   in
-  let vs = versions sources in
-  let w =
-    {
-      sources;
-      mappings;
-      options;
-      clock;
-      snapshots;
-      fault;
-      shards;
-      jobs;
-      lock = Mutex.create ();
-      current =
-        { v_epoch = 1; v_graph = g; v_shards = None; v_scope = scope;
-          v_logs = logs };
-      seen_versions = vs;
-      refreshes = 1;
-      last_stats = stats;
-      ds_obj = Dsan.alloc ~name:"Warehouse";
-      ds_lock = Dsan.lock_id ~name:"Warehouse.lock";
-    }
-  in
-  let v = build_view w ~epoch:1 ~source_versions:vs integration in
-  Mutex.protect w.lock (fun () ->
-      Dsan.acquire ~site:__POS__ w.ds_lock;
-      Dsan.write ~site:__POS__ w.ds_obj 0;
-      w.current <- v;
-      Dsan.release ~site:__POS__ w.ds_lock);
-  w
+  {
+    sources;
+    mappings;
+    options;
+    clock;
+    snapshots;
+    fault;
+    jobs;
+    lock = Mutex.create ();
+    current = { v_epoch = 1; v_graph = g; v_scope = scope; v_logs = logs };
+    seen_versions = versions sources;
+    refreshes = 1;
+    last_stats = stats;
+    ds_obj = Dsan.alloc ~name:"Warehouse";
+    ds_lock = Dsan.lock_id ~name:"Warehouse.lock";
+  }
 
 (* Every access to the lock-guarded view state goes through here so the
    sanitizer sees the acquire/release edges Mutex.protect provides. *)
@@ -257,7 +229,6 @@ let locked ~site ~wr w f =
 let pin w = locked ~site:__POS__ ~wr:false w (fun () -> w.current)
 let view_epoch v = v.v_epoch
 let view_graph v = v.v_graph
-let view_shards v = v.v_shards
 let graph w = (pin w).v_graph
 let scope_size w = Skolem.size (pin w).v_scope
 let last_runs w = Gav.runs (pin w).v_logs
@@ -276,21 +247,22 @@ let stale w =
 
 (* Re-integrate if any source changed and install the result as the
    new view; returns the old and new views' graphs when it ran.  The
-   new graph (and shard snapshot) is built completely before the view
-   swap, so concurrent readers holding {!pin}ned views never observe a
-   half-refreshed mix. *)
+   new graph is built completely before the view swap, so concurrent
+   readers holding {!pin}ned views never observe a half-refreshed mix. *)
 let reintegrate ?jobs w =
   if stale w then begin
     let jobs = match jobs with Some j -> j | None -> w.jobs in
     let old = pin w in
     let prev = locked ~site:__POS__ ~wr:false w (fun () -> w.seen_versions) in
-    let ((g, stats, _, _) as integration) =
+    let g, stats, scope, logs =
       integrate_now ~jobs ~prev ~reuse:old w.options ~clock:w.clock
         ~snapshots:w.snapshots ~fault:w.fault w.sources w.mappings
     in
     let vs = versions w.sources in
     let epoch = locked ~site:__POS__ ~wr:false w (fun () -> w.refreshes) + 1 in
-    let view = build_view w ~epoch ~source_versions:vs integration in
+    let view =
+      { v_epoch = epoch; v_graph = g; v_scope = scope; v_logs = logs }
+    in
     locked ~site:__POS__ ~wr:true w (fun () ->
         w.current <- view;
         w.seen_versions <- vs;

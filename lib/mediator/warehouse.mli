@@ -14,10 +14,7 @@
     construction log of every single-source mapping ({!Gav.logs}): the
     next integration replays the logs of the mappings whose sources
     did not change and evaluates only the rest, so a pinned view holds
-    its own logs and refreshes share no mutable state.  With a
-    {!Repository.Shard.config} the fresh graph is also published as
-    mmap-able shard segments (and the shard manifest swapped) before
-    the view goes live. *)
+    its own logs and refreshes share no mutable state. *)
 
 open Sgraph
 
@@ -38,8 +35,8 @@ type source_stat = {
   ss_version : int;
 }
 
-(** One consistent integration: the mediated graph plus, when sharding
-    is configured, the shard snapshot published for it. *)
+(** One consistent integration: the mediated graph and the state the
+    next integration starts from. *)
 type view
 
 val create :
@@ -47,7 +44,6 @@ val create :
   ?clock:Fault.Clock.t ->
   ?snapshots:Repository.Store.t ->
   ?fault:Fault.ctx ->
-  ?shards:Repository.Shard.config ->
   ?jobs:int ->
   sources:Source.t list ->
   mappings:Gav.mapping list ->
@@ -60,8 +56,6 @@ val create :
     recorded in [fault]; without either, loads are direct and the first
     failure aborts, exactly as before.
 
-    [shards] makes every integration publish the mediated graph as
-    segment files under the config's directory (epoch = refresh count).
     [jobs] (default [1]) is the default parallelism of {!refresh}:
     above 1, {e all} declared sources are load-attempted eagerly across
     that many domains, then settled sequentially in declared order.
@@ -75,7 +69,6 @@ val pin : t -> view
 
 val view_epoch : view -> int
 val view_graph : view -> Graph.t
-val view_shards : view -> Repository.Shard.snapshot option
 
 val graph : t -> Graph.t
 (** [view_graph (pin w)]. *)
@@ -98,10 +91,9 @@ val stale : t -> bool
 
 val refresh : ?jobs:int -> t -> bool
 (** Re-integrate if stale; returns whether a rebuild happened.  The new
-    graph (and shard snapshot) is built completely before the view
-    swap, so concurrent readers holding pinned views never observe a
-    half-refreshed mix.  [jobs] overrides the warehouse default for
-    this refresh only. *)
+    graph is built completely before the view swap, so concurrent
+    readers holding pinned views never observe a half-refreshed mix.
+    [jobs] overrides the warehouse default for this refresh only. *)
 
 val refresh_delta : ?jobs:int -> t -> Delta.t option
 (** Delta refresh: like {!refresh}, and returns the structural

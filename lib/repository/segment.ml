@@ -1,729 +1,553 @@
-(* Mmap-able binary shard segments.
+(* Graph segments: the repository's one on-disk graph format.
 
-   The layout is a node-major int-coded form of the graph written out
-   as fixed-width little-endian int64 sections: a header of counts, then
-   string table, node table (global id + name), value heap, forward and
-   reverse adjacency, collections, per-element sequence numbers and a
-   small metadata blob.  Every section's offset is a pure function of
-   the header counts, so a mapped reader indexes sections in place; a
-   body checksum (FNV-1a 64) catches bit flips, and every access is
-   bounds-checked so corruption surfaces as {!Binary.Corrupt} with the
-   absolute byte offset, never as a crash. *)
+   A segment is a short header (magic, version, body length, FNV-1a 64
+   checksum of the body) and a body in a compact varint form: epoch,
+   numbering flag, meta, one string table (labels, names and string
+   values interned once), then nodes, edges in sequence order and
+   collections with their members.  A standalone graph is its own
+   whole, so its global ids and sequence numbers follow from its own
+   order and cost no bytes; a shard of a repository carries them, since
+   it holds a sparse subset of the union's elements.  Decoding checks
+   every byte: any malformed input raises {!Corrupt} with the absolute
+   byte offset at which the decoder gave up. *)
 
 open Sgraph
 
-let magic = "SGSEG001"
-let header_ints = 16
-let header_len = String.length magic + (8 * header_ints)
+exception Corrupt of string * int
 
-(* Counts above this are rejected before any geometry arithmetic, so a
-   corrupted header cannot overflow offset computations. *)
-let max_count = 1 lsl 42
+let corrupt msg pos = raise (Corrupt (msg, pos))
 
-let corrupt msg pos = raise (Binary.Corrupt (msg, pos))
-let pad8 n = (n + 7) land lnot 7
+(* The fixed-width layout before this one was "SGSEG001", version 1:
+   its files fail the magic check at offset 0.  The magic now stays put
+   and the version counts layouts. *)
+let magic = "STRUDSEG"
+let version = 2
 
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_string s =
-  let h = ref fnv_basis in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+let fnv s from upto =
+  let h = ref 0xcbf29ce484222325L in
+  for i = from to upto - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
 
-(* --- section geometry --- *)
+(* --- primitives: varints, strings, values --- *)
 
-type geometry = {
-  n_nodes : int;
-  n_values : int;
-  n_labels : int;
-  n_edges : int;
-  n_colls : int;
-  n_members : int;
-  n_strings : int;
-  strblob_len : int;
-  valheap_len : int;
-  meta_len : int;
-  o_str_off : int;
-  o_strblob : int;
-  o_labels : int;
-  o_node_gid : int;
-  o_node_name : int;
-  o_val_off : int;
-  o_valheap : int;
-  o_fwd_off : int;
-  o_fwd_lab : int;
-  o_fwd_tgt : int;
-  o_edge_seq : int;
-  o_rev_off : int;
-  o_rev_src : int;
-  o_rev_lab : int;
-  o_coll_sid : int;
-  o_coll_off : int;
-  o_members : int;
-  o_member_seq : int;
-  o_meta : int;
-  total : int;
-}
+(* LEB128 over the 63-bit unsigned word ([lsr] is logical), so any bit
+   pattern round-trips in at most 9 bytes. *)
+let put_varint buf n =
+  let n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char buf (Char.chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !n)
 
-let geometry ~n_nodes ~n_values ~n_labels ~n_edges ~n_colls ~n_members
-    ~n_strings ~strblob_len ~valheap_len ~meta_len =
-  let pos = ref header_len in
-  let sec bytes =
-    let o = !pos in
-    pos := o + bytes;
-    o
+let put_string buf s =
+  put_varint buf (String.length s);
+  Buffer.add_string buf s
+
+(* Zigzag over the full 63-bit range (wraparound-safe). *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+type reader = { src : string; mutable pos : int }
+
+let get_byte r =
+  if r.pos >= String.length r.src then corrupt "unexpected end" r.pos;
+  let c = Char.code (String.unsafe_get r.src r.pos) in
+  r.pos <- r.pos + 1;
+  c
+
+let get_varint r =
+  let start = r.pos in
+  let rec go shift acc =
+    let b = get_byte r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc
+    else if shift >= 56 then corrupt "varint longer than 9 bytes" start
+    else go (shift + 7) acc
   in
-  let ints n = sec (8 * n) in
-  let o_str_off = ints (n_strings + 1) in
-  let o_strblob = sec (pad8 strblob_len) in
-  let o_labels = ints n_labels in
-  let o_node_gid = ints n_nodes in
-  let o_node_name = ints n_nodes in
-  let o_val_off = ints (n_values + 1) in
-  let o_valheap = sec (pad8 valheap_len) in
-  let o_fwd_off = ints (n_nodes + 1) in
-  let o_fwd_lab = ints n_edges in
-  let o_fwd_tgt = ints n_edges in
-  let o_edge_seq = ints n_edges in
-  let o_rev_off = ints (n_nodes + n_values + 1) in
-  let o_rev_src = ints n_edges in
-  let o_rev_lab = ints n_edges in
-  let o_coll_sid = ints n_colls in
-  let o_coll_off = ints (n_colls + 1) in
-  let o_members = ints n_members in
-  let o_member_seq = ints n_members in
-  let o_meta = sec (pad8 meta_len) in
-  {
-    n_nodes;
-    n_values;
-    n_labels;
-    n_edges;
-    n_colls;
-    n_members;
-    n_strings;
-    strblob_len;
-    valheap_len;
-    meta_len;
-    o_str_off;
-    o_strblob;
-    o_labels;
-    o_node_gid;
-    o_node_name;
-    o_val_off;
-    o_valheap;
-    o_fwd_off;
-    o_fwd_lab;
-    o_fwd_tgt;
-    o_edge_seq;
-    o_rev_off;
-    o_rev_src;
-    o_rev_lab;
-    o_coll_sid;
-    o_coll_off;
-    o_members;
-    o_member_seq;
-    o_meta;
-    total = !pos;
-  }
+  go 0 0
+
+(* A count of elements that take at least a byte each: larger than the
+   rest of the input is corruption, caught before anything is
+   allocated for it. *)
+let get_count r =
+  let start = r.pos in
+  let n = get_varint r in
+  if n < 0 || n > String.length r.src - r.pos then
+    corrupt (Printf.sprintf "count %d exceeds the remaining input" n) start;
+  n
+
+let get_string r =
+  let n = get_count r in
+  let s = String.sub r.src r.pos n in
+  r.pos <- r.pos + n;
+  s
+
+type interner = { tbl : (string, int) Hashtbl.t; mutable rev : string list }
+
+let interner () = { tbl = Hashtbl.create 256; rev = [] }
+
+let intern it s =
+  match Hashtbl.find_opt it.tbl s with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length it.tbl in
+    Hashtbl.add it.tbl s i;
+    it.rev <- s :: it.rev;
+    i
+
+(* An edge target is a value under tags 0-7 or a node under tag 8. *)
+let node_tag = 8
+
+let put_value buf it v =
+  let put = put_varint buf in
+  match v with
+  | Value.Null -> put 0
+  | Value.Bool false -> put 1
+  | Value.Bool true -> put 2
+  | Value.Int i ->
+    put 3;
+    put (zigzag i)
+  | Value.Float f ->
+    (* the 64 payload bits do not fit OCaml's 63-bit int: store two
+       32-bit halves *)
+    put 4;
+    let bits = Int64.bits_of_float f in
+    put (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
+    put (Int64.to_int (Int64.shift_right_logical bits 32))
+  | Value.String s ->
+    put 5;
+    put (intern it s)
+  | Value.Url s ->
+    put 6;
+    put (intern it s)
+  | Value.File (k, p) ->
+    put 7;
+    put (intern it (Value.file_kind_name k));
+    put (intern it p)
+
+(* The value under [tag], read at [at]. *)
+let get_value r str tag at =
+  match tag with
+  | 0 -> Value.Null
+  | 1 -> Value.Bool false
+  | 2 -> Value.Bool true
+  | 3 -> Value.Int (unzigzag (get_varint r))
+  | 4 ->
+    let lo = Int64.of_int (get_varint r) in
+    let hi = Int64.of_int (get_varint r) in
+    Value.Float (Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32)))
+  | 5 -> Value.String (str ())
+  | 6 -> Value.Url (str ())
+  | 7 ->
+    let kind = str () in
+    let path = str () in
+    let k =
+      match Value.file_kind_of_name kind with
+      | Some k -> k
+      | None -> Value.Other_file kind
+    in
+    Value.File (k, path)
+  | t -> corrupt (Printf.sprintf "unknown target tag %d" t) at
 
 (* --- writing --- *)
 
-(* The node-major int-coded layout a segment stores, read off the live
-   graph: nodes renumbered [0..n_nodes-1] in [Graph.nodes] order, atomic
-   values coded [n_nodes..] in first-appearance order over the forward
-   edges, labels by the graph's own ids; forward adjacency in each
-   node's edge insertion order, reverse adjacency over every code,
-   node-major. *)
-type layout = {
-  l_idx : int array;  (* slot -> node index, -1 for a removed node *)
-  l_nodes : Oid.t array;
-  l_values : Value.t array;
-  l_labels : string array;
-  l_fwd_off : int array;
-  l_fwd_lab : int array;
-  l_fwd_tgt : int array;
-  l_rev_off : int array;
-  l_rev_src : int array;
-  l_rev_lab : int array;
+type whole = {
+  w_graph : Graph.t;
+  w_gid : int array;  (* slot -> global id, -1 for a removed node's slot *)
+  w_member : (string, int Oid.Tbl.t) Hashtbl.t;
+      (* collection -> member -> sequence number *)
 }
 
-let layout g =
+let whole g =
   let module S = Graph.Slots in
-  let ns = S.count g in
-  let idx = Array.make ns (-1) in
-  let nodes = ref [] and nn = ref 0 in
-  for s = 0 to ns - 1 do
-    if S.live g s then begin
-      idx.(s) <- !nn;
-      incr nn;
-      nodes := S.oid g s :: !nodes
-    end
-  done;
-  let nn = !nn in
-  let ne = Graph.edge_count g in
-  let fwd_off = Array.make (nn + 1) 0 in
-  let fwd_lab = Array.make ne 0 and fwd_tgt = Array.make ne 0 in
-  let vcode = Array.make (S.value_count g) (-1) in
-  let vals_rev = ref [] and nv = ref 0 in
-  let e = ref 0 in
-  for s = 0 to ns - 1 do
-    if S.live g s then begin
-      fwd_off.(idx.(s)) <- !e;
-      let ids = S.out g s in
-      for k = 0 to S.out_len g s - 1 do
-        let lab = S.label g ids.(k) in
-        if lab >= 0 then begin
-          let tk = S.target g ids.(k) in
-          fwd_lab.(!e) <- lab;
-          fwd_tgt.(!e) <-
-            (if S.is_node tk then idx.(S.index tk)
-             else begin
-               let vi = S.index tk in
-               if vcode.(vi) < 0 then begin
-                 vcode.(vi) <- nn + !nv;
-                 incr nv;
-                 vals_rev := S.value g vi :: !vals_rev
-               end;
-               vcode.(vi)
-             end);
-          incr e
-        end
-      done
-    end
-  done;
-  fwd_off.(nn) <- !e;
-  let ntc = nn + !nv in
-  let rev_off = Array.make (ntc + 1) 0 in
-  Array.iter (fun t -> rev_off.(t + 1) <- rev_off.(t + 1) + 1) fwd_tgt;
-  for t = 1 to ntc do
-    rev_off.(t) <- rev_off.(t) + rev_off.(t - 1)
-  done;
-  let rev_src = Array.make ne 0 and rev_lab = Array.make ne 0 in
-  let rcur = Array.sub rev_off 0 ntc in
-  for i = 0 to nn - 1 do
-    for e = fwd_off.(i) to fwd_off.(i + 1) - 1 do
-      let t = fwd_tgt.(e) in
-      rev_src.(rcur.(t)) <- i;
-      rev_lab.(rcur.(t)) <- fwd_lab.(e);
-      rcur.(t) <- rcur.(t) + 1
-    done
-  done;
-  {
-    l_idx = idx;
-    l_nodes = Array.of_list (List.rev !nodes);
-    l_values = Array.of_list (List.rev !vals_rev);
-    l_labels = Array.init (S.label_count g) (S.label_name g);
-    l_fwd_off = fwd_off;
-    l_fwd_lab = fwd_lab;
-    l_fwd_tgt = fwd_tgt;
-    l_rev_off = rev_off;
-    l_rev_src = rev_src;
-    l_rev_lab = rev_lab;
-  }
-
-let node_index lay g o ~err =
-  let s = Graph.Slots.find g o in
-  if s < 0 then invalid_arg err else lay.l_idx.(s)
-
-let encode_layout lay ?(epoch = 0) ?(meta = []) ~gid ~edge_seq ~coll_seq
-    (g : Graph.t) =
-  let n_nodes = Array.length lay.l_nodes in
-  let n_values = Array.length lay.l_values in
-  let n_labels = Array.length lay.l_labels in
-  let n_edges = Array.length lay.l_fwd_lab in
-  let it = Binary.interner () in
-  let label_sid = Array.map (Binary.intern it) lay.l_labels in
-  let node_name_sid =
-    Array.map (fun o -> Binary.intern it (Oid.name o)) lay.l_nodes
-  in
-  let node_gid = Array.map gid lay.l_nodes in
-  let vbuf = Buffer.create 256 in
-  let val_off = Array.make (n_values + 1) 0 in
-  Array.iteri
-    (fun i v ->
-      val_off.(i) <- Buffer.length vbuf;
-      Binary.put_value vbuf it v)
-    lay.l_values;
-  val_off.(n_values) <- Buffer.length vbuf;
-  let seqs = Array.make n_edges 0 in
-  for i = 0 to n_nodes - 1 do
-    let base = lay.l_fwd_off.(i) in
-    let o = lay.l_nodes.(i) in
-    for k = 0 to lay.l_fwd_off.(i + 1) - base - 1 do
-      seqs.(base + k) <- edge_seq o k
-    done
-  done;
-  let colls = Graph.collections g in
-  let n_colls = List.length colls in
-  let coll_sid = Array.of_list (List.map (Binary.intern it) colls) in
-  let member_lists =
-    List.map (fun c -> (c, Array.of_list (Graph.collection g c))) colls
-  in
-  let coll_off = Array.make (n_colls + 1) 0 in
-  List.iteri
-    (fun ci (_, ms) -> coll_off.(ci + 1) <- coll_off.(ci) + Array.length ms)
-    member_lists;
-  let n_members = coll_off.(n_colls) in
-  let mem_idx = Array.make n_members 0 in
-  let mem_seq = Array.make n_members 0 in
-  List.iteri
-    (fun ci (c, ms) ->
-      Array.iteri
-        (fun k o ->
-          let p = coll_off.(ci) + k in
-          mem_idx.(p) <-
-            node_index lay g o ~err:"Segment.encode: member is not a node";
-          mem_seq.(p) <- coll_seq c k)
-        ms)
-    member_lists;
-  let meta = ("graph", Graph.name g) :: meta in
-  let mbuf = Buffer.create 64 in
-  List.iter
-    (fun (k, v) ->
-      if String.contains k '=' || String.contains k '\n'
-         || String.contains v '\n'
-      then invalid_arg "Segment.encode: malformed meta key/value";
-      Buffer.add_string mbuf k;
-      Buffer.add_char mbuf '=';
-      Buffer.add_string mbuf v;
-      Buffer.add_char mbuf '\n')
-    meta;
-  let strings = Binary.interner_strings it in
-  let n_strings = List.length strings in
-  let sbuf = Buffer.create 1024 in
-  let str_off = Array.make (n_strings + 1) 0 in
-  List.iteri
-    (fun i s ->
-      str_off.(i) <- Buffer.length sbuf;
-      Buffer.add_string sbuf s)
-    strings;
-  str_off.(n_strings) <- Buffer.length sbuf;
-  let geo =
-    geometry ~n_nodes ~n_values ~n_labels ~n_edges ~n_colls ~n_members
-      ~n_strings ~strblob_len:(Buffer.length sbuf)
-      ~valheap_len:(Buffer.length vbuf) ~meta_len:(Buffer.length mbuf)
-  in
-  let body = Buffer.create (geo.total - header_len) in
-  let add_int v = Buffer.add_int64_le body (Int64.of_int v) in
-  let add_ints a = Array.iter add_int a in
-  let add_blob b =
-    let len = Buffer.length b in
-    Buffer.add_buffer body b;
-    for _ = len + 1 to pad8 len do
-      Buffer.add_char body '\000'
-    done
-  in
-  add_ints str_off;
-  add_blob sbuf;
-  add_ints label_sid;
-  add_ints node_gid;
-  add_ints node_name_sid;
-  add_ints val_off;
-  add_blob vbuf;
-  add_ints lay.l_fwd_off;
-  add_ints lay.l_fwd_lab;
-  add_ints lay.l_fwd_tgt;
-  add_ints seqs;
-  add_ints lay.l_rev_off;
-  add_ints lay.l_rev_src;
-  add_ints lay.l_rev_lab;
-  add_ints coll_sid;
-  add_ints coll_off;
-  add_ints mem_idx;
-  add_ints mem_seq;
-  add_blob mbuf;
-  let body = Buffer.contents body in
-  assert (header_len + String.length body = geo.total);
-  let out = Buffer.create geo.total in
-  Buffer.add_string out magic;
-  let hi v = Buffer.add_int64_le out (Int64.of_int v) in
-  hi 1 (* version *);
-  hi (Graph.generation g);
-  hi epoch;
-  hi n_nodes;
-  hi n_values;
-  hi n_labels;
-  hi n_edges;
-  hi n_colls;
-  hi n_members;
-  hi n_strings;
-  hi geo.strblob_len;
-  hi geo.valheap_len;
-  hi geo.meta_len;
-  Buffer.add_int64_le out (fnv_string body);
-  hi geo.total;
-  hi 0 (* reserved *);
-  Buffer.add_string out body;
-  Buffer.contents out
-
-let encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
-  encode_layout (layout g) ?epoch ?meta ~gid ~edge_seq ~coll_seq g
-
-let write_file ~path s =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc s;
-  close_out oc;
-  Sys.rename tmp path;
-  String.length s
-
-let write ~path ?epoch ?meta ~gid ~edge_seq ~coll_seq g =
-  write_file ~path (encode ?epoch ?meta ~gid ~edge_seq ~coll_seq g)
-
-let edge_log_seq g =
-  let module S = Graph.Slots in
-  let live = Array.make (S.count g) [||] in
+  let gid = Array.make (S.count g) (-1) and n = ref 0 in
   for s = 0 to S.count g - 1 do
     if S.live g s then begin
-      let bucket = S.out g s in
-      let ids = ref [] in
-      for i = S.out_len g s - 1 downto 0 do
-        if S.label g bucket.(i) >= 0 then ids := bucket.(i) :: !ids
-      done;
-      live.(s) <- Array.of_list !ids
+      gid.(s) <- !n;
+      incr n
     end
   done;
-  fun o k -> live.(S.find g o).(k)
-
-let write_graph ~path ?epoch ?meta g =
-  let lay = layout g in
-  let idx o = node_index lay g o ~err:"Segment.write_graph: unknown node" in
-  let coll_base = Hashtbl.create 16 in
-  let base = ref 0 in
+  let member = Hashtbl.create 16 and seq = ref 0 in
   List.iter
     (fun c ->
-      Hashtbl.replace coll_base c !base;
-      base := !base + Graph.collection_size g c)
+      let tbl = Oid.Tbl.create 16 in
+      List.iter
+        (fun o ->
+          Oid.Tbl.replace tbl o !seq;
+          incr seq)
+        (Graph.collection g c);
+      Hashtbl.replace member c tbl)
     (Graph.collections g);
-  write_file ~path
-    (encode_layout lay ?epoch ?meta ~gid:idx
-       ~edge_seq:(edge_log_seq g)
-       ~coll_seq:(fun c k -> Hashtbl.find coll_base c + k)
-       g)
+  { w_graph = g; w_gid = gid; w_member = member }
+
+let encode ?(epoch = 0) ?(meta = []) ?whole g =
+  let module S = Graph.Slots in
+  let fail what = invalid_arg ("Segment.encode: " ^ what) in
+  let it = interner () in
+  let body = Buffer.create 4096 in
+  let put = put_varint body in
+  (* a strictly ascending sequence number, as its gap from the last *)
+  let put_seq last seq =
+    if seq <= !last then fail "elements out of the whole graph's order";
+    put (seq - !last - 1);
+    last := seq
+  in
+  let slots = S.count g in
+  let idx = Array.make slots (-1) and n = ref 0 in
+  for s = 0 to slots - 1 do
+    if S.live g s then begin
+      idx.(s) <- !n;
+      incr n
+    end
+  done;
+  let local o = idx.(S.find g o) in
+  (* each node's slot in [whole], and a cursor into its out-bucket
+     there: a shard lists a node's out-edges as [whole] does *)
+  let wslot =
+    match whole with
+    | None -> [||]
+    | Some w ->
+      Array.init slots (fun s ->
+          if not (S.live g s) then -1
+          else
+            let ws = S.find w.w_graph (S.oid g s) in
+            if ws < 0 then fail "node outside the whole graph" else ws)
+  in
+  let cursor = Array.make (Array.length wslot) 0 in
+  put !n;
+  for s = 0 to slots - 1 do
+    if S.live g s then begin
+      Option.iter (fun w -> put w.w_gid.(wslot.(s))) whole;
+      put (intern it (Oid.name (S.oid g s)))
+    end
+  done;
+  put (Graph.edge_count g);
+  let last = ref (-1) in
+  Graph.iter_edges_inserted
+    (fun src l tgt ->
+      let s = S.find g src in
+      Option.iter
+        (fun w ->
+          let wg = w.w_graph and ws = wslot.(s) in
+          let bucket = S.out wg ws in
+          let rec next i =
+            if i >= S.out_len wg ws then fail "edge outside the whole graph"
+            else if S.label wg bucket.(i) >= 0 then i
+            else next (i + 1)
+          in
+          let i = next cursor.(s) in
+          cursor.(s) <- i + 1;
+          put_seq last bucket.(i))
+        whole;
+      put idx.(s);
+      put (intern it l);
+      match tgt with
+      | Graph.N o ->
+        put node_tag;
+        put (local o)
+      | Graph.V v -> put_value body it v)
+    g;
+  let colls = Graph.collections g in
+  put (List.length colls);
+  let last = ref (-1) in
+  List.iter
+    (fun c ->
+      put (intern it c);
+      let members = Graph.collection g c in
+      put (List.length members);
+      let seqs =
+        Option.map
+          (fun w ->
+            match Hashtbl.find_opt w.w_member c with
+            | Some tbl -> tbl
+            | None -> fail "collection outside the whole graph")
+          whole
+      in
+      List.iter
+        (fun o ->
+          Option.iter
+            (fun tbl ->
+              match Oid.Tbl.find_opt tbl o with
+              | Some seq -> put_seq last seq
+              | None -> fail "member outside the whole graph")
+            seqs;
+          put (local o))
+        members)
+    colls;
+  let head = Buffer.create 1024 in
+  put_varint head epoch;
+  put_varint head (if Option.is_none whole then 0 else 1);
+  let meta = ("graph", Graph.name g) :: meta in
+  put_varint head (List.length meta);
+  List.iter
+    (fun (k, v) ->
+      put_string head k;
+      put_string head v)
+    meta;
+  put_varint head (Hashtbl.length it.tbl);
+  List.iter (put_string head) (List.rev it.rev);
+  Buffer.add_buffer head body;
+  let rest = Buffer.contents head in
+  let out = Buffer.create (String.length rest + 32) in
+  Buffer.add_string out magic;
+  put_varint out version;
+  put_varint out (String.length rest);
+  Buffer.add_int64_le out (fnv rest 0 (String.length rest));
+  Buffer.add_string out rest;
+  Buffer.contents out
+
+let write_file ~path contents =
+  let tmp = path ^ ".tmp" in
+  (try
+     let oc = open_out_bin tmp in
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc contents;
+         close_out oc)
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  Sys.rename tmp path
+
+let write ~path ?epoch ?meta ?whole g =
+  let s = encode ?epoch ?meta ?whole g in
+  write_file ~path s;
+  String.length s
 
 (* --- reading --- *)
 
-type bsrc =
-  | S of string
-  | M of (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let blen = function S s -> String.length s | M a -> Bigarray.Array1.dim a
-
-let get_u8 src i =
-  match src with
-  | S s -> Char.code (String.unsafe_get s i)
-  | M a -> Char.code (Bigarray.Array1.unsafe_get a i)
-
-let get_raw src pos =
-  if pos < 0 || pos + 8 > blen src then
-    corrupt "unexpected end (int64 field)" (max 0 (min pos (blen src)));
-  match src with
-  | S s -> String.get_int64_le s pos
-  | M a ->
-    let b = Bytes.create 8 in
-    for i = 0 to 7 do
-      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get a (pos + i))
-    done;
-    Bytes.get_int64_le b 0
-
-let get_int src pos =
-  let v = get_raw src pos in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    corrupt "int64 field out of range" pos;
-  Int64.to_int v
-
-let get_sub src pos len =
-  if len < 0 || pos < 0 || pos + len > blen src then
-    corrupt "unexpected end (byte range)" (max 0 (min pos (blen src)));
-  match src with
-  | S s -> String.sub s pos len
-  | M a -> String.init len (fun i -> Bigarray.Array1.unsafe_get a (pos + i))
-
 type t = {
-  src : bsrc;
-  geo : geometry;
-  v_version : int;
-  v_generation : int;
-  v_epoch : int;
-  mutable strings_cache : string array option;
+  size : int;
+  epoch : int;
+  meta : (string * string) list;
+  numbered : bool;
+  nodes_at : int;  (* the node table's offset, for errors across segments *)
+  gids : int array;
+  names : string array;
+  e_seq : int array;
+  e_src : int array;
+  e_label : string array;
+  e_tgt : int array;  (* a node index, or -1 for a value *)
+  e_val : Value.t array;
+  colls : string array;
+  m_seq : int array;
+  m_coll : int array;
+  m_node : int array;
 }
 
-type etarget = T_node of int | T_value of Value.t
-
-let fnv_src src from upto =
-  let h = ref fnv_basis in
-  for i = from to upto - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (get_u8 src i))) fnv_prime
+let of_string s =
+  let len = String.length s in
+  let ml = String.length magic in
+  if len < ml || String.sub s 0 ml <> magic then corrupt "bad magic" 0;
+  let r = { src = s; pos = ml } in
+  let at = r.pos in
+  let v = get_varint r in
+  if v <> version then
+    corrupt (Printf.sprintf "unsupported segment version %d" v) at;
+  let body_len = get_varint r in
+  let sum_at = r.pos in
+  let body_at = sum_at + 8 in
+  if body_at > len then corrupt "unexpected end (header)" len;
+  if body_len < 0 || body_len > len - body_at then
+    corrupt
+      (Printf.sprintf "truncated: %d body bytes declared, %d present" body_len
+         (len - body_at))
+      len;
+  if body_len < len - body_at then
+    corrupt "trailing bytes" (body_at + body_len);
+  if not (Int64.equal (String.get_int64_le s sum_at) (fnv s body_at len)) then
+    corrupt "body checksum mismatch" sum_at;
+  r.pos <- body_at;
+  let epoch = get_varint r in
+  let at = r.pos in
+  let numbered =
+    match get_varint r with
+    | 0 -> false
+    | 1 -> true
+    | f -> corrupt (Printf.sprintf "unknown numbering %d" f) at
+  in
+  let meta =
+    Array.to_list
+      (Array.init (get_count r) (fun _ ->
+           let k = get_string r in
+           (k, get_string r)))
+  in
+  let strings = Array.init (get_count r) (fun _ -> get_string r) in
+  let index what n =
+    let at = r.pos in
+    let i = get_varint r in
+    if i < 0 || i >= n then corrupt (what ^ " index out of range") at;
+    i
+  in
+  let str () = strings.(index "string" (Array.length strings)) in
+  (* an explicit number, or the element's place in the graph's own
+     order *)
+  let number i = if numbered then get_varint r else i in
+  let last = ref (-1) in
+  let seq i =
+    if not numbered then i
+    else begin
+      let at = r.pos in
+      let gap = get_varint r in
+      if gap < 0 || gap > max_int - 1 - !last then
+        corrupt "sequence number out of range" at;
+      last := !last + 1 + gap;
+      !last
+    end
+  in
+  let nodes_at = r.pos in
+  let nn = get_count r in
+  let gids = Array.make nn 0 and names = Array.make nn "" in
+  for i = 0 to nn - 1 do
+    gids.(i) <- number i;
+    names.(i) <- str ()
   done;
-  !h
-
-let open_view ~verify src =
-  let len = blen src in
-  if len < header_len then corrupt "file shorter than header" len;
-  if get_sub src 0 (String.length magic) <> magic then corrupt "bad magic" 0;
-  let fpos i = String.length magic + (8 * i) in
-  let field i = get_int src (fpos i) in
-  let version = field 0 in
-  if version <> 1 then
-    corrupt (Printf.sprintf "unsupported segment version %d" version) (fpos 0);
-  let count i what =
-    let v = field i in
-    if v > max_count then
-      corrupt (what ^ " count implausibly large") (fpos i);
-    v
-  in
-  let geo =
-    geometry
-      ~n_nodes:(count 3 "node")
-      ~n_values:(count 4 "value")
-      ~n_labels:(count 5 "label")
-      ~n_edges:(count 6 "edge")
-      ~n_colls:(count 7 "collection")
-      ~n_members:(count 8 "member")
-      ~n_strings:(count 9 "string")
-      ~strblob_len:(count 10 "string blob")
-      ~valheap_len:(count 11 "value heap")
-      ~meta_len:(count 12 "meta blob")
-  in
-  let total = field 14 in
-  if total <> geo.total then
-    corrupt "declared length does not match section geometry" (fpos 14);
-  if total <> len then corrupt "file length mismatch" (min total len);
-  if verify then begin
-    let sum = fnv_src src header_len len in
-    if Int64.compare sum (get_raw src (fpos 13)) <> 0 then
-      corrupt "body checksum mismatch" (fpos 13)
-  end;
+  let ne = get_count r in
+  let e_seq = Array.make ne 0 and e_src = Array.make ne 0 in
+  let e_label = Array.make ne "" and e_tgt = Array.make ne (-1) in
+  let e_val = Array.make ne Value.Null in
+  for i = 0 to ne - 1 do
+    e_seq.(i) <- seq i;
+    e_src.(i) <- index "node" nn;
+    e_label.(i) <- str ();
+    let at = r.pos in
+    let tag = get_varint r in
+    if tag = node_tag then e_tgt.(i) <- index "node" nn
+    else e_val.(i) <- get_value r str tag at
+  done;
+  last := -1;
+  let nc = get_count r in
+  let colls = Array.make nc "" and parts = ref [] and m = ref 0 in
+  for c = 0 to nc - 1 do
+    colls.(c) <- str ();
+    let k = get_count r in
+    let m_seq = Array.make k 0 and m_node = Array.make k 0 in
+    for j = 0 to k - 1 do
+      m_seq.(j) <- seq !m;
+      incr m;
+      m_node.(j) <- index "node" nn
+    done;
+    parts := (m_seq, m_node, Array.make k c) :: !parts
+  done;
+  if r.pos <> len then corrupt "trailing bytes" r.pos;
+  let parts = List.rev !parts in
+  let cat f = Array.concat (List.map f parts) in
   {
-    src;
-    geo;
-    v_version = version;
-    v_generation = field 1;
-    v_epoch = field 2;
-    strings_cache = None;
+    size = len;
+    epoch;
+    meta;
+    numbered;
+    nodes_at;
+    gids;
+    names;
+    e_seq;
+    e_src;
+    e_label;
+    e_tgt;
+    e_val;
+    colls;
+    m_seq = cat (fun (s, _, _) -> s);
+    m_node = cat (fun (_, n, _) -> n);
+    m_coll = cat (fun (_, _, c) -> c);
   }
 
-let of_string ?(verify = true) s = open_view ~verify (S s)
-
-let read ?(verify = true) ~path () =
+let read ~path () =
   let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string ~verify s
+  of_string
+    (Fun.protect
+       ~finally:(fun () -> close_in_noerr ic)
+       (fun () -> really_input_string ic (in_channel_length ic)))
 
-let map ?(verify = true) ~path () =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let size = (Unix.fstat fd).Unix.st_size in
-      if size < header_len then corrupt "file shorter than header" size;
-      let ga = Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |] in
-      open_view ~verify (M (Bigarray.array1_of_genarray ga)))
+let size_bytes t = t.size
+let epoch t = t.epoch
 
-(* --- accessors --- *)
+(* Call [f k i] on element [i] of segment [k], for every element of
+   every segment in ascending sequence number ([seq t] numbers a
+   segment's elements, which it lists in that order). *)
+let merge segs seq f =
+  let n = Array.length segs in
+  let pos = Array.make n 0 and seqs = Array.map seq segs in
+  let len = Array.map Array.length seqs in
+  for _ = 1 to Array.fold_left ( + ) 0 len do
+    let best = ref (-1) in
+    for k = 0 to n - 1 do
+      if pos.(k) < len.(k)
+         && (!best < 0 || seqs.(k).(pos.(k)) < seqs.(!best).(pos.(!best)))
+      then best := k
+    done;
+    let k = !best in
+    f k pos.(k);
+    pos.(k) <- pos.(k) + 1
+  done
 
-let size_bytes t = blen t.src
-let version t = t.v_version
-let generation t = t.v_generation
-let epoch t = t.v_epoch
-let node_count t = t.geo.n_nodes
-let value_count t = t.geo.n_values
-let edge_count t = t.geo.n_edges
-let label_count t = t.geo.n_labels
-let member_count t = t.geo.n_members
-
-let arr t off i = get_int t.src (off + (8 * i))
-
-let string_at t ~at i =
-  if i < 0 || i >= t.geo.n_strings then corrupt "string index out of range" at;
-  let s0 = arr t t.geo.o_str_off i in
-  let s1 = arr t t.geo.o_str_off (i + 1) in
-  if s0 > s1 || s1 > t.geo.strblob_len then
-    corrupt "string table offsets out of range" (t.geo.o_str_off + (8 * i));
-  get_sub t.src (t.geo.o_strblob + s0) (s1 - s0)
-
-let strings t =
-  match t.strings_cache with
-  | Some a -> a
-  | None ->
-    let a =
-      Array.init t.geo.n_strings (fun i ->
-          string_at t ~at:(t.geo.o_str_off + (8 * i)) i)
-    in
-    t.strings_cache <- Some a;
-    a
-
-let check_index what n i =
-  if i < 0 || i >= n then invalid_arg ("Segment." ^ what ^ ": index out of range")
-
-let label_name t i =
-  check_index "label_name" t.geo.n_labels i;
-  string_at t ~at:(t.geo.o_labels + (8 * i)) (arr t t.geo.o_labels i)
-
-let node_gid t i =
-  check_index "node_gid" t.geo.n_nodes i;
-  arr t t.geo.o_node_gid i
-
-let node_name t i =
-  check_index "node_name" t.geo.n_nodes i;
-  string_at t ~at:(t.geo.o_node_name + (8 * i)) (arr t t.geo.o_node_name i)
-
-let value t i =
-  check_index "value" t.geo.n_values i;
-  let s0 = arr t t.geo.o_val_off i in
-  let s1 = arr t t.geo.o_val_off (i + 1) in
-  if s0 > s1 || s1 > t.geo.valheap_len then
-    corrupt "value heap offsets out of range" (t.geo.o_val_off + (8 * i));
-  let abs = t.geo.o_valheap + s0 in
-  let slice = get_sub t.src abs (s1 - s0) in
-  let r = { Binary.src = slice; pos = 0 } in
-  let v =
-    try Binary.get_value r (strings t)
-    with Binary.Corrupt (msg, p) -> corrupt msg (abs + p)
-  in
-  if r.Binary.pos <> String.length slice then
-    corrupt "trailing bytes in value" (abs + r.Binary.pos);
-  v
-
-let collections t =
-  List.init t.geo.n_colls (fun i ->
-      string_at t ~at:(t.geo.o_coll_sid + (8 * i)) (arr t t.geo.o_coll_sid i))
-
-let meta t =
-  let blob = get_sub t.src t.geo.o_meta t.geo.meta_len in
-  let lines = String.split_on_char '\n' blob in
-  List.filter_map
-    (fun line ->
-      if line = "" then None
-      else
-        match String.index_opt line '=' with
-        | Some i ->
-          Some
-            ( String.sub line 0 i,
-              String.sub line (i + 1) (String.length line - i - 1) )
-        | None -> corrupt "malformed meta line" t.geo.o_meta)
-    lines
-
-let iter_edges t f =
-  let g = t.geo in
-  if g.n_nodes > 0 && arr t g.o_fwd_off 0 <> 0 then
-    corrupt "forward offsets must start at 0" g.o_fwd_off;
-  let labels = Array.init g.n_labels (label_name t) in
-  for i = 0 to g.n_nodes - 1 do
-    let e0 = arr t g.o_fwd_off i in
-    let e1 = arr t g.o_fwd_off (i + 1) in
-    if e0 > e1 || e1 > g.n_edges then
-      corrupt "forward offsets not monotonic" (g.o_fwd_off + (8 * i));
-    for e = e0 to e1 - 1 do
-      let lab = arr t g.o_fwd_lab e in
-      if lab < 0 || lab >= g.n_labels then
-        corrupt "label index out of range" (g.o_fwd_lab + (8 * e));
-      let tc = arr t g.o_fwd_tgt e in
-      let tgt =
-        if tc < g.n_nodes then T_node tc
-        else if tc < g.n_nodes + g.n_values then T_value (value t (tc - g.n_nodes))
-        else corrupt "target tcode out of range" (g.o_fwd_tgt + (8 * e))
-      in
-      f (arr t g.o_edge_seq e) i labels.(lab) tgt
-    done
-  done;
-  if g.n_nodes > 0 && arr t g.o_fwd_off g.n_nodes <> g.n_edges then
-    corrupt "forward offsets do not cover all edges"
-      (g.o_fwd_off + (8 * g.n_nodes))
-
-let iter_members t f =
-  let g = t.geo in
-  if g.n_colls > 0 && arr t g.o_coll_off 0 <> 0 then
-    corrupt "collection offsets must start at 0" g.o_coll_off;
-  for ci = 0 to g.n_colls - 1 do
-    let cname =
-      string_at t ~at:(g.o_coll_sid + (8 * ci)) (arr t g.o_coll_sid ci)
-    in
-    let m0 = arr t g.o_coll_off ci in
-    let m1 = arr t g.o_coll_off (ci + 1) in
-    if m0 > m1 || m1 > g.n_members then
-      corrupt "collection offsets not monotonic" (g.o_coll_off + (8 * ci));
-    for m = m0 to m1 - 1 do
-      let idx = arr t g.o_members m in
-      if idx < 0 || idx >= g.n_nodes then
-        corrupt "member index out of range" (g.o_members + (8 * m));
-      f (arr t g.o_member_seq m) cname idx
-    done
-  done;
-  if g.n_colls > 0 && arr t g.o_coll_off g.n_colls <> g.n_members then
-    corrupt "collection offsets do not cover all members"
-      (g.o_coll_off + (8 * g.n_colls))
-
-let to_graph ?(indexed = true) ?name t =
+let to_graph ?name segs =
+  let segs = Array.of_list segs in
   let name =
     match name with
     | Some n -> n
-    | None -> (
-      match List.assoc_opt "graph" (meta t) with
-      | Some n -> n
-      | None -> "segment")
+    | None ->
+      Option.value ~default:"segment"
+        (if Array.length segs = 0 then None
+         else List.assoc_opt "graph" segs.(0).meta)
   in
-  let g = Graph.Loader.create ~indexed ~name () in
-  let nodes = Array.init t.geo.n_nodes (fun i -> Oid.fresh (node_name t i)) in
-  Array.iter (Graph.Loader.add_node g) nodes;
-  let by_seq l =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.rev l)
+  let g = Graph.Loader.create ~name () in
+  (* every node record in global-id order; a shard's ghost stub for a
+     foreign edge target must name the node as its home shard does *)
+  let recs =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun k t -> Array.mapi (fun i gid -> (gid, k, i)) t.gids)
+            segs))
   in
-  let edges = ref [] and members = ref [] in
-  iter_edges t (fun seq i l tgt -> edges := (seq, (i, l, tgt)) :: !edges);
-  List.iter
-    (fun (_, (i, l, tgt)) ->
-      Graph.Loader.add_edge g nodes.(i) l
-        (match tgt with
-         | T_node j -> Graph.N nodes.(j)
-         | T_value v -> Graph.V v))
-    (by_seq !edges);
-  List.iter (Graph.Loader.declare_collection g) (collections t);
-  iter_members t (fun seq c i -> members := (seq, (c, i)) :: !members);
-  List.iter
-    (fun (_, (c, i)) -> Graph.Loader.add_to_collection g c nodes.(i))
-    (by_seq !members);
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) recs;
+  let local = Array.map (fun t -> Array.make (Array.length t.gids) None) segs in
+  let last = ref None in
+  Array.iter
+    (fun (gid, k, i) ->
+      let t = segs.(k) in
+      let nm = t.names.(i) in
+      let o =
+        match !last with
+        | Some (gid', o) when gid' = gid ->
+          if Oid.name o <> nm then
+            corrupt
+              (Printf.sprintf "conflicting names for global id %d" gid)
+              t.nodes_at;
+          o
+        | _ ->
+          let o = Oid.fresh nm in
+          Graph.Loader.add_node g o;
+          last := Some (gid, o);
+          o
+      in
+      local.(k).(i) <- Some o)
+    recs;
+  let local = Array.map (Array.map Option.get) local in
+  merge segs
+    (fun t -> t.e_seq)
+    (fun k i ->
+      let t = segs.(k) and local = local.(k) in
+      Graph.Loader.add_edge g local.(t.e_src.(i)) t.e_label.(i)
+        (if t.e_tgt.(i) >= 0 then Graph.N local.(t.e_tgt.(i))
+         else Graph.V t.e_val.(i)));
+  (* a standalone segment lists every collection, an empty one too; a
+     shard lists only those it holds members of *)
+  Array.iter
+    (fun t ->
+      if not t.numbered then
+        Array.iter (Graph.Loader.declare_collection g) t.colls)
+    segs;
+  merge segs
+    (fun t -> t.m_seq)
+    (fun k i ->
+      let t = segs.(k) in
+      Graph.Loader.add_to_collection g t.colls.(t.m_coll.(i))
+        local.(k).(t.m_node.(i)));
   Graph.Loader.finish g
-
-let validate t =
-  ignore (strings t);
-  for i = 0 to t.geo.n_values - 1 do
-    ignore (value t i)
-  done;
-  for i = 0 to t.geo.n_nodes - 1 do
-    ignore (node_gid t i);
-    ignore (node_name t i)
-  done;
-  iter_edges t (fun _ _ _ _ -> ());
-  (* reverse adjacency: monotonic offsets over all tcodes, sources and
-     labels in range *)
-  let g = t.geo in
-  let nt = g.n_nodes + g.n_values in
-  if arr t g.o_rev_off 0 <> 0 then
-    corrupt "reverse offsets must start at 0" g.o_rev_off;
-  for i = 0 to nt - 1 do
-    let e0 = arr t g.o_rev_off i in
-    let e1 = arr t g.o_rev_off (i + 1) in
-    if e0 > e1 || e1 > g.n_edges then
-      corrupt "reverse offsets not monotonic" (g.o_rev_off + (8 * i))
-  done;
-  if arr t g.o_rev_off nt <> g.n_edges then
-    corrupt "reverse offsets do not cover all edges" (g.o_rev_off + (8 * nt));
-  for e = 0 to g.n_edges - 1 do
-    let s = arr t g.o_rev_src e in
-    if s < 0 || s >= g.n_nodes then
-      corrupt "reverse source out of range" (g.o_rev_src + (8 * e));
-    let l = arr t g.o_rev_lab e in
-    if l < 0 || l >= g.n_labels then
-      corrupt "reverse label out of range" (g.o_rev_lab + (8 * e))
-  done;
-  iter_members t (fun _ _ _ -> ());
-  ignore (meta t)

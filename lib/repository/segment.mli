@@ -1,126 +1,85 @@
-(** Mmap-able binary shard segments — the int-coded form of one
-    repository shard.
+(** Graph segments: the repository's one on-disk graph format (the
+    stored data and site graphs of §2.2, and an answer to §6's "efficient
+    storage representations for semistructured data").
 
-    A segment persists a graph in a node-major int-coded layout
-    (interned symbol table, forward and reverse adjacency, value heap),
-    built from the live graph at publish time and written as
-    fixed-width little-endian [int64] sections behind a checksummed
-    header, so a reader can either decode the whole file or map it and
-    index sections in place without parsing.  Alongside the adjacency
-    arrays a segment records what the plain {!Binary} format cannot:
-    each node's {e global id} (its position in the mediated union
-    graph) and per-element {e sequence numbers} for edges and
-    collection members, which let {!Shard} re-assemble a multi-segment
-    repository into a union graph whose iteration orders are
-    deterministic.
+    A segment stores a graph schema-free but compactly: one string table
+    (labels, names and string values interned once), varint indexes, the
+    nodes with their names, the edges in sequence order and the
+    collections with their members, behind a header carrying a format
+    version and an FNV-1a checksum of the body.  Indexes are rebuilt on
+    load, per the repository's full-indexing policy.
 
-    All malformed-input errors raise {!Binary.Corrupt} carrying the
-    absolute byte offset at which the reader gave up. *)
+    Every element has a global id (a node) or a sequence number (an
+    edge, a collection entry) in the {e whole} graph it belongs to.  A
+    standalone graph is its own whole: its numbers follow from its own
+    order and cost no bytes.  A shard of a {!Shard} repository holds a
+    sparse subset of the union's elements and carries its numbers, so
+    {!to_graph} re-assembles the union in the order it was published
+    in. *)
 
 open Sgraph
 
+exception Corrupt of string * int
+(** Malformed input: what was wrong, and the absolute byte offset at
+    which the decoder detected it. *)
+
 val magic : string
-(** ["SGSEG001"]; the first 8 bytes of every segment file. *)
+(** The first 8 bytes of every segment. *)
 
 (** {1 Writing} *)
 
+type whole
+(** A graph numbered as the whole that shards are cut from: nodes by
+    their place in {!Graph.nodes}, edges by their place in the edge log
+    (insertion order), collection entries collection-major. *)
+
+val whole : Graph.t -> whole
+(** Number a graph, once per publish. *)
+
 val encode :
-  ?epoch:int ->
-  ?meta:(string * string) list ->
-  gid:(Oid.t -> int) ->
-  edge_seq:(Oid.t -> int -> int) ->
-  coll_seq:(string -> int -> int) ->
-  Graph.t ->
+  ?epoch:int -> ?meta:(string * string) list -> ?whole:whole -> Graph.t ->
   string
-(** Serialize the graph.  [gid] maps each node
-    to its global id; [edge_seq node k] gives the global sequence
-    number of the node's [k]-th outgoing edge (insertion order);
-    [coll_seq c k] that of collection [c]'s [k]-th member.  [meta] keys
-    and values must not contain ['\n'] (or ['='] in keys). *)
+(** Serialize a graph ([epoch] defaults to 0; [meta] is carried as is,
+    after a ["graph"] entry naming the graph).  Without [whole] the
+    graph is its own whole.  With [whole] the graph must be a shard of
+    it, as {!Shard.partition} cuts one: its nodes are [whole]'s, each of
+    its edge sources has all of its out-edges in [whole], and its edges
+    and collection entries run in [whole]'s order; raises
+    [Invalid_argument] otherwise. *)
 
 val write :
-  path:string ->
-  ?epoch:int ->
-  ?meta:(string * string) list ->
-  gid:(Oid.t -> int) ->
-  edge_seq:(Oid.t -> int -> int) ->
-  coll_seq:(string -> int -> int) ->
-  Graph.t ->
-  int
-(** [encode] to a file (written to a temporary name, then renamed into
-    place); returns the byte size. *)
+  path:string -> ?epoch:int -> ?meta:(string * string) list -> ?whole:whole ->
+  Graph.t -> int
+(** [encode] to a file through {!write_file}; returns the byte size. *)
 
-val edge_log_seq : Graph.t -> Oid.t -> int -> int
-(** [edge_log_seq g] numbers [g]'s edges for [edge_seq] by their ids in
-    [g]'s edge log: [edge_log_seq g o k] is the id of node [o]'s [k]-th
-    out-edge, and sequence order is insertion order. *)
-
-val write_graph :
-  path:string -> ?epoch:int -> ?meta:(string * string) list -> Graph.t -> int
-(** [write] with canonical standalone numbering — the single-shard (or
-    testing) case: global ids are node positions, edge sequence
-    numbers {!edge_log_seq}, and member sequence numbers the
-    collection-major member positions. *)
+val write_file : path:string -> string -> unit
+(** Write a repository file: to [path ^ ".tmp"], then renamed over
+    [path], so a reader sees the old file or the new one, never a torn
+    one.  On a failed write the temporary is removed. *)
 
 (** {1 Reading} *)
 
 type t
-(** An open segment: either fully loaded bytes or a live memory map.
-    Accessors validate on touch and raise {!Binary.Corrupt} with
-    absolute byte offsets. *)
+(** A decoded segment. *)
 
-val of_string : ?verify:bool -> string -> t
-val read : ?verify:bool -> path:string -> unit -> t
-(** Load the whole file into memory.  [verify] (default [true]) also
-    checks the body checksum. *)
+val of_string : string -> t
+(** Decode a segment, checking the checksum and every byte; raises
+    {!Corrupt} on bad magic, an unknown version, truncation, trailing
+    bytes, a checksum mismatch, an out-of-range index or an unknown
+    tag. *)
 
-val map : ?verify:bool -> path:string -> unit -> t
-(** Memory-map the file ([Unix.map_file], read-only).  With
-    [~verify:false] only the header and section geometry are validated
-    — no body page is touched until accessed, which is the
-    cold-metadata fast path the bench measures. *)
-
-(** {1 Accessors} *)
+val read : path:string -> unit -> t
+(** [of_string] of a file's contents. *)
 
 val size_bytes : t -> int
-val version : t -> int
-val generation : t -> int
-(** The source graph's mutation generation when it was written. *)
-
 val epoch : t -> int
-val node_count : t -> int
-val value_count : t -> int
-val edge_count : t -> int
-val label_count : t -> int
-val member_count : t -> int
 
-val label_name : t -> int -> string
-val node_gid : t -> int -> int
-val node_name : t -> int -> string
-val value : t -> int -> Value.t
-val collections : t -> string list
-val meta : t -> (string * string) list
-
-(** An edge target, resolved within the segment. *)
-type etarget = T_node of int  (** local node index *) | T_value of Value.t
-
-val iter_edges : t -> (int -> int -> string -> etarget -> unit) -> unit
-(** [iter_edges t f] calls [f seq src_index label target] for every
-    edge, node-major in per-source insertion order. *)
-
-val iter_members : t -> (int -> string -> int -> unit) -> unit
-(** [iter_members t f] calls [f seq collection member_index] for every
-    collection membership, collection-major in insertion order. *)
-
-val to_graph : ?indexed:bool -> ?name:string -> t -> Graph.t
-(** Materialize the segment as a fresh graph: nodes in stored order
-    (names preserved, fresh oids), then edges and then collection
-    members replayed in sequence order.  A {!write_graph} segment reads
-    back with every index in the written graph's order, as a
-    {!Binary.decode} does. *)
-
-val validate : t -> unit
-(** Walk every section (strings, values, adjacency in both directions,
-    collections, meta) raising {!Binary.Corrupt} at the first
-    malformed byte; used by [strudel repo status --check] and the
-    corruption fuzz suite. *)
+val to_graph : ?name:string -> t list -> Graph.t
+(** A fresh graph from segments that number one whole: one standalone
+    segment, or the shards of a repository.  Nodes come in global-id
+    order (a shard's ghost stub and the node's home record must agree
+    on its name, else {!Corrupt}), then edges and collection entries
+    replayed in sequence order, so the graph lists every index in the
+    whole's order.  A standalone segment also declares its collections
+    in order, an empty one too; shards hold no empty collection.  The
+    name defaults to the first segment's ["graph"] meta entry. *)

@@ -68,20 +68,16 @@ let partition spec g =
       sg
   in
   let home = Oid.Tbl.create (max 16 (Graph.node_count g)) in
-  let nodes = Graph.nodes g in
-  List.iter
+  Graph.iter_nodes
     (fun o ->
       let sg = shard_of (key o) in
       Oid.Tbl.replace home o sg;
       Graph.Loader.add_node sg o)
-    nodes;
-  List.iter
-    (fun o ->
-      let sg = Oid.Tbl.find home o in
-      List.iter
-        (fun (l, t) -> Graph.Loader.add_edge sg o l t)
-        (Graph.out_edges g o))
-    nodes;
+    g;
+  (* in the union's insertion order, which a segment stores edges in *)
+  Graph.iter_edges_inserted
+    (fun o l t -> Graph.Loader.add_edge (Oid.Tbl.find home o) o l t)
+    g;
   List.iter
     (fun c ->
       List.iter
@@ -129,11 +125,9 @@ let write_manifest ~dir m =
       List.iter (fun c -> Printf.bprintf b "c %S\n" c) e.e_collections;
       List.iter (fun l -> Printf.bprintf b "l %S\n" l) e.e_labels)
     m.m_entries;
-  let tmp = Filename.concat dir (manifest_file ^ ".tmp") in
-  let oc = open_out_bin tmp in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Sys.rename tmp (Filename.concat dir manifest_file)
+  Segment.write_file
+    ~path:(Filename.concat dir manifest_file)
+    (Buffer.contents b)
 
 let load_manifest ~dir =
   let path = Filename.concat dir manifest_file in
@@ -272,52 +266,18 @@ let sanitize used key =
 
 let publish config ~epoch ?(sources = []) g =
   mkdir_p config.dir;
-  let parts = partition config.cfg_spec g in
-  let nodes = Graph.nodes g in
-  let n = Graph.node_count g in
-  let gid_tbl = Oid.Tbl.create (max 16 n) in
-  List.iteri (fun i o -> Oid.Tbl.replace gid_tbl o i) nodes;
-  (* An edge's sequence number is its id in [g]'s edge log, which runs
-     in insertion order: a cold open replays every edge in that order,
-     so the union's label extents and value and incoming indexes list
-     their edges as [g]'s do, not only each node's out-edges.  A shard
-     holds each member's out-edges in [g]'s order. *)
-  let edge_seq = Segment.edge_log_seq g in
-  let cbase = Hashtbl.create 8 in
-  let cpos = Hashtbl.create 8 in
-  let cb = ref 0 in
-  List.iter
-    (fun c ->
-      Hashtbl.replace cbase c !cb;
-      let tbl = Oid.Tbl.create 16 in
-      List.iteri (fun i o -> Oid.Tbl.replace tbl o i) (Graph.collection g c);
-      Hashtbl.replace cpos c tbl;
-      cb := !cb + Graph.collection_size g c)
-    (Graph.collections g);
-  let gid o = Oid.Tbl.find gid_tbl o in
+  let whole = Segment.whole g in
   let used = Hashtbl.create 8 in
   let entries =
     List.map
       (fun (key, sg) ->
-        let file =
-          Printf.sprintf "%s.%d.seg" (sanitize used key) epoch
-        in
-        let coll_arr = Hashtbl.create 8 in
-        List.iter
-          (fun c ->
-            Hashtbl.replace coll_arr c
-              (Array.of_list (Graph.collection sg c)))
-          (Graph.collections sg);
-        let coll_seq c k =
-          let o = (Hashtbl.find coll_arr c).(k) in
-          Hashtbl.find cbase c + Oid.Tbl.find (Hashtbl.find cpos c) o
-        in
+        let file = Printf.sprintf "%s.%d.seg" (sanitize used key) epoch in
         let bytes =
           Segment.write
             ~path:(Filename.concat config.dir file)
             ~epoch
             ~meta:[ ("shard", key); ("union", Graph.name g) ]
-            ~gid ~edge_seq ~coll_seq sg
+            ~whole sg
         in
         {
           e_name = key;
@@ -328,7 +288,7 @@ let publish config ~epoch ?(sources = []) g =
           e_edges = Graph.edge_count sg;
           e_bytes = bytes;
         })
-      parts
+      (partition config.cfg_spec g)
   in
   let manifest =
     {
@@ -342,61 +302,15 @@ let publish config ~epoch ?(sources = []) g =
   write_manifest ~dir:config.dir manifest;
   { sn_epoch = epoch; sn_manifest = manifest; sn_union = g }
 
-let open_dir ?(verify = true) ~dir () =
+let open_dir ~dir () =
   let m = load_manifest ~dir in
   let segs =
     List.map
-      (fun e -> (e, Segment.read ~verify ~path:(Filename.concat dir e.e_file) ()))
+      (fun e -> Segment.read ~path:(Filename.concat dir e.e_file) ())
       m.m_entries
   in
-  (* global node table: dedup ghost stubs against home records by gid *)
-  let node_tbl = Hashtbl.create 1024 in
-  List.iter
-    (fun (e, s) ->
-      for i = 0 to Segment.node_count s - 1 do
-        let gid = Segment.node_gid s i in
-        let nm = Segment.node_name s i in
-        match Hashtbl.find_opt node_tbl gid with
-        | None -> Hashtbl.add node_tbl gid nm
-        | Some nm' ->
-          if nm <> nm' then
-            raise
-              (Manifest_error
-                 (Printf.sprintf
-                    "segment %s: conflicting names for global id %d" e.e_file
-                    gid))
-      done)
-    segs;
-  let gids =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) node_tbl [])
-  in
-  let union = Graph.Loader.create ~name:m.m_graph () in
-  let oid_of = Hashtbl.create (max 16 (List.length gids)) in
-  List.iter
-    (fun gid ->
-      let o = Oid.fresh (Hashtbl.find node_tbl gid) in
-      Hashtbl.add oid_of gid o;
-      Graph.Loader.add_node union o)
-    gids;
-  let resolve s i = Hashtbl.find oid_of (Segment.node_gid s i) in
-  let target s = function
-    | Segment.T_node j -> Graph.N (resolve s j)
-    | Segment.T_value v -> Graph.V v
-  in
-  let edges = ref [] in
-  List.iter
-    (fun (_, s) ->
-      Segment.iter_edges s (fun seq i l tgt ->
-          edges := (seq, resolve s i, l, target s tgt) :: !edges))
-    segs;
-  let edges = List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !edges in
-  List.iter (fun (_, src, l, t) -> Graph.Loader.add_edge union src l t) edges;
-  let members = ref [] in
-  List.iter
-    (fun (_, s) ->
-      Segment.iter_members s (fun seq c i ->
-          members := (seq, c, resolve s i) :: !members))
-    segs;
-  let members = List.sort (fun (a, _, _) (b, _, _) -> compare a b) !members in
-  List.iter (fun (_, c, o) -> Graph.Loader.add_to_collection union c o) members;
-  { sn_epoch = m.m_epoch; sn_manifest = m; sn_union = Graph.Loader.finish union }
+  {
+    sn_epoch = m.m_epoch;
+    sn_manifest = m;
+    sn_union = Segment.to_graph ~name:m.m_graph segs;
+  }

@@ -7,20 +7,20 @@
     targets), every out-edge of a member, and each member's collection
     entries — so a collection whose members fall in several shards
     appears, split, in each of them.  Publishing writes every shard to
-    an mmap-able {!Segment} under the repository directory and then
-    atomically replaces the [MANIFEST] file, which names the current
-    epoch's segment set; readers that pinned the previous manifest keep
-    a fully consistent (if stale) repository, which is the snapshot
-    isolation contract the warehouse builds on.
+    a {!Segment} under the repository directory and then atomically
+    replaces the [MANIFEST] file, which names the current epoch's
+    segment set; a reader that opened the previous manifest keeps a
+    fully consistent (if stale) repository.
 
-    Segments record global node ids and per-element sequence numbers,
-    so {!open_dir} can re-assemble the union graph of a cold repository
+    Each shard's segment carries the global node ids and sequence
+    numbers the union gives its elements ({!Segment.whole}), so
+    {!open_dir} re-assembles the union of a cold repository
     deterministically: nodes in global-id order, edges and collection
     members replayed in sequence order.  An edge's sequence number is
-    its place in the published graph's edge log (insertion order), so the re-assembled
-    union lists every label extent, value index and incoming bucket in
-    the published graph's order, and a query over it answers as over
-    that graph. *)
+    its place in the published graph's edge log (insertion order), so
+    the re-assembled union lists every label extent, value index and
+    incoming bucket in the published graph's order, and a query over it
+    answers as over that graph. *)
 
 open Sgraph
 
@@ -49,7 +49,7 @@ val partition : spec -> Graph.t -> (string * Graph.t) list
 (** Split a graph into shard graphs, in first-touch key order.  Shard
     graphs share the union's oids; every node, edge and collection
     entry of the input appears in exactly one shard (ghost stubs
-    excepted). *)
+    excepted), in the input's insertion order. *)
 
 (** {1 Manifest} *)
 
@@ -95,14 +95,13 @@ val publish :
   ?sources:(string * int) list ->
   Graph.t ->
   snapshot
-(** Partition the graph, write one segment per shard
-    ([<key>.<epoch>.seg]), then atomically swap the manifest
-    (write-to-temporary, rename).  The returned snapshot's union is the
+(** Number the graph once ({!Segment.whole}), partition it, write one
+    segment per shard ([<key>.<epoch>.seg]), then swap the manifest in
+    ({!Segment.write_file}).  The returned snapshot's union is the
     argument itself — no segment is read back, and the partitions are
     not kept. *)
 
-val open_dir : ?verify:bool -> dir:string -> unit -> snapshot
+val open_dir : dir:string -> unit -> snapshot
 (** Load a cold repository: read the manifest, decode every segment
-    ([verify] as in {!Segment.read}, default [true]), and re-assemble
-    the union graph by global-id node order and sequence-ordered edge /
-    collection replay.  Raises {!Manifest_error} or {!Binary.Corrupt}. *)
+    and re-assemble the union graph ({!Segment.to_graph}).  Raises
+    {!Manifest_error} or {!Segment.Corrupt}. *)

@@ -8,7 +8,8 @@
     are rebuilt when a graph is loaded.
 
     Persistence uses the textual data-definition language, so a dump is
-    human-readable and exchangeable with wrappers. *)
+    human-readable and exchangeable with wrappers, or the compact
+    {!Segment} form. *)
 
 open Sgraph
 
@@ -44,18 +45,16 @@ let load_graph ~name text =
   g
 
 (** Save every graph below [dir]: [`Ddl] writes human-readable
-    [<name>.ddl] text, [`Binary] the compact [<name>.sgbin] format of
-    {!Binary}. *)
+    [<name>.ddl] text, [`Segment] the compact [<name>.seg] form of
+    {!Segment}; either is written then renamed into place. *)
 let save_dir ?(format = `Ddl) repo ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, g) ->
+      let path ext = Filename.concat dir (name ^ ext) in
       match format with
-      | `Ddl ->
-        let oc = open_out (Filename.concat dir (name ^ ".ddl")) in
-        output_string oc (dump_graph g);
-        close_out oc
-      | `Binary -> Binary.save ~path:(Filename.concat dir (name ^ ".sgbin")) g)
+      | `Ddl -> Segment.write_file ~path:(path ".ddl") (dump_graph g)
+      | `Segment -> ignore (Segment.write ~path:(path ".seg") g))
     repo.graphs
 
 let read_file path =
@@ -65,19 +64,22 @@ let read_file path =
   close_in ic;
   s
 
-(** Load every [*.ddl] and [*.sgbin] file of [dir] into a fresh
+(** Load every [*.ddl] and [*.seg] file of [dir] into a fresh
     repository. *)
 let load_dir ~dir =
   let repo = create () in
   if Sys.file_exists dir then
     Array.iter
       (fun f ->
-        if Filename.check_suffix f ".ddl" then begin
-          let name = Filename.chop_suffix f ".ddl" in
-          put repo (load_graph ~name (read_file (Filename.concat dir f)))
-        end
-        else if Filename.check_suffix f ".sgbin" then
-          put repo (Binary.load ~path:(Filename.concat dir f) ()))
+        let path = Filename.concat dir f in
+        if Filename.check_suffix f ".ddl" then
+          put repo
+            (load_graph ~name:(Filename.chop_suffix f ".ddl") (read_file path))
+        else if Filename.check_suffix f ".seg" then
+          put repo
+            (Segment.to_graph
+               ~name:(Filename.chop_suffix f ".seg")
+               [ Segment.read ~path () ]))
       (Sys.readdir dir);
   repo
 

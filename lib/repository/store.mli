@@ -6,7 +6,7 @@
     (collection and attribute extents, global value index, schema
     index) — the indexes live in {!Sgraph.Graph} and are rebuilt when a
     graph loads.  Persistence is the human-readable DDL or the compact
-    {!Binary} format. *)
+    {!Segment} format. *)
 
 open Sgraph
 
@@ -30,12 +30,13 @@ val dump_graph : Graph.t -> string
 
 val load_graph : name:string -> string -> Graph.t
 
-val save_dir : ?format:[ `Ddl | `Binary ] -> t -> dir:string -> unit
-(** Persist every graph below [dir] as [<name>.ddl] or
-    [<name>.sgbin]. *)
+val save_dir : ?format:[ `Ddl | `Segment ] -> t -> dir:string -> unit
+(** Persist every graph below [dir] as [<name>.ddl] or [<name>.seg],
+    each through {!Segment.write_file}. *)
 
 val load_dir : dir:string -> t
-(** Load every [*.ddl] and [*.sgbin] file of [dir]. *)
+(** Load every [*.ddl] and [*.seg] file of [dir], each graph under its
+    file's name. *)
 
 val reload : Graph.t -> Graph.t
 (** Round-trip a graph through the DDL (fresh oids, same structure,

@@ -11,14 +11,16 @@ exception Template_error of string
 
 (* --- Raw tag scanning --- *)
 
+(* A tag's body is the text after its keyword, with the body's byte
+   offset in the template for error positions. *)
 type raw =
   | R_text of string
-  | R_fmt of string        (* tag body after the keyword *)
-  | R_fmtlist of string
-  | R_if of string
+  | R_fmt of int * string
+  | R_fmtlist of int * string
+  | R_if of int * string
   | R_else
   | R_endif
-  | R_for of string
+  | R_for of int * string
   | R_endfor
 
 let keyword_at src i kw =
@@ -74,19 +76,23 @@ let scan src =
         let body_start = !i + 1 + String.length kw in
         let body = String.sub src body_start (e - body_start) in
         flush_text !i;
-        raws := mk body :: !raws;
+        raws := mk body_start body :: !raws;
         i := e + 1;
         text_start := !i;
         true
       in
       let matched =
-        if keyword_at src !i "SFMTLIST" then tag "SFMTLIST" (fun b -> R_fmtlist b)
-        else if keyword_at src !i "SFMT" then tag "SFMT" (fun b -> R_fmt b)
-        else if keyword_at src !i "SIF" then tag "SIF" (fun b -> R_if b)
-        else if keyword_at src !i "SELSE" then tag "SELSE" (fun _ -> R_else)
-        else if keyword_at src !i "/SIF" then tag "/SIF" (fun _ -> R_endif)
-        else if keyword_at src !i "SFOR" then tag "SFOR" (fun b -> R_for b)
-        else if keyword_at src !i "/SFOR" then tag "/SFOR" (fun _ -> R_endfor)
+        if keyword_at src !i "SFMTLIST" then
+          tag "SFMTLIST" (fun at b -> R_fmtlist (at, b))
+        else if keyword_at src !i "SFMT" then
+          tag "SFMT" (fun at b -> R_fmt (at, b))
+        else if keyword_at src !i "SIF" then
+          tag "SIF" (fun at b -> R_if (at, b))
+        else if keyword_at src !i "SELSE" then tag "SELSE" (fun _ _ -> R_else)
+        else if keyword_at src !i "/SIF" then tag "/SIF" (fun _ _ -> R_endif)
+        else if keyword_at src !i "SFOR" then
+          tag "SFOR" (fun at b -> R_for (at, b))
+        else if keyword_at src !i "/SFOR" then tag "/SFOR" (fun _ _ -> R_endfor)
         else false
       in
       if not matched then incr i
@@ -101,8 +107,34 @@ let scan src =
 let puncts = [ "@"; "."; "("; ")"; "="; "!="; "<="; ">="; "<"; ">"; "," ]
 
 let tokens_of body =
-  try Lex.Stream.of_tokens (Lex.tokenize ~ident_dash:true ~puncts body)
-  with Lex.Lex_error (msg, _) -> raise (Template_error msg)
+  Lex.Stream.of_tokens (Lex.tokenize ~ident_dash:true ~puncts body)
+
+(* Parse the tag body at byte [at] of [src], raising the tokenizer's
+   and the token stream's errors as [Template_error]s that give their
+   line and column in [src] (the body's start for an error the parser
+   raises itself). *)
+let in_tag src at parse body =
+  let fail l c msg =
+    let line = ref l and bol = ref 0 in
+    for i = 0 to at - 1 do
+      if src.[i] = '\n' then begin
+        incr line;
+        bol := i + 1
+      end
+    done;
+    let where =
+      match c with
+      | None -> Printf.sprintf "line %d" !line
+      | Some c ->
+        Printf.sprintf "line %d, column %d" !line
+          (if l <= 1 then at - !bol + c else c)
+    in
+    raise (Template_error (where ^ ": " ^ msg))
+  in
+  try parse body with
+  | Lex.Lex_error (msg, l) -> fail l None msg
+  | Lex.Stream.Parse_error (msg, l, c) -> fail l (Some c) msg
+  | Template_error msg -> fail 1 (Some 1) msg
 
 let parse_attr_expr st =
   Lex.Stream.eat_punct st "@";
@@ -297,14 +329,14 @@ let parse (src : string) : Tast.t =
     match raws with
     | [] -> (List.rev acc, [])
     | R_text s :: rest -> nodes (Tast.Text s :: acc) rest
-    | R_fmt body :: rest ->
-      let ae, d = parse_fmt_body body in
+    | R_fmt (at, body) :: rest ->
+      let ae, d = in_tag src at parse_fmt_body body in
       nodes (Tast.Fmt (ae, d) :: acc) rest
-    | R_fmtlist body :: rest ->
-      let ae, d = parse_fmt_body body in
+    | R_fmtlist (at, body) :: rest ->
+      let ae, d = in_tag src at parse_fmt_body body in
       nodes (Tast.Fmt_list (ae, d) :: acc) rest
-    | R_if body :: rest ->
-      let c = parse_if_body body in
+    | R_if (at, body) :: rest ->
+      let c = in_tag src at parse_if_body body in
       let then_, rest = nodes [] rest in
       (match rest with
        | R_else :: rest ->
@@ -315,8 +347,8 @@ let parse (src : string) : Tast.t =
           | _ -> raise (Template_error "missing </SIF>"))
        | R_endif :: rest -> nodes (Tast.If (c, then_, []) :: acc) rest
        | _ -> raise (Template_error "missing </SIF>"))
-    | R_for body :: rest ->
-      let v, ae, d = parse_for_body body in
+    | R_for (at, body) :: rest ->
+      let v, ae, d = in_tag src at parse_for_body body in
       let inner, rest = nodes [] rest in
       (match rest with
        | R_endfor :: rest -> nodes (Tast.For (v, ae, d, inner) :: acc) rest

@@ -8,5 +8,8 @@
     close. *)
 
 exception Template_error of string
+(** The one error {!parse} raises.  An error inside a tag's body gives
+    its line and column in the template first (["line 2, column 7:
+    ..."]; a tokenizer error gives its line). *)
 
 val parse : string -> Tast.t

@@ -1,6 +1,9 @@
 open Sgraph
 open Repository
 
+(* The compact storage representation (§6): standalone segments, whose
+   numbering costs no bytes. *)
+
 let t name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,16 +31,19 @@ let graph_signature g =
     List.sort compare (List.map Oid.name (Graph.nodes g)),
     edges, colls )
 
+let encode g = Segment.encode g
+let decode s = Segment.to_graph [ Segment.of_string s ]
+
 let roundtrip =
   [
     t "fig2 roundtrip" (fun () ->
         let g, _ = Ddl.parse ~graph_name:"BIBTEX" Sites.Paper_example.data_ddl in
-        let g' = Binary.decode (Binary.encode g) in
+        let g' = decode (encode g) in
         check_bool "signature" true (graph_signature g = graph_signature g'));
     t "site graph roundtrip" (fun () ->
         let b = Sites.Paper_example.build () in
         let sg = b.Strudel.Site.site_graph in
-        let sg' = Binary.decode (Binary.encode sg) in
+        let sg' = decode (encode sg) in
         check_bool "signature" true (graph_signature sg = graph_signature sg'));
     t "all value kinds survive" (fun () ->
         let g = Graph.create ~name:"vals" () in
@@ -50,7 +56,7 @@ let roundtrip =
             Value.String "hello \"world\"\n"; Value.Url "http://x/y";
             Value.File (Value.Postscript, "a.ps");
             Value.File (Value.Other_file "pdf", "b.pdf") ];
-        let g' = Binary.decode (Binary.encode g) in
+        let g' = decode (encode g) in
         check_bool "signature" true (graph_signature g = graph_signature g'));
     t "string interning shares labels" (fun () ->
         (* many edges with the same label must not repeat the string *)
@@ -60,7 +66,7 @@ let roundtrip =
           let o = Graph.new_node g (Printf.sprintf "n%d" i) in
           Graph.add_edge g o long (Graph.V (Value.Int i))
         done;
-        let bytes = String.length (Binary.encode g) in
+        let bytes = String.length (encode g) in
         check_bool "label stored once" true (bytes < 200 * 10));
     t "binary is smaller than the DDL text" (fun () ->
         (* unique article text dominates the news graph, so the gain is
@@ -68,7 +74,7 @@ let roundtrip =
            hard *)
         let news = Wrappers.Synth.news_graph ~articles:100 () in
         check_bool "news: smaller" true
-          (String.length (Binary.encode news)
+          (String.length (encode news)
            < String.length (Ddl.print news));
         let org = Graph.create ~name:"org" () in
         let pc, oc = Wrappers.Synth.org_csv ~people:200 ~orgs:10 () in
@@ -76,14 +82,14 @@ let roundtrip =
           (Wrappers.Csv.load_tables org
              [ Wrappers.Csv.table_of_string ~name:"People" pc;
                Wrappers.Csv.table_of_string ~name:"Orgs" oc ]);
-        let bin = String.length (Binary.encode org) in
+        let bin = String.length (encode org) in
         let ddl = String.length (Ddl.print org) in
         check_bool
           (Printf.sprintf "org: bin=%d vs ddl=%d" bin ddl)
           true (bin * 3 < ddl * 2));
     t "decode rebuilds indexes" (fun () ->
         let g = Wrappers.Synth.news_graph ~articles:30 () in
-        let g' = Binary.decode (Binary.encode g) in
+        let g' = decode (encode g) in
         check_int "label extent" (Graph.label_count g "section")
           (Graph.label_count g' "section");
         check_int "value index"
@@ -91,9 +97,9 @@ let roundtrip =
           (List.length (Graph.value_index g' (Value.String "Sports"))));
     t "save/load files" (fun () ->
         let g, _ = Ddl.parse Sites.Paper_example.data_ddl in
-        let path = Filename.temp_file "strudel" ".sgbin" in
-        Binary.save ~path g;
-        let g' = Binary.load ~path () in
+        let path = Filename.temp_file "strudel" ".seg" in
+        ignore (Segment.write ~path g);
+        let g' = Segment.to_graph [ Segment.read ~path () ] in
         Sys.remove path;
         check_bool "signature" true (graph_signature g = graph_signature g'));
   ]
@@ -103,19 +109,25 @@ let errors =
     t name (fun () ->
         check_bool "raises" true
           (try
-             ignore (Binary.decode (f ()));
+             ignore (decode (f ()));
              false
-           with Binary.Corrupt _ -> true))
+           with Segment.Corrupt _ -> true))
   in
   [
     corrupt "bad magic" (fun () -> "NOTBIN" ^ String.make 10 '\x00');
+    t "a segment of the fixed-width layout is refused at offset 0" (fun () ->
+        match decode ("SGSEG001" ^ String.make 128 '\x00') with
+        | exception Segment.Corrupt (msg, off) ->
+          check_int "offset" 0 off;
+          check_bool "names the magic" true (msg = "bad magic")
+        | _ -> Alcotest.fail "an old segment must not decode");
     corrupt "truncated" (fun () ->
         let g, _ = Ddl.parse "object a { x 1 }" in
-        let s = Binary.encode g in
+        let s = encode g in
         String.sub s 0 (String.length s - 3));
     corrupt "trailing garbage" (fun () ->
         let g, _ = Ddl.parse "object a { x 1 }" in
-        Binary.encode g ^ "zz");
+        encode g ^ "zz");
     corrupt "empty input" (fun () -> "");
   ]
 
@@ -161,7 +173,7 @@ let props =
       (QCheck.Test.make ~name:"random graphs survive binary roundtrip"
          ~count:300 (QCheck.make rand_graph_gen) (fun spec ->
            let g = build_rand spec in
-           graph_signature g = graph_signature (Binary.decode (Binary.encode g))));
+           graph_signature g = graph_signature (decode (encode g))));
   ]
 
 let suite = roundtrip @ errors @ props

@@ -325,7 +325,8 @@ let clean_runtime_tests =
                 check_int (Printf.sprintf "jobs=%d races" jobs) 0
                   (Dsan.race_count ())))
           job_levels);
-    t "sanitized sharded warehouse refresh: zero races, pinned epoch kept"
+    t "sanitized warehouse refresh under a pinned view: zero races, \
+       pinned epoch kept"
       (fun () ->
         let items name k =
           let g = Graph.create ~name () in
@@ -340,19 +341,13 @@ let clean_runtime_tests =
         List.iter
           (fun jobs ->
             sanitized (fun () ->
-                let dir = Filename.temp_file "strudeldsan" "" in
-                Sys.remove dir;
                 let srcs =
                   List.map
                     (fun n -> Mediator.Source.of_graph ~name:n (items n 1))
                     names
                 in
                 let w =
-                  Mediator.Warehouse.create ~jobs
-                    ~shards:
-                      { Repository.Shard.dir;
-                        cfg_spec = Repository.Shard.By_collection }
-                    ~sources:srcs
+                  Mediator.Warehouse.create ~jobs ~sources:srcs
                     ~mappings:
                       (List.map
                          (fun n ->
@@ -367,21 +362,10 @@ let clean_runtime_tests =
                   srcs names;
                 check_bool "refresh happened" true
                   (Mediator.Warehouse.refresh ~jobs w);
-                let epoch =
-                  (Repository.Shard.load_manifest ~dir).Repository.Shard.m_epoch
-                in
-                let pinned_epoch =
-                  Option.map
-                    (fun sn -> sn.Repository.Shard.sn_epoch)
-                    (Mediator.Warehouse.view_shards pinned)
-                in
-                Array.iter
-                  (fun f -> Sys.remove (Filename.concat dir f))
-                  (Sys.readdir dir);
-                Sys.rmdir dir;
-                check_int "manifest epoch 2" 2 epoch;
-                check_bool "pinned view keeps epoch 1" true
-                  (pinned_epoch = Some 1);
+                check_int "current epoch 2" 2
+                  (Mediator.Warehouse.view_epoch (Mediator.Warehouse.pin w));
+                check_int "pinned view keeps epoch 1" 1
+                  (Mediator.Warehouse.view_epoch pinned);
                 check_int (Printf.sprintf "jobs=%d races" jobs) 0
                   (Dsan.race_count ());
                 check_bool "sanitizer actually saw the run" true

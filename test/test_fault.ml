@@ -366,22 +366,23 @@ let synth_corrupt_sources_load_under_quarantine () =
     (Fault.fault_count fault3 > 0);
   check_int "every block still loads" 12 (List.length os)
 
-(* --- binary corruption offsets --- *)
+(* --- segment corruption offsets --- *)
 
-let binary_corrupt_offsets () =
-  let s = Repository.Binary.encode (good_graph ()) in
-  (match Repository.Binary.decode (String.sub s 0 (String.length s - 3)) with
-   | exception Repository.Binary.Corrupt (_, off) ->
+let segment_corrupt_offsets () =
+  let module S = Repository.Segment in
+  let s = S.encode (good_graph ()) in
+  (match S.of_string (String.sub s 0 (String.length s - 3)) with
+   | exception S.Corrupt (_, off) ->
      check_bool "truncation detected past the magic" true (off > 0);
      check_bool "offset within the input" true (off <= String.length s - 3)
    | _ -> Alcotest.fail "truncated input must not decode");
-  (match Repository.Binary.decode "XXXXXXXXXXXXXXXX" with
-   | exception Repository.Binary.Corrupt (msg, off) ->
+  (match S.of_string "XXXXXXXXXXXXXXXX" with
+   | exception S.Corrupt (msg, off) ->
      check_int "bad magic is at offset 0" 0 off;
      check_bool "names the magic" true (Test_cli.contains msg "magic")
    | _ -> Alcotest.fail "bad magic must not decode");
-  match Repository.Binary.decode (s ^ "junk") with
-  | exception Repository.Binary.Corrupt (msg, off) ->
+  match S.of_string (s ^ "junk") with
+  | exception S.Corrupt (msg, off) ->
     check_int "trailing bytes located at the end" (String.length s) off;
     check_bool "names trailing bytes" true (Test_cli.contains msg "trailing")
   | _ -> Alcotest.fail "trailing bytes must not decode"
@@ -727,7 +728,7 @@ let suite =
       synth_corruption_is_opt_in;
     t "corrupt synthetic sources load under quarantine"
       synth_corrupt_sources_load_under_quarantine;
-    t "binary decoder reports corruption byte offsets" binary_corrupt_offsets;
+    t "binary decoder reports corruption byte offsets" segment_corrupt_offsets;
   ]
   @ degraded_builds_stay_link_consistent
   @ [ t "seed 42 injects faults somewhere" injection_actually_fires ]

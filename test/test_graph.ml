@@ -639,13 +639,9 @@ let read_backs_equal_copy script =
   let main = fresh () and side = fresh () in
   List.iter (step main side) script;
   let g = main.g and m = main.m in
-  let bin = Repository.Binary.decode (Repository.Binary.encode g) in
   let path = Filename.temp_file "strudelgraph" ".seg" in
-  let _n = Repository.Segment.write_graph ~path g in
-  let seg =
-    Repository.Segment.to_graph ~name:(Graph.name g)
-      (Repository.Segment.read ~path ())
-  in
+  let _n = Repository.Segment.write ~path g in
+  let seg = Repository.Segment.to_graph [ Repository.Segment.read ~path () ] in
   Sys.remove path;
   let dir = Test_shard.tmp_dir "strudelgraph" in
   ignore
@@ -654,13 +650,12 @@ let read_backs_equal_copy script =
        ~epoch:1 g);
   let union = (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union in
   Test_shard.rm_rf dir;
-  equals_copy ".sgbin" g m bin
-  && equals_copy "segment" g m seg
+  equals_copy "segment" g m seg
   (* a repository stores no empty collection *)
   && equals_copy "repository union"
        ~colls:(List.filter (fun (_, ms) -> ms <> []))
        g m union
-  && equals_copy "Delta.rebase" g m (Delta.rebase ~old:bin g)
+  && equals_copy "Delta.rebase" g m (Delta.rebase ~old:seg g)
 
 let loader_props =
   [
@@ -674,7 +669,7 @@ let loader_props =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:
-           "read-backs and rebases equal the model's copy (.sgbin, segment, \
+           "read-backs and rebases equal the model's copy (segment, \
             repository union, Delta.rebase)"
          ~count:150 script_arb read_backs_equal_copy);
   ]

@@ -116,6 +116,16 @@ OUTPUT S|} in
         in
         let ds = L.run (mk ~templates [ ("site", q_ok) ]) in
         check_bool "has" true (has "SA004" ds));
+    t "SA004: a tag body the token stream rejects" (fun () ->
+        let templates =
+          {
+            tpl_ok with
+            Template.Generator.by_collection =
+              ("Bad", "<SFMT title>") :: tpl_ok.Template.Generator.by_collection;
+          }
+        in
+        let ds = L.run (mk ~templates [ ("site", q_ok) ]) in
+        check_bool "has" true (has "SA004" ds));
     t "SA005: undeclared mapping source" (fun () ->
         let ds =
           L.run

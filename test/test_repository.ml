@@ -69,10 +69,10 @@ let suite =
         let r = Repository.Store.create () in
         Repository.Store.put r
           (fst (Ddl.parse ~graph_name:"one" Sites.Paper_example.data_ddl));
-        Repository.Store.save_dir ~format:`Binary r ~dir;
-        check_bool "sgbin file" true
+        Repository.Store.save_dir ~format:`Segment r ~dir;
+        check_bool "segment file" true
           (Array.exists
-             (fun f -> Filename.check_suffix f ".sgbin")
+             (fun f -> Filename.check_suffix f ".seg")
              (Sys.readdir dir));
         let r' = Repository.Store.load_dir ~dir in
         check_int "reloaded" 2
@@ -81,6 +81,40 @@ let suite =
              "Publications");
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Sys.rmdir dir);
+    t "a second save replaces the first, in both formats, leaving no \
+       temporary"
+      (fun () ->
+        let catalog k =
+          let r = Repository.Store.create () in
+          List.iter
+            (fun name ->
+              Repository.Store.put r
+                (fst
+                   (Ddl.parse ~graph_name:name
+                      (Printf.sprintf "object a in C { k %d }" k))))
+            [ "one"; "two" ];
+          r
+        in
+        let contents r =
+          List.map
+            (fun name ->
+              (name, Repository.Store.dump_graph (Repository.Store.get r name)))
+            (List.sort compare (Repository.Store.names r))
+        in
+        List.iter
+          (fun format ->
+            let dir = Filename.temp_file "strudelsave" "" in
+            Sys.remove dir;
+            Repository.Store.save_dir ~format (catalog 1) ~dir;
+            Repository.Store.save_dir ~format (catalog 2) ~dir;
+            let files = Array.to_list (Sys.readdir dir) in
+            check_bool "loads the second catalog" true
+              (contents (Repository.Store.load_dir ~dir) = contents (catalog 2));
+            check_bool "no temporary remains" false
+              (List.exists (fun f -> Filename.check_suffix f ".tmp") files);
+            List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+            Sys.rmdir dir)
+          [ `Ddl; `Segment ]);
     t "query_repo resolves INPUT names and stores OUTPUT" (fun () ->
         let r = Repository.Store.create () in
         Repository.Store.put r

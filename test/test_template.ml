@@ -310,6 +310,22 @@ let template_errors =
         check_bool "raises" true
           (try ignore (Tparse.parse "<SFMT @x"); false
            with Tparse.Template_error _ -> true));
+    t "token-stream errors are Template_errors with line and column"
+      (fun () ->
+        List.iter
+          (fun (src, where) ->
+            match Tparse.parse src with
+            | exception Tparse.Template_error msg ->
+              check_bool
+                (Printf.sprintf "%S: %S starts with %S" src msg where)
+                true
+                (String.length msg >= String.length where
+                 && String.sub msg 0 (String.length where) = where)
+            | _ -> Alcotest.failf "%S parsed" src)
+          [ ("<SFMT title>", "line 1, column 12: ");
+            ("<SFOR x IN 3>y</SFOR>", "line 1, column 13: ");
+            ("ok\n  <SIF @x = >y</SIF>", "line 2, column 7: ");
+            ("<SFMT @x $>", "line 1: ") ]);
   ]
 
 let suite =
