@@ -786,17 +786,13 @@ let dsan_cmd =
           let cache = Strudel.Render_cache.create () in
           ignore (Strudel.Site.build ~jobs ~render_cache:cache ~data def);
           ignore (Strudel.Site.build ~jobs ~render_cache:cache ~data def);
-          (* an engine hammered from [jobs] domains: epoch pickup, ETag
-             memoization, render cache and breakers under contention *)
-          let eng =
-            Serve.Engine.create ~workers:jobs
-              ~source:(Serve.Engine.Static data) def
-          in
-          Pool.run Pool.shared ~jobs (fun w ->
+          (* an engine hammered from [jobs] domains: each request pins
+             the published epoch and looks its page up *)
+          let eng = Serve.Engine.create ~source:(Serve.Engine.Static data) def in
+          Pool.run Pool.shared ~jobs (fun _ ->
               for _ = 1 to 25 do
                 List.iter
-                  (fun path ->
-                    ignore (Serve.Engine.handle ~worker:w eng (request path)))
+                  (fun path -> ignore (Serve.Engine.handle eng (request path)))
                   [ "/"; "/healthz"; "/readyz" ]
               done);
           (* org: the warehouse's parallel source loads and view swap *)
@@ -999,13 +995,9 @@ let serve_cmd =
                 swap in the new epoch without restarting (0 = only on \
                 SIGHUP).")
   in
-  let no_cache_arg =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable the render cache.")
-  in
   let run which data query root templates host port workers max_inflight
       deadline_ms read_timeout_ms write_timeout_ms drain_deadline_ms
-      refresh_every no_cache =
+      refresh_every =
     or_die (fun () ->
         let source, def =
           match (data, query) with
@@ -1040,9 +1032,7 @@ let serve_cmd =
             Fmt.epr "serve: a custom site needs both --data and --query@.";
             exit 2
         in
-        let engine =
-          Serve.Engine.create ~cache:(not no_cache) ~workers ~source def
-        in
+        let engine = Serve.Engine.create ~source def in
         let config =
           Serve.Daemon.
             {
@@ -1059,7 +1049,7 @@ let serve_cmd =
           Serve.Daemon.create ~config
             ~on_drain:(fun () -> Serve.Engine.set_draining engine true)
             ~degraded:(fun () -> Serve.Engine.degraded engine)
-            ~handler:(fun ~worker req -> Serve.Engine.handle ~worker engine req)
+            ~handler:(fun ~worker:_ req -> Serve.Engine.handle engine req)
             ()
         in
         Serve.Daemon.install_signal_handlers daemon;
@@ -1112,24 +1102,25 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run strudeld: serve a site over HTTP at click time."
+       ~doc:"Run strudeld: serve a site's published pages over HTTP."
        ~man:
          [ `S Manpage.s_description;
            `P
-             "Serves pages by click-time materialization: a page is \
-              rendered on first request and cached with its read trace; \
-              a warehouse refresh swaps in a new epoch atomically and \
-              invalidates exactly the pages whose reads changed.";
+             "Serves exactly what a cold build publishes, at its URLs \
+              and with its bytes: pages render when an epoch is \
+              installed, never on request.  A static site is built \
+              once; a federated site (org) runs a watch session, and a \
+              refresh installs the pages its cycle re-rendered as a new \
+              epoch with one atomic swap.";
            `P
-             "Exit codes: 0 clean drain, 3 drained degraded (open \
-              breakers, quarantined sources or recorded faults), 4 \
+             "Exit codes: 0 clean drain, 3 drained degraded (placeholder \
+              pages served, quarantined sources or recorded faults), 4 \
               drain deadline exceeded (in-flight connections aborted), \
               1 fatal error." ])
     Term.(const run $ which_arg $ data_opt_arg $ query_opt_arg $ root_arg
           $ template_arg $ host_arg $ port_arg $ workers_arg
           $ max_inflight_arg $ deadline_arg $ read_timeout_arg
-          $ write_timeout_arg $ drain_deadline_arg $ refresh_every_arg
-          $ no_cache_arg)
+          $ write_timeout_arg $ drain_deadline_arg $ refresh_every_arg)
 
 (* --- watch: differential site maintenance, ingest to publish --- *)
 

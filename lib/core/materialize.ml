@@ -162,8 +162,7 @@ module Click_time = struct
   (** Run a page render as a structured result: any exception but
       [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes
       [Render_failed], never an escape — one crashing page must not
-      take down a serving worker.  The serving engine renders through
-      this mapping too. *)
+      take down the browsing session. *)
   let guarded f =
     match f () with
     | r -> Ok r

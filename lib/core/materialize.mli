@@ -79,8 +79,8 @@ module Click_time : sig
   val guarded : (unit -> 'a) -> ('a, browse_error) result
   (** Run a page render as a structured result: any exception but
       [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes
-      [Render_failed], never an escape.  The one exception mapping the
-      click-time session and the serving engine share. *)
+      [Render_failed], never an escape — the click-time session's
+      exception mapping. *)
 
   val render_page :
     t -> Oid.t -> (Template.Generator.rendered, browse_error) result

@@ -46,15 +46,23 @@ let load_graph ~name text =
 
 (** Save every graph below [dir]: [`Ddl] writes human-readable
     [<name>.ddl] text, [`Segment] the compact [<name>.seg] form of
-    {!Segment}; either is written then renamed into place. *)
+    {!Segment}; either is written then renamed into place, and the
+    other format's file of that name, now stale, is removed. *)
 let save_dir ?(format = `Ddl) repo ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, g) ->
       let path ext = Filename.concat dir (name ^ ext) in
-      match format with
-      | `Ddl -> Segment.write_file ~path:(path ".ddl") (dump_graph g)
-      | `Segment -> ignore (Segment.write ~path:(path ".seg") g))
+      let stale =
+        match format with
+        | `Ddl ->
+          Segment.write_file ~path:(path ".ddl") (dump_graph g);
+          path ".seg"
+        | `Segment ->
+          ignore (Segment.write ~path:(path ".seg") g);
+          path ".ddl"
+      in
+      if Sys.file_exists stale then Sys.remove stale)
     repo.graphs
 
 let read_file path =
@@ -65,16 +73,25 @@ let read_file path =
   s
 
 (** Load every [*.ddl] and [*.seg] file of [dir] into a fresh
-    repository. *)
+    repository.  A name with both files is refused rather than resolved
+    by [readdir] order. *)
 let load_dir ~dir =
   let repo = create () in
   if Sys.file_exists dir then
     Array.iter
       (fun f ->
         let path = Filename.concat dir f in
-        if Filename.check_suffix f ".ddl" then
-          put repo
-            (load_graph ~name:(Filename.chop_suffix f ".ddl") (read_file path))
+        if Filename.check_suffix f ".ddl" then begin
+          let name = Filename.chop_suffix f ".ddl" in
+          let seg = Filename.concat dir (name ^ ".seg") in
+          if Sys.file_exists seg then
+            failwith
+              (Printf.sprintf
+                 "Store.load_dir: %s and %s both hold graph %s (an \
+                  interrupted save?)"
+                 path seg name);
+          put repo (load_graph ~name (read_file path))
+        end
         else if Filename.check_suffix f ".seg" then
           put repo
             (Segment.to_graph

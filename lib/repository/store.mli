@@ -32,11 +32,14 @@ val load_graph : name:string -> string -> Graph.t
 
 val save_dir : ?format:[ `Ddl | `Segment ] -> t -> dir:string -> unit
 (** Persist every graph below [dir] as [<name>.ddl] or [<name>.seg],
-    each through {!Segment.write_file}. *)
+    each through {!Segment.write_file}; once a file is in place, the
+    other format's file of the same name is removed. *)
 
 val load_dir : dir:string -> t
 (** Load every [*.ddl] and [*.seg] file of [dir], each graph under its
-    file's name. *)
+    file's name.  Raises [Failure] naming both files when one name has
+    a [.ddl] and a [.seg] file, which only an interrupted {!save_dir}
+    leaves. *)
 
 val reload : Graph.t -> Graph.t
 (** Round-trip a graph through the DDL (fresh oids, same structure,

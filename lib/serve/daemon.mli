@@ -14,9 +14,10 @@
       a counted, non-fatal outcome — [SIGPIPE] is ignored process-wide
       by {!install_signal_handlers};
     - {b slow handlers} are bounded by the per-request deadline: an
-      overrun answer is replaced with [503] (the render itself cannot
-      be preempted — the deadline bounds what the client waits for,
-      not the worker's CPU time);
+      overrun answer is replaced with [503] (a handler cannot be
+      preempted — the deadline bounds what the client waits for, not
+      the worker's CPU time; the serving engine's handler renders
+      nothing, so only a stalled domain overruns it);
     - {b graceful drain}: {!stop} (or SIGTERM/SIGINT) stops accepting,
       refuses new connections, finishes in-flight work within
       [drain_deadline_ms], then force-closes whatever remains.

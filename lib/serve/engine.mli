@@ -1,37 +1,30 @@
-(** The [strudeld] serving engine: epochs, routes, click-time renders.
+(** The [strudeld] serving engine: published epochs, looked up per
+    request.
 
     One engine serves one site definition over either a static data
-    graph or a warehousing mediator.  Per {e epoch} (one consistent
-    integration) it keeps an immutable serving state: the site graph a
-    cold build evaluates from the pinned graph
-    ({!Strudel.Site.build_site_graph}), frozen once, so the site
-    {e structure} is materialized per epoch while page {e HTML} stays
-    click-time — rendered on first request by the cold build's
-    generator through the verifying render cache, revalidated with
-    ETags.  Routes are the pages reachable from the root family, each
-    at its slug URL, the first page to claim a URL keeping it.  Served
-    bytes equal a cold build's page, except where two page names share
-    a slug: a cold build renames the second page and rewrites links to
-    it, while here those links keep the shared URL and the renamed URL
-    answers 404.
+    graph or a warehousing mediator.  An {e epoch} is what the system
+    publishes for one consistent integration: an immutable map from
+    URL to page bytes, their ETag and whether the page is a
+    placeholder, filled through a {!Strudel.Render_pool.sink}.  A
+    [Static] source fills it from one {!Strudel.Site.build}; a
+    [Federated] source from a {!Watch} session, whose cycles emit only
+    the pages their change re-rendered.  Both producers run with
+    [~on_error:Degrade] and the engine's fault context.  Served URLs
+    and bytes are therefore a cold build's, renamed URLs included:
+    routes are exactly the pages a build writes, and pages render when
+    an epoch is installed, never on request.
 
-    A request pins the current epoch state with one atomic read and
-    works against that snapshot for its whole lifetime; {!refresh}
-    builds the next epoch completely off to the side (warehouse
-    refresh under snapshot isolation, then a fresh site graph and
-    route table) and installs it with one atomic swap — no request
-    ever observes a half-refreshed view.  The render cache is shared
-    across epochs and keyed by page {e name} with verifying read
-    traces, so a swap invalidates exactly the pages whose reads
-    changed: unchanged pages keep hitting, changed ones re-render.
+    A request pins the current epoch with one atomic read and only
+    looks its page up.  {!refresh} runs the session's next cycle off to
+    the side and installs the pages it left with one atomic swap — no
+    request ever observes a half-refreshed view, and a refresh costs
+    what its change costs.
 
-    Render failures are structured
-    ({!Strudel.Materialize.Click_time.guarded}): a failing page answers
-    [503] with the fault manifest as body and trips its per-page
-    circuit {!Breaker}; a quarantined source keeps its last integrated
-    data serving (the warehouse's stale-snapshot policy) and is
-    reported on [/healthz] — degradation is always page- or
-    source-scoped, never process-wide. *)
+    Degradation is page- or source-scoped, never process-wide: a page
+    whose render failed is served as [503] with the fault manifest as
+    body until a later changed cycle renders it, and a quarantined
+    source keeps its last integrated data serving (the warehouse's
+    stale-snapshot policy) and is reported on [/healthz]. *)
 
 open Sgraph
 
@@ -42,48 +35,41 @@ type source =
 type t
 
 val create :
-  ?clock:Fault.Clock.t ->
-  ?cache:bool ->
-  ?workers:int ->
-  ?breaker_threshold:int ->
-  ?breaker_retry:Fault.Policy.retry ->
-  ?fault:Fault.ctx ->
-  source:source ->
-  Strudel.Site.definition ->
-  t
+  ?fault:Fault.ctx -> source:source -> Strudel.Site.definition -> t
 (** Builds and installs the first epoch synchronously (the engine is
-    ready as soon as [create] returns).  [cache] (default [true])
-    enables the shared render cache; [workers] (default 8) sizes the
-    per-worker template-compilation cache pool; [fault] collects serve
-    faults and may carry a seeded injector whose [Render_page] points
-    fail page renders (the deterministic fault-injection hook of the
-    serve tests). *)
+    ready as soon as [create] returns): a static source is built once
+    and keeps no session; a federated one primes a watch session.
+    [fault] collects serve faults and may carry a seeded injector whose
+    [Render_page] points fail page renders (the deterministic
+    fault-injection hook of the serve tests).  Raises
+    {!Strudel.Site.Build_error} when the root family is empty, as
+    [strudel build] does. *)
 
-val handle : ?worker:int -> t -> Http.request -> Http.response
+val handle : t -> Http.request -> Http.response
 (** Serve one request: site pages by URL ([/] is the root page), plus
     [/healthz] (liveness + degraded-state inventory), [/readyz]
     (readiness; 503 while draining) and [/faultz] (the fault
-    manifest).  GET/HEAD only — anything else is 405.  [worker]
-    selects the template-compilation cache slot; concurrent callers
-    must pass distinct worker ids. *)
+    manifest).  GET/HEAD only — anything else is 405.  A request
+    renders nothing; any number of domains may call it at once. *)
 
-val refresh : ?jobs:int -> t -> bool
-(** Pick up source changes: refresh the warehouse (snapshot-isolated),
-    build the next epoch's serving state and swap it in atomically.
-    Returns whether a new epoch was installed.  [false] for static
-    engines and unchanged sources.  A refresh failure is recorded as a
-    fault and reported per source — the previous epoch keeps serving. *)
+val refresh : t -> bool
+(** Pick up source changes: run the watch session's next cycle and,
+    if it changed anything, install its pages as the next epoch with
+    one atomic swap.  Returns whether a new epoch was installed.
+    [false] for static engines and unchanged sources.  A cycle that
+    raises is recorded as an [Integrate] fault and the previous epoch
+    keeps serving. *)
 
 val epoch : t -> int
 val page_count : t -> int
-(** Routable pages of the current epoch. *)
+(** Pages of the current epoch. *)
 
 val set_draining : t -> bool -> unit
 (** Flips [/readyz] to 503 so load balancers stop sending traffic;
     the daemon sets it when drain begins. *)
 
 val degraded : t -> bool
-(** Whether any breaker is open, any source is quarantined, or any
+(** Whether any source is quarantined, any fault was recorded, or any
     degraded (503) response has been served — the drain exit-code
     input. *)
 
@@ -91,18 +77,13 @@ val manifest_json : t -> string
 (** The fault manifest ([faults.json] shape): serve-stage faults plus
     everything the warehouse recorded. *)
 
-val breaker : t -> Breaker.t
-val cache_stats : t -> (int * int * int) option
-(** Render-cache [(hits, misses, invalidations)]; [None] when caching
-    is off. *)
-
 type counters = {
   sc_requests : int;
-  sc_page_ok : int;        (** 200s from a render or cache hit *)
+  sc_page_ok : int;        (** 200s *)
   sc_not_modified : int;   (** 304s *)
   sc_not_found : int;      (** 404s *)
-  sc_unavailable : int;    (** degraded 503s (breaker or render failure) *)
-  sc_rejected : int;       (** 405s and 400-class *)
+  sc_unavailable : int;    (** degraded 503s (placeholder pages) *)
+  sc_rejected : int;       (** 405s *)
 }
 
 val counters : t -> counters

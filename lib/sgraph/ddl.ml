@@ -52,6 +52,7 @@ and parse_pvalue st attr_name =
     P_ref (Lex.Stream.expect_ident st)
   | Lex.Punct "{" -> P_nested (parse_body st)
   | Lex.Ident kw -> begin
+    let at = Lex.Stream.pos st in
     ignore (Lex.Stream.advance st);
     match kw with
     | "true" -> P_val (Value.Bool true)
@@ -60,10 +61,11 @@ and parse_pvalue st attr_name =
     | "url" -> P_val (Value.Url (Lex.Stream.expect_string st))
     | "string" -> P_val (Value.String (Lex.Stream.expect_string st))
     | "int" ->
+      let at = Lex.Stream.pos st in
       (match Lex.Stream.advance st with
        | Lex.Int_lit i -> P_val (Value.Int i)
        | tok ->
-         Lex.Stream.error st
+         Lex.Stream.error_at at
            (Fmt.str "expected an integer but found %a" Lex.pp_token tok))
     | kw ->
       (match Value.file_kind_of_name kw with
@@ -76,7 +78,7 @@ and parse_pvalue st attr_name =
             ignore (Lex.Stream.advance st);
             P_val (Value.File (Value.Other_file kw, s))
           | _ ->
-            Lex.Stream.error st
+            Lex.Stream.error_at at
               (Fmt.str "unknown value kind '%s' for attribute %s" kw
                  attr_name)))
   end
@@ -97,12 +99,13 @@ let parse_collection_decl st =
       fin := true
     | Lex.Ident attr ->
       ignore (Lex.Stream.advance st);
+      let at = Lex.Stream.pos st in
       let kind_name = Lex.Stream.expect_ident st in
       (match Value.file_kind_of_name kind_name with
        | Some k -> dirs := (attr, k) :: !dirs
        | None ->
          if kind_name <> "string" && kind_name <> "int" then
-           Lex.Stream.error st
+           Lex.Stream.error_at at
              (Fmt.str "unknown type directive '%s' in collection %s"
                 kind_name name))
     | tok ->
@@ -132,11 +135,12 @@ let parse_decls src =
   let decls = ref [] in
   (try
      while not (Lex.Stream.at_eof st) do
+       let at = Lex.Stream.pos st in
        match Lex.Stream.advance st with
        | Lex.Ident "collection" -> decls := parse_collection_decl st :: !decls
        | Lex.Ident "object" -> decls := parse_object_decl st :: !decls
        | tok ->
-         Lex.Stream.error st
+         Lex.Stream.error_at at
            (Fmt.str "expected 'collection' or 'object' but found %a"
               Lex.pp_token tok)
      done

@@ -191,18 +191,24 @@ module Stream = struct
       t.last <- Some sp;
       tok
 
-  let error t msg = raise (Parse_error (msg, line t, col t))
+  let error_at (line, col) msg = raise (Parse_error (msg, line, col))
+  let error t msg = error_at (pos t) msg
 
+  (* Each [eat_]/[expect_] reports a wrong token where that token
+     starts, taken before [advance] moves past it. *)
   let eat_punct t p =
+    let at = pos t in
     match advance t with
     | Punct p' when p' = p -> ()
-    | tok -> error t (Fmt.str "expected '%s' but found %a" p pp_token tok)
+    | tok -> error_at at (Fmt.str "expected '%s' but found %a" p pp_token tok)
 
   let eat_ident t name =
+    let at = pos t in
     match advance t with
     | Ident s when String.lowercase_ascii s = String.lowercase_ascii name ->
       ()
-    | tok -> error t (Fmt.str "expected '%s' but found %a" name pp_token tok)
+    | tok ->
+      error_at at (Fmt.str "expected '%s' but found %a" name pp_token tok)
 
   let accept_punct t p =
     match peek t with
@@ -219,14 +225,17 @@ module Stream = struct
     | _ -> false
 
   let expect_ident t =
+    let at = pos t in
     match advance t with
     | Ident s -> s
-    | tok -> error t (Fmt.str "expected an identifier but found %a" pp_token tok)
+    | tok ->
+      error_at at (Fmt.str "expected an identifier but found %a" pp_token tok)
 
   let expect_string t =
+    let at = pos t in
     match advance t with
     | Str s -> s
-    | tok -> error t (Fmt.str "expected a string but found %a" pp_token tok)
+    | tok -> error_at at (Fmt.str "expected a string but found %a" pp_token tok)
 
   let at_eof t = peek t = Eof
 end

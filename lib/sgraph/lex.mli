@@ -62,6 +62,15 @@ module Stream : sig
   val accept_ident : t -> string -> bool
   val expect_ident : t -> string
   val expect_string : t -> string
+  (** The [eat_]/[expect_] functions raise {!Parse_error} at the start
+      of the token they rejected. *)
+
   val error : t -> string -> 'a
+  (** Raise {!Parse_error} at the next token's position. *)
+
+  val error_at : int * int -> string -> 'a
+  (** Raise {!Parse_error} at a [(line, col)] taken with {!pos} before
+      the offending token or construct was consumed. *)
+
   val at_eof : t -> bool
 end

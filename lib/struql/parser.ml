@@ -72,6 +72,7 @@ let accept_separator p =
 (* --- Terms --- *)
 
 let parse_literal p =
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.advance p.st with
   | Lex.Str s -> Value.String s
   | Lex.Int_lit i -> Value.Int i
@@ -80,7 +81,8 @@ let parse_literal p =
   | Lex.Ident "false" -> Value.Bool false
   | Lex.Ident "null" -> Value.Null
   | tok ->
-    Lex.Stream.error p.st (Fmt.str "expected a literal, found %a" Lex.pp_token tok)
+    Lex.Stream.error_at at
+      (Fmt.str "expected a literal, found %a" Lex.pp_token tok)
 
 (* A term in a WHERE condition: a variable or a constant. *)
 let parse_where_term p =
@@ -96,6 +98,7 @@ let parse_where_term p =
    applied to one argument is an aggregate; Skolem functions are
    conventionally capitalized. *)
 let rec parse_cons_term p =
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.peek p.st, Lex.Stream.peek2 p.st with
   | Lex.Ident s, Lex.Punct "(" when not (is_keyword s) -> (
     ignore (Lex.Stream.advance p.st);
@@ -111,7 +114,7 @@ let rec parse_cons_term p =
     match Ast.agg_of_name s, List.rev !args with
     | Some fn, [ inner ] -> Ast.T_agg (fn, inner)
     | Some _, args ->
-      Lex.Stream.error p.st
+      Lex.Stream.error_at at
         (Fmt.str "aggregate %s expects exactly one argument, got %d" s
            (List.length args))
     | None, args -> Ast.T_skolem (s, args))
@@ -123,13 +126,14 @@ let rec parse_cons_term p =
 
 (* --- Regular path expressions --- *)
 
-let label_pred p name =
+(* [at] is where [name] starts. *)
+let label_pred p ~at name =
   if name = "true" then Path.Any
   else
     match Builtins.find_label_pred p.reg name with
     | Some f -> Path.Named_pred (name, f)
     | None ->
-      Lex.Stream.error p.st
+      Lex.Stream.error_at at
         (Fmt.str "unknown label predicate '%s' in path expression" name)
 
 let rec parse_rpe p = parse_alt p
@@ -155,6 +159,7 @@ and parse_postfix p =
   post atom
 
 and parse_atom p =
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.advance p.st with
   | Lex.Str s -> Path.Edge (Path.Label s)
   | Lex.Punct "*" -> Path.any_path
@@ -162,9 +167,9 @@ and parse_atom p =
     let r = parse_rpe p in
     Lex.Stream.eat_punct p.st ")";
     r
-  | Lex.Ident s -> Path.Edge (label_pred p s)
+  | Lex.Ident s -> Path.Edge (label_pred p ~at s)
   | tok ->
-    Lex.Stream.error p.st
+    Lex.Stream.error_at at
       (Fmt.str "expected a path expression, found %a" Lex.pp_token tok)
 
 (* A hop between two '->' arrows.  A bare ident is an arc variable;
@@ -178,6 +183,7 @@ let rpe_continues p =
   | _ -> false
 
 let rec parse_hop p =
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.peek p.st with
   | Lex.Ident "true" ->
     ignore (Lex.Stream.advance p.st);
@@ -187,14 +193,14 @@ let rec parse_hop p =
   | Lex.Ident s when not (is_keyword s) ->
     if Builtins.find_label_pred p.reg s <> None then begin
       ignore (Lex.Stream.advance p.st);
-      let atom = Path.Edge (label_pred p s) in
+      let atom = Path.Edge (label_pred p ~at s) in
       if rpe_continues p then H_rpe (parse_rest_of_rpe p atom)
       else H_rpe atom
     end
     else begin
       ignore (Lex.Stream.advance p.st);
       if rpe_continues p then
-        Lex.Stream.error p.st
+        Lex.Stream.error_at at
           (Fmt.str
              "'%s' is not a registered label predicate; only predicates, \
               strings, 'true', '*' and parentheses may appear in path \
@@ -231,6 +237,7 @@ and parse_rest_of_rpe p atom =
 (* --- Conditions --- *)
 
 let parse_cmp_op p =
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.advance p.st with
   | Lex.Punct "=" -> Ast.Eq
   | Lex.Punct "!=" -> Ast.Ne
@@ -239,11 +246,12 @@ let parse_cmp_op p =
   | Lex.Punct ">" -> Ast.Gt
   | Lex.Punct ">=" -> Ast.Ge
   | tok ->
-    Lex.Stream.error p.st
+    Lex.Stream.error_at at
       (Fmt.str "expected a comparison operator, found %a" Lex.pp_token tok)
 
 let rec parse_condition p acc =
   (* appends one or more conditions (a chain yields several) to acc *)
+  let at = Lex.Stream.pos p.st in
   match Lex.Stream.peek p.st, Lex.Stream.peek2 p.st with
   | Lex.Ident s, _ when String.lowercase_ascii s = "not" ->
     ignore (Lex.Stream.advance p.st);
@@ -254,7 +262,7 @@ let rec parse_condition p acc =
      | [ c ] -> Ast.C_not c :: acc
      | _ ->
        (* negation of a conjunction is not in the core language *)
-       Lex.Stream.error p.st "not(...) must contain a single condition")
+       Lex.Stream.error_at at "not(...) must contain a single condition")
   | Lex.Ident s, Lex.Punct "(" when not (is_keyword s) ->
     (* atom: collection membership or external predicate *)
     ignore (Lex.Stream.advance p.st);
@@ -334,9 +342,10 @@ let parse_condition_list p =
 (* --- Construction clauses --- *)
 
 let parse_create_item p =
+  let at = Lex.Stream.pos p.st in
   match parse_cons_term p with
   | Ast.T_skolem (f, args) -> (f, args)
-  | _ -> Lex.Stream.error p.st "CREATE expects Skolem terms like F(x)"
+  | _ -> Lex.Stream.error_at at "CREATE expects Skolem terms like F(x)"
 
 let parse_link_item p =
   let src = parse_cons_term p in

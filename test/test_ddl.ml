@@ -113,6 +113,11 @@ let errors =
     expect_error "bad toplevel" "objeto a {}";
     expect_error "missing value" "object a { x }";
     expect_error "unterminated string" "object a { x \"abc }";
+    t "an error names the offending token's own line" (fun () ->
+        match Ddl.parse "object a { k 1 }\nbogus\nobject b { k 2 }" with
+        | exception Ddl.Ddl_error (_, line) ->
+          check_int "line of bogus" 2 line
+        | _ -> Alcotest.fail "parsed");
   ]
 
 (* structural comparison of graphs by node names *)

@@ -4,10 +4,11 @@
    suppress the report), determinism under a fixed seed, the SA060-062
    diagnostic bridge, stability pinning of the catalog codes (a retired
    code stays out), and no-false-positive runs of the real parallel
-   runtime — builds, cached rebuilds, warehouse refresh (also
-   publishing a sharded repository under a pinned view), serving — with
-   the sanitizer armed at jobs 2 and 8, and a daemon's exit code read
-   on another domain. *)
+   runtime — builds, cached rebuilds, warehouse refresh (also under a
+   pinned view), serving a
+   static engine and a federated one across epoch swaps — with the
+   sanitizer armed at jobs 2 and 8, and a daemon's exit code read on
+   another domain. *)
 
 open Sgraph
 
@@ -280,6 +281,16 @@ let page_triples (site : Template.Generator.site) =
 
 let job_levels = [ 2; 8 ]
 
+let request path =
+  {
+    Serve.Http.meth = Serve.Http.GET;
+    target = path;
+    path;
+    version = "HTTP/1.1";
+    headers = [];
+    body = "";
+  }
+
 let clean_runtime_tests =
   [
     t "sanitized parallel builds: zero races, output unchanged" (fun () ->
@@ -378,27 +389,109 @@ let clean_runtime_tests =
           (fun jobs ->
             sanitized (fun () ->
                 let eng =
-                  Serve.Engine.create ~workers:jobs
-                    ~source:(Serve.Engine.Static data) def
+                  Serve.Engine.create ~source:(Serve.Engine.Static data) def
                 in
-                let request path =
-                  {
-                    Serve.Http.meth = Serve.Http.GET;
-                    target = path;
-                    path;
-                    version = "HTTP/1.1";
-                    headers = [];
-                    body = "";
-                  }
-                in
-                Pool.run Pool.shared ~jobs (fun w ->
+                Pool.run Pool.shared ~jobs (fun _ ->
                     for _ = 1 to 20 do
                       List.iter
                         (fun path ->
-                          ignore
-                            (Serve.Engine.handle ~worker:w eng (request path)))
+                          ignore (Serve.Engine.handle eng (request path)))
                         [ "/"; "/healthz"; "/readyz" ]
                     done);
+                check_int (Printf.sprintf "jobs=%d races" jobs) 0
+                  (Dsan.race_count ())))
+          job_levels);
+    (* request domains GET "/" and every page while the main domain
+       installs three epochs: each response must be the cold build of
+       the epoch its X-Strudel-Epoch header names *)
+    t "sanitized serving across epoch swaps: zero races, every response \
+       from its epoch's cold build"
+      (fun () ->
+        let items_of ep =
+          [ ("x1", "one"); ("x2", Printf.sprintf "v%d" ep);
+            (Printf.sprintf "y%d" ep, "new") ]
+        in
+        (* each epoch's cold build, computed before the sanitizer runs *)
+        let expected =
+          Array.init 5 (fun ep ->
+              if ep = 0 then []
+              else
+                page_triples
+                  (Test_serve.mini_built (items_of ep)).Strudel.Site.site)
+        in
+        let paths =
+          "/"
+          :: List.sort_uniq compare
+               (List.concat_map
+                  (List.map (fun (url, _) -> "/" ^ url))
+                  (Array.to_list expected))
+        in
+        let consistent resp path =
+          match
+            List.assoc_opt "X-Strudel-Epoch" resp.Serve.Http.resp_headers
+          with
+          | None -> false
+          | Some ep ->
+            let pages = expected.(int_of_string ep) in
+            let url =
+              if path = "/" then fst (List.hd pages)
+              else String.sub path 1 (String.length path - 1)
+            in
+            (match List.assoc_opt url pages with
+             | Some html ->
+               resp.Serve.Http.status = 200 && resp.Serve.Http.resp_body = html
+             | None -> resp.Serve.Http.status = 404)
+        in
+        List.iter
+          (fun jobs ->
+            sanitized (fun () ->
+                let s, w = Test_serve.mini_warehouse (items_of 1) in
+                let eng =
+                  Serve.Engine.create ~source:(Serve.Engine.Federated w)
+                    Test_serve.mini_def
+                in
+                let stop = Atomic.make false in
+                let seen = Atomic.make 0 and bad = Atomic.make 0 in
+                let hammer () =
+                  let tok = Dsan.fork () in
+                  let d =
+                    Domain.spawn (fun () ->
+                        Dsan.born tok;
+                        Fun.protect
+                          ~finally:(fun () -> Dsan.dying tok)
+                          (fun () ->
+                            while not (Atomic.get stop) do
+                              List.iter
+                                (fun path ->
+                                  let resp =
+                                    Serve.Engine.handle eng (request path)
+                                  in
+                                  Atomic.incr seen;
+                                  if not (consistent resp path) then
+                                    Atomic.incr bad)
+                                paths
+                            done))
+                  in
+                  (tok, d)
+                in
+                let hammers = List.init jobs (fun _ -> hammer ()) in
+                while Atomic.get seen < jobs do
+                  Domain.cpu_relax ()
+                done;
+                for ep = 2 to 4 do
+                  Mediator.Source.update s (fun () ->
+                      Test_serve.mini_graph (items_of ep));
+                  check_bool "refreshed" true (Serve.Engine.refresh eng)
+                done;
+                Atomic.set stop true;
+                List.iter
+                  (fun (tok, d) ->
+                    Domain.join d;
+                    Dsan.joined tok)
+                  hammers;
+                check_int "final epoch" 4 (Serve.Engine.epoch eng);
+                check_int (Printf.sprintf "jobs=%d inconsistent responses" jobs)
+                  0 (Atomic.get bad);
                 check_int (Printf.sprintf "jobs=%d races" jobs) 0
                   (Dsan.race_count ())))
           job_levels);

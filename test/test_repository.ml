@@ -115,6 +115,46 @@ let suite =
             List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
             Sys.rmdir dir)
           [ `Ddl; `Segment ]);
+    t "a save removes the other format's file; a name with both fails \
+       the load"
+      (fun () ->
+        let catalog k =
+          let r = Repository.Store.create () in
+          Repository.Store.put r
+            (fst
+               (Ddl.parse ~graph_name:"one"
+                  (Printf.sprintf "object a in C { k %d }" k)));
+          r
+        in
+        let dir = Filename.temp_file "strudelformat" "" in
+        Sys.remove dir;
+        Repository.Store.save_dir ~format:`Segment (catalog 1) ~dir;
+        Repository.Store.save_dir ~format:`Ddl (catalog 2) ~dir;
+        check_bool "no .seg remains" false
+          (Sys.file_exists (Filename.concat dir "one.seg"));
+        check_bool "loads k 2" true
+          (Repository.Store.dump_graph
+             (Repository.Store.get (Repository.Store.load_dir ~dir) "one")
+           = Repository.Store.dump_graph
+               (Repository.Store.get (catalog 2) "one"));
+        (* what an interrupted save leaves: both files of one name *)
+        ignore
+          (Repository.Segment.write
+             ~path:(Filename.concat dir "one.seg")
+             (Repository.Store.get (catalog 1) "one"));
+        (match Repository.Store.load_dir ~dir with
+        | exception Failure msg ->
+          Alcotest.(check string)
+            "names both files"
+            (Printf.sprintf
+               "Store.load_dir: %s and %s both hold graph one (an \
+                interrupted save?)"
+               (Filename.concat dir "one.ddl")
+               (Filename.concat dir "one.seg"))
+            msg
+        | _ -> Alcotest.fail "expected a failure");
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir);
     t "query_repo resolves INPUT names and stores OUTPUT" (fun () ->
         let r = Repository.Store.create () in
         Repository.Store.put r

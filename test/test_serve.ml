@@ -1,13 +1,12 @@
-(* The strudeld serving layer: HTTP codec, admission gate, circuit
-   breakers, the engine's differential against full builds, live epoch
-   pickup, and the daemon's overload/timeout/drain contract — the
+(* The strudeld serving layer: HTTP codec, admission gate, the engine's
+   differential against full builds (slug collisions included), live
+   epoch pickup, and the daemon's overload/timeout/drain contract — the
    behavior tests run on synthetic connections and the virtual clock
    (no sockets, no sleeps in the logic under test). *)
 
 open Sgraph
 module Http = Serve.Http
 module Gate = Serve.Gate
-module Breaker = Serve.Breaker
 module Engine = Serve.Engine
 module Daemon = Serve.Daemon
 module CT = Strudel.Materialize.Click_time
@@ -119,8 +118,7 @@ let mini_built items = Strudel.Site.build ~data:(mini_data items) mini_def
 let body_of resp = resp.Http.resp_body
 let status_of resp = resp.Http.status
 
-let get ?worker ?headers engine path =
-  Engine.handle ?worker engine (req ?headers path)
+let get ?headers engine path = Engine.handle engine (req ?headers path)
 
 (* --- synthetic daemon transport --- *)
 
@@ -292,49 +290,6 @@ let gate_tests =
         check_bool "idle" true (Gate.wait_idle g));
   ]
 
-let breaker_tests =
-  [
-    t "opens after threshold, half-opens after cooldown, closes on probe"
-      (fun () ->
-        let clock, _ = Fault.Clock.virtual_ () in
-        let b = Breaker.create ~threshold:2 ~clock () in
-        Breaker.failure b "page:p";
-        check_bool "still closed" true (Breaker.check b "page:p" = Breaker.Proceed);
-        Breaker.failure b "page:p";
-        check_bool "open" true (Breaker.state b "page:p" = Breaker.Open);
-        (match Breaker.check b "page:p" with
-        | Breaker.Reject ms -> check_bool "cooldown left" true (ms > 0.)
-        | Breaker.Proceed -> Alcotest.fail "expected rejection");
-        clock.Fault.Clock.sleep_ms 60_000.;
-        check_bool "probe let through" true
-          (Breaker.check b "page:p" = Breaker.Proceed);
-        check_bool "second probe rejected" true
-          (match Breaker.check b "page:p" with Breaker.Reject _ -> true | _ -> false);
-        Breaker.success b "page:p";
-        check_bool "closed again" true (Breaker.state b "page:p" = Breaker.Closed);
-        check_int "one trip" 1 (Breaker.trips b));
-    t "failed probe re-opens with a longer cooldown" (fun () ->
-        let clock, _ = Fault.Clock.virtual_ () in
-        let retry =
-          { Fault.Policy.default_retry with
-            attempts = 4; base_delay_ms = 100.; multiplier = 2.;
-            max_delay_ms = 10_000. }
-        in
-        let b = Breaker.create ~threshold:1 ~retry ~clock () in
-        Breaker.failure b "k";
-        let first =
-          match Breaker.check b "k" with Breaker.Reject ms -> ms | _ -> 0.
-        in
-        clock.Fault.Clock.sleep_ms (first +. 1.);
-        check_bool "probe" true (Breaker.check b "k" = Breaker.Proceed);
-        Breaker.failure b "k";
-        let second =
-          match Breaker.check b "k" with Breaker.Reject ms -> ms | _ -> 0.
-        in
-        check_bool "backoff grew" true (second > first);
-        check_bool "open key listed" true (Breaker.open_keys b = [ "k" ]));
-  ]
-
 let engine_static_tests =
   [
     t "differential: served bytes equal the full build's pages" (fun () ->
@@ -344,6 +299,8 @@ let engine_static_tests =
             let e = Engine.create ~source:(Engine.Static data) def in
             let pages = built.Strudel.Site.site.Template.Generator.pages in
             check_bool (site ^ ": some pages") true (List.length pages > 5);
+            check_int (site ^ ": page count") (List.length pages)
+              (Engine.page_count e);
             List.iter
               (fun (p : Template.Generator.page) ->
                 let url = p.Template.Generator.url in
@@ -392,18 +349,28 @@ let engine_static_tests =
         check_string "304 keeps etag" tag (Option.get (header r2 "etag"));
         let r3 = get e ~headers:[ ("if-none-match", "\"stale\"") ] "/" in
         check_int "mismatched tag re-serves" 200 (status_of r3));
-    t "render cache: first request misses, repeat hits" (fun () ->
+    t "a request renders nothing: an injector armed after create fails \
+       no page"
+      (fun () ->
+        let data = Sites.Paper_example.data () in
+        let def = Sites.Paper_example.definition in
+        let built = Strudel.Site.build ~data def in
+        let inject = Fault.Inject.create ~p_render:1.0 () in
+        Fault.Inject.disarm inject;
         let e =
-          Engine.create ~source:(Engine.Static (Sites.Paper_example.data ()))
-            Sites.Paper_example.definition
+          Engine.create ~fault:(Fault.ctx ~inject ())
+            ~source:(Engine.Static data) def
         in
-        ignore (get e "/");
-        let _, m1, _ = Option.get (Engine.cache_stats e) in
-        ignore (get e "/");
-        let h2, m2, _ = Option.get (Engine.cache_stats e) in
-        check_int "one miss" 1 m1;
-        check_int "no new miss" 1 m2;
-        check_bool "hit recorded" true (h2 >= 1));
+        Fault.Inject.arm inject;
+        List.iter
+          (fun (p : Template.Generator.page) ->
+            let resp = get e ("/" ^ p.Template.Generator.url) in
+            check_int ("status " ^ p.Template.Generator.url) 200
+              (status_of resp);
+            check_string ("bytes " ^ p.Template.Generator.url)
+              p.Template.Generator.html (body_of resp))
+          built.Strudel.Site.site.Template.Generator.pages;
+        check_bool "not degraded" false (Engine.degraded e));
     t "click-time browse errors are structured (no escapes)" (fun () ->
         let ct = CT.start ~data:(Sites.Paper_example.data ())
             Sites.Paper_example.definition
@@ -417,8 +384,7 @@ let engine_static_tests =
           (match CT.browse ct stranger with
           | exception CT.Browse_error (CT.Unknown_object _) -> true
           | _ -> false));
-    t "injected render failure: page-scoped 503 + manifest, breaker opens"
-      (fun () ->
+    t "injected render failure: page-scoped 503 + manifest" (fun () ->
         let built = mini_built [ ("x1", "one"); ("x2", "two") ] in
         let victim =
           List.find
@@ -430,10 +396,8 @@ let engine_static_tests =
         let inject =
           Fault.Inject.create ~seed:7 ~p_render:1.0 ~targets:[ victim_name ] ()
         in
-        Fault.Inject.arm inject;
-        let fault = Fault.ctx ~inject () in
         let e =
-          Engine.create ~fault ~breaker_threshold:1
+          Engine.create ~fault:(Fault.ctx ~inject ())
             ~source:(Engine.Static (mini_data [ ("x1", "one"); ("x2", "two") ]))
             mini_def
         in
@@ -443,18 +407,16 @@ let engine_static_tests =
         check_bool "manifest body" true
           (contains ~needle:"\"status\": \"degraded\"" (body_of r)
            || contains ~needle:"degraded" (body_of r));
-        check_bool "retry-after present" true (header r "retry-after" <> None);
-        (* breaker is now open: rejected without re-rendering *)
-        let r2 = get e url in
-        check_int "breaker 503" 503 (status_of r2);
-        check_bool "page breaker open" true
-          (List.mem ("page:" ^ victim.Template.Generator.url)
-             (Breaker.open_keys (Engine.breaker e)));
+        check_string "retry-after" "1" (Option.get (header r "retry-after"));
+        check_string "degraded kind" "render-failed"
+          (Option.get (header r "x-strudel-degraded"));
+        (* the placeholder stays until a changed cycle renders it: no
+           request retries the render *)
+        check_int "still 503" 503 (status_of (get e url));
         (* only that page degraded; the rest of the site serves *)
         check_int "root fine" 200 (status_of (get e "/"));
         check_bool "degraded" true (Engine.degraded e);
-        (* disarm: the probe after cooldown would succeed; directly
-           verify the render path recovered via a fresh engine *)
+        (* disarmed, a fresh engine renders the page *)
         Fault.Inject.disarm inject;
         let e2 =
           Engine.create ~fault:(Fault.ctx ~inject ())
@@ -462,6 +424,48 @@ let engine_static_tests =
             mini_def
         in
         check_int "recovered" 200 (status_of (get e2 url)));
+    (* The item pages of "x.y" and "x_y" (mediated as AsObj(x.y) and
+       AsObj(x_y)) share the slug ItemPageAsObjx_y: a cold build renames
+       the second to ItemPageAsObjx_y_1.html and rewrites the root's
+       link to it. *)
+    t "collision: a federated engine serves every cold-build page at its \
+       URL, across refreshes"
+      (fun () ->
+        let items1 = [ ("x.y", "dot"); ("x_y", "under") ] in
+        let items2 = [ ("x.y", "dot!"); ("x_y", "under") ] in
+        let items3 = [ ("x_y", "under") ] in
+        let renamed = "ItemPageAsObjx_y_1.html" in
+        let s, w = mini_warehouse items1 in
+        let e = Engine.create ~source:(Engine.Federated w) mini_def in
+        let served_as_built label items =
+          let pages =
+            (mini_built items).Strudel.Site.site.Template.Generator.pages
+          in
+          check_int (label ^ ": page count") (List.length pages)
+            (Engine.page_count e);
+          List.iter
+            (fun (p : Template.Generator.page) ->
+              let url = p.Template.Generator.url in
+              let resp = get e ("/" ^ url) in
+              check_int (label ^ ": status " ^ url) 200 (status_of resp);
+              check_string (label ^ ": bytes " ^ url)
+                p.Template.Generator.html (body_of resp))
+            pages;
+          List.map (fun (p : Template.Generator.page) -> p.Template.Generator.url)
+            pages
+        in
+        check_bool "the renamed page is served" true
+          (List.mem renamed (served_as_built "clash" items1));
+        Mediator.Source.update s (fun () -> mini_graph items2);
+        check_bool "refreshed" true (Engine.refresh e);
+        check_bool "the clash is kept" true
+          (List.mem renamed (served_as_built "kept" items2));
+        Mediator.Source.update s (fun () -> mini_graph items3);
+        check_bool "refreshed" true (Engine.refresh e);
+        check_bool "the clash is gone" false
+          (List.mem renamed (served_as_built "removed" items3));
+        check_int "the renamed URL is gone" 404
+          (status_of (get e ("/" ^ renamed))));
   ]
 
 let engine_epoch_tests =
@@ -511,25 +515,23 @@ let engine_epoch_tests =
           "/" ^ p.Template.Generator.url
         in
         let u1 = url_of "x1" and u2 = url_of "x2" in
-        ignore (get e u1);
-        ignore (get e u2);
-        let h0, m0, i0 = Option.get (Engine.cache_stats e) in
-        check_int "two misses to warm" 2 m0;
+        let etag r = Option.get (header r "etag") in
+        let r1 = get e u1 and r2 = get e u2 in
         (* x2's name changes; x1 is untouched *)
         Mediator.Source.update s (fun () ->
             mini_graph [ ("x1", "one"); ("x2", "TWO") ]);
         check_bool "refreshed" true (Engine.refresh e);
-        let r1 = get e u1 in
-        let h1, m1, i1 = Option.get (Engine.cache_stats e) in
-        check_int "unchanged page verifies: hit" (h0 + 1) h1;
-        check_int "no invalidation for x1" i0 i1;
-        check_int "no re-render for x1" m0 m1;
-        check_int "still 200" 200 (status_of r1);
-        let r2 = get e u2 in
-        let _, _, i2 = Option.get (Engine.cache_stats e) in
-        check_int "changed page invalidates" (i0 + 1) i2;
+        let r1' = get e u1 in
+        check_int "still 200" 200 (status_of r1');
+        check_string "unchanged page keeps its tag" (etag r1) (etag r1');
+        check_string "unchanged page keeps its bytes" (body_of r1)
+          (body_of r1');
+        let r2' = get e u2 in
+        check_bool "changed page gets a new tag" true (etag r2 <> etag r2');
         check_bool "new bytes served" true
-          (contains ~needle:"TWO" (body_of r2)));
+          (contains ~needle:"TWO" (body_of r2'));
+        check_int "the old tag no longer revalidates" 200
+          (status_of (get e ~headers:[ ("if-none-match", etag r2) ] u2)));
     t "no request ever observes a half-refreshed epoch (concurrent hammer)"
       (fun () ->
         let items_of ep =
@@ -559,7 +561,7 @@ let engine_epoch_tests =
         let hammer =
           Domain.spawn (fun () ->
               while not (Atomic.get stop) do
-                let resp = get ~worker:1 e "/" in
+                let resp = get e "/" in
                 let ep =
                   int_of_string (Option.get (header resp "x-strudel-epoch"))
                 in
@@ -770,14 +772,14 @@ let daemon_tests =
         check_int "exit 3" 3 (Daemon.exit_code d));
     t "real TCP smoke: ephemeral port, one request, drain" (fun () ->
         let e =
-          Engine.create ~workers:2
+          Engine.create
             ~source:(Engine.Static (Sites.Paper_example.data ()))
             Sites.Paper_example.definition
         in
         let config = { Daemon.default_config with workers = 2 } in
         let d =
           Daemon.create ~config
-            ~handler:(fun ~worker req -> Engine.handle ~worker e req)
+            ~handler:(fun ~worker:_ req -> Engine.handle e req)
             ()
         in
         let listener, port =
@@ -810,5 +812,5 @@ let daemon_tests =
   ]
 
 let suite =
-  http_tests @ gate_tests @ breaker_tests @ engine_static_tests
+  http_tests @ gate_tests @ engine_static_tests
   @ engine_epoch_tests @ daemon_tests

@@ -176,6 +176,14 @@ let errors =
     expect "create of bare var" "WHERE C(x) CREATE x";
     expect "missing arrow" {|WHERE x -> "a" y COLLECT C(x)|};
     expect "bad in list" "WHERE l in {} COLLECT C(l)";
+    t "an error names the offending token's own position" (fun () ->
+        match
+          parse "WHERE C(x)\nCREATE F(x\nLINK F(x) -> \"a\" -> x\nOUTPUT R"
+        with
+        | exception Parser.Parse_error (msg, line, col) ->
+          Alcotest.(check (pair int int))
+            ("position of LINK: " ^ msg) (3, 1) (line, col)
+        | _ -> Alcotest.fail "parsed");
   ]
 
 (* pretty-print / re-parse fixpoint *)

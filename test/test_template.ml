@@ -322,8 +322,8 @@ let template_errors =
                 (String.length msg >= String.length where
                  && String.sub msg 0 (String.length where) = where)
             | _ -> Alcotest.failf "%S parsed" src)
-          [ ("<SFMT title>", "line 1, column 12: ");
-            ("<SFOR x IN 3>y</SFOR>", "line 1, column 13: ");
+          [ ("<SFMT title>", "line 1, column 7: ");
+            ("<SFOR x IN 3>y</SFOR>", "line 1, column 12: ");
             ("ok\n  <SIF @x = >y</SIF>", "line 2, column 7: ");
             ("<SFMT @x $>", "line 1: ") ]);
   ]
