@@ -1718,7 +1718,10 @@ let spread ts =
    TCP leg is the honest load test: a real daemon with a small
    admission bound, hammered by 2x max_inflight concurrent closed-loop
    clients — the interesting numbers are the shed rate and the p99 of
-   the *admitted* requests, which the bounded gate keeps flat. *)
+   the *admitted* requests, which the bounded gate keeps flat.  One run
+   of it cannot order two builds (its p99 moves by an order of
+   magnitude from run to run), so it runs five times and reports each
+   figure's median, min and max. *)
 
 let e22 () =
   section "E22" "strudeld: startup, served/304 sweeps, refresh and overload";
@@ -1840,104 +1843,125 @@ let e22 () =
     rf_med rounds rf_min rf_max (!mismatched - before);
   Fmt.pr "  responses or page counts unlike the cold build's: %d@."
     !mismatched;
-  (* --- leg B: overload through the real daemon --- *)
-  let workers = 4 and max_inflight = 8 in
+  (* --- leg B: overload through the real daemon, [overload_runs]
+     times: one run's admitted p99 swings by an order of magnitude *)
+  let workers = 4 and max_inflight = 8 and overload_runs = 5 in
   let clients = 2 * max_inflight in
   let per_client = 150 in
+  let total = clients * per_client in
   Fmt.pr
     "@.leg B: TCP daemon, %d workers, max-inflight %d, %d closed-loop \
-     clients (2x overload), %d requests each@."
-    workers max_inflight clients per_client;
-  let config =
-    { Serve.Daemon.default_config with workers; max_inflight }
-  in
-  let daemon =
-    Serve.Daemon.create ~config
-      ~handler:(fun ~worker:_ r -> Serve.Engine.handle engine r)
-      ()
-  in
-  let listener, port =
-    Serve.Daemon.tcp_listener ~tick_ms:20. ~host:"127.0.0.1" ~port:0 ()
-  in
-  let srv = Domain.spawn (fun () -> Serve.Daemon.serve daemon listener) in
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port) in
+     clients (2x overload), %d requests each, %d runs@."
+    workers max_inflight clients per_client overload_runs;
   let url_arr =
     Array.of_list
       (List.map
          (fun (p : Template.Generator.page) -> "/" ^ p.Template.Generator.url)
          pages)
   in
-  let one_request i =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect fd addr;
-        let url = url_arr.(i mod n_pages) in
-        let wire =
-          Printf.sprintf
-            "GET %s HTTP/1.1\r\nhost: bench\r\nConnection: close\r\n\r\n" url
-        in
-        ignore (Unix.write_substring fd wire 0 (String.length wire));
-        let b = Bytes.create 8192 in
-        let first = ref "" in
-        let rec slurp () =
-          match Unix.read fd b 0 8192 with
-          | 0 -> ()
-          | n ->
-            if !first = "" then first := Bytes.sub_string b 0 (min n 16);
-            slurp ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-            ->
-            ()
-        in
-        slurp ();
-        if String.length !first >= 12 then
-          Some (String.sub !first 9 3)
-        else None)
+  let overload () =
+    let config =
+      { Serve.Daemon.default_config with workers; max_inflight }
+    in
+    let daemon =
+      Serve.Daemon.create ~config
+        ~handler:(fun ~worker:_ r -> Serve.Engine.handle engine r)
+        ()
+    in
+    let listener, port =
+      Serve.Daemon.tcp_listener ~tick_ms:20. ~host:"127.0.0.1" ~port:0 ()
+    in
+    let srv = Domain.spawn (fun () -> Serve.Daemon.serve daemon listener) in
+    let addr = Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port) in
+    let one_request i =
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd addr;
+          let url = url_arr.(i mod n_pages) in
+          let wire =
+            Printf.sprintf
+              "GET %s HTTP/1.1\r\nhost: bench\r\nConnection: close\r\n\r\n"
+              url
+          in
+          ignore (Unix.write_substring fd wire 0 (String.length wire));
+          let b = Bytes.create 8192 in
+          let first = ref "" in
+          let rec slurp () =
+            match Unix.read fd b 0 8192 with
+            | 0 -> ()
+            | n ->
+              if !first = "" then first := Bytes.sub_string b 0 (min n 16);
+              slurp ()
+            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
+              ->
+              ()
+          in
+          slurp ();
+          if String.length !first >= 12 then Some (String.sub !first 9 3)
+          else None)
+    in
+    let t0 = Unix.gettimeofday () in
+    let worker_results =
+      List.init clients (fun c ->
+          Domain.spawn (fun () ->
+              let ok_lat = ref [] in
+              let shed = ref 0 and other = ref 0 in
+              for i = 0 to per_client - 1 do
+                let r0 = Unix.gettimeofday () in
+                match one_request ((c * per_client) + i) with
+                | Some "200" ->
+                  ok_lat := ms (Unix.gettimeofday () -. r0) :: !ok_lat
+                | Some "503" -> incr shed
+                | Some _ | None -> incr other
+                | exception Unix.Unix_error (_, _, _) -> incr other
+              done;
+              (!ok_lat, !shed, !other)))
+      |> List.map Domain.join
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    Serve.Daemon.stop daemon;
+    Domain.join srv;
+    let ok_lat =
+      List.concat_map (fun (l, _, _) -> l) worker_results |> Array.of_list
+    in
+    Array.sort compare ok_lat;
+    let served = Array.length ok_lat in
+    let shed = List.fold_left (fun n (_, s, _) -> n + s) 0 worker_results in
+    let other = List.fold_left (fun n (_, _, o) -> n + o) 0 worker_results in
+    let rps = float_of_int total /. wall in
+    let p50 = percentile ok_lat 0.50 and p99 = percentile ok_lat 0.99 in
+    let ds = Serve.Daemon.stats daemon in
+    Fmt.pr
+      "  %d requests in %.2f s (%.0f req/s): %d served, %d shed (%.1f%%), \
+       %d errors; admitted %.3f ms p50, %.3f ms p99; daemon: served %d, \
+       shed %d, aborts %d, exit %d@."
+      total wall rps served shed
+      (100. *. float_of_int shed /. float_of_int total)
+      other p50 p99 ds.Serve.Daemon.d_served ds.Serve.Daemon.d_shed
+      ds.Serve.Daemon.d_client_aborts
+      (Serve.Daemon.exit_code daemon);
+    (rps, served, shed, other, p50, p99)
   in
-  let t0 = Unix.gettimeofday () in
-  let worker_results =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            let ok_lat = ref [] in
-            let shed = ref 0 and other = ref 0 in
-            for i = 0 to per_client - 1 do
-              let r0 = Unix.gettimeofday () in
-              match one_request ((c * per_client) + i) with
-              | Some "200" ->
-                ok_lat := ms (Unix.gettimeofday () -. r0) :: !ok_lat
-              | Some "503" -> incr shed
-              | Some _ | None -> incr other
-              | exception Unix.Unix_error (_, _, _) -> incr other
-            done;
-            (!ok_lat, !shed, !other)))
-    |> List.map Domain.join
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  Serve.Daemon.stop daemon;
-  Domain.join srv;
-  let ok_lat =
-    List.concat_map (fun (l, _, _) -> l) worker_results |> Array.of_list
-  in
-  Array.sort compare ok_lat;
-  let served = Array.length ok_lat in
-  let shed = List.fold_left (fun n (_, s, _) -> n + s) 0 worker_results in
-  let other = List.fold_left (fun n (_, _, o) -> n + o) 0 worker_results in
-  let total = clients * per_client in
-  let shed_rate = float_of_int shed /. float_of_int total in
-  let rps = float_of_int total /. wall in
-  let p50 = percentile ok_lat 0.50 and p99 = percentile ok_lat 0.99 in
+  let runs = List.init overload_runs (fun _ -> overload ()) in
+  let sum f = List.fold_left (fun n r -> n + f r) 0 runs in
+  let served = sum (fun (_, s, _, _, _, _) -> s)
+  and shed = sum (fun (_, _, s, _, _, _) -> s)
+  and other = sum (fun (_, _, _, o, _, _) -> o) in
+  let rps = spread (List.map (fun (r, _, _, _, _, _) -> r) runs)
+  and shed_rate =
+    spread
+      (List.map
+         (fun (_, _, s, _, _, _) -> float_of_int s /. float_of_int total)
+         runs)
+  and p50 = spread (List.map (fun (_, _, _, _, p, _) -> p) runs)
+  and p99 = spread (List.map (fun (_, _, _, _, _, p) -> p) runs) in
+  let med (m, _, _) = m in
   Fmt.pr
-    "  %d requests in %.2f s (%.0f req/s): %d served, %d shed (%.1f%%), \
-     %d errors@."
-    total wall rps served shed (100. *. shed_rate) other;
-  Fmt.pr "  admitted latency: %.3f ms p50, %.3f ms p99@." p50 p99;
-  let ds = Serve.Daemon.stats daemon in
-  Fmt.pr "  daemon: served %d, shed %d, aborts %d, exit %d@."
-    ds.Serve.Daemon.d_served ds.Serve.Daemon.d_shed
-    ds.Serve.Daemon.d_client_aborts
-    (Serve.Daemon.exit_code daemon);
+    "  median of %d runs: %.0f req/s, shed %.1f%%, admitted %.3f ms p50, \
+     %.3f ms p99@."
+    overload_runs (med rps) (100. *. med shed_rate) (med p50) (med p99);
   let buf = Buffer.create 1024 in
   let json_leg (name, n, rps, p50, p99) =
     Printf.sprintf
@@ -1963,15 +1987,20 @@ let e22 () =
         \"refresh_ms\": {\"median\": %.3f, \"min\": %.3f, \"max\": %.3f, \
         \"runs\": %d}},\n"
        org_pages titles rf_med rf_min rf_max rounds);
+  let stat (m, lo, hi) =
+    Printf.sprintf
+      "{\"median\": %.4f, \"min\": %.4f, \"max\": %.4f, \"runs\": %d}" m lo
+      hi overload_runs
+  in
   Buffer.add_string buf
     (Printf.sprintf
        "  \"overload\": {\"clients\": %d, \"workers\": %d, \
-        \"max_inflight\": %d, \"requests\": %d, \"wall_s\": %.3f, \
-        \"rps\": %.1f, \"served\": %d, \"shed\": %d, \"errors\": %d, \
-        \"shed_rate\": %.4f, \"admitted_p50_ms\": %.4f, \
-        \"admitted_p99_ms\": %.4f}\n}\n"
-       clients workers max_inflight total wall rps served shed other
-       shed_rate p50 p99);
+        \"max_inflight\": %d, \"requests_per_run\": %d, \"runs\": %d, \
+        \"rps\": %s, \"served\": %d, \"shed\": %d, \"errors\": %d, \
+        \"shed_rate\": %s, \"admitted_p50_ms\": %s, \
+        \"admitted_p99_ms\": %s}\n}\n"
+       clients workers max_inflight total overload_runs (stat rps) served shed
+       other (stat shed_rate) (stat p50) (stat p99));
   let oc = open_out "BENCH_serve.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -2540,6 +2569,72 @@ let e24 () =
   close_out oc;
   Fmt.pr "delta maintenance profile written to BENCH_delta.json@."
 
+(* --- E25: watch cycles on sites whose pages share slug URLs --- *)
+
+(* Item names that differ only in characters a slug drops, as
+   non-Latin titles do: each [k] below 512 slugs to "x". *)
+let e25_greek k =
+  "x"
+  ^ String.concat ""
+      (List.init 9 (fun b -> if (k lsr b) land 1 = 1 then "β" else "α"))
+
+(* synth-1's site over its data plus [names], items of group g000: 40
+   one-item retitles, one watch cycle each.  Returns the median cycle
+   and its IQR, the pages re-rendered over the cycles, the templates
+   parsed meanwhile, and whether the last publish equals a cold
+   build's. *)
+let e25_site label names =
+  let g = Wrappers.Synth.scale_graph ~seed:1 ~groups:20 ~items:1000 () in
+  List.iter
+    (fun name ->
+      let o = Graph.new_node g name in
+      Graph.add_to_collection g "Items" o;
+      Graph.add_edge g o "title" (Graph.V (Value.String name));
+      Graph.add_edge g o "grp" (Graph.V (Value.String "g000")))
+    names;
+  let w = Serve.Watch.create ~source:(Serve.Watch.Direct g) Sites.Scale.definition in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let parsed = Template.Generator.templates_parsed () in
+  let times = Array.make 40 0. and rerendered = ref 0 in
+  for k = 0 to 39 do
+    let o = Option.get (Graph.find_node g (Printf.sprintf "item%d" (25 * k))) in
+    Delta.Rec.set_value r o "title"
+      (Value.String (Printf.sprintf "Retitled %d" k));
+    let report, ms = wall_it (fun () -> Serve.Watch.cycle w) in
+    times.(k) <- ms;
+    rerendered := !rerendered + report.Serve.Watch.cy_rerendered
+  done;
+  let parsed = Template.Generator.templates_parsed () - parsed in
+  let built = Serve.Watch.built w in
+  let identical =
+    pages_identical built.Strudel.Site.site
+      (Strudel.Site.build ~data:g Sites.Scale.definition).Strudel.Site.site
+  in
+  Array.sort Float.compare times;
+  let med = percentile times 0.5 in
+  Fmt.pr "  %-26s %5d pages  cycle %7.3f ms (IQR %.3f-%.3f)  rerendered %5d  \
+          parses %3d  identical %b@."
+    label
+    (List.length built.Strudel.Site.site.Template.Generator.pages)
+    med (percentile times 0.25) (percentile times 0.75) !rerendered parsed
+    identical;
+  (med, identical)
+
+let e25 () =
+  section "E25" "watch cycles on sites whose pages share slug URLs";
+  let free, i1 = e25_site "synth-1" [] in
+  let pair, i2 = e25_site "synth-1 + x.y, x_y" [ "x.y"; "x_y" ] in
+  let spread, i3 =
+    e25_site "synth-1 + 300 slugs" (List.init 300 (Printf.sprintf "x%d"))
+  in
+  let group, i4 = e25_site "synth-1 + 300 on one slug" (List.init 300 e25_greek) in
+  Fmt.pr "@.a clash's cycle over the clash-free one's: pair %.2fx, 300 on one slug %.2fx@."
+    (pair /. free) (group /. spread);
+  if not (i1 && i2 && i3 && i4) then begin
+    Fmt.epr "E25: a watch publish differs from the cold build@.";
+    exit 1
+  end
+
 (* --- experiment selection ---
 
    With no arguments every experiment runs, in order.  With arguments,
@@ -2556,6 +2651,7 @@ let experiments =
     ("E22", e22);
     ("E23", e23);
     ("E24", e24);
+    ("E25", e25);
     ("micro", bechamel_suite);
   ]
 

@@ -15,25 +15,27 @@
     deduplicated with a per-slot stamp, which replays the discovery
     order of {!Render_pool.materialize}.  The same pass decides
     reachability, so it runs whenever a ref list or the root set
-    changed. *)
+    changed.  A page's URL depends only on the pages, their slug URLs
+    and [order], so it can move only in such a pass: while two pages
+    share a slug URL, or a page is renamed, the pass names every page
+    in [order] through the wave loop's URL rule. *)
 
 module G = Template.Generator
 module IT = Hashtbl.Make (Int)
 open Sgraph
 
 type entry = {
-  mutable page : G.page;
+  mutable page : G.page;  (** as published: its URL, its hrefs *)
   mutable reads : G.read list;
   mutable subjects : int array;  (** distinct subject oid ids, ascending *)
   mutable refs : int array;  (** demand refs as slots, first-reference order *)
   mutable placeholder : bool;
+  slug : string;  (** the slug URL *)
+  mutable url : string;  (** the URL the last naming gave, else [slug] *)
 }
 
 type t = {
   graph : Graph.t;
-  jobs : int;
-  templates : G.template_set;
-  on_error : Fault.on_error;
   fault : Fault.ctx option;
   sink : Render_pool.sink option;
   rd : Render_pool.renderer;  (* every pass's, restarted per pass *)
@@ -55,12 +57,14 @@ type t = {
   mutable cycle : int;
   readers : int list ref IT.t;  (* subject oid id → slots reading it *)
   recheck : unit IT.t;  (* placeholders, retried every cycle *)
-  urls : (string, int ref) Hashtbl.t;  (* URL → pages holding it *)
-  mutable clashes : int;  (* URLs held by more than one page *)
+  urls : (string, int ref) Hashtbl.t;  (* slug URL → pages holding it *)
+  mutable clashes : int;  (* slug URLs held by more than one page *)
+  mutable renamed : int;  (* pages the last naming renamed *)
   mutable primed : bool;
 }
 
 let no_obj = Oid.fresh "(free slot)"
+let no_file _ = None
 
 (* --- slots --- *)
 
@@ -70,6 +74,7 @@ let clear t =
   IT.reset t.recheck;
   Hashtbl.reset t.urls;
   t.clashes <- 0;
+  t.renamed <- 0;
   t.objs <- [||];
   t.ents <- [||];
   t.born <- [||];
@@ -226,17 +231,19 @@ let set_entry t pending s (r : G.rendered) ~placeholder =
     e.placeholder <- placeholder;
     changed
   | None ->
-    url_add t r.G.r_page.G.url;
+    let slug = r.G.r_page.G.url in
+    url_add t slug;
     t.ents.(s) <-
       Some
-        { page = r.G.r_page; reads = r.G.r_reads; subjects; refs; placeholder };
+        { page = r.G.r_page; reads = r.G.r_reads; subjects; refs; placeholder;
+          slug; url = slug };
     true
 
 let drop t s =
   (match t.ents.(s) with
    | Some e ->
      Array.iter (fun k -> index_remove t k s) e.subjects;
-     url_remove t e.page.G.url;
+     url_remove t e.slug;
      t.ents.(s) <- None
    | None -> ());
   IT.remove t.recheck s;
@@ -248,36 +255,25 @@ let drop t s =
 
 (* The dirty-read replay rule: a read of a node outside [dirty] stands
    (the node's out-edges and collections are as they were), a read of
-   a dirty node is replayed against the graph; a link to a removed
-   node fails the page too (a trace records node names in its hashes,
-   so a node replaced by one of the same name would otherwise pass).
-   Pages render with no file loader, so a file read always replays to
-   the hash it recorded. *)
+   a dirty node replays on the live node; a link to a removed node
+   fails the page too (a trace records node names in its hashes, so a
+   node replaced by one of the same name would otherwise pass).  Pages
+   render with no file loader, so a file read always replays to the
+   hash it recorded. *)
 let valid t dirty e =
-  let g = t.graph in
   let changed o = IT.mem dirty (Oid.id o) in
-  let live o = Graph.mem_node g o in
   (not e.placeholder)
   && List.for_all
        (fun r ->
          match r with
-         | G.R_attr (o, l, h) ->
-           (not (changed o))
-           || G.hash_targets (if live o then Graph.attr g o l else []) = h
-         | G.R_edges (o, h) ->
-           (not (changed o))
-           || G.hash_edges (if live o then Graph.out_edges g o else []) = h
-         | G.R_colls (o, h) ->
-           (not (changed o))
-           || G.hash_strings
-                (if live o then Graph.collections_of g o else [])
-              = h
+         | G.R_attr (o, _, _) | G.R_edges (o, _) | G.R_colls (o, _) ->
+           (not (changed o)) || G.replay ~file_loader:no_file t.graph o r
          | G.R_file _ -> true)
        e.reads
   && Array.for_all
        (fun s ->
          let o = t.objs.(s) in
-         (not (changed o)) || live o)
+         (not (changed o)) || Graph.mem_node t.graph o)
        e.refs
 
 (* --- discovery order --- *)
@@ -314,8 +310,49 @@ let reorder t =
   t.order <- q;
   t.n <- !n
 
-let page_of t s =
-  match t.ents.(s) with Some e -> e.page | None -> assert false
+let entry t s = match t.ents.(s) with Some e -> e | None -> assert false
+let page_of t s = (entry t s).page
+
+(* --- naming --- *)
+
+(* Name every page in [order] as the wave loop does, when the pass
+   [reordered] (a URL moves only then), and mark in [stamp] the pages
+   whose URL moved.  Then a page rendered this pass ([fresh], with slug
+   hrefs) renders again if it or a page it links to is renamed, a kept
+   page if its or a linked page's URL moved; a placeholder just takes
+   its URL.  Returns whether a published URL moved, which a kept
+   page's render implies. *)
+let name t fresh ~reordered =
+  let moved = new_pass t and published = ref false in
+  if reordered then begin
+    let nm = Render_pool.names () in
+    t.renamed <- 0;
+    for i = 0 to t.n - 1 do
+      let s = t.order.(i) in
+      let e = entry t s in
+      let u = Render_pool.name_url nm e.slug in
+      if u <> e.slug then t.renamed <- t.renamed + 1;
+      if u <> e.url then begin
+        t.stamp.(s) <- moved;
+        if t.born.(s) < t.cycle then published := true;
+        e.url <- u
+      end
+    done
+  end;
+  let href o = (entry t (IT.find t.slot_of (Oid.id o))).url in
+  let rehref stale s =
+    let e = entry t s in
+    if stale s || Array.exists stale e.refs then
+      e.page <-
+        (if e.placeholder then { e.page with G.url = e.url }
+         else Render_pool.rerender t.rd ~href t.graph t.objs.(s))
+  in
+  List.iter (rehref (fun s -> (entry t s).url <> (entry t s).slug)) fresh;
+  if !published then
+    for i = 0 to t.n - 1 do
+      rehref (fun s -> t.stamp.(s) = moved) t.order.(i)
+    done;
+  !published
 
 let by_location a b = compare a.Fault.f_location b.Fault.f_location
 
@@ -328,7 +365,7 @@ let run t ~touched ~removed =
   t.cycle <- t.cycle + 1;
   let rd = t.rd in
   Render_pool.restart rd;
-  let pending = ref [] and rendered = ref [] and reports = ref [] in
+  let pending = ref [] and rendered = ref [] and batches = ref [] in
   let waves = ref 0 and misses = ref 0 and invalidations = ref 0 in
   let reorder_needed = ref prime in
   let render slots =
@@ -336,19 +373,19 @@ let run t ~touched ~removed =
     let results =
       Render_pool.render_pages rd t.graph (Array.map (fun s -> t.objs.(s)) slots)
     in
-    let batch_reports = ref [] in
+    let batch = ref [] in
     Array.iteri
       (fun i (r, report) ->
         let s = slots.(i) in
         (match t.ents.(s) with
          | Some e when not e.placeholder -> incr invalidations
          | _ -> incr misses);
-        Option.iter (fun rep -> batch_reports := rep :: !batch_reports) report;
+        Option.iter (fun rep -> batch := (s, rep) :: !batch) report;
         if set_entry t pending s r ~placeholder:(report <> None) then
           reorder_needed := true;
         rendered := s :: !rendered)
       results;
-    reports := !reports @ List.sort by_location (List.rev !batch_reports)
+    batches := !batch :: !batches
   in
   (* the roots move only with a node of their family *)
   let in_root_family o =
@@ -420,42 +457,38 @@ let run t ~touched ~removed =
       | _ -> ()
     done
   end;
-  let emit_all (sk : Render_pool.sink) pages =
-    sk.Render_pool.sk_reset ();
-    List.iter sk.Render_pool.sk_emit pages
+  let fresh = List.filter (fun s -> t.ents.(s) <> None) !rendered in
+  if
+    (t.clashes > 0 || t.renamed > 0)
+    && name t fresh ~reordered:!reorder_needed
+  then reset := true;
+  t.primed <- true;
+  (* each render batch's fault reports, under the pages' URLs *)
+  let located (s, rep) =
+    match t.ents.(s) with
+    | Some e -> { rep with Fault.f_location = e.url }
+    | None -> rep
   in
-  if t.clashes > 0 then begin
-    (* two pages share a slug URL, and the table holds slug URLs only:
-       the site renders afresh through the wave loop, which assigns the
-       renamed URLs.  Its fault reports replace the batches'. *)
-    clear t;
-    let site, profile =
-      Render_pool.materialize ~jobs:t.jobs ~templates:t.templates
-        ~on_error:t.on_error ?fault:t.fault t.graph ~roots:t.roots
-    in
-    Option.iter (fun sk -> emit_all sk site.G.pages) t.sink;
-    ( site,
-      { profile with Render_pool.rp_wall_ms = Render_pool.now_ms () -. t0 } )
-  end
-  else begin
-    t.primed <- true;
-    Option.iter (fun c -> List.iter (Fault.record c) !reports) t.fault;
-    let fresh =
-      List.filter (fun s -> t.ents.(s) <> None) !rendered |> Array.of_list
-    in
-    let pages = List.init t.n (fun i -> page_of t t.order.(i)) in
-    (match t.sink with
-     | Some sk when !reset -> emit_all sk pages
-     | Some sk ->
-       Array.sort (fun a b -> Int.compare t.pos.(a) t.pos.(b)) fresh;
-       Array.iter (fun s -> sk.Render_pool.sk_emit (page_of t s)) fresh
-     | None -> ());
-    let hits = t.n - Array.length fresh in
-    ( { G.pages; graph = t.graph },
-      Render_pool.profile rd ~t0 ~pages:t.n ~rendered:(List.length !rendered)
-        ~waves:!waves ~hits ~misses:!misses ~invalidations:!invalidations
-        ~degraded:(List.length !reports) )
-  end
+  let reports =
+    List.concat_map
+      (fun b -> List.sort by_location (List.rev_map located b))
+      (List.rev !batches)
+  in
+  Option.iter (fun c -> List.iter (Fault.record c) reports) t.fault;
+  let pages = List.init t.n (fun i -> page_of t t.order.(i)) in
+  (match t.sink with
+   | Some sk when !reset ->
+     sk.Render_pool.sk_reset ();
+     List.iter sk.Render_pool.sk_emit pages
+   | Some sk ->
+     let fresh = Array.of_list fresh in
+     Array.sort (fun a b -> Int.compare t.pos.(a) t.pos.(b)) fresh;
+     Array.iter (fun s -> sk.Render_pool.sk_emit (page_of t s)) fresh
+   | None -> ());
+  ( { G.pages; graph = t.graph },
+    Render_pool.profile rd ~t0 ~pages:t.n ~rendered:(List.length !rendered)
+      ~waves:!waves ~hits:(t.n - List.length fresh) ~misses:!misses
+      ~invalidations:!invalidations ~degraded:(List.length reports) )
 
 let update t ~touched ~removed =
   try run t ~touched ~removed
@@ -466,17 +499,14 @@ let update t ~touched ~removed =
 
 let idle t = t.primed && IT.length t.recheck = 0
 
-let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~templates
-    ~root_family graph ~roots =
+let create ?jobs ?on_error ?fault ?sink ~templates ~root_family graph
+    ~roots =
   let t =
     {
       graph;
-      jobs;
-      templates;
-      on_error;
       fault;
       sink;
-      rd = Render_pool.renderer ~jobs ~templates ~on_error ?fault ();
+      rd = Render_pool.renderer ?jobs ~templates ?on_error ?fault ();
       root_family;
       roots;
       slot_of = IT.create 1024;
@@ -497,6 +527,7 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~templates
       recheck = IT.create 16;
       urls = Hashtbl.create 1024;
       clashes = 0;
+      renamed = 0;
       primed = false;
     }
   in

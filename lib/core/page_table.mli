@@ -20,12 +20,15 @@
     cold-build discovery order and byte-identical to a cold
     {!Site.build}.  Pages render with no file loader.
 
-    A sink receives only the pages a cycle rendered, in discovery
-    order; a cycle that drops a published page resets the sink and
-    re-emits the whole site.  The table holds slug URLs only: if two
-    pages share one, the cycle renders the whole site again through
-    {!Render_pool.materialize}, which assigns the renamed URLs, and the
-    next cycle renders the table afresh. *)
+    A URL moves only when discovery order is recomputed: then, while
+    two pages share a slug URL or the last naming renamed a page, the
+    pass names every page as the wave loop does
+    ({!Render_pool.name_url}) and keeps their URLs; pages renamed or
+    linking to a renamed page render again with the assigned hrefs,
+    and a renamed placeholder's fault report takes its URL.  A sink
+    receives only the pages a cycle rendered, in discovery order; a
+    cycle that drops a published page or moves one to another URL
+    resets the sink and re-emits the whole site. *)
 
 open Sgraph
 
@@ -67,5 +70,5 @@ val update :
 val idle : t -> bool
 (** [true] when an {!update} with no touched or removed node would
     reuse every page as it is: the table holds the last publish and no
-    placeholder to retry.  [false] after a render raised or a cycle
-    met a URL clash, since the table is then empty. *)
+    placeholder to retry.  [false] after a render raised, since the
+    table is then empty. *)

@@ -100,30 +100,27 @@ let set_templates c ts =
 
 (* --- Trace verification --- *)
 
-(** Replay one recorded read against [g] and compare result hashes.
-    The subject is looked up by name, since a rebuild allocates fresh
-    oids; a node that no longer exists reads as the empty result —
-    exactly what a render against [g] would observe. *)
-let verify_read ?(file_loader = fun _ -> None) g read =
-  let node o = Graph.find_node g (Oid.name o) in
-  match read with
-  | G.R_attr (o, label, h) ->
-    let targets =
-      match node o with Some o -> Graph.attr g o label | None -> []
-    in
-    G.hash_targets targets = h
-  | G.R_edges (o, h) ->
-    let edges = match node o with Some o -> Graph.out_edges g o | None -> [] in
-    G.hash_edges edges = h
-  | G.R_colls (o, h) ->
-    let colls =
-      match node o with Some o -> Graph.collections_of g o | None -> []
-    in
-    G.hash_strings colls = h
-  | G.R_file (path, h) -> G.hash_file (file_loader path) = h
+let absent = Oid.fresh "(absent node)"
+let no_file _ = None
 
-let verify ?file_loader g entry =
-  List.for_all (verify_read ?file_loader g) entry.e_reads
+(** Replay the entry's trace against [g] ({!G.replay}), each read on
+    the node of its subject's name, since a rebuild allocates fresh
+    oids: a node that no longer exists reads as the empty result —
+    exactly what a render against [g] would observe.  Reads of one node
+    come in runs (an anchor probes several labels), so a run looks its
+    name up once. *)
+let verify ?(file_loader = no_file) g entry =
+  let subject = ref absent and node = ref absent in
+  List.for_all
+    (fun r ->
+      (match r with
+       | (G.R_attr (o, _, _) | G.R_edges (o, _) | G.R_colls (o, _))
+         when o != !subject ->
+         subject := o;
+         node := Option.value (Graph.find_node g (Oid.name o)) ~default:absent
+       | _ -> ());
+      G.replay ~file_loader g !node r)
+    entry.e_reads
 
 (** Look up the page for object [o] (keyed by its name) and re-verify
     its trace against [g].  Counts a hit on success; a stale entry is

@@ -98,8 +98,8 @@ type sink = {
           discovery) order; the pool retains nothing after the call *)
   sk_reset : unit -> unit;
       (** everything emitted so far is invalid and the whole site will
-          be re-emitted: a watch cycle dropped pages, or two of its
-          pages clashed on a URL *)
+          be re-emitted: a watch cycle dropped a page or moved one to
+          another URL *)
 }
 
 (** A sink that writes each page below [dir] as {!G.write_site} would
@@ -129,6 +129,37 @@ let file_sink ~dir =
           written;
         Hashtbl.reset written);
   }
+
+(* --- URL assignment ---
+
+   A site's pages are named roots first, then in discovery order: each
+   gets its slug URL, or else the first [slug_N.html] no page named
+   before holds.  [given] holds the URLs given; since it only grows,
+   every N below [next]'s entry for a slug URL is taken, so a slug URL
+   shared by k pages costs k probes, not k². *)
+module Stbl = Hashtbl.Make (String)
+
+type names = { given : unit Stbl.t; next : int Stbl.t }
+
+let names () = { given = Stbl.create 1024; next = Stbl.create 16 }
+
+let rec free nm url base n =
+  let u = base ^ "_" ^ Int.to_string n ^ ".html" in
+  if Stbl.mem nm.given u then free nm url base (n + 1)
+  else begin
+    Stbl.replace nm.next url (n + 1);
+    u
+  end
+
+let name_url nm url =
+  let u =
+    if not (Stbl.mem nm.given url) then url
+    else
+      free nm url (Filename.chop_suffix url ".html")
+        (Option.value (Stbl.find_opt nm.next url) ~default:1)
+  in
+  Stbl.add nm.given u ();
+  u
 
 (* How many pages a wave slice holds in memory at once (and the
    granularity of streaming emission and of deterministic fault-report
@@ -182,16 +213,15 @@ let restart rd =
     rd.rd_ms.(w) <- 0.
   done
 
-(* Render [o] on worker [w], with slug hrefs ([href], when given, must
-   return them too).  Under [Degrade] a failed (or injected-faulty)
-   render is isolated: it yields a placeholder with an empty trace and
-   the fault report. *)
-let render_one ?href rd w g o =
+(* Render [o] on worker [w], with slug hrefs.  Under [Degrade] a failed
+   (or injected-faulty) render is isolated: it yields a placeholder
+   with an empty trace and the fault report. *)
+let render_one rd w g o =
   let render () =
     Fault.Inject.fire rd.rd_inject (Fault.Inject.Render_page (Oid.name o));
     G.render_page_full ?file_loader:rd.rd_file_loader
       ~templates:rd.rd_templates ~compiled:rd.rd_compiled.(w)
-      ~trace_reads:rd.rd_trace ?href g o
+      ~trace_reads:rd.rd_trace g o
   in
   Dsan.write ~site:__POS__ rd.rd_ds w;
   rd.rd_pages.(w) <- rd.rd_pages.(w) + 1;
@@ -205,8 +235,8 @@ let render_one ?href rd w g o =
 
 (* [o]'s page rendered again on the main domain, which is worker 0 and
    idle between fan-outs, with [href]'s URLs.  Only a page that
-   rendered (or verified) with slug hrefs comes here, so it renders
-   again; the render is neither traced nor counted. *)
+   rendered (or verified) before comes here, so it renders again; the
+   render is neither traced nor counted. *)
 let rerender rd ~href g o =
   Dsan.write ~site:__POS__ rd.rd_ds 0;
   (G.render_page_full ?file_loader:rd.rd_file_loader
@@ -289,43 +319,23 @@ let materialize ?(jobs = 1) ?cache ?file_loader
     renderer ~jobs ?file_loader ~templates ~on_error ?fault
       ~trace:(cache <> None) ()
   in
-  (* URL assignment in discovery order: [seen] maps every page given a
-     URL to its slug URL, [used] holds every URL given, [renamed] maps
-     the pages whose URL is not their slug URL to theirs, and [next] is
-     the next wave's frontier, newest first.  Workers look up the slug
-     hrefs of pages named before their slice in [seen], which only the
-     main domain writes, between fan-outs (sanitizer identity
-     [ds_seen], one field). *)
-  let seen : string Oid.Tbl.t = Oid.Tbl.create 1024 in
-  let used = Hashtbl.create 1024 and renamed = Oid.Tbl.create 16 in
-  let ds_seen = Dsan.alloc ~name:"Render_pool.urls" in
-  let next = ref [] in
-  (* name [o], whose slug URL is [url], unless it has a URL *)
-  let claim o url =
+  (* URL assignment in discovery order: [seen] holds every page given a
+     URL, [nm] every URL given, [renamed] maps the pages whose URL is
+     not their slug URL to theirs, and [next] is the next wave's
+     frontier, newest first.  Workers render with slug hrefs. *)
+  let seen = Oid.Tbl.create 1024 and nm = names () in
+  let renamed = Oid.Tbl.create 16 and next = ref [] in
+  let assign o =
     if not (Oid.Tbl.mem seen o) then begin
-      Dsan.write ~site:__POS__ ds_seen 0;
-      Oid.Tbl.add seen o url;
+      Oid.Tbl.add seen o ();
       next := o :: !next;
-      if not (Hashtbl.mem used url) then Hashtbl.add used url ()
-      else begin
-        let base = Filename.chop_suffix url ".html" in
-        let rec free n =
-          let u = Printf.sprintf "%s_%d.html" base n in
-          if Hashtbl.mem used u then free (n + 1) else u
-        in
-        let u = free 1 in
-        Hashtbl.add used u ();
-        Oid.Tbl.add renamed o u
-      end
+      let url = G.slug_url o in
+      let u = name_url nm url in
+      if u <> url then Oid.Tbl.add renamed o u
     end
   in
-  let claim_ref (o, url) = claim o url in
-  let assign o = if not (Oid.Tbl.mem seen o) then claim o (G.slug_url o) in
-  let slug_href o =
-    match Oid.Tbl.find_opt seen o with Some u -> u | None -> G.slug_url o
-  in
   let href o =
-    match Oid.Tbl.find_opt renamed o with Some u -> u | None -> slug_href o
+    match Oid.Tbl.find_opt renamed o with Some u -> u | None -> G.slug_url o
   in
   let waves = ref 0 in
   let all_reports = ref [] in
@@ -337,7 +347,7 @@ let materialize ?(jobs = 1) ?cache ?file_loader
      renders again with the assigned hrefs. *)
   let settle_page o (p : G.page) ?(refs = []) ?(hit_refs = []) ~placeholder ()
       =
-    List.iter claim_ref refs;
+    List.iter (fun (o', _) -> assign o') refs;
     List.iter assign hit_refs;
     let p =
       if Oid.Tbl.length renamed = 0 then p
@@ -392,8 +402,7 @@ let materialize ?(jobs = 1) ?cache ?file_loader
                  (Render_cache.page_of_entry e o,
                   Render_cache.refs_of_entry g e))
         | ent ->
-          Dsan.read ~site:__POS__ ds_seen 0;
-          let r, report = render_one ~href:slug_href rd w g o in
+          let r, report = render_one rd w g o in
           slots.(i) <- Some (S_fresh (r, report, ent <> None))
       in
       fan_out rd ~len process;

@@ -55,8 +55,8 @@ type sink = {
           the current site after every call. *)
   sk_reset : unit -> unit;
       (** everything emitted so far is invalid and the whole site will
-          be re-emitted in order: a watch cycle dropped pages, or two
-          of its pages clashed on a URL *)
+          be re-emitted in order: a watch cycle dropped a published
+          page or moved one to another URL *)
 }
 
 val file_sink : dir:string -> sink
@@ -107,6 +107,17 @@ val materialize :
     [jobs]-independent), and the placeholder is never stored in the
     render cache. *)
 
+type names
+(** The URLs given so far in one naming of a site's pages. *)
+
+val names : unit -> names
+
+val name_url : names -> string -> string
+(** The one URL rule, for pages named roots first, then in discovery
+    order: [name_url nm url] gives the next page, of slug URL [url],
+    [url] itself unless a page named before holds it, else the first
+    [slug_N.html] none holds, and records it in [nm]. *)
+
 (** {1 Rendering chosen pages}
 
     The per-page half of {!materialize}, for a caller that decides
@@ -144,6 +155,12 @@ val render_pages :
     the live graph.  Under [~on_error:Degrade] a failed render yields a
     placeholder (empty trace) and its fault report, which the caller
     records; under [Abort] the exception propagates. *)
+
+val rerender :
+  renderer -> href:(Oid.t -> string) -> Graph.t -> Oid.t ->
+  Template.Generator.page
+(** A page that rendered before, rendered again on the main domain
+    with [href]'s URLs, untraced and not counted; between fan-outs. *)
 
 val profile :
   renderer -> t0:float -> pages:int -> rendered:int -> waves:int ->

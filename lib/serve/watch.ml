@@ -228,27 +228,6 @@ let cycle (t : t) : cycle_report =
     let mapped = Option.map mapped_of (warehouse t) in
     run_delta t ~t0 ~quarantined ?mapped ?data delta
 
-let watch ?(interval = 1.0) ?max_cycles ~on_cycle (t : t) : int =
-  let degraded = ref false in
-  let continue_ = ref true in
-  let n = ref 0 in
-  while !continue_ do
-    let r = cycle t in
-    if r.cy_quarantined <> [] then degraded := true;
-    if
-      List.exists
-        (fun p -> Template.Generator.is_placeholder p)
-        t.built.Strudel.Site.site.Template.Generator.pages
-    then degraded := true;
-    on_cycle t r;
-    incr n;
-    (match max_cycles with
-     | Some m when !n >= m -> continue_ := false
-     | _ -> ());
-    if !continue_ then Unix.sleepf interval
-  done;
-  if !degraded then 3 else 0
-
 let pp_report ppf (r : cycle_report) =
   if not r.cy_changed then
     Format.fprintf ppf "cycle %d: clean (%.1f ms)%s" r.cy_cycle r.cy_wall_ms

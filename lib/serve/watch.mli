@@ -82,17 +82,6 @@ val push : ?data:Graph.t -> t -> Delta.t -> cycle_report
     onto the engine's graph and passes the rebased graph as [data]
     with the {!Sgraph.Delta.diff} between the two. *)
 
-val watch :
-  ?interval:float ->
-  ?max_cycles:int ->
-  on_cycle:(t -> cycle_report -> unit) ->
-  t ->
-  int
-(** Run {!cycle} every [interval] seconds (default 1.0), forever or for
-    [max_cycles] turns, calling [on_cycle] after each.  Returns the
-    process exit code: 0 if every cycle published cleanly, 3 if any
-    cycle saw a quarantined source or a placeholder page (degraded). *)
-
 val built : t -> Strudel.Site.built
 (** The current publish (updated after each changed cycle). *)
 

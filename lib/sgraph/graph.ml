@@ -19,9 +19,12 @@ let pp_target ppf = function
   | N o -> Oid.pp_name ppf o
   | V v -> Value.pp ppf v
 
-type tkey = Knode of int | Kval of Value.t
+type tkey = Knode of int | Kval of Value.t | Kneg_zero
 
-let tkey = function N o -> Knode (Oid.id o) | V v -> Kval v
+let tkey = function
+  | N o -> Knode (Oid.id o)
+  | V (Value.Float f) when f = 0. && Float.sign_bit f -> Kneg_zero
+  | V v -> Kval v
 
 module Stbl = Hashtbl.Make (String)
 
@@ -318,7 +321,7 @@ let names_shared g =
 (* --- labels and values --- *)
 
 let label_find g l =
-  match Stbl.find_opt g.label_id l with Some i -> i | None -> -1
+  match Stbl.find g.label_id l with i -> i | exception Not_found -> -1
 
 let label_of g l =
   match Stbl.find_opt g.label_id l with
@@ -607,6 +610,19 @@ let out_edges g o =
     !acc
   end
 
+let fold_out_edges g o f init =
+  observe g __POS__;
+  let s = slot_find g o and acc = ref init in
+  if s >= 0 then begin
+    let v = g.s_out.(s) in
+    for i = 0 to v.n - 1 do
+      let e = v.a.(i) in
+      let lab = g.e_lab.(e) in
+      if lab >= 0 then acc := f !acc g.l_name.(lab) g.e_tgt.(e)
+    done
+  end;
+  !acc
+
 let iter_edges f g =
   observe g __POS__;
   for s = 0 to g.n_slots - 1 do
@@ -683,6 +699,18 @@ let attr g o l =
       !acc)
     []
 
+let fold_attr g o l f init =
+  observe g __POS__;
+  lookup g o l
+    (fun v lab ->
+      let acc = ref init in
+      for i = 0 to v.n - 1 do
+        let e = v.a.(i) in
+        if g.e_lab.(e) = lab then acc := f !acc g.e_tgt.(e)
+      done;
+      !acc)
+    init
+
 (* The first live target of [lab] in [v] that [pick] accepts. *)
 let first g v lab pick =
   let rec go i =
@@ -733,7 +761,12 @@ let join ~fill g c o =
   if not (is_member g s cid) then begin
     touch g;
     let v = g.c_mem.(cid) in
-    g.s_coll.(s) <- { cid; pos = v.n } :: g.s_coll.(s);
+    (* a node's memberships stay in collection id order *)
+    let rec insert = function
+      | m :: ms when m.cid < cid -> m :: insert ms
+      | ms -> { cid; pos = v.n } :: ms
+    in
+    g.s_coll.(s) <- insert g.s_coll.(s);
     if fill then push v s else v.n <- v.n + 1
   end
 
@@ -786,14 +819,17 @@ let collections g =
   observe g __POS__;
   Array.to_list (Array.sub g.c_name 0 g.n_colls)
 
-let collections_of g o =
+let rec fold_colls g f acc = function
+  | [] -> acc
+  | m :: ms -> fold_colls g f (f acc g.c_name.(m.cid)) ms
+
+let fold_collections_of g o f init =
   observe g __POS__;
   let s = slot_find g o in
-  if s < 0 then []
-  else
-    List.map (fun m -> m.cid) g.s_coll.(s)
-    |> List.sort Int.compare
-    |> List.map (fun c -> g.c_name.(c))
+  if s < 0 then init else fold_colls g f init g.s_coll.(s)
+
+let collections_of g o =
+  List.rev (fold_collections_of g o (fun acc c -> c :: acc) [])
 
 (* --- label and value indexes --- *)
 

@@ -31,10 +31,12 @@ val target_equal : target -> target -> bool
 val target_compare : target -> target -> int
 val pp_target : Format.formatter -> target -> unit
 
-(** A target's identity as a hashable key: oids by id, values
-    structurally.  An edge's identity is (source id, label, [tkey] of
-    its target); it is the key the graph's own edge set uses. *)
-type tkey = Knode of int | Kval of Value.t
+(** A target's identity as a key for the polymorphic hash and compare:
+    oids by id, values structurally, except [-0.0], which they would
+    take for [0.0]: two targets have one key exactly when
+    {!target_equal} holds.  An edge's identity is (source id, label,
+    [tkey] of its target), as in the graph's own edge set. *)
+type tkey = Knode of int | Kval of Value.t | Kneg_zero
 
 val tkey : target -> tkey
 
@@ -85,6 +87,13 @@ val in_edges : t -> target -> (Oid.t * string) list
 val attr : t -> Oid.t -> string -> target list
 (** All targets of edges labeled [label] leaving the node, in insertion
     order. *)
+
+val fold_attr : t -> Oid.t -> string -> ('a -> target -> 'a) -> 'a -> 'a
+val fold_out_edges :
+  t -> Oid.t -> ('a -> string -> target -> 'a) -> 'a -> 'a
+val fold_collections_of : t -> Oid.t -> ('a -> string -> 'a) -> 'a -> 'a
+(** [List.fold_left] over {!attr}, {!out_edges} and {!collections_of},
+    allocating nothing of their own. *)
 
 val attr1 : t -> Oid.t -> string -> target option
 (** First target of the attribute, if any. *)

@@ -10,8 +10,8 @@
     any polymorphic hash or compare: a symbol by its name, whose hash
     {!fn} computes once; an oid by its id; a value by {!Value.hash}
     and {!Value.equal} ([Int 1] and [Float 1.0] are two keys, as are
-    [Int 1] and [String "1"]; a NaN meets itself, and [0.0] meets
-    [-0.0]). *)
+    [Int 1] and [String "1"], and [0.0] and [-0.0]; a NaN meets
+    itself). *)
 
 type t
 (** A Skolem scope: the memo table from (function, arguments) to

@@ -22,29 +22,36 @@ let file_kind_equal a b =
   | Other_file x, Other_file y -> String.equal x y
   | (Text | Postscript | Image | Html_file | Other_file _), _ -> false
 
-(* Agrees with [compare a b = 0]: [Float.equal] equates NaNs and the two
-   zeros, as structural compare does. *)
+(* A float is what a page prints: NaNs are one value, as under
+   [Float.compare], but [-0] and [0] are two, [-0] first. *)
+let float_compare x y =
+  match Float.compare x y with
+  | 0 when x = 0. -> Bool.compare (Float.sign_bit y) (Float.sign_bit x)
+  | c -> c
+
 let equal a b =
   match (a, b) with
   | Null, Null -> true
   | Bool x, Bool y -> Bool.equal x y
   | Int x, Int y -> Int.equal x y
-  | Float x, Float y -> Float.equal x y
+  | Float x, Float y -> float_compare x y = 0
   | String x, String y | Url x, Url y -> String.equal x y
   | File (k, p), File (k', p') -> file_kind_equal k k' && String.equal p p'
   | (Null | Bool _ | Int _ | Float _ | String _ | Url _ | File _), _ -> false
 
-(* [Float.hash] sends both zeros, and every NaN, to one hash. *)
 let hash = function
   | Null -> 0
   | Bool b -> if b then 1 else 2
   | Int i -> i
-  | Float f -> Float.hash f
+  | Float f -> if f = 0. && Float.sign_bit f then 3 else Float.hash f
   | String s -> String.hash s
   | Url s -> String.hash s + 3
   | File (_, p) -> String.hash p + 5
 
-let compare (a : t) (b : t) = Stdlib.compare a b
+let compare a b =
+  match (a, b) with
+  | Float x, Float y -> float_compare x y
+  | _ -> Stdlib.compare a b
 
 let float_of_value = function
   | Int i -> Some (float_of_int i)

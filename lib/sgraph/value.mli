@@ -23,15 +23,17 @@ type t =
   | File of file_kind * string  (** kind and path of the file *)
 
 val equal : t -> t -> bool
-(** Structural equality, no coercion: [compare a b = 0], so NaN equals
-    NaN and [0.0] equals [-0.0], while [Int 1], [Float 1.0] and
-    [String "1"] are all distinct. *)
+(** Structural equality, no coercion: [compare a b = 0].  A value is
+    what a page prints, so NaN equals NaN, while [0.0] and [-0.0]
+    (printed [0] and [-0]) are distinct, as are [Int 1], [Float 1.0]
+    and [String "1"]. *)
 
 val hash : t -> int
 (** A hash consistent with {!equal}. *)
 
 val compare : t -> t -> int
-(** Total structural order (used for indexing). *)
+(** Total structural order (used for indexing): [Stdlib.compare],
+    except that [-0.0] sorts just before [0.0]. *)
 
 val coerce_equal : t -> t -> bool
 (** Equality with dynamic coercion between numeric and string

@@ -414,7 +414,7 @@ let aggregate (fn : Ast.agg_fn) (values : Graph.target list) : Value.t =
   in
   (* fold in one canonical order, whatever order the rows came in: a
      float sum depends on it, and so does which of two coerce-equal
-     values [min]/[max] keep ([Value.compare] ties only 0.0 and -0.0) *)
+     values [min]/[max] keep ([Value.compare] ties only NaNs) *)
   let atomics () =
     List.filter_map (function Graph.V v -> Some v | Graph.N _ -> None) values
     |> List.sort (fun a b ->

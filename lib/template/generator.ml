@@ -91,18 +91,21 @@ let hash_target = function
          (Hashtbl.hash (Value.to_display_string v))
          (Hashtbl.hash (Value.kind_name v)))
 
-let hash_targets ts =
-  List.fold_left (fun acc t -> mixh acc (hash_target t)) 11 ts
-
-let hash_edges es =
-  List.fold_left
-    (fun acc (l, t) -> mixh (mixh acc (Hashtbl.hash l)) (hash_target t))
-    13 es
-
-let hash_strings ss =
-  List.fold_left (fun acc s -> mixh acc (Hashtbl.hash s)) 19 ss
-
+let add_target acc t = mixh acc (hash_target t)
+let add_edge acc l t = mixh (mixh acc (Hashtbl.hash l)) (hash_target t)
+let add_string acc s = mixh acc (Hashtbl.hash s)
+let hash_targets ts = List.fold_left add_target 11 ts
+let hash_strings ss = List.fold_left add_string 19 ss
 let hash_file = function None -> 0 | Some s -> mixh 29 (Hashtbl.hash s)
+
+(* The one trace replay: the read's hash recomputed on node [o], which
+   the caller resolved from its subject, folding over the graph's
+   buckets so that no list is built. *)
+let replay ~file_loader g o = function
+  | R_attr (_, l, h) -> Graph.fold_attr g o l add_target 11 = h
+  | R_edges (_, h) -> Graph.fold_out_edges g o add_edge 13 = h
+  | R_colls (_, h) -> Graph.fold_collections_of g o add_string 19 = h
+  | R_file (p, h) -> hash_file (file_loader p) = h
 
 (* --- Anchor text for links to internal objects --- *)
 
@@ -299,7 +302,7 @@ let render_object_page ?note ~link_url ~compiled ~file_loader ~templates
     | None ->
       Option.iter
         (fun f ->
-          f (R_edges (o', hash_edges (Graph.out_edges g o'))))
+          f (R_edges (o', Graph.fold_out_edges g o' add_edge 13)))
         note;
       default_render
         (fun tgt -> Teval.render_target ctx o' Tast.default_directives tgt)

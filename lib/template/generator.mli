@@ -69,9 +69,15 @@ type read =
   | R_file of string * int          (** path, loaded-content hash *)
 
 val hash_targets : Graph.target list -> int
-val hash_edges : (string * Graph.target) list -> int
 val hash_strings : string list -> int
 val hash_file : string option -> int
+
+val replay :
+  file_loader:(string -> string option) -> Graph.t -> Oid.t -> read -> bool
+(** Whether the read still returns the hash it recorded, replayed on the
+    given node, its subject as the caller resolves it (a node the graph
+    lacks reads as empty), or for a file read through [file_loader].
+    Builds no list. *)
 
 type compiled
 (** Template-compilation cache, and the table that deduplicates a

@@ -121,12 +121,17 @@ let plan (options : Eval.options) g ~bound ~needed_obj ~needed_label conds =
 
 (* --- the construction interpreter --- *)
 
+(* The polymorphic hash and compare equate the two zeros, which a page
+   prints apart ([-0] and [0]) and {!Value.equal} tells apart: a value
+   keys with its negative-zero flag. *)
+let neg_zero = function Value.Float f -> f = 0. && Float.sign_bit f | _ -> false
+
 (* A reference Skolem scope, keyed as the engine keyed terms before its
    scopes went monomorphic: (function name, arguments) under the
    polymorphic hash and compare, an oid argument by its id.  It shares
    nothing with Sgraph.Skolem, so the engine's keying is checked, not
    assumed. *)
-type key_arg = K_oid of int | K_val of Value.t
+type key_arg = K_oid of int | K_val of Value.t * bool
 
 type scope = {
   table : (string * key_arg list, Oid.t) Hashtbl.t;
@@ -146,7 +151,11 @@ let term_name f args =
 
 let skolem s f args =
   let key =
-    (f, List.map (function Graph.N o -> K_oid (Oid.id o) | Graph.V v -> K_val v) args)
+    ( f,
+      List.map
+        (function
+          | Graph.N o -> K_oid (Oid.id o) | Graph.V v -> K_val (v, neg_zero v))
+        args )
   in
   match Hashtbl.find_opt s.table key with
   | Some o -> o
@@ -312,9 +321,9 @@ let run ?(options = Eval.default_options) ?scope ?into ?emit g (q : Ast.query)
    keyed its event table before its events moved into a flat store: a
    node by oid id, an edge by (source id, label, {!Graph.tkey} of its
    target), a membership by (collection, member id).  The polymorphic
-   hash and compare equate what {!Value.equal} equates (the two zeros,
-   every NaN) and tell apart what it does ([Int 1], [Float 1.0],
-   [String "1"]). *)
+   hash and compare of a [tkey] equate what {!Value.equal} equates
+   (every NaN) and tell apart what it does ([Int 1], [Float 1.0],
+   [String "1"], [0.0] and [-0.0]). *)
 
 type event_key =
   | K_node of int

@@ -494,7 +494,7 @@ let fixed =
           Alcotest.(check (list string)) "nested before its parent"
             [ "G(1)"; "F(G(1))" ] [ Oid.name g; Oid.name f ]
         | _ -> Alcotest.fail "the row opens on two node events");
-    t "Int 1, Float 1.0 and String \"1\" are three terms; NaN and 0.0 / -0.0 one each"
+    t "Int 1, Float 1.0 and String \"1\" are three terms, 0.0 and -0.0 two, NaN one"
       (fun () ->
         let b = parse_block {|CREATE F(v) OUTPUT O|} in
         let rows =
@@ -505,7 +505,7 @@ let fixed =
                 Float Float.nan; Float 0.0; Float (-0.0) ]
         in
         let r = both b rows in
-        Alcotest.(check int) "terms" 5 (size r));
+        Alcotest.(check int) "terms" 6 (size r));
     t "two clauses with one group key share a group" (fun () ->
         let b =
           parse_block

@@ -14,7 +14,11 @@
    order, one template parse per session, and the mediated refresh: a
    view equal to a fresh integration in every index order, stable
    oids, a bounded mediation scope, and an org cycle re-deriving only
-   the retitled publications. *)
+   the retitled publications.  Item names in the edit scripts can
+   clash on slug URLs; [clash_suite] (its own suite, delta-clash) runs
+   clash-biased scripts against the oracle's generator, and units pin
+   a persistent clash's cost, a renamed placeholder and the signed
+   zeros. *)
 
 open Sgraph
 
@@ -112,8 +116,10 @@ let definition =
    plan opening on the Items scan. *)
 let n_owners = 4
 
-let add_item_raw ?owner add_node add_edge add_coll i =
-  let it = Oid.fresh (Printf.sprintf "item%d" i) in
+let add_item_raw ?owner ?name add_node add_edge add_coll i =
+  let it =
+    Oid.fresh (Option.value name ~default:(Printf.sprintf "item%d" i))
+  in
   add_node it;
   add_edge it "title" (Graph.V (Value.String (Printf.sprintf "Item %03d" i)));
   add_edge it "grp" (Graph.V (Value.String (Printf.sprintf "G%d" (i mod 3))));
@@ -154,12 +160,20 @@ type op =
   | Empty_collection
   | Retitle_owner of int * string
   | Relink of int * int
+  | Add_clashing of int
+
+(* Item names whose pages clash on slug URLs: the first three slug to
+   ItemPagex_y.html, and "x_y_1"'s slug URL is the first name the
+   others fall back to.  An item is added under one only while no data
+   node holds it. *)
+let clashing_names = [| "x.y"; "x_y"; "x_y_1"; "x y" |]
 
 let op_gen =
   let open QCheck.Gen in
   frequency
     [
       (3, map (fun i -> Add i) (int_bound 999));
+      (2, map (fun k -> Add_clashing k) (int_bound 3));
       (3, map (fun i -> Remove i) (int_bound 99));
       (3, map2 (fun i s -> Retitle (i, "T" ^ s)) (int_bound 99)
            (string_size ~gen:(char_range 'a' 'z') (int_range 1 6)));
@@ -189,6 +203,16 @@ let apply_op r nextid op =
          (Delta.Rec.add_edge r)
          (Delta.Rec.add_to_collection r)
          (100 + !nextid))
+  | Add_clashing k ->
+    let name = clashing_names.(k) in
+    if Graph.find_node g name = None then begin
+      incr nextid;
+      ignore
+        (add_item_raw ~owner:(owners g).(!nextid mod n_owners) ~name
+           (Delta.Rec.add_node r) (Delta.Rec.add_edge r)
+           (Delta.Rec.add_to_collection r)
+           (100 + !nextid))
+    end
   | Remove i -> (
     match nth_member g i with
     | Some o -> Delta.Rec.remove_node r o
@@ -1246,6 +1270,174 @@ let live_events_match_cold (vals, ops) =
          agrees ())
        ops
 
+(* --- slug clashes in a watch session --- *)
+
+(* pages (order, URLs, bytes) and the sink's store equal both the
+   oracle's sequential generator over the session's site graph and a
+   cold build of [g] *)
+let publishes_oracle ?(def = definition) store w g =
+  let built = Serve.Watch.built w in
+  let sg = built.Strudel.Site.site_graph in
+  let oracle =
+    Oracle.generate ~templates:def.Strudel.Site.templates sg
+      ~roots:(Strudel.Site.build_roots sg def)
+  in
+  let cold = Strudel.Site.build ~data:g def in
+  page_map built.Strudel.Site.site = page_map oracle
+  && page_map oracle = page_map cold.Strudel.Site.site
+  && store_holds store oracle
+
+(* The random edit scripts, clash-biased, one cycle per edit: after
+   every cycle the session publishes the oracle's pages and a cold
+   build's, and its sink holds them, while clashes come, cascade and
+   go. *)
+let clash_op_gen =
+  QCheck.Gen.(
+    frequency [ (3, map (fun k -> Add_clashing k) (int_bound 3)); (5, op_gen) ])
+
+let every_cycle_equals_oracle ops =
+  let g = mk_data 12 in
+  let store, sink = store_sink () in
+  let w = Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g) definition in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let nextid = ref 0 in
+  publishes_oracle store w g
+  && List.for_all
+       (fun op ->
+         apply_op r nextid op;
+         ignore (Serve.Watch.cycle w);
+         publishes_oracle store w g)
+       ops
+
+let clash_suite =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"every cycle of a clash-biased edit script equals the oracle"
+         ~count:30
+         (QCheck.make QCheck.Gen.(list_size (int_range 5 25) clash_op_gen))
+         every_cycle_equals_oracle);
+  ]
+
+(* synth-1's data (the benchmark's site), with [clash] also items "x.y"
+   and "x_y" in group g000, whose item pages share a slug URL *)
+let synth_one ~clash =
+  let g = Wrappers.Synth.scale_graph ~seed:1 ~groups:20 ~items:1000 () in
+  if clash then
+    List.iter
+      (fun name ->
+        let o = Graph.new_node g name in
+        Graph.add_to_collection g "Items" o;
+        Graph.add_edge g o "title" (Graph.V (Value.String name));
+        Graph.add_edge g o "grp" (Graph.V (Value.String "g000")))
+      [ "x.y"; "x_y" ];
+  g
+
+(* a site of one page per value of an item's "v" *)
+let zeros_definition =
+  Strudel.Site.define ~name:"ZEROS" ~root_family:"Root"
+    [
+      ( "site",
+        {|INPUT DATA
+{ CREATE Root() }
+{ WHERE Items(i), i -> "v" -> v
+  CREATE P(v)
+  LINK Root() -> "v" -> v, Root() -> "p" -> P(v) }
+OUTPUT SITE
+|} );
+    ]
+
+(* [g] with one item, "r0", valued [f] *)
+let one_float f () =
+  let g = Graph.create ~name:"ROWS" () in
+  let o = Oid.fresh "r0" in
+  Graph.add_edge g o "v" (Graph.V (Value.Float f));
+  Graph.add_to_collection g "Items" o;
+  g
+
+(* the diff of a 0.0 -> -0.0 flip: r0's edge removed and added *)
+let flips_zero (d : Delta.t) =
+  let sign = function
+    | [ (_, "v", Graph.V (Value.Float f)) ] -> Some (Float.sign_bit f)
+    | _ -> None
+  in
+  sign d.Delta.edges_removed = Some false
+  && sign d.Delta.edges_added = Some true
+  && d.Delta.resequenced = []
+
+(* item names that differ only in characters a slug drops, as
+   non-Latin titles do: every [k] below 512 slugs to "x" *)
+let greek k =
+  "x"
+  ^ String.concat ""
+      (List.init 9 (fun b -> if (k lsr b) land 1 = 1 then "β" else "α"))
+
+(* a fault on ItemPage(x_y), whose page the clash renames *)
+let renamed_placeholder ~jobs () =
+  let g = mk_data 6 in
+  List.iter
+    (fun name ->
+      ignore
+        (add_item_raw ~name (Graph.add_node g)
+           (fun o l v -> Graph.add_edge g o l v)
+           (fun c o -> Graph.add_to_collection g c o)
+           0))
+    [ "x.y"; "x_y" ];
+  let injected () =
+    Fault.ctx
+      ~inject:
+        (Fault.Inject.create ~p_render:1.0 ~targets:[ "ItemPage(x_y)" ] ())
+      ()
+  in
+  let fault = injected () in
+  let store, sink = store_sink () in
+  let w =
+    Serve.Watch.create ~jobs ~on_error:Fault.Degrade ~fault ~sink
+      ~source:(Serve.Watch.Direct g) definition
+  in
+  let r = Option.get (Serve.Watch.recorder w) in
+  let check what =
+    let built = Serve.Watch.built w in
+    let cold_fault = injected () in
+    let cold =
+      Strudel.Site.build ~on_error:Fault.Degrade ~fault:cold_fault ~data:g
+        definition
+    in
+    check_bool (what ^ ": pages equal cold") true
+      (page_map built.Strudel.Site.site = page_map cold.Strudel.Site.site);
+    check_bool (what ^ ": sink holds cold") true
+      (store_holds store cold.Strudel.Site.site);
+    let placeholder =
+      List.find
+        (fun (p : Template.Generator.page) ->
+          Oid.name p.Template.Generator.obj = "ItemPage(x_y)")
+        built.Strudel.Site.site.Template.Generator.pages
+    in
+    check_bool (what ^ ": a placeholder") true
+      (Template.Generator.is_placeholder placeholder);
+    Alcotest.(check string)
+      (what ^ ": under its assigned URL") "ItemPagex_y_1.html"
+      placeholder.Template.Generator.url;
+    Alcotest.(check (list string))
+      (what ^ ": the manifest names the assigned URL")
+      [ "ItemPagex_y_1.html" ]
+      (List.map
+         (fun (f : Fault.report) -> f.Fault.f_location)
+         (Fault.Manifest.faults (Strudel.Site.manifest built)));
+    let located = List.map (fun (f : Fault.report) -> (f.Fault.f_location, f.Fault.f_cause)) in
+    Alcotest.(check (list (pair string string)))
+      (what ^ ": the fault a cold build records")
+      (located (Fault.reports cold_fault))
+      (located built.Strudel.Site.faults)
+  in
+  check "first publish";
+  Fault.clear fault;
+  Delta.Rec.set_value r (Option.get (nth_member g 1)) "title"
+    (Value.String "Retitled");
+  (* the retitled item, its group page and the retried placeholder *)
+  check_int "renders" 3 (Serve.Watch.cycle w).Serve.Watch.cy_rerendered;
+  check "a retitle"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest
@@ -1494,19 +1686,6 @@ OUTPUT SITE|} );
         check_bool "still byte-identical under quarantine" true
           (page_map (Serve.Watch.built session).Strudel.Site.site
            = page_map cold.Strudel.Site.site));
-    t "watch loop honours max_cycles and exit codes" (fun () ->
-        let g = mk_data 5 in
-        let w =
-          Serve.Watch.create ~source:(Serve.Watch.Direct g) definition
-        in
-        let seen = ref 0 in
-        let code =
-          Serve.Watch.watch ~interval:0.0 ~max_cycles:3
-            ~on_cycle:(fun _ _ -> incr seen)
-            w
-        in
-        check_int "three cycles ran" 3 !seen;
-        check_int "clean exit" 0 code);
     (* --- one classifier behind every delta surface --- *)
     t "explain-analyze, Dexec and SA070 agree on every bundled site" (fun () ->
         let views =
@@ -2314,6 +2493,213 @@ OUTPUT SITE|} );
             ignore
               (add_item (Delta.Rec.add_edge r) (Delta.Rec.add_to_collection r)
                  "x_y")));
+    t "a persistent clash re-renders what the clash-free site does"
+      (fun () ->
+        (* synth-1 with and without the clash, the same 40 one-item
+           retitles; the clash site publishes the oracle's pages *)
+        let session clash =
+          let g = synth_one ~clash in
+          let store, sink = store_sink () in
+          let w =
+            Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g)
+              Sites.Scale.definition
+          in
+          (g, store, w)
+        in
+        let gc, store, wc = session true and gf, _, wf = session false in
+        let retitle g w k =
+          let o =
+            Option.get (Graph.find_node g (Printf.sprintf "item%d" (25 * k)))
+          in
+          Delta.Rec.set_value (Option.get (Serve.Watch.recorder w)) o "title"
+            (Value.String (Printf.sprintf "Retitled %d" k));
+          (Serve.Watch.cycle w).Serve.Watch.cy_rerendered
+        in
+        check_bool "the clash renames a page" true
+          (List.exists
+             (fun (p : Template.Generator.page) ->
+               p.Template.Generator.url = "ItemPagex_y_1.html")
+             (Serve.Watch.built wc).Strudel.Site.site.Template.Generator.pages);
+        for k = 0 to 39 do
+          let parsed = Template.Generator.templates_parsed () in
+          let clashing = retitle gc wc k and clash_free = retitle gf wf k in
+          check_int
+            (Printf.sprintf "cycle %d: templates parsed" k)
+            parsed
+            (Template.Generator.templates_parsed ());
+          check_int
+            (Printf.sprintf "cycle %d: pages re-rendered" k)
+            clash_free clashing;
+          check_bool
+            (Printf.sprintf "cycle %d: pages and sink equal the oracle's" k)
+            true
+            (publishes_oracle ~def:Sites.Scale.definition store wc gc)
+        done);
+    t "a renamed placeholder keeps its assigned URL (jobs=1)"
+      (renamed_placeholder ~jobs:1);
+    t "a renamed placeholder keeps its assigned URL (jobs=4)"
+      (renamed_placeholder ~jobs:4);
+    t "the page table is idle after a clash cycle" (fun () ->
+        let g = mk_data 6 in
+        let add name r =
+          ignore
+            (add_item_raw ~name (Delta.Rec.add_node r) (Delta.Rec.add_edge r)
+               (Delta.Rec.add_to_collection r) 0)
+        in
+        let store, sink = store_sink () in
+        let w =
+          Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g) definition
+        in
+        let r = Option.get (Serve.Watch.recorder w) in
+        add "x.y" r;
+        add "x_y" r;
+        ignore (Serve.Watch.cycle w);
+        check_bool "the clash cycle publishes the oracle's pages" true
+          (publishes_oracle store w g);
+        (* a change no page reads keeps the publish as it is *)
+        Delta.Rec.add_edge r (owners g).(0) "note"
+          (Graph.V (Value.String "unread"));
+        let report = Serve.Watch.cycle w in
+        check_int "nothing re-rendered" 0 report.Serve.Watch.cy_rerendered;
+        check_int "every page reused" (page_count w)
+          report.Serve.Watch.cy_reused;
+        let sg = (Serve.Watch.built w).Strudel.Site.site_graph in
+        let table, _ =
+          Strudel.Page_table.create ~templates ~root_family:"Root" sg
+            ~roots:(Strudel.Site.build_roots sg definition)
+        in
+        check_bool "a table primed on the clash is idle" true
+          (Strudel.Page_table.idle table);
+        ignore (Strudel.Page_table.update table ~touched:[] ~removed:[]);
+        check_bool "and stays idle" true (Strudel.Page_table.idle table));
+    t "a flip of 0.0 to -0.0 is an edge change, pushed or refreshed"
+      (fun () ->
+        (* keys as the polymorphic Hashtbl compares them *)
+        let key f = Graph.tkey (Graph.V (Value.Float f)) in
+        check_bool "the zeros key apart" true (compare (key 0.0) (key (-0.0)) <> 0);
+        check_bool "every NaN keys alike" true
+          (compare (key Float.nan) (key (-.Float.nan)) = 0);
+        (* the file-watch path: rebase the new export, diff, push *)
+        let w =
+          Serve.Watch.create ~source:(Serve.Watch.Direct (one_float 0.0 ()))
+            zeros_definition
+        in
+        let old = Struql.Dexec.data_graph (Serve.Watch.engine w) in
+        let rebased = Delta.rebase ~old (one_float (-0.0) ()) in
+        let d = Delta.diff ~old rebased in
+        check_bool "push: the diff lists the edge change" true (flips_zero d);
+        ignore (Serve.Watch.push ~data:rebased w d);
+        check_bool "push: pages equal cold" true
+          (page_map (Serve.Watch.built w).Strudel.Site.site
+          = page_map
+              (Strudel.Site.build ~data:rebased zeros_definition)
+                .Strudel.Site.site);
+        (* a federated source's new export, through the warehouse *)
+        let src = Mediator.Source.make ~name:"rows" (one_float 0.0) in
+        let wh =
+          Mediator.Warehouse.create ~sources:[ src ]
+            ~mappings:[ extent_mapping ] ()
+        in
+        let session =
+          Serve.Watch.create ~source:(Serve.Watch.Mediated wh)
+            extent_definition
+        in
+        Mediator.Source.update src (one_float (-0.0));
+        let r = Serve.Watch.cycle session in
+        check_bool "refresh: changed" true r.Serve.Watch.cy_changed;
+        let cold =
+          Strudel.Site.build ~data:(Mediator.Warehouse.graph wh)
+            extent_definition
+        in
+        check_bool "refresh: pages equal cold" true
+          (page_map (Serve.Watch.built session).Strudel.Site.site
+          = page_map cold.Strudel.Site.site);
+        check_bool "refresh: the page prints -0" true
+          (List.exists
+             (fun (_, _, html) ->
+               Test_generator.contains html "<p>-0</p>")
+             (page_map cold.Strudel.Site.site)));
+    t "three hundred pages on one slug URL publish the oracle's" (fun () ->
+        let g = mk_data 6 in
+        let add r k =
+          ignore
+            (add_item_raw ~name:(greek k) (Delta.Rec.add_node r)
+               (Delta.Rec.add_edge r) (Delta.Rec.add_to_collection r) (3 * k))
+        in
+        let setup = Delta.Rec.create g in
+        for k = 0 to 299 do
+          add setup k
+        done;
+        ignore (Delta.Rec.flush setup);
+        let store, sink = store_sink () in
+        let w =
+          Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g) definition
+        in
+        let r = Option.get (Serve.Watch.recorder w) in
+        let node k = Option.get (Graph.find_node g (greek k)) in
+        check_bool "primed" true (publishes_oracle store w g);
+        check_bool "the last one's URL" true
+          (List.exists
+             (fun (p : Template.Generator.page) ->
+               p.Template.Generator.url = "ItemPagex_299.html")
+             (Serve.Watch.built w).Strudel.Site.site.Template.Generator.pages);
+        List.iter
+          (fun (what, edit) ->
+            edit ();
+            ignore (Serve.Watch.cycle w);
+            check_bool what true (publishes_oracle store w g))
+          [
+            ( "a retitle moves one page ahead of the others",
+              fun () ->
+                Delta.Rec.set_value r (node 150) "title"
+                  (Value.String "Item 000 first") );
+            ("an early page leaves", fun () -> Delta.Rec.remove_node r (node 3));
+            ("it comes back", fun () -> add r 3);
+            ( "a group page moves",
+              fun () ->
+                Delta.Rec.set_value r (node 7) "grp" (Value.String "G9") );
+          ]);
+    t "a watch session publishes the zero a cold build does" (fun () ->
+        (* two items valued -0.0 and 0.0; once the first leaves, the
+           root's value and P's page are the second's *)
+        let def = zeros_definition in
+        let g = Graph.create ~name:"DATA" () in
+        let items =
+          List.map
+            (fun (name, f) ->
+              let o = Graph.new_node g name in
+              Graph.add_edge g o "v" (Graph.V (Value.Float f));
+              Graph.add_to_collection g "Items" o;
+              o)
+            [ ("neg", -0.0); ("pos", 0.0) ]
+        in
+        let store, sink = store_sink () in
+        let w = Serve.Watch.create ~sink ~source:(Serve.Watch.Direct g) def in
+        Delta.Rec.remove_from_collection
+          (Option.get (Serve.Watch.recorder w))
+          "Items" (List.hd items);
+        ignore (Serve.Watch.cycle w);
+        let cold = Strudel.Site.build ~data:g def in
+        let root_values (b : Strudel.Site.built) =
+          let sg = b.Strudel.Site.site_graph in
+          List.map
+            (fun tg -> Fmt.str "%a" Graph.pp_target tg)
+            (Graph.attr sg (Option.get (Graph.find_node sg "Root()")) "v")
+        in
+        Alcotest.(check (list string)) "a cold build's root value" [ "0.0" ]
+          (root_values cold);
+        Alcotest.(check (list string)) "the session's root value" [ "0.0" ]
+          (root_values (Serve.Watch.built w));
+        Alcotest.(check (list string))
+          "the session's URLs" [ "Root.html"; "P0.html" ]
+          (List.map
+             (fun (p : Template.Generator.page) -> p.Template.Generator.url)
+             (Serve.Watch.built w).Strudel.Site.site.Template.Generator.pages);
+        check_bool "pages equal cold" true
+          (page_map (Serve.Watch.built w).Strudel.Site.site
+          = page_map cold.Strudel.Site.site);
+        check_bool "sink holds cold" true
+          (store_holds store cold.Strudel.Site.site));
     t "a render that raises under Abort leaves the next cycle correct"
       (abort_recovers ~site_node:true (fun r g ->
            Delta.Rec.set_value r (Option.get (nth_member g 9)) "title"

@@ -50,12 +50,13 @@ let suite =
             ("nan", Value.Float Float.nan, true);
             ("nan meets nan", Value.Float Float.nan, false);
             ("0.0", Value.Float 0.0, true);
-            ("-0.0 meets 0.0", Value.Float (-0.0), false);
+            ("-0.0 is another term", Value.Float (-0.0), true);
+            ("-0.0 again", Value.Float (-0.0), false);
             ("a file", Value.File (Value.Text, "1"), true);
             ("another kind of file", Value.File (Value.Image, "1"), true);
             ("null", Value.Null, true);
             ("true", Value.Bool true, true) ];
-        check_int "size" 10 (Skolem.size s));
+        check_int "size" 11 (Skolem.size s));
     t "a present term is no longer fresh" (fun () ->
         (* the former [find]: a term is present exactly when applying
            it again is not fresh, and applying it adds nothing *)
