@@ -771,7 +771,8 @@ let e16 () =
           List.fold_left (fun n p -> n + p.Struql.Exec.prf_rows) 0 profs
         in
         let dx =
-          Struql.Dexec.create ~options ~queries:(List.map snd queries) data
+          Struql.Dexec.create ~options ~name ~queries:(List.map snd queries)
+            data
         in
         Struql.Dexec.prime dx;
         let primed = Struql.Dexec.site_graph dx in
@@ -1500,12 +1501,12 @@ let e20 () =
   Fmt.pr "path-kernel profile written to BENCH_path.json@."
 
 (* ----------------------------------------------------------------- *)
-(* E21 — sharded repository: parallel refresh, segment decode          *)
+(* E21 — the repository: parallel refresh, save and cold load          *)
 (* ----------------------------------------------------------------- *)
 
 let e21 () =
   section "E21"
-    "sharded repository: parallel refresh, segment decode";
+    "the repository: parallel refresh, save and cold load";
   (* --- A: parallel refresh across domains ---
      A synthetic federation of independent sources whose loaders are
      CPU-bound (the busy loop stands in for wrapper parsing cost; pure
@@ -1590,56 +1591,41 @@ let e21 () =
   else
     Fmt.pr "  WARNING: refresh at 4 domains only %.2fx (< 2x target)@."
       speedup4;
-  (* --- B: cold segment open — decode (checksum included), then the
-     graph --- *)
-  let g = Mediator.Warehouse.graph w in
+  (* --- B: the repository: a save of the warehouse graph, then a
+     cold [Store.load_dir], what [explain-analyze --shards] reads --- *)
+  let repo = Repository.Store.create () in
+  Repository.Store.put repo (Mediator.Warehouse.graph w);
   let dir =
-    let f = Filename.temp_file "e21shard" "" in
+    let f = Filename.temp_file "e21repo" "" in
     Sys.remove f;
-    Unix.mkdir f 0o755;
     f
   in
-  let cfg = { Repository.Shard.dir; cfg_spec = Repository.Shard.By_collection } in
-  ignore (Repository.Shard.publish cfg ~epoch:1 g);
-  let seg_files =
-    List.filter (fun f -> Filename.check_suffix f ".seg") (Array.to_list (Sys.readdir dir))
+  let runs = 15 in
+  let timed f =
+    let ts =
+      Array.of_list
+        (List.sort Float.compare (List.init runs (fun _ -> snd (wall_it f))))
+    in
+    (ts.(runs / 2), ts.(0), ts.(runs - 1))
   in
-  let seg_path =
-    (* largest segment: the most interesting open cost *)
-    List.fold_left
-      (fun best f ->
-        let p = Filename.concat dir f in
-        match best with
-        | Some (_, sz) when (Unix.stat p).Unix.st_size <= sz -> best
-        | _ -> Some (p, (Unix.stat p).Unix.st_size))
-      None seg_files
-    |> Option.get |> fst
+  let save_ms =
+    timed (fun () -> Repository.Store.save_dir ~format:`Segment repo ~dir)
   in
-  let seg_bytes = (Unix.stat seg_path).Unix.st_size in
-  let best_of f =
-    let t = ref infinity in
-    for _ = 1 to 5 do
-      let _, ms = wall_it f in
-      if ms < !t then t := ms
-    done;
-    !t
+  let load_ms = timed (fun () -> ignore (Repository.Store.load_dir ~dir)) in
+  let m = Repository.Store.load_manifest ~dir in
+  let bytes =
+    List.fold_left (fun n e -> n + e.Repository.Store.e_bytes) 0
+      m.Repository.Store.m_entries
   in
-  let decode_ms =
-    best_of (fun () -> ignore (Repository.Segment.read ~path:seg_path ()))
-  in
-  let to_graph_ms =
-    let seg = Repository.Segment.read ~path:seg_path () in
-    best_of (fun () -> ignore (Repository.Segment.to_graph [ seg ]))
-  in
-  Fmt.pr "  segment %s: %d bytes@." (Filename.basename seg_path) seg_bytes;
-  Fmt.pr "  decode (checksum included) %.3f ms | to_graph %.3f ms@." decode_ms
-    to_graph_ms;
-  (* best-effort cleanup of the temp repository *)
-  Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with _ -> ());
+  let pp_ms (t, lo, hi) = Printf.sprintf "%.3f ms (%.3f-%.3f)" t lo hi in
+  Fmt.pr "  repository: %d bytes in %d file(s), epoch %d@." bytes
+    (List.length m.Repository.Store.m_entries) m.Repository.Store.m_epoch;
+  Fmt.pr "  save %s | cold load %s   (median of %d)@." (pp_ms save_ms)
+    (pp_ms load_ms) runs;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiment\": \"E21_sharded_repository\",\n";
+  Buffer.add_string buf "{\n  \"experiment\": \"E21_repository\",\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"sources\": %d,\n  \"items_per_source\": %d,\n  \"cores\": %d,\n\
@@ -1657,15 +1643,19 @@ let e21 () =
             \"max_ms\": %.3f, \"speedup\": %.2f}"
            jobs t t_min t_max sp))
     refresh_rows;
+  let json_ms (t, lo, hi) =
+    Printf.sprintf "{\"ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f}" t lo
+      hi
+  in
   Buffer.add_string buf
     (Printf.sprintf
-       "\n  ],\n  \"segment\": {\"bytes\": %d, \"decode_ms\": %.3f, \
-        \"to_graph_ms\": %.3f}\n}\n"
-       seg_bytes decode_ms to_graph_ms);
+       "\n  ],\n  \"repository\": {\"bytes\": %d, \"runs\": %d, \
+        \"save\": %s, \"load\": %s}\n}\n"
+       bytes runs (json_ms save_ms) (json_ms load_ms));
   let oc = open_out "BENCH_shard.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;
-  Fmt.pr "shard profile written to BENCH_shard.json@."
+  Fmt.pr "repository profile written to BENCH_shard.json@."
 
 (* ----------------------------------------------------------------- *)
 (* E22 — strudeld: serving published epochs, refresh and overload    *)
@@ -2118,8 +2108,8 @@ let bechamel_suite () =
         (Staged.stage (fun () ->
              ignore
                (Repository.Segment.to_graph
-                  [ Repository.Segment.of_string
-                      (Repository.Segment.encode cnn_small) ])));
+                  (Repository.Segment.of_string
+                     (Repository.Segment.encode cnn_small)))));
       Test.make ~name:"E15_ddl_print_parse"
         (Staged.stage (fun () ->
              ignore (Ddl.parse (Ddl.print cnn_small))));
@@ -2391,7 +2381,10 @@ let e24_setup ~source ~data (def : Strudel.Site.definition) =
   in
   let rounds =
     Array.init 5 (fun _ ->
-        let dx = Struql.Dexec.create ~options ~queries data in
+        let dx =
+          Struql.Dexec.create ~options ~name:def.Strudel.Site.name ~queries
+            data
+        in
         let prime = timed (fun () -> Struql.Dexec.prime dx) in
         let setup = timed (fun () -> Serve.Watch.create ~source def) in
         let query =

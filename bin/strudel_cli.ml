@@ -64,8 +64,8 @@ let or_die f =
   | Repository.Segment.Corrupt (msg, offset) ->
     Fmt.epr "corrupt segment at byte %d: %s@." offset msg;
     exit 1
-  | Repository.Shard.Manifest_error msg ->
-    Fmt.epr "malformed shard manifest: %s@." msg;
+  | Repository.Store.Manifest_error msg ->
+    Fmt.epr "malformed repository manifest: %s@." msg;
     exit 1
   | Fault.Inject.Injected msg ->
     Fmt.epr "injected fault: %s@." msg;
@@ -245,7 +245,10 @@ let explain_cmd =
 let shards_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "shards" ] ~docv:"DIR"
-           ~doc:"A sharded repository directory (see $(b,strudel repo)).")
+           ~doc:
+             "A repository directory: $(b,build) saves the data graph \
+              there, $(b,explain-analyze) queries the graphs it holds \
+              (see $(b,strudel repo)).")
 
 let explain_analyze_cmd =
   let run data graphs query strategy shards_dir =
@@ -255,8 +258,11 @@ let explain_analyze_cmd =
           match shards_dir with
           | None -> input_graph data graphs q
           | Some dir ->
-            (* the repository is the data: run over its union graph *)
-            (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union
+            (* the repository is the data: run over its catalog's union *)
+            let repo = Repository.Store.load_dir ~dir in
+            Graph.union ~name:"repository"
+              (List.rev_map (Repository.Store.get repo)
+                 (Repository.Store.names repo))
         in
         List.iter
           (fun strategy ->
@@ -276,7 +282,7 @@ let explain_analyze_cmd =
          "Run a query on the streaming engine and show the measured plan: \
           per-operator rows in/out, batch watermarks, timings and the peak \
           live-binding count.  With $(b,--shards), the query runs over the \
-          repository's union graph.")
+          union of the repository's graphs.")
     Term.(const run $ data_opt_arg $ graphs_arg $ query_pos_arg
           $ strategy_opt_arg $ shards_dir_arg)
 
@@ -410,15 +416,8 @@ let build_cmd =
                "Where to write the machine-readable fault manifest \
                 (default: $(i,DIR)/faults.json).")
   in
-  let shard_by_arg =
-    Arg.(value & opt (enum [ ("collection", Repository.Shard.By_collection);
-                             ("family", Repository.Shard.By_family) ])
-           Repository.Shard.By_collection
-         & info [ "shard-by" ] ~docv:"SPEC"
-             ~doc:"Partitioning spec for $(b,--shards): collection or family.")
-  in
   let run data query root templates strategy dir jobs stats on_error
-      retries faults_out shards_dir shard_by =
+      retries faults_out shards_dir =
     or_die (fun () ->
         let jobs =
           if jobs <= 0 then Pool.auto_jobs () else jobs
@@ -437,18 +436,16 @@ let build_cmd =
           | Error (e, _) -> raise e
         in
         let load_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        (* with --shards, also publish the data graph as a repository
-           of segment files; the site queries run over [g] either way *)
-        let snapshot =
-          Option.map
-            (fun sdir ->
-              Repository.Shard.publish
-                { Repository.Shard.dir = sdir; cfg_spec = shard_by }
-                ~epoch:1
-                ~sources:[ ("input", 0) ]
-                g)
-            shards_dir
-        in
+        (* with --shards, also save the data graph to a repository
+           directory as a segment; the site queries run over [g] either
+           way *)
+        Option.iter
+          (fun sdir ->
+            let repo = Repository.Store.create () in
+            Repository.Store.put repo g;
+            Repository.Store.save_dir ~format:`Segment
+              ~sources:[ ("input", 0) ] repo ~dir:sdir)
+          shards_dir;
         let templates =
           {
             Template.Generator.empty_templates with
@@ -479,16 +476,11 @@ let build_cmd =
                 ss_outcome = Mediator.Warehouse.Changed;
                 ss_duration_ms = load_ms;
                 ss_version = 0 } ];
-          (match snapshot with
-           | Some sn ->
-             Fmt.pr "shards (epoch %d):@." sn.Repository.Shard.sn_epoch;
-             List.iter
-               (fun (e : Repository.Shard.entry) ->
-                 Fmt.pr "  %-20s %6d nodes %6d edges %8d bytes  %s@."
-                   e.Repository.Shard.e_name e.e_nodes e.e_edges e.e_bytes
-                   e.e_file)
-               sn.Repository.Shard.sn_manifest.Repository.Shard.m_entries
-           | None -> ());
+          Option.iter
+            (fun dir ->
+              Fmt.pr "%a@." Repository.Store.pp_manifest
+                (Repository.Store.load_manifest ~dir))
+            shards_dir;
           List.iter
             (fun prof -> Fmt.pr "%a@." Struql.Exec.pp_profile prof)
             built.Strudel.Site.query_stats;
@@ -513,8 +505,7 @@ let build_cmd =
   Cmd.v (Cmd.info "build" ~doc:"Build a browsable site from data + query + templates.")
     Term.(const run $ data_arg $ query_arg $ root_arg $ template_arg
           $ strategy_arg $ dir_arg $ jobs_arg $ stats_arg
-          $ on_error_arg $ retries_arg $ faults_out_arg $ shards_dir_arg
-          $ shard_by_arg)
+          $ on_error_arg $ retries_arg $ faults_out_arg $ shards_dir_arg)
 
 (* --- faults: inspect a build manifest --- *)
 
@@ -1158,8 +1149,9 @@ let watch_cmd =
              ~doc:
                "Publish pages below $(docv) (streamed in canonical \
                 order on the initial build and on every changed \
-                cycle).  Without it, cycles maintain the in-memory \
-                site only.")
+                cycle), with the fault manifest $(b,strudel build) \
+                writes, $(docv)/faults.json.  Without it, cycles \
+                maintain the in-memory site only.")
   in
   let jobs_arg =
     Arg.(value & opt int 1
@@ -1257,6 +1249,18 @@ let watch_cmd =
                   Some (Serve.Watch.push ~data:rebased s delta)
                 end )
         in
+        (* the fault manifest a build of the published pages writes,
+           swapped in whole after the prime and every changed cycle *)
+        let publish_faults () =
+          Option.iter
+            (fun dir ->
+              Repository.Segment.write_file
+                ~path:(Filename.concat dir "faults.json")
+                (Fault.Manifest.to_json
+                   (Strudel.Site.manifest (Serve.Watch.built session))))
+            out
+        in
+        publish_faults ();
         let b = Serve.Watch.built session in
         Fmt.pr "watch: %s primed — %d pages%s@."
           b.Strudel.Site.def.Strudel.Site.name
@@ -1272,6 +1276,7 @@ let watch_cmd =
           (match ingest session with
            | Some r ->
              note_degraded r;
+             if r.Serve.Watch.cy_changed then publish_faults ();
              if r.Serve.Watch.cy_changed || r.Serve.Watch.cy_quarantined <> []
              then Fmt.pr "%a@." Serve.Watch.pp_report r
            | None -> ());
@@ -1315,42 +1320,45 @@ let watch_cmd =
           $ template_arg $ out_arg $ jobs_arg $ interval_arg
           $ max_cycles_arg $ full_arg $ stats_arg)
 
-(* --- repo: inspect a sharded repository --- *)
+(* --- repo: inspect a repository directory --- *)
 
 let repo_cmd =
   let dir_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"
-           ~doc:"Repository directory holding MANIFEST and segments.")
+           ~doc:"Repository directory holding MANIFEST and the graphs' files.")
   in
   let check_arg =
     Arg.(value & flag
          & info [ "check" ]
              ~doc:
-               "Additionally decode every segment in full (checksum, \
-                strings, nodes, edges, collections) and report the byte \
-                offset of the first corruption found; exit 1 on any.")
+               "Additionally decode every file the manifest names in full \
+                (a segment's checksum, strings, nodes, edges and \
+                collections; a DDL file's text) and report where each \
+                bad one fails; exit 1 on any.")
   in
   let status_run dir check =
     or_die (fun () ->
-        let m = Repository.Shard.load_manifest ~dir in
-        Fmt.pr "%a@." Repository.Shard.pp_manifest m;
+        let m = Repository.Store.load_manifest ~dir in
+        Fmt.pr "%a@." Repository.Store.pp_manifest m;
         if check then begin
           let bad = ref 0 in
           List.iter
-            (fun (e : Repository.Shard.entry) ->
-              let path = Filename.concat dir e.Repository.Shard.e_file in
-              match Repository.Segment.read ~path () with
-              | _ -> Fmt.pr "%s: ok@." e.Repository.Shard.e_file
+            (fun (e : Repository.Store.entry) ->
+              let file = e.Repository.Store.e_file in
+              match Repository.Store.load_entry ~dir e with
+              | _ -> Fmt.pr "%s: ok@." file
               | exception Repository.Segment.Corrupt (msg, off) ->
                 incr bad;
-                Fmt.pr "%s: CORRUPT at byte %d: %s@."
-                  e.Repository.Shard.e_file off msg
+                Fmt.pr "%s: CORRUPT at byte %d: %s@." file off msg
+              | exception Ddl.Ddl_error (msg, line) ->
+                incr bad;
+                Fmt.pr "%s: DDL error, line %d: %s@." file line msg
               | exception Sys_error msg ->
                 incr bad;
-                Fmt.pr "%s: unreadable: %s@." e.Repository.Shard.e_file msg)
-            m.Repository.Shard.m_entries;
+                Fmt.pr "%s: unreadable: %s@." file msg)
+            m.Repository.Store.m_entries;
           if !bad > 0 then begin
-            Fmt.epr "%d corrupt segment(s)@." !bad;
+            Fmt.epr "%d bad file(s)@." !bad;
             exit 1
           end
         end)
@@ -1359,12 +1367,12 @@ let repo_cmd =
     Cmd.v
       (Cmd.info "status"
          ~doc:
-           "Show a repository's manifest: epoch, partitioning spec, \
-            per-source versions and per-shard segment statistics.")
+           "Show a repository's manifest: epoch, per-source versions \
+            and each graph's file and statistics.")
       Term.(const status_run $ dir_arg $ check_arg)
   in
   Cmd.group
-    (Cmd.info "repo" ~doc:"Inspect a sharded repository directory.")
+    (Cmd.info "repo" ~doc:"Inspect a repository directory.")
     [ status ]
 
 (* --- demo --- *)

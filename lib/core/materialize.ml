@@ -155,10 +155,6 @@ module Click_time = struct
 
   exception Browse_error of browse_error
 
-  let browse_error_message = function
-    | Unknown_object name -> "unknown site object: " ^ name
-    | Render_failed msg -> "page render failed: " ^ msg
-
   (** Run a page render as a structured result: any exception but
       [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes
       [Render_failed], never an escape — one crashing page must not

@@ -74,8 +74,6 @@ module Click_time : sig
 
   exception Browse_error of browse_error
 
-  val browse_error_message : browse_error -> string
-
   val guarded : (unit -> 'a) -> ('a, browse_error) result
   (** Run a page render as a structured result: any exception but
       [Out_of_memory], [Stack_overflow] and [Sys.Break] becomes

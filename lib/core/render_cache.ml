@@ -194,8 +194,3 @@ let page_of_entry (e : entry) o : G.page =
     actually contain any, since the link render read their anchors). *)
 let refs_of_entry g (e : entry) : Oid.t list =
   List.filter_map (Graph.find_node g) e.e_refs
-
-let pp_stats ppf c =
-  Dsan.read ~site:__POS__ c.ds_obj 1;
-  Fmt.pf ppf "%d entries, %d hits / %d misses / %d invalidations" (size c)
-    c.stats.hits c.stats.misses c.stats.invalidations

@@ -74,5 +74,3 @@ val page_of_entry : entry -> Oid.t -> Template.Generator.page
 
 val refs_of_entry : Graph.t -> entry -> Oid.t list
 (** The entry's referenced objects resolved in the current graph. *)
-
-val pp_stats : Format.formatter -> t -> unit

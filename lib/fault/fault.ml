@@ -258,11 +258,6 @@ module Policy = struct
   let skip_source ?(retry = default_retry) () =
     { on_failure = Skip_source; retry }
   let stale ?(retry = default_retry) age = { on_failure = Stale age; retry }
-
-  let pp_on_failure ppf = function
-    | Fail_fast -> Fmt.string ppf "fail-fast"
-    | Skip_source -> Fmt.string ppf "skip-source"
-    | Stale age -> Fmt.pf ppf "stale(%d)" age
 end
 
 module Retry = struct

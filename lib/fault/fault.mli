@@ -145,7 +145,6 @@ module Policy : sig
   val fail_fast : t
   val skip_source : ?retry:retry -> unit -> t
   val stale : ?retry:retry -> int -> t
-  val pp_on_failure : Format.formatter -> on_failure -> unit
 end
 
 module Retry : sig

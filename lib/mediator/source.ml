@@ -21,7 +21,7 @@ type t = {
   mutable loader : unit -> Graph.t;
   access : access_pattern option;
   mutable cached : (int * Graph.t) option;
-  mutable policy : Fault.Policy.t;
+  policy : Fault.Policy.t;
   mutable snap_version : int option;
       (** version of the last load that succeeded (and, when a snapshot
           store is in play, of the persisted snapshot) *)
@@ -43,7 +43,6 @@ let of_graph ?access ?policy ~name g = make ?access ?policy ~name (fun () -> g)
 let name s = s.name
 let version s = s.version
 let policy s = s.policy
-let set_policy s p = s.policy <- p
 
 (** Replace the source's contents (a new export arrived); bumps the
     version so the warehouse knows to refresh. *)

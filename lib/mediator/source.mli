@@ -31,7 +31,6 @@ val name : t -> string
 val version : t -> int
 
 val policy : t -> Fault.Policy.t
-val set_policy : t -> Fault.Policy.t -> unit
 
 val update : t -> (unit -> Graph.t) -> unit
 (** Replace the source's contents (a new export arrived); bumps the

@@ -2,14 +2,11 @@
 
    A segment is a short header (magic, version, body length, FNV-1a 64
    checksum of the body) and a body in a compact varint form: epoch,
-   numbering flag, meta, one string table (labels, names and string
-   values interned once), then nodes, edges in sequence order and
-   collections with their members.  A standalone graph is its own
-   whole, so its global ids and sequence numbers follow from its own
-   order and cost no bytes; a shard of a repository carries them, since
-   it holds a sparse subset of the union's elements.  Decoding checks
-   every byte: any malformed input raises {!Corrupt} with the absolute
-   byte offset at which the decoder gave up. *)
+   numbering flag (always 0), meta, one string table (labels, names and
+   string values interned once), then nodes, edges in insertion order
+   and collections with their members.  Decoding checks every byte: any
+   malformed input raises {!Corrupt} with the absolute byte offset at
+   which the decoder gave up. *)
 
 open Sgraph
 
@@ -157,47 +154,11 @@ let get_value r str tag at =
 
 (* --- writing --- *)
 
-type whole = {
-  w_graph : Graph.t;
-  w_gid : int array;  (* slot -> global id, -1 for a removed node's slot *)
-  w_member : (string, int Oid.Tbl.t) Hashtbl.t;
-      (* collection -> member -> sequence number *)
-}
-
-let whole g =
+let encode ?(epoch = 0) g =
   let module S = Graph.Slots in
-  let gid = Array.make (S.count g) (-1) and n = ref 0 in
-  for s = 0 to S.count g - 1 do
-    if S.live g s then begin
-      gid.(s) <- !n;
-      incr n
-    end
-  done;
-  let member = Hashtbl.create 16 and seq = ref 0 in
-  List.iter
-    (fun c ->
-      let tbl = Oid.Tbl.create 16 in
-      List.iter
-        (fun o ->
-          Oid.Tbl.replace tbl o !seq;
-          incr seq)
-        (Graph.collection g c);
-      Hashtbl.replace member c tbl)
-    (Graph.collections g);
-  { w_graph = g; w_gid = gid; w_member = member }
-
-let encode ?(epoch = 0) ?(meta = []) ?whole g =
-  let module S = Graph.Slots in
-  let fail what = invalid_arg ("Segment.encode: " ^ what) in
   let it = interner () in
   let body = Buffer.create 4096 in
   let put = put_varint body in
-  (* a strictly ascending sequence number, as its gap from the last *)
-  let put_seq last seq =
-    if seq <= !last then fail "elements out of the whole graph's order";
-    put (seq - !last - 1);
-    last := seq
-  in
   let slots = S.count g in
   let idx = Array.make slots (-1) and n = ref 0 in
   for s = 0 to slots - 1 do
@@ -207,45 +168,14 @@ let encode ?(epoch = 0) ?(meta = []) ?whole g =
     end
   done;
   let local o = idx.(S.find g o) in
-  (* each node's slot in [whole], and a cursor into its out-bucket
-     there: a shard lists a node's out-edges as [whole] does *)
-  let wslot =
-    match whole with
-    | None -> [||]
-    | Some w ->
-      Array.init slots (fun s ->
-          if not (S.live g s) then -1
-          else
-            let ws = S.find w.w_graph (S.oid g s) in
-            if ws < 0 then fail "node outside the whole graph" else ws)
-  in
-  let cursor = Array.make (Array.length wslot) 0 in
   put !n;
   for s = 0 to slots - 1 do
-    if S.live g s then begin
-      Option.iter (fun w -> put w.w_gid.(wslot.(s))) whole;
-      put (intern it (Oid.name (S.oid g s)))
-    end
+    if S.live g s then put (intern it (Oid.name (S.oid g s)))
   done;
   put (Graph.edge_count g);
-  let last = ref (-1) in
   Graph.iter_edges_inserted
     (fun src l tgt ->
-      let s = S.find g src in
-      Option.iter
-        (fun w ->
-          let wg = w.w_graph and ws = wslot.(s) in
-          let bucket = S.out wg ws in
-          let rec next i =
-            if i >= S.out_len wg ws then fail "edge outside the whole graph"
-            else if S.label wg bucket.(i) >= 0 then i
-            else next (i + 1)
-          in
-          let i = next cursor.(s) in
-          cursor.(s) <- i + 1;
-          put_seq last bucket.(i))
-        whole;
-      put idx.(s);
+      put (local src);
       put (intern it l);
       match tgt with
       | Graph.N o ->
@@ -255,35 +185,18 @@ let encode ?(epoch = 0) ?(meta = []) ?whole g =
     g;
   let colls = Graph.collections g in
   put (List.length colls);
-  let last = ref (-1) in
   List.iter
     (fun c ->
       put (intern it c);
       let members = Graph.collection g c in
       put (List.length members);
-      let seqs =
-        Option.map
-          (fun w ->
-            match Hashtbl.find_opt w.w_member c with
-            | Some tbl -> tbl
-            | None -> fail "collection outside the whole graph")
-          whole
-      in
-      List.iter
-        (fun o ->
-          Option.iter
-            (fun tbl ->
-              match Oid.Tbl.find_opt tbl o with
-              | Some seq -> put_seq last seq
-              | None -> fail "member outside the whole graph")
-            seqs;
-          put (local o))
-        members)
+      List.iter (fun o -> put (local o)) members)
     colls;
   let head = Buffer.create 1024 in
   put_varint head epoch;
-  put_varint head (if Option.is_none whole then 0 else 1);
-  let meta = ("graph", Graph.name g) :: meta in
+  (* the numbering flag: 0, a graph in its own order *)
+  put_varint head 0;
+  let meta = [ ("graph", Graph.name g) ] in
   put_varint head (List.length meta);
   List.iter
     (fun (k, v) ->
@@ -316,8 +229,8 @@ let write_file ~path contents =
      raise e);
   Sys.rename tmp path
 
-let write ~path ?epoch ?meta ?whole g =
-  let s = encode ?epoch ?meta ?whole g in
+let write ~path ?epoch g =
+  let s = encode ?epoch g in
   write_file ~path s;
   String.length s
 
@@ -327,19 +240,13 @@ type t = {
   size : int;
   epoch : int;
   meta : (string * string) list;
-  numbered : bool;
-  nodes_at : int;  (* the node table's offset, for errors across segments *)
-  gids : int array;
   names : string array;
-  e_seq : int array;
   e_src : int array;
   e_label : string array;
   e_tgt : int array;  (* a node index, or -1 for a value *)
   e_val : Value.t array;
   colls : string array;
-  m_seq : int array;
-  m_coll : int array;
-  m_node : int array;
+  members : int array array;  (* per collection, node indexes *)
 }
 
 let of_string s =
@@ -367,12 +274,11 @@ let of_string s =
   r.pos <- body_at;
   let epoch = get_varint r in
   let at = r.pos in
-  let numbered =
-    match get_varint r with
-    | 0 -> false
-    | 1 -> true
-    | f -> corrupt (Printf.sprintf "unknown numbering %d" f) at
-  in
+  (* 0 is the one numbering: a graph in its own order; 1, the global
+     numbering of a sharded repository's partitions, is refused here *)
+  (match get_varint r with
+   | 0 -> ()
+   | f -> corrupt (Printf.sprintf "unsupported numbering %d" f) at);
   let meta =
     Array.to_list
       (Array.init (get_count r) (fun _ ->
@@ -387,34 +293,12 @@ let of_string s =
     i
   in
   let str () = strings.(index "string" (Array.length strings)) in
-  (* an explicit number, or the element's place in the graph's own
-     order *)
-  let number i = if numbered then get_varint r else i in
-  let last = ref (-1) in
-  let seq i =
-    if not numbered then i
-    else begin
-      let at = r.pos in
-      let gap = get_varint r in
-      if gap < 0 || gap > max_int - 1 - !last then
-        corrupt "sequence number out of range" at;
-      last := !last + 1 + gap;
-      !last
-    end
-  in
-  let nodes_at = r.pos in
-  let nn = get_count r in
-  let gids = Array.make nn 0 and names = Array.make nn "" in
-  for i = 0 to nn - 1 do
-    gids.(i) <- number i;
-    names.(i) <- str ()
-  done;
+  let names = Array.init (get_count r) (fun _ -> str ()) in
+  let nn = Array.length names in
   let ne = get_count r in
-  let e_seq = Array.make ne 0 and e_src = Array.make ne 0 in
-  let e_label = Array.make ne "" and e_tgt = Array.make ne (-1) in
-  let e_val = Array.make ne Value.Null in
+  let e_src = Array.make ne 0 and e_label = Array.make ne "" in
+  let e_tgt = Array.make ne (-1) and e_val = Array.make ne Value.Null in
   for i = 0 to ne - 1 do
-    e_seq.(i) <- seq i;
     e_src.(i) <- index "node" nn;
     e_label.(i) <- str ();
     let at = r.pos in
@@ -422,41 +306,14 @@ let of_string s =
     if tag = node_tag then e_tgt.(i) <- index "node" nn
     else e_val.(i) <- get_value r str tag at
   done;
-  last := -1;
   let nc = get_count r in
-  let colls = Array.make nc "" and parts = ref [] and m = ref 0 in
+  let colls = Array.make nc "" and members = Array.make nc [||] in
   for c = 0 to nc - 1 do
     colls.(c) <- str ();
-    let k = get_count r in
-    let m_seq = Array.make k 0 and m_node = Array.make k 0 in
-    for j = 0 to k - 1 do
-      m_seq.(j) <- seq !m;
-      incr m;
-      m_node.(j) <- index "node" nn
-    done;
-    parts := (m_seq, m_node, Array.make k c) :: !parts
+    members.(c) <- Array.init (get_count r) (fun _ -> index "node" nn)
   done;
   if r.pos <> len then corrupt "trailing bytes" r.pos;
-  let parts = List.rev !parts in
-  let cat f = Array.concat (List.map f parts) in
-  {
-    size = len;
-    epoch;
-    meta;
-    numbered;
-    nodes_at;
-    gids;
-    names;
-    e_seq;
-    e_src;
-    e_label;
-    e_tgt;
-    e_val;
-    colls;
-    m_seq = cat (fun (s, _, _) -> s);
-    m_node = cat (fun (_, n, _) -> n);
-    m_coll = cat (fun (_, _, c) -> c);
-  }
+  { size = len; epoch; meta; names; e_src; e_label; e_tgt; e_val; colls; members }
 
 let read ~path () =
   let ic = open_in_bin path in
@@ -468,86 +325,32 @@ let read ~path () =
 let size_bytes t = t.size
 let epoch t = t.epoch
 
-(* Call [f k i] on element [i] of segment [k], for every element of
-   every segment in ascending sequence number ([seq t] numbers a
-   segment's elements, which it lists in that order). *)
-let merge segs seq f =
-  let n = Array.length segs in
-  let pos = Array.make n 0 and seqs = Array.map seq segs in
-  let len = Array.map Array.length seqs in
-  for _ = 1 to Array.fold_left ( + ) 0 len do
-    let best = ref (-1) in
-    for k = 0 to n - 1 do
-      if pos.(k) < len.(k)
-         && (!best < 0 || seqs.(k).(pos.(k)) < seqs.(!best).(pos.(!best)))
-      then best := k
-    done;
-    let k = !best in
-    f k pos.(k);
-    pos.(k) <- pos.(k) + 1
-  done
-
-let to_graph ?name segs =
-  let segs = Array.of_list segs in
+let to_graph ?name t =
   let name =
     match name with
     | Some n -> n
-    | None ->
-      Option.value ~default:"segment"
-        (if Array.length segs = 0 then None
-         else List.assoc_opt "graph" segs.(0).meta)
+    | None -> Option.value ~default:"segment" (List.assoc_opt "graph" t.meta)
   in
   let g = Graph.Loader.create ~name () in
-  (* every node record in global-id order; a shard's ghost stub for a
-     foreign edge target must name the node as its home shard does *)
-  let recs =
-    Array.concat
-      (Array.to_list
-         (Array.mapi (fun k t -> Array.mapi (fun i gid -> (gid, k, i)) t.gids)
-            segs))
+  let nodes =
+    Array.map
+      (fun nm ->
+        let o = Oid.fresh nm in
+        Graph.Loader.add_node g o;
+        o)
+      t.names
   in
-  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) recs;
-  let local = Array.map (fun t -> Array.make (Array.length t.gids) None) segs in
-  let last = ref None in
-  Array.iter
-    (fun (gid, k, i) ->
-      let t = segs.(k) in
-      let nm = t.names.(i) in
-      let o =
-        match !last with
-        | Some (gid', o) when gid' = gid ->
-          if Oid.name o <> nm then
-            corrupt
-              (Printf.sprintf "conflicting names for global id %d" gid)
-              t.nodes_at;
-          o
-        | _ ->
-          let o = Oid.fresh nm in
-          Graph.Loader.add_node g o;
-          last := Some (gid, o);
-          o
-      in
-      local.(k).(i) <- Some o)
-    recs;
-  let local = Array.map (Array.map Option.get) local in
-  merge segs
-    (fun t -> t.e_seq)
-    (fun k i ->
-      let t = segs.(k) and local = local.(k) in
-      Graph.Loader.add_edge g local.(t.e_src.(i)) t.e_label.(i)
-        (if t.e_tgt.(i) >= 0 then Graph.N local.(t.e_tgt.(i))
-         else Graph.V t.e_val.(i)));
-  (* a standalone segment lists every collection, an empty one too; a
-     shard lists only those it holds members of *)
-  Array.iter
-    (fun t ->
-      if not t.numbered then
-        Array.iter (Graph.Loader.declare_collection g) t.colls)
-    segs;
-  merge segs
-    (fun t -> t.m_seq)
-    (fun k i ->
-      let t = segs.(k) in
-      Graph.Loader.add_to_collection g t.colls.(t.m_coll.(i))
-        local.(k).(t.m_node.(i)));
+  Array.iteri
+    (fun i src ->
+      Graph.Loader.add_edge g nodes.(src) t.e_label.(i)
+        (if t.e_tgt.(i) >= 0 then Graph.N nodes.(t.e_tgt.(i))
+         else Graph.V t.e_val.(i)))
+    t.e_src;
+  (* every collection in order, an empty one too, then the members *)
+  Array.iter (Graph.Loader.declare_collection g) t.colls;
+  Array.iteri
+    (fun c coll ->
+      Array.iter (fun i -> Graph.Loader.add_to_collection g coll nodes.(i))
+        t.members.(c))
+    t.colls;
   Graph.Loader.finish g

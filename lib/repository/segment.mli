@@ -4,18 +4,10 @@
 
     A segment stores a graph schema-free but compactly: one string table
     (labels, names and string values interned once), varint indexes, the
-    nodes with their names, the edges in sequence order and the
+    nodes with their names, the edges in insertion order and the
     collections with their members, behind a header carrying a format
     version and an FNV-1a checksum of the body.  Indexes are rebuilt on
-    load, per the repository's full-indexing policy.
-
-    Every element has a global id (a node) or a sequence number (an
-    edge, a collection entry) in the {e whole} graph it belongs to.  A
-    standalone graph is its own whole: its numbers follow from its own
-    order and cost no bytes.  A shard of a {!Shard} repository holds a
-    sparse subset of the union's elements and carries its numbers, so
-    {!to_graph} re-assembles the union in the order it was published
-    in. *)
+    load, per the repository's full-indexing policy. *)
 
 open Sgraph
 
@@ -28,28 +20,11 @@ val magic : string
 
 (** {1 Writing} *)
 
-type whole
-(** A graph numbered as the whole that shards are cut from: nodes by
-    their place in {!Graph.nodes}, edges by their place in the edge log
-    (insertion order), collection entries collection-major. *)
+val encode : ?epoch:int -> Graph.t -> string
+(** Serialize a graph ([epoch] defaults to 0), with a ["graph"] meta
+    entry naming it. *)
 
-val whole : Graph.t -> whole
-(** Number a graph, once per publish. *)
-
-val encode :
-  ?epoch:int -> ?meta:(string * string) list -> ?whole:whole -> Graph.t ->
-  string
-(** Serialize a graph ([epoch] defaults to 0; [meta] is carried as is,
-    after a ["graph"] entry naming the graph).  Without [whole] the
-    graph is its own whole.  With [whole] the graph must be a shard of
-    it, as {!Shard.partition} cuts one: its nodes are [whole]'s, each of
-    its edge sources has all of its out-edges in [whole], and its edges
-    and collection entries run in [whole]'s order; raises
-    [Invalid_argument] otherwise. *)
-
-val write :
-  path:string -> ?epoch:int -> ?meta:(string * string) list -> ?whole:whole ->
-  Graph.t -> int
+val write : path:string -> ?epoch:int -> Graph.t -> int
 (** [encode] to a file through {!write_file}; returns the byte size. *)
 
 val write_file : path:string -> string -> unit
@@ -64,9 +39,11 @@ type t
 
 val of_string : string -> t
 (** Decode a segment, checking the checksum and every byte; raises
-    {!Corrupt} on bad magic, an unknown version, truncation, trailing
-    bytes, a checksum mismatch, an out-of-range index or an unknown
-    tag. *)
+    {!Corrupt} on bad magic, an unknown version or numbering flag,
+    truncation, trailing bytes, a checksum mismatch, an out-of-range
+    index or an unknown tag.  A segment whose numbering flag is 1 (a
+    partition of a sharded repository, which this format no longer
+    has) raises {!Corrupt} at the flag's offset. *)
 
 val read : path:string -> unit -> t
 (** [of_string] of a file's contents. *)
@@ -74,12 +51,8 @@ val read : path:string -> unit -> t
 val size_bytes : t -> int
 val epoch : t -> int
 
-val to_graph : ?name:string -> t list -> Graph.t
-(** A fresh graph from segments that number one whole: one standalone
-    segment, or the shards of a repository.  Nodes come in global-id
-    order (a shard's ghost stub and the node's home record must agree
-    on its name, else {!Corrupt}), then edges and collection entries
-    replayed in sequence order, so the graph lists every index in the
-    whole's order.  A standalone segment also declares its collections
-    in order, an empty one too; shards hold no empty collection.  The
-    name defaults to the first segment's ["graph"] meta entry. *)
+val to_graph : ?name:string -> t -> Graph.t
+(** A fresh graph from a segment: its nodes, edges and collections
+    (an empty one too) in the order the saved graph lists them, so the
+    graph lists every index in that order.  The name defaults to the
+    segment's ["graph"] meta entry. *)

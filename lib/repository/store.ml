@@ -7,9 +7,15 @@
     index, the schema index of all collection and attribute names) and
     are rebuilt when a graph is loaded.
 
-    Persistence uses the textual data-definition language, so a dump is
-    human-readable and exchangeable with wrappers, or the compact
-    {!Segment} form. *)
+    A repository directory holds one file per catalogued graph, the
+    human-readable data-definition language or the compact {!Segment}
+    form, and a [MANIFEST] naming them.  A save writes the new epoch's
+    files beside the live ones, renames a fresh manifest over the old
+    one and only then removes the files the old manifest named, so a
+    reader finds one epoch's catalog whole, never a mix.  The manifest
+    is a line-oriented text file; string fields use OCaml lexical
+    escaping (%S / Scanf %S), so arbitrary graph and source names
+    round-trip. *)
 
 open Sgraph
 
@@ -44,61 +50,196 @@ let load_graph ~name text =
   let g, _dirs = Ddl.parse ~graph_name:name text in
   g
 
-(** Save every graph below [dir]: [`Ddl] writes human-readable
-    [<name>.ddl] text, [`Segment] the compact [<name>.seg] form of
-    {!Segment}; either is written then renamed into place, and the
-    other format's file of that name, now stale, is removed. *)
-let save_dir ?(format = `Ddl) repo ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+(* --- the manifest --- *)
+
+exception Manifest_error of string
+
+type entry = {
+  e_graph : string;
+  e_file : string;
+  e_nodes : int;
+  e_edges : int;
+  e_bytes : int;
+}
+
+type manifest = {
+  m_epoch : int;
+  m_sources : (string * int) list;
+  m_entries : entry list;
+}
+
+let manifest_file = "MANIFEST"
+let manifest_magic = "strudel-manifest 2"
+
+(* A graph's file is named by its epoch and its place in the catalog,
+   so no graph name needs sanitizing. *)
+let file_name ~epoch i format =
+  Printf.sprintf "%d.%d.%s" epoch i
+    (match format with `Ddl -> "ddl" | `Segment -> "seg")
+
+(* Whether [f] is a file name [file_name ~epoch] gives: one inside the
+   directory, neither the manifest nor a file of another epoch. *)
+let names_epoch_file ~epoch f =
+  match String.split_on_char '.' f with
+  | [ e; i; ("seg" | "ddl") ] ->
+    e = string_of_int epoch && i <> ""
+    && String.for_all (fun c -> c >= '0' && c <= '9') i
+  | _ -> false
+
+let manifest_text m =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%s\nepoch %d\n" manifest_magic m.m_epoch;
+  List.iter (fun (s, v) -> Printf.bprintf b "source %S %d\n" s v) m.m_sources;
   List.iter
-    (fun (name, g) ->
-      let path ext = Filename.concat dir (name ^ ext) in
-      let stale =
-        match format with
-        | `Ddl ->
-          Segment.write_file ~path:(path ".ddl") (dump_graph g);
-          path ".seg"
-        | `Segment ->
-          ignore (Segment.write ~path:(path ".seg") g);
-          path ".ddl"
-      in
-      if Sys.file_exists stale then Sys.remove stale)
-    repo.graphs
+    (fun e ->
+      Printf.bprintf b "graph %S %S %d %d %d\n" e.e_graph e.e_file e.e_nodes
+        e.e_edges e.e_bytes)
+    m.m_entries;
+  Buffer.contents b
 
 let read_file path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(** Load every [*.ddl] and [*.seg] file of [dir] into a fresh
-    repository.  A name with both files is refused rather than resolved
-    by [readdir] order. *)
-let load_dir ~dir =
+let load_manifest ~dir =
+  let path = Filename.concat dir manifest_file in
+  let text =
+    try read_file path with
+    | Sys_error msg -> raise (Manifest_error ("no manifest: " ^ msg))
+    | End_of_file -> raise (Manifest_error (path ^ ": unreadable"))
+  in
+  let fail lnum msg =
+    raise (Manifest_error (Printf.sprintf "%s:%d: %s" path lnum msg))
+  in
+  let lines = String.split_on_char '\n' text in
+  if List.hd lines <> manifest_magic then
+    fail 1 (Printf.sprintf "not a %S manifest" manifest_magic);
+  let epoch = ref 0 and sources = ref [] and entries = ref [] in
+  List.iteri
+    (fun i line ->
+      let lnum = i + 1 in
+      (* each line whole: [%!] refuses trailing bytes, and a short line
+         is an error of its own line, never an escaping [End_of_file] *)
+      let scan fmt k =
+        match Scanf.sscanf line fmt k with
+        | v -> v
+        | exception (Scanf.Scan_failure m | Failure m) -> fail lnum m
+        | exception End_of_file -> fail lnum "truncated line"
+      in
+      match String.index_opt line ' ' with
+      | _ when lnum = 1 || line = "" -> ()
+      | None -> fail lnum "malformed line"
+      | Some sp -> (
+        match String.sub line 0 sp with
+        | "epoch" when lnum = 2 ->
+          scan "epoch %d%!" (fun v ->
+              if v < 1 then fail lnum "epoch must be positive";
+              epoch := v)
+        | "source" when !epoch > 0 ->
+          scan "source %S %d%!" (fun s v -> sources := (s, v) :: !sources)
+        | "graph" when !epoch > 0 ->
+          scan "graph %S %S %d %d %d%!" (fun name file nodes edges bytes ->
+              if not (names_epoch_file ~epoch:!epoch file) then
+                fail lnum ("not a file of this epoch: " ^ file);
+              if List.exists (fun e -> e.e_graph = name) !entries then
+                fail lnum ("graph listed twice: " ^ name);
+              entries :=
+                { e_graph = name; e_file = file; e_nodes = nodes;
+                  e_edges = edges; e_bytes = bytes }
+                :: !entries)
+        | ("epoch" | "source" | "graph") as kw ->
+          fail lnum (kw ^ " line out of place")
+        | kw -> fail lnum ("unknown keyword " ^ kw)))
+    lines;
+  if !epoch = 0 then fail 2 "no epoch line";
+  { m_epoch = !epoch; m_sources = List.rev !sources;
+    m_entries = List.rev !entries }
+
+let pp_manifest ppf m =
+  Fmt.pf ppf "@[<v>repository: epoch %d" m.m_epoch;
+  List.iter
+    (fun (s, v) -> Fmt.pf ppf "@,source %-16s version %d" s v)
+    m.m_sources;
+  List.iter
+    (fun e ->
+      Fmt.pf ppf "@,graph %-16s %s  nodes=%d edges=%d bytes=%d" e.e_graph
+        e.e_file e.e_nodes e.e_edges e.e_bytes)
+    m.m_entries;
+  Fmt.pf ppf "@]"
+
+(* --- save and load --- *)
+
+let rec mkdir_p dir =
+  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
+  else begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
+let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
+
+let save_dir ?(format = `Ddl) ?(sources = []) repo ~dir =
+  mkdir_p dir;
+  let live =
+    if Sys.file_exists (Filename.concat dir manifest_file) then
+      Some (load_manifest ~dir)
+    else None
+  in
+  let epoch = match live with Some m -> m.m_epoch + 1 | None -> 1 in
+  let written = ref [] in
+  let save i (name, g) =
+    let file = file_name ~epoch i format in
+    let path = Filename.concat dir file in
+    written := path :: !written;
+    let bytes =
+      match format with
+      | `Segment -> Segment.write ~path ~epoch g
+      | `Ddl ->
+        let text = dump_graph g in
+        Segment.write_file ~path text;
+        String.length text
+    in
+    { e_graph = name; e_file = file; e_nodes = Graph.node_count g;
+      e_edges = Graph.edge_count g; e_bytes = bytes }
+  in
+  (match
+     let m_entries = List.mapi save (List.rev repo.graphs) in
+     Segment.write_file
+       ~path:(Filename.concat dir manifest_file)
+       (manifest_text { m_epoch = epoch; m_sources = sources; m_entries })
+   with
+   | () -> ()
+   | exception e ->
+     (* the live manifest still names the previous epoch's files *)
+     List.iter remove_quietly !written;
+     raise e);
+  Option.iter
+    (fun m ->
+      List.iter (fun e -> remove_quietly (Filename.concat dir e.e_file))
+        m.m_entries)
+    live
+
+let load_entry ~dir e =
+  let path = Filename.concat dir e.e_file in
+  if Filename.check_suffix e.e_file ".seg" then
+    Segment.to_graph ~name:e.e_graph (Segment.read ~path ())
+  else load_graph ~name:e.e_graph (read_file path)
+
+let rec load_dir ~dir =
+  let m = load_manifest ~dir in
   let repo = create () in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f ->
-        let path = Filename.concat dir f in
-        if Filename.check_suffix f ".ddl" then begin
-          let name = Filename.chop_suffix f ".ddl" in
-          let seg = Filename.concat dir (name ^ ".seg") in
-          if Sys.file_exists seg then
-            failwith
-              (Printf.sprintf
-                 "Store.load_dir: %s and %s both hold graph %s (an \
-                  interrupted save?)"
-                 path seg name);
-          put repo (load_graph ~name (read_file path))
-        end
-        else if Filename.check_suffix f ".seg" then
-          put repo
-            (Segment.to_graph
-               ~name:(Filename.chop_suffix f ".seg")
-               [ Segment.read ~path () ]))
-      (Sys.readdir dir);
-  repo
+  match List.iter (fun e -> put repo (load_entry ~dir e)) m.m_entries with
+  | () -> repo
+  | exception (Sys_error _ as e) ->
+    (* a save that swapped the manifest since it was read has removed
+       this epoch's files: read the catalog the new manifest names *)
+    let moved =
+      try (load_manifest ~dir).m_epoch <> m.m_epoch
+      with Manifest_error _ -> false
+    in
+    if moved then load_dir ~dir else raise e
 
 (** Round-trip a graph through the DDL: the persisted form reloaded.
     Node identities change; names, edges and collections survive. *)

@@ -97,7 +97,8 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~source
       registry = def.Strudel.Site.registry }
   in
   let engine =
-    Struql.Dexec.create ~options ~queries:(List.map snd parsed) data
+    Struql.Dexec.create ~options ~name:def.Strudel.Site.name
+      ~queries:(List.map snd parsed) data
   in
   Struql.Dexec.prime engine;
   let cache = Strudel.Render_cache.create () in
@@ -126,7 +127,6 @@ let create ?(jobs = 1) ?(on_error = Fault.Abort) ?fault ?sink ~source
 let built t = t.built
 let engine t = t.engine
 let cache t = t.cache
-let cycles t = t.cycles
 
 let recorder t =
   match t.mode with M_direct r -> Some r | M_mediated _ -> None

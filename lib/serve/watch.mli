@@ -95,8 +95,6 @@ val cache : t -> Strudel.Render_cache.t
     invalidation, a new page (or a retried placeholder) a miss.  The
     cache holds no entries; the page table keeps the pages. *)
 
-val cycles : t -> int
-
 val recorder : t -> Delta.Rec.r option
 (** Direct mode's mutation recorder: apply data-graph edits through it
     and the next {!cycle} picks them up.  [None] in mediated mode. *)

@@ -183,8 +183,8 @@ val kernel_counters : t -> kernel_counters
     against this graph. *)
 
 val reset_kernel_counters : t -> unit
-(** Zero the counters.  Used by [explain-analyze] and the shard
-    observability surfaces to report per-run deltas deterministically. *)
+(** Zero the counters.  Used by [explain-analyze] to report per-run
+    deltas deterministically. *)
 
 (** {1 Whole-graph operations} *)
 

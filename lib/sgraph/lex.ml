@@ -202,14 +202,6 @@ module Stream = struct
     | Punct p' when p' = p -> ()
     | tok -> error_at at (Fmt.str "expected '%s' but found %a" p pp_token tok)
 
-  let eat_ident t name =
-    let at = pos t in
-    match advance t with
-    | Ident s when String.lowercase_ascii s = String.lowercase_ascii name ->
-      ()
-    | tok ->
-      error_at at (Fmt.str "expected '%s' but found %a" name pp_token tok)
-
   let accept_punct t p =
     match peek t with
     | Punct p' when p' = p ->

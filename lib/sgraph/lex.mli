@@ -55,7 +55,6 @@ module Stream : sig
 
   val advance : t -> token
   val eat_punct : t -> string -> unit
-  val eat_ident : t -> string -> unit
   val accept_punct : t -> string -> bool
   (** Consume the punct if it is next; report whether it was. *)
 

@@ -141,8 +141,6 @@ type tstate = {
   ts_ranks : int IT.t;  (* driver oid id -> rank *)
 }
 
-type qstate = { qs_query : Ast.query; qs_tops : tstate list }
-
 type counters = {
   mutable c_cycles : int;
   mutable c_drivers : int;  (** drivers (re-)derived *)
@@ -157,7 +155,7 @@ type counters = {
 
 type t = {
   options : Eval.options;
-  queries : qstate list;
+  queries : tstate list list;  (* per query, its top-level blocks *)
   ranks : int IT.t array;
   (* block id -> the driver ranks of its top-level ancestor *)
   mutable sg : Graph.t;  (* the maintained site graph *)
@@ -193,7 +191,6 @@ let counters t = t.ctr
 let site_graph t = t.sg
 let scope t = t.scope
 let data_graph t = t.data
-let site_queries t = List.map (fun qs -> qs.qs_query) t.queries
 
 let class_string = function
   | Plan.D_static -> "static"
@@ -205,21 +202,15 @@ let class_string = function
 
 let classes t =
   List.concat_map
-    (fun qs ->
-      List.map
-        (fun ts -> (ts.ts_bs.bs_path, class_string ts.ts_class))
-        qs.qs_tops)
+    (List.map (fun ts -> (ts.ts_bs.bs_path, class_string ts.ts_class)))
     t.queries
 
 let fallbacks t =
   List.concat_map
-    (fun qs ->
-      List.filter_map
-        (fun ts ->
-          match ts.ts_class with
-          | Plan.D_fallback why -> Some (ts.ts_bs.bs_path, why)
-          | Plan.D_static | Plan.D_driven _ -> None)
-        qs.qs_tops)
+    (List.filter_map (fun ts ->
+         match ts.ts_class with
+         | Plan.D_fallback why -> Some (ts.ts_bs.bs_path, why)
+         | Plan.D_static | Plan.D_driven _ -> None))
     t.queries
 
 (* --- the pending derivations --- *)
@@ -684,7 +675,7 @@ let renumber_ranks ts extent =
 
 (* --- engine construction --- *)
 
-let create ?(options = Eval.default_options) ~queries data =
+let create ?(options = Eval.default_options) ~name ~queries data =
   if options.Eval.validate then List.iter Check.validate_exn queries;
   let next_id = ref 0 in
   let rec mk path (b : Ast.block) =
@@ -707,37 +698,27 @@ let create ?(options = Eval.default_options) ~queries data =
   let queries =
     List.mapi
       (fun qi q ->
-        let qs_tops =
-          List.mapi
-            (fun bi b ->
-              let bs = mk (Printf.sprintf "q%d.%d" (qi + 1) (bi + 1)) b in
-              {
-                ts_bs = bs;
-                ts_class = Plan.D_static;
-                ts_ranks = IT.create 64;
-              })
-            q.Ast.blocks
-        in
-        { qs_query = q; qs_tops })
+        List.mapi
+          (fun bi b ->
+            let bs = mk (Printf.sprintf "q%d.%d" (qi + 1) (bi + 1)) b in
+            { ts_bs = bs; ts_class = Plan.D_static; ts_ranks = IT.create 64 })
+          q.Ast.blocks)
       queries
   in
   let ranks = Array.make !next_id (IT.create 0) in
   List.iter
-    (fun qs ->
-      List.iter
-        (fun ts ->
-          let rec reg bs =
-            ranks.(bs.bs_id) <- ts.ts_ranks;
-            List.iter reg bs.bs_nested
-          in
-          reg ts.ts_bs)
-        qs.qs_tops)
+    (List.iter (fun ts ->
+         let rec reg bs =
+           ranks.(bs.bs_id) <- ts.ts_ranks;
+           List.iter reg bs.bs_nested
+         in
+         reg ts.ts_bs))
     queries;
   {
     options;
     queries;
     ranks;
-    sg = Graph.create ~name:"site" ();
+    sg = Graph.create ~name ();
     scope = Skolem.create ();
     data;
     derivs = Array.init !next_id (fun _ -> IT.create 16);
@@ -851,29 +832,26 @@ let drivers_of_derivs t bs_ids =
     The result is byte-identical to {!Exec.run} of the same queries over
     the same data graph. *)
 let prime t =
-  let ld = Graph.Loader.create ~name:"site" () in
+  let ld = Graph.Loader.create ~name:(Graph.name t.sg) () in
   let sink =
     { Eval.out = Eval.Fresh ld; scope = t.scope;
       emit = Some (emitter t ~apply:true) }
   in
   List.iter
-    (fun qs ->
-      List.iter
-        (fun ts ->
-          ignore (replan t ts.ts_bs);
-          ts.ts_class <- classify ts;
-          (match ts.ts_class with
-           | Plan.D_driven (coll, v, _) ->
-             let extent = Graph.collection t.data coll in
-             renumber_ranks ts extent;
-             ranks_changed t;
-             t.ctr.c_drivers <- t.ctr.c_drivers + List.length extent;
-             blockmajor t sink ~driver:(driver_of v) ts.ts_bs
-               (List.map (driver_env v) extent)
-           | Plan.D_static | Plan.D_fallback _ ->
-             blockmajor t sink ~driver:bottom ts.ts_bs [ Eval.Env.empty ]);
-          commit t ~announce:ignore)
-        qs.qs_tops)
+    (List.iter (fun ts ->
+         ignore (replan t ts.ts_bs);
+         ts.ts_class <- classify ts;
+         (match ts.ts_class with
+          | Plan.D_driven (coll, v, _) ->
+            let extent = Graph.collection t.data coll in
+            renumber_ranks ts extent;
+            ranks_changed t;
+            t.ctr.c_drivers <- t.ctr.c_drivers + List.length extent;
+            blockmajor t sink ~driver:(driver_of v) ts.ts_bs
+              (List.map (driver_env v) extent)
+          | Plan.D_static | Plan.D_fallback _ ->
+            blockmajor t sink ~driver:bottom ts.ts_bs [ Eval.Env.empty ]);
+         commit t ~announce:ignore))
     t.queries;
   t.sg <- Graph.Loader.finish ld;
   (* the buffers grew to the largest block's events: a cycle needs
@@ -914,12 +892,9 @@ let apply ?data t (delta : Delta.t) : site_change =
      walk, as deep as the deepest driven block reads, serves them all *)
   let tops =
     List.concat_map
-      (fun qs ->
-        List.map
-          (fun ts ->
-            let plan_changed = replan t ts.ts_bs in
-            (ts, plan_changed, classify ts))
-          qs.qs_tops)
+      (List.map (fun ts ->
+           let plan_changed = replan t ts.ts_bs in
+           (ts, plan_changed, classify ts)))
       t.queries
   in
   let reach_depth =

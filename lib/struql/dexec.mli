@@ -59,8 +59,11 @@ type counters = {
   mutable c_full_rederives : int;  (** whole-block re-derivations *)
 }
 
-val create : ?options:Eval.options -> queries:Ast.query list -> Graph.t -> t
-(** An engine over the given data graph; validates the queries when
+val create :
+  ?options:Eval.options -> name:string -> queries:Ast.query list -> Graph.t ->
+  t
+(** An engine over the given data graph, maintaining a site graph named
+    [name] (as {!Exec.run_all}'s); validates the queries when
     [options.validate] (the default).  Call {!prime} before {!apply}. *)
 
 val prime : t -> unit
@@ -78,9 +81,6 @@ val scope : t -> Skolem.t
 (** The Skolem scope naming the site graph's nodes. *)
 
 val data_graph : t -> Graph.t
-
-val site_queries : t -> Ast.query list
-(** The queries the engine maintains, in evaluation order. *)
 
 (** What one delta cycle changed in the site graph. *)
 type site_change = {

@@ -58,14 +58,6 @@ let pp_access ppf = function
   | Domain_objects -> Fmt.string ppf "domain: objects"
   | Domain_labels -> Fmt.string ppf "domain: labels"
 
-let access_uses_index = function
-  | Coll_probe _ | Edge_out | Edge_by_label _ | Edge_probe _ | Edge_in
-  | Path_walk ->
-    true
-  | Coll_scan _ | Extern_filter _ | Edge_scan | Path_scan | Filter | Bind_eq
-  | In_scan | Anti_join | Domain_objects | Domain_labels ->
-    false
-
 (* Mirrors the runtime dispatch of [Eval.exec_edge] / [exec_path] /
    [exec_cond]: boundness at this point in the plan decides the access
    path, so the classification is static. *)
@@ -242,11 +234,6 @@ let profile_steps p =
 let profile_rows_out p =
   List.fold_left
     (fun n b -> List.fold_left (fun n o -> n + o.os_rows_out) n b.bpr_ops)
-    0 p.prf_blocks
-
-let profile_max_batch p =
-  List.fold_left
-    (fun m b -> List.fold_left (fun m o -> max m o.os_max_batch) m b.bpr_ops)
     0 p.prf_blocks
 
 let pp_op_stats ppf os =
@@ -638,14 +625,6 @@ let pipeline_of_conds ~options ~timed ~env ~bound ~needed_obj ~needed_label g
   let ops = ops_of_steps g options.Eval.registry bound steps in
   let stream = fold_pipeline ~timed live ops (Seq.return env) in
   (stream, List.map (fun o -> o.os) ops, live)
-
-let bindings_seq ?(options = Eval.default_options) ?(env = Eval.Env.empty)
-    ?(bound = []) ?(needed_obj = []) ?(needed_label = []) g conds =
-  let s, _, _ =
-    pipeline_of_conds ~options ~timed:false ~env ~bound ~needed_obj
-      ~needed_label g conds
-  in
-  s
 
 let bindings_profiled ?(options = Eval.default_options) ?(timed = false)
     ?(env = Eval.Env.empty) ?(bound = []) ?(needed_obj = [])

@@ -55,9 +55,6 @@ type access =
 
 val pp_access : Format.formatter -> access -> unit
 
-val access_uses_index : access -> bool
-(** Whether the access path goes through a repository index. *)
-
 (** {1 Static plans — EXPLAIN} *)
 
 type op_plan = {
@@ -133,7 +130,6 @@ val profile_rows_out : profile -> int
     whole relation after plan step [i], so this is the total size of
     the intermediate relations an eager evaluator would materialize. *)
 
-val profile_max_batch : profile -> int
 val pp_profile : Format.formatter -> profile -> unit
 (** The measured plan: one operator per line with access path,
     [in=... out=... batch<=...] counters and, when timed, elapsed
@@ -220,16 +216,6 @@ val bindings_profiled :
   Graph.t -> Ast.condition list -> Eval.env list * op_stats list * int
 (** [bindings] plus the per-operator stats and the pipeline's peak
     live-binding count. *)
-
-val bindings_seq :
-  ?options:Eval.options ->
-  ?env:Eval.env ->
-  ?bound:Ast.var list ->
-  ?needed_obj:Ast.var list ->
-  ?needed_label:Ast.var list ->
-  Graph.t -> Ast.condition list -> Eval.env Seq.t
-(** The raw stream, for consumers that want row-at-a-time processing
-    without materializing the relation at all. *)
 
 (** {1 Per-driver stepping} *)
 

@@ -72,7 +72,6 @@ let pp_query ppf (q : Ast.query) =
   Fmt.pf ppf "OUTPUT %s@\n" q.output
 
 let to_string q = Fmt.str "%a" pp_query q
-let condition_to_string c = Fmt.str "%a" pp_condition c
 
 (* --- Structural equality, label predicates by name --- *)
 

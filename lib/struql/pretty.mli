@@ -14,7 +14,6 @@ val pp_collect : Format.formatter -> Ast.collect_clause -> unit
 val pp_block : ?indent:int -> Format.formatter -> Ast.block -> unit
 val pp_query : Format.formatter -> Ast.query -> unit
 val to_string : Ast.query -> string
-val condition_to_string : Ast.condition -> string
 
 (** {1 Structural equality} *)
 

@@ -376,8 +376,6 @@ let render_page ?file_loader ?templates (g : Graph.t) (o : Oid.t) : page =
 
 let page_count site = List.length site.pages
 
-let find_page site url = List.find_opt (fun p -> p.url = url) site.pages
-
 let page_of_object site o =
   List.find_opt (fun p -> Oid.equal p.obj o) site.pages
 

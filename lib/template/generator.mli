@@ -142,7 +142,6 @@ val render_page :
 (** [render_page_full] without tracing, returning just the page. *)
 
 val page_count : site -> int
-val find_page : site -> string -> page option
 val page_of_object : site -> Oid.t -> page option
 
 val write_site : dir:string -> site -> unit

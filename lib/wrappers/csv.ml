@@ -138,9 +138,6 @@ let parse_rows_loc ?fault ~source (src : string) : (string list * int) list =
   (* drop fully empty trailing rows *)
   List.rev !rows |> List.filter (fun (r, _) -> r <> [ "" ] && r <> [])
 
-let parse_rows ?fault src =
-  List.map fst (parse_rows_loc ?fault ~source:"csv" src)
-
 type table = {
   name : string;
   headers : string list;

@@ -17,11 +17,6 @@ open Sgraph
 
 exception Csv_error of string * int * int  (** message, line, column *)
 
-val parse_rows : ?fault:Fault.ctx -> string -> string list list
-(** RFC-4180-ish: quoted fields may contain commas, newlines and
-    doubled quotes.  With [fault], a malformed row is quarantined and
-    the scanner resynchronizes at the next row boundary. *)
-
 type table = {
   name : string;
   headers : string list;
@@ -29,9 +24,12 @@ type table = {
 }
 
 val table_of_string : ?fault:Fault.ctx -> name:string -> string -> table
-(** With [fault], additionally quarantines ragged rows (field count ≠
-    header count) and honours injected per-record parse faults; strict
-    mode keeps the legacy tolerance for ragged rows. *)
+(** The first row is the header.  Rows are RFC-4180-ish: quoted fields
+    may contain commas, newlines and doubled quotes.  With [fault], a
+    malformed row is quarantined and the scanner resynchronizes at the
+    next row boundary; ragged rows (field count ≠ header count) and
+    injected per-record parse faults are quarantined too.  Strict mode
+    keeps the legacy tolerance for ragged rows. *)
 
 val load_tables : ?key:string -> Graph.t -> table list -> Oid.t list list
 (** Load several tables at once: all rows are created before any cell

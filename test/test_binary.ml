@@ -1,8 +1,7 @@
 open Sgraph
 open Repository
 
-(* The compact storage representation (§6): standalone segments, whose
-   numbering costs no bytes. *)
+(* The compact storage representation (§6): segments. *)
 
 let t name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
@@ -32,7 +31,7 @@ let graph_signature g =
     edges, colls )
 
 let encode g = Segment.encode g
-let decode s = Segment.to_graph [ Segment.of_string s ]
+let decode s = Segment.to_graph (Segment.of_string s)
 
 let roundtrip =
   [
@@ -99,7 +98,7 @@ let roundtrip =
         let g, _ = Ddl.parse Sites.Paper_example.data_ddl in
         let path = Filename.temp_file "strudel" ".seg" in
         ignore (Segment.write ~path g);
-        let g' = Segment.to_graph [ Segment.read ~path () ] in
+        let g' = Segment.to_graph (Segment.read ~path ()) in
         Sys.remove path;
         check_bool "signature" true (graph_signature g = graph_signature g'));
   ]

@@ -39,6 +39,22 @@ let boundary name ?(count = 400) seeds ~documented parse =
          | exception e ->
            QCheck.Test.fail_reportf "%s escaped" (Printexc.to_string e)))
 
+(* [boundary], after the [fixed] inputs, each run as it is *)
+let boundary_fixed name fixed seeds ~documented parse =
+  let name, speed, run = boundary name seeds ~documented parse in
+  ( name,
+    speed,
+    fun () ->
+      List.iter
+        (fun input ->
+          match parse input with
+          | () -> ()
+          | exception e when documented e -> ()
+          | exception e ->
+            Alcotest.failf "%S: %s escaped" input (Printexc.to_string e))
+        fixed;
+      run () )
+
 (* --- seeds --- *)
 
 let paper = lazy (Sites.Paper_example.build ())
@@ -130,16 +146,13 @@ let body_of s =
   in
   String.sub s h (String.length s - h)
 
-(* a standalone segment, and a shard of a repository, which carries
-   global ids and sequence numbers *)
+(* the paper's data graph and its site graph *)
 let segment_bodies =
   lazy
-    (let g = Sites.Paper_example.data () in
-     let whole = Repository.Segment.whole g in
-     body_of (Repository.Segment.encode g)
-     :: List.map
-          (fun (_, sg) -> body_of (Repository.Segment.encode ~whole sg))
-          (Repository.Shard.partition Repository.Shard.By_collection g))
+    (List.map
+       (fun g -> body_of (Repository.Segment.encode g))
+       [ Sites.Paper_example.data ();
+         (Lazy.force paper).Strudel.Site.site_graph ])
 
 let segment_seeds =
   lazy (List.map seal (Lazy.force segment_bodies) @ Lazy.force segment_bodies)
@@ -150,7 +163,43 @@ let decode_segment input =
     if String.starts_with ~prefix:Repository.Segment.magic input then input
     else seal input
   in
-  ignore (Repository.Segment.to_graph [ Repository.Segment.of_string s ])
+  ignore (Repository.Segment.to_graph (Repository.Segment.of_string s))
+
+(* A repository's MANIFEST: the ones saves of the bundled sites' data
+   write, in both formats and with sources. *)
+let with_dir f =
+  let dir = Filename.temp_file "strudelmanifest" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let manifest_seeds =
+  lazy
+    (let r = Repository.Store.create () in
+     List.iter (Repository.Store.put r)
+       [ Sites.Paper_example.data (); Sites.Rodin.data ();
+         Sites.Homepage.data ~entries:2 () ];
+     List.map
+       (fun (format, sources) ->
+         with_dir (fun dir ->
+             Repository.Store.save_dir ~format ~sources r ~dir;
+             Repository.Store.save_dir ~format ~sources r ~dir;
+             let ic = open_in_bin (Filename.concat dir "MANIFEST") in
+             Fun.protect
+               ~finally:(fun () -> close_in ic)
+               (fun () -> really_input_string ic (in_channel_length ic))))
+       [ (`Segment, []); (`Ddl, [ ("bib \"x\"", 3); ("csv", 12) ]) ])
+
+let read_manifest input =
+  with_dir (fun dir ->
+      let oc = open_out_bin (Filename.concat dir "MANIFEST") in
+      output_string oc input;
+      close_out oc;
+      ignore (Repository.Store.load_manifest ~dir))
 
 let suite =
   [
@@ -196,4 +245,17 @@ let suite =
     boundary "segments: Corrupt or a graph" ~count:1000 segment_seeds
       ~documented:(function Repository.Segment.Corrupt _ -> true | _ -> false)
       decode_segment;
+    (* a second line "epoch " or "shard ..." once let Scanf's
+       End_of_file escape the reader *)
+    boundary_fixed "repository manifests: Manifest_error or a manifest"
+      [ "strudel-shard-manifest 1\nepoch \n";
+        "strudel-shard-manifest 1\nshard \"a\"\n";
+        "strudel-manifest 2\nepoch \n";
+        "strudel-manifest 2\nshard \"a\"\n";
+        "strudel-manifest 2\nepoch 1\ngraph \"a\"\n" ]
+      manifest_seeds
+      ~documented:(function
+        | Repository.Store.Manifest_error _ -> true
+        | _ -> false)
+      read_manifest;
   ]

@@ -29,54 +29,59 @@ let run_cmd cmd =
   Sys.remove out_file;
   (code, out)
 
+let read_path path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* a fresh path for a directory the command under test creates *)
+let fresh prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
+
 let available = Sys.file_exists cli
 
 let guard f () = if available then f () else ()
 
-(* `build --shards DIR` (with [--shard-by SPEC] when given) publishes
-   the data graph as a repository: its segments check clean, its
-   manifest names the spec, and explain-analyze over it prints the data
-   file's totals. *)
-let repository_case shard_by =
-  t
-    (match shard_by with
-     | None -> "build --shards: the repository checks clean and queries as the data"
-     | Some spec ->
-       Printf.sprintf
-         "build --shards --shard-by %s: the repository checks clean and \
-          queries as the data"
-         spec)
+(* `build --shards DIR` saves the data graph as a repository: its
+   manifest names the one graph, its file checks clean, and
+   explain-analyze over it prints the data file's totals. *)
+let repository_case =
+  t "build --shards: the repository checks clean and queries as the data"
     (guard (fun () ->
       let d = write_tmp ".ddl" Sites.Paper_example.data_ddl in
       let q = write_tmp ".struql" Sites.Paper_example.site_query in
-      let fresh prefix =
-        let dir = Filename.temp_file prefix "" in
-        Sys.remove dir;
-        dir
-      in
       let site = fresh "strudelsite" and repo = fresh "strudelrepo" in
-      let code, out =
+      let build () =
         run_cmd
           (Filename.quote cli ^ " build -d " ^ Filename.quote d ^ " -q "
            ^ Filename.quote q ^ " --root RootPage --shards "
-           ^ Filename.quote repo
-           ^ (match shard_by with
-              | None -> ""
-              | Some spec -> " --shard-by " ^ spec)
-           ^ " -o " ^ Filename.quote site)
+           ^ Filename.quote repo ^ " -o " ^ Filename.quote site)
       in
+      let code, out = build () in
       check_int "build exit 0" 0 code;
       check_bool "pages written" true (contains out "pages written");
+      (* a second build saves the next epoch in files of its own *)
+      let code, _ = build () in
+      check_int "second build exit 0" 0 code;
       let code, out =
         run_cmd
           (Filename.quote cli ^ " repo status " ^ Filename.quote repo
            ^ " --check")
       in
       check_int "repo status --check exit 0" 0 code;
-      check_bool "segments verified" true (contains out ": ok");
-      check_bool "manifest names the spec" true
-        (contains out
-           ("spec " ^ Option.value shard_by ~default:"collection"));
+      check_bool "the manifest names the data graph" true
+        (contains out "graph input" && contains out "epoch 2");
+      check_bool "its file verified" true (contains out "2.0.seg: ok");
+      check_bool "only the second epoch's file remains" true
+        (List.sort compare (Array.to_list (Sys.readdir repo))
+         = [ "2.0.seg"; "MANIFEST" ]);
       (* "total: rows=R operators=O": the elapsed time that follows
          differs run to run *)
       let totals out =
@@ -97,13 +102,7 @@ let repository_case shard_by =
           (Filename.quote cli ^ " explain-analyze --shards "
            ^ Filename.quote repo ^ " " ^ Filename.quote q)
       in
-      List.iter
-        (fun dir ->
-          Array.iter
-            (fun f -> Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir);
-          Sys.rmdir dir)
-        [ site; repo ];
+      List.iter rm_dir [ site; repo ];
       List.iter Sys.remove [ d; q ];
       check_int "explain-analyze over the data exit 0" 0 code_d;
       check_int "explain-analyze over the repository exit 0" 0 code_r;
@@ -111,6 +110,51 @@ let repository_case shard_by =
       Alcotest.(check (list string))
         "the repository's union answers as the data" (totals out_d)
         (totals out_r)))
+
+(* The verify skill's collide site: F("x.y") and F("x_y") share a slug
+   URL, and F("x_y")'s fallback is F("x_y_1")'s slug. *)
+let collide_ddl =
+  "object a in C { k \"x.y\" }\nobject b in C { k \"x_y\" }\n\
+   object c in C { k \"x_y_1\" }\n"
+
+let collide_query =
+  {|{ CREATE Root() }
+{ WHERE C(x), x -> "k" -> v
+  CREATE F(v)
+  LINK Root() -> "item" -> F(v), F(v) -> "key" -> v, F(v) -> "self" -> F(v) }
+OUTPUT R|}
+
+let watch_faults_case =
+  t "watch -o and build -o write byte-equal faults.json"
+    (guard (fun () ->
+      let d = write_tmp ".ddl" collide_ddl in
+      let q = write_tmp ".struql" collide_query in
+      let b = fresh "strudelbuild" and w = fresh "strudelwatch" in
+      let code_b, _ =
+        run_cmd
+          (Filename.quote cli ^ " build -d " ^ Filename.quote d ^ " -q "
+           ^ Filename.quote q ^ " --root Root -o " ^ Filename.quote b)
+      in
+      let code_w, _ =
+        run_cmd
+          (Filename.quote cli ^ " watch --data " ^ Filename.quote d
+           ^ " --query " ^ Filename.quote q ^ " --root Root -o "
+           ^ Filename.quote w ^ " --max-cycles 1 --interval 0")
+      in
+      let faults dir =
+        let path = Filename.concat dir "faults.json" in
+        if Sys.file_exists path then Some (read_path path) else None
+      in
+      let fb = faults b and fw = faults w in
+      let listing dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let lb = listing b and lw = listing w in
+      List.iter rm_dir [ b; w ];
+      List.iter Sys.remove [ d; q ];
+      check_int "build exit 0" 0 code_b;
+      check_int "watch exit 0" 0 code_w;
+      check_bool "build wrote faults.json" true (fb <> None);
+      Alcotest.(check (option string)) "byte-equal faults.json" fb fw;
+      Alcotest.(check (list string)) "the same files" lb lw))
 
 let suite =
   [
@@ -283,8 +327,8 @@ let suite =
           (contains out0
              (Printf.sprintf "jobs=%d" (Pool.auto_jobs ())));
         check_bool "written files byte-identical" true (pages1 = pages0)));
-    repository_case None;
-    repository_case (Some "family");
+    repository_case;
+    watch_faults_case;
     t "lint: bundled site in all three formats"
       (guard (fun () ->
         let code, text = run_cmd (cli ^ " lint cnn") in

@@ -332,7 +332,7 @@ let show_edges es =
 let parse = Struql.Parser.parse
 
 let classes_of queries data =
-  let dx = Struql.Dexec.create ~queries:(List.map parse queries) data in
+  let dx = Struql.Dexec.create ~name:"site" ~queries:(List.map parse queries) data in
   Struql.Dexec.prime dx;
   (dx, Struql.Dexec.classes dx)
 
@@ -386,7 +386,7 @@ let surfaces (spec : Analysis.Lint.spec) =
   in
   let engine =
     let dx =
-      Struql.Dexec.create ~options ~queries:(List.map snd queries) data
+      Struql.Dexec.create ~options ~name:"site" ~queries:(List.map snd queries) data
     in
     Struql.Dexec.prime dx;
     let classes = Struql.Dexec.classes dx in
@@ -530,7 +530,7 @@ let node_states g =
    whose state changed, and removed exactly the nodes that left. *)
 let dirty_set_exact ops =
   let g = mk_data 30 in
-  let dx = Struql.Dexec.create ~queries:[ parse site_query ] g in
+  let dx = Struql.Dexec.create ~name:"site" ~queries:[ parse site_query ] g in
   Struql.Dexec.prime dx;
   let sg = Struql.Dexec.site_graph dx in
   let r = Delta.Rec.create g in
@@ -1241,7 +1241,7 @@ let live_events_match_cold (vals, ops) =
   List.iter
     (add_item (Graph.add_edge g) (fun c o -> Graph.add_to_collection g c o))
     vals;
-  let dx = Struql.Dexec.create ~queries:[ identity_query ] g in
+  let dx = Struql.Dexec.create ~name:"site" ~queries:[ identity_query ] g in
   Struql.Dexec.prime dx;
   let agrees () =
     (Struql.Dexec.counters dx).Struql.Dexec.c_events_live
@@ -1424,11 +1424,12 @@ let renamed_placeholder ~jobs () =
       (List.map
          (fun (f : Fault.report) -> f.Fault.f_location)
          (Fault.Manifest.faults (Strudel.Site.manifest built)));
-    let located = List.map (fun (f : Fault.report) -> (f.Fault.f_location, f.Fault.f_cause)) in
-    Alcotest.(check (list (pair string string)))
-      (what ^ ": the fault a cold build records")
-      (located (Fault.reports cold_fault))
-      (located built.Strudel.Site.faults)
+    (* the whole manifest, each report's source (the site graph's
+       name) included *)
+    Alcotest.(check string)
+      (what ^ ": the fault manifest a cold build writes")
+      (Fault.Manifest.to_json (Strudel.Site.manifest cold))
+      (Fault.Manifest.to_json (Strudel.Site.manifest built))
   in
   check "first publish";
   Fault.clear fault;
@@ -1776,7 +1777,7 @@ OUTPUT SITE|} );
            are renumbered under positions cached with the old ones *)
         let q = parse site_query in
         let data = ref (mk_data 4) in
-        let dx = Struql.Dexec.create ~queries:[ q ] !data in
+        let dx = Struql.Dexec.create ~name:"site" ~queries:[ q ] !data in
         Struql.Dexec.prime dx;
         for k = 1 to 12 do
           let prev = !data in

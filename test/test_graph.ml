@@ -625,10 +625,9 @@ let renaming src dst =
   List.iter2 (Oid.Tbl.replace tbl) (Graph.nodes src) (Graph.nodes dst);
   fun o -> Option.value (Oid.Tbl.find_opt tbl o) ~default:o
 
-let equals_copy ?(colls = Fun.id) what g m g' =
+let equals_copy what g m g' =
   let f = renaming g g' in
   let expected = M.rename f (M.copy m) in
-  expected.M.colls <- colls expected.M.colls;
   match mismatch ~pool:(Array.map f pool) { g = g'; m = expected } with
   | None -> true
   | Some x ->
@@ -641,20 +640,16 @@ let read_backs_equal_copy script =
   let g = main.g and m = main.m in
   let path = Filename.temp_file "strudelgraph" ".seg" in
   let _n = Repository.Segment.write ~path g in
-  let seg = Repository.Segment.to_graph [ Repository.Segment.read ~path () ] in
+  let seg = Repository.Segment.to_graph (Repository.Segment.read ~path ()) in
   Sys.remove path;
-  let dir = Test_shard.tmp_dir "strudelgraph" in
-  ignore
-    (Repository.Shard.publish
-       { Repository.Shard.dir; cfg_spec = Repository.Shard.By_collection }
-       ~epoch:1 g);
-  let union = (Repository.Shard.open_dir ~dir ()).Repository.Shard.sn_union in
-  Test_shard.rm_rf dir;
+  (* the union a saved repository's catalog loads into *)
+  let dir = Test_repository.tmp_dir "strudelgraph" in
+  Repository.Store.save_dir ~format:`Segment
+    (Test_repository.catalog_of [ g ]) ~dir;
+  let union = Test_repository.catalog_union (Repository.Store.load_dir ~dir) in
+  Test_repository.rm_rf dir;
   equals_copy "segment" g m seg
-  (* a repository stores no empty collection *)
-  && equals_copy "repository union"
-       ~colls:(List.filter (fun (_, ms) -> ms <> []))
-       g m union
+  && equals_copy "repository union" g m union
   && equals_copy "Delta.rebase" g m (Delta.rebase ~old:seg g)
 
 let loader_props =
